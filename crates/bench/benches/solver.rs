@@ -1,0 +1,161 @@
+//! Switch-group solver kernel, one resolution at a time.
+//!
+//! The delay-estimation half of `crates/sim/tests/solver_differential.rs`:
+//! three group shapes, each resolved through the compiled image the
+//! engines hold (`GroupImage::resolve_into`) and through the public
+//! `resolve_group_into` wrapper, which compiles the group on every call
+//! before running the same kernel. The gap between the two rows of a
+//! shape is the wrapper's compile cost; the benchmark's
+//! `sim.solver.resolve_chain_ns` probe times the wrapper row of
+//! `pass_chain_64`.
+//!
+//! * `tg_latch` — a transmission gate between a driven net and a storage
+//!   node: 2 nets, 2 switches (the master stage of `cells::tg_dff`).
+//! * `tg_mux_cluster` — the group a `priority_queue` record bit forms:
+//!   two gate outputs and a neighbour's kept bit feeding three TG muxes,
+//!   6 nets, 12 switches.
+//! * `pass_chain_64` — 64 NMOS pass switches in series off one driven
+//!   head, 65 nets.
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use logicsim::netlist::{ChannelGroups, Level, NetId, Netlist, NetlistBuilder, Signal, SwitchKind};
+use logicsim::sim::solver::{resolve_group_into, GroupImage, Scratch};
+
+/// One group to resolve: the nets in `driven` carry a strong level that
+/// toggles every resolution, `high` lists the control nets at 1 (all
+/// other controls read 0), and `probe` is a member of the group.
+struct Case {
+    name: &'static str,
+    netlist: Netlist,
+    driven: Vec<NetId>,
+    high: Vec<NetId>,
+    probe: NetId,
+}
+
+fn tg_latch() -> Case {
+    let mut b = NetlistBuilder::new("tg_latch");
+    let clk = b.input("clk");
+    let clk_n = b.input("clk_n");
+    let d = b.input("d");
+    let m = b.net("m");
+    b.transmission_gate(clk, clk_n, d, m);
+    Case {
+        name: "tg_latch",
+        netlist: b.finish().expect("latch builds"),
+        driven: vec![d],
+        high: vec![clk],
+        probe: m,
+    }
+}
+
+/// 2:1 TG mux junction: `sel = 1` passes `a1`.
+fn tg_mux(b: &mut NetlistBuilder, sel: NetId, sel_n: NetId, a0: NetId, a1: NetId) -> NetId {
+    let y = b.fresh("j");
+    b.transmission_gate(sel, sel_n, a1, y);
+    b.transmission_gate(sel_n, sel, a0, y);
+    y
+}
+
+fn tg_mux_cluster() -> Case {
+    let mut b = NetlistBuilder::new("tg_mux_cluster");
+    let lt = b.input("lt");
+    let lt_n = b.input("lt_n");
+    let ext = b.input("ext");
+    let ext_n = b.input("ext_n");
+    let stored = b.input("stored");
+    let incoming = b.input("incoming");
+    let kept_above = b.input("kept_above");
+    // Keep the smaller record, pass the larger one down, and the record
+    // above pulls this one's stored bit on extraction.
+    let kept = tg_mux(&mut b, lt, lt_n, stored, incoming);
+    tg_mux(&mut b, lt, lt_n, incoming, stored);
+    tg_mux(&mut b, ext, ext_n, kept_above, stored);
+    Case {
+        name: "tg_mux_cluster",
+        netlist: b.finish().expect("cluster builds"),
+        driven: vec![stored, incoming, kept_above],
+        high: vec![lt, ext_n],
+        probe: kept,
+    }
+}
+
+fn pass_chain(switches: usize) -> Case {
+    let mut b = NetlistBuilder::new("pass_chain");
+    let head = b.input("head");
+    let gate = b.input("gate");
+    let mut prev = head;
+    for i in 0..switches {
+        let next = b.net(format!("n{i}"));
+        b.switch(SwitchKind::Nmos, gate, prev, next);
+        prev = next;
+    }
+    Case {
+        name: "pass_chain_64",
+        netlist: b.finish().expect("chain builds"),
+        driven: vec![head],
+        high: vec![gate],
+        probe: prev,
+    }
+}
+
+fn solver_benches(c: &mut Criterion) {
+    let mut bench_group = c.benchmark_group("solver");
+    for case in [tg_latch(), tg_mux_cluster(), pass_chain(64)] {
+        let groups = ChannelGroups::compute(&case.netlist);
+        let image = GroupImage::build(&case.netlist, &groups);
+        let group = groups.group_of(case.probe);
+        let ext = |round: u64| {
+            let level = Level::from_bool(round % 2 == 1);
+            let driven = &case.driven;
+            move |net: NetId| {
+                if driven.contains(&net) {
+                    Signal::strong(level)
+                } else {
+                    Signal::FLOATING
+                }
+            }
+        };
+        let ctl = |net: NetId| Level::from_bool(case.high.contains(&net));
+        let mut scratch = Scratch::default();
+        let mut out: Vec<(NetId, Signal)> = Vec::new();
+
+        let mut round = 0u64;
+        bench_group.bench_function(format!("{}/compiled_image", case.name), |b| {
+            b.iter(|| {
+                round += 1;
+                out.clear();
+                image.resolve_into(
+                    &groups,
+                    group,
+                    &mut scratch,
+                    ext(round),
+                    ctl,
+                    |_| Level::X,
+                    &mut out,
+                );
+                black_box(out.len())
+            });
+        });
+        bench_group.bench_function(format!("{}/wrapper", case.name), |b| {
+            b.iter(|| {
+                round += 1;
+                out.clear();
+                resolve_group_into(
+                    &case.netlist,
+                    &groups,
+                    group,
+                    &mut scratch,
+                    ext(round),
+                    ctl,
+                    |_| Level::X,
+                    &mut out,
+                );
+                black_box(out.len())
+            });
+        });
+    }
+    bench_group.finish();
+}
+
+criterion_group!(benches, solver_benches);
+criterion_main!(benches);

@@ -3,7 +3,7 @@
 
 use crate::component::{CompId, Component, NetId};
 use crate::netlist::Netlist;
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Channel-connected groups of nets.
 ///
@@ -12,14 +12,50 @@ use std::collections::HashMap;
 /// (conduction can carry a value either way), while nets connected only
 /// through gates are evaluated independently. Gate-only circuits have one
 /// singleton group per net.
+///
+/// Stored flat: groups are numbered by their lowest member net, and
+/// group `g`'s members and switches are the `member_off[g] ..
+/// member_off[g + 1]` / `switch_off[g] .. switch_off[g + 1]` runs of two
+/// shared arrays. Members are ascending by net id, switches ascending by
+/// component id.
 #[derive(Debug, Clone)]
 pub struct ChannelGroups {
     /// For each net index, the id of its group.
     group_of: Vec<u32>,
-    /// For each group, the member nets.
-    members: Vec<Vec<NetId>>,
-    /// For each group, the switches whose channels lie inside it.
-    switches: Vec<Vec<CompId>>,
+    /// Per-group run offsets into `members` (`num_groups + 1` entries).
+    member_off: Vec<u32>,
+    /// Member nets of every group, group by group.
+    members: Vec<NetId>,
+    /// Per-group run offsets into `switches` (`num_groups + 1` entries).
+    switch_off: Vec<u32>,
+    /// Switches whose channels lie inside each group, group by group.
+    switches: Vec<CompId>,
+}
+
+/// Counting sort of `items()` (each tagged with its group) into one run
+/// per group, preserving the iteration order inside a run. Returns the
+/// `num_groups + 1` run offsets and the flattened runs. `items` is
+/// walked twice: once to size the runs, once to fill them.
+fn bucket_by_group<T: Copy, I: Iterator<Item = (u32, T)>>(
+    num_groups: usize,
+    items: impl Fn() -> I,
+    fill: T,
+) -> (Vec<u32>, Vec<T>) {
+    let mut off = vec![0u32; num_groups + 1];
+    for (g, _) in items() {
+        off[g as usize + 1] += 1;
+    }
+    for g in 0..num_groups {
+        off[g + 1] += off[g];
+    }
+    let mut flat = vec![fill; off[num_groups] as usize];
+    let mut cursor = off[..num_groups].to_vec();
+    for (g, item) in items() {
+        let at = &mut cursor[g as usize];
+        flat[*at as usize] = item;
+        *at += 1;
+    }
+    (off, flat)
 }
 
 impl ChannelGroups {
@@ -43,36 +79,55 @@ impl ChannelGroups {
             }
             root
         }
-        for (_, comp) in netlist.iter() {
-            if let Component::Switch { a, b, .. } = comp {
-                let ra = find(&mut parent, a.0);
-                let rb = find(&mut parent, b.0);
-                if ra != rb {
-                    parent[ra as usize] = rb;
-                }
+        let channels = || {
+            netlist.iter().filter_map(|(id, comp)| match comp {
+                Component::Switch { a, b, .. } => Some((id, *a, *b)),
+                _ => None,
+            })
+        };
+        for (_, a, b) in channels() {
+            let ra = find(&mut parent, a.0);
+            let rb = find(&mut parent, b.0);
+            if ra != rb {
+                parent[ra as usize] = rb;
             }
         }
-        let mut group_ids: HashMap<u32, u32> = HashMap::new();
-        let mut group_of = vec![0u32; n];
-        let mut members: Vec<Vec<NetId>> = Vec::new();
-        for (i, slot) in group_of.iter_mut().enumerate() {
-            let root = find(&mut parent, i as u32);
-            let gid = *group_ids.entry(root).or_insert_with(|| {
-                members.push(Vec::new());
-                (members.len() - 1) as u32
-            });
-            *slot = gid;
-            members[gid as usize].push(NetId(i as u32));
-        }
-        let mut switches: Vec<Vec<CompId>> = vec![Vec::new(); members.len()];
-        for (id, comp) in netlist.iter() {
-            if let Component::Switch { a, .. } = comp {
-                switches[group_of[a.index()] as usize].push(id);
+        // Number groups in order of their lowest member net. A root's
+        // slot carries its group's id from the first member seen on; a
+        // root that is not itself that first member is overwritten with
+        // the same id when the scan reaches it.
+        const UNSET: u32 = u32::MAX;
+        let mut group_of = vec![UNSET; n];
+        let mut num_groups = 0usize;
+        for i in 0..n {
+            let root = find(&mut parent, i as u32) as usize;
+            if group_of[root] == UNSET {
+                group_of[root] = num_groups as u32;
+                num_groups += 1;
             }
+            group_of[i] = group_of[root];
         }
+        drop(parent); // before the runs are allocated: keeps the peak down
+        let (member_off, members) = bucket_by_group(
+            num_groups,
+            || {
+                group_of
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &g)| (g, NetId(i as u32)))
+            },
+            NetId(0),
+        );
+        let (switch_off, switches) = bucket_by_group(
+            num_groups,
+            || channels().map(|(id, a, _)| (group_of[a.index()], id)),
+            CompId(0),
+        );
         ChannelGroups {
             group_of,
+            member_off,
             members,
+            switch_off,
             switches,
         }
     }
@@ -83,6 +138,7 @@ impl ChannelGroups {
     ///
     /// Panics if `net` is out of range.
     #[must_use]
+    #[inline]
     pub fn group_of(&self, net: NetId) -> u32 {
         self.group_of[net.index()]
     }
@@ -90,34 +146,62 @@ impl ChannelGroups {
     /// Number of groups.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        self.members.len()
+        self.member_off.len() - 1
     }
 
-    /// Member nets of a group.
+    /// Where a group's members sit in the flat member array (all groups'
+    /// members, group by group). Side tables with one entry per member
+    /// are indexed by these positions.
     ///
     /// # Panics
     ///
     /// Panics if `group` is out of range.
     #[must_use]
+    #[inline]
+    pub fn member_range(&self, group: u32) -> Range<usize> {
+        self.member_off[group as usize] as usize..self.member_off[group as usize + 1] as usize
+    }
+
+    /// Where a group's switches sit in the flat switch array; the
+    /// counterpart of [`ChannelGroups::member_range`] for side tables
+    /// with one entry per switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn switch_range(&self, group: u32) -> Range<usize> {
+        self.switch_off[group as usize] as usize..self.switch_off[group as usize + 1] as usize
+    }
+
+    /// Member nets of a group, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is out of range.
+    #[must_use]
+    #[inline]
     pub fn members(&self, group: u32) -> &[NetId] {
-        &self.members[group as usize]
+        &self.members[self.member_range(group)]
     }
 
-    /// Switches whose channels lie inside a group.
+    /// Switches whose channels lie inside a group, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `group` is out of range.
     #[must_use]
+    #[inline]
     pub fn switches(&self, group: u32) -> &[CompId] {
-        &self.switches[group as usize]
+        &self.switches[self.switch_range(group)]
     }
 
     /// Returns `true` when the group has more than one net, i.e. actually
     /// needs switch-level resolution.
     #[must_use]
     pub fn is_nontrivial(&self, group: u32) -> bool {
-        self.members[group as usize].len() > 1
+        self.member_range(group).len() > 1
     }
 }
 
@@ -379,6 +463,41 @@ mod tests {
         assert!(g.is_nontrivial(gid));
         // ctl is not channel-connected.
         assert_ne!(g.group_of(n.find_net("ctl").unwrap()), gid);
+    }
+
+    #[test]
+    fn groups_are_numbered_by_lowest_member_and_runs_ascend() {
+        // Two groups interleaved in net order: {p0, p1, p2} joined back
+        // to front, and {q0, q1}; `loner` carries a switch onto itself.
+        let mut b = NetlistBuilder::new("g");
+        let ctl = b.input("ctl");
+        let p0 = b.input("p0");
+        let q0 = b.input("q0");
+        let p1 = b.net("p1");
+        let q1 = b.net("q1");
+        let p2 = b.net("p2");
+        let loner = b.input("loner");
+        let s_p12 = b.switch(SwitchKind::Nmos, ctl, p2, p1);
+        let s_q = b.switch(SwitchKind::Pmos, ctl, q1, q0);
+        let s_p01 = b.switch(SwitchKind::Nmos, ctl, p1, p0);
+        let s_self = b.switch(SwitchKind::Nmos, ctl, loner, loner);
+        let n = b.finish().unwrap();
+        let g = ChannelGroups::compute(&n);
+        let ids: Vec<u32> = [ctl, p0, q0, p1, q1, p2, loner]
+            .iter()
+            .map(|&net| g.group_of(net))
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 1, 2, 1, 3]);
+        assert_eq!(g.num_groups(), 4);
+        assert_eq!(g.members(1), [p0, p1, p2]);
+        assert_eq!(g.switches(1), [s_p12, s_p01]);
+        assert_eq!(g.members(2), [q0, q1]);
+        assert_eq!(g.switches(2), [s_q]);
+        assert_eq!(g.members(3), [loner]);
+        assert_eq!(g.switches(3), [s_self]);
+        assert!(!g.is_nontrivial(3));
+        assert_eq!(g.member_range(2), 4..6);
+        assert_eq!(g.switch_range(2), 2..3);
     }
 
     #[test]

@@ -284,8 +284,10 @@ impl StampSet {
 /// the exact same precomputed structure.
 #[derive(Debug)]
 pub(crate) struct Image {
-    /// Channel-connected switch groups.
+    /// Channel-connected switch groups (also the per-net group map).
     pub(crate) groups: ChannelGroups,
+    /// The groups compiled for the switch-level solver.
+    pub(crate) solver: solver::GroupImage,
     /// Per-component evaluation dispatch.
     pub(crate) eval: Vec<EvalKind>,
     /// Per-component gate input pins (net ids; empty for non-gates).
@@ -294,8 +296,6 @@ pub(crate) struct Image {
     pub(crate) fanout: Csr,
     /// Per-net non-switch driver component ids (the external-drive set).
     pub(crate) ext_drivers: Csr,
-    /// Channel group of each net.
-    pub(crate) net_group: Vec<u32>,
     /// Whether each group needs switch-level resolution.
     pub(crate) group_nontrivial: Vec<bool>,
     /// Trace attribution per net: the first switch driver if any, else
@@ -376,7 +376,6 @@ impl Image {
                     .0
             })
             .collect();
-        let net_group: Vec<u32> = (0..nn).map(|i| groups.group_of(NetId(i as u32))).collect();
         let group_nontrivial: Vec<bool> = (0..groups.num_groups())
             .map(|g| groups.is_nontrivial(g as u32))
             .collect();
@@ -385,12 +384,12 @@ impl Image {
             gate_inputs: netlist.gate_inputs_csr(),
             fanout: netlist.fanout_csr(),
             ext_drivers,
-            net_group,
             group_nontrivial,
             net_attr,
             input_comp,
             comp_out,
             static_drive,
+            solver: solver::GroupImage::build(netlist, &groups),
             groups,
         })
     }
@@ -413,7 +412,6 @@ impl Image {
 /// No events are counted. Shared by the serial and parallel engines so
 /// both start every run from the identical state.
 pub(crate) fn relax_power_up(
-    netlist: &Netlist,
     img: &Image,
     init_rounds: u32,
     net_values: &mut [Signal],
@@ -427,7 +425,7 @@ pub(crate) fn relax_power_up(
         // Recompute all net values from current drives.
         let mut changed = false;
         for (net_idx, value) in net_values.iter_mut().enumerate() {
-            if img.group_nontrivial[img.net_group[net_idx] as usize] {
+            if img.group_nontrivial[img.groups.group_of(NetId(net_idx as u32)) as usize] {
                 continue; // handled below per group
             }
             let v = img.external_drive(comp_drive, NetId(net_idx as u32));
@@ -441,8 +439,7 @@ pub(crate) fn relax_power_up(
                 continue;
             }
             group_out.clear();
-            solver::resolve_group_into(
-                netlist,
+            img.solver.resolve_into(
                 &img.groups,
                 gid,
                 &mut scratch,
@@ -634,7 +631,6 @@ impl<'a> Simulator<'a> {
     /// repeat until stable (or the round bound). No events are counted.
     fn initialize(&mut self) {
         relax_power_up(
-            self.netlist.get(),
             &self.img,
             self.config.init_rounds,
             &mut self.net_values,
@@ -774,8 +770,7 @@ impl<'a> Simulator<'a> {
         out: &mut Vec<(NetId, Signal)>,
     ) {
         out.clear();
-        solver::resolve_group_into(
-            self.netlist.get(),
+        self.img.solver.resolve_into(
             &self.img.groups,
             gid,
             scratch,
@@ -841,7 +836,7 @@ impl<'a> Simulator<'a> {
         ws.changed_nets.clear();
         for &net_idx in ws.affected.sorted() {
             let cause = CompId(ws.affected_cause[net_idx as usize]);
-            let gid = self.img.net_group[net_idx as usize];
+            let gid = self.img.groups.group_of(NetId(net_idx));
             if self.img.group_nontrivial[gid as usize] {
                 ws.dirty_groups.insert(gid);
             } else {

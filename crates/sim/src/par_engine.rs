@@ -438,7 +438,7 @@ impl Master {
         self.changed_nets.clear();
         for &net_idx in self.affected.sorted() {
             let cause = self.affected_cause[net_idx as usize];
-            let gid = core.img.net_group[net_idx as usize];
+            let gid = core.img.groups.group_of(NetId(net_idx));
             if core.img.group_nontrivial[gid as usize] {
                 self.dirty.insert(gid);
             } else {
@@ -721,8 +721,7 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     st.resolved.clear();
     for &gid in &st.gids {
         st.group_out.clear();
-        solver::resolve_group_into(
-            core.netlist.get(),
+        core.img.solver.resolve_into(
             &core.img.groups,
             gid,
             &mut st.solver,
@@ -853,7 +852,7 @@ fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Ve
         }
         for &sw in img.groups.switches(gid) {
             if let Component::Switch { control, .. } = netlist.component(sw) {
-                let h = img.net_group[control.index()];
+                let h = img.groups.group_of(*control);
                 if img.group_nontrivial[h as usize] {
                     let (ra, rb) = (find(&mut parent, gid), find(&mut parent, h));
                     if ra != rb {
@@ -1003,7 +1002,6 @@ impl<'a> ParSimulator<'a> {
         let mut comp_drive = img.static_drive.clone();
         let mut last_scheduled = vec![Signal::FLOATING; nc];
         relax_power_up(
-            hold.get(),
             &img,
             config.init_rounds,
             &mut net_values,

@@ -46,7 +46,15 @@ use crate::sync_shim::{hint, thread, AtomicUsize, Ordering, UnsafeCell};
 /// barrier, so (with `--features phase-check`) the access epoch
 /// changes exactly when a new phase begins and never while any party
 /// is mid-phase.
+///
+/// Aligned to its own cache lines: every party writes `count` and spins
+/// on `generation`, and the barrier sits inline in the engine's shared
+/// core beside fields all parties read in their hot loops. Unaligned,
+/// which of those fields share a line with the counters (and so get
+/// invalidated at every crossing) depends on the sizes of unrelated
+/// structs.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct SpinBarrier {
     parties: usize,
     count: AtomicUsize,

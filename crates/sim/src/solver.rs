@@ -11,28 +11,264 @@
 //! Switches whose control is `X` are handled pessimistically: they
 //! propagate their source's value with level forced to `X`, so an
 //! uncertain connection can never manufacture a confident `0`/`1`.
+//!
+//! # Compiled groups
+//!
+//! Everything about a group that does not depend on signal values is
+//! derived once ([`GroupImage::build`], at engine construction) and laid
+//! out beside [`ChannelGroups`]' flat arrays: per switch a packed
+//! control word and the XOR of its two terminals' member indices, per
+//! member the run of switch slots incident to it. A resolution then
+//! reads each control level once into a conduction byte and relaxes over
+//! that static adjacency, skipping open switches — no search, no
+//! [`Component`] access, no per-call graph build. The free functions
+//! [`resolve_group`]/[`resolve_group_into`] compile their one group into
+//! [`Scratch`] first and run the same kernel.
 
-use logicsim_netlist::{ChannelGroups, Component, Level, NetId, Netlist, Signal, Strength};
+use logicsim_netlist::{
+    ChannelGroups, CompId, Component, Level, NetId, Netlist, Signal, Strength, SwitchKind,
+};
+use std::ops::Range;
 
-/// Reusable buffers for [`resolve_group_into`], so the per-tick settling
-/// loop performs no allocation once the buffers have grown to the size
-/// of the largest group.
+/// The value-independent structure of channel groups, in the layout the
+/// relaxation kernel walks. One instance holds either every group of a
+/// netlist ([`GroupImage`], indexed like [`ChannelGroups`]' flat arrays)
+/// or a single group compiled on demand (inside [`Scratch`]).
+#[derive(Debug, Clone)]
+struct Compiled {
+    /// Per switch slot: `control net << 1 | is_pmos`.
+    ctl: Vec<u32>,
+    /// Per switch slot: `local_a ^ local_b`, the member indices (inside
+    /// the switch's group) of its two channel terminals. Arriving at one
+    /// terminal, XOR gives the other (itself when `a == b`).
+    span: Vec<u32>,
+    /// Per member position, plus a final sentinel: offsets into `adj`.
+    adj_off: Vec<u32>,
+    /// Group-local switch slots incident to each member, in slot order;
+    /// a switch with `a == b` is listed twice on that member.
+    adj: Vec<u32>,
+}
+
+impl Default for Compiled {
+    fn default() -> Compiled {
+        Compiled::with_capacity(0, 0)
+    }
+}
+
+impl Compiled {
+    /// No groups yet, with room for `switches` slots and `members`
+    /// positions.
+    fn with_capacity(switches: usize, members: usize) -> Compiled {
+        let mut adj_off = Vec::with_capacity(members + 1);
+        adj_off.push(0);
+        Compiled {
+            ctl: Vec::with_capacity(switches),
+            span: Vec::with_capacity(switches),
+            adj_off,
+            adj: Vec::with_capacity(2 * switches),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.ctl.clear();
+        self.span.clear();
+        self.adj_off.truncate(1);
+        self.adj.clear();
+    }
+
+    /// Appends one group: a member position per entry of `members` and a
+    /// switch slot per entry of `switches` that is a switch bridging two
+    /// of them (every entry, when both lists come from
+    /// [`ChannelGroups::compute`] on `netlist`; anything else is
+    /// skipped). `tmp` is caller-owned scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a control net id does not fit the packed control word.
+    fn push_group(
+        &mut self,
+        netlist: &Netlist,
+        members: &[NetId],
+        switches: &[CompId],
+        tmp: &mut Vec<u32>,
+    ) {
+        // Local indices are found by search, once, here.
+        debug_assert!(members.is_sorted(), "ChannelGroups lists members ascending");
+        let first_switch = self.span.len();
+        let first_member = self.adj_off.len() - 1;
+        let adj_base = self.adj.len() as u32;
+        // Member `i`'s run starts at `off[i]` and ends at `off[i + 1]`.
+        self.adj_off
+            .resize(self.adj_off.len() + members.len(), adj_base);
+        let off = &mut self.adj_off[first_member..];
+        // Pass 1: one slot per switch; degrees counted one member up so
+        // the prefix sum below turns them into run starts in place.
+        // `tmp` remembers each slot's first terminal for pass 2.
+        tmp.clear();
+        for &sw in switches {
+            let Component::Switch {
+                kind,
+                control,
+                a,
+                b,
+            } = netlist.component(sw)
+            else {
+                continue;
+            };
+            assert!(
+                control.0 <= u32::MAX >> 1,
+                "control net id must fit 31 bits"
+            );
+            let (Ok(la), Ok(lb)) = (members.binary_search(a), members.binary_search(b)) else {
+                continue;
+            };
+            let (la, lb) = (la as u32, lb as u32);
+            self.ctl
+                .push(control.0 << 1 | u32::from(*kind == SwitchKind::Pmos));
+            self.span.push(la ^ lb);
+            tmp.push(la);
+            off[la as usize + 1] += 1;
+            off[lb as usize + 1] += 1;
+        }
+        for i in 1..members.len() {
+            off[i + 1] += off[i] - adj_base;
+        }
+        // Pass 2: fill each member's run in slot order.
+        let spans = &self.span[first_switch..];
+        let cursors = tmp.len();
+        tmp.extend_from_slice(&off[..members.len()]);
+        self.adj.resize(self.adj.len() + 2 * spans.len(), 0);
+        for (slot, &span) in spans.iter().enumerate() {
+            let la = tmp[slot];
+            for end in [la, la ^ span] {
+                let at = &mut tmp[cursors + end as usize];
+                self.adj[*at as usize] = slot as u32;
+                *at += 1;
+            }
+        }
+    }
+
+    /// The slices of one group: its `members`, whose positions start at
+    /// `first_member`, and its switch slots `switches`.
+    fn group<'a>(
+        &'a self,
+        members: &'a [NetId],
+        first_member: usize,
+        switches: Range<usize>,
+    ) -> Group<'a> {
+        Group {
+            members,
+            ctl: &self.ctl[switches.clone()],
+            span: &self.span[switches],
+            adj_off: &self.adj_off[first_member..=first_member + members.len()],
+            adj: &self.adj,
+        }
+    }
+}
+
+/// One compiled group, as the kernel reads it.
+struct Group<'a> {
+    members: &'a [NetId],
+    /// This group's switch slots.
+    ctl: &'a [u32],
+    span: &'a [u32],
+    /// `members.len() + 1` offsets into `adj`.
+    adj_off: &'a [u32],
+    adj: &'a [u32],
+}
+
+/// Per-resolution state of the relaxation kernel.
+#[derive(Debug, Clone, Default)]
+struct Work {
+    /// Current contribution per member.
+    contrib: Vec<Signal>,
+    /// Conduction per switch slot ([`SwitchKind::conducts`]), read once
+    /// per resolution.
+    conducts: Vec<Option<bool>>,
+    dirty: Vec<u32>,
+    on_list: Vec<bool>,
+}
+
+/// Reusable buffers for group resolution, so the per-tick settling loop
+/// performs no allocation once the buffers have grown to the size of
+/// the largest group.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    contrib: Vec<Signal>,
-    /// `(local_a, local_b, control_unknown)` per possibly-conducting
-    /// switch.
-    edges: Vec<(usize, usize, bool)>,
-    /// CSR adjacency over local nodes: `adj[adj_off[i]..adj_off[i+1]]`
-    /// holds `(neighbor, control_unknown)` for every edge incident to
-    /// `i`. Built per call (conduction states change between calls);
-    /// lets the relaxation scan only incident edges instead of the
-    /// whole group's edge list on every pop.
-    adj_off: Vec<u32>,
-    adj: Vec<(u32, bool)>,
-    fill: Vec<u32>,
-    dirty: Vec<usize>,
-    on_list: Vec<bool>,
+    work: Work,
+    /// The one group [`resolve_group_into`] compiles per call.
+    one: Compiled,
+    tmp: Vec<u32>,
+}
+
+/// Every channel group of a netlist, compiled for the relaxation kernel
+/// (see the [module docs](self)). Costs 16 bytes per switch and 4 bytes
+/// per net on top of the [`ChannelGroups`] it was built from, whose
+/// member arrays it indexes rather than copies.
+#[derive(Debug, Clone)]
+pub struct GroupImage {
+    compiled: Compiled,
+}
+
+impl GroupImage {
+    /// Compiles all groups. `groups` must have been computed from
+    /// `netlist`, and the same `groups` must be passed to
+    /// [`GroupImage::resolve_into`]: switch slots and member positions
+    /// are `groups`' own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a net id used as a switch control exceeds 31 bits.
+    #[must_use]
+    pub fn build(netlist: &Netlist, groups: &ChannelGroups) -> GroupImage {
+        let mut compiled = Compiled::with_capacity(netlist.num_switches(), netlist.num_nets());
+        let mut tmp = Vec::new();
+        for group in 0..groups.num_groups() as u32 {
+            compiled.push_group(
+                netlist,
+                groups.members(group),
+                groups.switches(group),
+                &mut tmp,
+            );
+            debug_assert_eq!(compiled.ctl.len(), groups.switch_range(group).end);
+        }
+        GroupImage { compiled }
+    }
+
+    /// Resolves one group to a fixpoint, appending `(net, resolved)` for
+    /// every member net to `out` in member order. The closures are those
+    /// of [`resolve_group`].
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "resolve_group_into's closure interface plus the group tables"
+    )]
+    pub fn resolve_into<FD, FC, FP>(
+        &self,
+        groups: &ChannelGroups,
+        group: u32,
+        scratch: &mut Scratch,
+        ext_drive: FD,
+        control_level: FC,
+        prev_level: FP,
+        out: &mut Vec<(NetId, Signal)>,
+    ) where
+        FD: Fn(NetId) -> Signal,
+        FC: Fn(NetId) -> Level,
+        FP: Fn(NetId) -> Level,
+    {
+        let compiled = self.compiled.group(
+            groups.members(group),
+            groups.member_range(group).start,
+            groups.switch_range(group),
+        );
+        relax(
+            compiled,
+            &mut scratch.work,
+            ext_drive,
+            control_level,
+            prev_level,
+            out,
+        );
+    }
 }
 
 /// Resolves one channel group to a fixpoint.
@@ -46,9 +282,10 @@ pub struct Scratch {
 ///
 /// Returns `(net, resolved)` for every member net, in member order.
 ///
-/// The propagation is a monotone fixpoint in the signal join lattice, so
-/// it terminates in at most `O(members * lattice_height)` relaxations
-/// regardless of switch topology (including cycles).
+/// The propagation only ever raises a net's contribution in the finite
+/// signal join lattice, so it terminates in at most
+/// `O(members * lattice_height)` relaxations regardless of switch
+/// topology (including cycles).
 #[must_use]
 pub fn resolve_group<FD, FC, FP>(
     netlist: &Netlist,
@@ -78,9 +315,10 @@ where
     out
 }
 
-/// Allocation-free variant of [`resolve_group`]: relaxes inside
-/// `scratch`'s buffers and appends `(net, resolved)` pairs to `out` in
-/// member order. Results are identical to [`resolve_group`].
+/// Allocation-free variant of [`resolve_group`]: compiles the group and
+/// relaxes inside `scratch`'s buffers, appending `(net, resolved)` pairs
+/// to `out` in member order. Results are identical to [`resolve_group`]
+/// and to [`GroupImage::resolve_into`], which skips the compile step.
 #[expect(
     clippy::too_many_arguments,
     reason = "mirrors resolve_group's closure interface plus the two buffers"
@@ -100,89 +338,82 @@ pub fn resolve_group_into<FD, FC, FP>(
     FP: Fn(NetId) -> Level,
 {
     let members = groups.members(group);
-    // Local dense indexing of member nets.
-    let local = |net: NetId| -> usize {
-        members
-            .binary_search(&net)
-            .or_else(|_| members.iter().position(|&m| m == net).ok_or(()))
-            .expect("switch channel net must belong to its group")
-    };
-    let contrib = &mut scratch.contrib;
+    let Scratch { work, one, tmp } = scratch;
+    one.clear();
+    one.push_group(netlist, members, groups.switches(group), tmp);
+    let compiled = one.group(members, 0, 0..one.ctl.len());
+    relax(compiled, work, ext_drive, control_level, prev_level, out);
+}
+
+/// The relaxation kernel: the only implementation of group resolution.
+///
+/// Every member starts on the worklist and the worklist is a stack, so
+/// members are first visited from the highest index down, and a member's
+/// incident switches are tried in slot order. That visiting order is
+/// part of the result, not an implementation detail: crossing a switch
+/// is not monotone across strength classes (a `Supply` source arrives
+/// `Strong` and overrides a `Weak` contribution its neighbour has
+/// already forwarded), so a different order can leave a different
+/// fixpoint on such topologies. The golden traces pin this order.
+fn relax<FD, FC, FP>(
+    group: Group<'_>,
+    work: &mut Work,
+    ext_drive: FD,
+    control_level: FC,
+    prev_level: FP,
+    out: &mut Vec<(NetId, Signal)>,
+) where
+    FD: Fn(NetId) -> Signal,
+    FC: Fn(NetId) -> Level,
+    FP: Fn(NetId) -> Level,
+{
+    let Work {
+        contrib,
+        conducts,
+        dirty,
+        on_list,
+    } = work;
+    let members = group.members;
     contrib.clear();
     contrib.extend(members.iter().map(|&n| ext_drive(n)));
+    conducts.clear();
+    conducts.extend(group.ctl.iter().map(|&word| {
+        let kind = if word & 1 == 0 {
+            SwitchKind::Nmos
+        } else {
+            SwitchKind::Pmos
+        };
+        kind.conducts(control_level(NetId(word >> 1)))
+    }));
 
-    // Edge list: (local_a, local_b, conduction) where conduction is
-    // Some(true) conducting, Some(false) open, None unknown.
-    let edges = &mut scratch.edges;
-    edges.clear();
-    for &sw in groups.switches(group) {
-        if let Component::Switch {
-            kind,
-            control,
-            a,
-            b,
-        } = netlist.component(sw)
-        {
-            let cond = kind.conducts(control_level(*control));
-            if cond != Some(false) {
-                edges.push((local(*a), local(*b), cond.is_none()));
-            }
-        }
-    }
-
-    // Per-node adjacency (CSR over the scratch buffers), so each
-    // relaxation step visits only the popped node's incident edges.
-    // The fixpoint is a monotone join, hence order-independent: the
-    // result is identical to scanning the full edge list per pop.
-    let nloc = members.len();
-    let adj_off = &mut scratch.adj_off;
-    adj_off.clear();
-    adj_off.resize(nloc + 1, 0);
-    for &(a, b, _) in edges.iter() {
-        adj_off[a + 1] += 1;
-        adj_off[b + 1] += 1;
-    }
-    for i in 0..nloc {
-        adj_off[i + 1] += adj_off[i];
-    }
-    let adj = &mut scratch.adj;
-    adj.clear();
-    adj.resize(2 * edges.len(), (0, false));
-    let fill = &mut scratch.fill;
-    fill.clear();
-    fill.extend_from_slice(&adj_off[..nloc]);
-    for &(a, b, unknown) in edges.iter() {
-        adj[fill[a] as usize] = (b as u32, unknown);
-        fill[a] += 1;
-        adj[fill[b] as usize] = (a as u32, unknown);
-        fill[b] += 1;
-    }
-
-    // Worklist relaxation to fixpoint.
-    let dirty = &mut scratch.dirty;
     dirty.clear();
-    dirty.extend(0..nloc);
-    let on_list = &mut scratch.on_list;
+    dirty.extend(0..members.len() as u32);
     on_list.clear();
-    on_list.resize(nloc, true);
+    on_list.resize(members.len(), true);
     while let Some(i) = dirty.pop() {
+        let i = i as usize;
         on_list[i] = false;
-        for &(nbr, unknown) in &adj[adj_off[i] as usize..adj_off[i + 1] as usize] {
+        if contrib[i].strength == Strength::HighZ {
+            continue; // nothing to forward
+        }
+        for &slot in &group.adj[group.adj_off[i] as usize..group.adj_off[i + 1] as usize] {
+            let slot = slot as usize;
+            // A self-loop (`a == b`) can raise `contrib[i]` mid-scan, so
+            // the candidate is re-read per switch.
             let mut cand = contrib[i].through_switch();
-            if unknown {
+            match conducts[slot] {
+                Some(false) => continue,
+                Some(true) => {}
                 // Maybe-connected: whatever arrives is of uncertain level.
-                cand.level = Level::X;
+                None => cand.level = Level::X,
             }
-            if cand.strength == Strength::HighZ {
-                continue;
-            }
-            let dst = nbr as usize;
+            let dst = group.span[slot] as usize ^ i;
             let joined = contrib[dst].resolve(cand);
             if joined != contrib[dst] {
                 contrib[dst] = joined;
                 if !on_list[dst] {
                     on_list[dst] = true;
-                    dirty.push(dst);
+                    dirty.push(dst as u32);
                 }
             }
         }
