@@ -2,10 +2,11 @@
 //! `UI/GC/Q=P/P/L` machine executed on real threads.
 //!
 //! [`ParSimulator`] runs the same event-driven semantics as the serial
-//! [`Simulator`](crate::Simulator) across `P` long-lived worker threads
-//! plus the calling thread acting as the *master* (the paper's host
-//! processor). Components are dealt to workers by a
-//! `logicsim-partition` assignment; each worker owns a private
+//! [`Simulator`](crate::Simulator) across `P` threads: the calling
+//! thread, which is the *master* (the paper's host processor) and also
+//! executes worker party 0, and `P - 1` long-lived worker threads for
+//! parties `1..P`. Components are dealt to worker parties by a
+//! `logicsim-partition` assignment; each party owns a private
 //! [`TimingWheel`] (the paper's per-processor event list) and the
 //! per-component state of the components it owns. Every global tick is
 //! a bulk-synchronous round — the machine's START/DONE handshake —
@@ -53,6 +54,9 @@
 //! Ticks where no party has pending work are fast-forwarded by the
 //! master without waking the workers, mirroring the serial engine's
 //! cheap idle ticks (and the modeled machine's START/DONE-only cycles).
+//! Within an executed tick, a phase in which at most one thread has
+//! work skips the handshake as well: the master runs every party's
+//! share itself while the workers stay parked (see `Master::phase`).
 
 // The engine drives par_sync's unsafe accessors directly (the phase
 // discipline justifying each call is engine-level knowledge, so a
@@ -190,7 +194,9 @@ struct Core<'a> {
     config: SimConfig,
     /// Number of evaluator workers `P`. Party indices `0..workers` are
     /// workers; index `workers` is the master's own party (inputs,
-    /// pulls, rails, and any unassigned component).
+    /// pulls, rails, and any unassigned component). Party `k >= 1` runs
+    /// on worker thread `k`; parties 0 and `workers` run on the calling
+    /// thread.
     workers: usize,
     /// Partition id per component (`u32::MAX` = unassigned).
     assignment: Vec<u32>,
@@ -211,7 +217,7 @@ struct Core<'a> {
     parties: SharedSlots<PartyState>,
     /// The current phase command (single slot).
     cmd: SharedSlots<Cmd>,
-    /// Phase barrier over `workers + 1` parties.
+    /// Phase barrier over the `workers` threads.
     barrier: SpinBarrier,
     /// Phase clock shared with the barrier and (under `phase-check`)
     /// every recorder; the master bumps it after a run's workers join
@@ -282,6 +288,18 @@ struct Master {
     /// Master-control recorder (START fan-out, exchange/merge, DONE
     /// collection, barrier wait); master-only, never shared.
     obs: obs::Lane,
+    #[cfg(test)]
+    tally: Tally,
+}
+
+/// What the unit tests pin about the thread model: threads spawned by
+/// `run_with`, and phases run with and without the handshake.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    spawned: usize,
+    handshakes: u64,
+    inline_phases: u64,
 }
 
 impl Master {
@@ -313,17 +331,38 @@ impl Master {
             crossing: 0,
             component_msgs: 0,
             obs,
+            #[cfg(test)]
+            tally: Tally::default(),
         }
     }
 
-    /// Runs one barrier-delimited phase: publish `cmd`, release the
-    /// workers, do the master party's share, and join.
+    /// Runs one phase of the protocol: every party executes `cmd` on
+    /// its own slot.
+    ///
+    /// When two or more threads have work, the phase is
+    /// barrier-delimited: publish `cmd`, release the workers, do the
+    /// calling thread's shares (party 0 and the master party), and
+    /// join. When at most one thread has work, a handshake would buy no
+    /// parallelism, so the master runs every party's share itself while
+    /// the workers stay parked at the release barrier — the same
+    /// footing on which it touches their slots between phases.
     ///
     /// Observation: `Start` times the command publish through the
     /// release-barrier crossing (the machine's START fan-out);
-    /// `Barrier` times the join wait after the master's own share — how
-    /// long the slowest worker straggles past the master.
+    /// `Barrier` times the join wait after the calling thread's own
+    /// shares — how long the slowest worker straggles past it. A phase
+    /// without a handshake records neither.
     fn phase(&mut self, core: &Core<'_>, cmd: Cmd) {
+        if threads_with_work(core, cmd) <= 1 {
+            for party in 0..core.num_parties() {
+                run_party_cmd(core, party, cmd);
+            }
+            #[cfg(test)]
+            {
+                self.tally.inline_phases += 1;
+            }
+            return;
+        }
         let m = self.obs.mark();
         // SAFETY: workers are parked at the barrier, so the master is
         // the unique accessor of the command slot.
@@ -334,11 +373,16 @@ impl Master {
         core.barrier.wait();
         self.obs
             .rec(Phase::Start, self.now, m, core.num_parties() as u64);
+        run_party_cmd(core, 0, cmd);
         run_party_cmd(core, core.workers, cmd);
         let m = self.obs.mark();
         core.barrier.wait();
         self.obs.rec(Phase::Barrier, self.now, m, 0);
         self.in_phase = false;
+        #[cfg(test)]
+        {
+            self.tally.handshakes += 1;
+        }
     }
 
     /// Releases the workers with [`Cmd::Exit`], completing any join the
@@ -375,7 +419,7 @@ impl Master {
             // protocol would pop nothing and settle immediately.
             // SAFETY: workers are parked at the barrier between phases.
             let has_work = (0..core.num_parties())
-                .any(|p| unsafe { core.parties.get_mut(p) }.wheel.next_pending_tick() == Some(t));
+                .any(|p| unsafe { core.parties.get_mut(p) }.wheel.has_current());
             if has_work {
                 self.execute_tick(core, t);
             } else {
@@ -663,6 +707,26 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
     m.pending_total += 1;
 }
 
+/// Number of threads that have something to do in the phase `cmd`
+/// opens: a non-empty current wheel slot for Apply, a non-empty inbox
+/// for Resolve and Eval. Parties 0 and `workers` share the calling
+/// thread. Only called by the master between phases, while the workers
+/// are parked at the barrier.
+fn threads_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
+    let has_work = |party: usize| {
+        // SAFETY: workers parked; nobody writes the slot.
+        let st = unsafe { core.parties.get(party) };
+        match cmd {
+            Cmd::Apply { .. } => st.wheel.has_current(),
+            Cmd::Resolve { .. } => !st.gids.is_empty(),
+            Cmd::Eval { .. } => !st.eval_comps.is_empty(),
+            Cmd::Exit => false,
+        }
+    };
+    usize::from(has_work(0) || has_work(core.workers))
+        + (1..core.workers).filter(|&p| has_work(p)).count()
+}
+
 /// Dispatches one phase command for one party.
 fn run_party_cmd(core: &Core<'_>, party: usize, cmd: Cmd) {
     match cmd {
@@ -814,7 +878,8 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     st.obs.rec(Phase::Eval, tick, m, evals);
 }
 
-/// The worker thread body: wait for a command, run it, join.
+/// The body of worker thread `party` (`1..workers`): wait for a
+/// command, run it, join.
 fn worker_loop(core: &Core<'_>, party: usize) {
     phase_check::set_party(party);
     loop {
@@ -1056,7 +1121,7 @@ impl<'a> ParSimulator<'a> {
                 pending: SharedVec::from_vec(vec![None; nc], &clock),
                 parties,
                 cmd: SharedSlots::from_iter([Cmd::Exit], &clock),
-                barrier: SpinBarrier::new(num_parties, &clock),
+                barrier: SpinBarrier::new(workers, &clock),
                 clock,
             },
             m: Master::new(nn, nc, num_groups, num_parties, master_obs),
@@ -1236,8 +1301,9 @@ impl<'a> ParSimulator<'a> {
     /// parallel analog of
     /// [`run_with_stimulus`](crate::stimulus::run_with_stimulus).
     ///
-    /// The `P` worker threads are spawned once per call and live for
-    /// the whole run.
+    /// The calling thread is one of the `P` threads; the other `P - 1`
+    /// are spawned once per call and live for the whole run (none at
+    /// `P = 1`).
     pub fn run_with(&mut self, until: u64, mut stim: impl FnMut(u64, &mut InputFrame<'_, '_>)) {
         if self.m.now >= until {
             return;
@@ -1245,11 +1311,15 @@ impl<'a> ParSimulator<'a> {
         let core = &self.core;
         let m = &mut self.m;
         std::thread::scope(|s| {
-            for w in 0..core.workers {
+            for w in 1..core.workers {
                 std::thread::Builder::new()
                     .name(format!("lsim-worker-{w}"))
                     .spawn_scoped(s, move || worker_loop(core, w))
                     .expect("spawn worker");
+                #[cfg(test)]
+                {
+                    m.tally.spawned += 1;
+                }
             }
             // Shut the workers down even if the master panics (a panic
             // with workers parked at the barrier would deadlock the
@@ -1375,6 +1445,97 @@ mod tests {
         assert_eq!(par.level(nets("z")), Level::Zero);
         assert_eq!(par.level(nets("z")), serial.level(nets("z")));
         assert_eq!(par.counters(), serial.counters());
+    }
+
+    /// Two inverters feeding an AND and an XOR; components 0 and 1 are
+    /// the inputs, 2..=5 the gates in the order built.
+    fn fan_circuit() -> Netlist {
+        let mut b = NetlistBuilder::new("fan");
+        let a = b.input("a");
+        let bb = b.input("b");
+        let (na, nb, y, z) = (b.net("na"), b.net("nb"), b.net("y"), b.net("z"));
+        b.gate(GateKind::Not, &[a], na, Delay::uniform(1));
+        b.gate(GateKind::Not, &[bb], nb, Delay::uniform(1));
+        b.gate(GateKind::And, &[na, nb], y, Delay::uniform(2));
+        b.gate(GateKind::Xor, &[na, bb], z, Delay::uniform(1));
+        b.finish().unwrap()
+    }
+
+    /// Runs `fan_circuit` for 40 ticks on both engines, `a` toggling at
+    /// ticks 0, 10, .. and `b` at `b_at`, `b_at + 10`, ..; checks every
+    /// net and counter against the serial run and returns what the
+    /// thread model did. The circuit is quiet again three ticks after
+    /// an input changes.
+    fn fan_run(gates: [u32; 4], workers: usize, b_at: u64) -> Tally {
+        let n = fan_circuit();
+        let (a, b) = (n.find_net("a").unwrap(), n.find_net("b").unwrap());
+        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
+            if tick.is_multiple_of(10) {
+                set(a, Level::from_bool(tick.is_multiple_of(20)));
+            }
+            if tick % 10 == b_at {
+                set(b, Level::from_bool(tick % 20 == b_at));
+            }
+        };
+        let mut serial = Simulator::new(&n).expect("pre-flight");
+        while serial.now() < 40 {
+            let now = serial.now();
+            script(now, &mut |net, l| serial.set_input(net, l));
+            serial.step();
+        }
+        let mut assignment = vec![u32::MAX; 2];
+        assignment.extend(gates);
+        let mut par = ParSimulator::new(&n, &assignment, workers).expect("pre-flight");
+        par.run_with(40, |tick, frame| {
+            script(tick, &mut |net, l| frame.set(net, l));
+        });
+        for i in 0..n.num_nets() {
+            let net = NetId(i as u32);
+            assert_eq!(par.signal(net), serial.signal(net), "{net} {gates:?}");
+        }
+        assert_eq!(par.counters(), serial.counters(), "{gates:?}");
+        assert!(par.counters().busy_ticks > 8);
+        par.m.tally
+    }
+
+    #[test]
+    fn phases_with_one_busy_thread_skip_the_handshake() {
+        // `b` changes while the circuit is quiet, so every phase has
+        // work in one party: the master party when an input is applied
+        // (and, with unassigned gates, all along), else the party that
+        // holds the gates. Whichever thread that is, it is the only one.
+        for gates in [[1; 4], [0; 4], [u32::MAX; 4]] {
+            let tally = fan_run(gates, 2, 5);
+            assert_eq!(tally.handshakes, 0, "{gates:?}");
+            assert!(tally.inline_phases > 0, "{gates:?}");
+            assert_eq!(tally.spawned, 1);
+        }
+        // `b` changes in the tick that applies `na`: the master party
+        // and the gates' party both have work in that Apply phase. With
+        // the gates in party 0 that is still one thread.
+        assert_eq!(fan_run([0; 4], 2, 1).handshakes, 0);
+        assert!(fan_run([1; 4], 2, 1).handshakes > 0);
+    }
+
+    #[test]
+    fn phases_with_two_busy_threads_handshake() {
+        // `na` fans out to the AND in party 0 and the XOR in party 1:
+        // the Apply phase of that tick has work in party 0 only and
+        // runs inline, its Eval phase handshakes.
+        let tally = fan_run([0, 1, 0, 1], 2, 5);
+        assert!(tally.handshakes > 0);
+        assert!(tally.inline_phases > 0);
+        let tally = fan_run([0, 1, 2, 1], 3, 1);
+        assert!(tally.handshakes > 0);
+        assert_eq!(tally.spawned, 2);
+    }
+
+    #[test]
+    fn one_worker_spawns_no_thread() {
+        let tally = fan_run([0, 1, 2, 3], 1, 1);
+        assert_eq!(tally.spawned, 0);
+        assert_eq!(tally.handshakes, 0);
+        assert!(tally.inline_phases > 0);
     }
 
     #[test]

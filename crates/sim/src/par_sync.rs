@@ -178,9 +178,10 @@ impl<T: Copy> SharedVec<T> {
 /// # Safety contract
 ///
 /// Same phase discipline as [`SharedVec`], at slot granularity: each
-/// slot is touched by exactly one party per phase (its owner during
-/// worker phases; the master between phases, while the workers are
-/// parked at the barrier).
+/// slot is touched by exactly one thread per phase (the thread that
+/// runs its owner during a handshaken phase; the master between
+/// phases and throughout a phase it runs without a handshake, while
+/// the workers are parked at the barrier).
 #[derive(Debug)]
 pub(crate) struct SharedSlots<T> {
     slots: Box<[UnsafeCell<T>]>,
@@ -319,9 +320,10 @@ mod tests {
 /// Model-checked schedules: run with
 /// `RUSTFLAGS="--cfg loom" cargo test -p logicsim-sim --lib loom_`.
 ///
-/// The two-party tests are exhaustive (every interleaving); the
-/// three-party tests bound preemptions (CHESS-style), which is where
-/// essentially all concurrency bugs live for programs this small.
+/// The two-party barrier tests are exhaustive (every interleaving);
+/// the three-party and mini-engine tests bound preemptions
+/// (CHESS-style), which is where essentially all concurrency bugs live
+/// for programs this small.
 #[cfg(all(loom, test))]
 mod loom_tests {
     use super::*;
@@ -424,48 +426,116 @@ mod loom_tests {
         });
     }
 
-    /// A miniature two-worker engine phase mirroring
-    /// `par_engine::Master::phase`: the master publishes a command in
-    /// per-party slots, a barrier opens the worker phase, each worker
-    /// reads its slot and writes its own result element, and a second
-    /// barrier hands the results back to the master.
+    /// Commands of the miniature engine below.
+    const WORK: u32 = 10;
+    const EXIT: u32 = 0;
+
+    /// The worker side of `par_engine::worker_loop` in miniature: park
+    /// at the release barrier, read the command, write the own result
+    /// element, join. On `EXIT` it hands back what its element holds.
+    fn mini_worker(
+        barrier: &SpinBarrier,
+        cmd: &SharedSlots<u32>,
+        out: &SharedVec<u32>,
+        party: usize,
+    ) -> u32 {
+        loop {
+            barrier.wait();
+            // SAFETY: the master publishes the command before the
+            // release crossing and leaves it alone during the phase.
+            let c = *unsafe { cmd.get(0) };
+            if c == EXIT {
+                // SAFETY: nobody writes after the exit release.
+                return unsafe { out.get(party) };
+            }
+            // SAFETY: element `party` is this worker's during a
+            // handshaken phase.
+            unsafe { out.set(party, out.get(party) + c + party as u32) };
+            barrier.wait();
+        }
+    }
+
+    /// A miniature `P = 2` engine mirroring `par_engine::Master::phase`
+    /// with the master as a party: the barrier spans the two threads,
+    /// the master thread executes party 0 and the master party (element
+    /// 2) as well as the control work. One handshaken phase (publish,
+    /// release, own shares, join), then a phase without a handshake in
+    /// which the master writes *every* party's element while the worker
+    /// stays parked at the release barrier, then the exit release, after
+    /// which the worker reads back what the master left in its element.
+    /// The skipped handshake is sound because the join crossing orders
+    /// the worker's write before the master's, and the next release
+    /// crossing orders the master's before the worker's read.
+    /// Preemption-bounded: three crossings of a spinning barrier are
+    /// too many schedules to enumerate outright.
     #[test]
-    fn loom_mini_engine_two_phase_schedule() {
+    fn loom_mini_engine_master_party_and_skipped_handshake() {
+        let mut b = loom::model::Builder::new();
+        b.preemption_bound = Some(3);
+        b.check(|| {
+            let clock = PhaseClock::new();
+            let barrier = Arc::new(SpinBarrier::new(2, &clock));
+            let cmd = Arc::new(SharedSlots::from_iter(vec![EXIT], &clock));
+            let out = Arc::new(SharedVec::from_vec(vec![0u32; 3], &clock));
+            let (b, c, o) = (Arc::clone(&barrier), Arc::clone(&cmd), Arc::clone(&out));
+            let worker = loom::thread::spawn(move || mini_worker(&b, &c, &o, 1));
+            // Handshaken phase.
+            // SAFETY: the worker is parked at the release barrier.
+            *unsafe { cmd.get_mut(0) } = WORK;
+            barrier.wait();
+            for own in [0usize, 2] {
+                // SAFETY: parties 0 and 2 belong to the master thread.
+                unsafe { out.set(own, WORK + own as u32) };
+            }
+            barrier.wait();
+            // Phase without a handshake: the master runs every share.
+            for party in 0..3usize {
+                // SAFETY: the worker is parked at the release barrier.
+                unsafe { out.set(party, out.get(party) * 2) };
+            }
+            // SAFETY: as above.
+            *unsafe { cmd.get_mut(0) } = EXIT;
+            barrier.wait();
+            assert_eq!(worker.join().unwrap(), (WORK + 1) * 2);
+            // SAFETY: the worker has exited.
+            let own = unsafe { (out.get(0), out.get(2)) };
+            assert_eq!(own, (WORK * 2, (WORK + 2) * 2));
+        });
+    }
+
+    /// Negative control for the skipped handshake: the master runs
+    /// worker 1's share *inside* a handshaken phase, while that worker
+    /// is between the release and the join crossing. That is the
+    /// mistake the "at most one thread has work, workers parked" rule
+    /// excludes, and the checker flags it as a data race. (The yield
+    /// stands for the master's own share: cell accesses are not
+    /// scheduling points of the vendored checker, so without one the
+    /// worker could never run between the crossing and the stray write.)
+    #[test]
+    #[should_panic(expected = "data race")]
+    fn loom_mini_engine_master_runs_share_of_busy_worker_races() {
         let mut b = loom::model::Builder::new();
         b.preemption_bound = Some(2);
         b.check(|| {
             let clock = PhaseClock::new();
-            let barrier = Arc::new(SpinBarrier::new(3, &clock));
-            let cmd = Arc::new(SharedSlots::from_iter(vec![0u32], &clock));
-            let out = Arc::new(SharedVec::from_vec(vec![0u32, 0], &clock));
-            let mut handles = Vec::new();
-            for w in 0..2usize {
-                let b = Arc::clone(&barrier);
-                let c = Arc::clone(&cmd);
-                let o = Arc::clone(&out);
-                handles.push(loom::thread::spawn(move || {
-                    b.wait();
-                    // Worker phase: shared command, own result element.
-                    // SAFETY: nobody writes the command slot while the
-                    // master is parked at the barrier.
-                    let c = *unsafe { c.get(0) };
-                    // SAFETY: element `w` is owned by worker `w`.
-                    unsafe { o.set(w, c + w as u32) };
-                    b.wait();
-                }));
-            }
-            // Master phase: publish the command.
-            // SAFETY: workers are not yet released; the master is the
-            // unique party this phase.
-            *unsafe { cmd.get_mut(0) } = 10;
-            barrier.wait(); // open worker phase
-            barrier.wait(); // wait for results
-                            // SAFETY: workers are parked/finished; master-only phase.
-            let (a, b2) = unsafe { (out.get(0), out.get(1)) };
-            assert_eq!((a, b2), (10, 11));
-            for h in handles {
-                h.join().unwrap();
-            }
+            let barrier = Arc::new(SpinBarrier::new(2, &clock));
+            let cmd = Arc::new(SharedSlots::from_iter(vec![EXIT], &clock));
+            let out = Arc::new(SharedVec::from_vec(vec![0u32; 3], &clock));
+            let (b, c, o) = (Arc::clone(&barrier), Arc::clone(&cmd), Arc::clone(&out));
+            let worker = loom::thread::spawn(move || mini_worker(&b, &c, &o, 1));
+            // SAFETY: the worker is parked at the release barrier.
+            *unsafe { cmd.get_mut(0) } = WORK;
+            barrier.wait();
+            thread::yield_now();
+            // SAFETY: deliberately violates the contract — element 1 is
+            // the released worker's this phase; loom reports the race
+            // instead of exhibiting UB.
+            unsafe { out.set(1, 99) };
+            barrier.wait();
+            // SAFETY: the worker is parked again.
+            *unsafe { cmd.get_mut(0) } = EXIT;
+            barrier.wait();
+            worker.join().unwrap();
         });
     }
 

@@ -15,6 +15,8 @@ use logicsim_netlist::analyze::dataflow::xreach::LevelSet;
 use logicsim_netlist::{Level, NetId, Plane, LANES};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How a primary input behaves during a measurement run.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,20 +81,34 @@ impl StimulusSpec {
     /// # Errors
     ///
     /// Returns the offending name if any assignment references a net
-    /// that does not exist in the netlist.
+    /// that does not exist in the netlist, or gives it a clock with a
+    /// zero `half_period` or random data with a zero `period`.
     pub fn build(
         &self,
         netlist: &logicsim_netlist::Netlist,
         seed: u64,
     ) -> Result<RandomStimulus, String> {
+        Ok(RandomStimulus::new(self.resolve(netlist)?, seed))
+    }
+
+    /// Resolves every assignment's net name and checks its role.
+    fn resolve(
+        &self,
+        netlist: &logicsim_netlist::Netlist,
+    ) -> Result<Vec<(NetId, SignalRole)>, String> {
         let mut resolved = Vec::with_capacity(self.assignments.len());
         for (name, role) in &self.assignments {
             let net = netlist
                 .find_net(name)
                 .ok_or_else(|| format!("stimulus references unknown net `{name}`"))?;
+            if role.has_zero_period() {
+                return Err(format!(
+                    "stimulus for net `{name}` has a zero period: {role:?}"
+                ));
+            }
             resolved.push((net, role.clone()));
         }
-        Ok(RandomStimulus::new(resolved, seed))
+        Ok(resolved)
     }
 
     /// Derives per-input seeds for the static analyses
@@ -180,91 +196,210 @@ impl SignalRole {
     }
 }
 
+impl SignalRole {
+    /// Whether the role's waveform is undefined: a clock that never
+    /// reaches its next edge, or random data that never draws.
+    fn has_zero_period(&self) -> bool {
+        matches!(
+            *self,
+            SignalRole::Clock { half_period: 0, .. } | SignalRole::Random { period: 0, .. }
+        )
+    }
+
+    /// The level held before the first tick is applied: random data and
+    /// clocks start low, constants and pulses at their own level.
+    fn initial_level(&self) -> Level {
+        match *self {
+            SignalRole::Const(l) => l,
+            SignalRole::Pulse { active, .. } => active,
+            SignalRole::Clock { .. } | SignalRole::Random { .. } => Level::Zero,
+        }
+    }
+
+    /// The level a role whose waveform is a function of the tick alone
+    /// holds at `tick`; `None` for random data.
+    fn level_at(&self, tick: u64) -> Option<Level> {
+        match *self {
+            SignalRole::Const(l) => Some(l),
+            SignalRole::Clock { half_period, phase } => Some(if tick < phase {
+                Level::Zero
+            } else {
+                Level::from_bool(((tick - phase) / half_period) % 2 == 1)
+            }),
+            SignalRole::Pulse { active, width } => {
+                Some(if tick < width { active } else { active.not() })
+            }
+            SignalRole::Random { .. } => None,
+        }
+    }
+
+    /// The first tick after `tick` at which the held level can differ
+    /// from the one at `tick` (a clock edge, the end of a pulse, the
+    /// next random draw); `None` when there is none below `u64::MAX`.
+    fn next_change(&self, tick: u64) -> Option<u64> {
+        match *self {
+            SignalRole::Const(_) => None,
+            SignalRole::Clock { half_period, phase } => {
+                if tick < phase {
+                    phase.checked_add(half_period)
+                } else {
+                    (tick - (tick - phase) % half_period).checked_add(half_period)
+                }
+            }
+            SignalRole::Pulse { width, .. } => (tick < width).then_some(width),
+            SignalRole::Random { period, phase, .. } => {
+                tick.checked_add(period - draw_residue(tick, period, phase))
+            }
+        }
+    }
+}
+
+/// `(tick + phase) mod period` without overflow: random data draws on
+/// the ticks where this is zero.
+#[inline]
+fn draw_residue(tick: u64, period: u64, phase: u64) -> u64 {
+    match tick.checked_add(phase) {
+        Some(sum) => sum % period,
+        // Only a phase or a tick near `u64::MAX` gets here.
+        None => {
+            let (a, b) = (tick % period, phase % period);
+            let gap = period - b;
+            if a >= gap {
+                a - gap
+            } else {
+                a + b
+            }
+        }
+    }
+}
+
 /// Applies input vectors to a [`Simulator`] each tick.
 pub trait Stimulus {
     /// Called once per tick *before* the simulator executes that tick;
-    /// implementations call [`Simulator::set_input`] as needed.
+    /// implementations call [`Simulator::set_input`] for the inputs
+    /// whose level changes at `tick`. An input that is not mentioned
+    /// keeps the level it was last given, so a driver has to be applied
+    /// to one simulator from its first call on.
     fn apply(&mut self, sim: &mut Simulator<'_>, tick: u64);
 }
 
 /// Seeded random/clocked vector driver built from a [`StimulusSpec`].
+///
+/// The driver keeps a calendar of the next tick at which each input can
+/// change level (clock edge, end of pulse, random draw), so a tick
+/// costs in proportion to the inputs due in it, not to the inputs
+/// there are.
 #[derive(Debug, Clone)]
 pub struct RandomStimulus {
     inputs: Vec<(NetId, SignalRole)>,
-    /// Current commanded level per input (to draw toggles from).
+    /// Level each input holds: the one last handed to the sink (and the
+    /// one random data draws its toggles from).
     levels: Vec<Level>,
     rng: ChaCha8Rng,
+    /// `(tick, input index)` of every input's next possible change
+    /// after `last`, earliest first.
+    calendar: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Scratch: the inputs due in the tick being applied.
+    due: Vec<u32>,
+    /// The tick of the latest call; `None` before the first.
+    last: Option<u64>,
 }
 
 impl RandomStimulus {
     /// Creates a driver over resolved `(net, role)` pairs with a seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clock has a zero `half_period` or random data a zero
+    /// `period`; [`StimulusSpec::build`] reports those as errors.
     #[must_use]
     pub fn new(inputs: Vec<(NetId, SignalRole)>, seed: u64) -> RandomStimulus {
+        for (net, role) in &inputs {
+            assert!(!role.has_zero_period(), "{net}: zero period in {role:?}");
+        }
         let levels = inputs
             .iter()
-            .map(|(_, role)| match role {
-                SignalRole::Const(l) => *l,
-                SignalRole::Pulse { active, .. } => *active,
-                _ => Level::Zero,
-            })
+            .map(|(_, role)| role.initial_level())
             .collect();
         RandomStimulus {
+            calendar: BinaryHeap::with_capacity(inputs.len()),
+            due: Vec::new(),
+            last: None,
             inputs,
             levels,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
-    /// The level an input should hold at `tick`, updating internal
-    /// random state as needed.
-    fn level_at(&mut self, idx: usize, tick: u64) -> Level {
-        // Copy the role's scalar fields out so the `self.inputs` borrow
-        // ends before `self.rng`/`self.levels` are touched; this keeps
-        // the per-input per-tick path allocation- and clone-free.
-        match self.inputs[idx].1 {
-            SignalRole::Const(l) => l,
-            SignalRole::Clock { half_period, phase } => {
-                if tick < phase {
-                    Level::Zero
-                } else {
-                    Level::from_bool(((tick - phase) / half_period) % 2 == 1)
-                }
-            }
+    /// Moves input `idx` to `tick`: draws if it is random data and
+    /// `tick` is one of its draw ticks, files its next possible change,
+    /// and returns whether the held level changed.
+    fn step_input(&mut self, idx: usize, tick: u64) -> bool {
+        let role = &self.inputs[idx].1;
+        let held = self.levels[idx];
+        let level = match *role {
             SignalRole::Random {
                 period,
                 phase,
                 toggle_prob,
             } => {
-                if (tick + phase).is_multiple_of(period) && self.rng.gen_bool(toggle_prob) {
-                    self.levels[idx] = self.levels[idx].not();
-                }
-                self.levels[idx]
-            }
-            SignalRole::Pulse { active, width } => {
-                if tick < width {
-                    active
+                if draw_residue(tick, period, phase) == 0 && self.rng.gen_bool(toggle_prob) {
+                    held.not()
                 } else {
-                    active.not()
+                    held
                 }
             }
+            _ => role.level_at(tick).unwrap_or(held),
+        };
+        if let Some(next) = role.next_change(tick) {
+            self.calendar.push(Reverse((next, idx as u32)));
         }
+        self.levels[idx] = level;
+        level != held
     }
-}
 
-impl RandomStimulus {
-    /// Feeds this tick's input levels to an arbitrary sink, advancing
-    /// the internal random state exactly as [`Stimulus::apply`] does.
+    /// Feeds the input levels that change at `tick` to an arbitrary
+    /// sink, advancing the internal random state exactly as
+    /// [`Stimulus::apply`] does.
     ///
     /// This is how the same stimulus stream drives engines other than
     /// the serial [`Simulator`] (e.g. the parallel engine's
     /// [`InputFrame`](crate::par_engine::InputFrame)): the RNG consumes
     /// one decision per random input per matching tick regardless of
     /// the sink, so serial and parallel runs see identical vectors.
+    ///
+    /// The first call hands every input to the sink; a later call hands
+    /// over only the inputs whose level differs from the one they hold,
+    /// in ascending input order. The sink must therefore keep levels,
+    /// as every `set_input` does. Ticks need not be consecutive: an
+    /// input is brought to `tick` directly, and a draw tick that was
+    /// skipped draws nothing. A `tick` at or before the previous call's
+    /// evaluates every input again (and draws again where it is due).
     pub fn apply_with(&mut self, tick: u64, mut set: impl FnMut(NetId, Level)) {
-        for idx in 0..self.inputs.len() {
-            let level = self.level_at(idx, tick);
-            let net = self.inputs[idx].0;
-            set(net, level);
+        let first = self.last.is_none();
+        if self.last.is_some_and(|last| tick > last) {
+            self.due.clear();
+            while let Some(&Reverse((at, idx))) = self.calendar.peek() {
+                if at > tick {
+                    break;
+                }
+                self.calendar.pop();
+                self.due.push(idx);
+            }
+            // Entries of skipped ticks pop before those of `tick`
+            // itself; the draws below must run in input order.
+            self.due.sort_unstable();
+        } else {
+            self.calendar.clear();
+            self.due.clear();
+            self.due.extend(0..self.inputs.len() as u32);
+        }
+        self.last = Some(tick);
+        for i in 0..self.due.len() {
+            let idx = self.due[i] as usize;
+            if self.step_input(idx, tick) || first {
+                set(self.inputs[idx].0, self.levels[idx]);
+            }
         }
     }
 }
@@ -316,7 +451,8 @@ impl Stimulus64 {
     ///
     /// # Errors
     ///
-    /// Returns the offending name if the spec references an unknown net.
+    /// Returns the offending name if the spec references an unknown net
+    /// or gives one a zero period, as [`StimulusSpec::build`] does.
     ///
     /// # Panics
     ///
@@ -331,32 +467,17 @@ impl Stimulus64 {
             (1..=LANES).contains(&lanes),
             "lanes must be 1..=64, got {lanes}"
         );
-        let mut nets = Vec::with_capacity(spec.assignments.len());
-        for (name, _) in &spec.assignments {
-            nets.push(
-                netlist
-                    .find_net(name)
-                    .ok_or_else(|| format!("stimulus references unknown net `{name}`"))?,
-            );
-        }
+        let (nets, roles): (Vec<NetId>, Vec<SignalRole>) =
+            spec.resolve(netlist)?.into_iter().unzip();
         let active_mask = if lanes == LANES {
             !0
         } else {
             (1u64 << lanes) - 1
         };
-        let roles: Vec<SignalRole> = spec.assignments.iter().map(|(_, r)| r.clone()).collect();
-        // Initial planes mirror `RandomStimulus::new`'s initial levels:
-        // random data starts at Zero, constants/pulses at their level.
+        // Initial planes mirror `RandomStimulus::new`'s initial levels.
         let planes = roles
             .iter()
-            .map(|role| {
-                let l = match role {
-                    SignalRole::Const(l) => *l,
-                    SignalRole::Pulse { active, .. } => *active,
-                    _ => Level::Zero,
-                };
-                Plane::splat(l).masked(active_mask)
-            })
+            .map(|role| Plane::splat(role.initial_level()).masked(active_mask))
             .collect();
         let det = vec![None; roles.len()];
         let rngs = (0..lanes)
@@ -387,24 +508,12 @@ impl Stimulus64 {
         for idx in 0..self.nets.len() {
             match self.roles[idx] {
                 SignalRole::Const(_) => {} // plane fixed at build
-                SignalRole::Clock { half_period, phase } => {
-                    let l = if tick < phase {
-                        Level::Zero
-                    } else {
-                        Level::from_bool(((tick - phase) / half_period) % 2 == 1)
-                    };
-                    self.set_det(idx, l);
-                }
-                SignalRole::Pulse { active, width } => {
-                    let l = if tick < width { active } else { active.not() };
-                    self.set_det(idx, l);
-                }
                 SignalRole::Random {
                     period,
                     phase,
                     toggle_prob,
                 } => {
-                    if (tick + phase).is_multiple_of(period) {
+                    if draw_residue(tick, period, phase) == 0 {
                         // One draw per lane, in lane order: each lane's
                         // RNG sees the same inputs-major sequence a
                         // serial run with its seed would.
@@ -415,6 +524,11 @@ impl Stimulus64 {
                             }
                         }
                         self.planes[idx] = p;
+                    }
+                }
+                ref role => {
+                    if let Some(l) = role.level_at(tick) {
+                        self.set_det(idx, l);
                     }
                 }
             }
@@ -537,13 +651,168 @@ mod tests {
             );
         let mut batch = Stimulus64::new(&spec, &n, 42, 8).unwrap();
         let mut serial = spec.build(&n, 42).unwrap();
+        // The batch hands over every plane every tick, the serial
+        // driver only the levels that change: compare what each input
+        // holds after the call.
+        let mut batch_held = std::collections::BTreeMap::new();
+        let mut serial_held = std::collections::BTreeMap::new();
         for tick in 0..100 {
-            let mut batch_lane0 = Vec::new();
-            batch.apply_with(tick, |net, plane| batch_lane0.push((net, plane.lane(0))));
-            let mut serial_levels = Vec::new();
-            serial.apply_with(tick, |net, level| serial_levels.push((net, level)));
-            assert_eq!(batch_lane0, serial_levels, "tick {tick}");
+            batch.apply_with(tick, |net, plane| {
+                batch_held.insert(net, plane.lane(0));
+            });
+            serial.apply_with(tick, |net, level| {
+                serial_held.insert(net, level);
+            });
+            assert_eq!(batch_held, serial_held, "tick {tick}");
         }
+        assert_eq!(
+            serial_held.len(),
+            2,
+            "the first call hands over every input"
+        );
+    }
+
+    #[test]
+    fn only_changed_levels_reach_the_sink() {
+        let n = buf_circuit();
+        let (a, clk) = (n.find_net("a").unwrap(), n.find_net("clk").unwrap());
+        let spec = StimulusSpec::new()
+            .with("a", SignalRole::Const(Level::One))
+            .with(
+                "clk",
+                SignalRole::Clock {
+                    half_period: 3,
+                    phase: 1,
+                },
+            );
+        let mut stim = spec.build(&n, 0).unwrap();
+        let mut calls = Vec::new();
+        for tick in 0..11 {
+            stim.apply_with(tick, |net, level| calls.push((tick, net, level)));
+        }
+        assert_eq!(
+            calls,
+            vec![
+                (0, a, Level::One),
+                (0, clk, Level::Zero),
+                (4, clk, Level::One),
+                (7, clk, Level::Zero),
+                (10, clk, Level::One),
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_periods_are_rejected_with_the_net_name() {
+        let n = buf_circuit();
+        let clock = StimulusSpec::new().with(
+            "clk",
+            SignalRole::Clock {
+                half_period: 0,
+                phase: 0,
+            },
+        );
+        let random = StimulusSpec::new().with(
+            "a",
+            SignalRole::Random {
+                period: 0,
+                phase: 0,
+                toggle_prob: 0.5,
+            },
+        );
+        assert!(clock.build(&n, 0).unwrap_err().contains("`clk`"));
+        assert!(random.build(&n, 0).unwrap_err().contains("`a`"));
+        assert!(Stimulus64::new(&clock, &n, 0, 4)
+            .unwrap_err()
+            .contains("`clk`"));
+        assert!(Stimulus64::new(&random, &n, 0, 4)
+            .unwrap_err()
+            .contains("`a`"));
+        // The smallest periods that mean something are accepted.
+        let one = StimulusSpec::new()
+            .with(
+                "clk",
+                SignalRole::Clock {
+                    half_period: 1,
+                    phase: 0,
+                },
+            )
+            .with(
+                "a",
+                SignalRole::Random {
+                    period: 1,
+                    phase: 0,
+                    toggle_prob: 1.0,
+                },
+            );
+        let mut held = std::collections::BTreeMap::new();
+        let mut stim = one.build(&n, 0).unwrap();
+        for tick in 0..4 {
+            stim.apply_with(tick, |net, level| {
+                held.insert(net, level);
+            });
+            // Both toggle every tick, the clock from its first edge at 1
+            // and the data from its first draw at 0.
+            assert_eq!(
+                held[&n.find_net("clk").unwrap()],
+                Level::from_bool(tick % 2 == 1)
+            );
+            assert_eq!(
+                held[&n.find_net("a").unwrap()],
+                Level::from_bool(tick % 2 == 0)
+            );
+        }
+    }
+
+    #[test]
+    fn phases_and_ticks_near_u64_max_do_not_overflow() {
+        let n = buf_circuit();
+        let (a, clk) = (n.find_net("a").unwrap(), n.find_net("clk").unwrap());
+        let spec = StimulusSpec::new()
+            .with(
+                "a",
+                SignalRole::Random {
+                    period: 7,
+                    phase: u64::MAX,
+                    toggle_prob: 1.0,
+                },
+            )
+            .with(
+                "clk",
+                SignalRole::Clock {
+                    half_period: 5,
+                    phase: u64::MAX - 2,
+                },
+            );
+        // (tick + u64::MAX) mod 7 == 0 first at tick 6: u64::MAX mod 7 is 1.
+        assert_eq!(u64::MAX % 7, 1);
+        let mut stim = spec.build(&n, 0).unwrap();
+        let mut batch = Stimulus64::new(&spec, &n, 0, 1).unwrap();
+        let mut changes = Vec::new();
+        for tick in 0..14 {
+            stim.apply_with(tick, |net, level| changes.push((tick, net, level)));
+            batch.apply_with(tick, |net, plane| {
+                let held = changes.iter().rev().find(|c| c.1 == net).unwrap().2;
+                assert_eq!(plane.lane(0), held, "tick {tick} {net}");
+            });
+        }
+        assert_eq!(
+            changes,
+            vec![
+                (0, a, Level::Zero),
+                (0, clk, Level::Zero),
+                (6, a, Level::One),
+                (13, a, Level::Zero),
+            ]
+        );
+        // The last ticks there are: the clock's first edge would fall
+        // past u64::MAX, the data's next draw too.
+        for tick in [u64::MAX - 3, u64::MAX - 2, u64::MAX - 1, u64::MAX] {
+            stim.apply_with(tick, |net, level| changes.push((tick, net, level)));
+            batch.apply_with(tick, |_, _| {});
+        }
+        // (u64::MAX - 2 + u64::MAX) mod 7 == (2 * 1 - 2) mod 7 == 0.
+        assert_eq!(changes[4..], [(u64::MAX - 2, a, Level::One)]);
     }
 
     #[test]

@@ -163,6 +163,17 @@ impl<T> TimingWheel<T> {
         }
     }
 
+    /// Whether anything is scheduled for the current tick, in O(1):
+    /// the same answer as `next_pending_tick() == Some(now())`, because
+    /// an item due now always sits in the current slot (the overflow
+    /// map only holds ticks at least a full horizon away, and `advance`
+    /// migrates them before they come due).
+    #[must_use]
+    #[inline]
+    pub fn has_current(&self) -> bool {
+        !self.slots[self.cursor].is_empty()
+    }
+
     /// The next tick (>= now) that has scheduled items, or `None` when
     /// the wheel is empty. Used by the engine to skip idle ticks in
     /// event-increment mode while still counting them.
@@ -349,6 +360,40 @@ mod tests {
         assert_eq!(w.next_pending_tick(), Some(size as u64));
         assert_eq!(w.pop_current(), vec!["edge"]);
         assert!(w.is_empty());
+    }
+
+    /// `has_current` against the bitmap scan it replaces in the engines'
+    /// idle-tick test, over a script that crosses the overflow edge: a
+    /// one-slot wheel (every later tick overflows and migrates on the
+    /// advance that reaches it) and a four-slot one.
+    #[test]
+    fn has_current_agrees_with_next_pending_tick() {
+        for size in [1usize, 4] {
+            let mut w: TimingWheel<u64> = TimingWheel::new(size);
+            let check = |w: &TimingWheel<u64>| {
+                assert_eq!(
+                    w.has_current(),
+                    w.next_pending_tick() == Some(w.now()),
+                    "size {size} tick {}",
+                    w.now()
+                );
+            };
+            check(&w);
+            for t in 0..40u64 {
+                // In-horizon, exactly at the edge, and far beyond it.
+                for d in [0, 2, size as u64 - 1, size as u64, 3 * size as u64 + 1] {
+                    if (t + d) % 3 == 0 {
+                        w.schedule(t + d, t);
+                        check(&w);
+                    }
+                }
+                let due = w.has_current();
+                assert_eq!(!w.pop_current().is_empty(), due);
+                check(&w);
+                w.advance();
+                check(&w);
+            }
+        }
     }
 
     /// Bitmap scan must handle a pending slot *behind* the cursor

@@ -20,6 +20,13 @@
 //! that observation is pure measurement: any timing side effect on
 //! event ordering or counters would break every row at every `P`.
 //!
+//! At `P` in {2, 4} the rows also pin what the parallel engine reports
+//! *per party* — [`ParSide`]: crossing and component message counts and
+//! every worker's load counters — at the values the engine produced
+//! when it ran `P + 1` threads and handshook every phase. Which thread
+//! executes a party, and whether a phase pays the handshake, must not
+//! show in them.
+//!
 //! Regenerate the table with
 //! `cargo test --test golden_trace -- --ignored --nocapture`.
 
@@ -113,9 +120,19 @@ fn measure(bench: Benchmark) -> Golden {
     }
 }
 
+/// The parallel engine's own instrumentation for one run.
+#[derive(Debug, PartialEq, Eq)]
+struct ParSide {
+    messages_crossing: u64,
+    messages_component: u64,
+    /// FNV-1a over every worker's `busy_ticks`, `idle_ticks`,
+    /// `evaluations`, `group_resolutions`, `messages_sent`, in order.
+    loads_digest: u64,
+}
+
 /// Runs the identical measurement recipe on the parallel engine with a
 /// seeded random partition over `workers` parts.
-fn measure_par(bench: Benchmark, workers: usize) -> Golden {
+fn measure_par(bench: Benchmark, workers: usize) -> (Golden, ParSide) {
     let inst = bench.build_default();
     let mut stim = inst
         .stimulus
@@ -143,8 +160,25 @@ fn measure_par(bench: Benchmark, workers: usize) -> Golden {
         stim.apply_with(tick, |net, level| frame.set(net, level));
     });
     let c: WorkloadCounters = sim.counters().clone();
+    let mut loads_digest = 0xcbf2_9ce4_8422_2325u64;
+    for l in sim.worker_loads() {
+        for v in [
+            l.busy_ticks,
+            l.idle_ticks,
+            l.evaluations,
+            l.group_resolutions,
+            l.messages_sent,
+        ] {
+            fold_u64(&mut loads_digest, v);
+        }
+    }
+    let side = ParSide {
+        messages_crossing: sim.messages_crossing(),
+        messages_component: sim.messages_component(),
+        loads_digest,
+    };
     let trace = sim.take_trace();
-    Golden {
+    let golden = Golden {
         digest: trace_digest(&trace),
         busy_ticks: c.busy_ticks,
         idle_ticks: c.idle_ticks,
@@ -154,10 +188,12 @@ fn measure_par(bench: Benchmark, workers: usize) -> Golden {
         group_resolutions: c.group_resolutions,
         event_list_peak: c.event_list_peak,
         event_list_sum: c.event_list_sum,
-    }
+    };
+    (golden, side)
 }
 
-fn check(bench: Benchmark, expect: Golden) {
+/// `par` is the expected [`ParSide`] at `P = 2` and `P = 4`.
+fn check(bench: Benchmark, expect: Golden, par: [ParSide; 2]) {
     let got = measure(bench);
     assert_eq!(
         got,
@@ -166,13 +202,21 @@ fn check(bench: Benchmark, expect: Golden) {
         bench.paper_name()
     );
     for workers in [1usize, 2, 4, 8] {
-        let par = measure_par(bench, workers);
+        let (got, side) = measure_par(bench, workers);
         assert_eq!(
-            par,
+            got,
             expect,
             "{}: ParSimulator at P={workers} diverged from the serial golden trace",
             bench.paper_name()
         );
+        if let Some(i) = [2, 4].iter().position(|&p| p == workers) {
+            assert_eq!(
+                side,
+                par[i],
+                "{}: per-party instrumentation at P={workers} moved",
+                bench.paper_name()
+            );
+        }
     }
 }
 
@@ -182,6 +226,9 @@ fn print_golden() {
     for bench in Benchmark::ALL {
         let g = measure(bench);
         println!("{}: {g:#x?}", bench.paper_name());
+        for workers in [2, 4] {
+            println!("P={workers}: {:#x?}", measure_par(bench, workers).1);
+        }
     }
 }
 
@@ -200,6 +247,18 @@ fn stop_watch_trace_is_golden() {
             event_list_peak: 0x14,
             event_list_sum: 0x149,
         },
+        [
+            ParSide {
+                messages_crossing: 0x13f,
+                messages_component: 0x24f,
+                loads_digest: 0xdc68_47ff_2625_1b5a,
+            },
+            ParSide {
+                messages_crossing: 0x1a8,
+                messages_component: 0x24f,
+                loads_digest: 0x91c_d236_6b26_0cdc,
+            },
+        ],
     );
 }
 
@@ -218,6 +277,18 @@ fn assoc_mem_trace_is_golden() {
             event_list_peak: 0x1a,
             event_list_sum: 0xece,
         },
+        [
+            ParSide {
+                messages_crossing: 0xc4e,
+                messages_component: 0x1946,
+                loads_digest: 0xca32_f515_6a56_0a0e,
+            },
+            ParSide {
+                messages_crossing: 0x1271,
+                messages_component: 0x1946,
+                loads_digest: 0x467e_eef8_3136_c3b4,
+            },
+        ],
     );
 }
 
@@ -236,6 +307,18 @@ fn priority_queue_trace_is_golden() {
             event_list_peak: 0x15c,
             event_list_sum: 0x745b,
         },
+        [
+            ParSide {
+                messages_crossing: 0x1_30c1,
+                messages_component: 0x2_76fa,
+                loads_digest: 0xbe99_0994_30b6_8dd9,
+            },
+            ParSide {
+                messages_crossing: 0x1_d328,
+                messages_component: 0x2_76fa,
+                loads_digest: 0xb420_705b_38c8_d475,
+            },
+        ],
     );
 }
 
@@ -254,6 +337,18 @@ fn rtp_chip_trace_is_golden() {
             event_list_peak: 0x5c,
             event_list_sum: 0x3572,
         },
+        [
+            ParSide {
+                messages_crossing: 0x3e68,
+                messages_component: 0x7ca5,
+                loads_digest: 0x5ce9_6e8b_2eda_7d74,
+            },
+            ParSide {
+                messages_crossing: 0x5e45,
+                messages_component: 0x7ca5,
+                loads_digest: 0xbc1b_8964_43a4_55d0,
+            },
+        ],
     );
 }
 
@@ -272,5 +367,17 @@ fn crossbar_switch_trace_is_golden() {
             event_list_peak: 0x64,
             event_list_sum: 0x7db,
         },
+        [
+            ParSide {
+                messages_crossing: 0x6cc,
+                messages_component: 0xd2a,
+                loads_digest: 0x83d8_446e_f149_ee69,
+            },
+            ParSide {
+                messages_crossing: 0x9af,
+                messages_component: 0xd2a,
+                loads_digest: 0xa423_1725_1307_b341,
+            },
+        ],
     );
 }
