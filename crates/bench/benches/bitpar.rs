@@ -2,7 +2,7 @@
 //! scenario·vectors per second, with the serial event-driven engine
 //! running the identical vector-synchronous quiescence protocol as the
 //! baseline. The ratio of the two rows per circuit is the aggregate
-//! scenario speedup reported in `perf_snapshot`'s `bitpar` object.
+//! scenario speedup `bitpar_study` reports.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::Benchmark;

@@ -28,7 +28,7 @@
 //!
 //! `--quick` limits the sweep to the 10k scale with a short trace
 //! window; the full run adds 100k. (The 1M build path is exercised by
-//! `perf_snapshot`'s scale section, where only build metrics matter.)
+//! the `scale-1m` workload of `benchmark/`.)
 //!
 //! Exits with code 2 when `LSIM_THREADS` exceeds the host core count:
 //! an oversubscribed study reports scheduling noise, not measurements.

@@ -19,9 +19,10 @@ use logicsim::machine::{
 };
 use logicsim::measure::{observe_netlist, MeasureOptions};
 use logicsim::measure_benchmark;
+use logicsim::netlist::analyze::opt::{optimize, Optimized};
 use logicsim::partition::{Partition, Partitioner, RandomPartitioner};
 use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::{ParSimulator, SimConfig, Simulator};
+use logicsim::sim::{ParSimulator, Simulator};
 use logicsim_bench::{banner, measure_options, parallel};
 use logicsim_machine::sim::random_component_partition;
 use std::time::Instant;
@@ -32,32 +33,26 @@ const MEASURE_WINDOW: u64 = 2_000;
 
 /// Times the serial engine and the thread-parallel `ParSimulator` under
 /// `part` on the same stimulus window; the real third column next to
-/// model and machine-simulator. Both engines run with
-/// [`SimConfig::optimize`]: the static optimizer rewrites the netlist
-/// at construction (the partition, computed on the original graph, is
-/// remapped through the optimizer's component map inside the engine),
-/// so this column measures what a production run actually executes.
-fn measure_execution(inst: &BenchmarkInstance, part: &Partition, p: u32) -> MeasuredExecution {
-    let optimize = SimConfig {
-        optimize: true,
-        ..SimConfig::default()
-    };
-    let mut stim = inst
-        .stimulus
-        .build(&inst.netlist, 0x1987)
-        .expect("stimulus");
-    let mut sim = Simulator::with_config(&inst.netlist, optimize.clone()).expect("pre-flight");
+/// model and machine-simulator. Both engines run the statically
+/// optimized netlist `opt` (the partition, computed on the original
+/// graph, is carried over through the optimizer's component map), so
+/// this column measures what a production run actually executes.
+fn measure_execution(
+    inst: &BenchmarkInstance,
+    opt: &Optimized,
+    part: &Partition,
+    p: u32,
+) -> MeasuredExecution {
+    let mut stim = inst.stimulus.build(&opt.netlist, 0x1987).expect("stimulus");
+    let mut sim = Simulator::new(&opt.netlist).expect("pre-flight");
     let t0 = Instant::now();
     run_with_stimulus(&mut sim, &mut stim, MEASURE_WINDOW);
     let serial = t0.elapsed().as_secs_f64();
     let events = sim.counters().events;
 
-    let mut stim = inst
-        .stimulus
-        .build(&inst.netlist, 0x1987)
-        .expect("stimulus");
-    let mut psim = ParSimulator::with_config(&inst.netlist, part.as_slice(), p as usize, optimize)
-        .expect("pre-flight");
+    let mut stim = inst.stimulus.build(&opt.netlist, 0x1987).expect("stimulus");
+    let assignment = opt.remap_assignment(part.as_slice());
+    let mut psim = ParSimulator::new(&opt.netlist, &assignment, p as usize).expect("pre-flight");
     let t0 = Instant::now();
     psim.run_with(MEASURE_WINDOW, |tick, frame| {
         stim.apply_with(tick, |net, level| frame.set(net, level));
@@ -156,6 +151,7 @@ fn main() {
     let rows = parallel::par_map(Benchmark::ALL.to_vec(), |bench| {
         let m = measure_benchmark(bench, &opts);
         let inst = bench.build_default();
+        let opt = optimize(&inst.netlist);
         let mut out = Vec::new();
         for (p, l, width, h) in [(4u32, 1u32, 1u32, 10.0), (8, 5, 2, 100.0)] {
             let cfg = MachineConfig::paper_design(p, l, NetworkKind::BusSet { width }, h, 3.0);
@@ -163,7 +159,7 @@ fn main() {
             // assumption) and replay the measured trace.
             let part = RandomPartitioner::new(7).partition(&inst.netlist, p);
             let v = validate_against_model(&cfg, &m.trace, &part, &base)
-                .with_measured(measure_execution(&inst, &part, p));
+                .with_measured(measure_execution(&inst, &opt, &part, p));
             let meas = v.measured.as_ref().map_or(0.0, |e| e.speedup);
             out.push(format!(
                 "{:<26} {:>3} {:>3} {:>3} {:>6} {:>12.0} {:>12.0} {:>+8.1} {:>6.2} {:>9.0} {:>9.2}",

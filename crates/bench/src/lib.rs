@@ -17,7 +17,8 @@
 //! | `sensitivity`  | elasticities along N/F/busy-fraction/beta (abstract claim) |
 //! | `variants_study` | EI time advance, sync-cost scaling, Q=1 dispatch |
 //! | `scaling_study` | raw N and E vs built circuit size |
-//! | `engines_study` | event-driven vs compiled-mode (the activity argument) |
+//! | `scale_study`  | partition cuts and `M_P` vs Eq. 6 at 10k/100k components |
+//! | `bitpar_study` | lane throughput of `BitParSim` vs the event engine (`lanes = 1` is the event-driven-vs-levelized race) |
 //!
 //! Run with `cargo run --release -p logicsim-bench --bin <name>`.
 //! Binaries that measure circuits accept `--quick` for a short window.

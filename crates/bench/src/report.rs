@@ -1,11 +1,11 @@
-//! JSON-building and environment-metadata helpers shared by the
-//! snapshot/study binaries.
+//! JSON-building and environment-metadata helpers shared by the study
+//! binaries.
 //!
 //! The vendored `serde_json` substitute has no `json!` macro, so the
 //! binaries assemble [`Value`] trees through these constructors. The
-//! metadata probes back the v2 snapshot schema (see DESIGN.md §11):
-//! performance numbers are only comparable across machines when the
-//! snapshot records what produced them.
+//! metadata probes exist because performance numbers are only
+//! comparable across machines when the document records what produced
+//! them.
 
 use serde_json::{Number, Value};
 
@@ -30,22 +30,6 @@ pub fn float(x: f64) -> Value {
 #[must_use]
 pub fn text(t: &str) -> Value {
     Value::String(t.to_string())
-}
-
-/// Peak resident set size in kilobytes from `/proc/self/status`
-/// (`VmHWM`), or `None` where that interface does not exist.
-#[must_use]
-pub fn peak_rss_kb() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-        line.split_whitespace().nth(1)?.parse().ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
 }
 
 /// The current git commit hash, or `None` outside a repository (e.g.

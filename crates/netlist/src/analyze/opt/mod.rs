@@ -56,6 +56,33 @@ pub struct Optimized {
     pub comp_map: Vec<Option<CompId>>,
 }
 
+impl Optimized {
+    /// Carries a per-component assignment computed on the original
+    /// netlist (e.g. partition ids) over to the optimized one: every
+    /// surviving component keeps the value of the original it came
+    /// from; a slot no original maps to holds `u32::MAX`, the
+    /// "unassigned" marker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` does not cover every original component.
+    #[must_use]
+    pub fn remap_assignment(&self, assignment: &[u32]) -> Vec<u32> {
+        assert_eq!(
+            assignment.len(),
+            self.comp_map.len(),
+            "assignment must cover every original component"
+        );
+        let mut remapped = vec![u32::MAX; self.netlist.num_components()];
+        for (old, mapped) in self.comp_map.iter().enumerate() {
+            if let Some(new) = mapped {
+                remapped[new.index()] = assignment[old];
+            }
+        }
+        remapped
+    }
+}
+
 /// Findings and counters from one [`optimize`] run.
 ///
 /// `findings` carries at most one aggregated [`Diagnostic`] per rule
@@ -728,5 +755,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn remap_assignment_follows_the_component_map() {
+        let mut b = NetlistBuilder::new("remap");
+        let a = b.input("a");
+        let n1 = b.net("n1");
+        let n2 = b.net("n2");
+        let y = b.net("y");
+        b.gate(GateKind::Not, &[a], n1, d1());
+        b.gate(GateKind::Not, &[a], n2, d1()); // merged into the first
+        b.gate(GateKind::And, &[n1, n2], y, d1());
+        b.mark_output(y);
+        let n = b.finish().unwrap();
+        let mut o = optimize(&n);
+        assert_eq!(o.report.merged_duplicates, 1);
+        // Components: input a, NOT, NOT (removed), AND.
+        let assignment = [u32::MAX, 0, 1, 2];
+        assert_eq!(o.remap_assignment(&assignment), [u32::MAX, 0, 2]);
+        // A slot nothing maps to is unassigned.
+        o.comp_map[1] = None;
+        assert_eq!(o.remap_assignment(&assignment), [u32::MAX, u32::MAX, 2]);
     }
 }

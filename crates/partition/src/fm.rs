@@ -257,11 +257,9 @@ impl Partitioner for FiducciaMattheysesPartitioner {
     }
 }
 
-/// FM partitioning as a plain `fn`, signature-compatible with
-/// `logicsim_sim::SimConfig::repartition`: hand this to the parallel
-/// engine so that, under `SimConfig::optimize`, the cut is recomputed
-/// on the optimizer-rewritten graph instead of remapped through the
-/// component map.
+/// FM partitioning as a plain `fn` returning the per-component
+/// assignment `ParSimulator` takes (e.g. to cut an optimizer-rewritten
+/// graph afresh instead of remapping the original's cut).
 #[must_use]
 pub fn fm_assignment(netlist: &Netlist, parts: u32, seed: u64) -> Vec<u32> {
     FiducciaMattheysesPartitioner::new(seed)

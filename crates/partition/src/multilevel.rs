@@ -466,8 +466,7 @@ impl Partitioner for MultilevelPartitioner {
     }
 }
 
-/// Multilevel partitioning as a plain `fn`, signature-compatible with
-/// `logicsim_sim::SimConfig::repartition` (like
+/// Multilevel partitioning as a plain `fn` (like
 /// [`crate::fm::fm_assignment`], but with the coarsen–refine
 /// partitioner that stays effective at 100k+ components).
 #[must_use]

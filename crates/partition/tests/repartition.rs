@@ -1,40 +1,21 @@
-//! Regression tests for the optimize-then-repartition path.
+//! Regression tests for the optimize-then-repartition choice.
 //!
-//! With [`SimConfig::optimize`] the parallel engine rewrites the
-//! netlist before partitioning it across workers. The caller's cut was
-//! computed on the *original* graph; the engine either remaps it
-//! through the optimizer's component map (default) or — with
-//! [`SimConfig::repartition`] — recomputes it on the optimized graph.
-//! These tests pin both properties: the recomputed FM cut is no worse
-//! than the remapped one on every switch-heavy paper benchmark, and the
-//! engine produces bit-identical results either way.
+//! A caller that simulates the optimized netlist on the parallel engine
+//! has a cut computed on the *original* graph; it either carries that
+//! cut over with `Optimized::remap_assignment` or recomputes it on the
+//! optimized graph. These tests pin both properties: the recomputed FM
+//! cut is no worse than the remapped one on every switch-heavy paper
+//! benchmark, and the engine produces bit-identical results either way.
 
 use logicsim_circuits::Benchmark;
 use logicsim_netlist::analyze::opt;
 use logicsim_partition::{
     cut_size, fm_assignment, FiducciaMattheysesPartitioner, Partition, Partitioner,
 };
-use logicsim_sim::{ParSimulator, SimConfig};
+use logicsim_sim::ParSimulator;
 
 const PARTS: u32 = 4;
 const SEED: u64 = 1987;
-
-/// The remapping the engine applies by default: every surviving
-/// optimized component keeps the partition of the original component it
-/// came from.
-fn remap_through_comp_map(
-    original: &[u32],
-    comp_map: &[Option<logicsim_netlist::CompId>],
-    optimized_components: usize,
-) -> Vec<u32> {
-    let mut remapped = vec![u32::MAX; optimized_components];
-    for (old, mapped) in comp_map.iter().enumerate() {
-        if let Some(new) = mapped {
-            remapped[new.index()] = original[old];
-        }
-    }
-    remapped
-}
 
 #[test]
 fn rerun_fm_cut_is_no_worse_than_remapped_cut() {
@@ -46,11 +27,7 @@ fn rerun_fm_cut_is_no_worse_than_remapped_cut() {
             continue;
         }
         let original = FiducciaMattheysesPartitioner::new(SEED).partition(&inst.netlist, PARTS);
-        let remapped = remap_through_comp_map(
-            original.as_slice(),
-            &optimized.comp_map,
-            optimized.netlist.num_components(),
-        );
+        let remapped = optimized.remap_assignment(original.as_slice());
         let remapped_cut = cut_size(&optimized.netlist, &Partition::new(remapped, PARTS));
         let fresh = fm_assignment(&optimized.netlist, PARTS, SEED);
         let fresh_cut = cut_size(&optimized.netlist, &Partition::new(fresh, PARTS));
@@ -63,17 +40,16 @@ fn rerun_fm_cut_is_no_worse_than_remapped_cut() {
 }
 
 #[test]
-fn repartition_hook_preserves_simulation_results() {
+fn repartition_preserves_simulation_results() {
     let inst = Benchmark::StopWatch.build_default();
-    let assignment = fm_assignment(&inst.netlist, PARTS, SEED);
+    let optimized = opt::optimize(&inst.netlist);
 
-    let run = |config: SimConfig| {
+    let run = |assignment: &[u32]| {
         let mut stim = inst
             .stimulus
-            .build(&inst.netlist, SEED)
+            .build(&optimized.netlist, SEED)
             .expect("benchmark stimulus resolves");
-        let mut sim =
-            ParSimulator::with_config(&inst.netlist, &assignment, 2, config).expect("pre-flight");
+        let mut sim = ParSimulator::new(&optimized.netlist, assignment, 2).expect("pre-flight");
         for t in 0..2_000 {
             stim.apply_with(t, |net, level| sim.set_input(net, level));
             sim.run_until(t + 1);
@@ -85,16 +61,8 @@ fn repartition_hook_preserves_simulation_results() {
             .collect::<Vec<_>>()
     };
 
-    let remapped = run(SimConfig {
-        optimize: true,
-        ..SimConfig::default()
-    });
-    let repartitioned = run(SimConfig {
-        optimize: true,
-        repartition: Some(fm_assignment),
-        repartition_seed: SEED,
-        ..SimConfig::default()
-    });
+    let remapped = run(&optimized.remap_assignment(&fm_assignment(&inst.netlist, PARTS, SEED)));
+    let repartitioned = run(&fm_assignment(&optimized.netlist, PARTS, SEED));
     assert_eq!(
         remapped, repartitioned,
         "partition placement must never change simulated values"

@@ -23,8 +23,8 @@
 //!   loops (latches, flip-flops built from cross-coupled gates) compile
 //!   to bounded **fixpoint loops** placed at the cluster's topological
 //!   rank — a per-lane Gauss–Seidel iteration over the same branch-free
-//!   kernels, with oscillating lanes forced to X at the bound, exactly
-//!   mirroring [`crate::CompiledSim::settle`]'s oscillation detector.
+//!   kernels, with oscillating lanes forced to X at the bound (the
+//!   compiled-mode oscillation detector).
 //! * **Compiled switch cells** — channel-connected switch sub-groups
 //!   compile to vectorized **solver cells**: the event engine's
 //!   monotone (strength, level) join fixpoint
@@ -52,8 +52,8 @@
 //! the serial event-driven engine run under the same vector-synchronous
 //! protocol.
 
-use crate::compiled::levelize_nodes;
 use crate::engine::{PreflightError, SimConfig, Simulator};
+use crate::levelize::levelize_nodes;
 use logicsim_netlist::{
     BitPlanes, CompId, Component, GateKind, Level, NetId, Netlist, NetlistBuilder, Plane, Signal,
     SwitchKind, LANES,
@@ -155,8 +155,8 @@ enum Step {
     /// `ops[start..end]` evaluated once, in rank order.
     Block { start: u32, end: u32 },
     /// `ops[start..end]` (one latch cluster) iterated until no lane's
-    /// plane changes, bounded by [`BitParSim::max_loop_iters`];
-    /// still-oscillating lanes are forced to X.
+    /// plane changes, bounded by [`MAX_LOOP_ITERS`]; still-oscillating
+    /// lanes are forced to X.
     Loop { start: u32, end: u32 },
 }
 
@@ -223,6 +223,15 @@ pub struct BitParStats {
     pub unconverged_vectors: u64,
 }
 
+/// Tick budget per fallback quiescence run before the vector is
+/// declared unconverged.
+const QUIESCE_BOUND: u64 = 10_000;
+/// Bound on sweep/quiescence alternations per vector.
+const MAX_STITCH_ITERS: u32 = 64;
+/// Bound on fixpoint iterations per compiled latch cluster before its
+/// oscillating lanes are forced to X.
+const MAX_LOOP_ITERS: u32 = 64;
+
 /// The bit-parallel hybrid simulator. See the [module docs](self).
 #[derive(Debug)]
 pub struct BitParSim<'a> {
@@ -267,15 +276,7 @@ pub struct BitParSim<'a> {
     planes: BitPlanes,
     fallback: Option<Fallback>,
     depth: u32,
-    /// Tick budget per fallback quiescence run before the vector is
-    /// declared unconverged.
-    pub quiesce_bound: u64,
-    /// Bound on sweep/quiescence alternations per vector.
-    pub max_stitch_iters: u32,
-    /// Bound on fixpoint iterations per compiled latch cluster before
-    /// its oscillating lanes are forced to X.
-    pub max_loop_iters: u32,
-    /// Set when a loop hit `max_loop_iters` during the current vector.
+    /// Set when a loop hit [`MAX_LOOP_ITERS`] during the current vector.
     loop_overflow: bool,
     vectors: u64,
     sweeps: u64,
@@ -284,7 +285,7 @@ pub struct BitParSim<'a> {
 }
 
 impl<'a> BitParSim<'a> {
-    /// Builds the backend with default configuration.
+    /// Builds the backend.
     ///
     /// # Errors
     ///
@@ -296,24 +297,6 @@ impl<'a> BitParSim<'a> {
     ///
     /// Panics if `lanes` is not in `1..=64`.
     pub fn new(netlist: &'a Netlist, lanes: usize) -> Result<BitParSim<'a>, PreflightError> {
-        BitParSim::with_config(netlist, lanes, &SimConfig::default())
-    }
-
-    /// Builds the backend; `config` shapes the per-lane fallback
-    /// simulators (wheel size, settle bounds, init rounds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PreflightError`] as for [`BitParSim::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64`.
-    pub fn with_config(
-        netlist: &'a Netlist,
-        lanes: usize,
-        config: &SimConfig,
-    ) -> Result<BitParSim<'a>, PreflightError> {
         assert!(
             (1..=LANES).contains(&lanes),
             "lanes must be 1..=64, got {lanes}"
@@ -839,7 +822,7 @@ impl<'a> BitParSim<'a> {
             }
         }
 
-        let fallback = build_fallback(netlist, &fb_comp, &read_by_compiled, lanes, config)?;
+        let fallback = build_fallback(netlist, &fb_comp, &read_by_compiled, lanes)?;
 
         Ok(BitParSim {
             netlist,
@@ -865,9 +848,6 @@ impl<'a> BitParSim<'a> {
             planes,
             fallback,
             depth,
-            quiesce_bound: 10_000,
-            max_stitch_iters: 64,
-            max_loop_iters: 64,
             loop_overflow: false,
             vectors: 0,
             sweeps: 0,
@@ -951,7 +931,7 @@ impl<'a> BitParSim<'a> {
         self.loop_overflow = false;
         let mut converged = false;
         let mut quiesced = true;
-        for _iter in 0..self.max_stitch_iters {
+        for _iter in 0..MAX_STITCH_ITERS {
             if self.pending_count > 0 {
                 self.sweep();
             }
@@ -962,7 +942,7 @@ impl<'a> BitParSim<'a> {
             }
             let fb = self.fallback.as_mut().expect("fallback present");
             for sim in &mut fb.sims {
-                let target = sim.now() + self.quiesce_bound;
+                let target = sim.now() + QUIESCE_BOUND;
                 if sim.run_to_quiescence(target) >= target {
                     quiesced = false;
                 }
@@ -984,7 +964,6 @@ impl<'a> BitParSim<'a> {
     fn sweep(&mut self) {
         self.sweeps += 1;
         let active = self.active_mask;
-        let max_iters = self.max_loop_iters;
         let mut evals = 0u64;
         let mut overflow = false;
         let ops = &self.ops;
@@ -1072,7 +1051,7 @@ impl<'a> BitParSim<'a> {
                             break;
                         }
                         iters += 1;
-                        if iters >= max_iters {
+                        if iters >= MAX_LOOP_ITERS {
                             // Oscillating lanes: force this cluster's
                             // outputs to X in exactly those lanes (the
                             // compiled-mode oscillation detector) and
@@ -1402,7 +1381,6 @@ fn build_fallback(
     fb_comp: &[bool],
     read_by_compiled: &[bool],
     lanes: usize,
-    config: &SimConfig,
 ) -> Result<Option<Fallback>, PreflightError> {
     if !fb_comp.iter().any(|&f| f) {
         return Ok(None);
@@ -1493,17 +1471,11 @@ fn build_fallback(
         .filter(|&i| fb_driven[i] && read_by_compiled[i])
         .map(|i| (i as u32, net_map[i].expect("boundary net mapped")))
         .collect();
-    let sub_config = SimConfig {
-        collect_trace: false,
-        observe: false,
-        optimize: false,
-        ..config.clone()
-    };
     let mut sims = Vec::with_capacity(lanes);
     for _ in 0..lanes {
         sims.push(Simulator::with_config_owned(
             sub.clone(),
-            sub_config.clone(),
+            SimConfig::default(),
         )?);
     }
     let num_inbound = inbound.len();
@@ -1861,5 +1833,95 @@ mod tests {
         assert_eq!(sim.level(net("y"), 0), Level::One);
         // Disabled: floating, level X.
         assert_eq!(sim.level(net("y"), 1), Level::X);
+    }
+
+    /// Stages `level` on `net` in the single lane of a 1-lane backend.
+    fn drive(sim: &mut BitParSim<'_>, net: NetId, level: Level) {
+        sim.set_input_plane(net, Plane::splat(level));
+    }
+
+    #[test]
+    fn one_lane_adder_adds_vector_by_vector() {
+        let n = adder2();
+        let net = |s: &str| n.find_net(s).unwrap();
+        let mut sim = BitParSim::new(&n, 1).unwrap();
+        assert_eq!(sim.stats().feedback_loops, 0, "purely combinational");
+        assert!(sim.stats().ranks >= 3, "ranks {}", sim.stats().ranks);
+        for (a, b) in [(0u32, 0u32), (1, 2), (3, 3), (2, 1)] {
+            drive(&mut sim, net("a0"), Level::from_bool(a & 1 == 1));
+            drive(&mut sim, net("a1"), Level::from_bool(a >> 1 & 1 == 1));
+            drive(&mut sim, net("b0"), Level::from_bool(b & 1 == 1));
+            drive(&mut sim, net("b1"), Level::from_bool(b >> 1 & 1 == 1));
+            assert!(sim.settle_vector());
+            let bit = |s: &str| u32::from(sim.level(net(s), 0) == Level::One);
+            assert_eq!(
+                bit("s0") | bit("s1") << 1 | bit("c1") << 2,
+                a + b,
+                "{a}+{b}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_lane_gated_ring_is_stable_disabled_and_x_enabled() {
+        // A ring oscillator behind an enable: stable while en=0, a bare
+        // inverter loop while en=1. The failed settle must force the
+        // loop to X and the X must reach ranked logic downstream of it.
+        let mut b = NetlistBuilder::new("gated_osc");
+        let en = b.input("en");
+        let x = b.net("x");
+        let y = b.net("y");
+        let q = b.net("q");
+        b.gate(GateKind::Nand, &[en, x], y, Delay::uniform(1));
+        b.gate(GateKind::Buf, &[y], x, Delay::uniform(1));
+        b.gate(GateKind::Buf, &[y], q, Delay::uniform(1));
+        let n = b.finish().unwrap();
+        let mut sim = BitParSim::new(&n, 1).unwrap();
+        assert_eq!(sim.stats().feedback_loops, 1);
+        drive(&mut sim, en, Level::Zero);
+        assert!(sim.settle_vector(), "disabled ring is stable");
+        assert_eq!(sim.level(q, 0), Level::One);
+        drive(&mut sim, en, Level::One);
+        assert!(!sim.settle_vector(), "enabled ring cannot settle");
+        assert_eq!(sim.level(q, 0), Level::X, "downstream logic sees the X");
+        assert_eq!(sim.stats().unconverged_vectors, 1);
+    }
+
+    #[test]
+    fn one_lane_gate_latch_holds_through_input_changes() {
+        // A transparent D latch from plain gates:
+        //   q = (d AND en) OR (q AND NOT en)
+        // Transparent while en=1; holds the captured bit while en=0,
+        // even as d keeps moving. Every settle must converge.
+        let mut b = NetlistBuilder::new("d_latch");
+        let d = b.input("d");
+        let en = b.input("en");
+        let n_en = b.net("n_en");
+        let a1 = b.net("a1");
+        let a2 = b.net("a2");
+        let q = b.net("q");
+        b.gate(GateKind::Not, &[en], n_en, Delay::uniform(1));
+        b.gate(GateKind::And, &[d, en], a1, Delay::uniform(1));
+        b.gate(GateKind::And, &[q, n_en], a2, Delay::uniform(1));
+        b.gate(GateKind::Or, &[a1, a2], q, Delay::uniform(1));
+        let n = b.finish().unwrap();
+        let mut sim = BitParSim::new(&n, 1).unwrap();
+        assert_eq!(sim.stats().feedback_loops, 1, "the latch loop is a cluster");
+        // Capture a 1, close the latch, then wiggle d: q must hold.
+        for (d_level, en_level, want_q) in [
+            (Level::One, Level::One, Level::One),
+            (Level::One, Level::Zero, Level::One),
+            (Level::Zero, Level::Zero, Level::One),
+            (Level::Zero, Level::One, Level::Zero),
+            (Level::One, Level::Zero, Level::Zero),
+        ] {
+            drive(&mut sim, d, d_level);
+            drive(&mut sim, en, en_level);
+            assert!(
+                sim.settle_vector(),
+                "latch must converge at d={d_level} en={en_level}"
+            );
+            assert_eq!(sim.level(q, 0), want_q, "d={d_level} en={en_level}");
+        }
     }
 }

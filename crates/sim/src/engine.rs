@@ -21,13 +21,13 @@
 //! The per-tick loop runs over a data-oriented image of the netlist
 //! built once at construction: CSR adjacency ([`logicsim_netlist::Csr`])
 //! for fanout, non-switch drivers, and gate input pins; a dense
-//! [`EvalKind`] dispatch table; and dense per-net group/attribution
+//! `EvalKind` dispatch table; and dense per-net group/attribution
 //! maps. Per-tick set semantics (`affected`, `dirty_groups`, `to_eval`)
-//! are provided by epoch-stamped worklists ([`StampSet`]) whose items
+//! are provided by epoch-stamped worklists (`StampSet`) whose items
 //! are sorted before iteration, reproducing the exact `BTreeMap`/
 //! `BTreeSet` iteration order of the reference implementation — the
 //! golden-trace tests pin this bit-for-bit. All per-tick buffers live in
-//! [`Worklists`] and are reused across ticks, so a settled steady-state
+//! `Worklists` and are reused across ticks, so a settled steady-state
 //! tick performs no heap allocation.
 
 use crate::instrument::{ActivityProfile, WorkloadCounters};
@@ -42,7 +42,7 @@ use logicsim_netlist::{
 use std::fmt;
 
 /// The netlist failed the static pre-flight: it contains at least one
-/// error-level finding (see [`logicsim_netlist::analyze`]) and cannot
+/// error-level finding (see [`mod@logicsim_netlist::analyze`]) and cannot
 /// be simulated faithfully, so [`Simulator::new`] refuses it.
 #[derive(Debug, Clone)]
 pub struct PreflightError {
@@ -82,111 +82,47 @@ struct Change {
     seq: u64,
 }
 
-/// Which simulation backend a front end should construct.
-///
-/// This is advisory routing information for front ends (`lsim`, the
-/// bench binaries): the event-driven [`Simulator`] itself ignores it,
-/// and [`crate::bitpar::BitParSim`] consumes the rest of the config for
-/// its per-lane fallback engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The serial event-driven engine ([`Simulator`]).
-    #[default]
-    Event,
-    /// The 64-lane bit-parallel compiled backend
-    /// ([`crate::bitpar::BitParSim`]).
-    BitPar,
-}
+/// Timing-wheel size in slots; delays at or beyond it fall back to the
+/// wheel's overflow map.
+pub(crate) const WHEEL_SIZE: usize = 256;
+/// Bound on intra-tick switch-group relaxation rounds before the engine
+/// declares a zero-delay oscillation and stops the tick.
+pub(crate) const MAX_SETTLE_ROUNDS: u32 = 64;
+/// Rounds of zero-delay relaxation used to compute the initial
+/// (power-up) state before any events are counted.
+const INIT_ROUNDS: u32 = 128;
+/// Per-lane capacity (in samples) of the observability ring buffer;
+/// older samples are overwritten at capacity. Exact per-phase totals
+/// are kept separately and never windowed.
+pub(crate) const OBS_CAPACITY: usize = 4096;
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
-    /// Timing-wheel size in slots; must exceed the largest delay for
-    /// O(1) scheduling (larger delays fall back to the overflow map).
-    pub wheel_size: usize,
     /// Collect a full [`TickTrace`] (needed for machine replay and
     /// partition studies; costs memory proportional to `E`).
     pub collect_trace: bool,
-    /// Bound on intra-tick switch-group relaxation rounds before the
-    /// engine declares a zero-delay oscillation and stops the tick.
-    pub max_settle_rounds: u32,
-    /// Rounds of zero-delay relaxation used to compute the initial
-    /// (power-up) state before any events are counted.
-    pub init_rounds: u32,
     /// Arm the per-phase wall-clock recorder (see [`crate::obs`]). A
     /// no-op unless the crate is built with the `obs` feature, so the
     /// same binary can compare armed vs. unarmed runs. Timing never
     /// feeds back into simulation state: traces and counters are
     /// bit-identical either way.
     pub observe: bool,
-    /// Per-lane capacity (in samples) of the observability ring buffer;
-    /// older samples are overwritten at capacity. Exact per-phase
-    /// totals are kept separately and never windowed.
-    pub obs_capacity: usize,
-    /// Run the static optimizer
-    /// ([`logicsim_netlist::analyze::opt::optimize`]) on the netlist at
-    /// construction and simulate the optimized circuit instead. Net
-    /// ids, names, inputs, and outputs are preserved, so stimulus and
-    /// output observation work unchanged; component ids are renumbered
-    /// (the parallel engine remaps partition assignments through the
-    /// optimizer's component map automatically).
-    pub optimize: bool,
-    /// Which backend a front end should construct (see [`Backend`]);
-    /// the event-driven engine itself ignores this.
-    pub backend: Backend,
-    /// Active lanes for the bit-parallel backend (`1..=64`); ignored by
-    /// the event-driven engine.
-    pub lanes: usize,
-    /// Hook the parallel engine uses to re-partition an optimizer-
-    /// rewritten netlist from scratch instead of remapping the caller's
-    /// assignment through the optimizer's component map. The arguments
-    /// are `(netlist, num_parts, seed)`; the result must assign every
-    /// component. `None` keeps the remapping behavior. (A plain `fn`
-    /// pointer, not a closure, so `SimConfig` stays `Clone` + `Debug`;
-    /// the partition crate supplies a compatible free function —
-    /// dependency direction forbids calling it from here directly.)
-    pub repartition: Option<RepartitionFn>,
-    /// Seed forwarded to [`SimConfig::repartition`].
-    pub repartition_seed: u64,
 }
 
-/// Signature of the [`SimConfig::repartition`] hook:
-/// `(netlist, num_parts, seed)` to a full component assignment
-/// (partition id per component, `u32::MAX` for unpartitioned
-/// infrastructure).
-pub type RepartitionFn = fn(&Netlist, u32, u64) -> Vec<u32>;
-
-impl Default for SimConfig {
-    fn default() -> SimConfig {
-        SimConfig {
-            wheel_size: 256,
-            collect_trace: false,
-            max_settle_rounds: 64,
-            init_rounds: 128,
-            observe: false,
-            obs_capacity: 4096,
-            optimize: false,
-            backend: Backend::Event,
-            lanes: logicsim_netlist::LANES,
-            repartition: None,
-            repartition_seed: 0,
-        }
-    }
-}
-
-/// Either a borrowed caller netlist or one owned by the engine (the
-/// product of [`SimConfig::optimize`]).
+/// Either a borrowed caller netlist or one the engine owns
+/// ([`Simulator::with_config_owned`]).
 #[derive(Debug)]
-pub(crate) enum NetHold<'a> {
+enum NetHold<'a> {
     /// The caller's netlist, borrowed.
     Borrowed(&'a Netlist),
-    /// An optimizer-produced netlist the engine owns.
+    /// A netlist the engine owns.
     Owned(Box<Netlist>),
 }
 
 impl NetHold<'_> {
-    /// The netlist actually being simulated.
-    pub(crate) fn get(&self) -> &Netlist {
+    /// The netlist being simulated.
+    fn get(&self) -> &Netlist {
         match self {
             NetHold::Borrowed(n) => n,
             NetHold::Owned(n) => n,
@@ -413,7 +349,6 @@ impl Image {
 /// both start every run from the identical state.
 pub(crate) fn relax_power_up(
     img: &Image,
-    init_rounds: u32,
     net_values: &mut [Signal],
     comp_drive: &mut [Signal],
     last_scheduled: &mut [Signal],
@@ -421,7 +356,7 @@ pub(crate) fn relax_power_up(
     let mut scratch = solver::Scratch::default();
     let mut group_out: Vec<(NetId, Signal)> = Vec::new();
     let mut levels: Vec<Level> = Vec::new();
-    for round in 0..init_rounds {
+    for round in 0..INIT_ROUNDS {
         // Recompute all net values from current drives.
         let mut changed = false;
         for (net_idx, value) in net_values.iter_mut().enumerate() {
@@ -562,12 +497,7 @@ impl<'a> Simulator<'a> {
         netlist: &'a Netlist,
         config: SimConfig,
     ) -> Result<Simulator<'a>, PreflightError> {
-        let hold = if config.optimize {
-            NetHold::Owned(Box::new(analyze::opt::optimize(netlist).netlist))
-        } else {
-            NetHold::Borrowed(netlist)
-        };
-        Simulator::from_hold(hold, config)
+        Simulator::from_hold(NetHold::Borrowed(netlist), config)
     }
 
     /// Creates a simulator that owns its netlist, so the returned value
@@ -576,9 +506,6 @@ impl<'a> Simulator<'a> {
     /// netlist they simulate — e.g. the bit-parallel backend's
     /// switch-cluster fallback — without self-referential borrows.
     ///
-    /// [`SimConfig::optimize`] applies to the supplied netlist as in
-    /// [`Simulator::with_config`].
-    ///
     /// # Errors
     ///
     /// Returns [`PreflightError`] as for [`Simulator::new`].
@@ -586,12 +513,7 @@ impl<'a> Simulator<'a> {
         netlist: Netlist,
         config: SimConfig,
     ) -> Result<Simulator<'static>, PreflightError> {
-        let hold = if config.optimize {
-            NetHold::Owned(Box::new(analyze::opt::optimize(&netlist).netlist))
-        } else {
-            NetHold::Owned(Box::new(netlist))
-        };
-        Simulator::from_hold(hold, config)
+        Simulator::from_hold(NetHold::Owned(Box::new(netlist)), config)
     }
 
     fn from_hold(hold: NetHold<'a>, config: SimConfig) -> Result<Simulator<'a>, PreflightError> {
@@ -601,14 +523,14 @@ impl<'a> Simulator<'a> {
         let num_groups = img.groups.num_groups();
 
         let mut sim = Simulator {
-            wheel: TimingWheel::new(config.wheel_size),
+            wheel: TimingWheel::new(WHEEL_SIZE),
             net_values: vec![Signal::FLOATING; nn],
             comp_drive: img.static_drive.clone(),
             last_scheduled: vec![Signal::FLOATING; nc],
             counters: WorkloadCounters::new(),
             activity: ActivityProfile::new(nc),
             trace: TickTrace::new(),
-            obs: obs::Lane::new(config.observe, obs::Origin::now(), config.obs_capacity),
+            obs: obs::Lane::new(config.observe, obs::Origin::now(), OBS_CAPACITY),
             pending_seq: vec![None; nc],
             seq_counter: 0,
             ws: Worklists {
@@ -632,7 +554,6 @@ impl<'a> Simulator<'a> {
     fn initialize(&mut self) {
         relax_power_up(
             &self.img,
-            self.config.init_rounds,
             &mut self.net_values,
             &mut self.comp_drive,
             &mut self.last_scheduled,
@@ -641,8 +562,7 @@ impl<'a> Simulator<'a> {
         self.trace.end = 0;
     }
 
-    /// The netlist being simulated. With [`SimConfig::optimize`] this
-    /// is the optimized netlist the engine owns, not the caller's.
+    /// The netlist being simulated.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         self.netlist.get()
@@ -942,7 +862,7 @@ impl<'a> Simulator<'a> {
                 break;
             }
             rounds += 1;
-            if rounds >= self.config.max_settle_rounds {
+            if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
                 break;
             }

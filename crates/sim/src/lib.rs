@@ -32,10 +32,10 @@
 //! ```
 
 pub mod bitpar;
-pub mod compiled;
 pub mod engine;
 pub mod heap_list;
 pub mod instrument;
+mod levelize;
 pub mod obs;
 pub mod par_engine;
 mod par_sync;
@@ -48,8 +48,7 @@ pub mod vcd;
 pub mod wheel;
 
 pub use bitpar::{BitParSim, BitParStats};
-pub use compiled::{CompiledSim, FeedbackGroup, Levelizer};
-pub use engine::{Backend, PreflightError, RepartitionFn, SimConfig, Simulator};
+pub use engine::{PreflightError, SimConfig, Simulator};
 pub use heap_list::HeapEventList;
 pub use instrument::{ActivityProfile, WorkloadCounters};
 #[cfg(feature = "obs")]

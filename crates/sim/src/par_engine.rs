@@ -33,7 +33,7 @@
 //! scheduling order only through its monotonically increasing sequence
 //! counter, and that counter is incremented in a fixed program order:
 //! stimulus calls first, then, within each settle round, components in
-//! ascending id order. A [`Stamp`] `(tick, pass, rank)` — scheduling
+//! ascending id order. A `Stamp` `(tick, pass, rank)` — scheduling
 //! tick, settle pass (stimulus = pass 0), and per-pass rank (call index
 //! for stimulus, component id for evaluations) — therefore identifies
 //! each schedule event, and lexicographic stamp order *is* serial
@@ -66,7 +66,8 @@
 #![allow(unsafe_code)]
 
 use crate::engine::{
-    relax_power_up, EvalKind, Image, NetHold, PreflightError, SimConfig, StampSet,
+    relax_power_up, EvalKind, Image, PreflightError, SimConfig, StampSet, MAX_SETTLE_ROUNDS,
+    OBS_CAPACITY, WHEEL_SIZE,
 };
 use crate::instrument::{ActivityProfile, WorkloadCounters};
 use crate::obs::{self, Phase};
@@ -166,9 +167,9 @@ struct PartyState {
 }
 
 impl PartyState {
-    fn new(wheel_size: usize, obs: obs::Lane) -> PartyState {
+    fn new(obs: obs::Lane) -> PartyState {
         PartyState {
-            wheel: TimingWheel::new(wheel_size),
+            wheel: TimingWheel::new(WHEEL_SIZE),
             changes: Vec::new(),
             popped: 0,
             affected: Vec::new(),
@@ -189,7 +190,7 @@ impl PartyState {
 /// State shared (read-only or phase-disciplined) between the master and
 /// the workers.
 struct Core<'a> {
-    netlist: NetHold<'a>,
+    netlist: &'a Netlist,
     img: Image,
     config: SimConfig,
     /// Number of evaluator workers `P`. Party indices `0..workers` are
@@ -624,7 +625,7 @@ impl Master {
                 break;
             }
             rounds += 1;
-            if rounds >= core.config.max_settle_rounds {
+            if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
                 break;
             }
@@ -1017,48 +1018,9 @@ impl<'a> ParSimulator<'a> {
             netlist.num_components(),
             "assignment must cover every component"
         );
-        // With [`SimConfig::optimize`] set, rewrite the netlist first.
-        // The caller's partition was computed on the graph they handed
-        // in; it reaches the optimized graph one of two ways:
-        //
-        // * default: push it through the optimizer's component map, so
-        //   every surviving component keeps the partition of the
-        //   original component it came from (cheap, but rewrites can
-        //   strand a merged component on a cut it no longer earns);
-        // * with [`SimConfig::repartition`] set: partition the
-        //   *optimized* graph from scratch with the supplied hook — the
-        //   cut is computed on the topology actually being simulated.
-        let (hold, assignment) = if config.optimize {
-            let opt = logicsim_netlist::analyze::opt::optimize(netlist);
-            let num_parts = assignment
-                .iter()
-                .filter(|&&a| a != u32::MAX)
-                .max()
-                .map_or(1, |&m| m + 1);
-            let remapped = if let Some(partition) = config.repartition {
-                let fresh = partition(&opt.netlist, num_parts, config.repartition_seed);
-                assert_eq!(
-                    fresh.len(),
-                    opt.netlist.num_components(),
-                    "repartition hook must cover every optimized component"
-                );
-                fresh
-            } else {
-                let mut remapped = vec![u32::MAX; opt.netlist.num_components()];
-                for (old, mapped) in opt.comp_map.iter().enumerate() {
-                    if let Some(new) = mapped {
-                        remapped[new.index()] = assignment[old];
-                    }
-                }
-                remapped
-            };
-            (NetHold::Owned(Box::new(opt.netlist)), remapped)
-        } else {
-            (NetHold::Borrowed(netlist), assignment.to_vec())
-        };
-        let img = Image::build(hold.get())?;
-        let nc = hold.get().num_components();
-        let nn = hold.get().num_nets();
+        let img = Image::build(netlist)?;
+        let nc = netlist.num_components();
+        let nn = netlist.num_nets();
         let num_groups = img.groups.num_groups();
         let num_parties = workers + 1;
 
@@ -1066,13 +1028,7 @@ impl<'a> ParSimulator<'a> {
         let mut net_values = vec![Signal::FLOATING; nn];
         let mut comp_drive = img.static_drive.clone();
         let mut last_scheduled = vec![Signal::FLOATING; nc];
-        relax_power_up(
-            &img,
-            config.init_rounds,
-            &mut net_values,
-            &mut comp_drive,
-            &mut last_scheduled,
-        );
+        relax_power_up(&img, &mut net_values, &mut comp_drive, &mut last_scheduled);
 
         let owner: Vec<u32> = (0..nc)
             .map(|ci| match img.eval[ci] {
@@ -1087,7 +1043,7 @@ impl<'a> ParSimulator<'a> {
                 EvalKind::Passive => workers as u32,
             })
             .collect();
-        let group_owner = compute_group_owner(hold.get(), &img, num_parties);
+        let group_owner = compute_group_owner(netlist, &img, num_parties);
         // One phase clock for the whole engine: the barrier advances it
         // at every crossing, and (under `phase-check`) every shared
         // container stamps accesses with it.
@@ -1096,23 +1052,19 @@ impl<'a> ParSimulator<'a> {
         // single comparable timeline.
         let origin = obs::Origin::now();
         let parties = SharedSlots::from_iter(
-            (0..num_parties).map(|_| {
-                PartyState::new(
-                    config.wheel_size,
-                    obs::Lane::new(config.observe, origin, config.obs_capacity),
-                )
-            }),
+            (0..num_parties)
+                .map(|_| PartyState::new(obs::Lane::new(config.observe, origin, OBS_CAPACITY))),
             &clock,
         );
-        let master_obs = obs::Lane::new(config.observe, origin, config.obs_capacity);
+        let master_obs = obs::Lane::new(config.observe, origin, OBS_CAPACITY);
 
         Ok(ParSimulator {
             core: Core {
-                netlist: hold,
+                netlist,
                 img,
                 config,
                 workers,
-                assignment,
+                assignment: assignment.to_vec(),
                 owner,
                 group_owner,
                 net_values: SharedVec::from_vec(net_values, &clock),
@@ -1128,11 +1080,10 @@ impl<'a> ParSimulator<'a> {
         })
     }
 
-    /// The netlist being simulated. With [`SimConfig::optimize`] this
-    /// is the optimized netlist the engine owns, not the caller's.
+    /// The netlist being simulated.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        self.core.netlist.get()
+        self.core.netlist
     }
 
     /// Number of evaluator workers `P`.

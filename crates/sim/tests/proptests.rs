@@ -197,33 +197,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The event-driven engine and the compiled-mode (levelized) engine
-    /// are independent implementations; on combinational circuits they
-    /// must agree on every quiescent net value.
+    /// The event-driven engine and the levelized bit-parallel engine (at
+    /// one lane) are independent implementations; on combinational
+    /// circuits they must agree on every quiescent net value.
     #[test]
     fn event_driven_agrees_with_compiled_mode(
         ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..40),
         input_bits in any::<u16>(),
     ) {
-        use logicsim_sim::CompiledSim;
+        use logicsim_netlist::Plane;
+        use logicsim_sim::BitParSim;
         let num_inputs = 4;
         let (netlist, _, nets) = build_random_dag(num_inputs, &ops);
         let inputs: Vec<Level> = (0..num_inputs)
             .map(|i| Level::from_bool(input_bits >> i & 1 == 1))
             .collect();
         let mut event_sim = Simulator::new(&netlist).expect("pre-flight");
-        let mut compiled = CompiledSim::new(&netlist);
+        let mut compiled = BitParSim::new(&netlist, 1).expect("pre-flight");
         for (i, &l) in inputs.iter().enumerate() {
             let net = netlist.find_net(&format!("in{i}")).expect("input net");
             event_sim.set_input(net, l);
-            compiled.set_input(net, l);
+            compiled.set_input_plane(net, Plane::splat(l));
         }
         event_sim.run_to_quiescence(100_000);
-        prop_assert!(compiled.settle(64));
+        prop_assert!(compiled.settle_vector());
         for &net in &nets {
             prop_assert_eq!(
                 event_sim.level(net),
-                compiled.level(net),
+                compiled.level(net, 0),
                 "net {} disagrees between engines", netlist.net_name(net)
             );
         }

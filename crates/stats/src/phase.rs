@@ -4,7 +4,7 @@
 //! every engine phase (START fan-out, evaluation, message exchange,
 //! DONE collection, barrier wait) into per-worker ring buffers. A
 //! [`PhaseSummary`] condenses one phase's merged [`Histogram`] into the
-//! handful of numbers the calibration bridge and `perf_snapshot`
+//! handful of numbers the calibration bridge and `lsim trace`
 //! consume: count, total, mean, and the p50/p95/p99 tail.
 //!
 //! Values are unit-agnostic `u64`s; the simulator records nanoseconds.

@@ -76,10 +76,15 @@ use logicsim::netlist::analyze::{analyze, Severity};
 use logicsim::netlist::text;
 use logicsim::netlist::{Level, Netlist};
 use logicsim::sim::stimulus::{run_with_stimulus, Stimulus};
-use logicsim::sim::{
-    Backend, BitParSim, SignalRole, SimConfig, Simulator, Stimulus64, StimulusSpec,
-};
+use logicsim::sim::{BitParSim, SignalRole, SimConfig, Simulator, Stimulus64, StimulusSpec};
 use std::process::ExitCode;
+
+/// The engine `--backend` selects for `stats`/`sim`.
+#[derive(Clone, Copy, PartialEq)]
+enum Backend {
+    Event,
+    BitPar,
+}
 
 struct Options {
     until: u64,
@@ -113,6 +118,26 @@ fn usage() -> ExitCode {
          machine options: --p N (8) --l N (5) --w N (1) --h X (100) --tm X (3)"
     );
     ExitCode::FAILURE
+}
+
+/// Parses a count that must be at least 1 (processors, pipeline depth,
+/// bus width: the machine model asserts on zero).
+fn positive(flag: &str, value: &str) -> Result<u32, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1, got 0")),
+        Ok(v) => Ok(v),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
+/// The tick the measurement window ends at, `--warmup + --until`.
+fn end_tick(opts: &Options) -> Result<u64, String> {
+    opts.warmup.checked_add(opts.until).ok_or_else(|| {
+        format!(
+            "--warmup {} + --until {} exceeds the 64-bit tick counter",
+            opts.warmup, opts.until
+        )
+    })
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -236,12 +261,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.lanes = v;
             }
             "--p" => {
-                let v: u32 = need("--p")?.parse().map_err(|e| format!("--p: {e}"))?;
-                opts.machine_p = v;
-                opts.trace_p = v.max(1) as usize;
+                opts.machine_p = positive("--p", &need("--p")?)?;
+                opts.trace_p = opts.machine_p as usize;
             }
-            "--l" => opts.machine_l = need("--l")?.parse().map_err(|e| format!("--l: {e}"))?,
-            "--w" => opts.machine_w = need("--w")?.parse().map_err(|e| format!("--w: {e}"))?,
+            "--l" => opts.machine_l = positive("--l", &need("--l")?)?,
+            "--w" => opts.machine_w = positive("--w", &need("--w")?)?,
             "--h" => opts.machine_h = need("--h")?.parse().map_err(|e| format!("--h: {e}"))?,
             "--tm" => opts.machine_tm = need("--tm")?.parse().map_err(|e| format!("--tm: {e}"))?,
             other => return Err(format!("unknown option `{other}`")),
@@ -267,13 +291,7 @@ fn run_bitpar(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<
     }
     let mut stim = Stimulus64::new(&opts.stimulus, netlist, opts.seed, opts.lanes)
         .map_err(|e| format!("stimulus: {e}"))?;
-    let config = SimConfig {
-        backend: Backend::BitPar,
-        lanes: opts.lanes,
-        ..SimConfig::default()
-    };
-    let mut sim =
-        BitParSim::with_config(netlist, opts.lanes, &config).map_err(|e| e.to_string())?;
+    let mut sim = BitParSim::new(netlist, opts.lanes).map_err(|e| e.to_string())?;
     for v in 0..opts.until {
         stim.apply_with(v, |net, plane| sim.set_input_plane(net, plane));
         sim.settle_vector();
@@ -318,12 +336,12 @@ fn run(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<(), Str
     if opts.backend == Backend::BitPar {
         return run_bitpar(netlist, opts, print_outputs);
     }
+    let end = end_tick(opts)?;
     let mut stim = opts
         .stimulus
         .build(netlist, opts.seed)
         .map_err(|e| format!("stimulus: {e}"))?;
-    let mut sim =
-        Simulator::with_config(netlist, SimConfig::default()).map_err(|e| e.to_string())?;
+    let mut sim = Simulator::new(netlist).map_err(|e| e.to_string())?;
     if opts.warmup > 0 {
         run_with_stimulus(&mut sim, &mut stim, opts.warmup);
         sim.reset_measurements();
@@ -333,7 +351,6 @@ fn run(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<(), Str
             return Err("--vcd needs `output` declarations in the netlist".into());
         }
         let mut vcd = logicsim::sim::VcdRecorder::of_outputs(netlist, "1ns");
-        let end = opts.warmup + opts.until;
         while sim.now() < end {
             let now = sim.now();
             stim.apply(&mut sim, now);
@@ -342,7 +359,7 @@ fn run(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<(), Str
         }
         std::fs::write(path, vcd.finish()).map_err(|e| format!("write {path}: {e}"))?;
     } else {
-        run_with_stimulus(&mut sim, &mut stim, opts.warmup + opts.until);
+        run_with_stimulus(&mut sim, &mut stim, end);
     }
     let c = sim.counters();
     println!("circuit     : {}", netlist.name());
@@ -383,6 +400,7 @@ fn run_machine(netlist: &Netlist, opts: &Options) -> Result<(), String> {
     use logicsim::machine::{validate_against_model, MachineConfig, NetworkKind};
     use logicsim::partition::{Partitioner, RandomPartitioner};
 
+    let end = end_tick(opts)?;
     let mut stim = opts
         .stimulus
         .build(netlist, opts.seed)
@@ -399,7 +417,7 @@ fn run_machine(netlist: &Netlist, opts: &Options) -> Result<(), String> {
         run_with_stimulus(&mut sim, &mut stim, opts.warmup);
         sim.reset_measurements();
     }
-    run_with_stimulus(&mut sim, &mut stim, opts.warmup + opts.until);
+    run_with_stimulus(&mut sim, &mut stim, end);
     let trace = sim.take_trace();
     if trace.total_events() == 0 {
         return Err("no activity measured; add --clock/--random stimulus".into());

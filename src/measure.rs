@@ -265,7 +265,6 @@ pub mod observed {
             SimConfig {
                 collect_trace: options.collect_trace,
                 observe: true,
-                ..SimConfig::default()
             },
         )
         .expect("netlist passes the engine pre-flight");

@@ -97,7 +97,6 @@ fn measure(bench: Benchmark) -> Golden {
             // Observation armed: the digests below prove phase timing
             // never perturbs simulation state.
             observe: cfg!(feature = "obs"),
-            ..SimConfig::default()
         },
     )
     .expect("pre-flight");
@@ -147,7 +146,6 @@ fn measure_par(bench: Benchmark, workers: usize) -> (Golden, ParSide) {
             collect_trace: true,
             // Same digests must come out with per-phase timing armed.
             observe: cfg!(feature = "obs"),
-            ..SimConfig::default()
         },
     )
     .expect("pre-flight");

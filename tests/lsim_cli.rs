@@ -218,6 +218,41 @@ fn machine_subcommand_compares_model_and_machine() {
 }
 
 #[test]
+fn machine_rejects_zero_processors_depth_and_width() {
+    for flag in ["--p", "--l", "--w"] {
+        let out = lsim()
+            .args(["machine", "bench:stopwatch", "--until", "200", flag, "0"])
+            .output()
+            .expect("run lsim");
+        assert_eq!(out.status.code(), Some(1), "{flag} 0 must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("lsim: {flag} must be at least 1, got 0")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn window_end_beyond_the_tick_counter_is_rejected() {
+    for cmd in ["sim", "machine"] {
+        let out = lsim()
+            .args([cmd, "bench:stopwatch", "--warmup", "10"])
+            .args(["--until", "18446744073709551615"])
+            .output()
+            .expect("run lsim");
+        assert_eq!(out.status.code(), Some(1), "{cmd}: overflow must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("exceeds the 64-bit tick counter"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn lint_subcommand_flags_zero_delay_loop() {
     let path = write_temp(
         "lint_loop",

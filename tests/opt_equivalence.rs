@@ -8,22 +8,22 @@
 //! `NetId`s are sampled on both sides; any divergence in any observed
 //! net at any tick is a digest mismatch.
 //!
-//! The optimized run goes through the engine-integrated
-//! [`SimConfig::optimize`] path — the same path `par_study` and the
-//! model-validation harness use — on both the serial [`Simulator`] and
-//! the [`ParSimulator`] at P ∈ {1, 2, 4}, with the partition computed
-//! on the **original** graph and remapped through the optimizer's
-//! component map, exactly as production callers do.
+//! The optimized run constructs the engines on [`optimize`]'s output —
+//! as `par_study` and the model-validation harness do — on both the
+//! serial [`Simulator`] and the [`ParSimulator`] at P ∈ {1, 2, 4}, with
+//! the partition computed on the **original** graph and carried over by
+//! `Optimized::remap_assignment`.
 //!
 //! A final test pins the headline claim of `lsim opt --report`: the
 //! optimizer must find actual reductions on at least three of the five
 //! paper benchmarks (it currently reduces all five).
 
 use logicsim::circuits::{Benchmark, BenchmarkInstance};
-use logicsim::netlist::Level;
+use logicsim::netlist::analyze::opt::optimize;
+use logicsim::netlist::{Level, Netlist};
 use logicsim::partition::{Partitioner, RandomPartitioner};
 use logicsim::sim::stimulus::Stimulus;
-use logicsim::sim::{ParSimulator, SimConfig, Simulator};
+use logicsim::sim::{ParSimulator, Simulator};
 
 /// FNV-1a 64-bit over a byte slice, continuing from `h`.
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -48,20 +48,14 @@ fn window(inst: &BenchmarkInstance) -> (u64, u64) {
     (warmup, warmup + 3_000)
 }
 
-/// Digests the observed-output waveform of a serial run.
-fn digest_serial(inst: &BenchmarkInstance, optimize: bool) -> u64 {
+/// Digests the observed-output waveform of a serial run of `netlist`
+/// (the instance's own netlist or its optimized rewrite; net ids agree).
+fn digest_serial(inst: &BenchmarkInstance, netlist: &Netlist) -> u64 {
     let mut stim = inst
         .stimulus
-        .build(&inst.netlist, 0x1987)
+        .build(netlist, 0x1987)
         .expect("benchmark stimulus resolves");
-    let mut sim = Simulator::with_config(
-        &inst.netlist,
-        SimConfig {
-            optimize,
-            ..SimConfig::default()
-        },
-    )
-    .expect("pre-flight");
+    let mut sim = Simulator::new(netlist).expect("pre-flight");
     let (warmup, end) = window(inst);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for t in 0..end {
@@ -76,24 +70,19 @@ fn digest_serial(inst: &BenchmarkInstance, optimize: bool) -> u64 {
     h
 }
 
-/// Digests the observed-output waveform of a parallel run at `workers`
-/// evaluator threads, partition computed on the original graph.
-fn digest_par(inst: &BenchmarkInstance, optimize: bool, workers: usize) -> u64 {
+/// Digests the observed-output waveform of a parallel run of `netlist`
+/// under `assignment` at `workers` evaluator threads.
+fn digest_par(
+    inst: &BenchmarkInstance,
+    netlist: &Netlist,
+    assignment: &[u32],
+    workers: usize,
+) -> u64 {
     let mut stim = inst
         .stimulus
-        .build(&inst.netlist, 0x1987)
+        .build(netlist, 0x1987)
         .expect("benchmark stimulus resolves");
-    let part = RandomPartitioner::new(0x1987).partition(&inst.netlist, workers as u32);
-    let mut sim = ParSimulator::with_config(
-        &inst.netlist,
-        part.as_slice(),
-        workers,
-        SimConfig {
-            optimize,
-            ..SimConfig::default()
-        },
-    )
-    .expect("pre-flight");
+    let mut sim = ParSimulator::new(netlist, assignment, workers).expect("pre-flight");
     let (warmup, end) = window(inst);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     sim.run_with(warmup, |tick, frame| {
@@ -114,16 +103,19 @@ fn digest_par(inst: &BenchmarkInstance, optimize: bool, workers: usize) -> u64 {
 /// parallel engine at P ∈ {1, 2, 4}.
 fn check(bench: Benchmark) {
     let inst = bench.build_default();
-    let reference = digest_serial(&inst, false);
+    let opt = optimize(&inst.netlist);
+    let reference = digest_serial(&inst, &inst.netlist);
     assert_eq!(
-        digest_serial(&inst, true),
+        digest_serial(&inst, &opt.netlist),
         reference,
         "{}: optimized serial run diverged on an observed output",
         bench.paper_name()
     );
     for workers in [1usize, 2, 4] {
+        let part = RandomPartitioner::new(0x1987).partition(&inst.netlist, workers as u32);
+        let assignment = opt.remap_assignment(part.as_slice());
         assert_eq!(
-            digest_par(&inst, true, workers),
+            digest_par(&inst, &opt.netlist, &assignment, workers),
             reference,
             "{}: optimized ParSimulator at P={workers} diverged on an observed output",
             bench.paper_name()

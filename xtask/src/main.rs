@@ -28,15 +28,6 @@
 //!   line or within the two lines directly above. Suppressing a lint
 //!   is fine; suppressing one silently is how dead `allow`s
 //!   accumulate.
-//!
-//! * `bench-diff [--band PCT]` — perf-regression gate. Finds the two
-//!   newest versioned `BENCH_<N>.json` snapshots in the workspace
-//!   root, compares the metrics both schemas share (per-circuit serial
-//!   `events_per_second`, whole-run `peak_rss_kb`), and exits nonzero
-//!   when any regresses beyond the noise band (default 10%). The
-//!   comparison is schema-drift tolerant: v1 snapshots lack `metadata`
-//!   and per-circuit `parallel[]` rows, so only the common subset is
-//!   diffed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,23 +48,18 @@ const ALLOWLIST: &[&str] = &[
 const SAFETY_WINDOW: usize = 8;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         Some("lint-unsafe") => lint_unsafe(),
         Some("lint-allow") => lint_allow(),
-        Some("bench-diff") => bench_diff(&args.collect::<Vec<_>>()),
         Some(other) => {
-            eprintln!(
-                "xtask: unknown task `{other}` (available: lint-unsafe, lint-allow, bench-diff)"
-            );
+            eprintln!("xtask: unknown task `{other}` (available: lint-unsafe, lint-allow)");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo xtask <task>\n\ntasks:\n  \
-                 lint-unsafe             audit unsafe code\n  \
-                 lint-allow              audit lint suppressions\n  \
-                 bench-diff [--band PCT] compare the two newest BENCH_N.json snapshots"
+                 lint-unsafe  audit unsafe code\n  \
+                 lint-allow   audit lint suppressions"
             );
             ExitCode::FAILURE
         }
@@ -539,240 +525,6 @@ fn skip_raw_string(b: &[u8], mut i: usize, out: &mut Vec<u8>) -> usize {
     i
 }
 
-/// One comparable metric row extracted from a snapshot, keyed by
-/// circuit name (`None` for whole-process metrics like peak RSS).
-#[derive(Debug)]
-struct Metric {
-    circuit: Option<String>,
-    name: &'static str,
-    value: f64,
-    /// `true` when larger is better (throughput); `false` when smaller
-    /// is better (memory).
-    higher_is_better: bool,
-}
-
-/// Extracts the metrics shared by every snapshot schema so far:
-/// per-circuit serial `events_per_second` (v1 onward), per-circuit
-/// `bitpar.aggregate_speedup` (v4 onward), per-scale-row build/sim
-/// metrics (v5 onward, keyed `family@scale`), and top-level
-/// `peak_rss_kb`. Schema-specific extras (v2's `metadata`, per-circuit
-/// `parallel[]` rows) are deliberately ignored — the diff only compares
-/// what both snapshot generations can provide, so new metric families
-/// (like v5's `scale` array) never produce false regressions against
-/// an older snapshot: a metric present only in the newer file is
-/// skipped, and gating starts with the first same-generation pair. The
-/// peak-RSS metric is qualified by the schema tag because each schema
-/// generation changes the workload the snapshot process runs (v4 added
-/// the 64-lane bit-plane race, v5 the 1M-component corpus builds), so
-/// its footprint is only comparable within one generation.
-fn snapshot_metrics(doc: &serde_json::Value) -> Result<Vec<Metric>, String> {
-    let mut out = Vec::new();
-    let circuits = doc
-        .get("circuits")
-        .and_then(|c| c.as_array())
-        .ok_or("snapshot has no `circuits` array")?;
-    for row in circuits {
-        let circuit = row
-            .get("circuit")
-            .and_then(|v| v.as_str())
-            .ok_or("circuit row has no `circuit` name")?;
-        let eps = row
-            .get("events_per_second")
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| format!("{circuit}: no `events_per_second`"))?;
-        out.push(Metric {
-            circuit: Some(circuit.to_string()),
-            name: "events_per_second",
-            value: eps,
-            higher_is_better: true,
-        });
-        if let Some(speedup) = row
-            .get("bitpar")
-            .and_then(|b| b.get("aggregate_speedup"))
-            .and_then(serde_json::Value::as_f64)
-        {
-            out.push(Metric {
-                circuit: Some(circuit.to_string()),
-                name: "bitpar.aggregate_speedup",
-                value: speedup,
-                higher_is_better: true,
-            });
-        }
-    }
-    // v5 scale rows: keyed by `family@scale` so a new family or a new
-    // scale in a later snapshot simply has no partner and is skipped.
-    if let Some(scale_rows) = doc.get("scale").and_then(|s| s.as_array()) {
-        for row in scale_rows {
-            let (Some(circuit), Some(scale)) = (
-                row.get("circuit").and_then(|v| v.as_str()),
-                row.get("scale").and_then(|v| v.as_str()),
-            ) else {
-                return Err("scale row has no `circuit`/`scale` labels".into());
-            };
-            let key = format!("{circuit}@{scale}");
-            if let Some(build) = row
-                .get("build_components_per_second")
-                .and_then(serde_json::Value::as_f64)
-            {
-                out.push(Metric {
-                    circuit: Some(key.clone()),
-                    name: "scale.build_components_per_second",
-                    value: build,
-                    higher_is_better: true,
-                });
-            }
-            if let Some(bytes) = row
-                .get("memory_footprint_bytes")
-                .and_then(serde_json::Value::as_f64)
-            {
-                out.push(Metric {
-                    circuit: Some(key.clone()),
-                    name: "scale.memory_footprint_bytes",
-                    value: bytes,
-                    higher_is_better: false,
-                });
-            }
-            if let Some(eps) = row
-                .get("event")
-                .and_then(|e| e.get("events_per_second"))
-                .and_then(serde_json::Value::as_f64)
-            {
-                out.push(Metric {
-                    circuit: Some(key),
-                    name: "scale.events_per_second",
-                    value: eps,
-                    higher_is_better: true,
-                });
-            }
-        }
-    }
-    if let Some(rss) = doc.get("peak_rss_kb").and_then(serde_json::Value::as_f64) {
-        if rss > 0.0 {
-            let schema = doc
-                .get("schema")
-                .and_then(serde_json::Value::as_str)
-                .unwrap_or("v1");
-            out.push(Metric {
-                circuit: Some(schema.to_string()),
-                name: "peak_rss_kb",
-                value: rss,
-                higher_is_better: false,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// `cargo xtask bench-diff [--band PCT]`: find the two newest
-/// `BENCH_<N>.json` snapshots in the workspace root, compare the
-/// metrics they share, and fail when any regresses beyond the noise
-/// band (default 10%). Handles the v1 → v2 schema drift by comparing
-/// only the common subset; improvements and in-band noise pass.
-fn bench_diff(args: &[String]) -> ExitCode {
-    let mut band = 10.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--band" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(pct)) if pct >= 0.0 => band = pct,
-                _ => {
-                    eprintln!("xtask bench-diff: --band needs a non-negative percentage");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask bench-diff: unknown option `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let root = workspace_root();
-    let mut snapshots: Vec<(u64, PathBuf)> = Vec::new();
-    let Ok(entries) = std::fs::read_dir(&root) else {
-        eprintln!("xtask bench-diff: cannot read workspace root");
-        return ExitCode::FAILURE;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            snapshots.push((n, entry.path()));
-        }
-    }
-    snapshots.sort_by_key(|&(n, _)| n);
-    if snapshots.len() < 2 {
-        println!(
-            "xtask bench-diff: only {} BENCH_N.json snapshot(s) in {}; nothing to compare",
-            snapshots.len(),
-            root.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let (old_n, old_path) = &snapshots[snapshots.len() - 2];
-    let (new_n, new_path) = &snapshots[snapshots.len() - 1];
-
-    let load = |path: &Path| -> Result<Vec<Metric>, String> {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc: serde_json::Value =
-            serde_json::from_str(&source).map_err(|e| format!("{}: {e}", path.display()))?;
-        snapshot_metrics(&doc).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("xtask bench-diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("xtask bench-diff: BENCH_{old_n}.json -> BENCH_{new_n}.json (noise band {band}%)");
-    let mut regressions = 0u32;
-    let mut compared = 0u32;
-    for m in &new {
-        let Some(base) = old
-            .iter()
-            .find(|o| o.circuit == m.circuit && o.name == m.name)
-        else {
-            continue; // metric only in the newer snapshot: nothing to diff
-        };
-        compared += 1;
-        let label = match &m.circuit {
-            Some(c) => format!("{c}.{}", m.name),
-            None => m.name.to_string(),
-        };
-        let change = (m.value - base.value) / base.value * 100.0;
-        let regressed = if m.higher_is_better {
-            change < -band
-        } else {
-            change > band
-        };
-        let verdict = if regressed { "REGRESSED" } else { "ok" };
-        println!(
-            "  {label:<38} {:>14.1} -> {:>14.1}  {change:+7.2}%  {verdict}",
-            base.value, m.value
-        );
-        if regressed {
-            regressions += 1;
-        }
-    }
-    if compared == 0 {
-        eprintln!("xtask bench-diff: snapshots share no comparable metrics");
-        return ExitCode::FAILURE;
-    }
-    if regressions > 0 {
-        eprintln!("xtask bench-diff: {regressions} metric(s) regressed beyond the {band}% band");
-        return ExitCode::FAILURE;
-    }
-    println!("xtask bench-diff: OK — {compared} metric(s) within the band");
-    ExitCode::SUCCESS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,151 +637,5 @@ fn f() -> &'static str {
         let findings = audit_allows(src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 5);
-    }
-
-    #[test]
-    fn v1_and_v2_snapshots_share_comparable_metrics() {
-        // Minimal replicas of the two snapshot generations: v1 has no
-        // metadata or parallel rows, v2 has both. Throughput metrics
-        // compare across generations; peak RSS is schema-qualified (the
-        // snapshot workload changes each generation) so it must NOT
-        // pair up between v1 and v2.
-        let v1: serde_json::Value = serde_json::from_str(
-            r#"{"schema":"logicsim-perf-snapshot-v1","peak_rss_kb":1000,
-                "circuits":[{"circuit":"stopwatch","events_per_second":100.0}]}"#,
-        )
-        .unwrap();
-        let v2: serde_json::Value = serde_json::from_str(
-            r#"{"schema":"logicsim-perf-snapshot-v2","peak_rss_kb":1100,
-                "metadata":{"git_commit":"abc","host_cores":8,"lsim_threads":null},
-                "circuits":[{"circuit":"stopwatch","events_per_second":95.0,
-                             "parallel":[{"workers":2,"events_per_second":50.0}]}]}"#,
-        )
-        .unwrap();
-        let m1 = snapshot_metrics(&v1).unwrap();
-        let m2 = snapshot_metrics(&v2).unwrap();
-        assert_eq!(m1.len(), 2);
-        assert_eq!(m2.len(), 2);
-        assert_eq!(m1[0].circuit, m2[0].circuit);
-        assert_eq!(m1[0].name, "events_per_second");
-        assert_eq!(m2[0].name, "events_per_second");
-        assert_eq!(m1[1].name, "peak_rss_kb");
-        assert_eq!(m2[1].name, "peak_rss_kb");
-        assert_ne!(
-            m1[1].circuit, m2[1].circuit,
-            "cross-schema RSS must not be compared"
-        );
-    }
-
-    #[test]
-    fn v4_snapshots_compare_bitpar_speedup_and_rss() {
-        // Two v4-generation snapshots: the bit-parallel aggregate
-        // speedup and the (same-schema) peak RSS both become
-        // comparable metrics.
-        let make = |speedup: f64, rss: u32| -> serde_json::Value {
-            serde_json::from_str(&format!(
-                r#"{{"schema":"logicsim-perf-snapshot-v4","peak_rss_kb":{rss},
-                    "circuits":[{{"circuit":"stopwatch","events_per_second":100.0,
-                                 "bitpar":{{"lanes":64,"aggregate_speedup":{speedup}}}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let old = snapshot_metrics(&make(40.0, 1000)).unwrap();
-        let new = snapshot_metrics(&make(44.0, 1010)).unwrap();
-        assert_eq!(old.len(), 3);
-        for (a, b) in old.iter().zip(&new) {
-            assert_eq!(a.circuit, b.circuit);
-            assert_eq!(a.name, b.name);
-        }
-        let speedup = new
-            .iter()
-            .find(|m| m.name == "bitpar.aggregate_speedup")
-            .expect("v4 exposes the lane-throughput metric");
-        assert!(speedup.higher_is_better);
-        assert_eq!(speedup.circuit.as_deref(), Some("stopwatch"));
-    }
-
-    #[test]
-    fn v5_scale_metrics_do_not_regress_against_v4() {
-        // A v4 -> v5 diff must gate only what both generations share:
-        // the v5-only `scale` rows have no v4 partner (so they cannot
-        // produce false regressions), the throughput metrics still pair
-        // up, and peak RSS stays schema-qualified.
-        let v4: serde_json::Value = serde_json::from_str(
-            r#"{"schema":"logicsim-perf-snapshot-v4","peak_rss_kb":1000,
-                "circuits":[{"circuit":"stopwatch","events_per_second":100.0,
-                             "bitpar":{"lanes":64,"aggregate_speedup":40.0}}]}"#,
-        )
-        .unwrap();
-        let v5: serde_json::Value = serde_json::from_str(
-            r#"{"schema":"logicsim-perf-snapshot-v5","peak_rss_kb":90000,
-                "circuits":[{"circuit":"stopwatch","events_per_second":99.0,
-                             "bitpar":{"lanes":64,"aggregate_speedup":41.0}}],
-                "scale":[{"circuit":"stopwatch","scale":"100k",
-                          "build_components_per_second":4.0e6,
-                          "memory_footprint_bytes":10000000,
-                          "event":{"events_per_second":2.0e6}}]}"#,
-        )
-        .unwrap();
-        let old = snapshot_metrics(&v4).unwrap();
-        let new = snapshot_metrics(&v5).unwrap();
-        let shared: Vec<&Metric> = new
-            .iter()
-            .filter(|m| {
-                old.iter()
-                    .any(|o| o.circuit == m.circuit && o.name == m.name)
-            })
-            .collect();
-        // Exactly the two throughput metrics survive: no scale metric
-        // pairs up (they are v5-only) and the RSS keys differ by
-        // schema, so the 90x RSS growth cannot be flagged.
-        let names: Vec<&str> = shared.iter().map(|m| m.name).collect();
-        assert_eq!(names, vec!["events_per_second", "bitpar.aggregate_speedup"]);
-    }
-
-    #[test]
-    fn v5_to_v5_gates_scale_rows_and_skips_new_families() {
-        // Same-generation diffs gate the scale rows; a family or scale
-        // that only the newer snapshot measured is skipped, not failed.
-        let make = |extra: &str| -> serde_json::Value {
-            serde_json::from_str(&format!(
-                r#"{{"schema":"logicsim-perf-snapshot-v5","peak_rss_kb":90000,
-                    "circuits":[{{"circuit":"stopwatch","events_per_second":100.0}}],
-                    "scale":[{{"circuit":"stopwatch","scale":"100k",
-                              "build_components_per_second":4.0e6,
-                              "memory_footprint_bytes":10000000,
-                              "event":{{"events_per_second":2.0e6}}}}{extra}]}}"#
-            ))
-            .unwrap()
-        };
-        let old = snapshot_metrics(&make("")).unwrap();
-        let new = snapshot_metrics(&make(
-            r#",{"circuit":"crossbar_switch","scale":"1m",
-                "build_components_per_second":3.0e6,
-                "memory_footprint_bytes":100000000,
-                "event":{"events_per_second":1.0e6}}"#,
-        ))
-        .unwrap();
-        let shared = new
-            .iter()
-            .filter(|m| {
-                old.iter()
-                    .any(|o| o.circuit == m.circuit && o.name == m.name)
-            })
-            .count();
-        // serial eps + RSS + the three stopwatch@100k scale metrics;
-        // the crossbar_switch@1m row is new-only and skipped.
-        assert_eq!(shared, 5);
-        assert!(new
-            .iter()
-            .any(|m| m.circuit.as_deref() == Some("stopwatch@100k")
-                && m.name == "scale.memory_footprint_bytes"
-                && !m.higher_is_better));
-    }
-
-    #[test]
-    fn snapshot_without_circuits_is_rejected() {
-        let doc: serde_json::Value = serde_json::from_str(r#"{"peak_rss_kb": 5}"#).unwrap();
-        assert!(snapshot_metrics(&doc).is_err());
     }
 }
