@@ -30,10 +30,16 @@ fn is_zero_time(component: &Component) -> bool {
 
 /// Runs the analysis, appending any findings to `out`.
 pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
+    // Only a cycle through a zero-delay gate is a finding, and none of
+    // the `Delay` constructors builds one: rule the graph out first.
+    let zero_delay_gate = |c: &Component| c.is_gate() && is_zero_time(c);
+    if !netlist.components().iter().any(zero_delay_gate) {
+        return;
+    }
     let graph = DepGraph::build(netlist, |id| is_zero_time(netlist.component(id)));
     let mut findings = Vec::new();
-    for scc in strongly_connected_components(&graph.succ) {
-        if !is_cyclic(&graph.succ, &scc) {
+    for scc in strongly_connected_components(&graph.succ).rows() {
+        if !is_cyclic(&graph.succ, scc) {
             continue;
         }
         let mut members: Vec<CompId> = scc.iter().map(|&i| CompId(i)).collect();
@@ -73,7 +79,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
     use crate::component::Delay;
-    use crate::{GateKind, NetlistBuilder};
+    use crate::{GateKind, NetlistBuilder, SwitchKind};
 
     /// A zero-tick delay, constructible only field-by-field (the
     /// `Delay` constructors reject it; the lint exists to catch it).
@@ -114,6 +120,37 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].code, Code::Ls0001CombinationalCycle);
         assert_eq!(found[0].components.len(), 2);
+    }
+
+    #[test]
+    fn zero_delay_gate_outside_any_cycle_is_clean() {
+        // Two parallel switches form a cyclic (pure-switch) SCC; the
+        // zero-delay gate reads it but closes no loop.
+        let mut b = NetlistBuilder::new("beside");
+        let c = b.input("c");
+        let p = b.input("p");
+        let q = b.net("q");
+        let y = b.net("y");
+        b.switch(SwitchKind::Nmos, c, p, q);
+        b.switch(SwitchKind::Nmos, c, q, p);
+        b.gate(GateKind::Not, &[q], y, zero_delay());
+        let n = b.finish().unwrap();
+        assert!(check_all(&n).is_empty());
+    }
+
+    #[test]
+    fn zero_delay_gate_closing_a_loop_through_switches_is_flagged() {
+        let mut b = NetlistBuilder::new("through");
+        let c = b.input("c");
+        let p = b.net("p");
+        let q = b.net("q");
+        let gate = b.gate(GateKind::Not, &[q], p, zero_delay());
+        let switch = b.switch(SwitchKind::Nmos, c, p, q);
+        let n = b.finish().unwrap();
+        let found = check_all(&n);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].components, [gate, switch]);
+        assert_eq!(found[0].nets, [p, q]);
     }
 
     #[test]

@@ -6,54 +6,48 @@
 //! an evaluation of `v`).
 
 use crate::component::CompId;
+use crate::csr::Csr;
 use crate::netlist::Netlist;
 
-/// Adjacency-list dependency graph over all components.
+/// Dependency graph over all components.
 pub(crate) struct DepGraph {
-    /// Successors per component index.
-    pub succ: Vec<Vec<u32>>,
+    /// Successors per component index (parallel edges are kept: one per
+    /// connecting net).
+    pub succ: Csr,
 }
 
 impl DepGraph {
     /// Builds the graph, keeping only edges where both endpoints pass
     /// `keep` (use `|_| true` for the full graph).
     pub fn build(netlist: &Netlist, keep: impl Fn(CompId) -> bool) -> DepGraph {
-        let n = netlist.num_components();
-        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (id, comp) in netlist.iter() {
-            if !keep(id) {
-                continue;
-            }
-            for net in comp.driven_nets() {
-                for &reader in netlist.fanout(net) {
-                    if reader != id && keep(reader) {
-                        succ[id.index()].push(reader.0);
-                    }
-                }
-            }
-            // A gate reading its own output is a self-loop the fanout
-            // walk above skips; restore it explicitly.
-            for net in comp.driven_nets() {
-                if comp.read_nets().contains(&net) && !comp.is_switch() {
-                    succ[id.index()].push(id.0);
-                }
-            }
-        }
-        for list in &mut succ {
-            list.sort_unstable();
-            list.dedup();
-        }
+        let keep = &keep;
+        let succ = Csr::bucket(netlist.num_components(), || {
+            netlist
+                .iter()
+                .filter(move |&(id, _)| keep(id))
+                .flat_map(move |(id, comp)| {
+                    comp.drives()
+                        .flat_map(move |net| netlist.fanout(net))
+                        // A switch reads the channel nets it drives; only a
+                        // gate reading its own output is a self-loop.
+                        .filter(move |&&reader| keep(reader) && (reader != id || !comp.is_switch()))
+                        .map(move |reader| (id.0, reader.0))
+                })
+        });
         DepGraph { succ }
     }
 }
 
 /// Tarjan's strongly-connected-components algorithm, iteratively (deep
-/// combinational chains would overflow a recursive version).
+/// combinational chains would overflow a recursive version), over the
+/// graph whose node `i` has the successors `succ.row(i)`.
 ///
-/// Returns SCCs in **reverse topological order** of the condensation:
-/// an SCC appears before every SCC that can reach it.
-pub(crate) fn strongly_connected_components(succ: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let n = succ.len();
+/// Returns one row per component, in **reverse topological order** of
+/// the condensation: a component appears before every component that
+/// can reach it.
+#[must_use]
+pub fn strongly_connected_components(succ: &Csr) -> Csr {
+    let n = succ.num_rows();
     const UNDISCOVERED: u32 = u32::MAX;
     let mut index = vec![UNDISCOVERED; n];
     let mut low = vec![0u32; n];
@@ -61,7 +55,7 @@ pub(crate) fn strongly_connected_components(succ: &[Vec<u32>]) -> Vec<Vec<u32>> 
     let mut stack: Vec<u32> = Vec::new();
     let mut call: Vec<(u32, usize)> = Vec::new();
     let mut next_index = 0u32;
-    let mut components = Vec::new();
+    let mut components = Csr::default();
 
     for root in 0..n {
         if index[root] != UNDISCOVERED {
@@ -76,7 +70,7 @@ pub(crate) fn strongly_connected_components(succ: &[Vec<u32>]) -> Vec<Vec<u32>> 
 
         while let Some(frame) = call.last_mut() {
             let v = frame.0 as usize;
-            if let Some(&w) = succ[v].get(frame.1) {
+            if let Some(&w) = succ.row(v).get(frame.1) {
                 frame.1 += 1;
                 let w = w as usize;
                 if index[w] == UNDISCOVERED {
@@ -96,16 +90,15 @@ pub(crate) fn strongly_connected_components(succ: &[Vec<u32>]) -> Vec<Vec<u32>> 
                     low[p] = low[p].min(low[v]);
                 }
                 if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("SCC members on stack");
+                    // The component is the stack from `v` up, top first.
+                    let base = stack
+                        .iter()
+                        .rposition(|&w| w as usize == v)
+                        .expect("SCC root on stack");
+                    for &w in &stack[base..] {
                         on_stack[w as usize] = false;
-                        component.push(w);
-                        if w as usize == v {
-                            break;
-                        }
                     }
-                    components.push(component);
+                    components.push_row(stack.drain(base..).rev());
                 }
             }
         }
@@ -115,8 +108,9 @@ pub(crate) fn strongly_connected_components(succ: &[Vec<u32>]) -> Vec<Vec<u32>> 
 
 /// Whether an SCC is a genuine cycle: more than one member, or a single
 /// member with a self-loop.
-pub(crate) fn is_cyclic(succ: &[Vec<u32>], component: &[u32]) -> bool {
-    component.len() > 1 || succ[component[0] as usize].contains(&component[0])
+#[must_use]
+pub fn is_cyclic(succ: &Csr, component: &[u32]) -> bool {
+    component.len() > 1 || succ.row(component[0] as usize).contains(&component[0])
 }
 
 #[cfg(test)]
@@ -135,8 +129,8 @@ mod tests {
         let n = b.finish().unwrap();
         let g = DepGraph::build(&n, |_| true);
         let sccs = strongly_connected_components(&g.succ);
-        assert_eq!(sccs.len(), n.num_components());
-        assert!(sccs.iter().all(|c| !is_cyclic(&g.succ, c)));
+        assert_eq!(sccs.num_rows(), n.num_components());
+        assert!(sccs.rows().all(|c| !is_cyclic(&g.succ, c)));
     }
 
     #[test]
@@ -151,7 +145,7 @@ mod tests {
         let n = b.finish().unwrap();
         let g = DepGraph::build(&n, |_| true);
         let sccs = strongly_connected_components(&g.succ);
-        let cyclic: Vec<_> = sccs.iter().filter(|c| is_cyclic(&g.succ, c)).collect();
+        let cyclic: Vec<_> = sccs.rows().filter(|c| is_cyclic(&g.succ, c)).collect();
         assert_eq!(cyclic.len(), 1);
         assert_eq!(cyclic[0].len(), 2);
     }
@@ -165,7 +159,7 @@ mod tests {
         let n = b.finish().unwrap();
         let g = DepGraph::build(&n, |_| true);
         let sccs = strongly_connected_components(&g.succ);
-        assert!(sccs.iter().any(|c| is_cyclic(&g.succ, c)));
+        assert!(sccs.rows().any(|c| is_cyclic(&g.succ, c)));
     }
 
     #[test]
@@ -181,7 +175,7 @@ mod tests {
         let n = b.finish().unwrap();
         let g = DepGraph::build(&n, |_| true);
         let sccs = strongly_connected_components(&g.succ);
-        let pos = |comp: u32| sccs.iter().position(|c| c.contains(&comp)).unwrap();
+        let pos = |comp: u32| sccs.rows().position(|c| c.contains(&comp)).unwrap();
         // Component 2 (the z-driving gate) is downstream of component 1.
         assert!(pos(2) < pos(1));
     }

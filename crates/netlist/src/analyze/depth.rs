@@ -15,7 +15,7 @@
 //! threshold produce an LS0005 warning — such circuits simulate, but a
 //! single input change can fan into an extremely long event cascade.
 
-use super::depgraph::{strongly_connected_components, DepGraph};
+use super::depgraph::{is_cyclic, strongly_connected_components, DepGraph};
 use super::diag::{Code, Diagnostic};
 use crate::component::NetId;
 use crate::netlist::Netlist;
@@ -42,33 +42,28 @@ impl Levelization {
         let sccs = strongly_connected_components(&graph.succ);
         let num_comps = netlist.num_components();
         let mut scc_of = vec![0u32; num_comps];
-        for (i, scc) in sccs.iter().enumerate() {
+        let mut cyclic = vec![false; num_comps];
+        for (i, scc) in sccs.rows().enumerate() {
+            let in_cycle = is_cyclic(&graph.succ, scc);
             for &member in scc {
                 scc_of[member as usize] = i as u32;
-            }
-        }
-        let mut cyclic = vec![false; num_comps];
-        for scc in &sccs {
-            if super::depgraph::is_cyclic(&graph.succ, scc) {
-                for &member in scc {
-                    cyclic[member as usize] = true;
-                }
+                cyclic[member as usize] = in_cycle;
             }
         }
         // Tarjan emits SCCs sinks-first; walk them in reverse for a
         // topological order and relax longest paths.
-        let mut incoming = vec![0u32; sccs.len()];
-        let mut scc_depth = vec![0u32; sccs.len()];
+        let mut incoming = vec![0u32; sccs.num_rows()];
+        let mut scc_depth = vec![0u32; sccs.num_rows()];
         let mut comp_depth = vec![0u32; num_comps];
-        for i in (0..sccs.len()).rev() {
-            let counts_as_level = sccs[i].iter().any(|&m| {
+        for i in (0..sccs.num_rows()).rev() {
+            let counts_as_level = sccs.row(i).iter().any(|&m| {
                 let c = netlist.component(crate::component::CompId(m));
                 c.is_gate() || c.is_switch()
             });
             scc_depth[i] = incoming[i] + u32::from(counts_as_level);
-            for &u in &sccs[i] {
+            for &u in sccs.row(i) {
                 comp_depth[u as usize] = scc_depth[i];
-                for &v in &graph.succ[u as usize] {
+                for &v in graph.succ.row(u as usize) {
                     let j = scc_of[v as usize] as usize;
                     if j != i {
                         incoming[j] = incoming[j].max(scc_depth[i]);

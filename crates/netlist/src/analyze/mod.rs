@@ -45,6 +45,7 @@ mod float;
 pub mod opt;
 
 pub use dead::live_components;
+pub use depgraph::{is_cyclic, strongly_connected_components};
 pub use depth::Levelization;
 pub use diag::{
     describe_component, Code, Diagnostic, JsonDiagnostic, JsonReport, Report, Severity,

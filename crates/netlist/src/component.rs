@@ -310,63 +310,52 @@ pub enum Component {
 
 impl Component {
     /// The nets this component reads (changes on these require
-    /// re-evaluation).
+    /// re-evaluation), in pin order, without allocating.
+    pub fn reads(&self) -> impl Iterator<Item = NetId> + '_ {
+        let (pins, channel): (&[NetId], [Option<NetId>; 3]) = match self {
+            Component::Gate { inputs, .. } => (inputs, [None; 3]),
+            Component::Switch { control, a, b, .. } => (&[], [Some(*control), Some(*a), Some(*b)]),
+            Component::Input { .. } | Component::Pull { .. } | Component::Supply { .. } => {
+                (&[], [None; 3])
+            }
+        };
+        pins.iter().copied().chain(channel.into_iter().flatten())
+    }
+
+    /// The nets this component can drive, without allocating.
+    pub fn drives(&self) -> impl Iterator<Item = NetId> {
+        let nets = match self {
+            Component::Gate { output, .. } => [Some(*output), None],
+            Component::Switch { a, b, .. } => [Some(*a), Some(*b)],
+            Component::Input { net }
+            | Component::Pull { net, .. }
+            | Component::Supply { net, .. } => [Some(*net), None],
+        };
+        nets.into_iter().flatten()
+    }
+
+    /// [`Component::reads`], collected.
     #[must_use]
     pub fn read_nets(&self) -> Vec<NetId> {
-        match self {
-            Component::Gate { inputs, .. } => inputs.clone(),
-            Component::Switch { control, a, b, .. } => vec![*control, *a, *b],
-            Component::Input { .. } | Component::Pull { .. } | Component::Supply { .. } => {
-                Vec::new()
-            }
-        }
+        self.reads().collect()
     }
 
-    /// Visits the nets this component reads without allocating; the
-    /// builder's O(n) index construction walks every component through
-    /// this instead of materializing [`Component::read_nets`] vectors.
+    /// Visits the nets this component reads.
     #[inline]
-    pub fn for_each_read(&self, mut f: impl FnMut(NetId)) {
-        match self {
-            Component::Gate { inputs, .. } => {
-                for &n in inputs {
-                    f(n);
-                }
-            }
-            Component::Switch { control, a, b, .. } => {
-                f(*control);
-                f(*a);
-                f(*b);
-            }
-            Component::Input { .. } | Component::Pull { .. } | Component::Supply { .. } => {}
-        }
+    pub fn for_each_read(&self, f: impl FnMut(NetId)) {
+        self.reads().for_each(f);
     }
 
-    /// Visits the nets this component can drive without allocating.
+    /// Visits the nets this component can drive.
     #[inline]
-    pub fn for_each_driven(&self, mut f: impl FnMut(NetId)) {
-        match self {
-            Component::Gate { output, .. } => f(*output),
-            Component::Switch { a, b, .. } => {
-                f(*a);
-                f(*b);
-            }
-            Component::Input { net }
-            | Component::Pull { net, .. }
-            | Component::Supply { net, .. } => f(*net),
-        }
+    pub fn for_each_driven(&self, f: impl FnMut(NetId)) {
+        self.drives().for_each(f);
     }
 
-    /// The nets this component can drive.
+    /// [`Component::drives`], collected.
     #[must_use]
     pub fn driven_nets(&self) -> Vec<NetId> {
-        match self {
-            Component::Gate { output, .. } => vec![*output],
-            Component::Switch { a, b, .. } => vec![*a, *b],
-            Component::Input { net }
-            | Component::Pull { net, .. }
-            | Component::Supply { net, .. } => vec![*net],
-        }
+        self.drives().collect()
     }
 
     /// Returns `true` for a gate.

@@ -1,48 +1,122 @@
-//! Compressed sparse row (CSR) views of netlist adjacency.
+//! Compressed sparse row (CSR) storage: the one adjacency container.
 //!
-//! The simulator's hot loop walks fanout lists, driver lists, and gate
-//! input pins millions of times per run. [`Netlist`] itself stores its
-//! fanout/driver indices in CSR form (see
-//! [`crate::netlist::NetAdjacency`]); the [`Csr`] views here re-pack
-//! them as bare `u32` arrays for kernels that index by raw id, so a row
-//! lookup is two loads from memory that stays hot in cache.
-//!
-//! The views are derived (not stored on [`Netlist`], whose serialized
-//! shape is stable); build them once at simulator construction.
+//! Every row-of-lists structure in the workspace is a [`Csr`]: the
+//! [`Netlist`](crate::Netlist)'s fanout and driver indices, the
+//! channel groups' member and switch runs, the component dependency
+//! graph and its strongly connected components, the simulator's gate
+//! pin and reader tables. One contiguous `items` array is addressed
+//! through `offsets`, so a row lookup is two loads and building one
+//! costs two allocations whatever the number of rows.
 
-use crate::component::{Component, NetId};
-use crate::netlist::Netlist;
+use serde::{Deserialize, Serialize, Value};
+use std::ops::Range;
 
-/// A compressed sparse row matrix of `u32` items.
+/// A compressed sparse row matrix.
 ///
 /// Row `i` is `items[offsets[i] .. offsets[i + 1]]`; `offsets` has one
-/// more entry than there are rows.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Csr {
+/// more entry than there are rows. Serializes as a list of lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Csr<T = u32> {
     offsets: Vec<u32>,
-    items: Vec<u32>,
+    items: Vec<T>,
 }
 
-impl Csr {
+impl<T> Default for Csr<T> {
+    /// A matrix with no rows.
+    fn default() -> Csr<T> {
+        Csr {
+            offsets: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> Csr<T> {
     /// Builds a CSR from an iterator of rows.
-    pub fn from_rows<R, I>(rows: R) -> Csr
+    ///
+    /// # Panics
+    ///
+    /// Panics if the items exceed `u32` capacity.
+    pub fn from_rows<R, I>(rows: R) -> Csr<T>
     where
         R: IntoIterator<Item = I>,
-        I: IntoIterator<Item = u32>,
+        I: IntoIterator<Item = T>,
     {
-        let mut offsets = vec![0u32];
-        let mut items = Vec::new();
+        let mut csr = Csr::default();
         for row in rows {
-            items.extend(row);
-            offsets.push(u32::try_from(items.len()).expect("CSR exceeds u32 item capacity"));
+            csr.push_row(row);
         }
-        Csr { offsets, items }
+        csr
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the items exceed `u32` capacity.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        self.items.extend(row);
+        let end = u32::try_from(self.items.len()).expect("CSR exceeds u32 item capacity");
+        self.offsets.push(end);
+    }
+
+    /// Counting sort of `items()` — each item tagged with its row — into
+    /// `num_rows` rows, preserving the iteration order inside a row.
+    /// `items` is walked twice: once to size the rows, once to fill them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row tag is out of range or the items exceed `u32`
+    /// capacity.
+    pub fn bucket<I>(num_rows: usize, items: impl Fn() -> I) -> Csr<T>
+    where
+        T: Copy,
+        I: Iterator<Item = (u32, T)>,
+    {
+        let mut offsets = vec![0u32; num_rows + 1];
+        items().for_each(|(row, _)| offsets[row as usize + 1] += 1);
+        for row in 0..num_rows {
+            offsets[row + 1] = offsets[row]
+                .checked_add(offsets[row + 1])
+                .expect("CSR exceeds u32 item capacity");
+        }
+        // Any item serves as the placeholder every slot is overwritten from.
+        let Some((_, placeholder)) = items().next() else {
+            return Csr {
+                offsets,
+                items: Vec::new(),
+            };
+        };
+        let mut flat = vec![placeholder; offsets[num_rows] as usize];
+        let mut cursor = offsets[..num_rows].to_vec();
+        items().for_each(|(row, item)| {
+            let at = &mut cursor[row as usize];
+            flat[*at as usize] = item;
+            *at += 1;
+        });
+        Csr {
+            offsets,
+            items: flat,
+        }
     }
 
     /// Number of rows.
     #[must_use]
     pub fn num_rows(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// Where row `i` sits in the flat item array (all rows, row by
+    /// row). Side tables with one entry per item are indexed by these
+    /// positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn row_range(&self, i: usize) -> Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
     /// The items of row `i`.
@@ -52,10 +126,13 @@ impl Csr {
     /// Panics if `i` is out of range.
     #[must_use]
     #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        &self.items[lo..hi]
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.items[self.row_range(i)]
+    }
+
+    /// All rows in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.num_rows()).map(|i| self.row(i))
     }
 
     /// Length of row `i` without touching the items array.
@@ -74,43 +151,49 @@ impl Csr {
     pub fn num_items(&self) -> usize {
         self.items.len()
     }
+
+    /// Heap bytes held by the matrix.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.items.capacity() * std::mem::size_of::<T>()
+    }
 }
 
-impl Netlist {
-    /// CSR view of per-net fanout (reader component ids per net).
-    #[must_use]
-    pub fn fanout_csr(&self) -> Csr {
-        Csr::from_rows(
-            (0..self.num_nets()).map(|i| self.fanout(NetId(i as u32)).iter().map(|c| c.0)),
+impl<T: Serialize> Serialize for Csr<T> {
+    fn to_value(&self) -> Value {
+        Value::Array(
+            self.rows()
+                .map(|row| Value::Array(row.iter().map(Serialize::to_value).collect()))
+                .collect(),
         )
     }
+}
 
-    /// CSR view of per-net drivers (driver component ids per net).
-    #[must_use]
-    pub fn drivers_csr(&self) -> Csr {
-        Csr::from_rows(
-            (0..self.num_nets()).map(|i| self.drivers(NetId(i as u32)).iter().map(|c| c.0)),
-        )
-    }
-
-    /// CSR view of per-component gate input pins (net ids). Rows for
-    /// non-gate components are empty.
-    #[must_use]
-    pub fn gate_inputs_csr(&self) -> Csr {
-        Csr::from_rows(self.components().iter().map(|c| {
-            let inputs: &[NetId] = match c {
-                Component::Gate { inputs, .. } => inputs,
-                _ => &[],
-            };
-            inputs.iter().map(|n| n.0)
-        }))
+impl<T: Deserialize> Deserialize for Csr<T> {
+    fn from_value(value: &Value) -> Result<Csr<T>, serde::Error> {
+        let rows = value
+            .as_array()
+            .ok_or_else(|| serde::Error::custom("expected an array of CSR rows"))?;
+        let mut csr = Csr::default();
+        for row in rows {
+            let items = row
+                .as_array()
+                .ok_or_else(|| serde::Error::custom("CSR row must be an array"))?;
+            for item in items {
+                csr.items.push(T::from_value(item)?);
+            }
+            let end = u32::try_from(csr.items.len())
+                .map_err(|_| serde::Error::custom("CSR exceeds u32 items"))?;
+            csr.offsets.push(end);
+        }
+        Ok(csr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Delay, GateKind, NetlistBuilder};
 
     #[test]
     fn rows_round_trip() {
@@ -120,39 +203,28 @@ mod tests {
         assert_eq!(csr.row(1), &[] as &[u32]);
         assert_eq!(csr.row(2), &[7]);
         assert_eq!(csr.row_len(0), 2);
+        assert_eq!(csr.row_range(2), 2..3);
         assert_eq!(csr.num_items(), 3);
     }
 
     #[test]
-    fn netlist_views_match_vec_indices() {
-        let mut b = NetlistBuilder::new("c");
-        let a = b.input("a");
-        let y = b.net("y");
-        let z = b.net("z");
-        b.gate(GateKind::Not, &[a], y, Delay::default());
-        b.gate(GateKind::And, &[a, y], z, Delay::default());
-        let n = b.finish().unwrap();
+    fn bucket_keeps_iteration_order_inside_a_row() {
+        let tagged = [(2u32, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (2, 'e')];
+        let csr = Csr::bucket(4, || tagged.iter().copied());
+        assert_eq!(csr.num_rows(), 4);
+        assert_eq!(csr.row(0), ['b', 'd']);
+        assert!(csr.row(1).is_empty());
+        assert_eq!(csr.row(2), ['a', 'c', 'e']);
+        assert!(csr.row(3).is_empty());
+        let empty: Csr<char> = Csr::bucket(0, std::iter::empty);
+        assert_eq!((empty.num_rows(), empty.num_items()), (0, 0));
+    }
 
-        let fanout = n.fanout_csr();
-        let drivers = n.drivers_csr();
-        for i in 0..n.num_nets() {
-            let net = NetId(i as u32);
-            let want: Vec<u32> = n.fanout(net).iter().map(|c| c.0).collect();
-            assert_eq!(fanout.row(i), &want[..]);
-            let want: Vec<u32> = n.drivers(net).iter().map(|c| c.0).collect();
-            assert_eq!(drivers.row(i), &want[..]);
-        }
-
-        let gin = n.gate_inputs_csr();
-        assert_eq!(gin.num_rows(), n.num_components());
-        for (id, comp) in n.iter() {
-            match comp {
-                Component::Gate { inputs, .. } => {
-                    let want: Vec<u32> = inputs.iter().map(|x| x.0).collect();
-                    assert_eq!(gin.row(id.index()), &want[..]);
-                }
-                _ => assert!(gin.row(id.index()).is_empty()),
-            }
-        }
+    #[test]
+    fn serializes_as_nested_lists() {
+        let csr = Csr::from_rows(vec![vec![1u32, 2], vec![], vec![7]]);
+        let json = serde_json::to_string(&csr).unwrap();
+        assert_eq!(json, "[[1,2],[],[7]]");
+        assert_eq!(serde_json::from_str::<Csr>(&json).unwrap(), csr);
     }
 }

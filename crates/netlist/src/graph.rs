@@ -2,8 +2,56 @@
 //! component-connectivity graph used by partitioners.
 
 use crate::component::{CompId, Component, NetId};
+use crate::csr::Csr;
 use crate::netlist::Netlist;
 use std::ops::Range;
+
+/// Disjoint sets over `0..n` with path compression.
+///
+/// `union` attaches one root under the other without ranking, so which
+/// member ends up as a set's root is unspecified; callers that number
+/// sets do so by first member seen, never by root.
+#[derive(Debug, Clone)]
+pub struct UnionFind {
+    parent: Vec<u32>,
+}
+
+impl UnionFind {
+    /// `n` singleton sets.
+    #[must_use]
+    pub fn new(n: usize) -> UnionFind {
+        UnionFind {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    /// The representative of `x`'s set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is out of range.
+    pub fn find(&mut self, x: u32) -> u32 {
+        let mut root = x;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        let mut cur = x;
+        while self.parent[cur as usize] != root {
+            cur = std::mem::replace(&mut self.parent[cur as usize], root);
+        }
+        root
+    }
+
+    /// Merges the sets of `a` and `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
+    pub fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra as usize] = rb;
+    }
+}
 
 /// Channel-connected groups of nets.
 ///
@@ -13,49 +61,16 @@ use std::ops::Range;
 /// through gates are evaluated independently. Gate-only circuits have one
 /// singleton group per net.
 ///
-/// Stored flat: groups are numbered by their lowest member net, and
-/// group `g`'s members and switches are the `member_off[g] ..
-/// member_off[g + 1]` / `switch_off[g] .. switch_off[g + 1]` runs of two
-/// shared arrays. Members are ascending by net id, switches ascending by
-/// component id.
+/// Groups are numbered by their lowest member net; a group's members
+/// ascend by net id, its switches by component id.
 #[derive(Debug, Clone)]
 pub struct ChannelGroups {
     /// For each net index, the id of its group.
     group_of: Vec<u32>,
-    /// Per-group run offsets into `members` (`num_groups + 1` entries).
-    member_off: Vec<u32>,
-    /// Member nets of every group, group by group.
-    members: Vec<NetId>,
-    /// Per-group run offsets into `switches` (`num_groups + 1` entries).
-    switch_off: Vec<u32>,
-    /// Switches whose channels lie inside each group, group by group.
-    switches: Vec<CompId>,
-}
-
-/// Counting sort of `items()` (each tagged with its group) into one run
-/// per group, preserving the iteration order inside a run. Returns the
-/// `num_groups + 1` run offsets and the flattened runs. `items` is
-/// walked twice: once to size the runs, once to fill them.
-fn bucket_by_group<T: Copy, I: Iterator<Item = (u32, T)>>(
-    num_groups: usize,
-    items: impl Fn() -> I,
-    fill: T,
-) -> (Vec<u32>, Vec<T>) {
-    let mut off = vec![0u32; num_groups + 1];
-    for (g, _) in items() {
-        off[g as usize + 1] += 1;
-    }
-    for g in 0..num_groups {
-        off[g + 1] += off[g];
-    }
-    let mut flat = vec![fill; off[num_groups] as usize];
-    let mut cursor = off[..num_groups].to_vec();
-    for (g, item) in items() {
-        let at = &mut cursor[g as usize];
-        flat[*at as usize] = item;
-        *at += 1;
-    }
-    (off, flat)
+    /// Member nets of every group.
+    members: Csr<NetId>,
+    /// Switches whose channels lie inside each group.
+    switches: Csr<CompId>,
 }
 
 impl ChannelGroups {
@@ -64,33 +79,15 @@ impl ChannelGroups {
     #[must_use]
     pub fn compute(netlist: &Netlist) -> ChannelGroups {
         let n = netlist.num_nets();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], x: u32) -> u32 {
-            let mut root = x;
-            while parent[root as usize] != root {
-                root = parent[root as usize];
-            }
-            // Path compression.
-            let mut cur = x;
-            while parent[cur as usize] != root {
-                let next = parent[cur as usize];
-                parent[cur as usize] = root;
-                cur = next;
-            }
-            root
-        }
         let channels = || {
             netlist.iter().filter_map(|(id, comp)| match comp {
                 Component::Switch { a, b, .. } => Some((id, *a, *b)),
                 _ => None,
             })
         };
+        let mut sets = UnionFind::new(n);
         for (_, a, b) in channels() {
-            let ra = find(&mut parent, a.0);
-            let rb = find(&mut parent, b.0);
-            if ra != rb {
-                parent[ra as usize] = rb;
-            }
+            sets.union(a.0, b.0);
         }
         // Number groups in order of their lowest member net. A root's
         // slot carries its group's id from the first member seen on; a
@@ -100,34 +97,23 @@ impl ChannelGroups {
         let mut group_of = vec![UNSET; n];
         let mut num_groups = 0usize;
         for i in 0..n {
-            let root = find(&mut parent, i as u32) as usize;
+            let root = sets.find(i as u32) as usize;
             if group_of[root] == UNSET {
                 group_of[root] = num_groups as u32;
                 num_groups += 1;
             }
             group_of[i] = group_of[root];
         }
-        drop(parent); // before the runs are allocated: keeps the peak down
-        let (member_off, members) = bucket_by_group(
-            num_groups,
-            || {
-                group_of
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &g)| (g, NetId(i as u32)))
-            },
-            NetId(0),
-        );
-        let (switch_off, switches) = bucket_by_group(
-            num_groups,
-            || channels().map(|(id, a, _)| (group_of[a.index()], id)),
-            CompId(0),
-        );
+        drop(sets); // before the runs are allocated: keeps the peak down
+        let members = Csr::bucket(num_groups, || {
+            (0u32..).map(NetId).zip(&group_of).map(|(net, &g)| (g, net))
+        });
+        let switches = Csr::bucket(num_groups, || {
+            channels().map(|(id, a, _)| (group_of[a.index()], id))
+        });
         ChannelGroups {
             group_of,
-            member_off,
             members,
-            switch_off,
             switches,
         }
     }
@@ -146,7 +132,7 @@ impl ChannelGroups {
     /// Number of groups.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        self.member_off.len() - 1
+        self.members.num_rows()
     }
 
     /// Where a group's members sit in the flat member array (all groups'
@@ -159,7 +145,7 @@ impl ChannelGroups {
     #[must_use]
     #[inline]
     pub fn member_range(&self, group: u32) -> Range<usize> {
-        self.member_off[group as usize] as usize..self.member_off[group as usize + 1] as usize
+        self.members.row_range(group as usize)
     }
 
     /// Where a group's switches sit in the flat switch array; the
@@ -172,7 +158,7 @@ impl ChannelGroups {
     #[must_use]
     #[inline]
     pub fn switch_range(&self, group: u32) -> Range<usize> {
-        self.switch_off[group as usize] as usize..self.switch_off[group as usize + 1] as usize
+        self.switches.row_range(group as usize)
     }
 
     /// Member nets of a group, ascending.
@@ -183,7 +169,7 @@ impl ChannelGroups {
     #[must_use]
     #[inline]
     pub fn members(&self, group: u32) -> &[NetId] {
-        &self.members[self.member_range(group)]
+        self.members.row(group as usize)
     }
 
     /// Switches whose channels lie inside a group, ascending.
@@ -194,14 +180,14 @@ impl ChannelGroups {
     #[must_use]
     #[inline]
     pub fn switches(&self, group: u32) -> &[CompId] {
-        &self.switches[self.switch_range(group)]
+        self.switches.row(group as usize)
     }
 
     /// Returns `true` when the group has more than one net, i.e. actually
     /// needs switch-level resolution.
     #[must_use]
     pub fn is_nontrivial(&self, group: u32) -> bool {
-        self.member_range(group).len() > 1
+        self.members.row_len(group as usize) > 1
     }
 }
 
@@ -216,10 +202,8 @@ pub struct ConnectivityGraph {
     /// Position of each component id in `nodes` (`u32::MAX` for
     /// non-simulated components).
     node_index: Vec<u32>,
-    /// CSR adjacency: node `i`'s `(neighbor, weight)` pairs are
-    /// `adj[adj_off[i] .. adj_off[i + 1]]`, sorted by neighbor.
-    adj_off: Vec<usize>,
-    adj: Vec<(u32, u32)>,
+    /// Node `i`'s `(neighbor, weight)` pairs, sorted by neighbor.
+    adj: Csr<(u32, u32)>,
     /// Per-node partitioning weight: 1 for live components, 0 for dead
     /// ones (logic that cannot reach a primary output, per the LS0003
     /// analysis). Dead components are still nodes — they must be placed
@@ -275,7 +259,7 @@ impl ConnectivityGraph {
         let weight: Vec<u32> = nodes.iter().map(|id| weights[id.index()]).collect();
         // Edge accumulation without a hash map: push every connection as a
         // normalized `a << 32 | b` key, sort once, and count runs. This is
-        // O(E log E) with two contiguous allocations, which at the
+        // O(E log E) with contiguous allocations only, which at the
         // million-component scale replaces millions of hash probes and
         // per-bucket allocations.
         let mut pairs: Vec<u64> = Vec::new();
@@ -323,52 +307,20 @@ impl ConnectivityGraph {
             }
         }
         pairs.sort_unstable();
-        // Degree count over unique pairs, then prefix-sum + fill.
-        let mut degree = vec![0usize; nodes.len()];
-        let mut i = 0;
-        while i < pairs.len() {
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j] == pairs[i] {
-                j += 1;
-            }
-            let (a, b) = ((pairs[i] >> 32) as usize, (pairs[i] & 0xffff_ffff) as usize);
-            degree[a] += 1;
-            degree[b] += 1;
-            i = j;
-        }
-        let mut adj_off = Vec::with_capacity(nodes.len() + 1);
-        let mut total = 0usize;
-        adj_off.push(0);
-        for &d in &degree {
-            total += d;
-            adj_off.push(total);
-        }
-        let mut adj = vec![(0u32, 0u32); total];
-        let mut cursor: Vec<usize> = adj_off[..nodes.len()].to_vec();
-        let mut i = 0;
-        while i < pairs.len() {
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j] == pairs[i] {
-                j += 1;
-            }
-            let w = (j - i) as u32;
-            let (a, b) = ((pairs[i] >> 32) as u32, (pairs[i] & 0xffff_ffff) as u32);
-            adj[cursor[a as usize]] = (b, w);
-            cursor[a as usize] += 1;
-            adj[cursor[b as usize]] = (a, w);
-            cursor[b as usize] += 1;
-            i = j;
-        }
-        // Each row mixes lower-indexed and higher-indexed neighbors; sort
-        // rows individually so `neighbors` stays ordered by neighbor id
-        // (rows are short, so this is effectively linear).
-        for n in 0..nodes.len() {
-            adj[adj_off[n]..adj_off[n + 1]].sort_unstable();
-        }
+        // One run of equal keys is one edge, its length the weight. Runs
+        // ascend by (lo, hi), so row `n` is handed its neighbors below
+        // `n` (runs with hi == n) before those above (lo == n), each
+        // ascending: `neighbors` comes out ordered by neighbor id.
+        let adj = Csr::bucket(nodes.len(), || {
+            pairs.chunk_by(|a, b| a == b).flat_map(|run| {
+                let (a, b) = ((run[0] >> 32) as u32, (run[0] & 0xffff_ffff) as u32);
+                let w = run.len() as u32;
+                [(a, (b, w)), (b, (a, w))]
+            })
+        });
         ConnectivityGraph {
             nodes,
             node_index,
-            adj_off,
             adj,
             weight,
         }
@@ -406,7 +358,7 @@ impl ConnectivityGraph {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn neighbors(&self, i: u32) -> &[(u32, u32)] {
-        &self.adj[self.adj_off[i as usize]..self.adj_off[i as usize + 1]]
+        self.adj.row(i as usize)
     }
 
     /// Partitioning weight of node `i`: 1 when live, 0 when the LS0003
@@ -429,7 +381,8 @@ impl ConnectivityGraph {
     /// Total edge weight of the graph.
     #[must_use]
     pub fn total_weight(&self) -> u64 {
-        self.adj.iter().map(|&(_, w)| u64::from(w)).sum::<u64>() / 2
+        let twice: u64 = self.adj.rows().flatten().map(|&(_, w)| u64::from(w)).sum();
+        twice / 2
     }
 }
 

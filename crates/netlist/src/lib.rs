@@ -50,8 +50,8 @@ pub use bitplane::{BitPlanes, Plane, LANES};
 pub use builder::{BuildError, NetlistBuilder};
 pub use component::{CompId, Component, Delay, GateKind, NetId, SwitchKind};
 pub use csr::Csr;
-pub use graph::{ChannelGroups, ConnectivityGraph};
+pub use graph::{ChannelGroups, ConnectivityGraph, UnionFind};
 pub use names::NetNames;
-pub use netlist::{NetAdjacency, Netlist};
+pub use netlist::Netlist;
 pub use stats::{CircuitCharacteristics, Clocking, Technology};
 pub use value::{Level, Signal, Strength};

@@ -1,154 +1,9 @@
 //! The [`Netlist`] container: components, nets, and derived indices.
 
 use crate::component::{CompId, Component, NetId};
+use crate::csr::Csr;
 use crate::names::NetNames;
-use serde::{Deserialize, Serialize, Value};
-
-/// Per-net component lists (fanout or drivers) in compressed sparse row
-/// form: one contiguous `items` array addressed through `offsets`.
-///
-/// The earlier `Vec<Vec<CompId>>` representation cost one heap
-/// allocation per net; at the million-net scale the generator targets,
-/// that is an allocation storm and a pointer chase per lookup. The CSR
-/// form is built in O(components) with a count/prefix-sum/fill pass and
-/// serializes as the same nested-list shape as before.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetAdjacency {
-    /// Row `i` is `items[offsets[i] .. offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    /// Component ids, concatenated row-major.
-    items: Vec<CompId>,
-}
-
-impl NetAdjacency {
-    /// The components of row (net) `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    #[inline]
-    pub fn row(&self, i: usize) -> &[CompId] {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        &self.items[lo..hi]
-    }
-
-    /// Length of row `i` without touching the items array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    #[inline]
-    pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// Number of rows (nets).
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Heap bytes held by the index.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.items.capacity() * std::mem::size_of::<CompId>()
-    }
-
-    /// Builds the fanout (read) and driver adjacency for `components`
-    /// over `num_nets` nets in two O(components) passes: count, prefix
-    /// sum, fill. Row order matches component order, which the golden
-    /// digests depend on.
-    #[must_use]
-    pub(crate) fn build_pair(
-        num_nets: usize,
-        components: &[Component],
-    ) -> (NetAdjacency, NetAdjacency) {
-        let mut fo_count = vec![0u32; num_nets];
-        let mut dr_count = vec![0u32; num_nets];
-        for comp in components {
-            comp.for_each_read(|n| fo_count[n.index()] += 1);
-            comp.for_each_driven(|n| dr_count[n.index()] += 1);
-        }
-        let prefix = |count: &[u32]| -> Vec<u32> {
-            let mut offsets = Vec::with_capacity(count.len() + 1);
-            let mut total = 0u32;
-            offsets.push(0);
-            for &c in count {
-                total = total
-                    .checked_add(c)
-                    .expect("net adjacency exceeds u32 item capacity");
-                offsets.push(total);
-            }
-            offsets
-        };
-        let fo_off = prefix(&fo_count);
-        let dr_off = prefix(&dr_count);
-        let mut fo_items = vec![CompId(0); *fo_off.last().unwrap() as usize];
-        let mut dr_items = vec![CompId(0); *dr_off.last().unwrap() as usize];
-        // Reuse the count arrays as fill cursors.
-        fo_count.copy_from_slice(&fo_off[..num_nets]);
-        dr_count.copy_from_slice(&dr_off[..num_nets]);
-        for (i, comp) in components.iter().enumerate() {
-            let id = CompId(i as u32);
-            comp.for_each_read(|n| {
-                let cur = &mut fo_count[n.index()];
-                fo_items[*cur as usize] = id;
-                *cur += 1;
-            });
-            comp.for_each_driven(|n| {
-                let cur = &mut dr_count[n.index()];
-                dr_items[*cur as usize] = id;
-                *cur += 1;
-            });
-        }
-        (
-            NetAdjacency {
-                offsets: fo_off,
-                items: fo_items,
-            },
-            NetAdjacency {
-                offsets: dr_off,
-                items: dr_items,
-            },
-        )
-    }
-}
-
-impl Serialize for NetAdjacency {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            (0..self.num_rows())
-                .map(|i| Value::Array(self.row(i).iter().map(Serialize::to_value).collect()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for NetAdjacency {
-    fn from_value(value: &Value) -> Result<NetAdjacency, serde::Error> {
-        let rows = value
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("expected an array of adjacency rows"))?;
-        let mut offsets = vec![0u32];
-        let mut items: Vec<CompId> = Vec::new();
-        for row in rows {
-            let ids = row
-                .as_array()
-                .ok_or_else(|| serde::Error::custom("adjacency row must be an array"))?;
-            for id in ids {
-                items.push(CompId::from_value(id)?);
-            }
-            let end = u32::try_from(items.len())
-                .map_err(|_| serde::Error::custom("adjacency exceeds u32 items"))?;
-            offsets.push(end);
-        }
-        Ok(NetAdjacency { offsets, items })
-    }
-}
+use serde::{Deserialize, Serialize};
 
 /// An immutable, validated circuit.
 ///
@@ -162,9 +17,9 @@ pub struct Netlist {
     pub(crate) components: Vec<Component>,
     pub(crate) net_names: NetNames,
     /// For each net: components that read it (fanout).
-    pub(crate) fanout: NetAdjacency,
+    pub(crate) fanout: Csr<CompId>,
     /// For each net: components that can drive it.
-    pub(crate) drivers: NetAdjacency,
+    pub(crate) drivers: Csr<CompId>,
     /// Primary input nets in declaration order.
     pub(crate) inputs: Vec<NetId>,
     /// Nets marked as observable outputs.
@@ -173,8 +28,10 @@ pub struct Netlist {
 
 impl Netlist {
     /// Assembles a netlist from already-validated parts, computing the
-    /// fanout/driver indices in O(components). Callers (the builder and
-    /// the optimizer) are responsible for arity and net-range validity.
+    /// fanout/driver indices in O(components). Rows are filled in
+    /// component order, which the golden digests depend on. Callers (the
+    /// builder and the optimizer) are responsible for arity and
+    /// net-range validity.
     pub(crate) fn from_parts(
         name: String,
         components: Vec<Component>,
@@ -182,7 +39,13 @@ impl Netlist {
         inputs: Vec<NetId>,
         outputs: Vec<NetId>,
     ) -> Netlist {
-        let (fanout, drivers) = NetAdjacency::build_pair(net_names.len(), &components);
+        let by_id = || (0u32..).map(CompId).zip(&components);
+        let fanout = Csr::bucket(net_names.len(), || {
+            by_id().flat_map(|(id, c)| c.reads().map(move |n| (n.0, id)))
+        });
+        let drivers = Csr::bucket(net_names.len(), || {
+            by_id().flat_map(|(id, c)| c.drives().map(move |n| (n.0, id)))
+        });
         Netlist {
             name,
             components,
@@ -292,6 +155,19 @@ impl Netlist {
     #[must_use]
     pub fn drivers(&self, net: NetId) -> &[CompId] {
         self.drivers.row(net.index())
+    }
+
+    /// Per-component gate input pins (net ids); rows for non-gate
+    /// components are empty.
+    #[must_use]
+    pub fn gate_inputs_csr(&self) -> Csr {
+        Csr::from_rows(self.components.iter().map(|c| {
+            let inputs: &[NetId] = match c {
+                Component::Gate { inputs, .. } => inputs,
+                _ => &[],
+            };
+            inputs.iter().map(|n| n.0)
+        }))
     }
 
     /// Primary input nets in declaration order.
@@ -465,6 +341,26 @@ mod tests {
     }
 
     #[test]
+    fn gate_input_pins_match_components() {
+        let mut b = NetlistBuilder::new("c");
+        let a = b.input("a");
+        let y = b.net("y");
+        let z = b.net("z");
+        b.gate(GateKind::Not, &[a], y, Delay::default());
+        b.gate(GateKind::And, &[a, y], z, Delay::default());
+        let n = b.finish().unwrap();
+        let pins = n.gate_inputs_csr();
+        assert_eq!(pins.num_rows(), n.num_components());
+        for (id, comp) in n.iter() {
+            let want: Vec<u32> = match comp {
+                crate::Component::Gate { inputs, .. } => inputs.iter().map(|x| x.0).collect(),
+                _ => Vec::new(),
+            };
+            assert_eq!(pins.row(id.index()), &want[..]);
+        }
+    }
+
+    #[test]
     fn fanout_and_drivers_indexed() {
         let mut b = NetlistBuilder::new("c");
         let a = b.input("a");
@@ -504,6 +400,12 @@ mod tests {
         b.mark_output(y);
         let n = b.finish().unwrap();
         let json = serde_json::to_string(&n).unwrap();
+        // The serialized shape is a contract: the adjacency indices are
+        // lists of lists, whatever the in-memory layout.
+        assert_eq!(
+            json,
+            r#"{"components":[{"Input":{"net":0}},{"Gate":{"delay":{"fall":1,"rise":1},"inputs":[0],"kind":"Not","output":1}}],"drivers":[[0],[1]],"fanout":[[1],[]],"inputs":[0],"name":"rt","net_names":["a","y"],"outputs":[1]}"#
+        );
         let back: super::Netlist = serde_json::from_str(&json).unwrap();
         assert_eq!(back, n);
         assert_eq!(back.structural_digest(), n.structural_digest());

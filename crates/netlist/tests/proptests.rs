@@ -1,7 +1,8 @@
-//! Property tests for the value algebra and the text format.
+//! Property tests for the value algebra, the CSR builder and the text
+//! format.
 
 use logicsim_netlist::text;
-use logicsim_netlist::{Delay, GateKind, Level, NetlistBuilder, Signal, Strength};
+use logicsim_netlist::{Csr, Delay, GateKind, Level, NetlistBuilder, Signal, Strength};
 use proptest::prelude::*;
 
 fn any_level() -> impl Strategy<Value = Level> {
@@ -58,6 +59,32 @@ proptest! {
         let r = a.resolve(b);
         prop_assert!(r.strength >= a.strength.max(b.strength).min(r.strength));
         prop_assert_eq!(r.strength, a.strength.max(b.strength));
+    }
+
+    /// The counting-sort builder agrees with the row-by-row one on any
+    /// multiset of tagged items: same rows, same order inside a row.
+    /// `num_rows` runs ahead of the highest tag, so trailing (and, with
+    /// no items at all, only) empty rows and the empty matrix are
+    /// covered.
+    #[test]
+    fn csr_bucket_matches_from_rows(
+        tagged in proptest::collection::vec((0u32..12, any::<u32>()), 0..80),
+        spare_rows in 0usize..4,
+    ) {
+        let num_rows = tagged
+            .iter()
+            .map(|&(row, _)| row as usize + 1)
+            .max()
+            .unwrap_or(0)
+            + spare_rows;
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); num_rows];
+        for &(row, item) in &tagged {
+            rows[row as usize].push(item);
+        }
+        let bucketed: Csr = Csr::bucket(num_rows, || tagged.iter().copied());
+        prop_assert_eq!(&bucketed, &Csr::from_rows(rows.iter().map(|r| r.iter().copied())));
+        prop_assert_eq!(bucketed.num_rows(), num_rows);
+        prop_assert_eq!(bucketed.num_items(), tagged.len());
     }
 
     #[test]

@@ -8,38 +8,37 @@
 //! partitioners — exactly the "related research on the circuit
 //! partitioning problem" the paper says is in progress.
 
-use crate::strategies::Partitioner;
+use crate::strategies::{recursive_bisection, Partitioner};
 use crate::Partition;
 use logicsim_netlist::{ConnectivityGraph, Netlist};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+
+/// Refinement passes per flat FM bisection.
+const MAX_PASSES: u32 = 6;
+/// Allowed imbalance of a flat FM bisection: each side holds at least
+/// `floor(n/2) - BALANCE_SLACK` vertices (scaled by the heaviest vertex
+/// when activity weighting is on).
+const BALANCE_SLACK: u64 = 1;
 
 /// Recursive FM bisection to `parts` blocks.
 #[derive(Debug, Clone)]
 pub struct FiducciaMattheysesPartitioner {
-    /// Maximum refinement passes per bisection.
-    pub max_passes: u32,
-    /// Allowed imbalance: each side holds at least
-    /// `floor(n/2) - slack` vertices (scaled by the heaviest vertex
-    /// when activity weighting is on).
-    pub balance_slack: usize,
     /// Seed for the initial splits.
-    pub seed: u64,
+    seed: u64,
     /// Balance on static-activity vertex weights instead of component
-    /// counts (see [`crate::activity_graph`]). Off by default; the
-    /// unweighted path is bit-identical to the historical behavior.
-    pub activity_weighted: bool,
+    /// counts (see [`crate::activity_graph`]).
+    activity_weighted: bool,
 }
 
 impl FiducciaMattheysesPartitioner {
-    /// Creates an FM partitioner with typical settings.
+    /// Creates a count-balanced FM partitioner.
     #[must_use]
     pub fn new(seed: u64) -> FiducciaMattheysesPartitioner {
         FiducciaMattheysesPartitioner {
-            max_passes: 6,
-            balance_slack: 1,
             seed,
             activity_weighted: false,
         }
@@ -51,201 +50,242 @@ impl FiducciaMattheysesPartitioner {
         self.activity_weighted = true;
         self
     }
+}
 
-    /// One FM bisection of `nodes`; returns side per position. `vw` is
-    /// the balance weight per position: all ones in the default
-    /// (count-balanced) mode, static-activity weights in
-    /// activity-weighted mode.
-    ///
-    /// Candidate selection uses per-side gain buckets (ordered sets keyed
-    /// by `(gain, vertex)`), so each of the `n` moves costs `O(log n)`
-    /// instead of the linear best-gain scan the first implementation
-    /// used — that scan made every pass `O(n^2)` and the partitioner
-    /// unusable beyond a few thousand components. The bucket pick
-    /// reproduces the linear scan's selection rule exactly (highest
-    /// gain, ties broken toward the largest vertex index, only sides
-    /// above the balance floor), so unit-weight results are
-    /// bit-identical to the old implementation; the
-    /// `bucketed_fm_matches_reference` proptest pins that equivalence
-    /// against a naive reimplementation.
-    fn bisect(
-        &self,
-        graph: &ConnectivityGraph,
-        nodes: &[u32],
-        rng: &mut ChaCha8Rng,
-        vw: &[u64],
-    ) -> Vec<bool> {
-        let n = nodes.len();
-        if n <= 1 {
-            return vec![false; n];
-        }
-        let mut local = vec![u32::MAX; graph.num_nodes()];
-        for (i, &g) in nodes.iter().enumerate() {
-            local[g as usize] = i as u32;
-        }
-        // Local adjacency restricted to this region, in CSR form (one
-        // contiguous array instead of a Vec per vertex).
-        let mut adj_off: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut adj: Vec<(u32, i64)> = Vec::new();
-        adj_off.push(0);
-        for &g in nodes {
-            adj.extend(graph.neighbors(g).iter().filter_map(|&(nb, w)| {
-                let j = local[nb as usize];
-                (j != u32::MAX).then_some((j, i64::from(w)))
-            }));
-            adj_off.push(adj.len());
-        }
+/// A weighted undirected graph in CSR form: what one FM pass works on,
+/// and the representation every multilevel coarsening level shares.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WorkGraph {
+    /// Node `i`'s neighbors are `adjncy[xadj[i] .. xadj[i + 1]]`.
+    pub xadj: Vec<usize>,
+    pub adjncy: Vec<u32>,
+    /// Edge weights, parallel to `adjncy`.
+    pub adjwgt: Vec<i64>,
+    /// Vertex weights (what a bisection balances).
+    pub vwgt: Vec<u64>,
+}
 
-        // Balanced random initial split.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(rng);
-        let mut side = vec![false; n];
-        for &i in order.iter().take(n / 2) {
-            side[i] = true;
-        }
-
-        // Balance floor in weight units. With unit weights this is the
-        // historical `floor(n/2) - slack` vertex-count floor; with
-        // activity weights the slack scales by the heaviest vertex so
-        // at least `balance_slack` vertices stay movable.
-        let total_w: u64 = vw.iter().sum();
-        let max_w = vw.iter().copied().max().unwrap_or(1).max(1);
-        let min_side = (total_w / 2)
-            .saturating_sub(self.balance_slack as u64 * max_w)
-            .max(1);
-        let neigh = |i: usize| &adj[adj_off[i]..adj_off[i + 1]];
-        let gain_of = |side: &[bool], i: usize| -> i64 {
-            neigh(i)
-                .iter()
-                .map(|&(j, w)| if side[j as usize] != side[i] { w } else { -w })
-                .sum()
-        };
-
-        for _ in 0..self.max_passes {
-            let mut work = side.clone();
-            let mut gains: Vec<i64> = (0..n).map(|i| gain_of(&work, i)).collect();
-            let mut locked = vec![false; n];
-            let mut counts = [0u64; 2];
-            for (i, &s) in work.iter().enumerate() {
-                counts[usize::from(s)] += vw[i];
-            }
-            // Gain buckets, one per side: `last()` is the highest-gain
-            // unlocked vertex of that side, ties toward the largest index.
-            let mut buckets: [BTreeSet<(i64, u32)>; 2] = [BTreeSet::new(), BTreeSet::new()];
-            for i in 0..n {
-                buckets[usize::from(work[i])].insert((gains[i], i as u32));
-            }
-            let mut history: Vec<(usize, i64)> = Vec::with_capacity(n);
-            for _ in 0..n {
-                // Highest-gain unlocked vertex whose move keeps balance:
-                // the better of the two side tops. A few top entries per
-                // side are scanned so one balance-blocked heavy vertex
-                // does not hide lighter movable ones; with unit weights
-                // the first entry decides, reproducing the historical
-                // side-level `counts[s] > min_side` check exactly.
-                let mut candidate: Option<(i64, u32)> = None;
-                for (s, bucket) in buckets.iter().enumerate() {
-                    for &(gain, v32) in bucket.iter().rev().take(8) {
-                        let w = vw[v32 as usize];
-                        if counts[s] >= min_side + w || w == 0 {
-                            candidate = candidate.max(Some((gain, v32)));
-                            break;
-                        }
-                    }
-                }
-                let Some((gain, v32)) = candidate else { break };
-                let v = v32 as usize;
-                // Move v.
-                buckets[usize::from(work[v])].remove(&(gain, v32));
-                counts[usize::from(work[v])] -= vw[v];
-                work[v] = !work[v];
-                counts[usize::from(work[v])] += vw[v];
-                locked[v] = true;
-                history.push((v, gain));
-                // Incremental gain update for neighbors.
-                for &(j32, w) in neigh(v) {
-                    let j = j32 as usize;
-                    if locked[j] {
-                        continue;
-                    }
-                    let s = usize::from(work[j]);
-                    buckets[s].remove(&(gains[j], j32));
-                    // v moved: if j is now on the other side of v, the
-                    // edge became external (+w to j's gain twice: once
-                    // for losing internal, once for gaining external).
-                    if work[j] != work[v] {
-                        gains[j] += 2 * w;
-                    } else {
-                        gains[j] -= 2 * w;
-                    }
-                    buckets[s].insert((gains[j], j32));
-                }
-            }
-            // Best prefix of moves.
-            let mut best_sum = 0i64;
-            let mut sum = 0i64;
-            let mut best_k = 0usize;
-            for (k, &(_, g)) in history.iter().enumerate() {
-                sum += g;
-                if sum > best_sum {
-                    best_sum = sum;
-                    best_k = k + 1;
-                }
-            }
-            if best_k == 0 {
-                break;
-            }
-            for &(v, _) in history.iter().take(best_k) {
-                side[v] = !side[v];
-            }
-        }
-        side
+impl WorkGraph {
+    pub fn len(&self) -> usize {
+        self.vwgt.len()
     }
+
+    pub fn total_vwgt(&self) -> u64 {
+        self.vwgt.iter().sum()
+    }
+
+    /// Vertex weight on each side of the bisection `side`.
+    pub fn side_weights(&self, side: &[bool]) -> [u64; 2] {
+        let mut weights = [0u64; 2];
+        for (&s, &w) in side.iter().zip(&self.vwgt) {
+            weights[usize::from(s)] += w;
+        }
+        weights
+    }
+
+    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, i64)> + '_ {
+        self.adjncy[self.xadj[v]..self.xadj[v + 1]]
+            .iter()
+            .copied()
+            .zip(self.adjwgt[self.xadj[v]..self.xadj[v + 1]].iter().copied())
+    }
+
+    /// The full connectivity graph as a `WorkGraph`, vertex weights
+    /// from [`ConnectivityGraph::node_weight`].
+    pub fn from_connectivity(graph: &ConnectivityGraph) -> WorkGraph {
+        let n = graph.num_nodes();
+        let mut g = WorkGraph {
+            xadj: Vec::with_capacity(n + 1),
+            adjncy: Vec::new(),
+            adjwgt: Vec::new(),
+            vwgt: Vec::with_capacity(n),
+        };
+        g.xadj.push(0);
+        for v in 0..n as u32 {
+            for &(nb, w) in graph.neighbors(v) {
+                g.adjncy.push(nb);
+                g.adjwgt.push(i64::from(w));
+            }
+            g.xadj.push(g.adjncy.len());
+            g.vwgt.push(u64::from(graph.node_weight(v)));
+        }
+        g
+    }
+
+    /// The induced subgraph over `nodes` — distinct and ascending — with
+    /// ids relabelled to positions; over every node that is the graph
+    /// itself, not a copy (the root region of a recursive bisection is
+    /// the largest graph the partitioner ever holds).
+    pub fn subgraph(&self, nodes: &[u32], scratch: &mut Vec<u32>) -> Cow<'_, WorkGraph> {
+        if nodes.len() == self.len() {
+            return Cow::Borrowed(self);
+        }
+        scratch.clear();
+        scratch.resize(self.len(), u32::MAX);
+        for (i, &v) in nodes.iter().enumerate() {
+            scratch[v as usize] = i as u32;
+        }
+        let mut g = WorkGraph {
+            xadj: Vec::with_capacity(nodes.len() + 1),
+            adjncy: Vec::new(),
+            adjwgt: Vec::new(),
+            vwgt: Vec::with_capacity(nodes.len()),
+        };
+        g.xadj.push(0);
+        for &v in nodes {
+            for (nb, w) in self.neighbors(v as usize) {
+                let local = scratch[nb as usize];
+                if local != u32::MAX {
+                    g.adjncy.push(local);
+                    g.adjwgt.push(w);
+                }
+            }
+            g.xadj.push(g.adjncy.len());
+            g.vwgt.push(self.vwgt[v as usize]);
+        }
+        Cow::Owned(g)
+    }
+}
+
+/// Up to `max_passes` FM passes over the bisection `side` of `g`, each
+/// side keeping at least `min_w` vertex weight; `side` is refined in
+/// place. A pass moves every vertex at most once, best gain first, and
+/// keeps the best prefix of its moves; passes stop at the first one
+/// that improves nothing.
+///
+/// Candidate selection uses per-side gain buckets (ordered sets keyed
+/// by `(gain, vertex)`), so each of the `n` moves costs `O(log n)`
+/// instead of a linear best-gain scan. The bucket pick is: highest
+/// gain, ties broken toward the largest vertex index, only sides above
+/// the balance floor — with unit weights exactly the selection rule of
+/// the linear scan, which the `bucketed_fm_matches_reference` proptest
+/// pins against a naive reimplementation.
+pub(crate) fn refine_passes(g: &WorkGraph, side: &mut [bool], min_w: u64, max_passes: u32) {
+    let n = g.len();
+    if n <= 1 {
+        return;
+    }
+    let mut weights = g.side_weights(side);
+    let gain_of = |side: &[bool], v: usize| -> i64 {
+        g.neighbors(v)
+            .map(|(j, w)| if side[j as usize] != side[v] { w } else { -w })
+            .sum()
+    };
+    for _ in 0..max_passes {
+        let mut work = side.to_vec();
+        let mut w = weights;
+        let mut gains: Vec<i64> = (0..n).map(|v| gain_of(&work, v)).collect();
+        let mut locked = vec![false; n];
+        // Gain buckets, one per side: `last()` is the highest-gain
+        // unlocked vertex of that side, ties toward the largest index.
+        let mut buckets: [BTreeSet<(i64, u32)>; 2] = [BTreeSet::new(), BTreeSet::new()];
+        for v in 0..n {
+            buckets[usize::from(work[v])].insert((gains[v], v as u32));
+        }
+        let mut history: Vec<(usize, i64)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            // Highest-gain unlocked vertex whose move keeps balance:
+            // the better of the two side tops. A few top entries per
+            // side are scanned so one balance-blocked heavy vertex
+            // does not hide lighter movable ones; with unit weights
+            // the first entry decides.
+            let mut candidate: Option<(i64, u32)> = None;
+            for (s, bucket) in buckets.iter().enumerate() {
+                for &(gain, v32) in bucket.iter().rev().take(8) {
+                    let vw = g.vwgt[v32 as usize];
+                    if w[s] >= min_w + vw || vw == 0 {
+                        candidate = candidate.max(Some((gain, v32)));
+                        break;
+                    }
+                }
+            }
+            let Some((gain, v32)) = candidate else { break };
+            let v = v32 as usize;
+            let from = usize::from(work[v]);
+            buckets[from].remove(&(gain, v32));
+            w[from] -= g.vwgt[v];
+            work[v] = !work[v];
+            w[1 - from] += g.vwgt[v];
+            locked[v] = true;
+            history.push((v, gain));
+            // v moved: an edge to a neighbor now on the other side
+            // became external (+w twice: once for losing internal, once
+            // for gaining external), and the reverse.
+            for (j32, ew) in g.neighbors(v) {
+                let j = j32 as usize;
+                if locked[j] {
+                    continue;
+                }
+                let s = usize::from(work[j]);
+                buckets[s].remove(&(gains[j], j32));
+                if work[j] != work[v] {
+                    gains[j] += 2 * ew;
+                } else {
+                    gains[j] -= 2 * ew;
+                }
+                buckets[s].insert((gains[j], j32));
+            }
+        }
+        // Best prefix of moves.
+        let mut best_sum = 0i64;
+        let mut sum = 0i64;
+        let mut best_k = 0usize;
+        for (k, &(_, gain)) in history.iter().enumerate() {
+            sum += gain;
+            if sum > best_sum {
+                best_sum = sum;
+                best_k = k + 1;
+            }
+        }
+        if best_k == 0 {
+            break;
+        }
+        for &(v, _) in history.iter().take(best_k) {
+            let from = usize::from(side[v]);
+            weights[from] -= g.vwgt[v];
+            side[v] = !side[v];
+            weights[1 - from] += g.vwgt[v];
+        }
+    }
+}
+
+/// One flat FM bisection of `g`: a balanced random split, refined.
+fn bisect(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
+    let n = g.len();
+    let mut side = vec![false; n];
+    if n <= 1 {
+        return side;
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    for &i in order.iter().take(n / 2) {
+        side[i] = true;
+    }
+    // With unit weights this is the `floor(n/2) - slack` vertex-count
+    // floor; with activity weights the slack scales by the heaviest
+    // vertex so at least `BALANCE_SLACK` vertices stay movable.
+    let max_w = g.vwgt.iter().copied().max().unwrap_or(1).max(1);
+    let min_side = (g.total_vwgt() / 2)
+        .saturating_sub(BALANCE_SLACK * max_w)
+        .max(1);
+    refine_passes(g, &mut side, min_side, MAX_PASSES);
+    side
 }
 
 impl Partitioner for FiducciaMattheysesPartitioner {
     fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
-        // Balance weights per graph node: component counts by default,
-        // the graph's activity weights when enabled.
-        let node_w: Vec<u64> = if self.activity_weighted {
-            (0..graph.num_nodes() as u32)
-                .map(|v| u64::from(graph.node_weight(v)))
-                .collect()
-        } else {
-            vec![1; graph.num_nodes()]
-        };
+        let mut g0 = WorkGraph::from_connectivity(&graph);
+        if !self.activity_weighted {
+            // Count balance: a dead (weight 0) component fills a slot
+            // like any other.
+            g0.vwgt.fill(1);
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let levels = (parts as f64).log2().ceil() as u32;
-        let mut regions: Vec<Vec<u32>> = vec![(0..graph.num_nodes() as u32).collect()];
-        let mut vw: Vec<u64> = Vec::new();
-        for _ in 0..levels {
-            let mut next = Vec::with_capacity(regions.len() * 2);
-            for region in regions {
-                vw.clear();
-                vw.extend(region.iter().map(|&g| node_w[g as usize]));
-                let sides = self.bisect(&graph, &region, &mut rng, &vw);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                for (i, &node) in region.iter().enumerate() {
-                    if sides[i] {
-                        a.push(node);
-                    } else {
-                        b.push(node);
-                    }
-                }
-                next.push(a);
-                next.push(b);
-            }
-            regions = next;
-        }
-        let mut v = vec![u32::MAX; netlist.num_components()];
-        for (r, region) in regions.iter().enumerate() {
-            let part = (r as u32) % parts;
-            for &node in region {
-                v[graph.component(node).index()] = part;
-            }
-        }
-        Partition::new(v, parts)
+        let mut scratch: Vec<u32> = Vec::new();
+        recursive_bisection(netlist, &graph, parts, |region| {
+            bisect(&g0.subgraph(region, &mut scratch), &mut rng)
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -12,47 +12,46 @@
 //! land below the random-partitioning baseline `M_inf (1 - 1/P)` at
 //! the 100k+ component scales of the tiled corpus.
 //!
-//! The refinement core reuses the gain-bucket discipline of
-//! [`crate::fm`] (ordered `(gain, vertex)` sets, so each move is
-//! `O(log n)`), generalized to weighted vertices: coarse nodes carry
-//! the summed live-component weight of everything contracted into
-//! them, and balance is enforced on that weight.
+//! Refinement is [`crate::fm`]'s weighted pass kernel: coarse nodes
+//! carry the summed weight of everything contracted into them, and
+//! balance is enforced on that weight. Only the rebalancing step in
+//! front of it (a projected bisection can start below the floor) is
+//! particular to this module.
 
-use crate::strategies::Partitioner;
+use crate::fm::{refine_passes, WorkGraph};
+use crate::strategies::{recursive_bisection, Partitioner};
 use crate::Partition;
-use logicsim_netlist::{ConnectivityGraph, Netlist};
+use logicsim_netlist::Netlist;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
+
+/// Stop coarsening once a level has at most this many nodes.
+const COARSEN_TARGET: usize = 192;
+/// Maximum refinement passes per level.
+const MAX_PASSES: u32 = 8;
+/// Allowed imbalance fraction per bisection: each side keeps at least
+/// `(1 - BALANCE_EPS) * total / 2` weight.
+const BALANCE_EPS: f64 = 0.05;
 
 /// Recursive multilevel bisection to `parts` blocks.
 #[derive(Debug, Clone)]
 pub struct MultilevelPartitioner {
-    /// Stop coarsening once a level has at most this many nodes.
-    pub coarsen_target: usize,
-    /// Maximum refinement passes per level.
-    pub max_passes: u32,
-    /// Allowed imbalance fraction per bisection: each side keeps at
-    /// least `(1 - balance_eps) * total / 2` weight.
-    pub balance_eps: f64,
     /// Seed for coarsening traversal order and initial bisections.
-    pub seed: u64,
+    seed: u64,
     /// Balance on static-activity vertex weights instead of live
-    /// component counts (see [`crate::activity_graph`]). Off by
-    /// default; the refinement core is weighted either way, so this
-    /// only changes which weights flow into it.
-    pub activity_weighted: bool,
+    /// component counts (see [`crate::activity_graph`]). The refinement
+    /// core is weighted either way, so this only changes which weights
+    /// flow into it.
+    activity_weighted: bool,
 }
 
 impl MultilevelPartitioner {
-    /// Creates a multilevel partitioner with typical settings.
+    /// Creates a multilevel partitioner balancing live component counts.
     #[must_use]
     pub fn new(seed: u64) -> MultilevelPartitioner {
         MultilevelPartitioner {
-            coarsen_target: 192,
-            max_passes: 8,
-            balance_eps: 0.05,
             seed,
             activity_weighted: false,
         }
@@ -66,86 +65,6 @@ impl MultilevelPartitioner {
     }
 }
 
-/// A weighted undirected graph in CSR form: the working representation
-/// every coarsening level shares.
-#[derive(Debug, Clone, Default)]
-struct WorkGraph {
-    /// Node `i`'s neighbors are `adjncy[xadj[i] .. xadj[i + 1]]`.
-    xadj: Vec<usize>,
-    adjncy: Vec<u32>,
-    /// Edge weights, parallel to `adjncy`.
-    adjwgt: Vec<i64>,
-    /// Vertex weights (live-component counts).
-    vwgt: Vec<u64>,
-}
-
-impl WorkGraph {
-    fn len(&self) -> usize {
-        self.vwgt.len()
-    }
-
-    fn total_vwgt(&self) -> u64 {
-        self.vwgt.iter().sum()
-    }
-
-    fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, i64)> + '_ {
-        self.adjncy[self.xadj[v]..self.xadj[v + 1]]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[self.xadj[v]..self.xadj[v + 1]].iter().copied())
-    }
-
-    /// The full connectivity graph as a `WorkGraph` (unit/zero weights
-    /// from the LS0003 liveness analysis).
-    fn from_connectivity(graph: &ConnectivityGraph) -> WorkGraph {
-        let n = graph.num_nodes();
-        let mut g = WorkGraph {
-            xadj: Vec::with_capacity(n + 1),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::with_capacity(n),
-        };
-        g.xadj.push(0);
-        for v in 0..n as u32 {
-            for &(nb, w) in graph.neighbors(v) {
-                g.adjncy.push(nb);
-                g.adjwgt.push(i64::from(w));
-            }
-            g.xadj.push(g.adjncy.len());
-            g.vwgt.push(u64::from(graph.node_weight(v)));
-        }
-        g
-    }
-
-    /// The induced subgraph over `nodes` (ids relabelled to positions).
-    fn subgraph(&self, nodes: &[u32], scratch: &mut Vec<u32>) -> WorkGraph {
-        scratch.clear();
-        scratch.resize(self.len(), u32::MAX);
-        for (i, &v) in nodes.iter().enumerate() {
-            scratch[v as usize] = i as u32;
-        }
-        let mut g = WorkGraph {
-            xadj: Vec::with_capacity(nodes.len() + 1),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::with_capacity(nodes.len()),
-        };
-        g.xadj.push(0);
-        for &v in nodes {
-            for (nb, w) in self.neighbors(v as usize) {
-                let local = scratch[nb as usize];
-                if local != u32::MAX {
-                    g.adjncy.push(local);
-                    g.adjwgt.push(w);
-                }
-            }
-            g.xadj.push(g.adjncy.len());
-            g.vwgt.push(self.vwgt[v as usize]);
-        }
-        g
-    }
-}
-
 /// One coarsening step: the coarse graph plus the fine→coarse map.
 #[derive(Debug)]
 struct Coarsening {
@@ -154,271 +73,190 @@ struct Coarsening {
     map: Vec<u32>,
 }
 
-impl MultilevelPartitioner {
-    /// Contracts a heavy-edge matching: each fine node merges with its
-    /// heaviest-edge unmatched neighbor (subject to a weight cap that
-    /// keeps coarse nodes refinable), unmatched nodes carry over alone.
-    fn coarsen(&self, g: &WorkGraph, rng: &mut ChaCha8Rng) -> Coarsening {
-        let n = g.len();
-        let max_vw = (g.total_vwgt() / self.coarsen_target.max(1) as u64).max(1) * 4;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.shuffle(rng);
-        let mut map = vec![u32::MAX; n];
-        let mut coarse = 0u32;
-        // Pair member lists: (fine_a, fine_b or u32::MAX).
-        let mut members: Vec<(u32, u32)> = Vec::with_capacity(n / 2 + 1);
-        for &v in &order {
-            if map[v as usize] != u32::MAX {
+/// Contracts a heavy-edge matching: each fine node merges with its
+/// heaviest-edge unmatched neighbor (subject to a weight cap that
+/// keeps coarse nodes refinable), unmatched nodes carry over alone.
+fn coarsen(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Coarsening {
+    let n = g.len();
+    let max_vw = (g.total_vwgt() / COARSEN_TARGET as u64).max(1) * 4;
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.shuffle(rng);
+    let mut map = vec![u32::MAX; n];
+    let mut coarse = 0u32;
+    // Pair member lists: (fine_a, fine_b or u32::MAX).
+    let mut members: Vec<(u32, u32)> = Vec::with_capacity(n / 2 + 1);
+    for &v in &order {
+        if map[v as usize] != u32::MAX {
+            continue;
+        }
+        let mut best: Option<(i64, u32)> = None;
+        for (nb, w) in g.neighbors(v as usize) {
+            if map[nb as usize] != u32::MAX || nb == v {
                 continue;
             }
-            let mut best: Option<(i64, u32)> = None;
-            for (nb, w) in g.neighbors(v as usize) {
-                if map[nb as usize] != u32::MAX || nb == v {
-                    continue;
-                }
-                if g.vwgt[v as usize] + g.vwgt[nb as usize] > max_vw {
-                    continue;
-                }
-                // Heaviest edge; ties toward the smallest neighbor id
-                // (strict `>` keeps the first maximum seen, and
-                // neighbors are sorted ascending).
-                if best.is_none_or(|(bw, _)| w > bw) {
-                    best = Some((w, nb));
-                }
-            }
-            map[v as usize] = coarse;
-            if let Some((_, u)) = best {
-                map[u as usize] = coarse;
-                members.push((v, u));
-            } else {
-                members.push((v, u32::MAX));
-            }
-            coarse += 1;
-        }
-        // Build the coarse CSR by merging member adjacencies; `slot`
-        // remembers where a coarse neighbor landed in the current row.
-        let cn = coarse as usize;
-        let mut cg = WorkGraph {
-            xadj: Vec::with_capacity(cn + 1),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::with_capacity(cn),
-        };
-        cg.xadj.push(0);
-        let mut slot = vec![usize::MAX; cn];
-        for (c, &(a, b)) in members.iter().enumerate() {
-            let row_start = cg.adjncy.len();
-            let mut vw = 0u64;
-            for fine in [a, b] {
-                if fine == u32::MAX {
-                    continue;
-                }
-                vw += g.vwgt[fine as usize];
-                for (nb, w) in g.neighbors(fine as usize) {
-                    let cnb = map[nb as usize] as usize;
-                    if cnb == c {
-                        continue; // contracted (or self) edge
-                    }
-                    if slot[cnb] >= row_start && slot[cnb] < cg.adjncy.len() {
-                        cg.adjwgt[slot[cnb]] += w;
-                    } else {
-                        slot[cnb] = cg.adjncy.len();
-                        cg.adjncy.push(cnb as u32);
-                        cg.adjwgt.push(w);
-                    }
-                }
-            }
-            cg.xadj.push(cg.adjncy.len());
-            cg.vwgt.push(vw);
-        }
-        Coarsening { graph: cg, map }
-    }
-
-    /// BFS graph-growing bisection: grow a region from a random start
-    /// until it holds half the weight.
-    fn grow_bisection(&self, g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
-        let n = g.len();
-        let total = g.total_vwgt();
-        let mut side = vec![false; n];
-        if n <= 1 || total == 0 {
-            return side;
-        }
-        let start = rng.gen_range(0..n);
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
-        let mut acc = 0u64;
-        'grow: for offset in 0..n {
-            let s = (start + offset) % n;
-            if visited[s] {
+            if g.vwgt[v as usize] + g.vwgt[nb as usize] > max_vw {
                 continue;
             }
-            visited[s] = true;
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                side[v] = true;
-                acc += g.vwgt[v];
-                if acc * 2 >= total {
-                    break 'grow;
+            // Heaviest edge; ties toward the smallest neighbor id
+            // (strict `>` keeps the first maximum seen, and
+            // neighbors are sorted ascending).
+            if best.is_none_or(|(bw, _)| w > bw) {
+                best = Some((w, nb));
+            }
+        }
+        map[v as usize] = coarse;
+        if let Some((_, u)) = best {
+            map[u as usize] = coarse;
+            members.push((v, u));
+        } else {
+            members.push((v, u32::MAX));
+        }
+        coarse += 1;
+    }
+    // Build the coarse CSR by merging member adjacencies; `slot`
+    // remembers where a coarse neighbor landed in the current row.
+    let cn = coarse as usize;
+    let mut cg = WorkGraph {
+        xadj: Vec::with_capacity(cn + 1),
+        adjncy: Vec::new(),
+        adjwgt: Vec::new(),
+        vwgt: Vec::with_capacity(cn),
+    };
+    cg.xadj.push(0);
+    let mut slot = vec![usize::MAX; cn];
+    for (c, &(a, b)) in members.iter().enumerate() {
+        let row_start = cg.adjncy.len();
+        let mut vw = 0u64;
+        for fine in [a, b] {
+            if fine == u32::MAX {
+                continue;
+            }
+            vw += g.vwgt[fine as usize];
+            for (nb, w) in g.neighbors(fine as usize) {
+                let cnb = map[nb as usize] as usize;
+                if cnb == c {
+                    continue; // contracted (or self) edge
                 }
-                for (nb, _) in g.neighbors(v) {
-                    if !visited[nb as usize] {
-                        visited[nb as usize] = true;
-                        queue.push_back(nb as usize);
-                    }
+                if slot[cnb] >= row_start && slot[cnb] < cg.adjncy.len() {
+                    cg.adjwgt[slot[cnb]] += w;
+                } else {
+                    slot[cnb] = cg.adjncy.len();
+                    cg.adjncy.push(cnb as u32);
+                    cg.adjwgt.push(w);
                 }
             }
         }
-        side
+        cg.xadj.push(cg.adjncy.len());
+        cg.vwgt.push(vw);
     }
+    Coarsening { graph: cg, map }
+}
 
-    /// The minimum per-side weight a bisection of `total` must keep.
-    fn min_side_weight(&self, total: u64) -> u64 {
-        let slack = ((self.balance_eps * total as f64) / 2.0).max(1.0) as u64;
-        (total / 2).saturating_sub(slack)
+/// BFS graph-growing bisection: grow a region from a random start
+/// until it holds half the weight.
+fn grow_bisection(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
+    let n = g.len();
+    let total = g.total_vwgt();
+    let mut side = vec![false; n];
+    if n <= 1 || total == 0 {
+        return side;
     }
-
-    /// Moves weight from the heavy side until both sides meet the
-    /// balance floor (best-gain first, so rebalancing cuts as little
-    /// as possible).
-    fn rebalance(&self, g: &WorkGraph, side: &mut [bool], weights: &mut [u64; 2], min_w: u64) {
-        let n = g.len();
-        let gain_of = |side: &[bool], v: usize| -> i64 {
-            g.neighbors(v)
-                .map(|(j, w)| if side[j as usize] != side[v] { w } else { -w })
-                .sum()
-        };
-        for _ in 0..n {
-            let light = usize::from(weights[0] >= weights[1]);
-            if weights[1 - light] <= weights[light] || weights[light] >= min_w {
-                break;
+    let start = rng.gen_range(0..n);
+    let mut visited = vec![false; n];
+    let mut queue = VecDeque::new();
+    let mut acc = 0u64;
+    'grow: for offset in 0..n {
+        let s = (start + offset) % n;
+        if visited[s] {
+            continue;
+        }
+        visited[s] = true;
+        queue.push_back(s);
+        while let Some(v) = queue.pop_front() {
+            side[v] = true;
+            acc += g.vwgt[v];
+            if acc * 2 >= total {
+                break 'grow;
             }
-            let heavy = 1 - light;
-            // Best-gain movable vertex on the heavy side.
-            let mut best: Option<(i64, usize)> = None;
-            for v in 0..n {
-                if usize::from(side[v]) == heavy && g.vwgt[v] > 0 {
-                    best = best.max(Some((gain_of(side, v), v)));
+            for (nb, _) in g.neighbors(v) {
+                if !visited[nb as usize] {
+                    visited[nb as usize] = true;
+                    queue.push_back(nb as usize);
                 }
             }
-            let Some((_, v)) = best else { break };
-            side[v] = !side[v];
-            weights[heavy] -= g.vwgt[v];
-            weights[light] += g.vwgt[v];
         }
     }
+    side
+}
 
-    /// Weighted FM refinement with gain buckets and best-prefix
-    /// rollback; `side` is refined in place.
-    fn refine(&self, g: &WorkGraph, side: &mut [bool], min_w: u64) {
-        let n = g.len();
-        if n <= 1 {
-            return;
+/// The minimum per-side weight a bisection of `total` must keep.
+fn min_side_weight(total: u64) -> u64 {
+    let slack = ((BALANCE_EPS * total as f64) / 2.0).max(1.0) as u64;
+    (total / 2).saturating_sub(slack)
+}
+
+/// Moves weight from the heavy side until both sides meet the
+/// balance floor (best-gain first, so rebalancing cuts as little
+/// as possible).
+fn rebalance(g: &WorkGraph, side: &mut [bool], weights: &mut [u64; 2], min_w: u64) {
+    let n = g.len();
+    let gain_of = |side: &[bool], v: usize| -> i64 {
+        g.neighbors(v)
+            .map(|(j, w)| if side[j as usize] != side[v] { w } else { -w })
+            .sum()
+    };
+    for _ in 0..n {
+        let light = usize::from(weights[0] >= weights[1]);
+        if weights[1 - light] <= weights[light] || weights[light] >= min_w {
+            break;
         }
-        let mut weights = [0u64; 2];
+        let heavy = 1 - light;
+        // Best-gain movable vertex on the heavy side.
+        let mut best: Option<(i64, usize)> = None;
         for v in 0..n {
-            weights[usize::from(side[v])] += g.vwgt[v];
-        }
-        if weights[0] < min_w || weights[1] < min_w {
-            self.rebalance(g, side, &mut weights, min_w);
-        }
-        let gain_of = |side: &[bool], v: usize| -> i64 {
-            g.neighbors(v)
-                .map(|(j, w)| if side[j as usize] != side[v] { w } else { -w })
-                .sum()
-        };
-        for _ in 0..self.max_passes {
-            let mut work = side.to_vec();
-            let mut w = weights;
-            let mut gains: Vec<i64> = (0..n).map(|v| gain_of(&work, v)).collect();
-            let mut locked = vec![false; n];
-            let mut buckets: [BTreeSet<(i64, u32)>; 2] = [BTreeSet::new(), BTreeSet::new()];
-            for v in 0..n {
-                buckets[usize::from(work[v])].insert((gains[v], v as u32));
-            }
-            let mut history: Vec<(usize, i64)> = Vec::with_capacity(n);
-            for _ in 0..n {
-                // Best feasible candidate per side: scan a few top
-                // entries so one balance-blocked heavy vertex does not
-                // hide lighter movable ones behind it.
-                let mut candidate: Option<(i64, u32)> = None;
-                for (s, bucket) in buckets.iter().enumerate() {
-                    for &(gain, v32) in bucket.iter().rev().take(8) {
-                        let vw = g.vwgt[v32 as usize];
-                        if w[s] >= min_w + vw || vw == 0 {
-                            candidate = candidate.max(Some((gain, v32)));
-                            break;
-                        }
-                    }
-                }
-                let Some((gain, v32)) = candidate else { break };
-                let v = v32 as usize;
-                let from = usize::from(work[v]);
-                buckets[from].remove(&(gain, v32));
-                w[from] -= g.vwgt[v];
-                work[v] = !work[v];
-                w[1 - from] += g.vwgt[v];
-                locked[v] = true;
-                history.push((v, gain));
-                for (j32, ew) in g.neighbors(v) {
-                    let j = j32 as usize;
-                    if locked[j] {
-                        continue;
-                    }
-                    let s = usize::from(work[j]);
-                    buckets[s].remove(&(gains[j], j32));
-                    if work[j] != work[v] {
-                        gains[j] += 2 * ew;
-                    } else {
-                        gains[j] -= 2 * ew;
-                    }
-                    buckets[s].insert((gains[j], j32));
-                }
-            }
-            let mut best_sum = 0i64;
-            let mut sum = 0i64;
-            let mut best_k = 0usize;
-            for (k, &(_, gain)) in history.iter().enumerate() {
-                sum += gain;
-                if sum > best_sum {
-                    best_sum = sum;
-                    best_k = k + 1;
-                }
-            }
-            if best_k == 0 {
-                break;
-            }
-            for &(v, _) in history.iter().take(best_k) {
-                let from = usize::from(side[v]);
-                weights[from] -= g.vwgt[v];
-                side[v] = !side[v];
-                weights[1 - from] += g.vwgt[v];
+            if usize::from(side[v]) == heavy && g.vwgt[v] > 0 {
+                best = best.max(Some((gain_of(side, v), v)));
             }
         }
+        let Some((_, v)) = best else { break };
+        side[v] = !side[v];
+        weights[heavy] -= g.vwgt[v];
+        weights[light] += g.vwgt[v];
     }
+}
 
-    /// The multilevel V-cycle: coarsen to the target size, bisect the
-    /// coarsest graph, project back up with refinement at every level.
-    fn bisect_multilevel(&self, g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
-        let n = g.len();
-        let min_w = self.min_side_weight(g.total_vwgt());
-        if n <= self.coarsen_target.max(2) {
-            let mut side = self.grow_bisection(g, rng);
-            self.refine(g, &mut side, min_w);
-            return side;
-        }
-        let c = self.coarsen(g, rng);
-        if c.graph.len() * 20 >= n * 19 {
-            // Coarsening stalled (e.g. a star graph with the weight cap
-            // saturated): bisect directly.
-            let mut side = self.grow_bisection(g, rng);
-            self.refine(g, &mut side, min_w);
-            return side;
-        }
-        let coarse_side = self.bisect_multilevel(&c.graph, rng);
-        let mut side: Vec<bool> = (0..n).map(|v| coarse_side[c.map[v] as usize]).collect();
-        self.refine(g, &mut side, min_w);
-        side
+/// Refines `side` in place: restores the balance floor if the
+/// projected bisection starts below it, then runs the FM pass kernel.
+fn refine(g: &WorkGraph, side: &mut [bool], min_w: u64) {
+    let mut weights = g.side_weights(side);
+    if weights[0] < min_w || weights[1] < min_w {
+        rebalance(g, side, &mut weights, min_w);
     }
+    refine_passes(g, side, min_w, MAX_PASSES);
+}
+
+/// The multilevel V-cycle: coarsen to the target size, bisect the
+/// coarsest graph, project back up with refinement at every level.
+fn bisect_multilevel(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
+    let n = g.len();
+    let min_w = min_side_weight(g.total_vwgt());
+    if n <= COARSEN_TARGET {
+        let mut side = grow_bisection(g, rng);
+        refine(g, &mut side, min_w);
+        return side;
+    }
+    let c = coarsen(g, rng);
+    if c.graph.len() * 20 >= n * 19 {
+        // Coarsening stalled (e.g. a star graph with the weight cap
+        // saturated): bisect directly.
+        let mut side = grow_bisection(g, rng);
+        refine(g, &mut side, min_w);
+        return side;
+    }
+    let coarse_side = bisect_multilevel(&c.graph, rng);
+    let mut side: Vec<bool> = (0..n).map(|v| coarse_side[c.map[v] as usize]).collect();
+    refine(g, &mut side, min_w);
+    side
 }
 
 impl Partitioner for MultilevelPartitioner {
@@ -426,35 +264,10 @@ impl Partitioner for MultilevelPartitioner {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
         let g0 = WorkGraph::from_connectivity(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let levels = (f64::from(parts)).log2().ceil() as u32;
         let mut scratch: Vec<u32> = Vec::new();
-        let mut regions: Vec<Vec<u32>> = vec![(0..g0.len() as u32).collect()];
-        for _ in 0..levels {
-            let mut next = Vec::with_capacity(regions.len() * 2);
-            for region in regions {
-                let sub = g0.subgraph(&region, &mut scratch);
-                let sides = self.bisect_multilevel(&sub, &mut rng);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                for (i, &node) in region.iter().enumerate() {
-                    if sides[i] {
-                        a.push(node);
-                    } else {
-                        b.push(node);
-                    }
-                }
-                next.push(a);
-                next.push(b);
-            }
-            regions = next;
-        }
-        let mut v = vec![u32::MAX; netlist.num_components()];
-        for (r, region) in regions.iter().enumerate() {
-            let part = (r as u32) % parts;
-            for &node in region {
-                v[graph.component(node).index()] = part;
-            }
-        }
-        Partition::new(v, parts)
+        recursive_bisection(netlist, &graph, parts, |region| {
+            bisect_multilevel(&g0.subgraph(region, &mut scratch), &mut rng)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -493,7 +306,7 @@ mod tests {
     use super::*;
     use crate::metrics::cut_size;
     use crate::strategies::RandomPartitioner;
-    use logicsim_netlist::{Delay, GateKind, NetlistBuilder};
+    use logicsim_netlist::{ConnectivityGraph, Delay, GateKind, NetlistBuilder};
 
     /// A ring of `k` dense clusters, each bridged to the next by one
     /// wire: the ideal P-way cut is tiny and cluster-aligned.
@@ -561,16 +374,15 @@ mod tests {
     fn coarsening_preserves_weight_and_is_surjective() {
         let n = cluster_ring(4, 60);
         let graph = ConnectivityGraph::build(&n, 16);
-        let ml = MultilevelPartitioner::new(5);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut g = WorkGraph::from_connectivity(&graph);
         // Walk the full coarsening hierarchy, checking invariants at
         // every level.
         for _level in 0..20 {
-            if g.len() <= ml.coarsen_target {
+            if g.len() <= COARSEN_TARGET {
                 break;
             }
-            let c = ml.coarsen(&g, &mut rng);
+            let c = coarsen(&g, &mut rng);
             // Total vertex weight is conserved.
             assert_eq!(c.graph.total_vwgt(), g.total_vwgt());
             // The fine→coarse map is total and surjective.
@@ -602,7 +414,7 @@ mod tests {
             g = c.graph;
         }
         assert!(
-            g.len() <= ml.coarsen_target,
+            g.len() <= COARSEN_TARGET,
             "coarsening never reached the target"
         );
     }
@@ -611,26 +423,22 @@ mod tests {
     fn refinement_respects_balance_floor_at_every_level() {
         let n = cluster_ring(5, 40);
         let graph = ConnectivityGraph::build(&n, 16);
-        let ml = MultilevelPartitioner::new(3);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut g = WorkGraph::from_connectivity(&graph);
         for _level in 0..20 {
             let total = g.total_vwgt();
-            let min_w = ml.min_side_weight(total);
-            let mut side = ml.grow_bisection(&g, &mut rng);
-            ml.refine(&g, &mut side, min_w);
-            let mut weights = [0u64; 2];
-            for (v, &s) in side.iter().enumerate() {
-                weights[usize::from(s)] += g.vwgt[v];
-            }
+            let min_w = min_side_weight(total);
+            let mut side = grow_bisection(&g, &mut rng);
+            refine(&g, &mut side, min_w);
+            let weights = g.side_weights(&side);
             assert!(
                 weights[0] >= min_w && weights[1] >= min_w,
                 "level violates balance: {weights:?} (floor {min_w})"
             );
-            if g.len() <= ml.coarsen_target {
+            if g.len() <= COARSEN_TARGET {
                 break;
             }
-            g = ml.coarsen(&g, &mut rng).graph;
+            g = coarsen(&g, &mut rng).graph;
         }
     }
 

@@ -40,6 +40,47 @@ fn assignment_from(
     Partition::new(v, parts)
 }
 
+/// Recursive bisection of the graph's nodes to the next power of two
+/// at or above `parts`, folded onto `parts` by modulo (exact when
+/// `parts` is a power of two). `bisect` is handed one region (graph
+/// node ids) at a time, level by level and left to right, and returns
+/// the side of every node in it; the `true` side becomes the region's
+/// first child.
+pub(crate) fn recursive_bisection(
+    netlist: &Netlist,
+    graph: &ConnectivityGraph,
+    parts: u32,
+    mut bisect: impl FnMut(&[u32]) -> Vec<bool>,
+) -> Partition {
+    let levels = f64::from(parts).log2().ceil() as u32;
+    let mut regions: Vec<Vec<u32>> = vec![(0..graph.num_nodes() as u32).collect()];
+    for _ in 0..levels {
+        let mut next = Vec::with_capacity(regions.len() * 2);
+        for region in regions {
+            let side = bisect(&region);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for (&node, &s) in region.iter().zip(&side) {
+                if s {
+                    a.push(node);
+                } else {
+                    b.push(node);
+                }
+            }
+            next.push(a);
+            next.push(b);
+        }
+        regions = next;
+    }
+    let mut v = vec![u32::MAX; netlist.num_components()];
+    for (r, region) in regions.iter().enumerate() {
+        let part = (r as u32) % parts;
+        for &node in region {
+            v[graph.component(node).index()] = part;
+        }
+    }
+    Partition::new(v, parts)
+}
+
 /// The paper's model assumption: components uniformly shuffled over
 /// processors (balanced random: a random permutation dealt out evenly,
 /// so part sizes differ by at most one).
@@ -293,40 +334,13 @@ impl Partitioner for KernighanLinPartitioner {
     fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = ConnectivityGraph::build(netlist, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        // Recursive bisection to the next power of two, then fold onto
-        // `parts` by modulo (exact when parts is a power of two).
-        let levels = (parts as f64).log2().ceil() as u32;
-        let mut regions: Vec<Vec<u32>> = vec![(0..graph.num_nodes() as u32).collect()];
-        for _ in 0..levels {
-            let mut next = Vec::with_capacity(regions.len() * 2);
-            for region in regions {
-                if region.len() <= 1 {
-                    next.push(region.clone());
-                    next.push(Vec::new());
-                    continue;
-                }
-                let side = self.bisect(&graph, &region, &mut rng);
-                let (mut a, mut bb) = (Vec::new(), Vec::new());
-                for (i, &node) in region.iter().enumerate() {
-                    if side[i] {
-                        a.push(node);
-                    } else {
-                        bb.push(node);
-                    }
-                }
-                next.push(a);
-                next.push(bb);
+        recursive_bisection(netlist, &graph, parts, |region| {
+            if region.len() <= 1 {
+                vec![true; region.len()]
+            } else {
+                self.bisect(&graph, region, &mut rng)
             }
-            regions = next;
-        }
-        let mut v = vec![u32::MAX; netlist.num_components()];
-        for (r, region) in regions.iter().enumerate() {
-            let part = (r as u32) % parts;
-            for &node in region {
-                v[graph.component(node).index()] = part;
-            }
-        }
-        Partition::new(v, parts)
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -139,7 +139,6 @@ fn reference_fm_bisect(
 
 /// The original recursive k-way driver around `reference_fm_bisect`.
 fn reference_fm_partition(netlist: &Netlist, parts: u32, seed: u64) -> Partition {
-    let fm = FiducciaMattheysesPartitioner::new(seed);
     let graph = ConnectivityGraph::build(netlist, 16);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let levels = (f64::from(parts)).log2().ceil() as u32;
@@ -147,8 +146,8 @@ fn reference_fm_partition(netlist: &Netlist, parts: u32, seed: u64) -> Partition
     for _ in 0..levels {
         let mut next = Vec::with_capacity(regions.len() * 2);
         for region in regions {
-            let sides =
-                reference_fm_bisect(&graph, &region, &mut rng, fm.max_passes, fm.balance_slack);
+            // 6 passes, 1 vertex of slack: `fm`'s `MAX_PASSES`/`BALANCE_SLACK`.
+            let sides = reference_fm_bisect(&graph, &region, &mut rng, 6, 1);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             for (i, &node) in region.iter().enumerate() {
                 if sides[i] {

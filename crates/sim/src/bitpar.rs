@@ -55,8 +55,8 @@
 use crate::engine::{PreflightError, SimConfig, Simulator};
 use crate::levelize::levelize_nodes;
 use logicsim_netlist::{
-    BitPlanes, CompId, Component, GateKind, Level, NetId, Netlist, NetlistBuilder, Plane, Signal,
-    SwitchKind, LANES,
+    BitPlanes, CompId, Component, Csr, GateKind, Level, NetId, Netlist, NetlistBuilder, Plane,
+    Signal, SwitchKind, UnionFind, LANES,
 };
 
 /// One compiled evaluation in the straight-line sweep program: a gate
@@ -259,10 +259,8 @@ pub struct BitParSim<'a> {
     steps: Vec<Step>,
     /// Number of `Step::Loop` entries (compiled latch clusters).
     loops: usize,
-    /// CSR: plane index → compiled ops reading it (activity gating).
-    readers: Vec<u32>,
-    /// CSR offsets into `readers`, length `num_planes + 1`.
-    reader_off: Vec<u32>,
+    /// Plane index → compiled ops reading it (activity gating).
+    readers: Csr,
     /// Per-op pending flag: set when an input plane changed since the
     /// op last ran. The sweep evaluates only pending ops, which is what
     /// turns the oblivious `gates x vectors` cost into `activity-union
@@ -347,45 +345,39 @@ impl<'a> BitParSim<'a> {
         // Channel sub-groups: union-find over switch terminals, rails
         // excluded. Every non-rail net touching a switch channel is a
         // member of exactly one sub-group.
-        fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let g = parent[parent[x as usize] as usize];
-                parent[x as usize] = g;
-                x = g;
-            }
-            x
-        }
         let mut has_switch = vec![false; nn];
-        let mut parent: Vec<u32> = (0..nn as u32).collect();
+        let mut channel = UnionFind::new(nn);
         for (_id, comp) in netlist.iter() {
             if let Component::Switch { a, b, .. } = comp {
                 has_switch[a.index()] = true;
                 has_switch[b.index()] = true;
                 if rail_level[a.index()].is_none() && rail_level[b.index()].is_none() {
-                    let (ra, rb) = (uf_find(&mut parent, a.0), uf_find(&mut parent, b.0));
-                    if ra != rb {
-                        parent[ra as usize] = rb;
-                    }
+                    channel.union(a.0, b.0);
                 }
             }
         }
+        // Sub-groups are numbered by their lowest member.
         let mut sub_of = vec![u32::MAX; nn];
-        let mut subs: Vec<Vec<u32>> = Vec::new();
+        let mut num_subs = 0u32;
         {
             let mut sid_of_root = vec![u32::MAX; nn];
             for i in 0..nn {
                 if !has_switch[i] || rail_level[i].is_some() {
                     continue;
                 }
-                let r = uf_find(&mut parent, i as u32) as usize;
+                let r = channel.find(i as u32) as usize;
                 if sid_of_root[r] == u32::MAX {
-                    sid_of_root[r] = subs.len() as u32;
-                    subs.push(Vec::new());
+                    sid_of_root[r] = num_subs;
+                    num_subs += 1;
                 }
                 sub_of[i] = sid_of_root[r];
-                subs[sid_of_root[r] as usize].push(i as u32);
             }
         }
+        let subs: Csr = Csr::bucket(num_subs as usize, || {
+            (0u32..)
+                .zip(&sub_of)
+                .filter_map(|(net, &sid)| (sid != u32::MAX).then_some((sid, net)))
+        });
 
         // A sub-group compiles when the solver's inputs are statically
         // describable per member: switches (edges/rail branches), pulls
@@ -393,10 +385,10 @@ impl<'a> BitParSim<'a> {
         // source — a primary input or a sole compiled gate. Supplies on
         // a shared member net, live tristates, or strong multi-drive
         // send the whole sub-group to the event-driven fallback.
-        let mut sub_ok = vec![true; subs.len()];
+        let mut sub_ok = vec![true; subs.num_rows()];
         let mut input_strong = vec![false; nn];
         let mut gate_strong = vec![false; nn];
-        for (sid, members) in subs.iter().enumerate() {
+        for (sid, members) in subs.rows().enumerate() {
             'scan: for &m in members {
                 let mut strong = 0u32;
                 for &d in netlist.drivers(NetId(m)) {
@@ -446,7 +438,7 @@ impl<'a> BitParSim<'a> {
         // the slot, the cell writes the resolved member plane.
         let mut slot_of_net = vec![u32::MAX; nn];
         let mut n_slots = 0u32;
-        for (sid, members) in subs.iter().enumerate() {
+        for (sid, members) in subs.rows().enumerate() {
             if !sub_ok[sid] {
                 continue;
             }
@@ -467,9 +459,9 @@ impl<'a> BitParSim<'a> {
 
         // Build the solver cells.
         let mut cells: Vec<Cell> = Vec::new();
-        let mut cell_of_sub = vec![u32::MAX; subs.len()];
+        let mut cell_of_sub = vec![u32::MAX; subs.num_rows()];
         let mut local_of = vec![u32::MAX; nn];
-        for (sid, members) in subs.iter().enumerate() {
+        for (sid, members) in subs.rows().enumerate() {
             if !sub_ok[sid] {
                 continue;
             }
@@ -485,7 +477,7 @@ impl<'a> BitParSim<'a> {
                 }
             }
             cells.push(Cell {
-                members: members.clone(),
+                members: members.to_vec(),
                 edges: Vec::new(),
                 rails: Vec::new(),
                 ext_pull,
@@ -636,7 +628,7 @@ impl<'a> BitParSim<'a> {
         }
         let ng = gate_nodes.len();
         let n_nodes = ng + cells.len();
-        let mut node_reads: Vec<Vec<u32>> = Vec::with_capacity(n_nodes);
+        let mut node_reads = Csr::default();
         let mut producer = vec![u32::MAX; np];
         for (ni, &g) in gate_nodes.iter().enumerate() {
             let Component::Gate {
@@ -653,7 +645,7 @@ impl<'a> BitParSim<'a> {
             } else {
                 inputs.as_slice()
             };
-            node_reads.push(pins.iter().map(|n| n.0).collect());
+            node_reads.push_row(pins.iter().map(|n| n.0));
             let o = output.index();
             let out = if slot_of_net[o] == u32::MAX {
                 o as u32
@@ -672,24 +664,22 @@ impl<'a> BitParSim<'a> {
                 .collect();
             reads.sort_unstable();
             reads.dedup();
-            node_reads.push(reads);
+            node_reads.push_row(reads);
             for &m in &cell.members {
                 producer[m as usize] = (ng + ci) as u32;
             }
         }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        for (ni, reads) in node_reads.iter().enumerate() {
-            for &p in reads {
-                let pr = producer[p as usize];
-                if pr != u32::MAX {
-                    adj[pr as usize].push(ni as u32);
-                }
-            }
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
+        // One edge per read plane: a node reading two planes of one
+        // producer gets a parallel edge, which the levelizer allows.
+        let adj = Csr::bucket(n_nodes, || {
+            (0u32..).zip(node_reads.rows()).flat_map(|(ni, reads)| {
+                reads
+                    .iter()
+                    .map(|&p| producer[p as usize])
+                    .filter(|&pr| pr != u32::MAX)
+                    .map(move |pr| (pr, ni))
+            })
+        });
         let nl = levelize_nodes(&adj);
 
         // Merge ranked nodes and feedback clusters into one program.
@@ -715,7 +705,7 @@ impl<'a> BitParSim<'a> {
         let mut steps: Vec<Step> = Vec::new();
         let mut loops = 0;
         let emit = |nid: u32, ops: &mut Vec<Op>, op_inputs: &mut Vec<u32>| {
-            let reads = &node_reads[nid as usize];
+            let reads = node_reads.row(nid as usize);
             let in_off = op_inputs.len() as u32;
             op_inputs.extend_from_slice(reads);
             let in_len = reads.len() as u32;
@@ -781,26 +771,15 @@ impl<'a> BitParSim<'a> {
             .filter(|o| matches!(o.kind, OpKind::Gate(_)))
             .count();
 
-        // Reader CSR: plane → compiled ops reading it, for pending-op
-        // marking when a plane changes.
-        let mut cnt = vec![0u32; np];
-        for op in &ops {
-            for &p in &op_inputs[op.in_off as usize..(op.in_off + op.in_len) as usize] {
-                cnt[p as usize] += 1;
-            }
-        }
-        let mut reader_off = vec![0u32; np + 1];
-        for i in 0..np {
-            reader_off[i + 1] = reader_off[i] + cnt[i];
-        }
-        let mut fill: Vec<u32> = reader_off[..np].to_vec();
-        let mut readers = vec![0u32; reader_off[np] as usize];
-        for (i, op) in ops.iter().enumerate() {
-            for &p in &op_inputs[op.in_off as usize..(op.in_off + op.in_len) as usize] {
-                readers[fill[p as usize] as usize] = i as u32;
-                fill[p as usize] += 1;
-            }
-        }
+        // Plane → compiled ops reading it, for pending-op marking when
+        // a plane changes.
+        let readers = Csr::bucket(np, || {
+            (0u32..).zip(&ops).flat_map(|(i, op)| {
+                op_inputs[op.in_off as usize..(op.in_off + op.in_len) as usize]
+                    .iter()
+                    .map(move |&p| (p, i))
+            })
+        });
 
         // Constant planes for pull/supply nets and rails.
         let mut planes = BitPlanes::new(np);
@@ -814,7 +793,7 @@ impl<'a> BitParSim<'a> {
 
         // Real nets read by the compiled region (outbound targets).
         let mut read_by_compiled = vec![false; nn];
-        for reads in &node_reads {
+        for reads in node_reads.rows() {
             for &p in reads {
                 if (p as usize) < nn {
                     read_by_compiled[p as usize] = true;
@@ -844,7 +823,6 @@ impl<'a> BitParSim<'a> {
             steps,
             loops,
             readers,
-            reader_off,
             planes,
             fallback,
             depth,
@@ -888,10 +866,8 @@ impl<'a> BitParSim<'a> {
 
     /// Marks every compiled op reading `net` pending.
     fn mark_net(&mut self, net: usize) {
-        let lo = self.reader_off[net] as usize;
-        let hi = self.reader_off[net + 1] as usize;
         let (readers, pending) = (&self.readers, &mut self.pending);
-        for &r in &readers[lo..hi] {
+        for &r in readers.row(net) {
             let r = r as usize;
             if !pending[r] {
                 pending[r] = true;
@@ -971,12 +947,11 @@ impl<'a> BitParSim<'a> {
         let cells = &self.cells;
         let scratch = &mut self.scratch;
         let readers = &self.readers;
-        let roff = &self.reader_off;
         let planes = &mut self.planes;
         let pending = &mut self.pending;
         let mut pcount = self.pending_count;
         let mark = |net: usize, pending: &mut Vec<bool>, pcount: &mut usize| {
-            for &r in &readers[roff[net] as usize..roff[net + 1] as usize] {
+            for &r in readers.row(net) {
                 let r = r as usize;
                 if !pending[r] {
                     pending[r] = true;

@@ -20,7 +20,8 @@
 //!
 //! The per-tick loop runs over a data-oriented image of the netlist
 //! built once at construction: CSR adjacency ([`logicsim_netlist::Csr`])
-//! for fanout, non-switch drivers, and gate input pins; a dense
+//! for non-switch drivers and gate input pins (fanout is read from the
+//! netlist's own index, which has the same layout); a dense
 //! `EvalKind` dispatch table; and dense per-net group/attribution
 //! maps. Per-tick set semantics (`affected`, `dirty_groups`, `to_eval`)
 //! are provided by epoch-stamped worklists (`StampSet`) whose items
@@ -102,9 +103,8 @@ pub struct SimConfig {
     /// Collect a full [`TickTrace`] (needed for machine replay and
     /// partition studies; costs memory proportional to `E`).
     pub collect_trace: bool,
-    /// Arm the per-phase wall-clock recorder (see [`crate::obs`]). A
-    /// no-op unless the crate is built with the `obs` feature, so the
-    /// same binary can compare armed vs. unarmed runs. Timing never
+    /// Arm the per-phase wall-clock recorder (see [`crate::obs`]), so
+    /// the same binary can compare armed vs. unarmed runs. Timing never
     /// feeds back into simulation state: traces and counters are
     /// bit-identical either way.
     pub observe: bool,
@@ -228,8 +228,6 @@ pub(crate) struct Image {
     pub(crate) eval: Vec<EvalKind>,
     /// Per-component gate input pins (net ids; empty for non-gates).
     pub(crate) gate_inputs: Csr,
-    /// Per-net fanout component ids.
-    pub(crate) fanout: Csr,
     /// Per-net non-switch driver component ids (the external-drive set).
     pub(crate) ext_drivers: Csr,
     /// Whether each group needs switch-level resolution.
@@ -318,7 +316,6 @@ impl Image {
         Ok(Image {
             eval,
             gate_inputs: netlist.gate_inputs_csr(),
-            fanout: netlist.fanout_csr(),
             ext_drivers,
             group_nontrivial,
             net_attr,
@@ -467,8 +464,8 @@ pub struct Simulator<'a> {
     counters: WorkloadCounters,
     activity: ActivityProfile,
     trace: TickTrace,
-    /// Per-phase wall-clock recorder (zero-sized no-op without the
-    /// `obs` feature; disarmed unless [`SimConfig::observe`]).
+    /// Per-phase wall-clock recorder (disarmed unless
+    /// [`SimConfig::observe`]).
     obs: obs::Lane,
     /// Reusable per-tick buffers (taken out of `self` during a step).
     ws: Worklists,
@@ -633,7 +630,6 @@ impl<'a> Simulator<'a> {
 
     /// Snapshot of the per-phase wall-clock observations (one lane).
     /// Empty unless [`SimConfig::observe`] armed the recorder.
-    #[cfg(feature = "obs")]
     #[must_use]
     pub fn obs_report(&self) -> obs::ObsReport {
         obs::ObsReport {
@@ -801,20 +797,21 @@ impl<'a> Simulator<'a> {
             // Record events and collect fanout to evaluate.
             let messages_before = self.counters.messages_inf;
             ws.to_eval.clear();
+            let netlist = self.netlist.get();
             for &(net, cause) in &ws.changed_nets {
                 self.counters.events += 1;
                 events_this_tick += 1;
                 self.activity.record(cause.index());
-                let fanout = self.img.fanout.row(net.index());
+                let fanout = netlist.fanout(net);
                 self.counters.messages_inf += fanout.len() as u64;
                 if self.config.collect_trace {
                     events.push(EventRecord {
                         source: cause.0,
-                        dests: fanout.to_vec(),
+                        dests: fanout.iter().map(|f| f.0).collect(),
                     });
                 }
                 for &f in fanout {
-                    ws.to_eval.insert(f);
+                    ws.to_eval.insert(f.0);
                 }
             }
             ws.changed_nets.clear();

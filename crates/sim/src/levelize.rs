@@ -2,6 +2,9 @@
 //! the bit-parallel backend ([`crate::bitpar`]), which orders its mixed
 //! gate/switch-cell op graph with it.
 
+use logicsim_netlist::analyze::{is_cyclic, strongly_connected_components};
+use logicsim_netlist::Csr;
+
 /// Levelization of an arbitrary directed node graph: acyclic nodes in
 /// rank order plus strongly connected clusters at their condensation
 /// rank.
@@ -15,80 +18,30 @@ pub(crate) struct NodeLevels {
     pub groups: Vec<(u32, Vec<u32>)>,
 }
 
-/// Levelizes a directed graph over dense node indices `0..adj.len()`.
+/// Levelizes a directed graph over dense node indices
+/// `0..adj.num_rows()` (parallel edges allowed).
 ///
-/// Tarjan's SCC algorithm (iterative) finds the cycles, then Kahn's
-/// algorithm runs over the SCC *condensation*: singleton SCCs become
-/// ranked nodes; multi-node (or self-loop) SCCs become groups carrying
-/// the same rank scale, so downstream readers always rank strictly
-/// after the cluster that feeds them. The FIFO queue pops in
-/// nondecreasing rank order, so a node is ranked one past its
-/// highest-ranked predecessor (longest path).
-pub(crate) fn levelize_nodes(adj: &[Vec<u32>]) -> NodeLevels {
-    let n = adj.len();
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
+/// The netlist crate's SCC pass finds the cycles, then Kahn's algorithm
+/// runs over the SCC *condensation*: singleton SCCs become ranked
+/// nodes; multi-node (or self-loop) SCCs become groups carrying the
+/// same rank scale, so downstream readers always rank strictly after
+/// the cluster that feeds them. The FIFO queue pops in nondecreasing
+/// rank order, so a node is ranked one past its highest-ranked
+/// predecessor (longest path).
+pub(crate) fn levelize_nodes(adj: &Csr) -> NodeLevels {
+    let n = adj.num_rows();
+    let sccs = strongly_connected_components(adj);
+    let num_scc = sccs.num_rows();
     let mut scc_of = vec![u32::MAX; n];
-    let mut scc_members: Vec<Vec<u32>> = Vec::new();
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != u32::MAX {
-            continue;
-        }
-        call.push((root as u32, 0));
-        while let Some(frame) = call.last_mut() {
-            let v = frame.0 as usize;
-            if frame.1 == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                scc_stack.push(v as u32);
-                on_stack[v] = true;
-            }
-            if frame.1 < adj[v].len() {
-                let w = adj[v][frame.1] as usize;
-                frame.1 += 1;
-                if index[w] == u32::MAX {
-                    call.push((w as u32, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(parent) = call.last() {
-                    let p = parent.0 as usize;
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let sid = scc_members.len() as u32;
-                    let mut members = Vec::new();
-                    loop {
-                        let w = scc_stack.pop().expect("SCC stack underflow") as usize;
-                        on_stack[w] = false;
-                        scc_of[w] = sid;
-                        members.push(w as u32);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc_members.push(members);
-                }
-            }
+    for (s, members) in sccs.rows().enumerate() {
+        for &m in members {
+            scc_of[m as usize] = s as u32;
         }
     }
-
-    let num_scc = scc_members.len();
-    let is_cyclic = |s: usize| {
-        let m = &scc_members[s];
-        m.len() > 1 || adj[m[0] as usize].contains(&m[0])
-    };
     let mut indegree = vec![0u32; num_scc];
     for v in 0..n {
         let su = scc_of[v];
-        for &r in &adj[v] {
+        for &r in adj.row(v) {
             let sv = scc_of[r as usize];
             if sv != su {
                 indegree[sv as usize] += 1;
@@ -106,9 +59,9 @@ pub(crate) fn levelize_nodes(adj: &[Vec<u32>]) -> NodeLevels {
     while head < queue.len() {
         let (s, rank) = queue[head];
         head += 1;
-        let members = &scc_members[s as usize];
-        if is_cyclic(s as usize) {
-            let mut m = members.clone();
+        let members = sccs.row(s as usize);
+        if is_cyclic(adj, members) {
+            let mut m = members.to_vec();
             m.sort_unstable();
             groups.push((rank, m));
         } else {
@@ -116,7 +69,7 @@ pub(crate) fn levelize_nodes(adj: &[Vec<u32>]) -> NodeLevels {
             ranks.push(rank);
         }
         for &m in members {
-            for &r in &adj[m as usize] {
+            for &r in adj.row(m as usize) {
                 let sv = scc_of[r as usize];
                 if sv != s {
                     let d = &mut indegree[sv as usize];
@@ -161,12 +114,12 @@ mod tests {
     #[test]
     fn ranked_nodes_outrank_their_ranked_predecessors() {
         // 0 -> 1 -> 3, 0 -> 2 -> 3, 1 -> 2, 3 -> 4, plus a lone node 5.
-        let adj = vec![vec![1, 2], vec![2, 3], vec![3], vec![4], vec![], vec![]];
+        let adj = Csr::from_rows([vec![1, 2], vec![2, 3], vec![3], vec![4], vec![], vec![]]);
         let nl = levelize_nodes(&adj);
         assert!(nl.groups.is_empty());
-        assert_eq!(nl.order.len(), adj.len());
-        let rank = rank_of(&nl, adj.len());
-        for (v, readers) in adj.iter().enumerate() {
+        assert_eq!(nl.order.len(), adj.num_rows());
+        let rank = rank_of(&nl, adj.num_rows());
+        for (v, readers) in adj.rows().enumerate() {
             for &r in readers {
                 assert!(rank[v] < rank[r as usize], "{v} -> {r}");
             }
@@ -179,7 +132,7 @@ mod tests {
     fn cycles_become_groups_ranked_above_their_feeders() {
         // 0 -> 1 feeds the 2-cycle {2, 3} and the self-loop {4}; 5 reads
         // both clusters.
-        let adj = vec![vec![1], vec![2, 4], vec![3], vec![2, 5], vec![4, 5], vec![]];
+        let adj = Csr::from_rows([vec![1], vec![2, 4], vec![3], vec![2, 5], vec![4, 5], vec![]]);
         let nl = levelize_nodes(&adj);
         let mut groups = nl.groups.clone();
         groups.sort();
@@ -187,7 +140,7 @@ mod tests {
         let mut order = nl.order.clone();
         order.sort_unstable();
         assert_eq!(order, [0, 1, 5]);
-        let rank = rank_of(&nl, adj.len());
+        let rank = rank_of(&nl, adj.num_rows());
         assert!(rank[1] < rank[2] && rank[1] < rank[4], "feeder below");
         assert!(rank[5] > rank[3] && rank[5] > rank[4], "reader above");
     }

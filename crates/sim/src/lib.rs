@@ -51,9 +51,7 @@ pub use bitpar::{BitParSim, BitParStats};
 pub use engine::{PreflightError, SimConfig, Simulator};
 pub use heap_list::HeapEventList;
 pub use instrument::{ActivityProfile, WorkloadCounters};
-#[cfg(feature = "obs")]
-pub use obs::{LaneReport, ObsReport, PhaseSample, PhaseTotal};
-pub use obs::{Phase, NUM_PHASES};
+pub use obs::{LaneReport, ObsReport, Phase, PhaseSample, PhaseTotal, NUM_PHASES};
 pub use par_engine::{InputFrame, ParSimulator};
 pub use stimulus::{RandomStimulus, SignalRole, Stimulus, Stimulus64, StimulusSpec};
 pub use trace::{EventRecord, TickRecord, TickTrace};

@@ -23,10 +23,9 @@
 //!   `trace_event` JSON ([`ObsReport::chrome_trace`]) with one `tid`
 //!   lane per worker plus the master.
 //!
-//! Recording is double-gated: the `obs` cargo feature compiles the
-//! implementation (without it every type here is a zero-sized no-op),
-//! and [`SimConfig::observe`](crate::SimConfig) arms it at runtime, so
-//! an instrumented binary can compare armed vs. unarmed runs directly.
+//! Recording has one gate: [`SimConfig::observe`](crate::SimConfig)
+//! arms it at runtime (a disarmed lane costs one predictable branch per
+//! phase), so one binary can compare armed vs. unarmed runs directly.
 //! Timing never feeds back into simulation state, so traces and
 //! counters are bit-identical with observation armed — the golden
 //! digest tests pin this.
@@ -94,7 +93,6 @@ impl Phase {
     }
 }
 
-#[cfg(feature = "obs")]
 mod imp {
     use super::{Phase, NUM_PHASES};
     use logicsim_stats::{Histogram, PhaseSummary};
@@ -479,79 +477,9 @@ mod imp {
     }
 }
 
-#[cfg(feature = "obs")]
 pub use imp::{Lane, LaneReport, Mark, ObsReport, Origin, PhaseRing, PhaseSample, PhaseTotal};
 
-#[cfg(not(feature = "obs"))]
-mod stub {
-    //! Zero-sized no-op stand-ins compiled without the `obs` feature,
-    //! so the engines carry no `#[cfg]` scatter on the hot path.
-    use super::Phase;
-
-    /// No-op stand-in for the shared time origin.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Origin;
-
-    impl Origin {
-        /// Returns the (stateless) origin.
-        #[must_use]
-        pub fn now() -> Origin {
-            Origin
-        }
-    }
-
-    /// No-op stand-in for an in-flight phase start.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Mark;
-
-    impl Mark {
-        /// Returns the (stateless) mark.
-        #[must_use]
-        pub fn none() -> Mark {
-            Mark
-        }
-    }
-
-    /// No-op stand-in for a lane recorder; every method compiles to
-    /// nothing.
-    #[derive(Debug, Default)]
-    pub struct Lane;
-
-    impl Lane {
-        /// No-op constructor matching the armed signature.
-        #[must_use]
-        pub fn new(_enabled: bool, _origin: Origin, _capacity: usize) -> Lane {
-            Lane
-        }
-
-        /// Always `false` without the `obs` feature.
-        #[must_use]
-        pub fn armed(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline]
-        #[must_use]
-        pub fn mark(&self) -> Mark {
-            Mark
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn rec(&mut self, _phase: Phase, _tick: u64, _mark: Mark, _items: u64) -> Mark {
-            Mark
-        }
-
-        /// No-op.
-        pub fn reset(&mut self) {}
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-pub use stub::{Lane, Mark, Origin};
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -76,7 +76,7 @@ use crate::phase_check::{self, PhaseClock};
 use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
-use logicsim_netlist::{Component, Level, NetId, Netlist, Signal};
+use logicsim_netlist::{CompId, Component, Level, NetId, Netlist, Signal, UnionFind};
 use logicsim_stats::{ParallelWorkload, WorkerLoad};
 
 /// Identifies one schedule event in the serial engine's program order:
@@ -558,16 +558,16 @@ impl Master {
                 self.counters.events += 1;
                 events_this_tick += 1;
                 self.activity.record(cause as usize);
-                let fanout = core.img.fanout.row(net as usize);
+                let fanout = core.netlist.fanout(NetId(net));
                 self.counters.messages_inf += fanout.len() as u64;
                 if core.config.collect_trace {
                     events.push(EventRecord {
                         source: cause,
-                        dests: fanout.to_vec(),
+                        dests: fanout.iter().map(|f| f.0).collect(),
                     });
                 }
                 let pc = core.assignment[cause as usize];
-                for &f in fanout {
+                for &CompId(f) in fanout {
                     self.to_eval.insert(f);
                     let pf = core.assignment[f as usize];
                     // Self-messages (feedback into the producing
@@ -904,14 +904,7 @@ fn worker_loop(core: &Core<'_>, party: usize) {
 /// parties in first-group order.
 fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Vec<u32> {
     let ng = img.groups.num_groups();
-    let mut parent: Vec<u32> = (0..ng as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
+    let mut clusters = UnionFind::new(ng);
     for gid in 0..ng as u32 {
         if !img.group_nontrivial[gid as usize] {
             continue;
@@ -920,10 +913,7 @@ fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Ve
             if let Component::Switch { control, .. } = netlist.component(sw) {
                 let h = img.groups.group_of(*control);
                 if img.group_nontrivial[h as usize] {
-                    let (ra, rb) = (find(&mut parent, gid), find(&mut parent, h));
-                    if ra != rb {
-                        parent[ra as usize] = rb;
-                    }
+                    clusters.union(gid, h);
                 }
             }
         }
@@ -935,7 +925,7 @@ fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Ve
         if !img.group_nontrivial[gid as usize] {
             continue;
         }
-        let r = find(&mut parent, gid) as usize;
+        let r = clusters.find(gid) as usize;
         if root_owner[r] == u32::MAX {
             root_owner[r] = (next % num_parties) as u32;
             next += 1;
@@ -1212,8 +1202,7 @@ impl<'a> ParSimulator<'a> {
     /// worker, then the master lane (its own party share merged with
     /// the control work — START fan-out, exchange, DONE collection,
     /// barrier waits). Empty unless [`SimConfig::observe`] armed the
-    /// recorder and the crate was built with the `obs` feature.
-    #[cfg(feature = "obs")]
+    /// recorder.
     #[must_use]
     pub fn obs_report(&self) -> obs::ObsReport {
         let mut lanes = Vec::with_capacity(self.core.workers + 1);

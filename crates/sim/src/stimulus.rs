@@ -82,7 +82,8 @@ impl StimulusSpec {
     ///
     /// Returns the offending name if any assignment references a net
     /// that does not exist in the netlist, or gives it a clock with a
-    /// zero `half_period` or random data with a zero `period`.
+    /// zero `half_period`, or random data with a zero `period` or a
+    /// `toggle_prob` that is not a probability.
     pub fn build(
         &self,
         netlist: &logicsim_netlist::Netlist,
@@ -101,10 +102,8 @@ impl StimulusSpec {
             let net = netlist
                 .find_net(name)
                 .ok_or_else(|| format!("stimulus references unknown net `{name}`"))?;
-            if role.has_zero_period() {
-                return Err(format!(
-                    "stimulus for net `{name}` has a zero period: {role:?}"
-                ));
+            if let Some(defect) = role.defect() {
+                return Err(format!("stimulus for net `{name}` has {defect}: {role:?}"));
             }
             resolved.push((net, role.clone()));
         }
@@ -197,13 +196,19 @@ impl SignalRole {
 }
 
 impl SignalRole {
-    /// Whether the role's waveform is undefined: a clock that never
-    /// reaches its next edge, or random data that never draws.
-    fn has_zero_period(&self) -> bool {
-        matches!(
-            *self,
-            SignalRole::Clock { half_period: 0, .. } | SignalRole::Random { period: 0, .. }
-        )
+    /// Why the role's waveform is undefined, if it is: a clock that
+    /// never reaches its next edge, random data that never draws, or a
+    /// draw whose toggle probability is not one (NaN included).
+    fn defect(&self) -> Option<&'static str> {
+        match *self {
+            SignalRole::Clock { half_period: 0, .. } | SignalRole::Random { period: 0, .. } => {
+                Some("a zero period")
+            }
+            SignalRole::Random { toggle_prob, .. } if !(0.0..=1.0).contains(&toggle_prob) => {
+                Some("a toggle probability outside [0, 1]")
+            }
+            _ => None,
+        }
     }
 
     /// The level held before the first tick is applied: random data and
@@ -310,12 +315,16 @@ impl RandomStimulus {
     ///
     /// # Panics
     ///
-    /// Panics if a clock has a zero `half_period` or random data a zero
-    /// `period`; [`StimulusSpec::build`] reports those as errors.
+    /// Panics if a clock has a zero `half_period`, or random data a zero
+    /// `period` or a `toggle_prob` outside `[0, 1]`;
+    /// [`StimulusSpec::build`] reports those as errors.
     #[must_use]
     pub fn new(inputs: Vec<(NetId, SignalRole)>, seed: u64) -> RandomStimulus {
         for (net, role) in &inputs {
-            assert!(!role.has_zero_period(), "{net}: zero period in {role:?}");
+            assert!(
+                role.defect().is_none(),
+                "{net}: undefined waveform {role:?}"
+            );
         }
         let levels = inputs
             .iter()
@@ -452,7 +461,8 @@ impl Stimulus64 {
     /// # Errors
     ///
     /// Returns the offending name if the spec references an unknown net
-    /// or gives one a zero period, as [`StimulusSpec::build`] does.
+    /// or gives one an undefined waveform, as [`StimulusSpec::build`]
+    /// does.
     ///
     /// # Panics
     ///
@@ -700,6 +710,40 @@ mod tests {
                 (10, clk, Level::One),
             ]
         );
+    }
+
+    #[test]
+    fn toggle_probabilities_outside_the_unit_interval_are_rejected_with_the_net_name() {
+        let n = buf_circuit();
+        for bad in [2.5, -0.1, f64::NAN, f64::INFINITY] {
+            let spec = StimulusSpec::new().with(
+                "a",
+                SignalRole::Random {
+                    period: 5,
+                    phase: 0,
+                    toggle_prob: bad,
+                },
+            );
+            let err = spec.build(&n, 0).unwrap_err();
+            assert!(
+                err.contains("`a`") && err.contains("[0, 1]"),
+                "{bad}: {err}"
+            );
+            assert!(Stimulus64::new(&spec, &n, 0, 4)
+                .unwrap_err()
+                .contains("`a`"));
+        }
+        for ok in [0.0, 1.0] {
+            let spec = StimulusSpec::new().with(
+                "a",
+                SignalRole::Random {
+                    period: 5,
+                    phase: 0,
+                    toggle_prob: ok,
+                },
+            );
+            assert!(spec.build(&n, 0).is_ok(), "{ok}");
+        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * [`LaneReport::merge`] adds totals exactly and keeps samples sorted
 //!   by start time.
 
-#![cfg(feature = "obs")]
-
 use logicsim_sim::obs::{LaneReport, ObsReport, PhaseRing, PhaseSample, PhaseTotal};
 use logicsim_sim::{Phase, NUM_PHASES};
 use logicsim_stats::Histogram;

@@ -130,6 +130,16 @@ fn positive(flag: &str, value: &str) -> Result<u32, String> {
     }
 }
 
+/// Parses a time that must be finite and above zero (host time per
+/// evaluation, message time: the machine model asserts on both).
+fn positive_time(flag: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        Ok(v) => Err(format!("{flag} must be a finite time above 0, got {v}")),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 /// The tick the measurement window ends at, `--warmup + --until`.
 fn end_tick(opts: &Options) -> Result<u64, String> {
     opts.warmup.checked_add(opts.until).ok_or_else(|| {
@@ -266,8 +276,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--l" => opts.machine_l = positive("--l", &need("--l")?)?,
             "--w" => opts.machine_w = positive("--w", &need("--w")?)?,
-            "--h" => opts.machine_h = need("--h")?.parse().map_err(|e| format!("--h: {e}"))?,
-            "--tm" => opts.machine_tm = need("--tm")?.parse().map_err(|e| format!("--tm: {e}"))?,
+            "--h" => opts.machine_h = positive_time("--h", &need("--h")?)?,
+            "--tm" => opts.machine_tm = positive_time("--tm", &need("--tm")?)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -498,7 +508,6 @@ fn load_with_stimulus(path: &str) -> Result<(Netlist, Option<StimulusSpec>), Str
 /// `lsim trace`: run the parallel engine with phase timing armed, write
 /// a Chrome `trace_event` JSON, and print the measured machine
 /// parameters next to the paper's assumed ones.
-#[cfg(feature = "obs")]
 fn run_trace(path: &str, opts: &Options) -> Result<(), String> {
     use logicsim::measure::{observed, MeasureOptions};
     use logicsim::sim::Phase;
@@ -578,11 +587,6 @@ fn run_trace(path: &str, opts: &Options) -> Result<(), String> {
         println!("crossover   : no message cost measured; evaluation-bound at any P");
     }
     Ok(())
-}
-
-#[cfg(not(feature = "obs"))]
-fn run_trace(_path: &str, _opts: &Options) -> Result<(), String> {
-    Err("this lsim was built without the `obs` feature; rebuild with `--features obs`".into())
 }
 
 /// `lsim opt`: run the static optimizer and report what it did.
@@ -753,54 +757,10 @@ fn emit_report(
     })
 }
 
-/// `lsim lint`: run the static analyses and report. Exits nonzero when
-/// any finding reaches `deny` (errors always; warnings too with
-/// `--deny warnings`).
-fn run_lint(args: &[String]) -> Result<ExitCode, String> {
-    let (path, flags) = args
-        .split_first()
-        .ok_or_else(|| "missing netlist file (or bench:NAME)".to_string())?;
-    let mut format = ReportFormat::Text;
-    let mut deny = Severity::Error;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => format = ReportFormat::Json,
-            "--format" => {
-                format = ReportFormat::parse(
-                    it.next()
-                        .map(String::as_str)
-                        .ok_or_else(|| "--format needs a value".to_string())?,
-                )?;
-            }
-            "--deny" => match it.next().map(String::as_str) {
-                Some("warnings") => deny = Severity::Warning,
-                Some("errors") => deny = Severity::Error,
-                other => {
-                    return Err(format!(
-                        "--deny expects `warnings` or `errors`, got `{}`",
-                        other.unwrap_or("nothing")
-                    ))
-                }
-            },
-            other => return Err(format!("unknown lint option `{other}`")),
-        }
-    }
-    let netlist = load_or_bench(path)?;
-    let report = analyze(&netlist);
-    emit_report(&report, &netlist, path, format, deny, "lint")
-}
-
-/// `lsim analyze`: the full static analysis including the dataflow
-/// passes, seeded from the stimulus plan (a benchmark's shipped spec,
-/// or `--clock`/`--random`/... flags) so activity and timing facts
-/// reflect the actual drive rather than worst-case defaults.
-fn run_analyze(args: &[String]) -> Result<ExitCode, String> {
-    use logicsim::netlist::analyze::{analyze_seeded, AnalyzeConfig};
-
-    let (path, flags) = args
-        .split_first()
-        .ok_or_else(|| "missing netlist file (or bench:NAME)".to_string())?;
+/// Splits the report flags `lint` and `analyze` share — `--json`,
+/// `--format F`, `--deny LEVEL` — from whatever else was given;
+/// returns `(format, deny, rest)` with `rest` in argument order.
+fn report_flags(flags: &[String]) -> Result<(ReportFormat, Severity, Vec<String>), String> {
     let mut format = ReportFormat::Text;
     let mut deny = Severity::Error;
     let mut rest: Vec<String> = Vec::new();
@@ -828,6 +788,36 @@ fn run_analyze(args: &[String]) -> Result<ExitCode, String> {
             other => rest.push(other.to_string()),
         }
     }
+    Ok((format, deny, rest))
+}
+
+/// `lsim lint`: run the static analyses and report. Exits nonzero when
+/// any finding reaches `deny` (errors always; warnings too with
+/// `--deny warnings`).
+fn run_lint(args: &[String]) -> Result<ExitCode, String> {
+    let (path, flags) = args
+        .split_first()
+        .ok_or_else(|| "missing netlist file (or bench:NAME)".to_string())?;
+    let (format, deny, rest) = report_flags(flags)?;
+    if let Some(other) = rest.first() {
+        return Err(format!("unknown lint option `{other}`"));
+    }
+    let netlist = load_or_bench(path)?;
+    let report = analyze(&netlist);
+    emit_report(&report, &netlist, path, format, deny, "lint")
+}
+
+/// `lsim analyze`: the full static analysis including the dataflow
+/// passes, seeded from the stimulus plan (a benchmark's shipped spec,
+/// or `--clock`/`--random`/... flags) so activity and timing facts
+/// reflect the actual drive rather than worst-case defaults.
+fn run_analyze(args: &[String]) -> Result<ExitCode, String> {
+    use logicsim::netlist::analyze::{analyze_seeded, AnalyzeConfig};
+
+    let (path, flags) = args
+        .split_first()
+        .ok_or_else(|| "missing netlist file (or bench:NAME)".to_string())?;
+    let (format, deny, rest) = report_flags(flags)?;
     let (netlist, default_stim) = load_with_stimulus(path)?;
     let opts = parse_options(&rest)?;
     let stimulus = if opts.stimulus.assignments.is_empty() {

@@ -170,10 +170,9 @@ pub fn measure_instance(
     }
 }
 
-/// Machine-parameter observation runs (the `obs` feature): drive the
-/// thread-parallel engine with phase timing armed and distill the
-/// paper's machine parameters from the wall-clock measurements.
-#[cfg(feature = "obs")]
+/// Machine-parameter observation runs: drive the thread-parallel
+/// engine with phase timing armed and distill the paper's machine
+/// parameters from the wall-clock measurements.
 pub mod observed {
     use super::MeasureOptions;
     use logicsim_circuits::Benchmark;
@@ -315,7 +314,6 @@ pub mod observed {
     }
 }
 
-#[cfg(feature = "obs")]
 pub use observed::{measured_params, observe_benchmark, observe_netlist, ObservedRun};
 
 #[cfg(test)]

@@ -12,8 +12,6 @@
 //! Regenerate with `cargo test --test chrome_trace_golden -- --ignored
 //! --nocapture` and paste the printed JSON into the golden file.
 
-#![cfg(feature = "obs")]
-
 use logicsim::sim::{LaneReport, ObsReport, Phase, PhaseSample};
 
 fn sample(phase: Phase, tick: u64, start_ns: u64, dur_ns: u64, items: u64) -> PhaseSample {

@@ -96,7 +96,7 @@ fn measure(bench: Benchmark) -> Golden {
             collect_trace: true,
             // Observation armed: the digests below prove phase timing
             // never perturbs simulation state.
-            observe: cfg!(feature = "obs"),
+            observe: true,
         },
     )
     .expect("pre-flight");
@@ -145,7 +145,7 @@ fn measure_par(bench: Benchmark, workers: usize) -> (Golden, ParSide) {
         SimConfig {
             collect_trace: true,
             // Same digests must come out with per-phase timing armed.
-            observe: cfg!(feature = "obs"),
+            observe: true,
         },
     )
     .expect("pre-flight");

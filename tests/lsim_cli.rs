@@ -235,6 +235,41 @@ fn machine_rejects_zero_processors_depth_and_width() {
 }
 
 #[test]
+fn machine_rejects_non_positive_and_non_finite_times() {
+    for (flag, value) in [("--h", "0"), ("--h", "nan"), ("--tm", "-1")] {
+        let out = lsim()
+            .args(["machine", "bench:stopwatch", "--until", "200", flag, value])
+            .output()
+            .expect("run lsim");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("lsim: {flag} must be a finite time above 0")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn sim_rejects_a_toggle_probability_that_is_not_one() {
+    for prob in ["2.5", "nan"] {
+        let out = lsim()
+            .args(["sim", "bench:stopwatch", "--until", "200"])
+            .args(["--random", &format!("start:5:{prob}")])
+            .output()
+            .expect("run lsim");
+        assert_eq!(out.status.code(), Some(1), "{prob} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("net `start` has a toggle probability outside [0, 1]"),
+            "{prob}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{prob}: {stderr}");
+    }
+}
+
+#[test]
 fn window_end_beyond_the_tick_counter_is_rejected() {
     for cmd in ["sim", "machine"] {
         let out = lsim()
@@ -306,7 +341,6 @@ output y
     let _ = std::fs::remove_file(path);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn trace_subcommand_writes_chrome_trace_and_prints_params() {
     let trace_path =

@@ -14,8 +14,6 @@
 //! is pinned bit-exactly by `golden_trace.rs`, which runs every golden
 //! digest with `observe: true` at P in {1, 2, 4, 8}.
 
-#![cfg(feature = "obs")]
-
 use logicsim::circuits::Benchmark;
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::{SimConfig, Simulator};
