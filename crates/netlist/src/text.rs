@@ -47,13 +47,35 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-impl From<BuildError> for ParseError {
-    fn from(e: BuildError) -> ParseError {
-        ParseError {
-            line: 0,
-            message: e.to_string(),
-        }
-    }
+/// Finds, by a second pass over `source`, the line of the statement a
+/// [`BuildError`] blames: the one that made the component, or the first
+/// gate or switch to name the net; failing that (a netlist with no
+/// components) the last line read.
+fn blamed_line(source: &str, e: &BuildError) -> usize {
+    let mut statements = source.lines().enumerate().map(|(idx, raw)| {
+        let mut tokens = raw.split('#').next().unwrap_or("").split_whitespace();
+        (idx + 1, tokens.next().unwrap_or(""), tokens)
+    });
+    let line = match e {
+        BuildError::BadArity { comp, .. } => statements
+            .filter(|(_, keyword, _)| {
+                matches!(*keyword, "input" | "gate" | "switch" | "pull" | "supply")
+            })
+            .nth(comp.index())
+            .map(|(line, ..)| line),
+        BuildError::UndrivenNet { name, .. } => statements
+            .find(|(_, keyword, tokens)| {
+                matches!(*keyword, "gate" | "switch") && tokens.clone().any(|t| t == name)
+            })
+            .map(|(line, ..)| line),
+        BuildError::UnknownNet { .. } | BuildError::Empty => None,
+    };
+    line.unwrap_or_else(|| last_line(source))
+}
+
+/// The 1-based number of the last line of `source` (1 when it is empty).
+fn last_line(source: &str) -> usize {
+    source.lines().count().max(1)
 }
 
 fn gate_kind(token: &str) -> Option<GateKind> {
@@ -107,9 +129,10 @@ fn parse_delay(token: &str, line: usize) -> Result<Delay, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] naming the offending line for syntax
-/// errors, and line 0 for netlist validation failures (bad arity,
-/// undriven nets).
+/// Returns a [`ParseError`] naming the offending line: the statement
+/// itself for syntax errors and for netlist validation failures that
+/// blame one (bad arity, an undriven net's first reader), the last line
+/// read for a source with no components.
 pub fn parse(source: &str) -> Result<Netlist, ParseError> {
     let mut builder: Option<NetlistBuilder> = None;
     let mut pending: Vec<(String, usize)> = Vec::new(); // outputs to mark
@@ -216,8 +239,8 @@ pub fn parse(source: &str) -> Result<Netlist, ParseError> {
             other => return Err(err(format!("unknown keyword `{other}`"))),
         }
     }
-    let mut b = builder.ok_or(ParseError {
-        line: 0,
+    let mut b = builder.ok_or_else(|| ParseError {
+        line: last_line(source),
         message: "empty netlist source".into(),
     })?;
     for (name, line_no) in pending {
@@ -225,7 +248,10 @@ pub fn parse(source: &str) -> Result<Netlist, ParseError> {
         b.mark_output(net);
         let _ = line_no;
     }
-    Ok(b.finish()?)
+    b.finish().map_err(|e| ParseError {
+        line: blamed_line(source, &e),
+        message: e.to_string(),
+    })
 }
 
 /// Serializes a netlist back into the text format; `parse` of the
@@ -368,6 +394,11 @@ output y
         let src = "input a\ninput b\ngate NOT y a b\n";
         let e = parse(src).unwrap_err();
         assert!(e.message.contains("invalid input count"), "{e}");
+        assert_eq!(e.line, 3, "{e}");
+        // Comments, blank lines and statements that make no component
+        // do not shift the count.
+        let src = "circuit t\n# two inputs\ninput a\nnet y\n\ninput b\ngate NOT y a b\n";
+        assert_eq!(parse(src).unwrap_err().line, 7);
     }
 
     #[test]
@@ -375,11 +406,18 @@ output y
         let src = "net ghost\ngate NOT y ghost\n";
         let e = parse(src).unwrap_err();
         assert!(e.message.contains("never driven"), "{e}");
+        // Blamed on the first reader, not on the declaration.
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]
     fn empty_source_rejected() {
-        assert!(parse("# only comments\n\n").is_err());
+        // No statement to blame: the error names the last line read.
+        assert_eq!(parse("# only comments\n\n").unwrap_err().line, 2);
+        assert_eq!(parse("").unwrap_err().line, 1);
+        let e = parse("circuit hollow\nnet y\noutput y\n").unwrap_err();
+        assert!(e.message.contains("no components"), "{e}");
+        assert_eq!(e.line, 3, "{e}");
     }
 
     #[test]

@@ -183,12 +183,6 @@ impl StampSet {
         }
     }
 
-    /// Membership test against the current epoch.
-    #[inline]
-    pub(crate) fn contains(&self, id: u32) -> bool {
-        self.stamp[id as usize] == self.epoch
-    }
-
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()

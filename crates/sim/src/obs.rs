@@ -47,10 +47,16 @@ pub enum Phase {
     Resolve = 2,
     /// Party: evaluate fanout components (`tE` per evaluation).
     Eval = 3,
-    /// Master: merge/route affected nets and fanout messages (`tM` per
-    /// message; distribution samples carry `items == 0`).
+    /// Party: the owner's side of the exchange — merge the changes onto
+    /// its nets by maximum stamp, resolve them, mail the fanout to the
+    /// readers' owners (`tM` per message, `items` = messages mailed) —
+    /// and the draining of its evaluation inbox (`items == 0`). Recorded
+    /// on the lane of the party that did it, the master party's share
+    /// on the master lane; the serial engine records its own merge and
+    /// fan-out loops here.
     Exchange = 4,
-    /// Master: collect per-party outboxes and account the tick (`tD`).
+    /// Master: read the parties' mailbox lengths and scalar counters
+    /// after a phase, account them and pick the next command (`tD`).
     Done = 5,
     /// Master: join-barrier wait after its own share — the straggler
     /// skew of the slowest worker.

@@ -4,26 +4,68 @@
 //! [`ParSimulator`] runs the same event-driven semantics as the serial
 //! [`Simulator`](crate::Simulator) across `P` threads: the calling
 //! thread, which is the *master* (the paper's host processor) and also
-//! executes worker party 0, and `P - 1` long-lived worker threads for
-//! parties `1..P`. Components are dealt to worker parties by a
-//! `logicsim-partition` assignment; each party owns a private
-//! [`TimingWheel`] (the paper's per-processor event list) and the
-//! per-component state of the components it owns. Every global tick is
-//! a bulk-synchronous round — the machine's START/DONE handshake —
-//! built from barrier-delimited phases:
+//! executes worker party 0 and the master party, and `P - 1` long-lived
+//! worker threads for parties `1..P`. Components are dealt to worker
+//! parties by a `logicsim-partition` assignment; each party owns a
+//! private [`TimingWheel`] (the paper's per-processor event list) and
+//! the per-component state of the components it owns.
+//!
+//! # Ownership
+//!
+//! Every piece of work has exactly one owning party, and only the owner
+//! does it (*owner computes*):
+//!
+//! * a **component** belongs to the party of its partition (inputs,
+//!   pulls, rails and unassigned components to the master party);
+//! * a **nontrivial switch group** belongs to the party of its coupling
+//!   cluster (see below), and so does every net in it;
+//! * every **other net** belongs to the party of its first non-switch
+//!   driver, the master party if it has none.
+//!
+//! Parties talk through `(P + 1) × (P + 1)` single-producer
+//! single-consumer mailboxes (`par_sync::Mailboxes`): box `(src, dst)`
+//! is filled by `src` in one phase and drained by `dst` in a later one —
+//! the machine's interconnection network, with an evaluator sending
+//! each output change to the processor that owns the destination.
+//!
+//! # Phases
+//!
+//! Every global tick is a bulk-synchronous round — the machine's
+//! START/DONE handshake — built from barrier-delimited phases. No phase
+//! has a serial stage: the master only reads the parties' mailbox
+//! lengths and scalar counters between phases to pick the next command.
 //!
 //! 1. **Apply**: every party drains its own wheel's current slot and
 //!    applies the surviving (non-stale) output changes to its
-//!    components.
-//! 2. **Exchange/merge**: the master collects each party's affected
-//!    nets (the cross-partition net updates; the per-party outbox/inbox
-//!    slots are single-producer single-consumer mailboxes between that
-//!    worker and the master), resolves ordinary nets, and routes dirty
-//!    switch groups and fanout evaluation work back out.
-//! 3. **Resolve**/**Eval** rounds: workers settle switch groups and
-//!    evaluate fanout components in parallel, scheduling delayed output
-//!    changes into their own wheels, until the tick settles exactly as
-//!    in the serial engine.
+//!    components. What happens to the affected net depends on who can
+//!    drive it (`NetRoute`, fixed at construction). A net whose
+//!    non-switch drivers all belong to one party — nearly every net —
+//!    needs nobody else's word: its owner merges this tick's changes
+//!    onto it by maximum stamp, resolves it (ascending net order) and
+//!    mails the fanout of every net that changed to the fanout
+//!    components' owners, all inside Apply. A net with drivers in
+//!    several parties is mailed as `(net, component, stamp)` to its
+//!    owner; a net of a nontrivial switch group dirties the group at
+//!    the group's owner.
+//! 2. **Merge** (when such mail exists): every owner does the same
+//!    merge, resolution and fan-out for the nets mailed to it.
+//! 3. **Resolve** (when a group is dirty): every owner drains its
+//!    dirty-group inbox, settles those groups in ascending group
+//!    order, and mails the fanout of the nets that changed.
+//! 4. **Eval** (when a net changed): every party evaluates the
+//!    components named in its inboxes, scheduling delayed output
+//!    changes into its own wheel and mailing the groups of evaluated
+//!    switches to the groups' owners. Steps 3–4 repeat until the tick
+//!    settles exactly as in the serial engine.
+//!
+//! Within a phase a party writes only what it owns (its slot, its
+//! outboxes, its components' state, its nets' values, its causes'
+//! activity counts) and reads, besides that, only what no other party
+//! writes in that phase: in Apply the drives of its own components; in
+//! Merge and Resolve any `comp_drive` (nobody writes them); foreign
+//! `net_values` only in Eval (nobody writes them) and, in Resolve, for
+//! control nets outside every nontrivial group (written in Apply and
+//! Merge only).
 //!
 //! # Determinism
 //!
@@ -37,19 +79,25 @@
 //! tick, settle pass (stimulus = pass 0), and per-pass rank (call index
 //! for stimulus, component id for evaluations) — therefore identifies
 //! each schedule event, and lexicographic stamp order *is* serial
-//! sequence order. Workers stamp their schedules locally with no
+//! sequence order. Parties stamp their schedules locally with no
 //! coordination; when several parties change drives onto the same net
-//! in one tick, the master picks the maximum-stamp cause, which equals
-//! the serial engine's last-writer-wins. Inertial descheduling compares
-//! stamps for equality only, so it is local to the owning worker.
+//! in one tick, the net's owner picks the maximum-stamp cause, which
+//! equals the serial engine's last-writer-wins whatever order the mail
+//! arrived in. Inertial descheduling compares stamps for equality only,
+//! so it is local to the owning party. Everything else a party computes
+//! is a function of the *set* of mail it received: a net's value
+//! depends on its drivers' drives, a gate's output on its input nets'
+//! values and its stamp on its own id, and counters are sums. The one
+//! ordered output, the trace's event list, is assembled by the master
+//! from the owners' changed-net lists in the serial order (ordinary
+//! nets by net id, then group nets by group id).
 //!
 //! Switch groups are settled in parallel by *coupling cluster*: groups
 //! whose resolution can observe each other within a settle pass (a
 //! switch in one group controlled by a net of another) are united and
 //! always resolved sequentially, in ascending group order, by one
 //! party. Cross-cluster resolutions touch disjoint nets, so resolving
-//! clusters concurrently and merging the results in group order
-//! reproduces the serial pass exactly.
+//! clusters concurrently reproduces the serial pass exactly.
 //!
 //! Ticks where no party has pending work are fast-forwarded by the
 //! master without waking the workers, mirroring the serial engine's
@@ -66,12 +114,12 @@
 #![allow(unsafe_code)]
 
 use crate::engine::{
-    relax_power_up, EvalKind, Image, PreflightError, SimConfig, StampSet, MAX_SETTLE_ROUNDS,
-    OBS_CAPACITY, WHEEL_SIZE,
+    relax_power_up, EvalKind, Image, PreflightError, SimConfig, MAX_SETTLE_ROUNDS, OBS_CAPACITY,
+    WHEEL_SIZE,
 };
 use crate::instrument::{ActivityProfile, WorkloadCounters};
 use crate::obs::{self, Phase};
-use crate::par_sync::{SharedSlots, SharedVec, SpinBarrier};
+use crate::par_sync::{Mailboxes, SharedSlots, SharedVec, SpinBarrier};
 use crate::phase_check::{self, PhaseClock};
 use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
@@ -93,12 +141,6 @@ struct Stamp {
     rank: u32,
 }
 
-const STAMP_ZERO: Stamp = Stamp {
-    tick: 0,
-    pass: 0,
-    rank: 0,
-};
-
 /// A scheduled output change in a party's wheel (the parallel analog of
 /// the serial engine's `Change`, with the stamp playing the `seq` role).
 #[derive(Debug, Clone, Copy)]
@@ -106,6 +148,50 @@ struct PChange {
     comp: u32,
     drive: Signal,
     stamp: Stamp,
+}
+
+/// Apply's mail to a net's owner: `comp` changed its drive onto `net`
+/// by the schedule event `stamp`.
+#[derive(Debug, Clone, Copy)]
+struct Affected {
+    net: u32,
+    comp: u32,
+    stamp: Stamp,
+}
+
+/// A net whose resolved value changed — one event. `key` is the net's
+/// place in the serial event list of its settle step: the net id for an
+/// ordinary net (Apply, Merge), the group id in Resolve.
+#[derive(Debug, Clone, Copy)]
+struct Changed {
+    key: u32,
+    net: u32,
+    cause: u32,
+}
+
+/// Where a component lives: the party that owns it and its partition
+/// id (`u32::MAX` = unassigned), side by side so routing one message
+/// costs one look-up.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    owner: u32,
+    part: u32,
+}
+
+/// How Apply hands an affected net to whoever resolves it.
+#[derive(Debug, Clone, Copy)]
+enum NetRoute {
+    /// Every non-switch driver belongs to one party, the net's owner:
+    /// whoever applies a change onto the net *is* the owner and nobody
+    /// else can, so it merges and resolves the net inside Apply, with
+    /// no barrier to wait for.
+    Own,
+    /// Drivers in several parties: mailed to `owner` (the party of the
+    /// first driver) and merged there in the Merge phase.
+    Shared { owner: u32 },
+    /// Member of the nontrivial switch group `gid`: dirties the group
+    /// at the group's owner.
+    Group { gid: u32 },
 }
 
 /// Phase command published by the master before releasing the barrier.
@@ -116,44 +202,68 @@ enum Cmd {
         /// Current tick (observation label only).
         tick: u64,
     },
-    /// Resolve the switch groups in the party's inbox.
+    /// Merge the affected-net inboxes, resolve the nets they name and
+    /// mail their fanout.
+    Merge {
+        /// Current tick (observation label only).
+        tick: u64,
+    },
+    /// Resolve the switch groups in the party's inboxes and mail the
+    /// fanout of the nets that changed.
     Resolve {
         /// Current tick (observation label only).
         tick: u64,
     },
-    /// Evaluate the fanout components in the party's inbox; stamps are
+    /// Evaluate the fanout components in the party's inboxes; stamps are
     /// `(tick, pass, component id)`.
     Eval { tick: u64, pass: u32 },
     /// Terminate the worker loop.
     Exit,
 }
 
-/// Per-party mailbox and scratch state. Each slot is owned by its party
-/// during worker phases and by the master between phases (the
-/// single-producer single-consumer discipline of a mailbox pair).
+/// Per-party wheel, scratch and counters. Each slot is owned by its
+/// party during a phase; between phases the master reads its lengths
+/// and scalars. Aligned like [`SpinBarrier`] so one party's counters
+/// never share a cache line with another's.
 #[derive(Debug)]
+#[repr(align(128))]
 struct PartyState {
     /// This party's event list.
     wheel: TimingWheel<PChange>,
     /// Changes popped this tick (scratch).
     changes: Vec<PChange>,
-    /// Outbox: number of entries popped from the wheel this tick.
+    /// Entries popped from the wheel by this tick's Apply.
     popped: u64,
-    /// Outbox: applied output changes as `(net, comp, stamp)`.
-    affected: Vec<(u32, u32, Stamp)>,
-    /// Inbox: switch groups to resolve, ascending.
+    /// Whether the party applied, resolved or evaluated anything this
+    /// tick (its [`WorkerLoad`] busy flag).
+    worked: bool,
+    /// Scratch: the changes onto this party's nets being merged — the
+    /// ones it applied itself (Apply) or the ones mailed to it (Merge).
+    merged: Vec<Affected>,
+    /// Scratch: the switch groups this Resolve settles, ascending.
     gids: Vec<u32>,
-    /// Outbox: nets whose value changed during resolution, as
-    /// `(group, net)` in resolution order.
-    resolved: Vec<(u32, u32)>,
-    /// Inbox: components to evaluate, ascending.
+    /// Switch groups settled by the last Resolve.
+    resolved_groups: u64,
+    /// Nets this party changed since the master last counted them: in
+    /// this tick's Apply and Merge, or in the last Resolve (ascending
+    /// `key` within each).
+    changed: Vec<Changed>,
+    /// Scratch: the components this Eval evaluates, ascending.
     eval_comps: Vec<u32>,
-    /// Outbox: number of changes scheduled into the wheel this pass.
+    /// Changes the last Eval scheduled into the wheel.
     scheduled: u64,
-    /// Outbox: evaluations performed this pass.
+    /// Evaluations the last Eval performed.
     evaluations: u64,
-    /// Outbox: switch groups marked dirty by this pass's evaluations.
-    dirty: Vec<u32>,
+    /// Fanout messages routed since the master last absorbed them
+    /// (this party's share of `messages_inf`).
+    messages_inf: u64,
+    /// Likewise: messages between assigned components on different
+    /// partitions.
+    crossing: u64,
+    /// Likewise: messages between assigned components (any partitions).
+    component_msgs: u64,
+    /// Likewise: crossing messages by the sender's worker.
+    messages_sent: Vec<u64>,
     /// Scratch: gate input levels.
     levels: Vec<Level>,
     /// Scratch: one group resolution's output.
@@ -167,18 +277,23 @@ struct PartyState {
 }
 
 impl PartyState {
-    fn new(obs: obs::Lane) -> PartyState {
+    fn new(workers: usize, obs: obs::Lane) -> PartyState {
         PartyState {
             wheel: TimingWheel::new(WHEEL_SIZE),
             changes: Vec::new(),
             popped: 0,
-            affected: Vec::new(),
+            worked: false,
+            merged: Vec::new(),
             gids: Vec::new(),
-            resolved: Vec::new(),
+            resolved_groups: 0,
+            changed: Vec::new(),
             eval_comps: Vec::new(),
             scheduled: 0,
             evaluations: 0,
-            dirty: Vec::new(),
+            messages_inf: 0,
+            crossing: 0,
+            component_msgs: 0,
+            messages_sent: vec![0; workers],
             levels: Vec::new(),
             group_out: Vec::new(),
             solver: solver::Scratch::default(),
@@ -199,14 +314,14 @@ struct Core<'a> {
     /// on worker thread `k`; parties 0 and `workers` run on the calling
     /// thread.
     workers: usize,
-    /// Partition id per component (`u32::MAX` = unassigned).
-    assignment: Vec<u32>,
-    /// Owning party per component.
-    owner: Vec<u32>,
+    /// Owning party and partition id per component.
+    place: Vec<Place>,
+    /// Per net, the way from a driver to the net's owner.
+    net_route: Vec<NetRoute>,
     /// Owning party per switch group's coupling cluster (`u32::MAX` for
-    /// trivial groups, which the master resolves as ordinary nets).
+    /// trivial groups, whose nets are owned one by one).
     group_owner: Vec<u32>,
-    /// Resolved value of every net.
+    /// Resolved value of every net (written only by the net's owner).
     net_values: SharedVec<Signal>,
     /// Output drive per component (written only by the owner).
     comp_drive: SharedVec<Signal>,
@@ -214,8 +329,20 @@ struct Core<'a> {
     last_scheduled: SharedVec<Signal>,
     /// Outstanding schedule stamp per component (owner only).
     pending: SharedVec<Option<Stamp>>,
-    /// Per-party mailboxes, wheels, and scratch.
+    /// Events caused per component. A component is named as a cause
+    /// only by the owner of its output net (or, for a switch, of its
+    /// group), so the writers are disjoint.
+    activity: SharedVec<u64>,
+    /// Per-party wheels, scratch, and counters.
     parties: SharedSlots<PartyState>,
+    /// Apply → Merge: changes onto nets with drivers in several
+    /// parties, to the net's owner.
+    affected_mail: Mailboxes<Affected>,
+    /// Apply/Merge/Resolve → Eval: fanout components, to the
+    /// component's owner.
+    eval_mail: Mailboxes<u32>,
+    /// Apply/Eval → Resolve: dirty switch groups, to the group's owner.
+    dirty_mail: Mailboxes<u32>,
     /// The current phase command (single slot).
     cmd: SharedSlots<Cmd>,
     /// Phase barrier over the `workers` threads.
@@ -263,54 +390,38 @@ struct Master {
     /// worker shutdown).
     in_phase: bool,
     counters: WorkloadCounters,
-    activity: ActivityProfile,
     trace: TickTrace,
-    /// Affected nets merged across parties this tick.
-    affected: StampSet,
-    /// Winning cause per affected net (maximum stamp).
-    affected_cause: Vec<u32>,
-    affected_stamp: Vec<Stamp>,
-    /// Dirty switch groups for the next resolve round.
-    dirty: StampSet,
-    /// Fanout components to evaluate this round.
-    to_eval: StampSet,
-    /// Nets whose value changed, with causes, in serial event order.
-    changed_nets: Vec<(u32, u32)>,
-    /// Merge buffer for per-party resolution outputs.
-    merged: Vec<(u32, u32)>,
-    /// Per-party did-work flags for the current tick.
-    worked: Vec<bool>,
+    /// Scratch for the trace's event list: one phase's changed nets
+    /// from every party, in serial order.
+    merged: Vec<Changed>,
     /// Per-party load counters (last entry = master party).
     loads: Vec<WorkerLoad>,
     /// Messages between assigned components on different partitions.
     crossing: u64,
     /// Messages between assigned components (any partitions).
     component_msgs: u64,
-    /// Master-control recorder (START fan-out, exchange/merge, DONE
-    /// collection, barrier wait); master-only, never shared.
+    /// Master-control recorder (START fan-out, the decisions between
+    /// phases, barrier wait); master-only, never shared.
     obs: obs::Lane,
     #[cfg(test)]
     tally: Tally,
 }
 
 /// What the unit tests pin about the thread model: threads spawned by
-/// `run_with`, and phases run with and without the handshake.
+/// `run_with`, and phases (Merge phases among them) run with and
+/// without the handshake.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Tally {
     spawned: usize,
     handshakes: u64,
     inline_phases: u64,
+    merge_handshakes: u64,
+    merge_inline: u64,
 }
 
 impl Master {
-    fn new(
-        num_nets: usize,
-        num_comps: usize,
-        num_groups: usize,
-        num_parties: usize,
-        obs: obs::Lane,
-    ) -> Master {
+    fn new(num_parties: usize, obs: obs::Lane) -> Master {
         Master {
             now: 0,
             pending_total: 0,
@@ -318,16 +429,8 @@ impl Master {
             input_rank: 0,
             in_phase: false,
             counters: WorkloadCounters::new(),
-            activity: ActivityProfile::new(num_comps),
             trace: TickTrace::new(),
-            affected: StampSet::with_capacity(num_nets),
-            affected_cause: vec![0; num_nets],
-            affected_stamp: vec![STAMP_ZERO; num_nets],
-            dirty: StampSet::with_capacity(num_groups),
-            to_eval: StampSet::with_capacity(num_comps),
-            changed_nets: Vec::new(),
             merged: Vec::new(),
-            worked: vec![false; num_parties],
             loads: vec![WorkerLoad::default(); num_parties],
             crossing: 0,
             component_msgs: 0,
@@ -361,6 +464,7 @@ impl Master {
             #[cfg(test)]
             {
                 self.tally.inline_phases += 1;
+                self.tally.merge_inline += u64::from(matches!(cmd, Cmd::Merge { .. }));
             }
             return;
         }
@@ -383,6 +487,7 @@ impl Master {
         #[cfg(test)]
         {
             self.tally.handshakes += 1;
+            self.tally.merge_handshakes += u64::from(matches!(cmd, Cmd::Merge { .. }));
         }
     }
 
@@ -439,198 +544,80 @@ impl Master {
     }
 
     /// Executes one busy-candidate tick through the full phase protocol.
-    /// All `core.parties` accesses here happen between phases, while
-    /// the workers are parked at the barrier.
-    // The phase protocol reads as one unit; splitting it would scatter
-    // the barrier choreography across helpers.
-    #[allow(clippy::too_many_lines)]
+    /// Between phases, while the workers are parked at the barrier, the
+    /// master reads only the parties' mailbox lengths and scalar
+    /// counters — every net, fanout list and component is handled by
+    /// its owner inside a phase.
     fn execute_tick(&mut self, core: &Core<'_>, t: u64) {
         let np = core.num_parties();
-        for w in &mut self.worked {
-            *w = false;
-        }
+        // SAFETY: this method reads the slots between phases only, while
+        // the workers are parked and nobody writes them.
+        let party = |p: usize| unsafe { core.parties.get(p) };
 
-        // Phase 1: every party drains and applies its own wheel slot.
         self.phase(core, Cmd::Apply { tick: t });
+        let m = self.obs.mark();
+        let popped: u64 = (0..np).map(|p| party(p).popped).sum();
+        self.pending_total -= popped;
+        self.obs.rec(Phase::Done, t, m, popped);
 
-        // Merge affected nets; maximum stamp wins = serial
-        // last-writer-wins application order.
-        let mut m = self.obs.mark();
-        let mut popped_sum = 0u64;
-        self.affected.clear();
-        for p in 0..np {
-            // SAFETY: workers parked (see method docs).
-            let st = unsafe { core.parties.get_mut(p) };
-            self.pending_total -= st.popped;
-            popped_sum += st.popped;
-            if !st.affected.is_empty() {
-                self.worked[p] = true;
-            }
-            for &(net, comp, stamp) in &st.affected {
-                if !self.affected.contains(net) || stamp > self.affected_stamp[net as usize] {
-                    self.affected_cause[net as usize] = comp;
-                    self.affected_stamp[net as usize] = stamp;
-                }
-                self.affected.insert(net);
-            }
+        // SAFETY: workers parked; nobody writes the boxes.
+        if !unsafe { core.affected_mail.is_empty() } {
+            self.phase(core, Cmd::Merge { tick: t });
         }
-        m = self.obs.rec(Phase::Done, t, m, popped_sum);
-
-        // Route affected nets: ordinary nets are resolved by the master
-        // right here (in ascending net order, as the serial engine
-        // does); nets in nontrivial switch groups mark the group dirty.
-        self.dirty.clear();
-        self.changed_nets.clear();
-        for &net_idx in self.affected.sorted() {
-            let cause = self.affected_cause[net_idx as usize];
-            let gid = core.img.groups.group_of(NetId(net_idx));
-            if core.img.group_nontrivial[gid as usize] {
-                self.dirty.insert(gid);
-            } else {
-                // SAFETY: workers parked; master is the unique accessor.
-                unsafe {
-                    let v = core.external_drive(NetId(net_idx));
-                    if core.net_values.get(net_idx as usize) != v {
-                        core.net_values.set(net_idx as usize, v);
-                        self.changed_nets.push((net_idx, cause));
-                    }
-                }
-            }
-        }
-        self.obs.rec(Phase::Exchange, t, m, 0);
+        let mut events: Vec<EventRecord> = Vec::new();
+        let mut changed = self.collect_changed(core, &mut events);
 
         let mut rounds = 0u32;
         let mut pass = 0u32;
         let mut events_this_tick = 0u64;
-        let mut events: Vec<EventRecord> = Vec::new();
         loop {
-            if !self.dirty.is_empty() {
-                // Distribute dirty groups to their cluster owners and
-                // settle them in parallel.
-                let m = self.obs.mark();
-                for p in 0..np {
-                    // SAFETY: workers parked.
-                    unsafe { core.parties.get_mut(p) }.gids.clear();
-                }
-                for &gid in self.dirty.sorted() {
-                    let owner = core.group_owner[gid as usize] as usize;
-                    // SAFETY: workers parked.
-                    unsafe { core.parties.get_mut(owner) }.gids.push(gid);
-                }
-                self.dirty.clear();
-                self.obs.rec(Phase::Exchange, t, m, 0);
+            if any_dirty(core) {
                 self.phase(core, Cmd::Resolve { tick: t });
-                // Merge per-party results back into ascending group
-                // order. Each group has exactly one owner, so a stable
-                // sort by group reproduces the serial resolution order
-                // (ascending group, member order within a group).
                 let m = self.obs.mark();
-                self.merged.clear();
                 for p in 0..np {
-                    // SAFETY: workers parked.
-                    let st = unsafe { core.parties.get_mut(p) };
-                    let n = st.gids.len() as u64;
-                    if n > 0 {
-                        self.worked[p] = true;
-                    }
+                    let n = party(p).resolved_groups;
                     self.counters.group_resolutions += n;
                     self.loads[p].group_resolutions += n;
-                    self.merged.extend_from_slice(&st.resolved);
                 }
-                self.merged.sort_by_key(|&(gid, _)| gid);
-                for i in 0..self.merged.len() {
-                    let (_, net) = self.merged[i];
-                    let cause = core.img.net_attr[net as usize];
-                    self.changed_nets.push((net, cause));
-                }
-                self.obs.rec(Phase::Done, t, m, self.merged.len() as u64);
+                let resolved = self.collect_changed(core, &mut events);
+                changed += resolved;
+                self.obs.rec(Phase::Done, t, m, resolved);
             }
-            if self.changed_nets.is_empty() {
+            if changed == 0 {
                 break;
             }
+            events_this_tick += changed;
+            changed = 0;
 
-            // Record events in serial order; build the evaluation
-            // worklist; count partition-crossing messages.
-            let mut m = self.obs.mark();
-            let messages_before = self.counters.messages_inf;
-            self.to_eval.clear();
-            for &(net, cause) in &self.changed_nets {
-                self.counters.events += 1;
-                events_this_tick += 1;
-                self.activity.record(cause as usize);
-                let fanout = core.netlist.fanout(NetId(net));
-                self.counters.messages_inf += fanout.len() as u64;
-                if core.config.collect_trace {
-                    events.push(EventRecord {
-                        source: cause,
-                        dests: fanout.iter().map(|f| f.0).collect(),
-                    });
-                }
-                let pc = core.assignment[cause as usize];
-                for &CompId(f) in fanout {
-                    self.to_eval.insert(f);
-                    let pf = core.assignment[f as usize];
-                    // Self-messages (feedback into the producing
-                    // component) stay processor-local under every
-                    // assignment, so they are excluded from the Eq. 6
-                    // base as well as from the crossing count.
-                    if pc != u32::MAX && pf != u32::MAX && cause != f {
-                        self.component_msgs += 1;
-                        if pc != pf {
-                            self.crossing += 1;
-                            self.loads[pc as usize % core.workers].messages_sent += 1;
-                        }
-                    }
-                }
-            }
-            self.changed_nets.clear();
-            m = self.obs.rec(
-                Phase::Exchange,
-                t,
-                m,
-                self.counters.messages_inf - messages_before,
-            );
-
-            // Evaluate fanout components in parallel, each by its owner
-            // in ascending id order (= serial evaluation order).
+            // Evaluate fanout components in parallel, each by its owner.
             pass += 1;
-            for p in 0..np {
-                // SAFETY: workers parked.
-                unsafe { core.parties.get_mut(p) }.eval_comps.clear();
-            }
-            for &ci in self.to_eval.sorted() {
-                let owner = core.owner[ci as usize] as usize;
-                // SAFETY: workers parked.
-                unsafe { core.parties.get_mut(owner) }.eval_comps.push(ci);
-            }
-            self.obs.rec(Phase::Exchange, t, m, 0);
             self.phase(core, Cmd::Eval { tick: t, pass });
             let m = self.obs.mark();
             for p in 0..np {
-                // SAFETY: workers parked.
-                let st = unsafe { core.parties.get_mut(p) };
+                let st = party(p);
                 self.pending_total += st.scheduled;
                 self.counters.evaluations += st.evaluations;
                 self.loads[p].evaluations += st.evaluations;
-                if st.evaluations > 0 {
-                    self.worked[p] = true;
-                }
-                for &g in &st.dirty {
-                    self.dirty.insert(g);
-                }
             }
+            let dirty = any_dirty(core);
             self.obs.rec(Phase::Done, t, m, 0);
 
-            if self.dirty.is_empty() {
+            if !dirty {
                 break;
             }
             rounds += 1;
             if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
+                // The serial engine forgets its dirty groups at the
+                // next tick; forget the mail that names them.
+                // SAFETY: workers parked; the master is the unique
+                // accessor of every box.
+                unsafe { core.dirty_mail.clear() };
                 break;
             }
         }
 
+        self.counters.events += events_this_tick;
         if events_this_tick > 0 {
             self.counters.busy_ticks += 1;
             if core.config.collect_trace {
@@ -640,10 +627,54 @@ impl Master {
             self.counters.idle_ticks += 1;
         }
         for p in 0..np {
-            if self.worked[p] {
+            if party(p).worked {
                 self.loads[p].busy_ticks += 1;
             } else {
                 self.loads[p].idle_ticks += 1;
+            }
+        }
+    }
+
+    /// Number of nets the parties changed since the last count — by
+    /// this tick's Apply and Merge, or by the Resolve just run: that
+    /// settle step's events. With trace collection on, also appends
+    /// them to `events` in the serial engine's order: ascending `key`,
+    /// and within one key (one group, so one owner) the owner's own
+    /// resolution order.
+    fn collect_changed(&mut self, core: &Core<'_>, events: &mut Vec<EventRecord>) -> u64 {
+        // SAFETY: workers are parked between phases.
+        let lists = (0..core.num_parties()).map(|p| &unsafe { core.parties.get(p) }.changed);
+        if !core.config.collect_trace {
+            return lists.map(|l| l.len() as u64).sum();
+        }
+        self.merged.clear();
+        lists.for_each(|l| self.merged.extend_from_slice(l));
+        self.merged.sort_by_key(|c| c.key);
+        events.extend(self.merged.iter().map(|c| {
+            EventRecord {
+                source: c.cause,
+                dests: core
+                    .netlist
+                    .fanout(NetId(c.net))
+                    .iter()
+                    .map(|f| f.0)
+                    .collect(),
+            }
+        }));
+        self.merged.len() as u64
+    }
+
+    /// Folds the message counters the parties accumulated during a run
+    /// into the master's totals. Called once the run's workers are gone.
+    fn absorb(&mut self, core: &Core<'_>) {
+        for p in 0..core.num_parties() {
+            // SAFETY: no worker threads exist outside `run_with`.
+            let st = unsafe { core.parties.get_mut(p) };
+            self.counters.messages_inf += std::mem::take(&mut st.messages_inf);
+            self.crossing += std::mem::take(&mut st.crossing);
+            self.component_msgs += std::mem::take(&mut st.component_msgs);
+            for (load, sent) in self.loads.iter_mut().zip(&mut st.messages_sent) {
+                load.messages_sent += std::mem::take(sent);
             }
         }
     }
@@ -695,7 +726,7 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
             return;
         }
         core.pending.set(comp, Some(stamp));
-        let party = core.owner[comp] as usize;
+        let party = core.place[comp].owner as usize;
         core.parties.get_mut(party).wheel.schedule(
             m.now,
             PChange {
@@ -708,19 +739,26 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
     m.pending_total += 1;
 }
 
+/// Whether any party has dirty switch groups waiting for a Resolve.
+/// Only called by the master between phases.
+fn any_dirty(core: &Core<'_>) -> bool {
+    // SAFETY: workers parked; nobody writes the boxes.
+    !unsafe { core.dirty_mail.is_empty() }
+}
+
 /// Number of threads that have something to do in the phase `cmd`
-/// opens: a non-empty current wheel slot for Apply, a non-empty inbox
-/// for Resolve and Eval. Parties 0 and `workers` share the calling
-/// thread. Only called by the master between phases, while the workers
-/// are parked at the barrier.
+/// opens: a non-empty current wheel slot for Apply, mail in the inboxes
+/// the phase drains for Merge, Resolve and Eval. Parties 0 and
+/// `workers` share the calling thread. Only called by the master
+/// between phases, while the workers are parked at the barrier.
 fn threads_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
-    let has_work = |party: usize| {
-        // SAFETY: workers parked; nobody writes the slot.
-        let st = unsafe { core.parties.get(party) };
+    // SAFETY: workers parked; nobody writes the slots or the boxes.
+    let has_work = |party: usize| unsafe {
         match cmd {
-            Cmd::Apply { .. } => st.wheel.has_current(),
-            Cmd::Resolve { .. } => !st.gids.is_empty(),
-            Cmd::Eval { .. } => !st.eval_comps.is_empty(),
+            Cmd::Apply { .. } => core.parties.get(party).wheel.has_current(),
+            Cmd::Merge { .. } => core.affected_mail.has_mail(party),
+            Cmd::Resolve { .. } => core.dirty_mail.has_mail(party),
+            Cmd::Eval { .. } => core.eval_mail.has_mail(party),
             Cmd::Exit => false,
         }
     };
@@ -732,24 +770,30 @@ fn threads_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
 fn run_party_cmd(core: &Core<'_>, party: usize, cmd: Cmd) {
     match cmd {
         Cmd::Apply { tick } => party_apply(core, party, tick),
+        Cmd::Merge { tick } => party_merge(core, party, tick),
         Cmd::Resolve { tick } => party_resolve(core, party, tick),
         Cmd::Eval { tick, pass } => party_eval(core, party, tick, pass),
         Cmd::Exit => {}
     }
 }
 
-/// Apply phase: drain the party's wheel slot, apply surviving changes
-/// to owned components, and report affected nets.
+/// Apply phase: drain the party's wheel slot and apply surviving
+/// changes to owned components. A net only this party drives is merged,
+/// resolved and fanned out here and now (see [`NetRoute::Own`]); a net
+/// with drivers elsewhere is mailed to its owner, a switch-group net
+/// dirties its group.
 fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: this party is the unique accessor of its slot during a
-    // worker phase; `pending`/`comp_drive` entries touched here belong
-    // to components this party owns (only owners schedule a component).
+    // phase; `pending`/`comp_drive` entries touched here belong to
+    // components this party owns (only owners schedule a component).
     let st = unsafe { core.parties.get_mut(party) };
     let m = st.obs.mark();
     st.changes.clear();
     st.wheel.pop_current_into(&mut st.changes);
     st.popped = st.changes.len() as u64;
-    st.affected.clear();
+    st.worked = false;
+    st.changed.clear();
+    st.merged.clear();
     for &PChange { comp, drive, stamp } in &st.changes {
         let ci = comp as usize;
         // SAFETY: see above.
@@ -764,27 +808,140 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
             core.comp_drive.set(ci, drive);
         }
         if let Some(net) = core.img.comp_out[ci] {
-            st.affected.push((net.0, comp, stamp));
+            st.worked = true;
+            let net = net.0;
+            match core.net_route[net as usize] {
+                NetRoute::Own => st.merged.push(Affected { net, comp, stamp }),
+                NetRoute::Shared { owner } => {
+                    // SAFETY: only this party fills its outboxes this
+                    // phase.
+                    let outbox = unsafe { core.affected_mail.mail(party, owner as usize) };
+                    outbox.push(Affected { net, comp, stamp });
+                }
+                NetRoute::Group { gid } => {
+                    let owner = core.group_owner[gid as usize] as usize;
+                    // SAFETY: as above.
+                    unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
+                }
+            }
         }
     }
-    st.obs.rec(Phase::Apply, tick, m, st.popped);
+    let m = st.obs.rec(Phase::Apply, tick, m, st.popped);
+    if !st.merged.is_empty() {
+        let routed = merge_and_route(core, party, st);
+        st.obs.rec(Phase::Exchange, tick, m, routed);
+    }
 }
 
-/// Resolve phase: settle the switch groups assigned to this party, in
-/// ascending group order, writing member-net values.
-fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
-    // SAFETY: unique slot access during a worker phase. Net reads and
-    // writes stay inside this party's coupling clusters (or read nets
-    // no party writes this phase); `comp_drive` is stable during
-    // resolution.
+/// Merge phase: the same merge, resolution and fan-out for the nets
+/// other parties mailed to this one.
+fn party_merge(core: &Core<'_>, party: usize, tick: u64) {
+    // SAFETY: unique slot access during a phase.
     let st = unsafe { core.parties.get_mut(party) };
-    let m = if st.gids.is_empty() {
-        obs::Mark::none()
-    } else {
-        st.obs.mark()
-    };
-    st.resolved.clear();
+    st.merged.clear();
+    // SAFETY: only this party drains its inboxes this phase; the
+    // senders filled them in Apply and are not touching them now.
+    unsafe { core.affected_mail.drain_into(party, &mut st.merged) };
+    if st.merged.is_empty() {
+        return;
+    }
+    let m = st.obs.mark();
+    let routed = merge_and_route(core, party, st);
+    st.obs.rec(Phase::Exchange, tick, m, routed);
+}
+
+/// Merges `st.merged` by maximum stamp, resolves those nets in
+/// ascending net order, and mails the fanout of every one that changed.
+/// Returns the number of fanout messages.
+///
+/// Runs in Apply on the nets only this party drives and in Merge on the
+/// nets it owns with drivers elsewhere; in both, nobody writes the
+/// `comp_drive` entries read here (Apply: they are this party's own and
+/// already applied; Merge: nobody writes any), and only this party
+/// touches the nets' values.
+fn merge_and_route(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
+    let first = st.changed.len();
+    // Of several changes onto one net the maximum stamp wins = the
+    // serial last-writer-wins application order.
+    st.merged.sort_unstable_by_key(|a| (a.net, a.stamp));
+    for (i, a) in st.merged.iter().enumerate() {
+        if st.merged.get(i + 1).is_some_and(|next| next.net == a.net) {
+            continue;
+        }
+        // SAFETY: see the function docs.
+        unsafe {
+            let v = core.external_drive(NetId(a.net));
+            if core.net_values.get(a.net as usize) != v {
+                core.net_values.set(a.net as usize, v);
+                st.changed.push(Changed {
+                    key: a.net,
+                    net: a.net,
+                    cause: a.comp,
+                });
+            }
+        }
+    }
+    route_fanout(core, party, st, first)
+}
+
+/// Records one event per net in `st.changed[first..]` and mails its
+/// fanout components to their owners, counting the messages as the
+/// machine would send them. Returns the number of fanout messages.
+fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize) -> u64 {
+    let mut routed = 0u64;
+    for &Changed { net, cause, .. } in &st.changed[first..] {
+        // SAFETY: a component is the cause of events on nets of one
+        // owner only (see `Core::activity`), and that owner is here.
+        unsafe {
+            core.activity
+                .set(cause as usize, core.activity.get(cause as usize) + 1);
+        }
+        let fanout = core.netlist.fanout(NetId(net));
+        routed += fanout.len() as u64;
+        let from = core.place[cause as usize];
+        for &CompId(f) in fanout {
+            let to = core.place[f as usize];
+            // SAFETY: only this party fills its outboxes this phase.
+            unsafe { core.eval_mail.mail(party, to.owner as usize) }.push(f);
+            // Self-messages (feedback into the producing component)
+            // stay processor-local under every assignment, so they are
+            // excluded from the Eq. 6 base as well as from the crossing
+            // count.
+            if from.part != u32::MAX && to.part != u32::MAX && cause != f {
+                st.component_msgs += 1;
+                if from.part != to.part {
+                    st.crossing += 1;
+                    st.messages_sent[from.part as usize % core.workers] += 1;
+                }
+            }
+        }
+    }
+    st.messages_inf += routed;
+    routed
+}
+
+/// Resolve phase: settle the dirty switch groups this party owns, in
+/// ascending group order, writing member-net values, and mail the
+/// fanout of every net that changed.
+fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
+    // SAFETY: unique slot access during a phase. Net reads and writes
+    // stay inside this party's coupling clusters (or read nets no party
+    // writes this phase); `comp_drive` is stable during resolution.
+    let st = unsafe { core.parties.get_mut(party) };
+    st.changed.clear();
+    st.resolved_groups = 0;
+    st.gids.clear();
+    // SAFETY: only this party drains its inboxes this phase; the
+    // senders filled them in Apply or Eval.
+    unsafe { core.dirty_mail.drain_into(party, &mut st.gids) };
+    if st.gids.is_empty() {
+        return;
+    }
+    let m = st.obs.mark();
+    st.gids.sort_unstable();
+    st.gids.dedup();
     for &gid in &st.gids {
+        debug_assert_eq!(core.group_owner[gid as usize] as usize, party);
         st.group_out.clear();
         core.img.solver.resolve_into(
             &core.img.groups,
@@ -801,32 +958,46 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
             unsafe {
                 if core.net_values.get(net.index()) != v {
                     core.net_values.set(net.index(), v);
-                    st.resolved.push((gid, net.0));
+                    st.changed.push(Changed {
+                        key: gid,
+                        net: net.0,
+                        cause: core.img.net_attr[net.index()],
+                    });
                 }
             }
         }
     }
-    let groups = st.gids.len() as u64;
-    st.obs.rec(Phase::Resolve, tick, m, groups);
+    st.resolved_groups = st.gids.len() as u64;
+    st.worked = true;
+    let m = st.obs.rec(Phase::Resolve, tick, m, st.resolved_groups);
+    let routed = route_fanout(core, party, st, 0);
+    st.obs.rec(Phase::Exchange, tick, m, routed);
 }
 
-/// Eval phase: evaluate the fanout components assigned to this party
+/// Eval phase: evaluate the fanout components mailed to this party
 /// (ascending id order), scheduling delayed output changes into the
-/// party's own wheel.
+/// party's own wheel and mailing evaluated switches' groups to the
+/// groups' owners.
 fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
-    // SAFETY: unique slot access during a worker phase; `net_values` is
+    // SAFETY: unique slot access during a phase; `net_values` is
     // read-only in this phase; per-component state touched here belongs
     // to owned components.
     let st = unsafe { core.parties.get_mut(party) };
-    let m = if st.eval_comps.is_empty() {
-        obs::Mark::none()
-    } else {
-        st.obs.mark()
-    };
     st.scheduled = 0;
     st.evaluations = 0;
-    st.dirty.clear();
+    st.eval_comps.clear();
+    // SAFETY: only this party drains its inboxes this phase; the
+    // senders filled them in Apply, Merge or Resolve.
+    unsafe { core.eval_mail.drain_into(party, &mut st.eval_comps) };
+    if st.eval_comps.is_empty() {
+        return;
+    }
+    let m = st.obs.mark();
+    st.eval_comps.sort_unstable();
+    st.eval_comps.dedup();
+    let m = st.obs.rec(Phase::Exchange, tick, m, 0);
     for &ci in &st.eval_comps {
+        debug_assert_eq!(core.place[ci as usize].owner as usize, party);
         match core.img.eval[ci as usize] {
             EvalKind::Gate { kind, delay } => {
                 st.evaluations += 1;
@@ -870,13 +1041,15 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
             }
             EvalKind::Switch { group } => {
                 st.evaluations += 1;
-                st.dirty.push(group);
+                let owner = core.group_owner[group as usize] as usize;
+                // SAFETY: only this party fills its outboxes this phase.
+                unsafe { core.dirty_mail.mail(party, owner) }.push(group);
             }
             EvalKind::Passive => {}
         }
     }
-    let evals = st.evaluations;
-    st.obs.rec(Phase::Eval, tick, m, evals);
+    st.worked |= st.evaluations > 0;
+    st.obs.rec(Phase::Eval, tick, m, st.evaluations);
 }
 
 /// The body of worker thread `party` (`1..workers`): wait for a
@@ -1011,7 +1184,6 @@ impl<'a> ParSimulator<'a> {
         let img = Image::build(netlist)?;
         let nc = netlist.num_components();
         let nn = netlist.num_nets();
-        let num_groups = img.groups.num_groups();
         let num_parties = workers + 1;
 
         // Identical power-up state to the serial engine.
@@ -1020,20 +1192,33 @@ impl<'a> ParSimulator<'a> {
         let mut last_scheduled = vec![Signal::FLOATING; nc];
         relax_power_up(&img, &mut net_values, &mut comp_drive, &mut last_scheduled);
 
-        let owner: Vec<u32> = (0..nc)
-            .map(|ci| match img.eval[ci] {
-                EvalKind::Gate { .. } | EvalKind::Switch { .. } => {
-                    let a = assignment[ci];
-                    if a == u32::MAX {
-                        workers as u32
-                    } else {
-                        a % workers as u32
+        let place: Vec<Place> = (0..nc)
+            .map(|ci| {
+                let part = assignment[ci];
+                let owner = match img.eval[ci] {
+                    EvalKind::Gate { .. } | EvalKind::Switch { .. } if part != u32::MAX => {
+                        part % workers as u32
                     }
-                }
-                EvalKind::Passive => workers as u32,
+                    _ => workers as u32,
+                };
+                Place { owner, part }
             })
             .collect();
         let group_owner = compute_group_owner(netlist, &img, num_parties);
+        let net_route: Vec<NetRoute> = (0..nn)
+            .map(|ni| {
+                let gid = img.groups.group_of(NetId(ni as u32));
+                if img.group_nontrivial[gid as usize] {
+                    return NetRoute::Group { gid };
+                }
+                let drivers = img.ext_drivers.row(ni).iter();
+                let mut owners = drivers.map(|&d| place[d as usize].owner);
+                match owners.next() {
+                    Some(owner) if owners.any(|o| o != owner) => NetRoute::Shared { owner },
+                    _ => NetRoute::Own,
+                }
+            })
+            .collect();
         // One phase clock for the whole engine: the barrier advances it
         // at every crossing, and (under `phase-check`) every shared
         // container stamps accesses with it.
@@ -1041,12 +1226,12 @@ impl<'a> ParSimulator<'a> {
         // One shared time origin so every lane's samples land on a
         // single comparable timeline.
         let origin = obs::Origin::now();
+        let lane = || obs::Lane::new(config.observe, origin, OBS_CAPACITY);
         let parties = SharedSlots::from_iter(
-            (0..num_parties)
-                .map(|_| PartyState::new(obs::Lane::new(config.observe, origin, OBS_CAPACITY))),
+            (0..num_parties).map(|_| PartyState::new(workers, lane())),
             &clock,
         );
-        let master_obs = obs::Lane::new(config.observe, origin, OBS_CAPACITY);
+        let master_obs = lane();
 
         Ok(ParSimulator {
             core: Core {
@@ -1054,19 +1239,23 @@ impl<'a> ParSimulator<'a> {
                 img,
                 config,
                 workers,
-                assignment: assignment.to_vec(),
-                owner,
+                place,
+                net_route,
                 group_owner,
                 net_values: SharedVec::from_vec(net_values, &clock),
                 comp_drive: SharedVec::from_vec(comp_drive, &clock),
                 last_scheduled: SharedVec::from_vec(last_scheduled, &clock),
                 pending: SharedVec::from_vec(vec![None; nc], &clock),
+                activity: SharedVec::from_vec(vec![0; nc], &clock),
                 parties,
+                affected_mail: Mailboxes::new(num_parties, &clock),
+                eval_mail: Mailboxes::new(num_parties, &clock),
+                dirty_mail: Mailboxes::new(num_parties, &clock),
                 cmd: SharedSlots::from_iter([Cmd::Exit], &clock),
                 barrier: SpinBarrier::new(workers, &clock),
                 clock,
             },
-            m: Master::new(nn, nc, num_groups, num_parties, master_obs),
+            m: Master::new(num_parties, master_obs),
         })
     }
 
@@ -1126,10 +1315,14 @@ impl<'a> ParSimulator<'a> {
         &self.m.counters
     }
 
-    /// Per-component activity profile.
+    /// Snapshot of the per-component activity profile.
     #[must_use]
-    pub fn activity(&self) -> &ActivityProfile {
-        &self.m.activity
+    pub fn activity(&self) -> ActivityProfile {
+        // No worker threads exist outside `run_with`, so the snapshot
+        // cannot observe a concurrent writer.
+        ActivityProfile {
+            events_per_component: self.core.activity.snapshot(),
+        }
     }
 
     /// The collected trace (empty unless [`SimConfig::collect_trace`]).
@@ -1180,7 +1373,10 @@ impl<'a> ParSimulator<'a> {
     /// run.
     pub fn reset_measurements(&mut self) {
         self.m.counters.reset();
-        self.m.activity.reset();
+        for ci in 0..self.core.activity.len() {
+            // SAFETY: no worker threads exist outside `run_with`.
+            unsafe { self.core.activity.set(ci, 0) };
+        }
         self.m.trace = TickTrace {
             start: self.m.now,
             end: self.m.now,
@@ -1199,10 +1395,10 @@ impl<'a> ParSimulator<'a> {
     }
 
     /// Snapshot of the per-phase wall-clock observations: one lane per
-    /// worker, then the master lane (its own party share merged with
-    /// the control work — START fan-out, exchange, DONE collection,
-    /// barrier waits). Empty unless [`SimConfig::observe`] armed the
-    /// recorder.
+    /// worker, then the master lane (its own party's share — the
+    /// exchange of the nets it owns included — merged with the control
+    /// work: START fan-out, DONE collection, barrier waits). Empty
+    /// unless [`SimConfig::observe`] armed the recorder.
     #[must_use]
     pub fn obs_report(&self) -> obs::ObsReport {
         let mut lanes = Vec::with_capacity(self.core.workers + 1);
@@ -1278,6 +1474,7 @@ impl<'a> ParSimulator<'a> {
         // between-run accesses (and the next run's first command
         // publish) never share a phase with that final read.
         self.core.clock.advance();
+        self.m.absorb(&self.core);
     }
 }
 
@@ -1331,7 +1528,8 @@ mod tests {
         serial.set_input(r_n, Level::Zero);
         serial.run_until(30);
 
-        for workers in [1, 2, 3] {
+        // P = 8 exceeds the latch's four components.
+        for workers in [1, 2, 3, 4, 8] {
             let assignment = round_robin(&n, workers as u32);
             let mut par = ParSimulator::new(&n, &assignment, workers).expect("pre-flight");
             par.set_input(s_n, Level::Zero);
@@ -1401,41 +1599,70 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A stimulus script: called with the tick about to execute and the
+    /// engine's input setter.
+    type Script<'a> = &'a dyn Fn(u64, &mut dyn FnMut(NetId, Level));
+
+    /// Runs `script` (called once per tick, before the tick executes)
+    /// for `until` ticks on the serial engine and on `ParSimulator`, both
+    /// collecting traces; checks every net, the counters, the trace and
+    /// the activity profile against the serial run and returns what the
+    /// thread model did.
+    fn run_against_serial(
+        n: &Netlist,
+        assignment: &[u32],
+        workers: usize,
+        until: u64,
+        script: Script<'_>,
+    ) -> (Tally, WorkloadCounters) {
+        let config = SimConfig {
+            collect_trace: true,
+            ..SimConfig::default()
+        };
+        let mut serial = Simulator::with_config(n, config.clone()).expect("pre-flight");
+        while serial.now() < until {
+            let now = serial.now();
+            script(now, &mut |net, l| serial.set_input(net, l));
+            serial.step();
+        }
+        let mut par =
+            ParSimulator::with_config(n, assignment, workers, config).expect("pre-flight");
+        par.run_with(until, |tick, frame| {
+            script(tick, &mut |net, l| frame.set(net, l));
+        });
+        let label = format!("P={workers} {assignment:?}");
+        for i in 0..n.num_nets() {
+            let net = NetId(i as u32);
+            assert_eq!(par.signal(net), serial.signal(net), "{net} {label}");
+        }
+        assert_eq!(par.counters(), serial.counters(), "{label}");
+        assert_eq!(par.trace(), serial.trace(), "{label}");
+        assert_eq!(&par.activity(), serial.activity(), "{label}");
+        (par.m.tally, par.counters().clone())
+    }
+
     /// Runs `fan_circuit` for 40 ticks on both engines, `a` toggling at
-    /// ticks 0, 10, .. and `b` at `b_at`, `b_at + 10`, ..; checks every
-    /// net and counter against the serial run and returns what the
-    /// thread model did. The circuit is quiet again three ticks after
-    /// an input changes.
+    /// ticks 0, 10, .. and `b` at `b_at`, `b_at + 10`, ..; returns what
+    /// the thread model did. The circuit is quiet again three ticks
+    /// after an input changes.
     fn fan_run(gates: [u32; 4], workers: usize, b_at: u64) -> Tally {
         let n = fan_circuit();
         let (a, b) = (n.find_net("a").unwrap(), n.find_net("b").unwrap());
-        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
+        let mut assignment = vec![u32::MAX; 2];
+        assignment.extend(gates);
+        let (tally, counters) = run_against_serial(&n, &assignment, workers, 40, &|tick, set| {
             if tick.is_multiple_of(10) {
                 set(a, Level::from_bool(tick.is_multiple_of(20)));
             }
             if tick % 10 == b_at {
                 set(b, Level::from_bool(tick % 20 == b_at));
             }
-        };
-        let mut serial = Simulator::new(&n).expect("pre-flight");
-        while serial.now() < 40 {
-            let now = serial.now();
-            script(now, &mut |net, l| serial.set_input(net, l));
-            serial.step();
-        }
-        let mut assignment = vec![u32::MAX; 2];
-        assignment.extend(gates);
-        let mut par = ParSimulator::new(&n, &assignment, workers).expect("pre-flight");
-        par.run_with(40, |tick, frame| {
-            script(tick, &mut |net, l| frame.set(net, l));
         });
-        for i in 0..n.num_nets() {
-            let net = NetId(i as u32);
-            assert_eq!(par.signal(net), serial.signal(net), "{net} {gates:?}");
-        }
-        assert_eq!(par.counters(), serial.counters(), "{gates:?}");
-        assert!(par.counters().busy_ticks > 8);
-        par.m.tally
+        assert!(counters.busy_ticks > 8);
+        // Every net of the circuit has its drivers in one party, so no
+        // tick has anything to merge across parties.
+        assert_eq!(tally.merge_inline + tally.merge_handshakes, 0);
+        tally
     }
 
     #[test]
@@ -1476,6 +1703,164 @@ mod tests {
         assert_eq!(tally.spawned, 0);
         assert_eq!(tally.handshakes, 0);
         assert!(tally.inline_phases > 0);
+    }
+
+    #[test]
+    fn input_net_fans_out_to_both_parties_in_one_tick() {
+        // `b` feeds the inverter in party 0 and the XOR in party 1. The
+        // master party applies it and resolves the net on its own (an
+        // inline Apply), and the Eval phase of the same tick has mail
+        // for both threads.
+        let tally = fan_run([0, 0, 0, 1], 2, 5);
+        assert!(tally.handshakes >= 4, "one per change of `b`: {tally:?}");
+    }
+
+    /// Two buses with two tristate drivers each — `x` driven by
+    /// components 4 and 5, `y` by 6 and 7 — read by an inverter (8) and
+    /// an XOR (9); components 0..=3 are the inputs.
+    fn bus_circuit() -> Netlist {
+        let mut b = NetlistBuilder::new("buses");
+        let (d0, d1) = (b.input("d0"), b.input("d1"));
+        let (en0, en1) = (b.input("en0"), b.input("en1"));
+        let (x, y, q, r) = (b.net("x"), b.net("y"), b.net("q"), b.net("r"));
+        b.gate(GateKind::Tristate, &[d0, en0], x, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[d1, en1], x, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[d1, en0], y, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[d0, en1], y, Delay::uniform(1));
+        b.gate(GateKind::Not, &[x], q, Delay::uniform(1));
+        b.gate(GateKind::Xor, &[x, y], r, Delay::uniform(2));
+        b.finish().unwrap()
+    }
+
+    /// Drives `bus_circuit` for 60 ticks: the enables swap at tick 10
+    /// (both drivers of a bus change in one tick), fight from 20, float
+    /// from 40, while the data inputs keep toggling.
+    fn bus_run(gates: [u32; 6], workers: usize) -> Tally {
+        let n = bus_circuit();
+        let net = |s: &str| n.find_net(s).unwrap();
+        let (d0, d1, en0, en1) = (net("d0"), net("d1"), net("en0"), net("en1"));
+        let mut assignment = vec![u32::MAX; 4];
+        assignment.extend(gates);
+        let (tally, counters) = run_against_serial(&n, &assignment, workers, 60, &|tick, set| {
+            if tick.is_multiple_of(5) {
+                set(d0, Level::from_bool(tick.is_multiple_of(10)));
+                set(d1, Level::from_bool(tick.is_multiple_of(15)));
+            }
+            match tick {
+                0 => (set(en0, Level::One), set(en1, Level::Zero)),
+                10 => (set(en0, Level::Zero), set(en1, Level::One)),
+                20 => (set(en0, Level::One), ()),
+                40 => (set(en0, Level::Zero), set(en1, Level::Zero)),
+                _ => ((), ()),
+            };
+        });
+        assert!(counters.events > 20);
+        tally
+    }
+
+    #[test]
+    fn bus_with_drivers_in_two_parties_is_merged_by_its_owner() {
+        // `x` has a driver in each party and belongs to party 0, its
+        // first driver's; `y` is all party 0's. Only party 0 ever has
+        // mail to merge, so no Merge phase handshakes.
+        let tally = bus_run([0, 1, 0, 0, 1, 0], 2);
+        assert!(tally.merge_inline > 0, "{tally:?}");
+        assert_eq!(tally.merge_handshakes, 0, "{tally:?}");
+        // `y` now has its first driver in party 1: when the enables
+        // swap, both owners have a bus to merge in the same tick.
+        let tally = bus_run([0, 1, 1, 0, 1, 0], 2);
+        assert!(tally.merge_handshakes > 0, "{tally:?}");
+        // At P = 1 an unassigned driver still makes `x` a bus between
+        // two parties (party 0 and the master's), but one thread runs
+        // both: nothing to shake hands with.
+        let tally = bus_run([0, u32::MAX, 0, 0, 0, 0], 1);
+        assert!(tally.merge_inline > 0, "{tally:?}");
+        assert_eq!(tally.handshakes, 0, "{tally:?}");
+    }
+
+    #[test]
+    fn switch_cluster_with_control_net_owned_elsewhere_matches_serial() {
+        // The pass-transistor mux again: its one switch group {a, z, b}
+        // is the first coupling cluster, so party 0 resolves it, while
+        // its control nets belong to the master party (`sel`) and to
+        // party 1 (`sel_n`, the inverter's output).
+        let mut b = NetlistBuilder::new("ptmux");
+        let sel = b.input("sel");
+        let sel_n = b.net("sel_n");
+        let a = b.input("a");
+        let bb = b.input("b");
+        let z = b.net("z");
+        b.gate(GateKind::Not, &[sel], sel_n, Delay::uniform(1));
+        b.switch(SwitchKind::Nmos, sel, a, z);
+        b.switch(SwitchKind::Nmos, sel_n, bb, z);
+        let n = b.finish().unwrap();
+        // Components: sel, a, b, then the inverter and the switches.
+        let assignment = [u32::MAX, u32::MAX, u32::MAX, 1, 0, 1];
+        for workers in [2, 3] {
+            let (_, counters) = run_against_serial(&n, &assignment, workers, 40, &|tick, set| {
+                if tick.is_multiple_of(10) {
+                    set(sel, Level::from_bool(tick.is_multiple_of(20)));
+                }
+                if tick.is_multiple_of(4) {
+                    set(a, Level::from_bool(tick.is_multiple_of(8)));
+                    set(bb, Level::from_bool(!tick.is_multiple_of(8)));
+                }
+            });
+            assert!(counters.group_resolutions > 8);
+        }
+    }
+
+    #[test]
+    fn settle_round_overflow_forgets_dirty_groups_like_serial() {
+        // Three switch-level inverters (`n = !c`) in a ring whose links
+        // are pass switches on `en`, with `rst` pulling every `c` low.
+        // Reset, release, then close the links: the ring oscillates
+        // inside one tick until the round bound stops it, its group
+        // still dirty. The next tick must start clean, as the serial
+        // engine's does.
+        let mut b = NetlistBuilder::new("ring");
+        let (rst, en) = (b.input("rst"), b.input("en"));
+        let g = b.net("g");
+        b.supply(g, Level::Zero);
+        let n = [b.net("n1"), b.net("n2"), b.net("n3")];
+        let c = [b.net("c1"), b.net("c2"), b.net("c3")];
+        for k in 0..3 {
+            b.pull(n[k], Level::One);
+            b.switch(SwitchKind::Nmos, c[k], n[k], g);
+            b.switch(SwitchKind::Nmos, en, n[(k + 2) % 3], c[k]);
+            b.switch(SwitchKind::Nmos, rst, c[k], g);
+        }
+        let y = b.net("y");
+        b.gate(GateKind::Buf, &[n[1]], y, Delay::uniform(1));
+        let netlist = b.finish().unwrap();
+        let assignment = round_robin(&netlist, 2);
+        for workers in [1, 2] {
+            let (_, counters) = run_against_serial(
+                &netlist,
+                &assignment,
+                workers,
+                40,
+                &|tick, set| match tick {
+                    0 => (set(en, Level::Zero), set(rst, Level::One)).0,
+                    5 => set(rst, Level::Zero),
+                    10 | 30 => set(en, Level::One),
+                    20 => set(en, Level::Zero),
+                    _ => (),
+                },
+            );
+            assert_eq!(counters.relaxation_overflows, 2, "{counters:?}");
+        }
+    }
+
+    #[test]
+    fn every_worker_count_matches_serial() {
+        // Six and ten components: at P = 8 some parties own nothing.
+        for workers in [1, 2, 3, 4, 8] {
+            let parts = workers as u32;
+            fan_run([0, 1 % parts, 2 % parts, 3 % parts], workers, 1);
+            let deal: Vec<u32> = (0..6).map(|g| g % parts).collect();
+            bus_run(deal.try_into().unwrap(), workers);
+        }
     }
 
     #[test]

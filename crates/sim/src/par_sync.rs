@@ -6,17 +6,20 @@
 //! shared state is written by exactly one party per phase (single-writer
 //! discipline), and the barrier's release/acquire pair provides the
 //! happens-before edge that makes the next phase's reads sound. The
-//! types here encode that discipline: a sense-reversing spin barrier and
+//! types here encode that discipline: a sense-reversing spin barrier,
 //! two `UnsafeCell`-based containers whose `unsafe` accessors document
-//! the phase-ownership obligation.
+//! the phase-ownership obligation, and the party-to-party mailboxes
+//! built on them.
 //!
 //! The discipline is *checked*, not just documented, on three levels:
 //!
 //! * compiling with `RUSTFLAGS="--cfg loom"` swaps the primitives
 //!   ([`crate::sync_shim`]) for the vendored loom model checker, and
 //!   the `loom_*` tests below explore every interleaving of small
-//!   barrier/container schedules, including negative tests proving the
-//!   checker rejects a broken barrier and an undisciplined writer;
+//!   barrier/container schedules and one tick of the engine's mailbox
+//!   protocol in miniature, including negative tests proving the
+//!   checker rejects a broken barrier, an undisciplined writer and an
+//!   inbox drained before the barrier;
 //! * building with `--features phase-check` records every accessor
 //!   call per element and phase ([`crate::phase_check`]) and panics on
 //!   single-writer violations at full engine scale;
@@ -239,6 +242,111 @@ impl<T> SharedSlots<T> {
     }
 }
 
+/// One mailbox on cache lines of its own, so two parties pushing in the
+/// same phase never write the same `Vec` header line (the layout rule
+/// [`SpinBarrier`] follows).
+#[derive(Debug)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// `n × n` single-producer single-consumer mailboxes between `n`
+/// parties: box `(src, dst)` is filled by `src` in one phase and
+/// drained by `dst` in a later one, with a barrier crossing (or the
+/// master running both shares itself) in between.
+///
+/// # Safety contract
+///
+/// The [`SharedSlots`] discipline at box granularity: within one phase
+/// a box is touched by the thread running `src` or by the thread
+/// running `dst`, never both.
+#[derive(Debug)]
+pub(crate) struct Mailboxes<T> {
+    parties: usize,
+    boxes: SharedSlots<Padded<Vec<T>>>,
+}
+
+impl<T> Mailboxes<T> {
+    /// Empty mailboxes between `parties` parties, recording accesses
+    /// against `clock`'s phases.
+    pub(crate) fn new(parties: usize, clock: &PhaseClock) -> Mailboxes<T> {
+        Mailboxes {
+            parties,
+            boxes: SharedSlots::from_iter(
+                (0..parties * parties).map(|_| Padded(Vec::new())),
+                clock,
+            ),
+        }
+    }
+
+    /// The box `src` fills for `dst`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the unique party accessing box `(src, dst)`
+    /// in the current phase (`src` in a phase that fills it, `dst` in a
+    /// phase that drains it), and must not hold two references to it.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // interior mutability guarded by the phase protocol
+    pub(crate) unsafe fn mail(&self, src: usize, dst: usize) -> &mut Vec<T> {
+        debug_assert!(src < self.parties && dst < self.parties);
+        // SAFETY: forwards this method's contract to the slot.
+        &mut unsafe { self.boxes.get_mut(src * self.parties + dst) }.0
+    }
+
+    /// Moves all mail addressed to `dst` to the end of `into`, in
+    /// source order.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the unique party accessing the boxes
+    /// addressed to `dst` in the current phase (`dst` itself, in a phase
+    /// that drains them).
+    pub(crate) unsafe fn drain_into(&self, dst: usize, into: &mut Vec<T>) {
+        for src in 0..self.parties {
+            // SAFETY: forwards this method's contract.
+            into.append(unsafe { self.mail(src, dst) });
+        }
+    }
+
+    /// Whether any party has left mail for `dst`.
+    ///
+    /// # Safety
+    ///
+    /// No party may be filling or draining a box addressed to `dst` in
+    /// the current phase.
+    pub(crate) unsafe fn has_mail(&self, dst: usize) -> bool {
+        (0..self.parties).any(|src| {
+            // SAFETY: per the caller's contract nobody writes the box.
+            !unsafe { self.boxes.get(src * self.parties + dst) }
+                .0
+                .is_empty()
+        })
+    }
+
+    /// Whether no box holds any mail.
+    ///
+    /// # Safety
+    ///
+    /// No party may be filling or draining any box in the current phase.
+    pub(crate) unsafe fn is_empty(&self) -> bool {
+        // SAFETY: forwards this method's contract.
+        !(0..self.parties).any(|dst| unsafe { self.has_mail(dst) })
+    }
+
+    /// Throws away all mail.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the unique party accessing any box in the
+    /// current phase.
+    pub(crate) unsafe fn clear(&self) {
+        for i in 0..self.boxes.len() {
+            // SAFETY: forwards this method's contract.
+            unsafe { self.boxes.get_mut(i) }.0.clear();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +410,29 @@ mod tests {
         crate::phase_check::set_party(1);
         // SAFETY: see above — second party, same element, same phase.
         unsafe { v.set(2, 2) };
+    }
+
+    #[test]
+    fn mailboxes_keep_one_box_per_pair() {
+        let m: Mailboxes<u32> = Mailboxes::new(3, &PhaseClock::new());
+        // SAFETY: single-threaded test.
+        unsafe {
+            assert!(m.is_empty());
+            m.mail(0, 2).push(7);
+            m.mail(1, 2).push(8);
+            assert!(m.has_mail(2) && !m.has_mail(0) && !m.has_mail(1));
+            assert_eq!(m.mail(0, 2).as_slice(), &[7]);
+            assert!(m.mail(2, 0).is_empty());
+            let mut got = vec![6];
+            m.drain_into(2, &mut got);
+            assert_eq!(got, [6, 7, 8]);
+            assert!(m.is_empty());
+            m.mail(1, 0).push(9);
+            m.clear();
+            assert!(m.is_empty());
+        }
+        // Neighbouring boxes never share a cache line pair.
+        assert_eq!(std::mem::align_of::<Padded<Vec<u32>>>(), 128);
     }
 
     #[test]
@@ -427,114 +558,168 @@ mod loom_tests {
     }
 
     /// Commands of the miniature engine below.
-    const WORK: u32 = 10;
     const EXIT: u32 = 0;
+    const APPLY: u32 = 1;
+    const MERGE: u32 = 2;
+    const EVAL: u32 = 3;
 
-    /// The worker side of `par_engine::worker_loop` in miniature: park
-    /// at the release barrier, read the command, write the own result
-    /// element, join. On `EXIT` it hands back what its element holds.
-    fn mini_worker(
-        barrier: &SpinBarrier,
-        cmd: &SharedSlots<u32>,
-        out: &SharedVec<u32>,
-        party: usize,
-    ) -> u32 {
-        loop {
-            barrier.wait();
-            // SAFETY: the master publishes the command before the
-            // release crossing and leaves it alone during the phase.
-            let c = *unsafe { cmd.get(0) };
-            if c == EXIT {
-                // SAFETY: nobody writes after the exit release.
-                return unsafe { out.get(party) };
+    /// `par_engine`'s tick protocol in miniature at `P = 2`: three
+    /// parties on two threads (the calling thread runs party 0 and the
+    /// master party 2, a spawned worker runs party 1), the engine's own
+    /// `Mailboxes`, `SharedVec`, `SharedSlots` and `SpinBarrier`, and
+    /// one net, owned by party 0, with a driver in each of parties 0
+    /// and 1 and a reader in each of parties 1 and 2.
+    struct Mini {
+        barrier: SpinBarrier,
+        cmd: SharedSlots<u32>,
+        /// Apply → Merge: stamps, to the net's owner.
+        affected: Mailboxes<u32>,
+        /// Merge → Eval: messages, to the readers' owners.
+        eval: Mailboxes<u32>,
+        /// One net value per owning party.
+        value: SharedVec<u32>,
+        /// One evaluation result per party.
+        out: SharedVec<u32>,
+    }
+
+    impl Mini {
+        fn new() -> Arc<Mini> {
+            let clock = PhaseClock::new();
+            Arc::new(Mini {
+                barrier: SpinBarrier::new(2, &clock),
+                cmd: SharedSlots::from_iter(vec![EXIT], &clock),
+                affected: Mailboxes::new(3, &clock),
+                eval: Mailboxes::new(3, &clock),
+                value: SharedVec::from_vec(vec![0; 3], &clock),
+                out: SharedVec::from_vec(vec![0; 3], &clock),
+            })
+        }
+
+        /// One party's share of one phase, as `par_engine::run_party_cmd`
+        /// would run it.
+        fn run(&self, party: usize, cmd: u32) {
+            // SAFETY: the phase discipline under test, for the whole body — a
+            // party fills only its own outboxes, drains only its own
+            // inboxes, writes only its own elements, and reads foreign
+            // ones only in a phase nobody writes them.
+            unsafe {
+                match cmd {
+                    APPLY if party < 2 => self.affected.mail(party, 0).push(party as u32 + 1),
+                    MERGE => {
+                        // Maximum stamp wins; every reader gets a message.
+                        let mut stamps = Vec::new();
+                        self.affected.drain_into(party, &mut stamps);
+                        if let Some(&best) = stamps.iter().max() {
+                            self.value.set(party, best);
+                            for dst in 1..3 {
+                                self.eval.mail(party, dst).push(10 * dst as u32);
+                            }
+                        }
+                    }
+                    EVAL => {
+                        let mut mail = Vec::new();
+                        self.eval.drain_into(party, &mut mail);
+                        let mail: u32 = mail.iter().sum();
+                        if mail > 0 {
+                            self.out.set(party, mail + self.value.get(0));
+                        }
+                    }
+                    _ => {}
+                }
             }
-            // SAFETY: element `party` is this worker's during a
-            // handshaken phase.
-            unsafe { out.set(party, out.get(party) + c + party as u32) };
-            barrier.wait();
+        }
+
+        /// `par_engine::worker_loop` for party 1; hands back what its
+        /// evaluation produced.
+        fn worker(&self) -> u32 {
+            loop {
+                self.barrier.wait();
+                // SAFETY: the master publishes the command before the
+                // release crossing and leaves it alone during the phase.
+                let cmd = *unsafe { self.cmd.get(0) };
+                if cmd == EXIT {
+                    // SAFETY: nobody writes after the exit release.
+                    return unsafe { self.out.get(1) };
+                }
+                self.run(1, cmd);
+                self.barrier.wait();
+            }
+        }
+
+        /// `Master::phase` with two busy threads: publish, release, the
+        /// calling thread's shares (after `between`, which stands for
+        /// whatever the master does first), join.
+        fn handshaken(&self, cmd: u32, between: impl FnOnce()) {
+            self.release(cmd);
+            between();
+            self.run(0, cmd);
+            self.run(2, cmd);
+            self.barrier.wait();
+        }
+
+        fn release(&self, cmd: u32) {
+            // SAFETY: the worker is parked at the release barrier.
+            *unsafe { self.cmd.get_mut(0) } = cmd;
+            self.barrier.wait();
         }
     }
 
-    /// A miniature `P = 2` engine mirroring `par_engine::Master::phase`
-    /// with the master as a party: the barrier spans the two threads,
-    /// the master thread executes party 0 and the master party (element
-    /// 2) as well as the control work. One handshaken phase (publish,
-    /// release, own shares, join), then a phase without a handshake in
-    /// which the master writes *every* party's element while the worker
-    /// stays parked at the release barrier, then the exit release, after
-    /// which the worker reads back what the master left in its element.
-    /// The skipped handshake is sound because the join crossing orders
-    /// the worker's write before the master's, and the next release
-    /// crossing orders the master's before the worker's read.
-    /// Preemption-bounded: three crossings of a spinning barrier are
-    /// too many schedules to enumerate outright.
+    /// One tick of the owner-computes protocol: Apply (both threads
+    /// mail a stamp to party 0; handshaken), Merge (only party 0 has
+    /// mail, so the master runs every party's share itself while the
+    /// worker stays parked — the skipped handshake), Eval (parties 1
+    /// and 2 have mail; handshaken), exit. Sound because Apply's join
+    /// crossing orders the worker's push before the master's drain, and
+    /// Eval's release crossing orders the master's push and its write
+    /// of the net's value before the worker's drain and read.
+    /// Preemption-bounded: five crossings of a spinning barrier are too
+    /// many schedules to enumerate outright.
     #[test]
-    fn loom_mini_engine_master_party_and_skipped_handshake() {
-        let mut b = loom::model::Builder::new();
-        b.preemption_bound = Some(3);
-        b.check(|| {
-            let clock = PhaseClock::new();
-            let barrier = Arc::new(SpinBarrier::new(2, &clock));
-            let cmd = Arc::new(SharedSlots::from_iter(vec![EXIT], &clock));
-            let out = Arc::new(SharedVec::from_vec(vec![0u32; 3], &clock));
-            let (b, c, o) = (Arc::clone(&barrier), Arc::clone(&cmd), Arc::clone(&out));
-            let worker = loom::thread::spawn(move || mini_worker(&b, &c, &o, 1));
-            // Handshaken phase.
-            // SAFETY: the worker is parked at the release barrier.
-            *unsafe { cmd.get_mut(0) } = WORK;
-            barrier.wait();
-            for own in [0usize, 2] {
-                // SAFETY: parties 0 and 2 belong to the master thread.
-                unsafe { out.set(own, WORK + own as u32) };
-            }
-            barrier.wait();
-            // Phase without a handshake: the master runs every share.
-            for party in 0..3usize {
-                // SAFETY: the worker is parked at the release barrier.
-                unsafe { out.set(party, out.get(party) * 2) };
-            }
-            // SAFETY: as above.
-            *unsafe { cmd.get_mut(0) } = EXIT;
-            barrier.wait();
-            assert_eq!(worker.join().unwrap(), (WORK + 1) * 2);
-            // SAFETY: the worker has exited.
-            let own = unsafe { (out.get(0), out.get(2)) };
-            assert_eq!(own, (WORK * 2, (WORK + 2) * 2));
-        });
-    }
-
-    /// Negative control for the skipped handshake: the master runs
-    /// worker 1's share *inside* a handshaken phase, while that worker
-    /// is between the release and the join crossing. That is the
-    /// mistake the "at most one thread has work, workers parked" rule
-    /// excludes, and the checker flags it as a data race. (The yield
-    /// stands for the master's own share: cell accesses are not
-    /// scheduling points of the vendored checker, so without one the
-    /// worker could never run between the crossing and the stray write.)
-    #[test]
-    #[should_panic(expected = "data race")]
-    fn loom_mini_engine_master_runs_share_of_busy_worker_races() {
+    fn loom_mini_engine_owner_merge_and_skipped_handshake() {
         let mut b = loom::model::Builder::new();
         b.preemption_bound = Some(2);
         b.check(|| {
-            let clock = PhaseClock::new();
-            let barrier = Arc::new(SpinBarrier::new(2, &clock));
-            let cmd = Arc::new(SharedSlots::from_iter(vec![EXIT], &clock));
-            let out = Arc::new(SharedVec::from_vec(vec![0u32; 3], &clock));
-            let (b, c, o) = (Arc::clone(&barrier), Arc::clone(&cmd), Arc::clone(&out));
-            let worker = loom::thread::spawn(move || mini_worker(&b, &c, &o, 1));
-            // SAFETY: the worker is parked at the release barrier.
-            *unsafe { cmd.get_mut(0) } = WORK;
-            barrier.wait();
-            thread::yield_now();
-            // SAFETY: deliberately violates the contract — element 1 is
-            // the released worker's this phase; loom reports the race
-            // instead of exhibiting UB.
-            unsafe { out.set(1, 99) };
-            barrier.wait();
-            // SAFETY: the worker is parked again.
-            *unsafe { cmd.get_mut(0) } = EXIT;
-            barrier.wait();
+            let mini = Mini::new();
+            let m = Arc::clone(&mini);
+            let worker = loom::thread::spawn(move || m.worker());
+            mini.handshaken(APPLY, || {});
+            for party in 0..3 {
+                mini.run(party, MERGE);
+            }
+            mini.handshaken(EVAL, || {});
+            mini.release(EXIT);
+            // Party 1's reader: message 10 plus the winning stamp 2.
+            assert_eq!(worker.join().unwrap(), 12);
+            // SAFETY: the worker has exited.
+            let (value, out) = unsafe { (mini.value.get(0), mini.out.get(2)) };
+            assert_eq!((value, out), (2, 22));
+        });
+    }
+
+    /// The broken twin: the owner drains its inbox from party 1 *inside*
+    /// the Apply phase, before the join crossing that would order the
+    /// worker's push before it, and the checker flags the data race.
+    /// (The yield stands for the master's own share: cell accesses are
+    /// not scheduling points of the vendored checker, so without one
+    /// the worker could never run between the crossing and the stray
+    /// drain.)
+    #[test]
+    #[should_panic(expected = "data race")]
+    fn loom_mini_engine_inbox_read_before_the_barrier_races() {
+        let mut b = loom::model::Builder::new();
+        b.preemption_bound = Some(2);
+        b.check(|| {
+            let mini = Mini::new();
+            let m = Arc::clone(&mini);
+            let worker = loom::thread::spawn(move || m.worker());
+            mini.handshaken(APPLY, || {
+                thread::yield_now();
+                // SAFETY: deliberately violates the contract — box
+                // (1, 0) is the released worker's to fill this phase;
+                // loom reports the race instead of exhibiting UB.
+                unsafe { mini.affected.mail(1, 0) }.clear();
+            });
+            mini.release(EXIT);
             worker.join().unwrap();
         });
     }

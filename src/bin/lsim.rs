@@ -572,6 +572,26 @@ fn run_trace(path: &str, opts: &Options) -> Result<(), String> {
             );
         }
     }
+    // What only one thread can do: the master lane's exchange share
+    // (its own party's nets) and its between-phase decisions.
+    let lane_us = |lane: &logicsim::sim::LaneReport, phase: Phase| {
+        lane.totals[phase.idx()].total_ns as f64 / 1e3
+    };
+    if let Some(master) = run.report.lanes.last() {
+        let serial_us = lane_us(master, Phase::Exchange) + lane_us(master, Phase::Done);
+        println!(
+            "master-only : {serial_us:.1} us ({:.1}% of window)",
+            100.0 * serial_us * 1e3 / run.wall_ns.max(1) as f64
+        );
+    }
+    let per_lane: Vec<String> = run
+        .report
+        .lane_names
+        .iter()
+        .zip(&run.report.lanes)
+        .map(|(name, lane)| format!("{name} {:.1}", lane_us(lane, Phase::Exchange)))
+        .collect();
+    println!("exchange us : {}", per_lane.join(", "));
     let p = &run.params;
     println!("measured    : {p}");
     println!(

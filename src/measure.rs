@@ -187,8 +187,12 @@ pub mod observed {
     /// report: per-executed-tick means for the synchronization phases
     /// (`tS` from START, `tD` from DONE, barrier skew) and per-item
     /// means for `tE` (per evaluation) and `tM` (per routed message).
-    /// Exchange distribution samples carry `items == 0`, so their
-    /// overhead amortizes across the real messages.
+    /// Every party does the exchange for the nets it owns, so `tM` is
+    /// CPU time per message summed over the parties' lanes, not wall
+    /// time; inbox-draining samples carry `items == 0`, so their
+    /// overhead amortizes across the real messages. `executed_ticks` is
+    /// the master lane's Apply count (its party applies in every
+    /// executed tick).
     #[must_use]
     pub fn measured_params(report: &ObsReport, workers: u32) -> MeasuredParams {
         let ticks = report.executed_ticks();

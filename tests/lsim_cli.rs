@@ -359,6 +359,13 @@ fn trace_subcommand_writes_chrome_trace_and_prints_params() {
     assert!(stdout.contains("measured"), "{stdout}");
     assert!(stdout.contains("calibrated"), "{stdout}");
     assert!(stdout.contains("eval"), "{stdout}");
+    // The share of the window only the master thread can do, and every
+    // lane's exchange total beside it.
+    assert!(stdout.contains("master-only : "), "{stdout}");
+    assert!(
+        stdout.contains("exchange us : worker 0 ") && stdout.contains(", master "),
+        "{stdout}"
+    );
     // The written file is a Chrome-loadable trace: valid JSON with a
     // traceEvents array that actually contains phase slices.
     let body = std::fs::read_to_string(&trace_path).expect("trace written");
