@@ -1,0 +1,29 @@
+//! `text::parse`, in bytes of netlist text per second.
+//!
+//! The delay-estimation half of the netlist crate's parser proptests:
+//! the serialized `rtp` tiling at 10k and 100k components (0.6 and
+//! 5.7 MB of text), parsed into a validated `Netlist` — tokenising,
+//! name interning, component construction, the fanout and driver
+//! indices and the undriven-net check — and dropped. The text is the
+//! `eval-serial` workload's input; the benchmark's traced
+//! `netlist.text.parse_s` times the same call once per job, and its
+//! `scale-1m` workload is where the name table leaves the cache.
+
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use logicsim::circuits::Benchmark;
+use logicsim::netlist::text;
+
+fn parse_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("parse");
+    for (scale, label) in [(10_000, "rtp@10k"), (100_000, "rtp@100k")] {
+        let source = text::serialize(&Benchmark::RtpChip.build_at(scale).netlist);
+        group.throughput(Throughput::Bytes(source.len() as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| text::parse(&source).expect("serializer output parses"));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, parse_benches);
+criterion_main!(benches);

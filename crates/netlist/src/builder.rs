@@ -1,10 +1,9 @@
 //! Incremental construction and validation of [`Netlist`]s.
 
 use crate::component::{CompId, Component, Delay, GateKind, NetId, SwitchKind};
-use crate::names::NetNames;
+use crate::names::{NameIndex, NetNames};
 use crate::netlist::Netlist;
 use crate::value::Level;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -80,7 +79,7 @@ pub struct NetlistBuilder {
     name: String,
     components: Vec<Component>,
     net_names: NetNames,
-    name_index: HashMap<String, NetId>,
+    name_index: NameIndex,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     anon_counter: u64,
@@ -97,15 +96,26 @@ impl NetlistBuilder {
     }
 
     /// Declares (or retrieves, if the name exists) a named net.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.name_index.get(&name) {
-            return id;
-        }
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(&name);
-        self.name_index.insert(name, id);
-        id
+    pub fn net(&mut self, name: impl AsRef<str>) -> NetId {
+        let index = self.name_index.intern(&mut self.net_names, name.as_ref());
+        NetId(index as u32)
+    }
+
+    /// Sizes the name look-up for `names` more [`NetlistBuilder::net`]
+    /// declarations, so that it does not grow step by step.
+    pub(crate) fn expect_names(&mut self, names: usize) {
+        self.name_index.reserve(&self.net_names, names);
+    }
+
+    /// Replaces the circuit name.
+    pub(crate) fn set_name(&mut self, name: &str) {
+        name.clone_into(&mut self.name);
+    }
+
+    /// The net [`NetlistBuilder::net`] declared under `name`, if any.
+    pub(crate) fn declared(&self, name: &str) -> Option<NetId> {
+        let index = self.name_index.get(&self.net_names, name)?;
+        Some(NetId(index as u32))
     }
 
     /// Declares a net with a formatted name *without* interning it in the
@@ -147,7 +157,7 @@ impl NetlistBuilder {
 
     /// Declares a primary input: creates the net and an
     /// [`Component::Input`] driver for it.
-    pub fn input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn input(&mut self, name: impl AsRef<str>) -> NetId {
         let net = self.net(name);
         self.components.push(Component::Input { net });
         self.inputs.push(net);
@@ -217,6 +227,11 @@ impl NetlistBuilder {
         let id = CompId(self.components.len() as u32);
         self.components.push(Component::Supply { net, level });
         id
+    }
+
+    /// Number of nets declared so far.
+    pub(crate) fn num_nets(&self) -> usize {
+        self.net_names.len()
     }
 
     /// Number of components added so far.

@@ -73,31 +73,18 @@ impl<T> Csr<T> {
         T: Copy,
         I: Iterator<Item = (u32, T)>,
     {
-        let mut offsets = vec![0u32; num_rows + 1];
-        items().for_each(|(row, _)| offsets[row as usize + 1] += 1);
-        for row in 0..num_rows {
-            offsets[row + 1] = offsets[row]
-                .checked_add(offsets[row + 1])
-                .expect("CSR exceeds u32 item capacity");
-        }
+        let mut lens = vec![0u32; num_rows];
+        items().for_each(|(row, _)| lens[row as usize] += 1);
         // Any item serves as the placeholder every slot is overwritten from.
         let Some((_, placeholder)) = items().next() else {
             return Csr {
-                offsets,
+                offsets: vec![0; num_rows + 1],
                 items: Vec::new(),
             };
         };
-        let mut flat = vec![placeholder; offsets[num_rows] as usize];
-        let mut cursor = offsets[..num_rows].to_vec();
-        items().for_each(|(row, item)| {
-            let at = &mut cursor[row as usize];
-            flat[*at as usize] = item;
-            *at += 1;
-        });
-        Csr {
-            offsets,
-            items: flat,
-        }
+        let mut fill = CsrFill::with_row_lens(lens, placeholder);
+        items().for_each(|(row, item)| fill.push(row, item));
+        fill.finish()
     }
 
     /// Number of rows.
@@ -157,6 +144,70 @@ impl<T> Csr<T> {
     pub fn heap_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.items.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+/// A [`Csr`] whose row lengths are known and whose items are still
+/// arriving: the two halves of [`Csr::bucket`], apart, so that a caller
+/// can size and fill several matrices in one walk over their source.
+#[derive(Debug)]
+pub(crate) struct CsrFill<T> {
+    csr: Csr<T>,
+    /// Where each row's next item goes.
+    cursor: Vec<u32>,
+}
+
+impl<T: Copy> CsrFill<T> {
+    /// Rows of the given lengths, every slot holding `placeholder` until
+    /// [`CsrFill::push`] overwrites it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths add up past `u32` capacity.
+    pub(crate) fn with_row_lens(mut lens: Vec<u32>, placeholder: T) -> CsrFill<T> {
+        let mut offsets = Vec::with_capacity(lens.len() + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        // `lens` turns into the cursors: each row's start.
+        for len in &mut lens {
+            let start = end;
+            end = end
+                .checked_add(*len)
+                .expect("CSR exceeds u32 item capacity");
+            offsets.push(end);
+            *len = start;
+        }
+        CsrFill {
+            csr: Csr {
+                offsets,
+                items: vec![placeholder; end as usize],
+            },
+            cursor: lens,
+        }
+    }
+
+    /// Appends `item` to `row`, which must not be full yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub(crate) fn push(&mut self, row: u32, item: T) {
+        let at = &mut self.cursor[row as usize];
+        debug_assert!(
+            *at < self.csr.offsets[row as usize + 1],
+            "row {row} is full"
+        );
+        self.csr.items[*at as usize] = item;
+        *at += 1;
+    }
+
+    /// The matrix, every row filled.
+    pub(crate) fn finish(self) -> Csr<T> {
+        debug_assert!(
+            self.cursor.iter().eq(&self.csr.offsets[1..]),
+            "a row was left short"
+        );
+        self.csr
     }
 }
 

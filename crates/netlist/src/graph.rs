@@ -361,6 +361,13 @@ impl ConnectivityGraph {
         self.adj.row(i as usize)
     }
 
+    /// The whole adjacency: row `i` is [`ConnectivityGraph::neighbors`]
+    /// of node `i`.
+    #[must_use]
+    pub fn adjacency(&self) -> &Csr<(u32, u32)> {
+        &self.adj
+    }
+
     /// Partitioning weight of node `i`: 1 when live, 0 when the LS0003
     /// analysis proved the component dead.
     ///

@@ -14,6 +14,7 @@
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{BuildHasher, RandomState};
 
 /// A string arena indexed by dense net ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,6 +123,91 @@ impl NetNames {
     }
 }
 
+/// Name → index look-up over a [`NetNames`] arena: the interner behind
+/// [`crate::NetlistBuilder::net`].
+///
+/// An open-addressed table of name indices. A probe hashes the name it
+/// looks for and compares it with names the arena already holds, so the
+/// table keeps no copy of any name, interning one allocates nothing
+/// beyond the arena's own growth, and dropping the table frees one
+/// vector. Only names appended through [`NameIndex::intern`] are found;
+/// names pushed onto the arena directly are never unified with.
+///
+/// `S` is [`RandomState`] outside tests: names come from netlist files,
+/// so probe sequences must not be predictable from the file.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameIndex<S = RandomState> {
+    /// `index + 1` of an interned name, 0 for an empty slot. Empty or a
+    /// power of two long, and never more than half full.
+    slots: Vec<u32>,
+    /// Number of occupied slots.
+    len: usize,
+    hasher: S,
+}
+
+impl<S: BuildHasher> NameIndex<S> {
+    /// The index of `name` in `names`, appending it first if no interned
+    /// name equals it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed its `u32` limits.
+    pub(crate) fn intern(&mut self, names: &mut NetNames, name: &str) -> usize {
+        self.reserve(names, 1);
+        match self.probe(names, name) {
+            Ok(index) => index,
+            Err(vacant) => {
+                let index = names.push(name);
+                self.slots[vacant] = u32::try_from(index + 1).expect("more than u32::MAX names");
+                self.len += 1;
+                index
+            }
+        }
+    }
+
+    /// The index of the interned name equal to `name`, if there is one.
+    pub(crate) fn get(&self, names: &NetNames, name: &str) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(names, name).ok()
+    }
+
+    /// Walks `name`'s probe sequence through a non-empty table: the
+    /// index of the equal name, or the empty slot where it belongs.
+    fn probe(&self, names: &NetNames, name: &str) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                slot if names.get(slot as usize - 1) == name => return Ok(slot as usize - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Makes room for `additional` more names to be interned without the
+    /// table growing on the way (it at least doubles when it has to, so
+    /// single interns are amortised constant time).
+    pub(crate) fn reserve(&mut self, names: &NetNames, additional: usize) {
+        let slots = ((self.len + additional) * 2).next_power_of_two().max(16);
+        if slots <= self.slots.len() {
+            return;
+        }
+        // Re-seat every index in the larger table.
+        let old = std::mem::replace(&mut self.slots, vec![0; slots]);
+        let mask = slots - 1;
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut at = self.hasher.hash_one(names.get(slot as usize - 1)) as usize & mask;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+}
+
 impl<'a> FromIterator<&'a str> for NetNames {
     fn from_iter<T: IntoIterator<Item = &'a str>>(iter: T) -> NetNames {
         let mut names = NetNames::default();
@@ -182,5 +268,75 @@ mod tests {
         assert_eq!(json, r#"["a","b","c"]"#);
         let back: NetNames = serde_json::from_str(&json).unwrap();
         assert_eq!(back, n);
+    }
+
+    /// Hashes every name to 0: all names share one probe sequence.
+    #[derive(Default)]
+    struct Colliding;
+
+    impl std::hash::Hasher for Colliding {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    fn intern_all<S: BuildHasher + Default>(spellings: &[String]) {
+        let mut names = NetNames::default();
+        let mut index = NameIndex::<S>::default();
+        assert_eq!(index.get(&names, "a"), None, "an empty table finds nothing");
+        for (i, name) in spellings.iter().enumerate() {
+            assert_eq!(
+                index.get(&names, name),
+                None,
+                "{name:?} before it is interned"
+            );
+            assert_eq!(index.intern(&mut names, name), i);
+        }
+        // Every name is still found after the table has grown around it,
+        // and a second intern neither moves nor duplicates it.
+        for (i, name) in spellings.iter().enumerate() {
+            assert_eq!(index.get(&names, name), Some(i), "{name:?}");
+            assert_eq!(index.intern(&mut names, name), i);
+            assert_eq!(names.get(i), name);
+        }
+        assert_eq!(names.len(), spellings.len());
+        assert_eq!(index.get(&names, "never interned"), None);
+    }
+
+    #[test]
+    fn interner_survives_collisions_growth_and_awkward_names() {
+        // The empty name, names that are prefixes of each other and of
+        // the concatenation of their arena neighbors, then enough more
+        // to outgrow the first 16 slots several times over.
+        let mut spellings: Vec<String> = ["", "a", "ab", "abc", "b", "ca", "c", "a b"]
+            .map(String::from)
+            .to_vec();
+        spellings.extend((0..200).map(|i| format!("t{i}|n")));
+        intern_all::<std::hash::BuildHasherDefault<Colliding>>(&spellings);
+        intern_all::<RandomState>(&spellings);
+    }
+
+    #[test]
+    fn interner_reserves_ahead_and_ignores_uninterned_names() {
+        let mut names = NetNames::default();
+        let mut index = NameIndex::<RandomState>::default();
+        names.push("bulk"); // on the arena, not in the table
+        assert_eq!(index.get(&names, "bulk"), None);
+        assert_eq!(
+            index.intern(&mut names, "bulk"),
+            1,
+            "not unified with the bulk name"
+        );
+        index.reserve(&names, 1000);
+        let slots = index.slots.len();
+        assert!(slots >= 2002 && slots.is_power_of_two());
+        for i in 0..1000 {
+            index.intern(&mut names, &format!("n{i}"));
+        }
+        assert_eq!(index.slots.len(), slots, "grew although room was reserved");
+        assert_eq!(index.get(&names, "bulk"), Some(1));
+        assert_eq!(index.get(&names, "n999"), Some(1001));
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Netlist`] container: components, nets, and derived indices.
 
 use crate::component::{CompId, Component, NetId};
-use crate::csr::Csr;
+use crate::csr::{Csr, CsrFill};
 use crate::names::NetNames;
 use serde::{Deserialize, Serialize};
 
@@ -39,13 +39,20 @@ impl Netlist {
         inputs: Vec<NetId>,
         outputs: Vec<NetId>,
     ) -> Netlist {
-        let by_id = || (0u32..).map(CompId).zip(&components);
-        let fanout = Csr::bucket(net_names.len(), || {
-            by_id().flat_map(|(id, c)| c.reads().map(move |n| (n.0, id)))
-        });
-        let drivers = Csr::bucket(net_names.len(), || {
-            by_id().flat_map(|(id, c)| c.drives().map(move |n| (n.0, id)))
-        });
+        // One walk sizes both indices, a second fills them.
+        let nets = net_names.len();
+        let (mut readers, mut drivers) = (vec![0u32; nets], vec![0u32; nets]);
+        for comp in &components {
+            comp.for_each_read(|net| readers[net.index()] += 1);
+            comp.for_each_driven(|net| drivers[net.index()] += 1);
+        }
+        let mut fanout = CsrFill::with_row_lens(readers, CompId(0));
+        let mut drivers = CsrFill::with_row_lens(drivers, CompId(0));
+        for (id, comp) in (0u32..).map(CompId).zip(&components) {
+            comp.for_each_read(|net| fanout.push(net.0, id));
+            comp.for_each_driven(|net| drivers.push(net.0, id));
+        }
+        let (fanout, drivers) = (fanout.finish(), drivers.finish());
         Netlist {
             name,
             components,

@@ -7,6 +7,11 @@
 //! # Format
 //!
 //! One statement per line; `#` starts a comment; blank lines ignored.
+//! Tokens are separated by ASCII blanks. Nets are numbered in order of
+//! first mention (a gate's inputs before its output). A statement takes
+//! exactly the operands shown, `circuit` comes before everything else,
+//! a net is an `input` at most once, and `output` names a net some
+//! other statement declares (anywhere in the file).
 //!
 //! ```text
 //! circuit half_adder        # optional, names the netlist
@@ -53,7 +58,7 @@ impl Error for ParseError {}
 /// components) the last line read.
 fn blamed_line(source: &str, e: &BuildError) -> usize {
     let mut statements = source.lines().enumerate().map(|(idx, raw)| {
-        let mut tokens = raw.split('#').next().unwrap_or("").split_whitespace();
+        let mut tokens = tokens_of(raw);
         (idx + 1, tokens.next().unwrap_or(""), tokens)
     });
     let line = match e {
@@ -73,24 +78,44 @@ fn blamed_line(source: &str, e: &BuildError) -> usize {
     line.unwrap_or_else(|| last_line(source))
 }
 
+/// The tokens of one line: slices of it between ASCII blanks, up to the
+/// comment. Nothing is copied.
+fn tokens_of(raw: &str) -> std::str::SplitAsciiWhitespace<'_> {
+    let code = raw.find('#').map_or(raw, |comment| &raw[..comment]);
+    code.split_ascii_whitespace()
+}
+
 /// The 1-based number of the last line of `source` (1 when it is empty).
 fn last_line(source: &str) -> usize {
     source.lines().count().max(1)
 }
 
+/// Text per net, for sizing the name look-up before the first statement:
+/// the tiled benchmark circuits serialize to 58-88 bytes per net. A
+/// file with shorter statements only makes the look-up grow as it goes.
+const BYTES_PER_NET: usize = 64;
+
+/// Gate kinds by their spellings in the text format (matched without
+/// regard to ASCII case).
+const GATE_KINDS: [(&str, GateKind); 11] = [
+    ("BUF", GateKind::Buf),
+    ("NOT", GateKind::Not),
+    ("INV", GateKind::Not),
+    ("AND", GateKind::And),
+    ("OR", GateKind::Or),
+    ("NAND", GateKind::Nand),
+    ("NOR", GateKind::Nor),
+    ("XOR", GateKind::Xor),
+    ("XNOR", GateKind::Xnor),
+    ("TRI", GateKind::Tristate),
+    ("TRISTATE", GateKind::Tristate),
+];
+
 fn gate_kind(token: &str) -> Option<GateKind> {
-    Some(match token.to_ascii_uppercase().as_str() {
-        "BUF" => GateKind::Buf,
-        "NOT" | "INV" => GateKind::Not,
-        "AND" => GateKind::And,
-        "OR" => GateKind::Or,
-        "NAND" => GateKind::Nand,
-        "NOR" => GateKind::Nor,
-        "XOR" => GateKind::Xor,
-        "XNOR" => GateKind::Xnor,
-        "TRI" | "TRISTATE" => GateKind::Tristate,
-        _ => return None,
-    })
+    GATE_KINDS
+        .iter()
+        .find(|(name, _)| token.eq_ignore_ascii_case(name))
+        .map(|&(_, kind)| kind)
 }
 
 fn parse_delay(token: &str, line: usize) -> Result<Delay, ParseError> {
@@ -134,119 +159,145 @@ fn parse_delay(token: &str, line: usize) -> Result<Delay, ParseError> {
 /// blame one (bad arity, an undriven net's first reader), the last line
 /// read for a source with no components.
 pub fn parse(source: &str) -> Result<Netlist, ParseError> {
-    let mut builder: Option<NetlistBuilder> = None;
-    let mut pending: Vec<(String, usize)> = Vec::new(); // outputs to mark
+    let mut b = NetlistBuilder::new("netlist");
+    b.expect_names(source.len() / BYTES_PER_NET);
+    let mut statements = 0usize;
+    // Outputs are marked last (a net may be declared after the statement
+    // that exports it): the name and line of each, as slices of `source`.
+    let mut outputs: Vec<(&str, usize)> = Vec::new();
+    // Per net id, whether an `input` statement drives it.
+    let mut is_input: Vec<bool> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let mut tokens = tokens_of(raw);
+        let Some(keyword) = tokens.next() else {
             continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("nonempty line");
-        let b = builder.get_or_insert_with(|| NetlistBuilder::new("netlist"));
-        let rest: Vec<&str> = tokens.collect();
+        };
         let err = |message: String| ParseError {
             line: line_no,
             message,
         };
+        // The operand of a statement that takes exactly one.
+        let mut only = |missing: &str| {
+            let operand = tokens.next().ok_or_else(|| err(missing.into()))?;
+            match tokens.next() {
+                None => Ok(operand),
+                Some(extra) => Err(err(format!(
+                    "unexpected `{extra}` after `{keyword} {operand}`"
+                ))),
+            }
+        };
         match keyword {
             "circuit" => {
-                let name = rest
-                    .first()
-                    .ok_or_else(|| err("circuit needs a name".into()))?;
+                let name = only("circuit needs a name")?;
                 if !b.is_empty() {
                     return Err(err("`circuit` must precede all components".into()));
                 }
-                *b = NetlistBuilder::new(*name);
+                if b.num_nets() != 0 {
+                    return Err(err("`circuit` must precede all net declarations".into()));
+                }
+                b.set_name(name);
             }
             "input" => {
-                let name = rest
-                    .first()
-                    .ok_or_else(|| err("input needs a net name".into()))?;
-                b.input(*name);
+                let name = only("input needs a net name")?;
+                let net = b.net(name);
+                if is_input.len() <= net.index() {
+                    is_input.resize(net.index() + 1, false);
+                }
+                if std::mem::replace(&mut is_input[net.index()], true) {
+                    return Err(err(format!("net `{name}` is already an input")));
+                }
+                b.add_component(Component::Input { net });
             }
             "net" => {
-                let name = rest.first().ok_or_else(|| err("net needs a name".into()))?;
-                b.net(*name);
+                b.net(only("net needs a name")?);
             }
             "gate" => {
-                let kind_tok = rest
-                    .first()
+                let kind_tok = tokens
+                    .next()
                     .ok_or_else(|| err("gate needs a kind".into()))?;
                 let kind = gate_kind(kind_tok)
                     .ok_or_else(|| err(format!("unknown gate kind `{kind_tok}`")))?;
-                let mut rest_iter = rest[1..].iter().peekable();
-                let delay = if rest_iter.peek().is_some_and(|t| t.starts_with("d=")) {
-                    parse_delay(rest_iter.next().expect("peeked"), line_no)?
-                } else {
-                    Delay::default()
+                let mut next = tokens.next();
+                let delay = match next {
+                    Some(spec) if spec.starts_with("d=") => {
+                        next = tokens.next();
+                        parse_delay(spec, line_no)?
+                    }
+                    _ => Delay::default(),
                 };
-                let out = rest_iter
-                    .next()
-                    .ok_or_else(|| err("gate needs an output net".into()))?;
-                let inputs: Vec<_> = rest_iter.map(|t| b.net(*t)).collect();
+                let out = next.ok_or_else(|| err("gate needs an output net".into()))?;
+                // Inputs are numbered before the output, in pin order.
+                let mut inputs = Vec::with_capacity(tokens.clone().count());
+                inputs.extend(tokens.map(|name| b.net(name)));
                 if inputs.is_empty() {
                     return Err(err("gate needs at least one input".into()));
                 }
-                let out_net = b.net(*out);
-                b.gate(kind, &inputs, out_net, delay);
+                let output = b.net(out);
+                b.add_component(Component::Gate {
+                    kind,
+                    inputs,
+                    output,
+                    delay,
+                });
             }
             "switch" => {
-                if rest.len() != 4 {
+                let operands = [(); 5].map(|()| tokens.next());
+                let [Some(kind), Some(control), Some(a), Some(bb), None] = operands else {
                     return Err(err("switch KIND control a b".into()));
-                }
-                let kind = match rest[0].to_ascii_uppercase().as_str() {
-                    "NMOS" => SwitchKind::Nmos,
-                    "PMOS" => SwitchKind::Pmos,
-                    other => return Err(err(format!("unknown switch kind `{other}`"))),
                 };
-                let ctl = b.net(rest[1]);
-                let a = b.net(rest[2]);
-                let bb = b.net(rest[3]);
-                b.switch(kind, ctl, a, bb);
+                let kind = if kind.eq_ignore_ascii_case("NMOS") {
+                    SwitchKind::Nmos
+                } else if kind.eq_ignore_ascii_case("PMOS") {
+                    SwitchKind::Pmos
+                } else {
+                    let other = kind.to_ascii_uppercase();
+                    return Err(err(format!("unknown switch kind `{other}`")));
+                };
+                let (control, a, bb) = (b.net(control), b.net(a), b.net(bb));
+                b.switch(kind, control, a, bb);
             }
             "pull" => {
-                if rest.len() != 2 {
+                let [Some(direction), Some(net), None] = [(); 3].map(|()| tokens.next()) else {
                     return Err(err("pull up|down NET".into()));
-                }
-                let level = match rest[0] {
+                };
+                let level = match direction {
                     "up" => Level::One,
                     "down" => Level::Zero,
                     other => return Err(err(format!("pull direction `{other}`"))),
                 };
-                let net = b.net(rest[1]);
+                let net = b.net(net);
                 b.pull(net, level);
             }
             "supply" => {
-                if rest.len() != 2 {
+                let [Some(rail), Some(net), None] = [(); 3].map(|()| tokens.next()) else {
                     return Err(err("supply vdd|gnd NET".into()));
-                }
-                let level = match rest[0] {
+                };
+                let level = match rail {
                     "vdd" => Level::One,
                     "gnd" => Level::Zero,
                     other => return Err(err(format!("supply rail `{other}`"))),
                 };
-                let net = b.net(rest[1]);
+                let net = b.net(net);
                 b.supply(net, level);
             }
-            "output" => {
-                let name = rest
-                    .first()
-                    .ok_or_else(|| err("output needs a net name".into()))?;
-                pending.push(((*name).to_string(), line_no));
-            }
+            "output" => outputs.push((only("output needs a net name")?, line_no)),
             other => return Err(err(format!("unknown keyword `{other}`"))),
         }
+        statements += 1;
     }
-    let mut b = builder.ok_or_else(|| ParseError {
-        line: last_line(source),
-        message: "empty netlist source".into(),
-    })?;
-    for (name, line_no) in pending {
-        let net = b.net(name);
+    if statements == 0 {
+        return Err(ParseError {
+            line: last_line(source),
+            message: "empty netlist source".into(),
+        });
+    }
+    for (name, line) in outputs {
+        let net = b.declared(name).ok_or_else(|| ParseError {
+            line,
+            message: format!("output `{name}` names a net no statement declares"),
+        })?;
         b.mark_output(net);
-        let _ = line_no;
     }
     b.finish().map_err(|e| ParseError {
         line: blamed_line(source, &e),
@@ -445,5 +496,94 @@ output y
         let looped = parse("input e\ngate NAND d=0 y e y\noutput y\n").unwrap();
         let report = crate::analyze::analyze(&looped);
         assert!(report.has_errors());
+    }
+
+    /// The error `source` is refused with.
+    fn refusal(source: &str) -> ParseError {
+        parse(source).expect_err(source)
+    }
+
+    #[test]
+    fn output_of_an_undeclared_net_is_rejected() {
+        let e = refusal("input a\ngate NOT y a\noutput y\noutput z\n");
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("`z`"), "{e}");
+        // Declared further down is declared.
+        let n = parse("output y\ninput a\ngate NOT y a\n").unwrap();
+        assert_eq!(n.outputs(), [n.find_net("y").unwrap()]);
+    }
+
+    #[test]
+    fn trailing_tokens_are_rejected() {
+        for (source, line) in [
+            ("circuit c extra\ninput a\n", 1),
+            ("input a extra tokens\n", 1),
+            ("input a\nnet n extra\n", 2),
+            ("input a\ngate NOT y a\noutput y extra\n", 3),
+        ] {
+            let e = refusal(source);
+            assert_eq!(e.line, line, "{source:?}: {e}");
+            assert!(e.message.contains("unexpected `extra`"), "{source:?}: {e}");
+        }
+        // A comment is not a token.
+        assert!(parse("input a # the only input\n").is_ok());
+    }
+
+    #[test]
+    fn net_declared_before_circuit_is_rejected() {
+        let e = refusal("net early\ncircuit late\ninput a\n");
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("precede"), "{e}");
+    }
+
+    #[test]
+    fn second_input_of_a_net_is_rejected() {
+        let e = refusal("input a\ninput b\ninput a\ngate AND y a b\n");
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("`a` is already an input"), "{e}");
+        // Declaring the net first, or reading it first, is not a second input.
+        let n = parse("net a\ngate NOT y a\ninput a\n").unwrap();
+        assert_eq!(n.inputs().len(), 1);
+    }
+
+    #[test]
+    fn only_ascii_blanks_separate_tokens() {
+        // A no-break space, a vertical tab, a next-line and a line
+        // separator are bytes of the token they stand in, not blanks.
+        for blank in ['\u{a0}', '\u{b}', '\u{85}', '\u{2028}'] {
+            let e = refusal(&format!("input a\ninput{blank}b\n"));
+            assert_eq!(e.line, 2, "{blank:?}: {e}");
+            assert!(e.message.contains("unknown keyword"), "{blank:?}: {e}");
+        }
+        let n = parse("input a\u{a0}b\r\ngate\tNOT \x0c y a\u{a0}b\noutput y\n").unwrap();
+        assert!(n.find_net("a\u{a0}b").is_some());
+        assert_eq!(n.num_gates(), 1);
+    }
+
+    #[test]
+    fn kinds_match_in_any_ascii_case_and_errors_keep_their_wording() {
+        let n = parse("input a\ninput b\ngate nAnd y a b\nswitch pmos a y b\n").unwrap();
+        assert_eq!((n.num_gates(), n.num_switches()), (1, 1));
+        assert_eq!(
+            refusal("input a\nswitch cmos a a a\n").message,
+            "unknown switch kind `CMOS`"
+        );
+        assert_eq!(
+            refusal("input a\nswitch NMOS a a\n").message,
+            "switch KIND control a b"
+        );
+        assert_eq!(
+            refusal("pull sideways a\n").message,
+            "pull direction `sideways`"
+        );
+        assert_eq!(refusal("supply vdd\n").message, "supply vdd|gnd NET");
+        assert_eq!(
+            refusal("input a\ngate AND d=1 y\n").message,
+            "gate needs at least one input"
+        );
+        assert_eq!(
+            refusal("input a\ngate AND d=1\n").message,
+            "gate needs an output net"
+        );
     }
 }

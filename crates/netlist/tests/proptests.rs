@@ -1,9 +1,112 @@
 //! Property tests for the value algebra, the CSR builder and the text
 //! format.
 
+use logicsim_circuits::Benchmark;
 use logicsim_netlist::text;
-use logicsim_netlist::{Csr, Delay, GateKind, Level, NetlistBuilder, Signal, Strength};
+use logicsim_netlist::{
+    Component, Csr, Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, Signal, Strength,
+};
 use proptest::prelude::*;
+
+/// `parse` numbers nets by first mention and `serialize` writes no
+/// declarations, so a netlist whose builder numbered them otherwise
+/// comes back renumbered: the same circuit name, components in the same
+/// order with the same kinds, delays and levels, every pin on the net of
+/// the same *name*, the same inputs and outputs by name.
+fn assert_same_up_to_net_numbering(a: &Netlist, b: &Netlist) {
+    assert_eq!(a.name(), b.name());
+    assert_eq!(a.num_nets(), b.num_nets());
+    assert_eq!(a.num_components(), b.num_components());
+    let named = |n: &Netlist, nets: &[NetId]| -> Vec<String> {
+        nets.iter()
+            .map(|&net| n.net_name(net).to_string())
+            .collect()
+    };
+    let pins = |n: &Netlist, c: &Component| {
+        let mut nets = c.read_nets();
+        nets.extend(c.driven_nets());
+        named(n, &nets)
+    };
+    for ((id, ca), (_, cb)) in a.iter().zip(b.iter()) {
+        assert_eq!(pins(a, ca), pins(b, cb), "pins of {id}");
+        // With the pins equal by name, what is left must be equal as is.
+        let blank = |c: &Component| {
+            let mut c = c.clone();
+            match &mut c {
+                Component::Gate { inputs, output, .. } => {
+                    inputs.fill(NetId(0));
+                    *output = NetId(0);
+                }
+                Component::Switch { control, a, b, .. } => {
+                    (*control, *a, *b) = (NetId(0), NetId(0), NetId(0));
+                }
+                Component::Input { net }
+                | Component::Pull { net, .. }
+                | Component::Supply { net, .. } => *net = NetId(0),
+            }
+            c
+        };
+        assert_eq!(blank(ca), blank(cb), "{id}");
+    }
+    assert_eq!(named(a, a.inputs()), named(b, b.inputs()));
+    assert_eq!(named(a, a.outputs()), named(b, b.outputs()));
+}
+
+/// The five benchmark circuits and two of their 10k tilings survive the
+/// text format: one trip gives the same circuit up to net numbering,
+/// and from then on `parse(serialize(n)) == n` exactly.
+#[test]
+fn benchmark_circuits_round_trip_through_text() {
+    let mut circuits: Vec<Netlist> = Benchmark::ALL
+        .iter()
+        .map(|b| b.build_default().netlist)
+        .collect();
+    for b in [Benchmark::RtpChip, Benchmark::CrossbarSwitch] {
+        circuits.push(b.build_at(10_000).netlist);
+    }
+    for original in circuits {
+        let once = text::parse(&text::serialize(&original)).expect("serializer output parses");
+        assert_same_up_to_net_numbering(&original, &once);
+        let twice = text::parse(&text::serialize(&once)).expect("serializer output parses");
+        assert_eq!(twice, once, "{}", original.name());
+        assert_eq!(twice.structural_digest(), once.structural_digest());
+    }
+}
+
+/// A file with every kind of statement in it, for the mutation test.
+const EVERY_STATEMENT: &str = "\
+# one of everything
+circuit sampler
+input a
+input b   # two inputs
+net early
+gate NAND d=2,3 n1 a b
+gate not n2 n1
+gate TRI bus n2 a
+switch NMOS a bus x
+switch pmos b x y
+pull up x
+pull down y
+supply vdd rail
+supply gnd ground
+gate XOR early rail ground
+output y
+output early
+";
+
+/// Whatever `parse` makes of `source`, it says so without panicking,
+/// and an error names a line that exists.
+fn check_parse_outcome(source: &str) {
+    if let Err(e) = text::parse(source) {
+        let lines = source.lines().count().max(1);
+        assert!(
+            (1..=lines).contains(&e.line),
+            "`{e}` blames line {} of {lines}:\n{source}",
+            e.line
+        );
+        assert!(!e.message.is_empty());
+    }
+}
 
 fn any_level() -> impl Strategy<Value = Level> {
     prop_oneof![Just(Level::Zero), Just(Level::One), Just(Level::X)]
@@ -144,12 +247,77 @@ proptest! {
         let last = *nets.last().expect("nonempty");
         b.mark_output(last);
         let n = b.finish().expect("valid by construction");
-        let text1 = text::serialize(&n);
-        let n2 = text::parse(&text1).expect("serializer output parses");
-        prop_assert_eq!(n.num_gates(), n2.num_gates());
-        prop_assert_eq!(n.num_nets(), n2.num_nets());
-        // Second round trip is a fixpoint.
-        let text2 = text::serialize(&n2);
-        prop_assert_eq!(text1, text2);
+        // Every net here is first mentioned in the order the builder
+        // numbered it, so the netlist comes back exactly.
+        let n2 = text::parse(&text::serialize(&n)).expect("serializer output parses");
+        prop_assert_eq!(n2, n);
     }
+
+    /// Arbitrary bytes (read as text the way `lsim` reads a file).
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        check_parse_outcome(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Bytes drawn from the format's own alphabet, so that lines start
+    /// with keywords and carry operands far more often than chance.
+    #[test]
+    fn parse_never_panics_on_statement_soup(
+        picks in proptest::collection::vec((0usize..24, 0usize..4), 0..120),
+    ) {
+        const WORDS: [&str; 24] = [
+            "circuit", "input", "net", "gate", "switch", "pull", "supply", "output",
+            "AND", "not", "TRI", "NMOS", "pmos", "up", "down", "vdd", "gnd",
+            "d=1", "d=2,", "d=,3", "a", "b", "#", "\u{a0}x",
+        ];
+        let mut source = String::new();
+        for (word, gap) in picks {
+            source.push_str(WORDS[word]);
+            source.push_str(["\n", " ", "\t ", "\r\n"][gap]);
+        }
+        check_parse_outcome(&source);
+    }
+
+    /// A valid file with a few edits of the kind a slip of the hand
+    /// makes: a token dropped, doubled or replaced, a line dropped,
+    /// doubled or moved, the file cut short.
+    #[test]
+    fn parse_never_panics_on_a_mutated_valid_file(
+        edits in proptest::collection::vec((0u8..7, any::<usize>(), any::<usize>()), 1..5),
+    ) {
+        let mut lines: Vec<Vec<String>> = EVERY_STATEMENT
+            .lines()
+            .map(|l| l.split(' ').map(String::from).collect())
+            .collect();
+        for (kind, x, y) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let at = x % lines.len();
+            match kind {
+                0 => { lines.remove(at); }
+                1 => { let copy = lines[at].clone(); lines.insert(at, copy); }
+                2 => { let moved = lines.remove(at); lines.insert(y % (lines.len() + 1), moved); }
+                3 => lines.truncate(at),
+                _ if lines[at].is_empty() => {}
+                4 => { let t = y % lines[at].len(); lines[at].remove(t); }
+                5 => { let t = y % lines[at].len(); let copy = lines[at][t].clone(); lines[at].insert(t, copy); }
+                _ => {
+                    let t = y % lines[at].len();
+                    let from = &lines[(y / 7) % lines.len()];
+                    lines[at][t] = from.get(y % from.len().max(1)).cloned().unwrap_or_default();
+                }
+            }
+        }
+        let source: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+        check_parse_outcome(&source.join("\n"));
+    }
+}
+
+#[test]
+fn the_mutation_seed_file_is_valid() {
+    let n = text::parse(EVERY_STATEMENT).expect("valid");
+    assert_eq!((n.num_gates(), n.num_switches()), (4, 2));
 }

@@ -2,15 +2,22 @@
 //!
 //! FM refines a bisection by *moving* single vertices (instead of
 //! Kernighan-Lin's pair swaps), maintaining per-vertex gains
-//! incrementally, under a balance constraint. One pass moves every
-//! vertex at most once and keeps the best prefix; passes repeat until
-//! no improvement. This is the workhorse heuristic of real circuit
+//! incrementally, under a balance constraint. One pass moves a vertex
+//! at most once and keeps the best prefix of its moves; passes repeat
+//! until no improvement. This is the workhorse heuristic of real circuit
 //! partitioners — exactly the "related research on the circuit
 //! partitioning problem" the paper says is in progress.
+//!
+//! A pass costs what it changes, not what the graph holds: gains are
+//! computed once per [`refine_passes`] call and carried from pass to
+//! pass, only vertices on the cut are candidates, and a pass that has
+//! stopped finding better prefixes ends (the `Refiner` has the details).
+//! The kernel is shared: flat FM runs it on a random split, the
+//! multilevel partitioner on every level of its hierarchy.
 
 use crate::strategies::{recursive_bisection, Partitioner};
 use crate::Partition;
-use logicsim_netlist::{ConnectivityGraph, Netlist};
+use logicsim_netlist::{ConnectivityGraph, Csr, Netlist};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -18,11 +25,20 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Refinement passes per flat FM bisection.
-const MAX_PASSES: u32 = 6;
+pub const MAX_PASSES: u32 = 6;
 /// Allowed imbalance of a flat FM bisection: each side holds at least
 /// `floor(n/2) - BALANCE_SLACK` vertices (scaled by the heaviest vertex
 /// when activity weighting is on).
-const BALANCE_SLACK: u64 = 1;
+pub const BALANCE_SLACK: u64 = 1;
+/// A pass ends after this many consecutive moves that produced no new
+/// best prefix. The moves past the best prefix are undone anyway; at
+/// `rtp@100k` no multilevel pass of the exhaustive loop this replaced
+/// kept a prefix longer than 194 moves above the 231-node level. With
+/// candidates on the cut the value is not sensitive: the multilevel
+/// cut at 100k is within 0.2 % between 64 and 4096 (EXPERIMENTS.md,
+/// "Set-up path"); flat FM from a random split keeps prefixes of a
+/// thousand moves and more, which is what the margin is for.
+pub const STALL_MOVES: usize = 1024;
 
 /// Recursive FM bisection to `parts` blocks.
 #[derive(Debug, Clone)]
@@ -52,29 +68,45 @@ impl FiducciaMattheysesPartitioner {
     }
 }
 
-/// A weighted undirected graph in CSR form: what one FM pass works on,
-/// and the representation every multilevel coarsening level shares.
+/// A weighted undirected graph: what one FM pass works on, and the
+/// representation every multilevel coarsening level shares. The
+/// adjacency has [`ConnectivityGraph`]'s layout (`u32` offsets,
+/// `(neighbor, weight)` pairs of `u32`); gains widen the weights to
+/// `i64` where they are summed.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WorkGraph {
-    /// Node `i`'s neighbors are `adjncy[xadj[i] .. xadj[i + 1]]`.
-    pub xadj: Vec<usize>,
-    pub adjncy: Vec<u32>,
-    /// Edge weights, parallel to `adjncy`.
-    pub adjwgt: Vec<i64>,
+pub struct WorkGraph {
+    /// Row `i`: node `i`'s `(neighbor, edge weight)` pairs. No self
+    /// edges, a neighbor at most once per row.
+    pub(crate) adj: Csr<(u32, u32)>,
     /// Vertex weights (what a bisection balances).
-    pub vwgt: Vec<u64>,
+    pub(crate) vwgt: Vec<u64>,
 }
 
 impl WorkGraph {
-    pub fn len(&self) -> usize {
+    /// Number of nodes.
+    #[must_use]
+    pub fn num_nodes(&self) -> usize {
         self.vwgt.len()
     }
 
+    /// Weight of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[must_use]
+    pub fn vertex_weight(&self, v: usize) -> u64 {
+        self.vwgt[v]
+    }
+
+    /// Sum of all vertex weights.
+    #[must_use]
     pub fn total_vwgt(&self) -> u64 {
         self.vwgt.iter().sum()
     }
 
     /// Vertex weight on each side of the bisection `side`.
+    #[must_use]
     pub fn side_weights(&self, side: &[bool]) -> [u64; 2] {
         let mut weights = [0u64; 2];
         for (&s, &w) in side.iter().zip(&self.vwgt) {
@@ -83,175 +115,323 @@ impl WorkGraph {
         weights
     }
 
+    /// Node `v`'s `(neighbor, edge weight)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, i64)> + '_ {
-        self.adjncy[self.xadj[v]..self.xadj[v + 1]]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[self.xadj[v]..self.xadj[v + 1]].iter().copied())
+        self.adj.row(v).iter().map(|&(nb, w)| (nb, i64::from(w)))
+    }
+
+    /// Total weight of the edges the bisection `side` cuts.
+    #[must_use]
+    pub fn cut_weight(&self, side: &[bool]) -> i64 {
+        let crossing = |v: usize| {
+            self.neighbors(v)
+                .filter(move |&(nb, _)| side[nb as usize] != side[v])
+                .map(|(_, w)| w)
+        };
+        // Every cut edge is seen from both of its ends.
+        (0..self.num_nodes()).flat_map(crossing).sum::<i64>() / 2
     }
 
     /// The full connectivity graph as a `WorkGraph`, vertex weights
     /// from [`ConnectivityGraph::node_weight`].
+    #[must_use]
     pub fn from_connectivity(graph: &ConnectivityGraph) -> WorkGraph {
-        let n = graph.num_nodes();
-        let mut g = WorkGraph {
-            xadj: Vec::with_capacity(n + 1),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::with_capacity(n),
-        };
-        g.xadj.push(0);
-        for v in 0..n as u32 {
-            for &(nb, w) in graph.neighbors(v) {
-                g.adjncy.push(nb);
-                g.adjwgt.push(i64::from(w));
-            }
-            g.xadj.push(g.adjncy.len());
-            g.vwgt.push(u64::from(graph.node_weight(v)));
+        WorkGraph {
+            adj: graph.adjacency().clone(),
+            vwgt: (0..graph.num_nodes() as u32)
+                .map(|v| u64::from(graph.node_weight(v)))
+                .collect(),
         }
-        g
     }
 
     /// The induced subgraph over `nodes` — distinct and ascending — with
     /// ids relabelled to positions; over every node that is the graph
     /// itself, not a copy (the root region of a recursive bisection is
     /// the largest graph the partitioner ever holds).
-    pub fn subgraph(&self, nodes: &[u32], scratch: &mut Vec<u32>) -> Cow<'_, WorkGraph> {
-        if nodes.len() == self.len() {
+    pub(crate) fn subgraph(&self, nodes: &[u32], scratch: &mut Vec<u32>) -> Cow<'_, WorkGraph> {
+        if nodes.len() == self.num_nodes() {
             return Cow::Borrowed(self);
         }
         scratch.clear();
-        scratch.resize(self.len(), u32::MAX);
+        scratch.resize(self.num_nodes(), u32::MAX);
         for (i, &v) in nodes.iter().enumerate() {
             scratch[v as usize] = i as u32;
         }
-        let mut g = WorkGraph {
-            xadj: Vec::with_capacity(nodes.len() + 1),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: Vec::with_capacity(nodes.len()),
-        };
-        g.xadj.push(0);
+        let mut adj = Csr::default();
         for &v in nodes {
-            for (nb, w) in self.neighbors(v as usize) {
+            adj.push_row(self.adj.row(v as usize).iter().filter_map(|&(nb, w)| {
                 let local = scratch[nb as usize];
-                if local != u32::MAX {
-                    g.adjncy.push(local);
-                    g.adjwgt.push(w);
+                (local != u32::MAX).then_some((local, w))
+            }));
+        }
+        Cow::Owned(WorkGraph {
+            adj,
+            vwgt: nodes.iter().map(|&v| self.vwgt[v as usize]).collect(),
+        })
+    }
+}
+
+#[cfg(test)]
+impl WorkGraph {
+    /// A graph over `vwgt.len()` nodes from `(a, b, weight)` triples
+    /// with nodes taken modulo the node count; self edges are dropped,
+    /// parallel edges merged.
+    pub(crate) fn from_edges(edges: &[(u32, u32, u32)], vwgt: Vec<u64>) -> WorkGraph {
+        let n = vwgt.len() as u32;
+        let mut rows = vec![std::collections::BTreeMap::new(); n as usize];
+        for &(a, b, w) in edges {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                *rows[a as usize].entry(b).or_insert(0) += w;
+                *rows[b as usize].entry(a).or_insert(0) += w;
+            }
+        }
+        WorkGraph {
+            adj: Csr::from_rows(rows),
+            vwgt,
+        }
+    }
+}
+
+/// The state one FM refinement of a bisection carries from move to move
+/// and from pass to pass.
+///
+/// *Per call* (`O(m)`): the gain of every vertex — external minus
+/// internal edge weight, what moving it would take off the cut — its
+/// total incident edge weight, and one ordered bucket per side holding
+/// the vertices *on the cut*, those with an edge across it
+/// (`gain > -incident`). *Per move* (`O(deg · log)`): the neighbors'
+/// gains, and their bucket entries as they change gain or come onto and
+/// off the cut. *Per pass* (`O(moves · deg · log)`): the moves past the
+/// best prefix are flipped back through the same update, which leaves
+/// every gain and bucket exact for the next pass; nothing is recomputed
+/// or refilled.
+///
+/// Candidates are the vertices on the cut, and no others. One off it has
+/// the negative of its whole incident weight for a gain, and a pass that
+/// spends its [`STALL_MOVES`] on such moves (the least negative ones,
+/// once nothing improves, are leaves deep inside a side) never gets to
+/// try the cut's own neighborhood. When no vertex on the cut can move —
+/// a bisection along component borders, or every such vertex locked or
+/// held by the balance floor — the pass ends: a pick never costs more
+/// than a look at the bucket tops.
+pub(crate) struct Refiner<'a> {
+    g: &'a WorkGraph,
+    side: &'a mut [bool],
+    /// Vertex weight per side.
+    weights: [u64; 2],
+    /// Exact for every vertex, locked or not, after every move.
+    gains: Vec<i64>,
+    /// Total incident edge weight per vertex.
+    incident: Vec<i64>,
+    /// Moved in the current pass: in no bucket until the pass ends.
+    locked: Vec<bool>,
+    /// Per side, the unlocked vertices on the cut as `(gain, vertex)`:
+    /// `last()` is the highest gain, ties toward the largest index.
+    buckets: [BTreeSet<(i64, u32)>; 2],
+}
+
+impl<'a> Refiner<'a> {
+    pub(crate) fn new(g: &'a WorkGraph, side: &'a mut [bool]) -> Refiner<'a> {
+        let n = g.num_nodes();
+        let mut gains = Vec::with_capacity(n);
+        let mut incident = Vec::with_capacity(n);
+        let mut on_cut: [Vec<(i64, u32)>; 2] = [Vec::new(), Vec::new()];
+        for v in 0..n {
+            let (mut external, mut internal) = (0i64, 0i64);
+            for (j, w) in g.neighbors(v) {
+                if side[j as usize] == side[v] {
+                    internal += w;
+                } else {
+                    external += w;
                 }
             }
-            g.xadj.push(g.adjncy.len());
-            g.vwgt.push(self.vwgt[v as usize]);
+            gains.push(external - internal);
+            incident.push(external + internal);
+            if external > 0 {
+                on_cut[usize::from(side[v])].push((external - internal, v as u32));
+            }
         }
-        Cow::Owned(g)
+        Refiner {
+            g,
+            weights: g.side_weights(side),
+            side,
+            gains,
+            incident,
+            locked: vec![false; n],
+            // Collecting sorts once and builds the tree in one sweep.
+            buckets: on_cut.map(BTreeSet::from_iter),
+        }
+    }
+
+    /// Puts an unlocked `v` in its side's bucket if it is on the cut.
+    fn enter(&mut self, v: u32) {
+        let gain = self.gains[v as usize];
+        if gain > -self.incident[v as usize] {
+            self.buckets[usize::from(self.side[v as usize])].insert((gain, v));
+        }
+    }
+
+    /// Moves `v` to the other side and brings the side weights, every
+    /// gain and the bucket entries of `v`'s unlocked neighbors up to
+    /// date. `v`'s own bucket entry is the caller's to remove or add.
+    fn flip(&mut self, v: u32) {
+        let g = self.g;
+        let v = v as usize;
+        let from = usize::from(self.side[v]);
+        self.weights[from] -= g.vwgt[v];
+        self.weights[1 - from] += g.vwgt[v];
+        self.side[v] = !self.side[v];
+        self.gains[v] = -self.gains[v];
+        for (j32, w) in g.neighbors(v) {
+            let j = j32 as usize;
+            // An edge to a neighbor now on the other side became
+            // external (+w for the external edge gained, +w for the
+            // internal one lost), and the reverse.
+            let old = self.gains[j];
+            self.gains[j] = if self.side[j] == self.side[v] {
+                old - 2 * w
+            } else {
+                old + 2 * w
+            };
+            if !self.locked[j] {
+                if old > -self.incident[j] {
+                    self.buckets[usize::from(self.side[j])].remove(&(old, j32));
+                }
+                self.enter(j32);
+            }
+        }
+    }
+
+    /// The vertex to move next: the highest-gain unlocked vertex on the
+    /// cut whose move keeps its side at or above `min_w` — the better
+    /// of the two bucket tops, ties toward the largest index. A few top
+    /// entries per bucket are scanned so one balance-blocked heavy
+    /// vertex does not hide lighter movable ones; with unit weights the
+    /// first entry decides.
+    fn pick(&self, min_w: u64) -> Option<(i64, u32)> {
+        let movable = |v: u32| {
+            let vw = self.g.vwgt[v as usize];
+            self.weights[usize::from(self.side[v as usize])] >= min_w + vw || vw == 0
+        };
+        let top = |bucket: &BTreeSet<(i64, u32)>| {
+            let mut highest = bucket.iter().rev().take(8);
+            highest.find(|&&(_, v)| movable(v)).copied()
+        };
+        top(&self.buckets[0]).max(top(&self.buckets[1]))
+    }
+
+    /// One pass: picks and moves until no vertex on the cut can move or
+    /// the last [`STALL_MOVES`] moves brought no new best prefix, keeps
+    /// the best prefix, and returns whether that improved the cut.
+    /// `history` is the pass's scratch list of moved vertices.
+    fn pass(&mut self, min_w: u64, history: &mut Vec<u32>) -> bool {
+        history.clear();
+        let (mut sum, mut best_sum, mut best_k) = (0i64, 0i64, 0usize);
+        while history.len() - best_k < STALL_MOVES {
+            let Some((gain, v)) = self.pick(min_w) else {
+                break;
+            };
+            self.buckets[usize::from(self.side[v as usize])].remove(&(gain, v));
+            self.locked[v as usize] = true;
+            self.flip(v);
+            history.push(v);
+            sum += gain;
+            if sum > best_sum {
+                best_sum = sum;
+                best_k = history.len();
+            }
+        }
+        for &v in history[best_k..].iter().rev() {
+            self.flip(v);
+        }
+        for &v in history.iter() {
+            self.locked[v as usize] = false;
+            self.enter(v);
+        }
+        best_k > 0
+    }
+
+    /// Up to `max_passes` passes, each side keeping at least `min_w`
+    /// vertex weight (a side that starts below it only ever gains);
+    /// stops at the first pass that improves nothing.
+    pub(crate) fn passes(&mut self, min_w: u64, max_passes: u32) {
+        let mut history = Vec::new();
+        for _ in 0..max_passes {
+            if !self.pass(min_w, &mut history) {
+                break;
+            }
+        }
+    }
+
+    /// Moves weight from the heavy side until both sides hold at least
+    /// `min_w`, best gain first so that rebalancing adds as little cut
+    /// as it can: a vertex on the cut if one weighs anything, else the
+    /// best off it, by one scan of the carried gains (the balance floor
+    /// is not optional, so unlike a pass this does reach past the cut).
+    /// Weightless vertices are left where they are.
+    pub(crate) fn rebalance(&mut self, min_w: u64) {
+        for _ in 0..self.g.num_nodes() {
+            let light = usize::from(self.weights[0] >= self.weights[1]);
+            let heavy = 1 - light;
+            if self.weights[heavy] <= self.weights[light] || self.weights[light] >= min_w {
+                break;
+            }
+            let weighs = |v: u32| self.g.vwgt[v as usize] > 0;
+            let mut on_cut = self.buckets[heavy].iter().rev();
+            let pick = on_cut.find(|&&(_, v)| weighs(v)).copied().or_else(|| {
+                let heavy_side = (0..self.g.num_nodes() as u32)
+                    .filter(|&v| usize::from(self.side[v as usize]) == heavy && weighs(v));
+                heavy_side.map(|v| (self.gains[v as usize], v)).max()
+            });
+            let Some((gain, v)) = pick else { break };
+            self.buckets[heavy].remove(&(gain, v));
+            self.flip(v);
+            self.enter(v);
+        }
     }
 }
 
 /// Up to `max_passes` FM passes over the bisection `side` of `g`, each
 /// side keeping at least `min_w` vertex weight; `side` is refined in
-/// place. A pass moves every vertex at most once, best gain first, and
-/// keeps the best prefix of its moves; passes stop at the first one
+/// place. A pass moves a vertex at most once, best gain first among the
+/// vertices on the cut, stops `STALL_MOVES` (1024) moves after its last
+/// new best prefix and keeps that prefix; passes stop at the first one
 /// that improves nothing.
 ///
-/// Candidate selection uses per-side gain buckets (ordered sets keyed
-/// by `(gain, vertex)`), so each of the `n` moves costs `O(log n)`
-/// instead of a linear best-gain scan. The bucket pick is: highest
-/// gain, ties broken toward the largest vertex index, only sides above
-/// the balance floor — with unit weights exactly the selection rule of
-/// the linear scan, which the `bucketed_fm_matches_reference` proptest
-/// pins against a naive reimplementation.
-pub(crate) fn refine_passes(g: &WorkGraph, side: &mut [bool], min_w: u64, max_passes: u32) {
-    let n = g.len();
-    if n <= 1 {
-        return;
+/// The pick is: highest gain, ties broken toward the largest vertex
+/// index, only from sides above the balance floor; a pass also ends
+/// when no vertex on the cut can move. The `bucketed_fm_matches_reference`
+/// proptest pins the whole kernel — carried gains, buckets, rollback —
+/// against a reimplementation that recomputes every gain per pass and
+/// picks by linear scan.
+pub fn refine_passes(g: &WorkGraph, side: &mut [bool], min_w: u64, max_passes: u32) {
+    Refiner::new(g, side).passes(min_w, max_passes);
+}
+
+/// Names the sides of a bisection by their lowest member: the side
+/// holding the region's first node comes back `true`, which
+/// [`recursive_bisection`] makes the region's first child. Part ids then
+/// do not depend on which side a seed happened to grow, and the head of
+/// the netlist lands in part 0 — on the tiled circuits tile 0 with the
+/// primary inputs, the part that is busy in the most ticks (six times
+/// the other's on `crossbar@100k`), which `ParSimulator` runs on the
+/// calling thread, where a phase that has work for that part alone
+/// needs no handshake.
+pub(crate) fn lowest_member_first(mut side: Vec<bool>) -> Vec<bool> {
+    if side.first() == Some(&false) {
+        side.iter_mut().for_each(|s| *s = !*s);
     }
-    let mut weights = g.side_weights(side);
-    let gain_of = |side: &[bool], v: usize| -> i64 {
-        g.neighbors(v)
-            .map(|(j, w)| if side[j as usize] != side[v] { w } else { -w })
-            .sum()
-    };
-    for _ in 0..max_passes {
-        let mut work = side.to_vec();
-        let mut w = weights;
-        let mut gains: Vec<i64> = (0..n).map(|v| gain_of(&work, v)).collect();
-        let mut locked = vec![false; n];
-        // Gain buckets, one per side: `last()` is the highest-gain
-        // unlocked vertex of that side, ties toward the largest index.
-        let mut buckets: [BTreeSet<(i64, u32)>; 2] = [BTreeSet::new(), BTreeSet::new()];
-        for v in 0..n {
-            buckets[usize::from(work[v])].insert((gains[v], v as u32));
-        }
-        let mut history: Vec<(usize, i64)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Highest-gain unlocked vertex whose move keeps balance:
-            // the better of the two side tops. A few top entries per
-            // side are scanned so one balance-blocked heavy vertex
-            // does not hide lighter movable ones; with unit weights
-            // the first entry decides.
-            let mut candidate: Option<(i64, u32)> = None;
-            for (s, bucket) in buckets.iter().enumerate() {
-                for &(gain, v32) in bucket.iter().rev().take(8) {
-                    let vw = g.vwgt[v32 as usize];
-                    if w[s] >= min_w + vw || vw == 0 {
-                        candidate = candidate.max(Some((gain, v32)));
-                        break;
-                    }
-                }
-            }
-            let Some((gain, v32)) = candidate else { break };
-            let v = v32 as usize;
-            let from = usize::from(work[v]);
-            buckets[from].remove(&(gain, v32));
-            w[from] -= g.vwgt[v];
-            work[v] = !work[v];
-            w[1 - from] += g.vwgt[v];
-            locked[v] = true;
-            history.push((v, gain));
-            // v moved: an edge to a neighbor now on the other side
-            // became external (+w twice: once for losing internal, once
-            // for gaining external), and the reverse.
-            for (j32, ew) in g.neighbors(v) {
-                let j = j32 as usize;
-                if locked[j] {
-                    continue;
-                }
-                let s = usize::from(work[j]);
-                buckets[s].remove(&(gains[j], j32));
-                if work[j] != work[v] {
-                    gains[j] += 2 * ew;
-                } else {
-                    gains[j] -= 2 * ew;
-                }
-                buckets[s].insert((gains[j], j32));
-            }
-        }
-        // Best prefix of moves.
-        let mut best_sum = 0i64;
-        let mut sum = 0i64;
-        let mut best_k = 0usize;
-        for (k, &(_, gain)) in history.iter().enumerate() {
-            sum += gain;
-            if sum > best_sum {
-                best_sum = sum;
-                best_k = k + 1;
-            }
-        }
-        if best_k == 0 {
-            break;
-        }
-        for &(v, _) in history.iter().take(best_k) {
-            let from = usize::from(side[v]);
-            weights[from] -= g.vwgt[v];
-            side[v] = !side[v];
-            weights[1 - from] += g.vwgt[v];
-        }
-    }
+    side
 }
 
 /// One flat FM bisection of `g`: a balanced random split, refined.
 fn bisect(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
-    let n = g.len();
+    let n = g.num_nodes();
     let mut side = vec![false; n];
     if n <= 1 {
         return side;
@@ -284,7 +464,7 @@ impl Partitioner for FiducciaMattheysesPartitioner {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut scratch: Vec<u32> = Vec::new();
         recursive_bisection(netlist, &graph, parts, |region| {
-            bisect(&g0.subgraph(region, &mut scratch), &mut rng)
+            lowest_member_first(bisect(&g0.subgraph(region, &mut scratch), &mut rng))
         })
     }
 
@@ -423,5 +603,115 @@ mod tests {
         let fm = FiducciaMattheysesPartitioner::new(5);
         let cut = cut_of(&n, &fm.partition(&n, 2));
         assert!(cut <= 6, "cut = {cut} (ideal ~1-3)");
+    }
+
+    /// A pass ends, having moved nothing, when the vertices on the cut
+    /// cannot move: it does not go looking among the others. Two paths
+    /// of light vertices, each hanging off a heavy one, the heavy pair
+    /// joined — and the same without the joining edge, a cut of 0.
+    #[test]
+    fn a_pass_ends_when_no_vertex_on_the_cut_can_move() {
+        // 0 (heavy) - 1 - 2 - 3 | 4 (heavy) - 5 - 6 - 7, bridge 0 - 4.
+        let path = [
+            (0, 1, 1),
+            (1, 2, 1),
+            (2, 3, 1),
+            (4, 5, 1),
+            (5, 6, 1),
+            (6, 7, 1),
+        ];
+        let vwgt = vec![10, 1, 1, 1, 10, 1, 1, 1];
+        let start = [false, false, false, false, true, true, true, true];
+        // Each side weighs 13 and must keep 8: a light vertex may move,
+        // a heavy one may not.
+        let min_w = 8;
+        for bridge in [&[(0, 4, 3)][..], &[]] {
+            let g = WorkGraph::from_edges(&[&path[..], bridge].concat(), vwgt.clone());
+            let mut side = start;
+            let mut history = vec![u32::MAX];
+            let improved = Refiner::new(&g, &mut side).pass(min_w, &mut history);
+            assert!(!improved && history.is_empty(), "moved {history:?}");
+            assert_eq!(side, start);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// A weighted graph, a bisection of it and a balance floor:
+    /// `(edges, vertex weights, sides, floor as a share of half the
+    /// total weight)`. Enough edges that passes have real work, few
+    /// enough that some vertices stay isolated or off the cut.
+    type Case = (Vec<(u32, u32, u32)>, Vec<(u64, bool)>, u64);
+
+    fn case() -> impl Strategy<Value = Case> {
+        (
+            proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..5), 0..160),
+            proptest::collection::vec((0u64..4, any::<bool>()), 2..80),
+            0u64..=100,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A pass keeps a prefix only for a positive gain sum, so a call
+        /// never raises the weighted cut; and a vertex leaves a side
+        /// only while that keeps the side at or above the floor, so a
+        /// side that started there stays there and one that started
+        /// below it never loses weight.
+        #[test]
+        fn refine_passes_never_raises_the_cut_nor_breaks_the_floor(
+            (edges, nodes, floor_pct) in case(),
+            max_passes in 1u32..5,
+        ) {
+            let (vwgt, mut side): (Vec<u64>, Vec<bool>) = nodes.into_iter().unzip();
+            let g = WorkGraph::from_edges(&edges, vwgt);
+            let min_w = g.total_vwgt() / 2 * floor_pct / 100;
+            let (cut, weights) = (g.cut_weight(&side), g.side_weights(&side));
+            refine_passes(&g, &mut side, min_w, max_passes);
+            prop_assert!(g.cut_weight(&side) <= cut);
+            for (before, after) in weights.into_iter().zip(g.side_weights(&side)) {
+                prop_assert!(after >= before.min(min_w), "{before} -> {after}, floor {min_w}");
+            }
+        }
+
+        /// A pass moves no vertex that is off the cut at the time of
+        /// the move, whatever the weights block: replaying its moves,
+        /// rolled-back ones included, each has a neighbor across.
+        #[test]
+        fn a_pass_moves_only_vertices_on_the_cut((edges, nodes, floor_pct) in case()) {
+            let (vwgt, mut side): (Vec<u64>, Vec<bool>) = nodes.into_iter().unzip();
+            let g = WorkGraph::from_edges(&edges, vwgt);
+            let min_w = g.total_vwgt() / 2 * floor_pct / 100;
+            let mut replay = side.clone();
+            let mut history = Vec::new();
+            Refiner::new(&g, &mut side).pass(min_w, &mut history);
+            for &v in &history {
+                let v = v as usize;
+                prop_assert!(g.neighbors(v).any(|(j, _)| replay[j as usize] != replay[v]));
+                replay[v] = !replay[v];
+            }
+        }
+
+        /// The state a `Refiner` carries is exact after any mix of
+        /// rebalancing and passes: building a fresh one on the refined
+        /// bisection gives the same gains and the same buckets.
+        #[test]
+        fn carried_gains_and_buckets_equal_recomputed_ones(
+            (edges, nodes, floor_pct) in case(),
+        ) {
+            let (vwgt, mut side): (Vec<u64>, Vec<bool>) = nodes.into_iter().unzip();
+            let g = WorkGraph::from_edges(&edges, vwgt);
+            let min_w = g.total_vwgt() / 2 * floor_pct / 100;
+            let mut refiner = Refiner::new(&g, &mut side);
+            refiner.rebalance(min_w);
+            refiner.passes(min_w, 2);
+            let (gains, buckets, weights) =
+                (refiner.gains.clone(), refiner.buckets.clone(), refiner.weights);
+            let fresh = Refiner::new(&g, &mut side);
+            prop_assert_eq!(gains, fresh.gains.clone());
+            prop_assert_eq!(buckets, fresh.buckets.clone());
+            prop_assert_eq!(weights, fresh.weights);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for partitioning strategies and metrics.
 
 use logicsim_netlist::{ConnectivityGraph, Delay, GateKind, Netlist, NetlistBuilder};
+use logicsim_partition::fm::{BALANCE_SLACK, MAX_PASSES, STALL_MOVES};
 use logicsim_partition::{
     measured_beta, measured_messages, BfsClusterPartitioner, FanoutGreedyPartitioner,
     FiducciaMattheysesPartitioner, KernighanLinPartitioner, MultilevelPartitioner, Partition,
@@ -39,10 +40,15 @@ fn strategies(seed: u64) -> Vec<Box<dyn Partitioner>> {
     ]
 }
 
-/// The original FM bisection, verbatim: a linear best-gain scan per
-/// move (`max_by_key`, which keeps the *last* maximum, i.e. ties break
-/// toward the largest vertex index). The gain-bucket implementation in
-/// `logicsim_partition::fm` must reproduce this selection rule exactly.
+/// The original FM bisection: every gain recomputed at the start of
+/// every pass and a linear best-gain scan per move (`max_by_key`, which
+/// keeps the *last* maximum, i.e. ties break toward the largest vertex
+/// index), plus the two rules the pass kernel in
+/// `logicsim_partition::fm` added: only vertices with a neighbor on the
+/// other side are candidates, and a pass stops `STALL_MOVES` moves
+/// after its last new best prefix (or when no candidate can move). The
+/// kernel — gains carried across passes, buckets of the vertices on the
+/// cut, rollback by reversed moves — must reproduce this exactly.
 fn reference_fm_bisect(
     graph: &ConnectivityGraph,
     nodes: &[u32],
@@ -96,9 +102,14 @@ fn reference_fm_bisect(
             work.iter().filter(|&&s| s).count(),
         ];
         let mut history: Vec<(usize, i64)> = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut best_sum = 0i64;
+        let mut sum = 0i64;
+        let mut best_k = 0usize;
+        while history.len() - best_k < STALL_MOVES {
+            let movable = |i: usize| !locked[i] && counts[usize::from(work[i])] > min_side;
+            let on_cut = |i: usize| adj[i].iter().any(|&(j, _)| work[j] != work[i]);
             let candidate = (0..n)
-                .filter(|&i| !locked[i] && counts[usize::from(work[i])] > min_side)
+                .filter(|&i| movable(i) && on_cut(i))
                 .max_by_key(|&i| gains[i]);
             let Some(v) = candidate else { break };
             counts[usize::from(work[v])] -= 1;
@@ -106,6 +117,11 @@ fn reference_fm_bisect(
             counts[usize::from(work[v])] += 1;
             locked[v] = true;
             history.push((v, gains[v]));
+            sum += gains[v];
+            if sum > best_sum {
+                best_sum = sum;
+                best_k = history.len();
+            }
             for &(j, w) in &adj[v] {
                 if locked[j] {
                     continue;
@@ -115,16 +131,6 @@ fn reference_fm_bisect(
                 } else {
                     gains[j] -= 2 * w;
                 }
-            }
-        }
-        let mut best_sum = 0i64;
-        let mut sum = 0i64;
-        let mut best_k = 0usize;
-        for (k, &(_, g)) in history.iter().enumerate() {
-            sum += g;
-            if sum > best_sum {
-                best_sum = sum;
-                best_k = k + 1;
             }
         }
         if best_k == 0 {
@@ -146,8 +152,18 @@ fn reference_fm_partition(netlist: &Netlist, parts: u32, seed: u64) -> Partition
     for _ in 0..levels {
         let mut next = Vec::with_capacity(regions.len() * 2);
         for region in regions {
-            // 6 passes, 1 vertex of slack: `fm`'s `MAX_PASSES`/`BALANCE_SLACK`.
-            let sides = reference_fm_bisect(&graph, &region, &mut rng, 6, 1);
+            let mut sides = reference_fm_bisect(
+                &graph,
+                &region,
+                &mut rng,
+                MAX_PASSES,
+                BALANCE_SLACK as usize,
+            );
+            // Sides are named by their lowest member: the region's first
+            // node is on the `true` side.
+            if sides.first() == Some(&false) {
+                sides.iter_mut().for_each(|s| *s = !*s);
+            }
             let (mut a, mut b) = (Vec::new(), Vec::new());
             for (i, &node) in region.iter().enumerate() {
                 if sides[i] {
@@ -236,11 +252,13 @@ proptest! {
         }
     }
 
-    /// The gain-bucket FM implementation is *bit-identical* to the
-    /// original linear-scan implementation (replicated above): same
+    /// The FM pass kernel is *bit-identical* to the linear-scan,
+    /// recompute-everything implementation replicated above: same
     /// selection rule, same moves, same final partition. Exact
-    /// equality subsumes the weaker requirements that the new cuts
-    /// are no worse and that the balance invariants are unchanged.
+    /// equality subsumes the weaker requirements that the cuts are no
+    /// worse and that the balance invariants are unchanged. (Circuits
+    /// this small never reach the stall limit;
+    /// `bucketed_fm_matches_reference_past_the_stall_limit` does.)
     #[test]
     fn bucketed_fm_matches_reference(
         ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 3..60),
@@ -260,6 +278,28 @@ proptest! {
         prop_assert!(bucketed.covers(&n));
     }
 
+    /// The FM-based partitioners name parts by their lowest member, so
+    /// the first simulated component is always in part 0, whatever side
+    /// the seed grew first.
+    #[test]
+    fn fm_based_partitions_put_the_first_component_in_part_zero(
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 3..40),
+        parts in 1u32..9,
+        seed in any::<u64>(),
+    ) {
+        let n = random_circuit(&ops);
+        let first = ConnectivityGraph::build(&n, 16).component(0);
+        let fm_based: [Box<dyn Partitioner>; 4] = [
+            Box::new(FiducciaMattheysesPartitioner::new(seed)),
+            Box::new(FiducciaMattheysesPartitioner::new(seed).with_activity_weights()),
+            Box::new(MultilevelPartitioner::new(seed)),
+            Box::new(MultilevelPartitioner::new(seed).with_activity_weights()),
+        ];
+        for s in fm_based {
+            prop_assert_eq!(s.partition(&n, parts).part_of(first), Some(0), "{}", s.name());
+        }
+    }
+
     /// Partitioners are deterministic functions of (netlist, parts,
     /// seed).
     #[test]
@@ -272,5 +312,25 @@ proptest! {
         for s in strategies(seed) {
             prop_assert_eq!(s.partition(&n, parts), s.partition(&n, parts), "{}", s.name());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The same equality on circuits of a few thousand gates, where the
+    /// first passes of a random split run well past `STALL_MOVES` moves
+    /// after their best prefix: the stop rule, the rollback of up to
+    /// 1024 moves and the gains carried into the next pass are all on
+    /// the path.
+    #[test]
+    fn bucketed_fm_matches_reference_past_the_stall_limit(
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 2500..3500),
+        parts in 2u32..5,
+        seed in any::<u64>(),
+    ) {
+        let n = random_circuit(&ops);
+        let bucketed = FiducciaMattheysesPartitioner::new(seed).partition(&n, parts);
+        prop_assert_eq!(&bucketed, &reference_fm_partition(&n, parts, seed));
     }
 }

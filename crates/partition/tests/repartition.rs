@@ -6,6 +6,13 @@
 //! optimized graph. These tests pin both properties: the recomputed FM
 //! cut is no worse than the remapped one on every switch-heavy paper
 //! benchmark, and the engine produces bit-identical results either way.
+//!
+//! Both cuts come from a randomized heuristic, so "no worse" is asserted
+//! on the sum over eight seeds, and each single seed is held to a bound:
+//! seed by seed either cut comes out ahead (on Stop Watch in 7 of 16
+//! seeds under the exhaustive pass loop and in 5 of 16 under the
+//! stall-bounded one, by up to a third either way; EXPERIMENTS.md,
+//! "Set-up path", lists every seed).
 
 use logicsim_circuits::Benchmark;
 use logicsim_netlist::analyze::opt;
@@ -26,14 +33,24 @@ fn rerun_fm_cut_is_no_worse_than_remapped_cut() {
             // Nothing rewritten; both paths are the identical cut.
             continue;
         }
-        let original = FiducciaMattheysesPartitioner::new(SEED).partition(&inst.netlist, PARTS);
-        let remapped = optimized.remap_assignment(original.as_slice());
-        let remapped_cut = cut_size(&optimized.netlist, &Partition::new(remapped, PARTS));
-        let fresh = fm_assignment(&optimized.netlist, PARTS, SEED);
-        let fresh_cut = cut_size(&optimized.netlist, &Partition::new(fresh, PARTS));
+        let (mut remapped_sum, mut fresh_sum) = (0, 0);
+        for seed in SEED..SEED + 8 {
+            let original = FiducciaMattheysesPartitioner::new(seed).partition(&inst.netlist, PARTS);
+            let remapped = optimized.remap_assignment(original.as_slice());
+            let remapped_cut = cut_size(&optimized.netlist, &Partition::new(remapped, PARTS));
+            let fresh = fm_assignment(&optimized.netlist, PARTS, seed);
+            let fresh_cut = cut_size(&optimized.netlist, &Partition::new(fresh, PARTS));
+            assert!(
+                fresh_cut * 2 <= remapped_cut * 3,
+                "{} seed {seed}: re-run FM cut {fresh_cut} more than half again the remapped cut {remapped_cut}",
+                bench.paper_name()
+            );
+            remapped_sum += remapped_cut;
+            fresh_sum += fresh_cut;
+        }
         assert!(
-            fresh_cut <= remapped_cut,
-            "{}: re-run FM cut {fresh_cut} worse than remapped cut {remapped_cut}",
+            fresh_sum <= remapped_sum,
+            "{}: re-run FM cuts sum to {fresh_sum}, worse than the remapped cuts' {remapped_sum}",
             bench.paper_name()
         );
     }

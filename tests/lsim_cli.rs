@@ -169,6 +169,18 @@ fn bad_input_fails_with_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
     let out = lsim().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
+    // A typo the parser used to accept: an output no statement declares.
+    let path = write_temp("typo", "input a\ngate NOT y a\noutput z\n");
+    let out = lsim()
+        .args(["stats", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 3") && stderr.contains("`z`"),
+        "{stderr}"
+    );
 }
 
 #[test]
