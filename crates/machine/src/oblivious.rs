@@ -12,6 +12,15 @@
 //! R_obl = G × R × t_kernel / W          (W scenarios per word)
 //! ```
 //!
+//! `G × R` is the oblivious *bound*, the price of a machine that knows
+//! neither a topological order nor which inputs moved. The engine this
+//! repository runs (`logicsim_sim::bitpar`) is not that machine: it
+//! sweeps in rank order (one pass, `G`) and has skipped every op whose
+//! input planes did not change since PR 7 — inside feedback clusters
+//! too since PR 19 — so its measured evaluations per vector sit below
+//! `G` (`bitpar_study` prints them: 91 of 2 062 ops on Priority Q., 49
+//! of 1 175 on RTP Chip). The model below prices the bound.
+//!
 //! There is no `tE` scheduling cost and no `tM` message cost; the only
 //! parameter is the raw kernel time `t_kernel`, and the whole sweep is
 //! amortized over `W` bit-packed stimulus scenarios (64 on this host's
@@ -25,9 +34,10 @@
 //!
 //! With the paper's Table 6 activities (0.1–3%) and `tE` in the
 //! hundreds of nanoseconds, `W = 64` lanes put `a*` well below measured
-//! activity for shallow circuits, which is exactly why the hybrid
-//! backend (`logicsim_sim::bitpar`) pays off despite evaluating
-//! everything.
+//! activity for shallow circuits: even a machine that evaluated
+//! everything would pay off there, and the hybrid backend
+//! (`logicsim_sim::bitpar`), which evaluates only what moved in some
+//! lane, pays off sooner.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -56,9 +66,10 @@ impl ObliviousParams {
     /// Gate evaluations charged per settled input vector: `G × R`, the
     /// oblivious bound where every gate is swept once per rank so a
     /// change can cross the whole depth. (The rank-ordered compiled
-    /// sweep in `logicsim_sim::bitpar` achieves the same settling in a
-    /// single `G`-evaluation pass; `G × R` is the conservative model
-    /// term for a machine without topological ordering.)
+    /// sweep in `logicsim_sim::bitpar` settles in a single pass of at
+    /// most `G` evaluations, and runs only the ops whose inputs moved;
+    /// `G × R` is the conservative model term for a machine without
+    /// topological ordering.)
     #[must_use]
     pub fn evaluations_per_vector(&self) -> u64 {
         self.gates * u64::from(self.ranks.max(1))

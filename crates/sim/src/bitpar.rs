@@ -3,14 +3,23 @@
 //! The paper's machine class is event-driven because circuit activity is
 //! low (Table 6: 0.1–3%), so evaluating only active components wins —
 //! per scenario. But the per-event overhead `tE` of Eq. 10 is overhead
-//! an *oblivious*, statically scheduled backend never pays: like the
-//! Yorktown Simulation Engine lineage the paper surveys, this module
-//! evaluates every compiled gate on every sweep in levelized rank
-//! order. The trick that makes obliviousness profitable on a 1-core
-//! host is **bit parallelism**: net state is two `u64` planes
-//! ([`logicsim_netlist::Plane`]: `val`/`known`), one bit per lane, so a
-//! single branch-free Kleene kernel evaluates a gate for 64 independent
-//! stimulus scenarios at once.
+//! a statically scheduled backend never pays: like the Yorktown
+//! Simulation Engine lineage the paper surveys, this module compiles
+//! the netlist into one straight-line program in levelized rank order
+//! — no event list, no time wheel. An *oblivious* machine runs every
+//! op of that program whether or not its inputs changed: `G x R`
+//! evaluations per vector for `G` ops and `R` ranks without a
+//! topological order, `G` with one (`logicsim_machine::oblivious`
+//! models that bound). This engine keeps the schedule and drops the
+//! obliviousness: an op runs only when one of its input planes changed
+//! since it last ran (a `pending` bit per op, between feedback clusters
+//! and inside them), so the measured evaluations per vector sit below
+//! `G`; `G x R` is the bound, not the cost. The trick that makes a
+//! static schedule profitable on a 1-core host is **bit parallelism**:
+//! net state is two `u64` planes ([`logicsim_netlist::Plane`]:
+//! `val`/`known`), one bit per lane, so a single branch-free Kleene
+//! kernel evaluates a gate for 64 independent stimulus scenarios at
+//! once.
 //!
 //! # Hybrid structure
 //!
@@ -23,8 +32,9 @@
 //!   loops (latches, flip-flops built from cross-coupled gates) compile
 //!   to bounded **fixpoint loops** placed at the cluster's topological
 //!   rank — a per-lane Gauss–Seidel iteration over the same branch-free
-//!   kernels, with oscillating lanes forced to X at the bound (the
-//!   compiled-mode oscillation detector).
+//!   kernels, each pass evaluating only the members whose inputs moved,
+//!   with oscillating lanes forced to X at the bound (the compiled-mode
+//!   oscillation detector).
 //! * **Compiled switch cells** — channel-connected switch sub-groups
 //!   compile to vectorized **solver cells**: the event engine's
 //!   monotone (strength, level) join fixpoint
@@ -111,19 +121,24 @@ struct RailBranch {
     level: Level,
 }
 
-/// One compiled channel sub-group: the switch-level solver's monotone
-/// (strength, level) join fixpoint, vectorized over lanes. Members are
-/// the sub-group's non-rail nets; external drive enters as per-member
-/// constants (pulls) or plane reads (strong sources through virtual
-/// scratch planes); switches to rails are folded to constant branches.
-#[derive(Debug, Clone)]
-struct Cell {
-    /// Global net indices of the members (ascending).
-    members: Vec<u32>,
-    /// Member-member switches.
-    edges: Vec<CellEdge>,
-    /// Member-rail switches.
-    rails: Vec<RailBranch>,
+/// Every compiled channel sub-group ("solver cell") in one flat image,
+/// laid out the way [`eval_cell`] walks it (as [`crate::solver`] stores
+/// its switch groups): row `c` of each table is cell `c`. A cell is the
+/// switch-level solver's monotone (strength, level) join fixpoint,
+/// vectorized over lanes. Members are the sub-group's non-rail nets;
+/// external drive enters as per-member constants (pulls) or plane reads
+/// (strong sources through virtual scratch planes); switches to rails
+/// are folded to constant branches.
+#[derive(Debug, Default)]
+struct CellImage {
+    /// Global net indices of the members (ascending). `ext_pull` and
+    /// `ext_slot` hold one entry per member, at the positions of
+    /// [`Csr::row_range`].
+    members: Csr,
+    /// Member-member switches, in netlist order.
+    edges: Csr<CellEdge>,
+    /// Member-rail switches, in netlist order.
+    rails: Csr<RailBranch>,
     /// Per-member resistive pull level (statically joined when a net
     /// carries several pulls).
     ext_pull: Vec<Option<Level>>,
@@ -133,18 +148,96 @@ struct Cell {
     ext_slot: Vec<u32>,
 }
 
-/// Reusable workspace for [`eval_cell`]: per-member contribution
-/// planes — level (`v`/`k`) plus a 2-bit strength tier per lane
-/// (`s1 s0`: `00` `HighZ`, `01` Resistive, `10` Weak, `11` Strong).
-#[derive(Debug, Default)]
+/// One member's accumulated contribution during [`eval_cell`]: level
+/// (`v`/`k`) plus a 2-bit strength tier per lane (`s1 s0`: `00`
+/// `HighZ`, `01` Resistive, `10` Weak, `11` Strong).
+#[derive(Debug, Clone, Copy, Default)]
+struct Drive {
+    v: u64,
+    k: u64,
+    s1: u64,
+    s0: u64,
+}
+
+/// A member-member switch that conducts in some lane of the evaluation
+/// in flight, with its conduction masks (see [`conduction`]).
+#[derive(Debug, Clone, Copy)]
+struct LiveEdge {
+    a: u32,
+    b: u32,
+    /// Lanes not definitely off.
+    maybe: u64,
+    /// Lanes whose control is unknown: they pass strength, level X.
+    unknown: u64,
+}
+
+/// Workspace for [`eval_cell`], sized once to the largest cell.
+#[derive(Debug)]
 struct CellScratch {
-    v: Vec<u64>,
-    k: Vec<u64>,
-    s1: Vec<u64>,
-    s0: Vec<u64>,
+    /// Per-member contribution.
+    drive: Vec<Drive>,
+    /// The edges the relaxation walks: conduction is read once per
+    /// evaluation, and an edge off in every lane is left out.
+    live: Vec<LiveEdge>,
     /// Global net indices whose resolved plane changed in the last
     /// evaluation (drained by the sweep for reader marking).
     changed: Vec<u32>,
+    /// Set when a relaxation ran into its guard; the sweep folds it
+    /// into [`BitParSim::loop_overflow`].
+    unconverged: bool,
+}
+
+/// One bit per compiled op, set when an input plane of the op changed
+/// since the op last ran. Scanned a word at a time, so finding the next
+/// op to run costs the set bits, not the range.
+#[derive(Debug)]
+struct Pending {
+    words: Vec<u64>,
+}
+
+impl Pending {
+    /// `n` ops, all pending.
+    fn all(n: usize) -> Pending {
+        let mut pending = Pending {
+            words: vec![0; n.div_ceil(64)],
+        };
+        (0..n).for_each(|i| pending.mark(i));
+        pending
+    }
+
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn any(&self) -> bool {
+        self.words.iter().any(|&w| w != 0)
+    }
+
+    /// The first pending op in `from..end`.
+    #[inline]
+    fn next(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let last = (end - 1) / 64;
+        let mut wi = from / 64;
+        let mut w = self.words[wi] & (!0u64 << (from % 64));
+        while w == 0 {
+            if wi == last {
+                return None;
+            }
+            wi += 1;
+            w = self.words[wi];
+        }
+        let i = wi * 64 + w.trailing_zeros() as usize;
+        (i < end).then_some(i)
+    }
 }
 
 /// One step of the sweep program: a contiguous op range evaluated once
@@ -154,9 +247,9 @@ struct CellScratch {
 enum Step {
     /// `ops[start..end]` evaluated once, in rank order.
     Block { start: u32, end: u32 },
-    /// `ops[start..end]` (one latch cluster) iterated until no lane's
-    /// plane changes, bounded by [`MAX_LOOP_ITERS`]; still-oscillating
-    /// lanes are forced to X.
+    /// `ops[start..end]` (one latch cluster) iterated until a pass
+    /// changes no lane of any plane, bounded by [`MAX_LOOP_ITERS`];
+    /// still-oscillating lanes are forced to X.
     Loop { start: u32, end: u32 },
 }
 
@@ -213,8 +306,9 @@ pub struct BitParStats {
     /// Compiled sweeps executed (≥ 1 per vector; more when the
     /// boundary stitching iterates).
     pub sweeps: u64,
-    /// Gate evaluations performed by the sweeps (each counts once and
-    /// covers all lanes).
+    /// Ops evaluated by the sweeps, gates and solver cells alike: one
+    /// per op actually run (an op whose inputs did not move is skipped
+    /// and not counted), each covering all lanes.
     pub compiled_evals: u64,
     /// Events processed by the fallback simulators, summed over lanes.
     pub fallback_events: u64,
@@ -243,8 +337,8 @@ pub struct BitParSim<'a> {
     /// CSR items: input plane indices for every op.
     op_inputs: Vec<u32>,
     /// Compiled switch-level solver cells ([`OpKind::Cell`] targets).
-    cells: Vec<Cell>,
-    /// Reusable solver-cell workspace.
+    cells: CellImage,
+    /// Solver-cell workspace.
     scratch: CellScratch,
     /// Per-net plane index written by [`BitParSim::set_input_plane`]:
     /// identity, except input nets that are members of a compiled cell
@@ -261,14 +355,18 @@ pub struct BitParSim<'a> {
     loops: usize,
     /// Plane index → compiled ops reading it (activity gating).
     readers: Csr,
-    /// Per-op pending flag: set when an input plane changed since the
-    /// op last ran. The sweep evaluates only pending ops, which is what
-    /// turns the oblivious `gates x vectors` cost into `activity-union
-    /// x vectors` — the same event-driven insight as the paper's
-    /// machine, applied at 64-lane granularity.
-    pending: Vec<bool>,
-    /// Number of set entries in `pending`.
-    pending_count: usize,
+    /// Per-op pending bit: set when an input plane changed since the
+    /// op last ran. The sweep evaluates only pending ops, in blocks and
+    /// inside loops alike, which is what turns the oblivious `gates x
+    /// vectors` cost into `activity-union x vectors` — the same
+    /// event-driven insight as the paper's machine, applied at 64-lane
+    /// granularity.
+    pending: Pending,
+    /// Per step: a [`Step::Loop`] that was X-forced at its bound. The
+    /// forcing wrote member planes behind the ops' backs, so `pending`
+    /// no longer tells which members are up to date; the next entry
+    /// evaluates every member once before trusting it again.
+    rearm: Vec<bool>,
     /// Two-plane ternary state per plane: one per net, plus virtual
     /// scratch slots for strong sources into compiled cells.
     planes: BitPlanes,
@@ -457,33 +555,36 @@ impl<'a> BitParSim<'a> {
             }
         }
 
-        // Build the solver cells.
-        let mut cells: Vec<Cell> = Vec::new();
+        // Build the solver cells: one image row per compiled sub-group.
+        let mut cells = CellImage::default();
         let mut cell_of_sub = vec![u32::MAX; subs.num_rows()];
         let mut local_of = vec![u32::MAX; nn];
         for (sid, members) in subs.rows().enumerate() {
             if !sub_ok[sid] {
                 continue;
             }
-            cell_of_sub[sid] = cells.len() as u32;
-            let mut ext_pull: Vec<Option<Level>> = vec![None; members.len()];
+            cell_of_sub[sid] = cells.members.num_rows() as u32;
             for (li, &m) in members.iter().enumerate() {
                 local_of[m as usize] = li as u32;
+                let mut pull: Option<Level> = None;
                 for &d in netlist.drivers(NetId(m)) {
                     if let Component::Pull { level, .. } = netlist.component(d) {
-                        ext_pull[li] =
-                            Some(ext_pull[li].map_or(*level, |a| a.resolve_equal_strength(*level)));
+                        pull = Some(pull.map_or(*level, |a| a.resolve_equal_strength(*level)));
                     }
                 }
+                cells.ext_pull.push(pull);
+                cells.ext_slot.push(slot_of_net[m as usize]);
             }
-            cells.push(Cell {
-                members: members.to_vec(),
-                edges: Vec::new(),
-                rails: Vec::new(),
-                ext_pull,
-                ext_slot: members.iter().map(|&m| slot_of_net[m as usize]).collect(),
-            });
+            cells.members.push_row(members.iter().copied());
         }
+        let num_cells = cells.members.num_rows();
+        // The compiled cell a non-rail switch terminal belongs to.
+        let cell_at = |net: usize| {
+            let sid = sub_of[net] as usize;
+            sub_ok[sid].then(|| cell_of_sub[sid])
+        };
+        let mut edges: Vec<(u32, CellEdge)> = Vec::new();
+        let mut rails: Vec<(u32, RailBranch)> = Vec::new();
         for (_id, comp) in netlist.iter() {
             let Component::Switch {
                 kind,
@@ -500,41 +601,37 @@ impl<'a> BitParSim<'a> {
             match (rail_level[ia], rail_level[ib]) {
                 // Rail-to-rail: conduction cannot move a Supply net.
                 (Some(_), Some(_)) => {}
-                (Some(level), None) => {
-                    let sid = sub_of[ib] as usize;
-                    if sub_ok[sid] {
-                        cells[cell_of_sub[sid] as usize].rails.push(RailBranch {
-                            m: local_of[ib],
-                            ctl: control.0,
-                            pmos,
-                            level,
-                        });
-                    }
-                }
-                (None, Some(level)) => {
-                    let sid = sub_of[ia] as usize;
-                    if sub_ok[sid] {
-                        cells[cell_of_sub[sid] as usize].rails.push(RailBranch {
-                            m: local_of[ia],
-                            ctl: control.0,
-                            pmos,
-                            level,
-                        });
+                (Some(level), None) | (None, Some(level)) => {
+                    let m = if rail_level[ia].is_some() { ib } else { ia };
+                    if let Some(ci) = cell_at(m) {
+                        rails.push((
+                            ci,
+                            RailBranch {
+                                m: local_of[m],
+                                ctl: control.0,
+                                pmos,
+                                level,
+                            },
+                        ));
                     }
                 }
                 (None, None) => {
-                    let sid = sub_of[ia] as usize;
-                    if sub_ok[sid] {
-                        cells[cell_of_sub[sid] as usize].edges.push(CellEdge {
-                            a: local_of[ia],
-                            b: local_of[ib],
-                            ctl: control.0,
-                            pmos,
-                        });
+                    if let Some(ci) = cell_at(ia) {
+                        edges.push((
+                            ci,
+                            CellEdge {
+                                a: local_of[ia],
+                                b: local_of[ib],
+                                ctl: control.0,
+                                pmos,
+                            },
+                        ));
                     }
                 }
             }
         }
+        cells.edges = Csr::bucket(num_cells, || edges.iter().copied());
+        cells.rails = Csr::bucket(num_cells, || rails.iter().copied());
 
         // Classify: switches and their sub-group periphery compile when
         // the sub-group does; gates compile per the old sole-driver
@@ -627,7 +724,7 @@ impl<'a> BitParSim<'a> {
             gate_nodes.push(id);
         }
         let ng = gate_nodes.len();
-        let n_nodes = ng + cells.len();
+        let n_nodes = ng + num_cells;
         let mut node_reads = Csr::default();
         let mut producer = vec![u32::MAX; np];
         for (ni, &g) in gate_nodes.iter().enumerate() {
@@ -654,18 +751,16 @@ impl<'a> BitParSim<'a> {
             };
             producer[out as usize] = ni as u32;
         }
-        for (ci, cell) in cells.iter().enumerate() {
-            let mut reads: Vec<u32> = cell
-                .edges
-                .iter()
-                .map(|e| e.ctl)
-                .chain(cell.rails.iter().map(|r| r.ctl))
-                .chain(cell.ext_slot.iter().copied().filter(|&s| s != u32::MAX))
+        for ci in 0..num_cells {
+            let slots = &cells.ext_slot[cells.members.row_range(ci)];
+            let mut reads: Vec<u32> = (cells.edges.row(ci).iter().map(|e| e.ctl))
+                .chain(cells.rails.row(ci).iter().map(|r| r.ctl))
+                .chain(slots.iter().copied().filter(|&s| s != u32::MAX))
                 .collect();
             reads.sort_unstable();
             reads.dedup();
             node_reads.push_row(reads);
-            for &m in &cell.members {
+            for &m in cells.members.row(ci) {
                 producer[m as usize] = (ng + ci) as u32;
             }
         }
@@ -811,12 +906,12 @@ impl<'a> BitParSim<'a> {
             } else {
                 (1u64 << lanes) - 1
             },
-            pending_count: ops.len(),
-            pending: vec![true; ops.len()],
+            pending: Pending::all(ops.len()),
+            rearm: vec![false; steps.len()],
             ops,
             op_inputs,
+            scratch: CellScratch::sized_for(&cells),
             cells,
-            scratch: CellScratch::default(),
             input_redirect,
             num_gate_ops,
             compiled_switches,
@@ -866,13 +961,8 @@ impl<'a> BitParSim<'a> {
 
     /// Marks every compiled op reading `net` pending.
     fn mark_net(&mut self, net: usize) {
-        let (readers, pending) = (&self.readers, &mut self.pending);
-        for &r in readers.row(net) {
-            let r = r as usize;
-            if !pending[r] {
-                pending[r] = true;
-                self.pending_count += 1;
-            }
+        for &r in self.readers.row(net) {
+            self.pending.mark(r as usize);
         }
     }
 
@@ -900,16 +990,23 @@ impl<'a> BitParSim<'a> {
 
     /// One vector settle: alternate compiled sweeps and per-lane
     /// fallback quiescence runs until the boundary reaches a joint
-    /// fixpoint. Returns `false` when the stitch-iteration bound or a
-    /// lane's quiescence budget was exhausted (oscillation).
+    /// fixpoint. Returns `false` when the stitch-iteration bound, a
+    /// lane's quiescence budget, a cluster's pass bound or a cell's
+    /// relaxation guard was exhausted (oscillation).
     pub fn settle_vector(&mut self) -> bool {
+        self.settle_with(Self::sweep)
+    }
+
+    /// [`BitParSim::settle_vector`] over the given sweep (the tests run
+    /// the replaced full-pass sweep through the same protocol).
+    fn settle_with(&mut self, sweep: impl Fn(&mut Self)) -> bool {
         self.vectors += 1;
         self.loop_overflow = false;
         let mut converged = false;
         let mut quiesced = true;
         for _iter in 0..MAX_STITCH_ITERS {
-            if self.pending_count > 0 {
-                self.sweep();
+            if self.pending.any() {
+                sweep(self);
             }
             let pushed = self.push_inbound();
             if pushed == 0 || self.fallback.is_none() {
@@ -932,11 +1029,20 @@ impl<'a> BitParSim<'a> {
         ok
     }
 
-    /// One activity-gated sweep: pending block ops evaluated once in
-    /// rank order, latch-cluster loops with any pending member iterated
-    /// to their per-lane fixpoint, all 64 lanes at once. Ops whose
-    /// input planes did not change since they last ran are skipped —
-    /// their persisted output planes are already correct.
+    /// One activity-gated sweep, all 64 lanes at once: every pending op
+    /// is evaluated in program order and marks the readers of each
+    /// plane it changes; an op whose input planes did not change since
+    /// it last ran is skipped — its persisted output planes are already
+    /// correct. A block is scanned once. A latch-cluster loop with any
+    /// pending member is scanned pass after pass, each pass running the
+    /// members pending when the scan reaches them (a mark ahead of the
+    /// scan runs in the same pass, a mark behind it in the next), until
+    /// a pass changes no lane.
+    ///
+    /// Skipping inside a loop is exact: a gate op is a pure function of
+    /// its input planes and [`eval_cell`] is idempotent, and neither
+    /// writes a plane without changing an active lane of it, so a pass
+    /// that changes no lane marks nothing and leaves no member pending.
     fn sweep(&mut self) {
         self.sweeps += 1;
         let active = self.active_mask;
@@ -949,79 +1055,65 @@ impl<'a> BitParSim<'a> {
         let readers = &self.readers;
         let planes = &mut self.planes;
         let pending = &mut self.pending;
-        let mut pcount = self.pending_count;
-        let mark = |net: usize, pending: &mut Vec<bool>, pcount: &mut usize| {
+        let mark = |net: usize, pending: &mut Pending| {
             for &r in readers.row(net) {
-                let r = r as usize;
-                if !pending[r] {
-                    pending[r] = true;
-                    *pcount += 1;
+                pending.mark(r as usize);
+            }
+        };
+        // Runs op `i` and marks the readers of what it changed; returns
+        // the lanes that changed. A gate writes its output if it differs
+        // in `gate_lanes`: anywhere for a block, in an active lane for a
+        // loop, whose exit test must see every write it makes.
+        let mut run = |i: usize, gate_lanes: u64, planes: &mut BitPlanes, pending: &mut Pending| {
+            pending.clear(i);
+            evals += 1;
+            let op = &ops[i];
+            match op.kind {
+                OpKind::Gate(kind) => {
+                    let pins = &op_inputs[op.in_off as usize..(op.in_off + op.in_len) as usize];
+                    let out = eval_op(kind, pins, planes);
+                    let cur = planes.get(op.out as usize);
+                    let d = ((out.val ^ cur.val) | (out.known ^ cur.known)) & gate_lanes;
+                    if d != 0 {
+                        planes.set(op.out as usize, out);
+                        mark(op.out as usize, pending);
+                    }
+                    d
+                }
+                OpKind::Cell(ci) => {
+                    let d = eval_cell(cells, ci as usize, planes, scratch, active);
+                    for idx in scratch.changed.drain(..) {
+                        mark(idx as usize, pending);
+                    }
+                    d
                 }
             }
         };
-        for step in &self.steps {
+        for (step, rearm) in self.steps.iter().zip(&mut self.rearm) {
             match *step {
                 Step::Block { start, end } => {
-                    for i in start as usize..end as usize {
-                        if !pending[i] {
-                            continue;
-                        }
-                        pending[i] = false;
-                        pcount -= 1;
-                        let op = &ops[i];
-                        evals += 1;
-                        match op.kind {
-                            OpKind::Gate(kind) => {
-                                let pins = &op_inputs
-                                    [op.in_off as usize..(op.in_off + op.in_len) as usize];
-                                let out = eval_op(kind, pins, planes);
-                                if planes.set(op.out as usize, out) {
-                                    mark(op.out as usize, pending, &mut pcount);
-                                }
-                            }
-                            OpKind::Cell(ci) => {
-                                eval_cell(&cells[ci as usize], planes, scratch, active);
-                                for idx in scratch.changed.drain(..) {
-                                    mark(idx as usize, pending, &mut pcount);
-                                }
-                            }
-                        }
+                    let (mut at, end) = (start as usize, end as usize);
+                    while let Some(i) = pending.next(at, end) {
+                        run(i, !0, planes, pending);
+                        at = i + 1;
                     }
                 }
                 Step::Loop { start, end } => {
-                    let range = start as usize..end as usize;
-                    if !pending[range.clone()].iter().any(|&p| p) {
+                    let (start, end) = (start as usize, end as usize);
+                    if pending.next(start, end).is_none() {
                         continue;
                     }
-                    let body = &ops[range.clone()];
+                    if std::mem::take(rearm) {
+                        (start..end).for_each(|i| pending.mark(i));
+                    }
                     let mut iters = 0;
                     loop {
                         let mut changed = 0u64;
-                        for op in body {
-                            match op.kind {
-                                OpKind::Gate(kind) => {
-                                    let pins = &op_inputs
-                                        [op.in_off as usize..(op.in_off + op.in_len) as usize];
-                                    let out = eval_op(kind, pins, planes);
-                                    let cur = planes.get(op.out as usize);
-                                    let d =
-                                        ((out.val ^ cur.val) | (out.known ^ cur.known)) & active;
-                                    if d != 0 {
-                                        planes.set(op.out as usize, out);
-                                        mark(op.out as usize, pending, &mut pcount);
-                                    }
-                                    changed |= d;
-                                }
-                                OpKind::Cell(ci) => {
-                                    let d = eval_cell(&cells[ci as usize], planes, scratch, active);
-                                    for idx in scratch.changed.drain(..) {
-                                        mark(idx as usize, pending, &mut pcount);
-                                    }
-                                    changed |= d;
-                                }
-                            }
+                        let mut at = start;
+                        while let Some(i) = pending.next(at, end) {
+                            changed |= run(i, active, planes, pending);
+                            at = i + 1;
                         }
-                        evals += u64::from(end - start);
                         if changed == 0 {
                             break;
                         }
@@ -1031,52 +1123,40 @@ impl<'a> BitParSim<'a> {
                             // outputs to X in exactly those lanes (the
                             // compiled-mode oscillation detector) and
                             // flag the vector as unconverged.
-                            let force =
-                                |idx: usize,
-                                 planes: &mut BitPlanes,
-                                 pending: &mut Vec<bool>,
-                                 pcount: &mut usize| {
-                                    let cur = planes.get(idx);
-                                    let forced = Plane {
-                                        val: cur.val & !changed,
-                                        known: cur.known & !changed,
-                                    };
-                                    if planes.set(idx, forced) {
-                                        mark(idx, pending, pcount);
-                                    }
+                            let mut force = |idx: usize| {
+                                let cur = planes.get(idx);
+                                let forced = Plane {
+                                    val: cur.val & !changed,
+                                    known: cur.known & !changed,
                                 };
-                            for op in body {
+                                if planes.set(idx, forced) {
+                                    mark(idx, pending);
+                                }
+                            };
+                            for op in &ops[start..end] {
                                 match op.kind {
-                                    OpKind::Gate(_) => {
-                                        force(op.out as usize, planes, pending, &mut pcount);
-                                    }
+                                    OpKind::Gate(_) => force(op.out as usize),
                                     OpKind::Cell(ci) => {
-                                        for &g in &cells[ci as usize].members {
-                                            force(g as usize, planes, pending, &mut pcount);
+                                        for &g in cells.members.row(ci as usize) {
+                                            force(g as usize);
                                         }
                                     }
                                 }
                             }
+                            // The cluster rests where it was forced:
+                            // the marks it left on its own members are
+                            // dropped, and the next entry re-arms.
+                            (start..end).for_each(|i| pending.clear(i));
+                            *rearm = true;
                             overflow = true;
                             break;
-                        }
-                    }
-                    // Marks the loop left on its own members are stale:
-                    // the cluster already converged (or was X-forced).
-                    for i in range {
-                        if pending[i] {
-                            pending[i] = false;
-                            pcount -= 1;
                         }
                     }
                 }
             }
         }
-        self.pending_count = pcount;
         self.compiled_evals += evals;
-        if overflow {
-            self.loop_overflow = true;
-        }
+        self.loop_overflow |= overflow | std::mem::take(&mut self.scratch.unconverged);
     }
 
     /// Pushes changed inbound boundary planes into the lane simulators;
@@ -1150,7 +1230,7 @@ impl<'a> BitParSim<'a> {
         BitParStats {
             lanes: self.lanes,
             compiled_gates: self.num_gate_ops,
-            solver_cells: self.cells.len(),
+            solver_cells: self.cells.members.num_rows(),
             compiled_switches: self.compiled_switches,
             feedback_loops: self.loops,
             fallback_components: self.fallback.as_ref().map_or(0, |f| f.num_components),
@@ -1225,125 +1305,168 @@ fn conduction(ctl: Plane, pmos: bool) -> (u64, u64) {
     (on, !off)
 }
 
-/// Joins one candidate contribution into member `dst` of the scratch
-/// state, lane-parallel: strictly stronger candidates replace the
-/// accumulated (strength, level); equal-strength candidates resolve
-/// levels (agree → keep, disagree or unknown → X). This is
-/// `Signal::resolve` over bit planes; returns `true` if `dst` moved.
+/// Joins one candidate contribution into `dst`, lane-parallel:
+/// strictly stronger candidates replace the accumulated (strength,
+/// level); equal-strength candidates resolve levels (agree → keep,
+/// disagree or unknown → X). This is `Signal::resolve` over bit planes;
+/// returns `true` if `dst` moved.
 #[inline]
-fn join(sc: &mut CellScratch, dst: usize, cv: u64, ck: u64, cs1: u64, cs0: u64) -> bool {
-    let (dv, dk, ds1, ds0) = (sc.v[dst], sc.k[dst], sc.s1[dst], sc.s0[dst]);
+fn join(dst: &mut Drive, c: Drive) -> bool {
+    let d = *dst;
     // Lanes where the candidate carries any drive at all.
-    let nz = cs1 | cs0;
-    let e1 = !(cs1 ^ ds1);
+    let nz = c.s1 | c.s0;
+    let e1 = !(c.s1 ^ d.s1);
     // 2-bit tier compare: candidate strictly stronger / equal.
-    let gt = ((cs1 & !ds1) | (e1 & cs0 & !ds0)) & nz;
-    let eq = (e1 & !(cs0 ^ ds0)) & nz;
+    let gt = ((c.s1 & !d.s1) | (e1 & c.s0 & !d.s0)) & nz;
+    let eq = (e1 & !(c.s0 ^ d.s0)) & nz;
     // Equal strength: the level survives only where both sides agree.
-    let rk = ck & dk & !(cv ^ dv);
-    let rv = cv & rk;
+    let rk = c.k & d.k & !(c.v ^ d.v);
+    let rv = c.v & rk;
     let keep = !gt & !eq;
-    let nv = (dv & keep) | (cv & gt) | (rv & eq);
-    let nk = (dk & keep) | (ck & gt) | (rk & eq);
-    let ns1 = (ds1 & !gt) | (cs1 & gt);
-    let ns0 = (ds0 & !gt) | (cs0 & gt);
-    let moved = (nv ^ dv) | (nk ^ dk) | (ns1 ^ ds1) | (ns0 ^ ds0);
-    sc.v[dst] = nv;
-    sc.k[dst] = nk;
-    sc.s1[dst] = ns1;
-    sc.s0[dst] = ns0;
-    moved != 0
+    let n = Drive {
+        v: (d.v & keep) | (c.v & gt) | (rv & eq),
+        k: (d.k & keep) | (c.k & gt) | (rk & eq),
+        s1: (d.s1 & !gt) | (c.s1 & gt),
+        s0: (d.s0 & !gt) | (c.s0 & gt),
+    };
+    *dst = n;
+    ((n.v ^ d.v) | (n.k ^ d.k) | (n.s1 ^ d.s1) | (n.s0 ^ d.s0)) != 0
 }
 
-/// Evaluates one solver cell over the planes: initializes each member
-/// from its external drive (strong slot, else resistive pull, else
+impl CellScratch {
+    /// A workspace that fits every cell of `cells`.
+    fn sized_for(cells: &CellImage) -> CellScratch {
+        let rows = 0..cells.members.num_rows();
+        let members = rows.clone().map(|c| cells.members.row_len(c)).max();
+        let edges = rows.map(|c| cells.edges.row_len(c)).max();
+        CellScratch {
+            drive: vec![Drive::default(); members.unwrap_or(0)],
+            live: Vec::with_capacity(edges.unwrap_or(0)),
+            changed: Vec::with_capacity(members.unwrap_or(0)),
+            unconverged: false,
+        }
+    }
+}
+
+/// Evaluates cell `ci` over the planes: initializes each member from
+/// its external drive (strong slot, else resistive pull, else
 /// high-impedance), folds in the constant rail branches, then relaxes
 /// the member-member switch edges to the least fixpoint of the
 /// (strength, level) join lattice — the vectorized
 /// [`crate::solver::resolve_group_into`]. Members left at `HighZ` keep
-/// their previous plane as trapped charge. Writes the resolved member
-/// planes, records changed nets in `sc.changed`, and returns the lane
-/// mask (under `active`) where any member changed.
-fn eval_cell(cell: &Cell, planes: &mut BitPlanes, sc: &mut CellScratch, active: u64) -> u64 {
-    let n = cell.members.len();
-    sc.v.clear();
-    sc.v.resize(n, 0);
-    sc.k.clear();
-    sc.k.resize(n, 0);
-    sc.s1.clear();
-    sc.s1.resize(n, 0);
-    sc.s0.clear();
-    sc.s0.resize(n, 0);
-    for m in 0..n {
-        let slot = cell.ext_slot[m];
-        if slot != u32::MAX {
+/// their previous plane as trapped charge, which makes a second
+/// evaluation over unchanged inputs a no-op. Writes the member planes
+/// that change in a lane under `active`, records them in `sc.changed`,
+/// and returns the lanes where any did.
+fn eval_cell(
+    cells: &CellImage,
+    ci: usize,
+    planes: &mut BitPlanes,
+    sc: &mut CellScratch,
+    active: u64,
+) -> u64 {
+    let members = cells.members.row(ci);
+    let at = cells.members.row_range(ci);
+    let drive = &mut sc.drive[..members.len()];
+    for ((d, &slot), &pull) in (drive.iter_mut())
+        .zip(&cells.ext_slot[at.clone()])
+        .zip(&cells.ext_pull[at])
+    {
+        *d = if slot != u32::MAX {
             let p = planes.get(slot as usize);
-            sc.v[m] = p.val;
-            sc.k[m] = p.known;
-            sc.s1[m] = !0;
-            sc.s0[m] = !0;
-        } else if let Some(l) = cell.ext_pull[m] {
+            Drive {
+                v: p.val,
+                k: p.known,
+                s1: !0,
+                s0: !0,
+            }
+        } else if let Some(l) = pull {
             let p = Plane::splat(l);
-            sc.v[m] = p.val;
-            sc.k[m] = p.known;
-            sc.s0[m] = !0;
-        }
+            Drive {
+                v: p.val,
+                k: p.known,
+                s1: 0,
+                s0: !0,
+            }
+        } else {
+            Drive::default()
+        };
     }
     // Rail branches are constant per evaluation: Supply degrades to
     // Strong through the switch, level X where conduction is unknown.
-    for rb in &cell.rails {
+    for rb in cells.rails.row(ci) {
         let (on, maybe) = conduction(planes.get(rb.ctl as usize), rb.pmos);
         let lvl = Plane::splat(rb.level);
         join(
-            sc,
-            rb.m as usize,
-            lvl.val & on,
-            lvl.known & on,
-            maybe,
-            maybe,
+            &mut drive[rb.m as usize],
+            Drive {
+                v: lvl.val & on,
+                k: lvl.known & on,
+                s1: maybe,
+                s0: maybe,
+            },
         );
     }
+    // Conduction is fixed for the whole evaluation (control planes are
+    // read, never written, until the write-back below), and an edge
+    // that is off in every lane offers `HighZ` to both ends: the join
+    // provably moves nothing, so the relaxation never visits it.
+    sc.live.clear();
+    for e in cells.edges.row(ci) {
+        let (on, maybe) = conduction(planes.get(e.ctl as usize), e.pmos);
+        if maybe != 0 {
+            sc.live.push(LiveEdge {
+                a: e.a,
+                b: e.b,
+                maybe,
+                unknown: maybe & !on,
+            });
+        }
+    }
     // Member-member relaxation. The join only ascends a finite lattice
-    // (strength tier up, then level known → X), so this terminates;
-    // the guard is pure defense.
+    // (strength tier up, then level known → X), so this terminates; a
+    // relaxation that outlives the guard is reported, not trusted.
     let mut guard = 0u32;
     loop {
         let mut moved = false;
-        for e in &cell.edges {
-            let (on, maybe) = conduction(planes.get(e.ctl as usize), e.pmos);
-            let unknown = maybe & !on;
+        for e in &sc.live {
             for (s, d) in [(e.a, e.b), (e.b, e.a)] {
-                let (s, d) = (s as usize, d as usize);
-                let (ss1, ss0) = (sc.s1[s], sc.s0[s]);
+                let src = drive[s as usize];
                 // through_switch on tiers: Strong → Weak, rest as-is.
-                let cs1 = ss1 & maybe;
-                let cs0 = (ss0 & !ss1) & maybe;
-                let ck = sc.k[s] & !unknown & maybe;
-                let cv = sc.v[s] & ck;
-                moved |= join(sc, d, cv, ck, cs1, cs0);
+                let k = src.k & !e.unknown & e.maybe;
+                moved |= join(
+                    &mut drive[d as usize],
+                    Drive {
+                        v: src.v & k,
+                        k,
+                        s1: src.s1 & e.maybe,
+                        s0: (src.s0 & !src.s1) & e.maybe,
+                    },
+                );
             }
         }
         if !moved {
             break;
         }
         guard += 1;
-        if guard > 64 * 6 * (n as u32 + 1) {
-            debug_assert!(false, "solver cell failed to converge");
+        if guard > 64 * 6 * (members.len() as u32 + 1) {
+            sc.unconverged = true;
             break;
         }
     }
     sc.changed.clear();
     let mut diff = 0u64;
-    for (m, &g) in cell.members.iter().enumerate() {
+    for (d, &g) in drive.iter().zip(members) {
         let g = g as usize;
-        let highz = !(sc.s1[m] | sc.s0[m]);
+        let highz = !(d.s1 | d.s0);
         let old = planes.get(g);
-        let known = (sc.k[m] & !highz) | (old.known & highz);
-        let val = ((sc.v[m] & !highz) | (old.val & highz)) & known;
-        let p = Plane { val, known };
-        diff |= ((p.val ^ old.val) | (p.known ^ old.known)) & active;
-        if planes.set(g, p) {
+        let known = (d.k & !highz) | (old.known & highz);
+        let val = ((d.v & !highz) | (old.val & highz)) & known;
+        let moved = ((val ^ old.val) | (known ^ old.known)) & active;
+        if moved != 0 {
+            planes.set(g, Plane { val, known });
             sc.changed.push(g as u32);
+            diff |= moved;
         }
     }
     diff
@@ -1466,10 +1589,250 @@ fn build_fallback(
     }))
 }
 
+/// The cyclic-circuit generator of this crate's test suites (shared
+/// with `tests/proptests.rs`).
+#[cfg(test)]
+#[path = "../tests/common/cyclic.rs"]
+mod cyclic;
+
 #[cfg(test)]
 mod tests {
+    use super::cyclic::{self, Wiring};
     use super::*;
     use logicsim_netlist::{Delay, SwitchKind};
+    use proptest::prelude::*;
+
+    impl BitParSim<'_> {
+        /// The sweep this engine ran before feedback clusters were
+        /// activity-gated, kept as the oracle of the one above: blocks
+        /// evaluate their pending ops, but a loop with any pending
+        /// member evaluates *every* member on every pass, once more to
+        /// see that nothing moved, and drops whatever marks its members
+        /// hold when it leaves.
+        fn sweep_reference(&mut self) {
+            self.sweeps += 1;
+            let active = self.active_mask;
+            let mut evals = 0u64;
+            let mut overflow = false;
+            let ops = &self.ops;
+            let op_inputs = &self.op_inputs;
+            let cells = &self.cells;
+            let scratch = &mut self.scratch;
+            let readers = &self.readers;
+            let planes = &mut self.planes;
+            let pending = &mut self.pending;
+            let mark = |net: usize, pending: &mut Pending| {
+                for &r in readers.row(net) {
+                    pending.mark(r as usize);
+                }
+            };
+            for step in &self.steps {
+                match *step {
+                    Step::Block { start, end } => {
+                        for i in start as usize..end as usize {
+                            if pending.next(i, i + 1).is_none() {
+                                continue;
+                            }
+                            pending.clear(i);
+                            let op = &ops[i];
+                            evals += 1;
+                            match op.kind {
+                                OpKind::Gate(kind) => {
+                                    let pins = &op_inputs
+                                        [op.in_off as usize..(op.in_off + op.in_len) as usize];
+                                    let out = eval_op(kind, pins, planes);
+                                    if planes.set(op.out as usize, out) {
+                                        mark(op.out as usize, pending);
+                                    }
+                                }
+                                OpKind::Cell(ci) => {
+                                    eval_cell(cells, ci as usize, planes, scratch, active);
+                                    for idx in scratch.changed.drain(..) {
+                                        mark(idx as usize, pending);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    Step::Loop { start, end } => {
+                        let range = start as usize..end as usize;
+                        if pending.next(range.start, range.end).is_none() {
+                            continue;
+                        }
+                        let body = &ops[range.clone()];
+                        let mut iters = 0;
+                        loop {
+                            let mut changed = 0u64;
+                            for op in body {
+                                match op.kind {
+                                    OpKind::Gate(kind) => {
+                                        let pins = &op_inputs
+                                            [op.in_off as usize..(op.in_off + op.in_len) as usize];
+                                        let out = eval_op(kind, pins, planes);
+                                        let cur = planes.get(op.out as usize);
+                                        let d = ((out.val ^ cur.val) | (out.known ^ cur.known))
+                                            & active;
+                                        if d != 0 {
+                                            planes.set(op.out as usize, out);
+                                            mark(op.out as usize, pending);
+                                        }
+                                        changed |= d;
+                                    }
+                                    OpKind::Cell(ci) => {
+                                        let d =
+                                            eval_cell(cells, ci as usize, planes, scratch, active);
+                                        for idx in scratch.changed.drain(..) {
+                                            mark(idx as usize, pending);
+                                        }
+                                        changed |= d;
+                                    }
+                                }
+                            }
+                            evals += u64::from(end - start);
+                            if changed == 0 {
+                                break;
+                            }
+                            iters += 1;
+                            if iters >= MAX_LOOP_ITERS {
+                                let mut force = |idx: usize| {
+                                    let cur = planes.get(idx);
+                                    let forced = Plane {
+                                        val: cur.val & !changed,
+                                        known: cur.known & !changed,
+                                    };
+                                    if planes.set(idx, forced) {
+                                        mark(idx, pending);
+                                    }
+                                };
+                                for op in body {
+                                    match op.kind {
+                                        OpKind::Gate(_) => force(op.out as usize),
+                                        OpKind::Cell(ci) => {
+                                            for &g in cells.members.row(ci as usize) {
+                                                force(g as usize);
+                                            }
+                                        }
+                                    }
+                                }
+                                overflow = true;
+                                break;
+                            }
+                        }
+                        // Marks the loop left on its own members are stale:
+                        // the cluster already converged (or was X-forced).
+                        range.for_each(|i| pending.clear(i));
+                    }
+                }
+            }
+            self.compiled_evals += evals;
+            self.loop_overflow |= overflow | std::mem::take(&mut scratch.unconverged);
+        }
+    }
+
+    /// Settles the same vectors on two engines over `netlist`, one under
+    /// [`BitParSim::sweep`] and one under the reference sweep, and holds
+    /// them to the same planes, counts and verdicts after every vector.
+    fn agree_with_reference(
+        netlist: &Netlist,
+        inputs: &[NetId],
+        lanes: usize,
+        vectors: &[Vec<Plane>],
+    ) {
+        let mut new = BitParSim::new(netlist, lanes).unwrap();
+        let mut old = BitParSim::new(netlist, lanes).unwrap();
+        for (v, vector) in vectors.iter().enumerate() {
+            for (&net, &plane) in inputs.iter().zip(vector) {
+                new.set_input_plane(net, plane);
+                old.set_input_plane(net, plane);
+            }
+            let settled = new.settle_vector();
+            assert_eq!(
+                settled,
+                old.settle_with(BitParSim::sweep_reference),
+                "v={v}: verdict"
+            );
+            assert_eq!(new.planes, old.planes, "v={v}: planes");
+            let (n, o) = (new.stats(), old.stats());
+            assert_eq!(n.sweeps, o.sweeps, "v={v}: sweeps");
+            assert_eq!(n.unconverged_vectors, o.unconverged_vectors, "v={v}");
+            assert_eq!(n.fallback_events, o.fallback_events, "v={v}");
+            assert!(n.compiled_evals <= o.compiled_evals, "v={v}: more evals");
+            for i in 0..netlist.num_nets() {
+                let net = NetId(i as u32);
+                for lane in 0..lanes {
+                    assert_eq!(new.level(net, lane), old.level(net, lane), "v={v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_forced_to_x_is_evaluated_in_full_at_its_next_entry() {
+        // y = NAND(en, x), g = OR(a, x), x = AND(y, g): one cluster.
+        // With a = 1, g holds 1 whatever x does, and x follows y: a
+        // ring behind `en`. At the pass bound *every* member is forced
+        // to X, g included, although g's inputs still say 1. The next
+        // vector turns en to X: only the NAND is marked, it computes
+        // the X it already holds, and a sweep that trusted the other
+        // members' clear bits would leave g (and q behind it) at X.
+        let mut b = NetlistBuilder::new("rearm");
+        let en = b.input("en");
+        let a = b.input("a");
+        let (x, y, g, q) = (b.net("x"), b.net("y"), b.net("g"), b.net("q"));
+        b.gate(GateKind::Nand, &[en, x], y, Delay::uniform(1));
+        b.gate(GateKind::Or, &[a, x], g, Delay::uniform(1));
+        b.gate(GateKind::And, &[y, g], x, Delay::uniform(1));
+        b.gate(GateKind::Buf, &[g], q, Delay::uniform(1));
+        let n = b.finish().unwrap();
+        let mut sim = BitParSim::new(&n, 1).unwrap();
+        assert_eq!(sim.stats().feedback_loops, 1);
+        drive(&mut sim, a, Level::One);
+        let mut vectors = Vec::new();
+        for (en_level, settles, want_q) in [
+            (Level::Zero, true, Level::One),
+            (Level::One, false, Level::X),
+            (Level::X, true, Level::One),
+        ] {
+            drive(&mut sim, en, en_level);
+            assert_eq!(sim.settle_vector(), settles, "en={en_level}");
+            assert_eq!(sim.level(q, 0), want_q, "en={en_level}");
+            vectors.push(vec![Plane::splat(en_level), Plane::splat(Level::One)]);
+        }
+        assert_eq!(sim.stats().unconverged_vectors, 1);
+        agree_with_reference(&n, &[en, a], 1, &vectors);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The oracle: on random cyclic circuits — gate latches, pass-gate
+        /// cells inside feedback paths, control nets fed back into their
+        /// own cell, rings that oscillate and are X-forced, wired into one
+        /// another at random — the activity-gated sweep and the full-pass
+        /// sweep it replaced leave every plane, every count and every
+        /// verdict identical, at every lane width, and the gated one
+        /// never evaluates more.
+        #[test]
+        fn gated_sweep_agrees_with_full_pass_sweep(
+            elements in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()), 1..7),
+            gates in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), any::<usize>()), 0..24),
+            stimulus in proptest::collection::vec(
+                proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), cyclic::INPUTS),
+                8..14),
+        ) {
+            // A quarter of the lanes of every input plane are X.
+            let vectors: Vec<Vec<Plane>> = stimulus
+                .iter()
+                .map(|v| v.iter().map(|&(val, k1, k2)| Plane::new(val, k1 | k2)).collect())
+                .collect();
+            let c = cyclic::build(&elements, &gates, Wiring::Wild);
+            for lanes in [64, 7, 1] {
+                agree_with_reference(&c.netlist, &c.inputs, lanes, &vectors);
+            }
+        }
+    }
 
     fn adder2() -> Netlist {
         let mut b = NetlistBuilder::new("adder2");

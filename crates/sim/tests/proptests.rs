@@ -6,6 +6,9 @@ use logicsim_netlist::{Delay, GateKind, Level, NetId, NetlistBuilder};
 use logicsim_sim::{HeapEventList, SimConfig, Simulator, TimingWheel};
 use proptest::prelude::*;
 
+#[path = "common/cyclic.rs"]
+mod cyclic;
+
 proptest! {
     /// The timing wheel and the binary-heap list are observationally
     /// equivalent under arbitrary interleavings of schedule/advance.
@@ -227,6 +230,60 @@ proptest! {
                 compiled.level(net, 0),
                 "net {} disagrees between engines", netlist.net_name(net)
             );
+        }
+    }
+
+    /// The same two engines on *cyclic* circuits: latches from gates and
+    /// from switches, pass-gate cells inside feedback paths, rings that
+    /// cannot settle. The wiring is [`cyclic::Wiring::Tame`] and one
+    /// input changes per vector, so what a vector settles to does not
+    /// depend on delays; the comparison ends at the first vector either
+    /// engine fails to settle (an enabled ring), after which their
+    /// states are no longer comparable.
+    #[test]
+    fn event_driven_agrees_with_compiled_mode_on_cyclic_circuits(
+        elements in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()), 1..6),
+        gates in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), any::<usize>()), 0..16),
+        first in any::<u8>(),
+        flips in proptest::collection::vec(0usize..cyclic::INPUTS, 8..20),
+    ) {
+        use logicsim_netlist::Plane;
+        use logicsim_sim::BitParSim;
+        let c = cyclic::build(&elements, &gates, cyclic::Wiring::Tame);
+        let mut event_sim = Simulator::new(&c.netlist).expect("pre-flight");
+        let mut compiled = BitParSim::new(&c.netlist, 1).expect("pre-flight");
+        let mut levels: Vec<bool> = (0..cyclic::INPUTS).map(|i| first >> i & 1 == 1).collect();
+        // Vector 0 sets every input (from the all-X power-up state, where
+        // there is nothing to race); each later vector flips one.
+        let changes = std::iter::once(None).chain(flips.iter().map(|&i| Some(i)));
+        for (v, change) in changes.enumerate() {
+            let applied = match change {
+                None => 0..cyclic::INPUTS,
+                Some(i) => {
+                    levels[i] = !levels[i];
+                    i..i + 1
+                }
+            };
+            for i in applied {
+                let level = Level::from_bool(levels[i]);
+                event_sim.set_input(c.inputs[i], level);
+                compiled.set_input_plane(c.inputs[i], Plane::splat(level));
+            }
+            let cap = event_sim.now() + 10_000;
+            let event_settled = event_sim.run_to_quiescence(cap) < cap;
+            if !(compiled.settle_vector() && event_settled) {
+                return;
+            }
+            for i in 0..c.netlist.num_nets() {
+                let net = NetId(i as u32);
+                prop_assert_eq!(
+                    event_sim.level(net),
+                    compiled.level(net, 0),
+                    "v={}: net {} disagrees between engines", v, c.netlist.net_name(net)
+                );
+            }
         }
     }
 }

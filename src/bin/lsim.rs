@@ -324,7 +324,14 @@ fn run_bitpar(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<
         "vectors     : {} ({} sweeps, {} unconverged)",
         st.vectors, st.sweeps, st.unconverged_vectors
     );
-    println!("gate evals  : {}", st.compiled_evals);
+    // Ops actually run, gates and solver cells alike; an oblivious
+    // sweep would run every compiled op once per vector.
+    println!("op evals    : {}", st.compiled_evals);
+    println!(
+        "evals/vector: {:.1} of {} compiled ops",
+        st.compiled_evals as f64 / st.vectors.max(1) as f64,
+        st.compiled_gates + st.solver_cells
+    );
     println!("fb events   : {}", st.fallback_events);
     if print_outputs {
         println!("outputs after {} vectors (one level per lane):", st.vectors);

@@ -137,6 +137,14 @@ fn bitpar_backend_simulates_vectors_per_lane() {
     // XOR of an alternating clock (tick parity) against constant 1 is
     // identical in every lane: vector 7 has clk=1, so y=0 in all lanes.
     assert!(stdout.contains("y = 0000"), "{stdout}");
+    // The one compiled op (the XOR) runs once per vector, the clock
+    // moving every time: the count is ops run, not gates, and prints
+    // per vector beside the size of the program.
+    assert!(stdout.contains("op evals    : 8"), "{stdout}");
+    assert!(
+        stdout.contains("evals/vector: 1.0 of 1 compiled ops"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_file(path);
 }
 

@@ -16,6 +16,17 @@
 //!   the same vectors; the sampled output trajectory must be
 //!   bit-identical.
 //!
+//! * **64 lanes** — the two protocols above compare engines with each
+//!   other, and the second reads lane 0 only. The bit-parallel engine's
+//!   other 63 lanes are held to a number: 64 vectors at 64 lanes, every
+//!   net folded lane by lane after every vector (net-major, the way
+//!   `benchmark/src/job.rs::fold` folds outputs into `digest64`; every
+//!   net, not the outputs, because 64 vectors after power-up most
+//!   output lanes are still X — all 3 840 of Priority Q.). The pins
+//!   were recorded on commit `4166d21`, whose sweep re-evaluated every
+//!   member of a feedback cluster on every pass; a later sweep that
+//!   skips work must land on the same numbers.
+//!
 //! Together these pin the 10k instances as cross-engine golden: any
 //! generator change that perturbs simulated behavior (not just
 //! structure) trips one of the digests.
@@ -146,8 +157,32 @@ fn vector_protocol_matches(bench: Benchmark) {
     );
 }
 
+/// 64 vectors at 64 lanes fold to the pinned digest.
+fn digest64_matches(bench: Benchmark, pinned: u64) {
+    let inst = instance_10k(bench);
+    let nl = &inst.netlist;
+    let mut stim64 = Stimulus64::new(&inst.stimulus, nl, 0x1987, 64).expect("stimulus");
+    let mut bp = BitParSim::new(nl, 64).expect("pre-flight");
+    let mut digest = FNV_OFFSET;
+    for v in 0..64 {
+        stim64.apply_with(v, |net, plane| bp.set_input_plane(net, plane));
+        assert!(bp.settle_vector(), "{bench:?}: bitpar v={v} did not settle");
+        for net in (0..nl.num_nets() as u32).map(logicsim::netlist::NetId) {
+            for lane in 0..64 {
+                fnv1a(&mut digest, &[bp.level(net, lane) as u8]);
+            }
+        }
+    }
+    assert_eq!(
+        digest,
+        pinned,
+        "{}@10k: 64-lane digest {digest:#018x} left its pin",
+        bench.paper_name()
+    );
+}
+
 macro_rules! golden {
-    ($tick:ident, $vec:ident, $bench:expr) => {
+    ($tick:ident, $vec:ident, $d64:ident, $bench:expr, $pinned:expr) => {
         #[test]
         fn $tick() {
             tick_protocol_matches($bench);
@@ -156,31 +191,45 @@ macro_rules! golden {
         fn $vec() {
             vector_protocol_matches($bench);
         }
+        #[test]
+        fn $d64() {
+            digest64_matches($bench, $pinned);
+        }
     };
 }
 
 golden!(
     stopwatch_10k_tick_window_golden,
     stopwatch_10k_vector_quiescence_golden,
-    Benchmark::StopWatch
+    stopwatch_10k_digest64_golden,
+    Benchmark::StopWatch,
+    0x9bd3_e0eb_3f2f_3325
 );
 golden!(
     assoc_mem_10k_tick_window_golden,
     assoc_mem_10k_vector_quiescence_golden,
-    Benchmark::AssocMem
+    assoc_mem_10k_digest64_golden,
+    Benchmark::AssocMem,
+    0xa52d_4623_27fb_e1fb
 );
 golden!(
     priority_queue_10k_tick_window_golden,
     priority_queue_10k_vector_quiescence_golden,
-    Benchmark::PriorityQueue
+    priority_queue_10k_digest64_golden,
+    Benchmark::PriorityQueue,
+    0x549d_7ca8_8a6d_6325
 );
 golden!(
     rtp_chip_10k_tick_window_golden,
     rtp_chip_10k_vector_quiescence_golden,
-    Benchmark::RtpChip
+    rtp_chip_10k_digest64_golden,
+    Benchmark::RtpChip,
+    0xedfe_a823_c473_d525
 );
 golden!(
     crossbar_10k_tick_window_golden,
     crossbar_10k_vector_quiescence_golden,
-    Benchmark::CrossbarSwitch
+    crossbar_10k_digest64_golden,
+    Benchmark::CrossbarSwitch,
+    0xa2fb_0b28_5087_97a5
 );
