@@ -3,7 +3,7 @@
 //! Sweeps the lane count over {1, 8, 16, 32, 64} on every benchmark
 //! circuit, racing each configuration against the serial event-driven
 //! engine under the identical vector-synchronous quiescence protocol,
-//! and prints a Markdown table: compiled/fallback split, wall times,
+//! and prints a Markdown table: size of the compiled program, wall times,
 //! scenario·events/second, and the aggregate scenario speedup
 //! `lanes x serial_wall / bitpar_wall`. CI uploads the output as the
 //! lane-throughput artifact of the `bitpar` job.
@@ -100,14 +100,12 @@ fn main() {
         let st = split.stats();
         let _ = writeln!(
             md,
-            "## {} — {} compiled gates + {} solver cells ({} switches, {} ranks), \
-             {} fallback components\n",
+            "## {} — {} compiled gates + {} solver cells ({} switches, {} ranks)\n",
             bench.paper_name(),
             st.compiled_gates,
             st.solver_cells,
             st.compiled_switches,
-            st.ranks,
-            st.fallback_components
+            st.ranks
         );
         let _ = writeln!(
             md,
@@ -116,8 +114,8 @@ fn main() {
         );
         let _ = writeln!(
             md,
-            "| lanes | wall (ms) | evals/vec | fb-events/vec | scenario·events/s | speedup |\n\
-             |---:|---:|---:|---:|---:|---:|"
+            "| lanes | wall (ms) | evals/vec | scenario·events/s | speedup |\n\
+             |---:|---:|---:|---:|---:|"
         );
 
         for lanes in LANE_SWEEP {
@@ -133,10 +131,9 @@ fn main() {
             let run = bp.stats();
             let _ = writeln!(
                 md,
-                "| {lanes} | {:.3} | {:.1} | {:.1} | {:.3e} | {:.2}x |",
+                "| {lanes} | {:.3} | {:.1} | {:.3e} | {:.2}x |",
                 wall * 1e3,
                 run.compiled_evals as f64 / vectors as f64,
-                run.fallback_events as f64 / vectors as f64,
                 lanes as f64 * serial_events as f64 / wall.max(1e-12),
                 lanes as f64 * serial_wall / wall.max(1e-12),
             );

@@ -35,7 +35,7 @@
 //! With the paper's Table 6 activities (0.1–3%) and `tE` in the
 //! hundreds of nanoseconds, `W = 64` lanes put `a*` well below measured
 //! activity for shallow circuits: even a machine that evaluated
-//! everything would pay off there, and the hybrid backend
+//! everything would pay off there, and the compiled backend
 //! (`logicsim_sim::bitpar`), which evaluates only what moved in some
 //! lane, pays off sooner.
 

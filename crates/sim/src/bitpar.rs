@@ -21,52 +21,68 @@
 //! kernel evaluates a gate for 64 independent stimulus scenarios at
 //! once.
 //!
-//! # Hybrid structure
+//! # One program, three kinds of op
 //!
-//! Real benchmark circuits are not pure gate DAGs, so [`BitParSim`]
-//! splits the netlist:
+//! Real benchmark circuits are not pure gate DAGs, but every component
+//! of the netlist compiles — there is no second engine behind the
+//! program. Which op a net gets follows from who drives it:
 //!
-//! * **Compiled gates** — gates that solely drive a trivially-resolved
-//!   net and are not tristates with a live enable. Acyclic gates compile
-//!   to a straight-line CSR sweep over the bit planes; gate feedback
-//!   loops (latches, flip-flops built from cross-coupled gates) compile
-//!   to bounded **fixpoint loops** placed at the cluster's topological
-//!   rank — a per-lane Gauss–Seidel iteration over the same branch-free
-//!   kernels, each pass evaluating only the members whose inputs moved,
-//!   with oscillating lanes forced to X at the bound (the compiled-mode
-//!   oscillation detector).
-//! * **Compiled switch cells** — channel-connected switch sub-groups
-//!   compile to vectorized **solver cells**: the event engine's
-//!   monotone (strength, level) join fixpoint
+//! * **Gate kernels** — a gate that is the only driver of a net no
+//!   switch touches writes that net's plane: a branch-free Kleene
+//!   kernel over its input planes.
+//! * **Tristate kernels** — a tristate in the same position is a kernel
+//!   too, `d` where the enable is 1 and X elsewhere (off, the net floats
+//!   to X as the event engine's switchless nets do; unknown, it is
+//!   driven X). A constant-1 enable folds it to a buffer, a constant-0
+//!   enable elides it.
+//! * **Solver cells** — every net that has to be *resolved*: the members
+//!   of a channel-connected switch sub-group, and a net without a
+//!   switch that several components drive (a tristate bus, a gate
+//!   fighting a pull), which is a one-member cell with no edges. A cell
+//!   is the event engine's monotone (strength, level) join fixpoint
 //!   ([`crate::solver`]) re-expressed over bit planes, with a 2-bit
 //!   strength tier per lane (`HighZ < Resistive < Weak < Strong`).
-//!   Supply rails split the channel graph — nothing propagates
-//!   *through* a rail, so a switch to a rail becomes a constant
-//!   Strong branch — and strong external drivers (gates, primary
-//!   inputs) enter through virtual scratch planes. The cell writes the
-//!   resolved member planes, retaining charge on high-impedance lanes,
-//!   bit-exactly reproducing the solver's least fixpoint.
-//! * **Fallback region** — whatever remains: switch groups fought over
-//!   by multiple strong drivers, live tristates, supplies on shared
-//!   nets. These are simulated exactly by per-lane instances of the
-//!   event-driven [`Simulator`] over a boundary-stitched sub-netlist:
-//!   compiled-driven boundary nets enter the sub-circuit as primary
-//!   inputs, fallback-driven boundary nets are exported back into the
-//!   planes after each quiescence run.
+//!   A net with a supply on it is a rail: nothing beats `Supply` and
+//!   nothing propagates *through* it, so rails split the channel graph,
+//!   a switch to a rail is a constant Strong branch, and whatever else
+//!   drives a rail is overpowered and elided. A member's strong drivers
+//!   are the cell's *sources*: a gate or primary input enters through a
+//!   virtual scratch plane, a tristate as its data plane gated by its
+//!   enable plane — driving where the enable is 1, driving X where it
+//!   is unknown, absent where it is 0, the way a rail branch is gated
+//!   by its control. The cell writes the resolved member planes; lanes
+//!   nothing reaches keep their charge when the engine's channel group
+//!   holds a second net and read X when it does not — bit-exactly the
+//!   solver's least fixpoint.
+//!
+//! Acyclic ops form a straight-line CSR sweep over the bit planes.
+//! Feedback — latches from cross-coupled gates, a cell whose control is
+//! one of its own members, refresh loops through gates and cells —
+//! compiles to bounded **fixpoint loops** placed at the cluster's
+//! topological rank: a per-lane Gauss–Seidel iteration over the same
+//! ops, each pass evaluating only the members whose inputs moved, with
+//! oscillating lanes forced to X at the bound (the compiled-mode
+//! oscillation detector).
+//!
+//! # The zero-delay contract
 //!
 //! A "tick" of the backend is a *vector settle*
 //! ([`BitParSim::settle_vector`]): apply one stimulus vector per lane,
-//! then alternate compiled sweeps and fallback quiescence runs until
-//! the boundary reaches a joint fixpoint. The differential harness
-//! (`tests/bitpar_differential.rs`) proves every lane bit-identical to
-//! the serial event-driven engine run under the same vector-synchronous
-//! protocol.
+//! then sweep the program once. The program has no delays, so what a
+//! vector settles to is the fixpoint of the netlist's functions, never
+//! the winner of a race between two component delays. The differential
+//! harness (`tests/bitpar_differential.rs`) proves every lane
+//! bit-identical to the serial event-driven engine run under the same
+//! vector-synchronous protocol wherever that engine's result does not
+//! depend on delays either: the five benchmarks under their own
+//! stimulus, and buses, fights and supplied members when one input
+//! changes per vector (DESIGN.md §15 has a measured bus on which two
+//! delay assignments of the event engine alone disagree).
 
-use crate::engine::{PreflightError, SimConfig, Simulator};
+use crate::engine::PreflightError;
 use crate::levelize::levelize_nodes;
 use logicsim_netlist::{
-    BitPlanes, CompId, Component, Csr, GateKind, Level, NetId, Netlist, NetlistBuilder, Plane,
-    Signal, SwitchKind, UnionFind, LANES,
+    BitPlanes, Component, Csr, GateKind, Level, NetId, Netlist, Plane, SwitchKind, UnionFind, LANES,
 };
 
 /// One compiled evaluation in the straight-line sweep program: a gate
@@ -86,8 +102,10 @@ struct Op {
 /// The function evaluated by an [`Op`].
 #[derive(Debug, Clone, Copy)]
 enum OpKind {
-    /// A Kleene gate kernel (tristate-with-constant-One enable is
-    /// folded to [`GateKind::Buf`]; disabled tristates are elided).
+    /// A Kleene gate kernel, or the tristate kernel over `[data,
+    /// enable]` (a tristate with a constant-1 enable is folded to
+    /// [`GateKind::Buf`], one with a constant-0 enable is elided, one
+    /// that drives a cell member is a [`Source`] of that cell).
     Gate(GateKind),
     /// Index into [`BitParSim::cells`].
     Cell(u32),
@@ -121,14 +139,31 @@ struct RailBranch {
     level: Level,
 }
 
-/// Every compiled channel sub-group ("solver cell") in one flat image,
-/// laid out the way [`eval_cell`] walks it (as [`crate::solver`] stores
-/// its switch groups): row `c` of each table is cell `c`. A cell is the
-/// switch-level solver's monotone (strength, level) join fixpoint,
-/// vectorized over lanes. Members are the sub-group's non-rail nets;
-/// external drive enters as per-member constants (pulls) or plane reads
-/// (strong sources through virtual scratch planes); switches to rails
-/// are folded to constant branches.
+/// One strong driver of a cell member, joined into the member's drive.
+/// It contributes `Strong(data)` where its enable is 1, `Strong(X)`
+/// where the enable is unknown and nothing where it is 0 —
+/// [`GateKind::Tristate`]'s drive, gated the way a [`RailBranch`] is
+/// gated by its control.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    /// Local member index of the driven net.
+    m: u32,
+    /// Plane index of the driven level: the scratch slot a gate op or
+    /// [`BitParSim::set_input_plane`] writes, or a tristate's data net.
+    data: u32,
+    /// Plane index of a tristate's enable net; `u32::MAX` for a gate or
+    /// primary input, which always drives.
+    en: u32,
+}
+
+/// Every solver cell in one flat image, laid out the way [`eval_cell`]
+/// walks it (as [`crate::solver`] stores its switch groups): row `c` of
+/// each table is cell `c`. A cell is the switch-level solver's monotone
+/// (strength, level) join fixpoint, vectorized over lanes. Members are
+/// the non-rail nets of one channel sub-group, or one multiply-driven
+/// net without a switch; external drive enters as per-member constants
+/// (pulls) or plane reads (sources); switches to rails are folded to
+/// constant branches.
 #[derive(Debug, Default)]
 struct CellImage {
     /// Global net indices of the members (ascending). `ext_pull` and
@@ -140,12 +175,19 @@ struct CellImage {
     /// Member-rail switches, in netlist order.
     rails: Csr<RailBranch>,
     /// Per-member resistive pull level (statically joined when a net
-    /// carries several pulls).
+    /// carries several pulls; X under a lone member that floats to X
+    /// rather than keeping its charge).
     ext_pull: Vec<Option<Level>>,
-    /// Per-member strong external source: the plane index of the
-    /// scratch slot its gate or primary input writes (`u32::MAX` when
-    /// the member has no strong source).
+    /// Per-member scratch slot of the member's first driver that is
+    /// always on (`u32::MAX` when it has none). Strong in every lane, it
+    /// beats the pull outright, so [`eval_cell`] starts the member from
+    /// it rather than joining it in: a member with one gate or input on
+    /// it costs one plane read.
     ext_slot: Vec<u32>,
+    /// Every other strong driver — tristates, and whatever fights a
+    /// member's first always-on driver — member by member in driver
+    /// order.
+    sources: Csr<Source>,
 }
 
 /// One member's accumulated contribution during [`eval_cell`]: level
@@ -253,35 +295,6 @@ enum Step {
     Loop { start: u32, end: u32 },
 }
 
-/// The per-lane event-driven fallback: a boundary-stitched sub-netlist
-/// simulated exactly by one [`Simulator`] per active lane.
-#[derive(Debug)]
-struct Fallback {
-    /// One event-driven simulator per active lane, each owning a clone
-    /// of the sub-netlist.
-    sims: Vec<Simulator<'static>>,
-    /// Original net index → sub-netlist net (for nets the sub knows).
-    net_map: Vec<Option<NetId>>,
-    /// Original nets with at least one fallback driver (their truth
-    /// lives in the lane simulators, not the planes).
-    fb_driven: Vec<bool>,
-    /// Boundary *into* the fallback: `(original net index, sub input)`.
-    inbound: Vec<(u32, NetId)>,
-    /// Boundary *out of* the fallback: fallback-driven nets read by
-    /// compiled gates, exported into the planes after each quiescence.
-    outbound: Vec<(u32, NetId)>,
-    /// Last plane pushed per inbound entry (suppresses redundant
-    /// `set_input` calls lane by lane).
-    last_applied: BitPlanes,
-    /// Per-lane event count at the last outbound pull: a lane whose
-    /// simulator processed no events since then cannot have moved any
-    /// outbound net, so its lanes are skipped when re-exporting
-    /// (`u64::MAX` forces the first pull to read every lane).
-    events_at_pull: Vec<u64>,
-    /// Number of sub-netlist components (fallback size statistic).
-    num_components: usize,
-}
-
 /// Aggregate statistics of a [`BitParSim`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitParStats {
@@ -297,36 +310,33 @@ pub struct BitParStats {
     /// Feedback clusters (gates and/or cells) compiled as in-place
     /// fixpoint loops.
     pub feedback_loops: usize,
-    /// Components simulated by the per-lane event-driven fallback.
+    /// Always 0: every component compiles. Kept for the benchmark
+    /// crate, which reads it.
     pub fallback_components: usize,
     /// Combinational depth (ranks) of the compiled region.
     pub ranks: u32,
     /// Vectors settled so far.
     pub vectors: u64,
-    /// Compiled sweeps executed (≥ 1 per vector; more when the
-    /// boundary stitching iterates).
+    /// Compiled sweeps executed: one per vector, none for a vector
+    /// that left no op pending.
     pub sweeps: u64,
     /// Ops evaluated by the sweeps, gates and solver cells alike: one
     /// per op actually run (an op whose inputs did not move is skipped
     /// and not counted), each covering all lanes.
     pub compiled_evals: u64,
-    /// Events processed by the fallback simulators, summed over lanes.
+    /// Always 0, like [`BitParStats::fallback_components`].
     pub fallback_events: u64,
-    /// Vectors whose boundary stitching failed to reach a fixpoint
-    /// within the iteration bound.
+    /// Vectors in which a feedback cluster ran into its pass bound (its
+    /// oscillating lanes were forced to X) or a cell's relaxation into
+    /// its guard.
     pub unconverged_vectors: u64,
 }
 
-/// Tick budget per fallback quiescence run before the vector is
-/// declared unconverged.
-const QUIESCE_BOUND: u64 = 10_000;
-/// Bound on sweep/quiescence alternations per vector.
-const MAX_STITCH_ITERS: u32 = 64;
 /// Bound on fixpoint iterations per compiled latch cluster before its
 /// oscillating lanes are forced to X.
 const MAX_LOOP_ITERS: u32 = 64;
 
-/// The bit-parallel hybrid simulator. See the [module docs](self).
+/// The bit-parallel compiled simulator. See the [module docs](self).
 #[derive(Debug)]
 pub struct BitParSim<'a> {
     netlist: &'a Netlist,
@@ -341,14 +351,10 @@ pub struct BitParSim<'a> {
     /// Solver-cell workspace.
     scratch: CellScratch,
     /// Per-net plane index written by [`BitParSim::set_input_plane`]:
-    /// identity, except input nets that are members of a compiled cell
-    /// stage through their virtual scratch plane (the cell resolves
-    /// the member plane itself).
+    /// identity, except that an input net that is a cell member stages
+    /// through its virtual scratch plane (the cell resolves the member
+    /// plane itself) and one on a rail into a plane nothing reads.
     input_redirect: Vec<u32>,
-    /// Number of [`OpKind::Gate`] ops (statistics).
-    num_gate_ops: usize,
-    /// Switches consumed by the compiled region (statistics).
-    compiled_switches: usize,
     /// The sweep program: blocks swept once, loops iterated in place.
     steps: Vec<Step>,
     /// Number of `Step::Loop` entries (compiled latch clusters).
@@ -368,9 +374,8 @@ pub struct BitParSim<'a> {
     /// evaluates every member once before trusting it again.
     rearm: Vec<bool>,
     /// Two-plane ternary state per plane: one per net, plus virtual
-    /// scratch slots for strong sources into compiled cells.
+    /// scratch slots for the always-on sources of cells.
     planes: BitPlanes,
-    fallback: Option<Fallback>,
     depth: u32,
     /// Set when a loop hit [`MAX_LOOP_ITERS`] during the current vector.
     loop_overflow: bool,
@@ -381,13 +386,18 @@ pub struct BitParSim<'a> {
 }
 
 impl<'a> BitParSim<'a> {
-    /// Builds the backend.
+    /// Builds the backend: compiles every component of `netlist` into
+    /// the sweep program.
     ///
     /// # Errors
     ///
-    /// Returns [`PreflightError`] if the fallback sub-netlist fails the
-    /// event-driven engine's pre-flight (only possible when the source
-    /// netlist itself would fail it).
+    /// None: every topology of inputs, gates, tristates, pulls, supplies
+    /// and switches compiles, and the `Result` stays for the callers that
+    /// match on it. The only error this ever returned was the embedded
+    /// event engines' pre-flight refusing a zero-delay loop (LS0001);
+    /// the program has no delays, so such a loop is an ordinary feedback
+    /// cluster here, forced to X after `MAX_LOOP_ITERS` passes if it
+    /// oscillates.
     ///
     /// # Panics
     ///
@@ -398,61 +408,65 @@ impl<'a> BitParSim<'a> {
             "lanes must be 1..=64, got {lanes}"
         );
         let nn = netlist.num_nets();
-        let nc = netlist.num_components();
 
-        // Nets driven exclusively by pulls/supplies resolve to a static
-        // level; they become constant planes (and constant tristate
-        // enables).
-        let const_level: Vec<Option<Level>> = (0..nn)
-            .map(|i| {
-                let ds = netlist.drivers(NetId(i as u32));
-                if ds.is_empty() {
-                    return None;
+        // Static drive per net. A net with a Supply driver is a rail:
+        // nothing beats Supply, so whatever else drives the net is
+        // overpowered, and nothing propagates *through* it, so rails
+        // split the channel graph; switches to a rail become constant
+        // Strong branches of the neighbouring sub-group. Pulls join
+        // into one Resistive level; `live` nets have a driver that is
+        // neither (a switch, a gate, a primary input).
+        let joined = |acc: Option<Level>, l: Level| -> Option<Level> {
+            Some(acc.map_or(l, |a| a.resolve_equal_strength(l)))
+        };
+        let mut rail_level: Vec<Option<Level>> = vec![None; nn];
+        let mut pull_level: Vec<Option<Level>> = vec![None; nn];
+        let mut live = vec![false; nn];
+        for (_id, comp) in netlist.iter() {
+            match comp {
+                Component::Supply { net, level } => {
+                    rail_level[net.index()] = joined(rail_level[net.index()], *level);
                 }
-                let mut sig: Option<Signal> = None;
-                for &d in ds {
-                    match netlist.component(d).static_drive() {
-                        Some(s) => sig = Some(sig.map_or(s, |acc| acc.resolve(s))),
-                        None => return None,
-                    }
+                Component::Pull { net, level } => {
+                    pull_level[net.index()] = joined(pull_level[net.index()], *level);
                 }
-                sig.map(|s| s.level)
-            })
-            .collect();
+                _ => comp.for_each_driven(|net| live[net.index()] = true),
+            }
+        }
+        // Rails and nets driven by pulls alone hold a constant plane
+        // (and make constant tristate enables).
+        let const_level = |i: usize| rail_level[i].or(if live[i] { None } else { pull_level[i] });
+        // How a gate drives its output: always (`Some(One)`: a plain
+        // gate, a tristate whose enable is constant 1), never
+        // (`Some(Zero)`), or as its enable plane says.
+        let enable_of = |kind: GateKind, inputs: &[NetId]| {
+            if kind == GateKind::Tristate {
+                const_level(inputs[1].index())
+            } else {
+                Some(Level::One)
+            }
+        };
 
-        // Supply rails: every non-switch driver is a Supply. Nothing
-        // propagates *through* a Supply-strength net, so rails split
-        // the channel graph; switches to a rail become constant Strong
-        // branches of the neighbouring sub-group.
-        let rail_level: Vec<Option<Level>> = (0..nn)
-            .map(|i| {
-                let mut lvl: Option<Level> = None;
-                for &d in netlist.drivers(NetId(i as u32)) {
-                    match netlist.component(d) {
-                        Component::Supply { level, .. } => {
-                            lvl = Some(lvl.map_or(*level, |a| a.resolve_equal_strength(*level)));
-                        }
-                        Component::Switch { .. } => {}
-                        _ => return None,
-                    }
-                }
-                lvl
-            })
-            .collect();
-
-        // Channel sub-groups: union-find over switch terminals, rails
-        // excluded. Every non-rail net touching a switch channel is a
-        // member of exactly one sub-group.
-        let mut has_switch = vec![false; nn];
+        // Cell members: every non-rail net a switch channel touches,
+        // and every net without a switch that several components drive
+        // (pulls alone excepted, see above). Sub-groups are the channel
+        // components over the members: union-find over switch
+        // terminals, rails excluded; a member without a switch is a
+        // sub-group of its own.
+        let mut member = vec![false; nn];
         let mut channel = UnionFind::new(nn);
         for (_id, comp) in netlist.iter() {
             if let Component::Switch { a, b, .. } = comp {
-                has_switch[a.index()] = true;
-                has_switch[b.index()] = true;
+                member[a.index()] = true;
+                member[b.index()] = true;
                 if rail_level[a.index()].is_none() && rail_level[b.index()].is_none() {
                     channel.union(a.0, b.0);
                 }
             }
+        }
+        for i in 0..nn {
+            let shared = live[i] && netlist.drivers(NetId(i as u32)).len() > 1;
+            member[i] = rail_level[i].is_none() && (member[i] || shared);
         }
         // Sub-groups are numbered by their lowest member.
         let mut sub_of = vec![u32::MAX; nn];
@@ -460,7 +474,7 @@ impl<'a> BitParSim<'a> {
         {
             let mut sid_of_root = vec![u32::MAX; nn];
             for i in 0..nn {
-                if !has_switch[i] || rail_level[i].is_some() {
+                if !member[i] {
                     continue;
                 }
                 let r = channel.find(i as u32) as usize;
@@ -477,112 +491,77 @@ impl<'a> BitParSim<'a> {
                 .filter_map(|(net, &sid)| (sid != u32::MAX).then_some((sid, net)))
         });
 
-        // A sub-group compiles when the solver's inputs are statically
-        // describable per member: switches (edges/rail branches), pulls
-        // (a constant Resistive contribution), and at most one strong
-        // source — a primary input or a sole compiled gate. Supplies on
-        // a shared member net, live tristates, or strong multi-drive
-        // send the whole sub-group to the event-driven fallback.
-        let mut sub_ok = vec![true; subs.num_rows()];
-        let mut input_strong = vec![false; nn];
-        let mut gate_strong = vec![false; nn];
-        for (sid, members) in subs.rows().enumerate() {
-            'scan: for &m in members {
-                let mut strong = 0u32;
+        // One cell per sub-group, reading its members' strong drivers.
+        // One that always drives gets a virtual scratch plane at
+        // `nn + k`: its gate op (or `set_input_plane`) writes the slot,
+        // the cell writes the resolved member plane. A tristate needs
+        // no op: the cell reads its data and enable nets.
+        let mut slot_of_comp = vec![u32::MAX; netlist.num_components()];
+        let mut input_redirect: Vec<u32> = (0..nn as u32).collect();
+        let mut n_slots = 0u32;
+        let mut alloc_slot = || {
+            n_slots += 1;
+            nn as u32 + n_slots - 1
+        };
+        let mut cells = CellImage::default();
+        let mut local_of = vec![u32::MAX; nn];
+        let mut sources: Vec<Source> = Vec::new();
+        for members in subs.rows() {
+            for (li, &m) in (0u32..).zip(members) {
+                local_of[m as usize] = li;
+                cells.ext_pull.push(pull_level[m as usize]);
+                cells.ext_slot.push(u32::MAX);
+                let first = cells.ext_slot.last_mut().expect("just pushed");
+                let mut always_on = |data: u32, sources: &mut Vec<Source>| {
+                    if *first == u32::MAX {
+                        *first = data;
+                    } else {
+                        sources.push(Source {
+                            m: li,
+                            data,
+                            en: u32::MAX,
+                        });
+                    }
+                };
                 for &d in netlist.drivers(NetId(m)) {
                     match netlist.component(d) {
                         Component::Switch { .. } | Component::Pull { .. } => {}
-                        Component::Supply { .. } => {
-                            sub_ok[sid] = false;
-                            break 'scan;
-                        }
+                        Component::Supply { .. } => unreachable!("a supplied net is a rail"),
+                        // However many input components name the net,
+                        // it is staged once.
                         Component::Input { .. } => {
-                            strong += 1;
-                            input_strong[m as usize] = true;
-                        }
-                        Component::Gate { kind, inputs, .. } => {
-                            if *kind == GateKind::Tristate {
-                                match const_level[inputs[1].index()] {
-                                    // Always-on: a plain strong driver.
-                                    Some(Level::One) => {
-                                        strong += 1;
-                                        gate_strong[m as usize] = true;
-                                    }
-                                    // Always-off: floats, contributes
-                                    // nothing (the gate op is elided).
-                                    Some(Level::Zero) => {}
-                                    // Live or statically-X enable.
-                                    Some(Level::X) | None => {
-                                        sub_ok[sid] = false;
-                                        break 'scan;
-                                    }
-                                }
-                            } else {
-                                strong += 1;
-                                gate_strong[m as usize] = true;
+                            if input_redirect[m as usize] == m {
+                                input_redirect[m as usize] = alloc_slot();
+                                always_on(input_redirect[m as usize], &mut sources);
                             }
                         }
+                        Component::Gate { kind, inputs, .. } => match enable_of(*kind, inputs) {
+                            Some(Level::One) => {
+                                slot_of_comp[d.index()] = alloc_slot();
+                                always_on(slot_of_comp[d.index()], &mut sources);
+                            }
+                            Some(Level::Zero) => {}
+                            Some(Level::X) | None => sources.push(Source {
+                                m: li,
+                                data: inputs[0].0,
+                                en: inputs[1].0,
+                            }),
+                        },
                     }
                 }
-                if strong > 1 {
-                    sub_ok[sid] = false;
-                    break 'scan;
-                }
             }
+            cells.members.push_row(members.iter().copied());
+            cells.sources.push_row(sources.drain(..));
         }
-
-        // Virtual scratch planes: each member with a strong source gets
-        // a slot at `nn + k`; its gate op (or `set_input_plane`) writes
-        // the slot, the cell writes the resolved member plane.
-        let mut slot_of_net = vec![u32::MAX; nn];
-        let mut n_slots = 0u32;
-        for (sid, members) in subs.rows().enumerate() {
-            if !sub_ok[sid] {
-                continue;
-            }
-            for &m in members {
-                if input_strong[m as usize] || gate_strong[m as usize] {
-                    slot_of_net[m as usize] = nn as u32 + n_slots;
-                    n_slots += 1;
-                }
+        // A primary input on a rail is overpowered like any other
+        // driver there: it stages into a plane nothing reads.
+        for &net in netlist.inputs() {
+            if rail_level[net.index()].is_some() && input_redirect[net.index()] == net.0 {
+                input_redirect[net.index()] = alloc_slot();
             }
         }
         let np = nn + n_slots as usize;
-        let mut input_redirect: Vec<u32> = (0..nn as u32).collect();
-        for i in 0..nn {
-            if slot_of_net[i] != u32::MAX && input_strong[i] {
-                input_redirect[i] = slot_of_net[i];
-            }
-        }
-
-        // Build the solver cells: one image row per compiled sub-group.
-        let mut cells = CellImage::default();
-        let mut cell_of_sub = vec![u32::MAX; subs.num_rows()];
-        let mut local_of = vec![u32::MAX; nn];
-        for (sid, members) in subs.rows().enumerate() {
-            if !sub_ok[sid] {
-                continue;
-            }
-            cell_of_sub[sid] = cells.members.num_rows() as u32;
-            for (li, &m) in members.iter().enumerate() {
-                local_of[m as usize] = li as u32;
-                let mut pull: Option<Level> = None;
-                for &d in netlist.drivers(NetId(m)) {
-                    if let Component::Pull { level, .. } = netlist.component(d) {
-                        pull = Some(pull.map_or(*level, |a| a.resolve_equal_strength(*level)));
-                    }
-                }
-                cells.ext_pull.push(pull);
-                cells.ext_slot.push(slot_of_net[m as usize]);
-            }
-            cells.members.push_row(members.iter().copied());
-        }
         let num_cells = cells.members.num_rows();
-        // The compiled cell a non-rail switch terminal belongs to.
-        let cell_at = |net: usize| {
-            let sid = sub_of[net] as usize;
-            sub_ok[sid].then(|| cell_of_sub[sid])
-        };
         let mut edges: Vec<(u32, CellEdge)> = Vec::new();
         let mut rails: Vec<(u32, RailBranch)> = Vec::new();
         for (_id, comp) in netlist.iter() {
@@ -603,159 +582,92 @@ impl<'a> BitParSim<'a> {
                 (Some(_), Some(_)) => {}
                 (Some(level), None) | (None, Some(level)) => {
                     let m = if rail_level[ia].is_some() { ib } else { ia };
-                    if let Some(ci) = cell_at(m) {
-                        rails.push((
-                            ci,
-                            RailBranch {
-                                m: local_of[m],
-                                ctl: control.0,
-                                pmos,
-                                level,
-                            },
-                        ));
-                    }
+                    rails.push((
+                        sub_of[m],
+                        RailBranch {
+                            m: local_of[m],
+                            ctl: control.0,
+                            pmos,
+                            level,
+                        },
+                    ));
                 }
-                (None, None) => {
-                    if let Some(ci) = cell_at(ia) {
-                        edges.push((
-                            ci,
-                            CellEdge {
-                                a: local_of[ia],
-                                b: local_of[ib],
-                                ctl: control.0,
-                                pmos,
-                            },
-                        ));
-                    }
-                }
+                (None, None) => edges.push((
+                    sub_of[ia],
+                    CellEdge {
+                        a: local_of[ia],
+                        b: local_of[ib],
+                        ctl: control.0,
+                        pmos,
+                    },
+                )),
             }
         }
         cells.edges = Csr::bucket(num_cells, || edges.iter().copied());
         cells.rails = Csr::bucket(num_cells, || rails.iter().copied());
+        // Floating lanes. In the event engine a net nothing drives
+        // keeps its charge if its channel group holds a second net
+        // (`ChannelGroups::is_nontrivial`, rails included) and is the
+        // plain join of its drivers, X, if not. A cell's members sit in
+        // such a group exactly when the cell has a second member or a
+        // switch to a rail. The cell that does not — one member, every
+        // switch on it bridging it to itself, or none — gets an X
+        // "pull" under its real drives: no lane of it is ever left at
+        // `HighZ`, and it has no neighbour to pass the X to.
+        for ci in 0..num_cells {
+            if cells.members.row_len(ci) == 1 && cells.rails.row_len(ci) == 0 {
+                let lone = &mut cells.ext_pull[cells.members.row_range(ci).start];
+                *lone = lone.or(Some(Level::X));
+            }
+        }
 
-        // Classify: switches and their sub-group periphery compile when
-        // the sub-group does; gates compile per the old sole-driver
-        // rule on trivial nets, or with their sub-group on member nets;
-        // everything else that still evaluates falls back.
-        let mut fb_comp = vec![false; nc];
-        for (id, comp) in netlist.iter() {
-            fb_comp[id.index()] = match comp {
-                Component::Switch { a, b, .. } => {
-                    let sid = if rail_level[a.index()].is_none() {
-                        sub_of[a.index()]
-                    } else if rail_level[b.index()].is_none() {
-                        sub_of[b.index()]
-                    } else {
-                        u32::MAX
-                    };
-                    sid != u32::MAX && !sub_ok[sid as usize]
-                }
-                Component::Gate {
-                    kind,
-                    inputs,
-                    output,
-                    ..
-                } => {
-                    let tri_live =
-                        *kind == GateKind::Tristate && const_level[inputs[1].index()].is_none();
-                    let o = output.index();
-                    if has_switch[o] && rail_level[o].is_none() {
-                        !sub_ok[sub_of[o] as usize]
-                    } else {
-                        netlist.drivers(*output).len() != 1 || tri_live
-                    }
-                }
-                Component::Pull { net, .. } => {
-                    let i = net.index();
-                    let in_cell =
-                        has_switch[i] && rail_level[i].is_none() && sub_ok[sub_of[i] as usize];
-                    !in_cell && const_level[i].is_none()
-                }
-                // Supplies resolved in a second pass (rails follow
-                // their attached switches).
-                Component::Supply { .. } | Component::Input { .. } => false,
-            };
-        }
-        for (id, comp) in netlist.iter() {
-            if let Component::Supply { net, .. } = comp {
-                let i = net.index();
-                fb_comp[id.index()] = if has_switch[i] {
-                    if rail_level[i].is_some() {
-                        // A rail joins the fallback iff any attached
-                        // switch did (compiled branches fold its level
-                        // into the cell as a constant).
-                        netlist
-                            .drivers(NetId(i as u32))
-                            .iter()
-                            .any(|&d| netlist.component(d).is_switch() && fb_comp[d.index()])
-                    } else {
-                        // Supply on a shared member net: the whole
-                        // sub-group fell back.
-                        true
-                    }
-                } else {
-                    const_level[i].is_none()
-                };
-            }
-        }
-        let compiled_switches = netlist
-            .iter()
-            .filter(|(id, c)| c.is_switch() && !fb_comp[id.index()])
-            .count();
-
-        // Node graph: one node per compiled gate op plus one per cell,
-        // edges producer → reader over real and virtual planes. The
-        // generic levelizer orders it; SCCs (gate latches, ctl-feedback
-        // cells, and mixed gate/cell refresh loops) become in-place
-        // fixpoint steps at their condensation rank.
-        let mut gate_nodes: Vec<CompId> = Vec::new();
-        for (id, comp) in netlist.iter() {
-            let Component::Gate { kind, inputs, .. } = comp else {
-                continue;
-            };
-            if fb_comp[id.index()] {
-                continue;
-            }
-            // Disabled (or statically-X on a trivial net) tristates are
-            // elided: their output plane stays X, nothing to sweep.
-            if *kind == GateKind::Tristate && const_level[inputs[1].index()] != Some(Level::One) {
-                continue;
-            }
-            gate_nodes.push(id);
-        }
-        let ng = gate_nodes.len();
-        let n_nodes = ng + num_cells;
+        // Node graph: one node per gate op plus one per cell, edges
+        // producer → reader over real and virtual planes. The generic
+        // levelizer orders it; SCCs (gate latches, ctl-feedback cells,
+        // and mixed gate/cell refresh loops) become in-place fixpoint
+        // steps at their condensation rank. A gate gets an op unless it
+        // never drives, is overpowered on a rail, or is a tristate that
+        // its cell gates itself.
         let mut node_reads = Csr::default();
+        let mut gate_ops: Vec<(GateKind, u32)> = Vec::new();
         let mut producer = vec![u32::MAX; np];
-        for (ni, &g) in gate_nodes.iter().enumerate() {
+        for (id, comp) in netlist.iter() {
             let Component::Gate {
                 kind,
                 inputs,
                 output,
                 ..
-            } = netlist.component(g)
+            } = comp
             else {
-                unreachable!("gate node")
+                continue;
             };
-            let pins: &[NetId] = if *kind == GateKind::Tristate {
-                &inputs[..1]
-            } else {
-                inputs.as_slice()
-            };
-            node_reads.push_row(pins.iter().map(|n| n.0));
             let o = output.index();
-            let out = if slot_of_net[o] == u32::MAX {
-                o as u32
-            } else {
-                slot_of_net[o]
+            if rail_level[o].is_some() {
+                continue;
+            }
+            let (kernel, pins) = match enable_of(*kind, inputs) {
+                Some(Level::One) if *kind == GateKind::Tristate => (GateKind::Buf, &inputs[..1]),
+                Some(Level::One) => (*kind, inputs.as_slice()),
+                Some(Level::Zero) => continue,
+                Some(Level::X) | None if member[o] => continue,
+                Some(Level::X) | None => (GateKind::Tristate, inputs.as_slice()),
             };
-            producer[out as usize] = ni as u32;
+            let out = match slot_of_comp[id.index()] {
+                u32::MAX => o as u32,
+                slot => slot,
+            };
+            producer[out as usize] = gate_ops.len() as u32;
+            gate_ops.push((kernel, out));
+            node_reads.push_row(pins.iter().map(|n| n.0));
         }
+        let ng = gate_ops.len();
+        let n_nodes = ng + num_cells;
         for ci in 0..num_cells {
-            let slots = &cells.ext_slot[cells.members.row_range(ci)];
             let mut reads: Vec<u32> = (cells.edges.row(ci).iter().map(|e| e.ctl))
                 .chain(cells.rails.row(ci).iter().map(|r| r.ctl))
-                .chain(slots.iter().copied().filter(|&s| s != u32::MAX))
+                .chain(cells.ext_slot[cells.members.row_range(ci)].iter().copied())
+                .chain(cells.sources.row(ci).iter().flat_map(|s| [s.data, s.en]))
+                .filter(|&p| p != u32::MAX)
                 .collect();
             reads.sort_unstable();
             reads.dedup();
@@ -804,36 +716,16 @@ impl<'a> BitParSim<'a> {
             let in_off = op_inputs.len() as u32;
             op_inputs.extend_from_slice(reads);
             let in_len = reads.len() as u32;
-            if (nid as usize) < ng {
-                let g = gate_nodes[nid as usize];
-                let Component::Gate { kind, output, .. } = netlist.component(g) else {
-                    unreachable!("gate node")
-                };
-                let kind = if *kind == GateKind::Tristate {
-                    GateKind::Buf
-                } else {
-                    *kind
-                };
-                let o = output.index();
-                let out = if slot_of_net[o] == u32::MAX {
-                    o as u32
-                } else {
-                    slot_of_net[o]
-                };
-                ops.push(Op {
-                    kind: OpKind::Gate(kind),
-                    out,
-                    in_off,
-                    in_len,
-                });
-            } else {
-                ops.push(Op {
-                    kind: OpKind::Cell(nid - ng as u32),
-                    out: u32::MAX,
-                    in_off,
-                    in_len,
-                });
-            }
+            let (kind, out) = match gate_ops.get(nid as usize) {
+                Some(&(kernel, out)) => (OpKind::Gate(kernel), out),
+                None => (OpKind::Cell(nid - ng as u32), u32::MAX),
+            };
+            ops.push(Op {
+                kind,
+                out,
+                in_off,
+                in_len,
+            });
         };
         for (_rank, item) in &items {
             match item {
@@ -861,10 +753,6 @@ impl<'a> BitParSim<'a> {
                 }
             }
         }
-        let num_gate_ops = ops
-            .iter()
-            .filter(|o| matches!(o.kind, OpKind::Gate(_)))
-            .count();
 
         // Plane → compiled ops reading it, for pending-op marking when
         // a plane changes.
@@ -876,27 +764,13 @@ impl<'a> BitParSim<'a> {
             })
         });
 
-        // Constant planes for pull/supply nets and rails.
+        // Constant planes for rails and nets pulls alone drive.
         let mut planes = BitPlanes::new(np);
         for i in 0..nn {
-            if let Some(l) = const_level[i] {
-                planes.set(i, Plane::splat(l));
-            } else if let Some(l) = rail_level[i] {
+            if let Some(l) = const_level(i) {
                 planes.set(i, Plane::splat(l));
             }
         }
-
-        // Real nets read by the compiled region (outbound targets).
-        let mut read_by_compiled = vec![false; nn];
-        for reads in node_reads.rows() {
-            for &p in reads {
-                if (p as usize) < nn {
-                    read_by_compiled[p as usize] = true;
-                }
-            }
-        }
-
-        let fallback = build_fallback(netlist, &fb_comp, &read_by_compiled, lanes)?;
 
         Ok(BitParSim {
             netlist,
@@ -913,13 +787,10 @@ impl<'a> BitParSim<'a> {
             scratch: CellScratch::sized_for(&cells),
             cells,
             input_redirect,
-            num_gate_ops,
-            compiled_switches,
             steps,
             loops,
             readers,
             planes,
-            fallback,
             depth,
             loop_overflow: false,
             vectors: 0,
@@ -944,10 +815,10 @@ impl<'a> BitParSim<'a> {
     /// Stages one stimulus plane on a primary input net (applied by the
     /// next [`BitParSim::settle_vector`]).
     ///
-    /// An input net that is a member of a compiled switch cell stages
-    /// through its virtual scratch plane: the cell resolves the member
-    /// plane itself (the input is one Strong contribution among the
-    /// sub-group's drivers, exactly as in the event engine).
+    /// An input net that is a member of a solver cell stages through
+    /// its virtual scratch plane: the cell resolves the member plane
+    /// itself (the input is one Strong contribution among the cell's
+    /// drivers, exactly as in the event engine).
     ///
     /// # Panics
     ///
@@ -955,22 +826,13 @@ impl<'a> BitParSim<'a> {
     pub fn set_input_plane(&mut self, net: NetId, plane: Plane) {
         let idx = self.input_redirect[net.index()] as usize;
         if self.planes.set(idx, plane.masked(self.active_mask)) {
-            self.mark_net(idx);
-        }
-    }
-
-    /// Marks every compiled op reading `net` pending.
-    fn mark_net(&mut self, net: usize) {
-        for &r in self.readers.row(net) {
-            self.pending.mark(r as usize);
+            for &r in self.readers.row(idx) {
+                self.pending.mark(r as usize);
+            }
         }
     }
 
     /// The level of `net` in `lane`.
-    ///
-    /// For fallback-driven nets this reads the lane's event-driven
-    /// simulator (the authoritative state); for compiled, constant, and
-    /// stimulus nets it reads the bit planes.
     ///
     /// # Panics
     ///
@@ -978,21 +840,12 @@ impl<'a> BitParSim<'a> {
     #[must_use]
     pub fn level(&self, net: NetId, lane: usize) -> Level {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        if let Some(fb) = &self.fallback {
-            if fb.fb_driven[net.index()] {
-                if let Some(sub) = fb.net_map[net.index()] {
-                    return fb.sims[lane].level(sub);
-                }
-            }
-        }
         self.planes.lane(net.index(), lane)
     }
 
-    /// One vector settle: alternate compiled sweeps and per-lane
-    /// fallback quiescence runs until the boundary reaches a joint
-    /// fixpoint. Returns `false` when the stitch-iteration bound, a
-    /// lane's quiescence budget, a cluster's pass bound or a cell's
-    /// relaxation guard was exhausted (oscillation).
+    /// One vector settle: one sweep of the program if any op is
+    /// pending, none otherwise. Returns `false` when a cluster's pass
+    /// bound or a cell's relaxation guard was exhausted (oscillation).
     pub fn settle_vector(&mut self) -> bool {
         self.settle_with(Self::sweep)
     }
@@ -1002,31 +855,11 @@ impl<'a> BitParSim<'a> {
     fn settle_with(&mut self, sweep: impl Fn(&mut Self)) -> bool {
         self.vectors += 1;
         self.loop_overflow = false;
-        let mut converged = false;
-        let mut quiesced = true;
-        for _iter in 0..MAX_STITCH_ITERS {
-            if self.pending.any() {
-                sweep(self);
-            }
-            let pushed = self.push_inbound();
-            if pushed == 0 || self.fallback.is_none() {
-                converged = true;
-                break;
-            }
-            let fb = self.fallback.as_mut().expect("fallback present");
-            for sim in &mut fb.sims {
-                let target = sim.now() + QUIESCE_BOUND;
-                if sim.run_to_quiescence(target) >= target {
-                    quiesced = false;
-                }
-            }
-            self.pull_outbound();
+        if self.pending.any() {
+            sweep(self);
         }
-        let ok = converged && quiesced && !self.loop_overflow;
-        if !ok {
-            self.unconverged_vectors += 1;
-        }
-        ok
+        self.unconverged_vectors += u64::from(self.loop_overflow);
+        !self.loop_overflow
     }
 
     /// One activity-gated sweep, all 64 lanes at once: every pending op
@@ -1159,89 +992,22 @@ impl<'a> BitParSim<'a> {
         self.loop_overflow |= overflow | std::mem::take(&mut self.scratch.unconverged);
     }
 
-    /// Pushes changed inbound boundary planes into the lane simulators;
-    /// returns the number of `(net, lane)` applications made.
-    fn push_inbound(&mut self) -> u64 {
-        let Some(fb) = self.fallback.as_mut() else {
-            return 0;
-        };
-        let mut pushed = 0;
-        for (i, &(orig, sub)) in fb.inbound.iter().enumerate() {
-            let want = self.planes.get(orig as usize);
-            let have = fb.last_applied.get(i);
-            let diff = ((want.val ^ have.val) | (want.known ^ have.known)) & self.active_mask;
-            if diff == 0 {
-                continue;
-            }
-            fb.last_applied.set(i, want);
-            let mut m = diff;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                fb.sims[lane].set_input(sub, want.lane(lane));
-                pushed += 1;
-            }
-        }
-        pushed
-    }
-
-    /// Exports fallback-driven boundary nets back into the planes.
-    ///
-    /// Only lanes whose simulator processed events since the last pull
-    /// are re-read; the other lanes' bits already sit in the planes
-    /// (compiled ops never drive a fallback-driven net, so the plane is
-    /// exactly the last export).
-    fn pull_outbound(&mut self) {
-        let Some(fb) = self.fallback.as_mut() else {
-            return;
-        };
-        let mut changed_lanes = 0u64;
-        for (lane, sim) in fb.sims.iter().enumerate() {
-            let events = sim.counters().events;
-            if events != fb.events_at_pull[lane] {
-                fb.events_at_pull[lane] = events;
-                changed_lanes |= 1u64 << lane;
-            }
-        }
-        if changed_lanes == 0 {
-            return;
-        }
-        let mut changed_nets: Vec<u32> = Vec::new();
-        for &(orig, sub) in &fb.outbound {
-            let mut p = self.planes.get(orig as usize);
-            let mut m = changed_lanes;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                p = p.with_lane(lane, fb.sims[lane].level(sub));
-            }
-            if self.planes.set(orig as usize, p) {
-                changed_nets.push(orig);
-            }
-        }
-        for n in changed_nets {
-            self.mark_net(n as usize);
-        }
-    }
-
     /// Aggregate run statistics.
     #[must_use]
     pub fn stats(&self) -> BitParStats {
         BitParStats {
             lanes: self.lanes,
-            compiled_gates: self.num_gate_ops,
+            // Every op is a gate kernel or a cell, once.
+            compiled_gates: self.ops.len() - self.cells.members.num_rows(),
             solver_cells: self.cells.members.num_rows(),
-            compiled_switches: self.compiled_switches,
+            compiled_switches: self.netlist.num_switches(),
             feedback_loops: self.loops,
-            fallback_components: self.fallback.as_ref().map_or(0, |f| f.num_components),
+            fallback_components: 0,
             ranks: self.depth,
             vectors: self.vectors,
             sweeps: self.sweeps,
             compiled_evals: self.compiled_evals,
-            fallback_events: self
-                .fallback
-                .as_ref()
-                .map_or(0, |f| f.sims.iter().map(|s| s.counters().events).sum()),
+            fallback_events: 0,
             unconverged_vectors: self.unconverged_vectors,
         }
     }
@@ -1287,7 +1053,9 @@ fn eval_op(kind: GateKind, pins: &[u32], planes: &BitPlanes) -> Plane {
                 acc
             }
         }
-        GateKind::Tristate => unreachable!("live tristates never compile"),
+        // Driving where the enable is 1; X where it is unknown (driven
+        // X) and where it is 0 (a floating net without a switch).
+        GateKind::Tristate => pin(0).masked(pin(1).is_one()),
     }
 }
 
@@ -1350,14 +1118,14 @@ impl CellScratch {
 
 /// Evaluates cell `ci` over the planes: initializes each member from
 /// its external drive (strong slot, else resistive pull, else
-/// high-impedance), folds in the constant rail branches, then relaxes
-/// the member-member switch edges to the least fixpoint of the
-/// (strength, level) join lattice — the vectorized
-/// [`crate::solver::resolve_group_into`]. Members left at `HighZ` keep
-/// their previous plane as trapped charge, which makes a second
-/// evaluation over unchanged inputs a no-op. Writes the member planes
-/// that change in a lane under `active`, records them in `sc.changed`,
-/// and returns the lanes where any did.
+/// high-impedance), joins the further sources and the constant rail
+/// branches in, then relaxes the member-member switch edges to the
+/// least fixpoint of the (strength, level) join lattice — the
+/// vectorized [`crate::solver::resolve_group_into`]. Members left at
+/// `HighZ` keep their previous plane as trapped charge, which makes a
+/// second evaluation over unchanged inputs a no-op. Writes the member
+/// planes that change in a lane under `active`, records them in
+/// `sc.changed`, and returns the lanes where any did.
 fn eval_cell(
     cells: &CellImage,
     ci: usize,
@@ -1391,6 +1159,25 @@ fn eval_cell(
         } else {
             Drive::default()
         };
+    }
+    for s in cells.sources.row(ci) {
+        let data = planes.get(s.data as usize);
+        let (on, maybe) = match s.en {
+            u32::MAX => (!0, !0),
+            en => {
+                let en = planes.get(en as usize);
+                (en.is_one(), !en.is_zero())
+            }
+        };
+        join(
+            &mut drive[s.m as usize],
+            Drive {
+                v: data.val & on,
+                k: data.known & on,
+                s1: maybe,
+                s0: maybe,
+            },
+        );
     }
     // Rail branches are constant per evaluation: Supply degrades to
     // Strong through the switch, level X where conduction is unknown.
@@ -1472,123 +1259,6 @@ fn eval_cell(
     diff
 }
 
-/// Builds the boundary-stitched fallback sub-netlist and its per-lane
-/// simulators. Returns `None` when everything compiled.
-fn build_fallback(
-    netlist: &Netlist,
-    fb_comp: &[bool],
-    read_by_compiled: &[bool],
-    lanes: usize,
-) -> Result<Option<Fallback>, PreflightError> {
-    if !fb_comp.iter().any(|&f| f) {
-        return Ok(None);
-    }
-    let nn = netlist.num_nets();
-    let mut needed = vec![false; nn];
-    let mut fb_driven = vec![false; nn];
-    let mut num_components = 0;
-    for (id, comp) in netlist.iter() {
-        if !fb_comp[id.index()] {
-            continue;
-        }
-        num_components += 1;
-        for n in comp.read_nets() {
-            needed[n.index()] = true;
-        }
-        for n in comp.driven_nets() {
-            needed[n.index()] = true;
-            fb_driven[n.index()] = true;
-        }
-    }
-
-    let mut b = NetlistBuilder::new(format!("{}.bitpar-fallback", netlist.name()));
-    let mut net_map: Vec<Option<NetId>> = vec![None; nn];
-    let mut inbound = Vec::new();
-    // A needed net whose value originates outside the fallback region
-    // (primary input, compiled gate or cell, constant rail) enters the
-    // sub-netlist as a primary input. A compiled *switch* driver only
-    // counts when the net is not fallback-driven: a rail shared by
-    // compiled and fallback switches keeps its in-sub Supply (a Strong
-    // sub-input would wrongly degrade through fallback switches).
-    for i in 0..nn {
-        if !needed[i] {
-            continue;
-        }
-        let any_external = netlist
-            .drivers(NetId(i as u32))
-            .iter()
-            .any(|&d| !fb_comp[d.index()] && (!netlist.component(d).is_switch() || !fb_driven[i]));
-        if any_external {
-            let sub = b.input(netlist.net_name(NetId(i as u32)));
-            net_map[i] = Some(sub);
-            inbound.push((i as u32, sub));
-        }
-    }
-    for i in 0..nn {
-        if needed[i] && net_map[i].is_none() {
-            net_map[i] = Some(b.net(netlist.net_name(NetId(i as u32))));
-        }
-    }
-    let map = |n: NetId| net_map[n.index()].expect("needed net mapped");
-    for (id, comp) in netlist.iter() {
-        if !fb_comp[id.index()] {
-            continue;
-        }
-        match comp {
-            Component::Gate {
-                kind,
-                inputs,
-                output,
-                delay,
-            } => {
-                let pins: Vec<NetId> = inputs.iter().map(|&n| map(n)).collect();
-                b.gate(*kind, &pins, map(*output), *delay);
-            }
-            Component::Switch {
-                kind,
-                control,
-                a,
-                b: bb,
-                ..
-            } => {
-                b.switch(*kind, map(*control), map(*a), map(*bb));
-            }
-            Component::Pull { net, level } => {
-                b.pull(map(*net), *level);
-            }
-            Component::Supply { net, level } => {
-                b.supply(map(*net), *level);
-            }
-            Component::Input { .. } => unreachable!("inputs never classify as fallback"),
-        }
-    }
-    let sub = b
-        .finish()
-        .expect("fallback sub-netlist is structurally valid");
-    let outbound: Vec<(u32, NetId)> = (0..nn)
-        .filter(|&i| fb_driven[i] && read_by_compiled[i])
-        .map(|i| (i as u32, net_map[i].expect("boundary net mapped")))
-        .collect();
-    let mut sims = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        sims.push(Simulator::with_config_owned(
-            sub.clone(),
-            SimConfig::default(),
-        )?);
-    }
-    let num_inbound = inbound.len();
-    Ok(Some(Fallback {
-        events_at_pull: vec![u64::MAX; sims.len()],
-        sims,
-        net_map,
-        fb_driven,
-        inbound,
-        outbound,
-        last_applied: BitPlanes::new(num_inbound),
-        num_components,
-    }))
-}
-
 /// The cyclic-circuit generator of this crate's test suites (shared
 /// with `tests/proptests.rs`).
 #[cfg(test)]
@@ -1599,7 +1269,8 @@ mod cyclic;
 mod tests {
     use super::cyclic::{self, Wiring};
     use super::*;
-    use logicsim_netlist::{Delay, SwitchKind};
+    use crate::engine::Simulator;
+    use logicsim_netlist::{Delay, NetlistBuilder};
     use proptest::prelude::*;
 
     impl BitParSim<'_> {
@@ -1629,12 +1300,12 @@ mod tests {
             for step in &self.steps {
                 match *step {
                     Step::Block { start, end } => {
-                        for i in start as usize..end as usize {
+                        let block = start as usize..end as usize;
+                        for (i, op) in block.clone().zip(&ops[block]) {
                             if pending.next(i, i + 1).is_none() {
                                 continue;
                             }
                             pending.clear(i);
-                            let op = &ops[i];
                             evals += 1;
                             match op.kind {
                                 OpKind::Gate(kind) => {
@@ -1755,7 +1426,6 @@ mod tests {
             let (n, o) = (new.stats(), old.stats());
             assert_eq!(n.sweeps, o.sweeps, "v={v}: sweeps");
             assert_eq!(n.unconverged_vectors, o.unconverged_vectors, "v={v}");
-            assert_eq!(n.fallback_events, o.fallback_events, "v={v}");
             assert!(n.compiled_evals <= o.compiled_evals, "v={v}: more evals");
             for i in 0..netlist.num_nets() {
                 let net = NetId(i as u32);
@@ -1807,11 +1477,11 @@ mod tests {
 
         /// The oracle: on random cyclic circuits — gate latches, pass-gate
         /// cells inside feedback paths, control nets fed back into their
-        /// own cell, rings that oscillate and are X-forced, wired into one
-        /// another at random — the activity-gated sweep and the full-pass
-        /// sweep it replaced leave every plane, every count and every
-        /// verdict identical, at every lane width, and the gated one
-        /// never evaluates more.
+        /// own cell, rings that oscillate and are X-forced, buses, fights
+        /// and supplied members, wired into one another at random — the
+        /// activity-gated sweep and the full-pass sweep it replaced leave
+        /// every plane, every count and every verdict identical, at
+        /// every lane width, and the gated one never evaluates more.
         #[test]
         fn gated_sweep_agrees_with_full_pass_sweep(
             elements in proptest::collection::vec(
@@ -2040,10 +1710,10 @@ mod tests {
     }
 
     #[test]
-    fn live_tristate_into_switch_group_falls_back() {
-        // A live-enable tristate driving into a pass gate: the member
-        // net has a non-compilable strong source, so the whole
-        // sub-group (tristate + switch) runs in the event fallback.
+    fn live_tristate_into_switch_group_is_a_gated_source_of_the_cell() {
+        // A live-enable tristate driving into a pass gate: the cell
+        // {y, z} reads the tristate's data and enable planes itself, so
+        // the tristate costs no op of its own.
         let mut b = NetlistBuilder::new("tri_sw");
         let d = b.input("d");
         let en = b.input("en");
@@ -2057,8 +1727,9 @@ mod tests {
         let net = |s: &str| n.find_net(s).unwrap();
         let mut sim = BitParSim::new(&n, 2).unwrap();
         let st = sim.stats();
-        assert_eq!(st.solver_cells, 0);
-        assert!(st.fallback_components >= 2, "tristate and switch");
+        assert_eq!(st.solver_cells, 1);
+        assert_eq!((st.compiled_gates, st.compiled_switches), (0, 1));
+        assert_eq!(st.fallback_components, 0);
         sim.set_input_plane(net("d"), Plane::splat(Level::One));
         sim.set_input_plane(
             net("en"),
@@ -2070,6 +1741,205 @@ mod tests {
         assert!(sim.settle_vector());
         assert_eq!(sim.level(net("z"), 0), Level::One, "driven through");
         assert_eq!(sim.level(net("z"), 1), Level::X, "floating source");
+    }
+
+    /// A tiny deterministic generator for the hand-rolled stimulus walks
+    /// below (plain LCG; no external RNG).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn level(&mut self) -> Level {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            Level::ALL[(self.0 >> 33) as usize % 3]
+        }
+    }
+
+    /// Walks `n` on this backend at `LANES_WALKED` lanes and on one
+    /// [`Simulator`] per lane: vector 0 draws every input from power-up,
+    /// each later vector re-draws one input (round robin) over {0, 1, X}
+    /// independently per lane, so no vector can race two delays. Every
+    /// net must agree in every lane after every vector.
+    fn agree_with_event_engine(n: &Netlist, vectors: usize) {
+        const LANES_WALKED: usize = 6;
+        let inputs = n.inputs();
+        let mut sim = BitParSim::new(n, LANES_WALKED).expect("every topology compiles");
+        assert_eq!(sim.stats().fallback_components, 0, "{}", n.name());
+        let mut serial: Vec<Simulator<'_>> = (0..LANES_WALKED)
+            .map(|_| Simulator::new(n).expect("pre-flight"))
+            .collect();
+        let mut rng = Lcg(0x1987);
+        for v in 0..vectors {
+            let redrawn = match v {
+                0 => inputs,
+                _ if inputs.is_empty() => inputs,
+                _ => std::slice::from_ref(&inputs[(v - 1) % inputs.len()]),
+            };
+            for &net in redrawn {
+                let mut plane = Plane::ALL_X;
+                for (lane, ssim) in serial.iter_mut().enumerate() {
+                    let level = rng.level();
+                    plane = plane.with_lane(lane, level);
+                    ssim.set_input(net, level);
+                }
+                sim.set_input_plane(net, plane);
+            }
+            assert!(sim.settle_vector(), "{}: v={v}", n.name());
+            for (lane, ssim) in serial.iter_mut().enumerate() {
+                let cap = ssim.now() + 1_000;
+                assert!(ssim.run_to_quiescence(cap) < cap, "{}: v={v}", n.name());
+                for i in 0..n.num_nets() {
+                    let net = NetId(i as u32);
+                    assert_eq!(
+                        sim.level(net, lane),
+                        ssim.level(net),
+                        "{}: net {} lane {lane} v={v}",
+                        n.name(),
+                        n.net_name(net)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The non-switch drivers one net can have.
+    #[derive(Debug, Clone, Copy)]
+    enum Driver {
+        Input,
+        Gate,
+        /// A tristate with a primary input as its enable.
+        TriLive,
+        /// A tristate whose enable is the constant `0`, `1` or `X`.
+        TriConst(Level),
+        Pull(Level),
+        Supply(Level),
+    }
+
+    const DRIVERS: [Driver; 10] = [
+        Driver::Input,
+        Driver::Gate,
+        Driver::TriLive,
+        Driver::TriConst(Level::Zero),
+        Driver::TriConst(Level::One),
+        Driver::TriConst(Level::X),
+        Driver::Pull(Level::Zero),
+        Driver::Pull(Level::One),
+        Driver::Supply(Level::Zero),
+        Driver::Supply(Level::One),
+    ];
+
+    #[test]
+    fn every_pair_of_drivers_on_one_net_agrees_with_the_event_engine() {
+        // Every multiset of at most two drivers on the net `y`, once
+        // with no switch on it and once as the terminal of a pass gate
+        // onto the storage node `s`; an inverter reads whichever is
+        // last. 2 x (1 + 10 + 55) circuits.
+        let unit = Delay::uniform(1);
+        let mut multisets: Vec<Vec<Driver>> = vec![vec![]];
+        for (i, &a) in DRIVERS.iter().enumerate() {
+            multisets.push(vec![a]);
+            multisets.extend(DRIVERS[i..].iter().map(|&b| vec![a, b]));
+        }
+        assert_eq!(multisets.len(), 66);
+        for drivers in &multisets {
+            for pass_gate in [false, true] {
+                let mut b = NetlistBuilder::new(format!("{drivers:?} pass_gate={pass_gate}"));
+                let y = b.net("y");
+                // Constant enables: rails, and two pulls fighting to X.
+                let consts = [b.net("k0"), b.net("k1"), b.net("kx")];
+                b.supply(consts[0], Level::Zero);
+                b.supply(consts[1], Level::One);
+                b.pull(consts[2], Level::Zero);
+                b.pull(consts[2], Level::One);
+                for (i, driver) in drivers.iter().enumerate() {
+                    match *driver {
+                        Driver::Input => {
+                            b.add_component(Component::Input { net: y });
+                        }
+                        Driver::Gate => {
+                            let g = b.input(format!("g{i}"));
+                            b.gate(GateKind::Buf, &[g], y, unit);
+                        }
+                        Driver::TriLive => {
+                            let (d, e) = (b.input(format!("d{i}")), b.input(format!("e{i}")));
+                            b.gate(GateKind::Tristate, &[d, e], y, unit);
+                        }
+                        Driver::TriConst(enable) => {
+                            let d = b.input(format!("d{i}"));
+                            b.gate(GateKind::Tristate, &[d, consts[enable as usize]], y, unit);
+                        }
+                        Driver::Pull(level) => {
+                            b.pull(y, level);
+                        }
+                        Driver::Supply(level) => {
+                            b.supply(y, level);
+                        }
+                    }
+                }
+                let mut last = y;
+                if pass_gate {
+                    let c = b.input("c");
+                    last = b.net("s");
+                    b.switch(SwitchKind::Nmos, c, y, last);
+                }
+                // The builder refuses a read net nothing can drive.
+                if pass_gate || !drivers.is_empty() {
+                    let q = b.net("q");
+                    b.gate(GateKind::Not, &[last], q, unit);
+                }
+                let n = b.finish().expect("valid netlist");
+                agree_with_event_engine(&n, 1 + 24 * n.inputs().len().max(1));
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_compile_and_agree_with_the_event_engine() {
+        let unit = Delay::uniform(1);
+        // The builder admits neither a netlist without components nor
+        // a read net without any driver; these are the nearest shapes.
+        // A program with no op at all:
+        let mut b = NetlistBuilder::new("no ops");
+        b.input("a");
+        b.net("unused");
+        let n = b.finish().unwrap();
+        let st = BitParSim::new(&n, 64).unwrap().stats();
+        assert_eq!((st.compiled_gates, st.solver_cells, st.ranks), (0, 0, 0));
+        agree_with_event_engine(&n, 8);
+
+        // A switch from a net to itself: the net stays alone in its
+        // channel group, so it floats to X when its tristate lets go.
+        let mut b = NetlistBuilder::new("a == b");
+        let (d, e, c) = (b.input("d"), b.input("e"), b.input("c"));
+        let (y, q) = (b.net("y"), b.net("q"));
+        b.gate(GateKind::Tristate, &[d, e], y, unit);
+        b.switch(SwitchKind::Nmos, c, y, y);
+        b.gate(GateKind::Not, &[y], q, unit);
+        let n = b.finish().unwrap();
+        agree_with_event_engine(&n, 120);
+
+        // A tristate enabled by its own output, alone and on a bus.
+        let mut b = NetlistBuilder::new("self-enabled");
+        let (d0, d1, e1) = (b.input("d0"), b.input("d1"), b.input("e1"));
+        let (y, bus) = (b.net("y"), b.net("bus"));
+        b.gate(GateKind::Tristate, &[d0, y], y, unit);
+        b.gate(GateKind::Tristate, &[d0, bus], bus, unit);
+        b.gate(GateKind::Tristate, &[d1, e1], bus, unit);
+        let n = b.finish().unwrap();
+        assert_eq!(BitParSim::new(&n, 1).unwrap().stats().feedback_loops, 2);
+        agree_with_event_engine(&n, 120);
+
+        // A gate reading a net only switches can drive, from a net
+        // nothing drives.
+        let mut b = NetlistBuilder::new("undriven");
+        let c = b.input("c");
+        let (u, v, q) = (b.net("u"), b.net("v"), b.net("q"));
+        b.switch(SwitchKind::Nmos, c, u, v);
+        b.gate(GateKind::Not, &[v], q, unit);
+        let n = b.finish().unwrap();
+        agree_with_event_engine(&n, 16);
     }
 
     #[test]
@@ -2150,7 +2020,7 @@ mod tests {
     }
 
     #[test]
-    fn live_tristate_falls_back() {
+    fn sole_live_tristate_compiles_to_a_kernel() {
         let mut b = NetlistBuilder::new("tri_live");
         let d = b.input("d");
         let en = b.input("en");
@@ -2160,7 +2030,9 @@ mod tests {
         let n = b.finish().unwrap();
         let net = |s: &str| n.find_net(s).unwrap();
         let mut sim = BitParSim::new(&n, 2).unwrap();
-        assert_eq!(sim.stats().compiled_gates, 0);
+        let st = sim.stats();
+        assert_eq!((st.compiled_gates, st.solver_cells), (1, 0));
+        assert_eq!(st.fallback_components, 0);
         let pd = Plane::splat(Level::One);
         let pe = Plane::ALL_X
             .with_lane(0, Level::One)

@@ -110,26 +110,6 @@ pub struct SimConfig {
     pub observe: bool,
 }
 
-/// Either a borrowed caller netlist or one the engine owns
-/// ([`Simulator::with_config_owned`]).
-#[derive(Debug)]
-enum NetHold<'a> {
-    /// The caller's netlist, borrowed.
-    Borrowed(&'a Netlist),
-    /// A netlist the engine owns.
-    Owned(Box<Netlist>),
-}
-
-impl NetHold<'_> {
-    /// The netlist being simulated.
-    fn get(&self) -> &Netlist {
-        match self {
-            NetHold::Borrowed(n) => n,
-            NetHold::Owned(n) => n,
-        }
-    }
-}
-
 /// How a component reacts to an input-net change, precomputed per
 /// component so the evaluation loop never matches on [`Component`].
 /// Shared with the parallel engine ([`crate::par_engine`]).
@@ -436,7 +416,7 @@ struct Worklists {
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Simulator<'a> {
-    netlist: NetHold<'a>,
+    netlist: &'a Netlist,
     config: SimConfig,
     wheel: TimingWheel<Change>,
     /// Immutable hot-path image (CSR adjacency, dispatch, group maps).
@@ -488,29 +468,9 @@ impl<'a> Simulator<'a> {
         netlist: &'a Netlist,
         config: SimConfig,
     ) -> Result<Simulator<'a>, PreflightError> {
-        Simulator::from_hold(NetHold::Borrowed(netlist), config)
-    }
-
-    /// Creates a simulator that owns its netlist, so the returned value
-    /// carries no borrow (`Simulator<'static>`). This is how a composite
-    /// engine embeds per-lane event-driven simulators next to the
-    /// netlist they simulate — e.g. the bit-parallel backend's
-    /// switch-cluster fallback — without self-referential borrows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PreflightError`] as for [`Simulator::new`].
-    pub fn with_config_owned(
-        netlist: Netlist,
-        config: SimConfig,
-    ) -> Result<Simulator<'static>, PreflightError> {
-        Simulator::from_hold(NetHold::Owned(Box::new(netlist)), config)
-    }
-
-    fn from_hold(hold: NetHold<'a>, config: SimConfig) -> Result<Simulator<'a>, PreflightError> {
-        let img = Image::build(hold.get())?;
-        let nc = hold.get().num_components();
-        let nn = hold.get().num_nets();
+        let img = Image::build(netlist)?;
+        let nc = netlist.num_components();
+        let nn = netlist.num_nets();
         let num_groups = img.groups.num_groups();
 
         let mut sim = Simulator {
@@ -532,7 +492,7 @@ impl<'a> Simulator<'a> {
                 ..Worklists::default()
             },
             img,
-            netlist: hold,
+            netlist,
             config,
         };
         sim.initialize();
@@ -556,7 +516,7 @@ impl<'a> Simulator<'a> {
     /// The netlist being simulated.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        self.netlist.get()
+        self.netlist
     }
 
     /// Current simulation tick.
@@ -791,7 +751,7 @@ impl<'a> Simulator<'a> {
             // Record events and collect fanout to evaluate.
             let messages_before = self.counters.messages_inf;
             ws.to_eval.clear();
-            let netlist = self.netlist.get();
+            let netlist = self.netlist;
             for &(net, cause) in &ws.changed_nets {
                 self.counters.events += 1;
                 events_this_tick += 1;
@@ -893,7 +853,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logicsim_netlist::{Delay, GateKind, NetlistBuilder, Strength, SwitchKind};
+    use logicsim_netlist::{Delay, GateKind, NetlistBuilder, SwitchKind};
 
     fn inverter() -> Netlist {
         let mut b = NetlistBuilder::new("inv");
@@ -1097,10 +1057,11 @@ mod tests {
         sim.set_input(nets("e1"), Level::One);
         sim.run_until(20);
         assert_eq!(sim.level(nets("bus")), Level::Zero);
-        // Both off: bus floats, retaining charge (level 0 at HighZ).
+        // Both off: the bus floats. No switch touches it, so it is the
+        // plain join of its drivers and keeps no charge: X at HighZ.
         sim.set_input(nets("e1"), Level::Zero);
         sim.run_until(30);
-        assert_eq!(sim.signal(nets("bus")).strength, Strength::HighZ);
+        assert_eq!(sim.signal(nets("bus")), Signal::FLOATING);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Random *cyclic* circuits for the bit-parallel engine's tests: feedback
 //! elements of the kinds the five benchmark circuits are made of (and
-//! one that cannot settle), wired to six primary inputs and followed by
-//! random gates.
+//! one that cannot settle) and multiply-driven nets — buses, fights,
+//! a supplied channel member — wired to six primary inputs and followed
+//! by random gates.
 //!
 //! Two suites share this file: the oracle proptest inside
 //! `src/bitpar.rs` (it reaches the private reference sweep, so it
@@ -13,9 +14,10 @@ use logicsim_netlist::{Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, S
 /// Primary inputs of every generated circuit (`in0`..`in5`).
 pub const INPUTS: usize = 6;
 
-/// Raw material for one feedback element: a kind selector and a pick
-/// for each of its two data pins and two control pins (an element uses
-/// the pins its kind has), reduced modulo whatever it chooses among.
+/// Raw material for one element: a kind selector and a pick for each of
+/// its two data pins and two control pins (an element uses the pins its
+/// kind has; a third control pin is derived from the two picks),
+/// reduced modulo whatever it chooses among.
 pub type Element = (u8, usize, usize, usize, usize);
 
 /// Raw material for one trailing gate: a kind selector and two pin picks.
@@ -27,7 +29,7 @@ pub type Gate = (u8, usize, usize);
 pub enum Wiring {
     /// Element pins read primary inputs only — data pins (a latch's `d`,
     /// a switch's channel end) among `in0..in2`, control pins (enables,
-    /// switch gates; the two of one element distinct) among `in3..in5` —
+    /// switch gates; those of one element distinct) among `in3..in5` —
     /// and a trailing gate reads only nets made before it. Every
     /// feedback loop is then the inside of one element, no loop input
     /// can glitch, and no input reaches a loop by two paths. Under a
@@ -59,8 +61,8 @@ struct Nets {
     own: Vec<NetId>,
 }
 
-/// Builds the circuit. Element kinds, by `selector % 7`, over data pins
-/// `d0`, `d1` and control pins `c0`, `c1`:
+/// Builds the circuit. Element kinds, by `selector % 11`, over data pins
+/// `d0`, `d1` and control pins `c0`, `c1`, `c2`:
 ///
 /// 0. cross-coupled NAND latch (`q = NAND(c0, qn)`, `qn = NAND(c1, q)`);
 /// 1. hazard-free transparent D latch from gates
@@ -76,8 +78,15 @@ struct Nets {
 /// 5. cross-coupled nMOS NOR latch: two pulled-up nodes, each with a
 ///    pulldown to the ground rail gated by `c0`/`c1` and one gated by
 ///    the other node (two cells in one cluster, no gate between them);
-/// 6. a live tristate (`d0` enabled by `c0`), which the bit-parallel
-///    engine hands to its per-lane event-driven fallback.
+/// 6. a live tristate (`d0` enabled by `c0`) alone on its net;
+/// 7. a bus without a switch: two tristates (`d0` by `c0`, `d1` by
+///    `c1`) and a pull-up;
+/// 8. that bus through a pass gate (`c2`) onto a storage node an
+///    inverter reads;
+/// 9. two always-on gates (`BUF(d0)`, `NOT(d1)`) fighting over one
+///    channel member, a pass gate (`c0`) behind it;
+/// 10. a supply on a channel member that a gate (`BUF(d0)`) also
+///     drives, a pass gate (`c0`) behind it.
 pub fn build(elements: &[Element], gates: &[Gate], wiring: Wiring) -> Cyclic {
     let mut b = NetlistBuilder::new("cyclic");
     let inputs: Vec<NetId> = (0..INPUTS).map(|i| b.input(format!("in{i}"))).collect();
@@ -95,14 +104,18 @@ pub fn build(elements: &[Element], gates: &[Gate], wiring: Wiring) -> Cyclic {
     let element_nets: Vec<Nets> = elements
         .iter()
         .map(|&(sel, ..)| {
-            let hints: &[&str] = match sel % 7 {
+            let hints: &[&str] = match sel % 11 {
                 0 => &["q", "qn"],
                 1 => &["q", "n_en", "a1", "a2", "a3"],
                 2 => &["s", "q", "fb"],
                 3 => &["y"],
                 4 => &["ring_y", "ring_x"],
                 5 => &["y1", "y2"],
-                _ => &["tri"],
+                6 => &["tri"],
+                7 => &["bus"],
+                8 => &["bus", "s", "q"],
+                9 => &["fight", "s"],
+                _ => &["rail", "s"],
             };
             alloc(&mut b, &mut signals, hints)
         })
@@ -115,24 +128,33 @@ pub fn build(elements: &[Element], gates: &[Gate], wiring: Wiring) -> Cyclic {
     // Then the components.
     let unit = Delay::uniform(1);
     let any = |pick: usize, seen: usize| {
-        if wiring == Wiring::Wild && pick % 4 == 0 {
+        if wiring == Wiring::Wild && pick.is_multiple_of(4) {
             signals[(pick / 4) % signals.len()]
         } else {
             signals[(pick / 4) % seen]
         }
     };
     for (&(sel, p0, p1, p2, p3), nets) in elements.iter().zip(&element_nets) {
-        let [d0, d1, c0, c1] = match wiring {
-            Wiring::Tame => [
-                inputs[p0 % 3],
-                inputs[p1 % 3],
-                inputs[3 + p2 % 3],
-                inputs[3 + (p2 % 3 + 1 + p3 % 2) % 3],
-            ],
-            Wiring::Wild => [p0, p1, p2, p3].map(|p| any(p, nets.seen)),
+        let [d0, d1, c0, c1, c2] = match wiring {
+            Wiring::Tame => {
+                let (i0, i1) = (p2 % 3, (p2 % 3 + 1 + p3 % 2) % 3);
+                [
+                    inputs[p0 % 3],
+                    inputs[p1 % 3],
+                    inputs[3 + i0],
+                    inputs[3 + i1],
+                    inputs[3 + (3 - i0 - i1)],
+                ]
+            }
+            Wiring::Wild => [p0, p1, p2, p3, p2.wrapping_mul(31) ^ p3].map(|p| any(p, nets.seen)),
         };
         let n = &nets.own;
-        match sel % 7 {
+        let bus = |b: &mut NetlistBuilder| {
+            b.gate(GateKind::Tristate, &[d0, c0], n[0], unit);
+            b.gate(GateKind::Tristate, &[d1, c1], n[0], unit);
+            b.pull(n[0], Level::One);
+        };
+        match sel % 11 {
             0 => {
                 b.gate(GateKind::Nand, &[c0, n[1]], n[0], unit);
                 b.gate(GateKind::Nand, &[c1, n[0]], n[1], unit);
@@ -165,8 +187,24 @@ pub fn build(elements: &[Element], gates: &[Gate], wiring: Wiring) -> Cyclic {
                     b.switch(SwitchKind::Nmos, other, node, gnd);
                 }
             }
-            _ => {
+            6 => {
                 b.gate(GateKind::Tristate, &[d0, c0], n[0], unit);
+            }
+            7 => bus(&mut b),
+            8 => {
+                bus(&mut b);
+                b.switch(SwitchKind::Nmos, c2, n[0], n[1]);
+                b.gate(GateKind::Not, &[n[1]], n[2], unit);
+            }
+            9 => {
+                b.gate(GateKind::Buf, &[d0], n[0], unit);
+                b.gate(GateKind::Not, &[d1], n[0], unit);
+                b.switch(SwitchKind::Nmos, c0, n[0], n[1]);
+            }
+            _ => {
+                b.supply(n[0], Level::One);
+                b.gate(GateKind::Buf, &[d0], n[0], unit);
+                b.switch(SwitchKind::Nmos, c0, n[0], n[1]);
             }
         }
     }

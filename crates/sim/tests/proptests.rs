@@ -235,7 +235,9 @@ proptest! {
 
     /// The same two engines on *cyclic* circuits: latches from gates and
     /// from switches, pass-gate cells inside feedback paths, rings that
-    /// cannot settle. The wiring is [`cyclic::Wiring::Tame`] and one
+    /// cannot settle, tristate buses with and without a storage node
+    /// behind them, gates fighting over a channel member, a supplied
+    /// member. The wiring is [`cyclic::Wiring::Tame`] and one
     /// input changes per vector, so what a vector settles to does not
     /// depend on delays; the comparison ends at the first vector either
     /// engine fails to settle (an enabled ring), after which their

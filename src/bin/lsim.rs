@@ -318,7 +318,6 @@ fn run_bitpar(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<
         "compiled    : {} gates + {} solver cells ({} switches, {} ranks)",
         st.compiled_gates, st.solver_cells, st.compiled_switches, st.ranks
     );
-    println!("fallback    : {} components", st.fallback_components);
     println!("lanes       : {}", st.lanes);
     println!(
         "vectors     : {} ({} sweeps, {} unconverged)",
@@ -332,7 +331,6 @@ fn run_bitpar(netlist: &Netlist, opts: &Options, print_outputs: bool) -> Result<
         st.compiled_evals as f64 / st.vectors.max(1) as f64,
         st.compiled_gates + st.solver_cells
     );
-    println!("fb events   : {}", st.fallback_events);
     if print_outputs {
         println!("outputs after {} vectors (one level per lane):", st.vectors);
         for &o in netlist.outputs() {

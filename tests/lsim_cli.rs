@@ -148,6 +148,63 @@ fn bitpar_backend_simulates_vectors_per_lane() {
     let _ = std::fs::remove_file(path);
 }
 
+/// Two tristates on one net: no benchmark family has one.
+const BUS: &str = "\
+circuit bus
+input d0
+input e0
+input d1
+input e1
+gate TRI bus d0 e0
+gate TRI bus d1 e1
+gate NOT q bus
+output bus
+output q
+";
+
+#[test]
+fn bitpar_backend_simulates_a_two_driver_bus_like_the_event_backend() {
+    let path = write_temp("bitpar_bus", BUS);
+    // One driver enabled, both (a fight), neither (the bus floats).
+    for enables in [["e0=1", "e1=0"], ["e0=1", "e1=1"], ["e0=0", "e1=0"]] {
+        let run = |backend: &[&str]| {
+            let out = lsim()
+                .args(["sim", path.to_str().unwrap(), "--until", "16"])
+                .args(["--const", "d0=1", "--const", "d1=0"])
+                .args(["--const", enables[0], "--const", enables[1]])
+                .args(backend)
+                .output()
+                .expect("run lsim");
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let event = run(&["--backend", "event"]);
+        let bitpar = run(&["--backend", "bitpar", "--lanes", "5"]);
+        for name in ["bus", "q"] {
+            let level = event
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("  {name} = ")))
+                .unwrap_or_else(|| panic!("event backend prints {name}: {event}"));
+            assert_eq!(level.len(), 1, "{event}");
+            let lanes = format!("  {name} = {}", level.repeat(5));
+            assert!(
+                bitpar.lines().any(|l| l == lanes),
+                "{enables:?}: want `{lanes}`:\n{bitpar}"
+            );
+        }
+        // Everything compiles: there is no second region to report.
+        assert!(
+            !bitpar.contains("fallback") && !bitpar.contains("fb events"),
+            "{bitpar}"
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 #[test]
 fn bitpar_backend_rejects_tick_based_options() {
     let path = write_temp("bitpar_vcd", TOGGLE);
