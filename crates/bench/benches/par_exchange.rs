@@ -47,7 +47,8 @@ struct Stamp {
     rank: u32,
 }
 
-/// `engine::StampSet`, as the master-side loops used it.
+/// The epoch-stamped set the master-side loops used (the serial engine
+/// has since replaced it with the sort-free `engine::OrderedSet`).
 #[derive(Clone)]
 struct StampSet {
     stamp: Vec<u32>,

@@ -24,8 +24,8 @@
 //! netlist's own index, which has the same layout); a dense
 //! `EvalKind` dispatch table; and dense per-net group/attribution
 //! maps. Per-tick set semantics (`affected`, `dirty_groups`, `to_eval`)
-//! are provided by epoch-stamped worklists (`StampSet`) whose items
-//! are sorted before iteration, reproducing the exact `BTreeMap`/
+//! are provided by two-level bitmaps (`OrderedSet`) that list their
+//! members ascending without sorting, reproducing the exact `BTreeMap`/
 //! `BTreeSet` iteration order of the reference implementation — the
 //! golden-trace tests pin this bit-for-bit. All per-tick buffers live in
 //! `Worklists` and are reused across ticks, so a settled steady-state
@@ -41,6 +41,7 @@ use logicsim_netlist::{
     ChannelGroups, CompId, Component, Csr, Delay, GateKind, Level, NetId, Netlist, Signal,
 };
 use std::fmt;
+use std::ops::Range;
 
 /// The netlist failed the static pre-flight: it contains at least one
 /// error-level finding (see [`mod@logicsim_netlist::analyze`]) and cannot
@@ -133,56 +134,95 @@ pub(crate) enum EvalKind {
     Passive,
 }
 
-/// An epoch-stamped dense worklist over `u32` ids: O(1) insert-if-absent
-/// via a stamp array, O(1) clear by bumping the epoch, and sorted
-/// iteration to reproduce `BTreeSet` ordering.
+/// An ordered set of `u32` ids below a fixed capacity: one bit per id,
+/// and one summary bit per 64-id word that says the word is non-zero.
+/// Insert is a test-and-set; [`Self::sorted`] walks the summary bits,
+/// then the word bits, so it lists ascending unique ids — the
+/// `BTreeSet` order the golden traces pin — without a sort; and
+/// [`Self::clear`] zeroes only the words the summary marks. Both cost
+/// O(items + occupied words) plus the summary words between the lowest
+/// and highest one touched since the last clear (at most one per 4 096
+/// ids of that span), never O(capacity).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StampSet {
-    /// `stamp[i] == epoch` iff `i` is in the set.
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Inserted ids in insertion order (unsorted until [`Self::sorted`]).
+pub(crate) struct OrderedSet {
+    /// Bit `id % 64` of word `id / 64` is set iff `id` is in the set.
+    words: Vec<u64>,
+    /// Bit `w % 64` of summary word `w / 64` is set iff `words[w] != 0`.
+    summary: Vec<u64>,
+    /// Summary words `lo..hi` hold every set summary bit; `hi == 0`
+    /// iff the set is empty.
+    lo: usize,
+    hi: usize,
+    /// The members as [`Self::sorted`] last listed them.
     items: Vec<u32>,
 }
 
-impl StampSet {
-    pub(crate) fn with_capacity(n: usize) -> StampSet {
-        StampSet {
-            stamp: vec![0; n],
-            epoch: 1,
+impl OrderedSet {
+    /// An empty set of ids below `n`.
+    pub(crate) fn with_capacity(n: usize) -> OrderedSet {
+        let words = n.div_ceil(64);
+        OrderedSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
             items: Vec::new(),
         }
     }
 
     #[inline]
     pub(crate) fn insert(&mut self, id: u32) {
-        let s = &mut self.stamp[id as usize];
-        if *s != self.epoch {
-            *s = self.epoch;
-            self.items.push(id);
+        let w = id as usize / 64;
+        let word = &mut self.words[w];
+        let old = *word;
+        *word = old | 1 << (id % 64);
+        if old == 0 {
+            let s = w / 64;
+            self.summary[s] |= 1 << (w % 64);
+            self.lo = self.lo.min(s);
+            self.hi = self.hi.max(s + 1);
         }
     }
 
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.hi == 0
     }
 
-    /// Empties the set. O(1) except when the epoch counter wraps, which
-    /// resets the stamp array to keep stale stamps from matching.
+    /// The summary words that may be non-zero.
+    fn summary_range(&self) -> Range<usize> {
+        self.lo.min(self.hi)..self.hi
+    }
+
+    /// Empties the set, zeroing only the words the summary marks.
     pub(crate) fn clear(&mut self) {
-        self.items.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
+        for s in self.summary_range() {
+            let mut bits = std::mem::take(&mut self.summary[s]);
+            while bits != 0 {
+                self.words[s * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+            }
         }
+        self.lo = usize::MAX;
+        self.hi = 0;
     }
 
-    /// Sorts the contents ascending and returns them; this is what makes
-    /// a `StampSet` a drop-in for sorted `BTreeSet` iteration.
+    /// Lists the members ascending and returns them; this is what makes
+    /// an `OrderedSet` a drop-in for sorted `BTreeSet` iteration.
     pub(crate) fn sorted(&mut self) -> &[u32] {
-        self.items.sort_unstable();
+        self.items.clear();
+        for s in self.summary_range() {
+            let mut summary = self.summary[s];
+            while summary != 0 {
+                let w = s * 64 + summary.trailing_zeros() as usize;
+                summary &= summary - 1;
+                let mut bits = self.words[w];
+                while bits != 0 {
+                    self.items.push(w as u32 * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
         &self.items
     }
 }
@@ -391,18 +431,16 @@ struct Worklists {
     /// Changes popped from the wheel this tick.
     changes: Vec<Change>,
     /// Nets whose drive changed in phase 1.
-    affected: StampSet,
+    affected: OrderedSet,
     /// Causing component per affected net (last writer wins, matching
     /// `BTreeMap::insert` overwrite semantics).
     affected_cause: Vec<u32>,
     /// Nontrivial switch groups needing resolution this round.
-    dirty_groups: StampSet,
+    dirty_groups: OrderedSet,
     /// Fanout components to evaluate this round.
-    to_eval: StampSet,
+    to_eval: OrderedSet,
     /// Nets whose resolved value changed, with the causing component.
     changed_nets: Vec<(NetId, CompId)>,
-    /// Sorted snapshot of `dirty_groups` for the settling pass.
-    groups_now: Vec<u32>,
     /// Gate input levels gathered for one evaluation.
     levels: Vec<Level>,
     /// Output of one group resolution.
@@ -441,8 +479,11 @@ pub struct Simulator<'a> {
     /// Per-phase wall-clock recorder (disarmed unless
     /// [`SimConfig::observe`]).
     obs: obs::Lane,
-    /// Reusable per-tick buffers (taken out of `self` during a step).
-    ws: Worklists,
+    /// Reusable per-tick buffers, taken out of `self` during a step.
+    /// Boxed, so that costs a pointer move: moving the ~600-byte struct
+    /// out and back, with a `Default` left in its place, cost more per
+    /// tick than a sparse circuit's tick does.
+    ws: Option<Box<Worklists>>,
 }
 
 impl<'a> Simulator<'a> {
@@ -484,13 +525,13 @@ impl<'a> Simulator<'a> {
             obs: obs::Lane::new(config.observe, obs::Origin::now(), OBS_CAPACITY),
             pending_seq: vec![None; nc],
             seq_counter: 0,
-            ws: Worklists {
-                affected: StampSet::with_capacity(nn),
+            ws: Some(Box::new(Worklists {
+                affected: OrderedSet::with_capacity(nn),
                 affected_cause: vec![0; nn],
-                dirty_groups: StampSet::with_capacity(num_groups),
-                to_eval: StampSet::with_capacity(nc),
+                dirty_groups: OrderedSet::with_capacity(num_groups),
+                to_eval: OrderedSet::with_capacity(nc),
                 ..Worklists::default()
-            },
+            })),
             img,
             netlist,
             config,
@@ -654,9 +695,12 @@ impl<'a> Simulator<'a> {
     /// Executes the current tick (apply changes, settle, evaluate
     /// fanout), then advances the clock by one.
     pub fn step(&mut self) {
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = self
+            .ws
+            .take()
+            .expect("worklists are only taken inside step");
         self.step_inner(&mut ws);
-        self.ws = ws;
+        self.ws = Some(ws);
     }
 
     fn step_inner(&mut self, ws: &mut Worklists) {
@@ -725,10 +769,8 @@ impl<'a> Simulator<'a> {
         let mut events_this_tick: u64 = 0;
         loop {
             // Settle dirty switch groups (instantaneous within the tick).
-            ws.groups_now.clear();
-            ws.groups_now.extend_from_slice(ws.dirty_groups.sorted());
-            ws.dirty_groups.clear();
-            for &gid in &ws.groups_now {
+            let groups_now = ws.dirty_groups.sorted();
+            for &gid in groups_now {
                 self.counters.group_resolutions += 1;
                 self.resolve_group_now_into(gid, &mut ws.solver, &mut ws.group_out);
                 for &(net, v) in &ws.group_out {
@@ -739,11 +781,12 @@ impl<'a> Simulator<'a> {
                     }
                 }
             }
-            if !ws.groups_now.is_empty() {
+            if !groups_now.is_empty() {
                 m = self
                     .obs
-                    .rec(Phase::Resolve, tick, m, ws.groups_now.len() as u64);
+                    .rec(Phase::Resolve, tick, m, groups_now.len() as u64);
             }
+            ws.dirty_groups.clear();
             if ws.changed_nets.is_empty() {
                 break;
             }
@@ -1089,17 +1132,69 @@ mod tests {
         assert!(text.contains("fails pre-flight"), "{text}");
     }
 
+    /// Clear then reuse never leaks membership: ids inserted before a
+    /// `clear()`, in summary words the next round touches and in ones it
+    /// does not, never reappear.
     #[test]
     fn stamp_set_epoch_wraparound_resets_stamps() {
-        let mut s = StampSet::with_capacity(4);
-        s.epoch = u32::MAX;
-        s.insert(2);
-        assert_eq!(s.sorted(), &[2]);
-        s.clear(); // wraps: stamps must be reset, not left matching
+        let mut s = OrderedSet::with_capacity(3 * 4096);
+        for id in [12_000, 2, 70, 4_100, 70] {
+            s.insert(id);
+        }
+        assert_eq!(s.sorted(), [2, 70, 4_100, 12_000]);
+        s.clear();
         assert!(s.is_empty());
-        s.insert(2);
+        assert_eq!(s.sorted(), []);
+        s.insert(71);
         s.insert(1);
-        s.insert(2);
-        assert_eq!(s.sorted(), &[1, 2]);
+        s.insert(71);
+        assert_eq!(s.sorted(), [1, 71]);
+    }
+
+    /// Capacities on both sides of the word (64 ids) and summary-word
+    /// (4 096 ids) boundaries.
+    const CAPACITIES: [usize; 8] = [1, 63, 64, 65, 4_095, 4_096, 4_097, 262_145];
+    /// Ids on those boundaries; `u32::MAX` stands for `n - 1`.
+    const EDGE_IDS: [u32; 6] = [0, 63, 64, 4_095, 4_096, u32::MAX];
+
+    proptest::proptest! {
+        /// `OrderedSet` against `BTreeSet<u32>` over random insert /
+        /// `sorted()` / `clear()` sequences on one reused set: duplicate
+        /// inserts, `sorted()` twice without a clear and inserts after a
+        /// `sorted()` all occur. Inserts draw either an edge id plus
+        /// 0..=3 (clamped to the capacity) or a uniform id.
+        #[test]
+        fn ordered_set_matches_btreeset(
+            cap in 0..CAPACITIES.len(),
+            ops in proptest::collection::vec((0u8..20, 0u32..u32::MAX, 0..EDGE_IDS.len()), 0..300),
+        ) {
+            let n = CAPACITIES[cap] as u32;
+            let mut set = OrderedSet::with_capacity(n as usize);
+            let mut want = std::collections::BTreeSet::new();
+            let check = |set: &mut OrderedSet, want: &std::collections::BTreeSet<u32>| {
+                assert_eq!(set.is_empty(), want.is_empty());
+                let got = set.sorted().to_vec();
+                assert!(got.iter().copied().eq(want.iter().copied()), "{got:?} vs {want:?}");
+            };
+            for (kind, raw, edge) in ops {
+                match kind {
+                    0..=7 => {
+                        let id = (EDGE_IDS[edge].min(n - 1) + raw % 4).min(n - 1);
+                        set.insert(id);
+                        want.insert(id);
+                    }
+                    8..=15 => {
+                        set.insert(raw % n);
+                        want.insert(raw % n);
+                    }
+                    16..=18 => check(&mut set, &want),
+                    _ => {
+                        set.clear();
+                        want.clear();
+                    }
+                }
+            }
+            check(&mut set, &want);
+        }
     }
 }

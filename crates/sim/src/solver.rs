@@ -24,6 +24,15 @@
 //! [`Component`] access, no per-call graph build. The free functions
 //! [`resolve_group`]/[`resolve_group_into`] compile their one group into
 //! [`Scratch`] first and run the same kernel.
+//!
+//! A [`Scratch`] grows once, to the largest group it has seen, and is
+//! then addressed by index: a resolution of `n` members and `s` switches
+//! writes `n` contributions, worklist slots and on-list flags and `s`
+//! conduction bytes, and nothing else. The worklist is a slice and a
+//! stack pointer; a member is on it at most once, so it never outgrows
+//! `n`. On the engines' groups — 2.07 members and 2.17 switches per
+//! resolution on `priority_queue@100k` — that per-call overhead, not
+//! the relaxation itself, is most of the cost.
 
 use logicsim_netlist::{
     ChannelGroups, CompId, Component, Level, NetId, Netlist, Signal, Strength, SwitchKind,
@@ -177,7 +186,8 @@ struct Group<'a> {
     adj: &'a [u32],
 }
 
-/// Per-resolution state of the relaxation kernel.
+/// Per-resolution state of the relaxation kernel, sized to the largest
+/// group seen and addressed by index (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 struct Work {
     /// Current contribution per member.
@@ -185,8 +195,25 @@ struct Work {
     /// Conduction per switch slot ([`SwitchKind::conducts`]), read once
     /// per resolution.
     conducts: Vec<Option<bool>>,
-    dirty: Vec<u32>,
+    /// The worklist: a stack of member positions, live below the stack
+    /// pointer.
+    stack: Vec<u32>,
+    /// Whether each member is on the worklist.
     on_list: Vec<bool>,
+}
+
+impl Work {
+    /// Grows every buffer to hold a group of `members` nets and
+    /// `switches` slots; they never shrink.
+    #[cold]
+    fn grow(&mut self, members: usize, switches: usize) {
+        let members = members.max(self.contrib.len());
+        self.contrib.resize(members, Signal::FLOATING);
+        self.stack.resize(members, 0);
+        self.on_list.resize(members, false);
+        self.conducts
+            .resize(switches.max(self.conducts.len()), None);
+    }
 }
 
 /// Reusable buffers for group resolution, so the per-tick settling loop
@@ -367,31 +394,34 @@ fn relax<FD, FC, FP>(
     FC: Fn(NetId) -> Level,
     FP: Fn(NetId) -> Level,
 {
-    let Work {
-        contrib,
-        conducts,
-        dirty,
-        on_list,
-    } = work;
     let members = group.members;
-    contrib.clear();
-    contrib.extend(members.iter().map(|&n| ext_drive(n)));
-    conducts.clear();
-    conducts.extend(group.ctl.iter().map(|&word| {
+    let (n, ns) = (members.len(), group.ctl.len());
+    if work.contrib.len() < n || work.conducts.len() < ns {
+        work.grow(n, ns);
+    }
+    let contrib = &mut work.contrib[..n];
+    let conducts = &mut work.conducts[..ns];
+    let stack = &mut work.stack[..n];
+    let on_list = &mut work.on_list[..n];
+    // Seed: every member on the worklist, the highest index on top.
+    for (i, &net) in members.iter().enumerate() {
+        contrib[i] = ext_drive(net);
+        stack[i] = i as u32;
+        on_list[i] = true;
+    }
+    for (c, &word) in conducts.iter_mut().zip(group.ctl) {
         let kind = if word & 1 == 0 {
             SwitchKind::Nmos
         } else {
             SwitchKind::Pmos
         };
-        kind.conducts(control_level(NetId(word >> 1)))
-    }));
+        *c = kind.conducts(control_level(NetId(word >> 1)));
+    }
 
-    dirty.clear();
-    dirty.extend(0..members.len() as u32);
-    on_list.clear();
-    on_list.resize(members.len(), true);
-    while let Some(i) = dirty.pop() {
-        let i = i as usize;
+    let mut top = n;
+    while top > 0 {
+        top -= 1;
+        let i = stack[top] as usize;
         on_list[i] = false;
         if contrib[i].strength == Strength::HighZ {
             continue; // nothing to forward
@@ -413,7 +443,8 @@ fn relax<FD, FC, FP>(
                 contrib[dst] = joined;
                 if !on_list[dst] {
                     on_list[dst] = true;
-                    dirty.push(dst as u32);
+                    stack[top] = dst as u32;
+                    top += 1;
                 }
             }
         }
