@@ -1,11 +1,23 @@
 //! Criterion benchmarks for the event-driven simulator: event
 //! throughput on the benchmark circuits (the number that decides how
-//! long Table 5/6 measurements take).
+//! long Table 5/6 measurements take), and the gate kernel alone.
+//!
+//! The `gate_eval` group is the timing beside
+//! `component::tests::kernel_matches_kleene_folds_on_every_vector_up_to_six_inputs`:
+//! every gate of `rtp@10k` and of `priority_queue@10k`, in ascending id
+//! order, evaluated against one fixed random net-level vector, once by
+//! gathering the input levels into a buffer and calling
+//! `GateKind::evaluate`, once through `GateKind::evaluate_pins`. The
+//! pins sit in one CSR of net indices, as the engines hold them. The
+//! throughput unit is one gate, so ns per gate is `1e9 / elem/s`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use logicsim::circuits::Benchmark;
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use logicsim::circuits::{scaled, Benchmark, ScaledParams};
+use logicsim::netlist::{Component, Csr, GateKind, Level, Signal};
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::Simulator;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn bench_circuit(c: &mut Criterion, bench: Benchmark, window: u64) {
     let inst = bench.build_default();
@@ -38,12 +50,90 @@ fn bench_circuit(c: &mut Criterion, bench: Benchmark, window: u64) {
     group.finish();
 }
 
+/// Every gate of a circuit as the engines hold it: kinds in id order,
+/// input pins as one CSR of net indices, and a level per net.
+struct Gates {
+    kinds: Vec<GateKind>,
+    pins: Csr<u32>,
+    levels: Vec<Level>,
+}
+
+impl Gates {
+    fn new(base: Benchmark) -> Gates {
+        let inst = scaled::build(&ScaledParams {
+            base,
+            target_components: 10_000,
+            seed: scaled::DEFAULT_SEED,
+        });
+        let mut kinds = Vec::new();
+        let mut pins = Csr::default();
+        for comp in inst.netlist.components() {
+            if let Component::Gate { kind, inputs, .. } = comp {
+                kinds.push(*kind);
+                pins.push_row(inputs.iter().map(|n| n.0));
+            }
+        }
+        // Mostly known levels, one net in sixteen at X.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1987);
+        let levels = (0..inst.netlist.num_nets())
+            .map(|_| match rng.gen_range(0..16u32) {
+                0 => Level::X,
+                r => Level::from_bool(r & 1 == 1),
+            })
+            .collect();
+        Gates {
+            kinds,
+            pins,
+            levels,
+        }
+    }
+
+    /// Evaluates every gate once and folds the outputs into a checksum,
+    /// so no evaluation is dead code.
+    fn eval_all(&self, mut eval: impl FnMut(GateKind, &[u32], &[Level]) -> Signal) -> u32 {
+        let levels = black_box(&self.levels[..]);
+        let mut acc = 0u32;
+        for (ci, &kind) in self.kinds.iter().enumerate() {
+            let out = eval(kind, self.pins.row(ci), levels);
+            acc = acc
+                .wrapping_mul(3)
+                .wrapping_add(out.level as u32 + 4 * out.strength as u32);
+        }
+        acc
+    }
+}
+
+fn bench_gate_eval(c: &mut Criterion, base: Benchmark) {
+    let gates = Gates::new(base);
+    let name = format!("{}@10k", base.paper_name());
+    let mut group = c.benchmark_group("gate_eval");
+    group.throughput(Throughput::Elements(gates.kinds.len() as u64));
+    let mut gathered: Vec<Level> = Vec::new();
+    group.bench_function(format!("{name} gather + evaluate"), |b| {
+        b.iter(|| {
+            gates.eval_all(|kind, row, levels| {
+                gathered.clear();
+                gathered.extend(row.iter().map(|&n| levels[n as usize]));
+                kind.evaluate(&gathered)
+            })
+        });
+    });
+    group.bench_function(format!("{name} evaluate_pins"), |b| {
+        b.iter(|| {
+            gates.eval_all(|kind, row, levels| kind.evaluate_pins(row, |&n| levels[n as usize]))
+        });
+    });
+    group.finish();
+}
+
 fn simulator_benches(c: &mut Criterion) {
     bench_circuit(c, Benchmark::StopWatch, 4_000);
     bench_circuit(c, Benchmark::AssocMem, 2_000);
     bench_circuit(c, Benchmark::PriorityQueue, 1_000);
     bench_circuit(c, Benchmark::RtpChip, 1_000);
     bench_circuit(c, Benchmark::CrossbarSwitch, 2_000);
+    bench_gate_eval(c, Benchmark::RtpChip);
+    bench_gate_eval(c, Benchmark::PriorityQueue);
 }
 
 criterion_group!(benches, simulator_benches);

@@ -92,8 +92,7 @@ fn contribution(comp: &Component, values: &[Level]) -> Option<Signal> {
         Component::Input { .. } => Some(Signal::strong(Level::X)),
         Component::Pull { .. } | Component::Supply { .. } => comp.static_drive(),
         Component::Gate { kind, inputs, .. } => {
-            let levels: Vec<Level> = inputs.iter().map(|i| values[i.index()]).collect();
-            Some(kind.evaluate(&levels))
+            Some(kind.evaluate_pins(inputs, |n| values[n.index()]))
         }
         Component::Switch { .. } => None,
     }

@@ -43,8 +43,7 @@ pub(super) fn constants(w: &mut Work, values: &[Level], f: &mut Findings) -> boo
                 output,
                 delay,
             } => {
-                let levels: Vec<Level> = inputs.iter().map(|n| values[n.index()]).collect();
-                let out = kind.evaluate(&levels);
+                let out = kind.evaluate_pins(inputs, |n| values[n.index()]);
                 let o = output.index();
                 if out.level.is_known()
                     && !out.is_floating()
@@ -64,7 +63,7 @@ pub(super) fn constants(w: &mut Work, values: &[Level], f: &mut Findings) -> boo
                     continue;
                 }
                 if kind == GateKind::Tristate {
-                    match levels[1] {
+                    match values[inputs[1].index()] {
                         Level::One => {
                             let data = inputs[0];
                             w.replace(
@@ -99,7 +98,7 @@ pub(super) fn constants(w: &mut Work, values: &[Level], f: &mut Findings) -> boo
                 // output is still unknown (a known output is the fold
                 // case above, possibly blocked by its guards).
                 if out.level == Level::X && inputs.len() > 1 {
-                    if let Some((new_kind, kept, dropped)) = specialize(kind, inputs, &levels) {
+                    if let Some((new_kind, kept, dropped)) = specialize(kind, inputs, values) {
                         w.replace(
                             i,
                             Component::Gate {
@@ -162,17 +161,19 @@ fn terminal_safe(w: &Work, t: NetId, switch_id: usize) -> bool {
 }
 
 /// Computes the specialized form of `kind` after dropping constant
-/// identity inputs, or `None` when nothing can be dropped. Returns the
-/// new kind, the kept inputs, and the dropped constant nets.
+/// identity inputs, or `None` when nothing can be dropped. `values` are
+/// the abstract net values, indexed by net. Returns the new kind, the
+/// kept inputs, and the dropped constant nets.
 fn specialize(
     kind: GateKind,
     inputs: &[NetId],
-    levels: &[Level],
+    values: &[Level],
 ) -> Option<(GateKind, Vec<NetId>, Vec<NetId>)> {
     let mut kept = Vec::new();
     let mut dropped = Vec::new();
     let mut parity_flips = 0;
-    for (&net, &level) in inputs.iter().zip(levels) {
+    for &net in inputs {
+        let level = values[net.index()];
         let drop = match (kind, level) {
             (GateKind::And | GateKind::Nand, Level::One) => true,
             (GateKind::Or | GateKind::Nor, Level::Zero) => true,

@@ -108,6 +108,12 @@ impl Default for Delay {
 }
 
 /// The kind of a unidirectional logic gate.
+///
+/// A kind is its truth table over the Kleene levels, and there is one
+/// implementation of it: [`GateKind::evaluate_pins`], which reads each
+/// pin's level through a closure in one pass. [`GateKind::evaluate`] is
+/// that kernel over levels already gathered. Both check
+/// [`GateKind::arity`] on every call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GateKind {
     /// Buffer (1 input).
@@ -158,7 +164,8 @@ impl GateKind {
     /// Evaluates the gate over input levels, returning the driven output.
     ///
     /// All kinds except [`GateKind::Tristate`] always drive strongly;
-    /// tristate drives [`Signal::FLOATING`] when disabled.
+    /// tristate drives [`Signal::FLOATING`] when disabled. This is
+    /// [`GateKind::evaluate_pins`] over levels already gathered.
     ///
     /// # Panics
     ///
@@ -166,30 +173,89 @@ impl GateKind {
     /// enforces arity so evaluation can assume it.
     #[must_use]
     pub fn evaluate(self, inputs: &[Level]) -> Signal {
-        let (min, max) = self.arity();
-        assert!(
-            inputs.len() >= min && max.is_none_or(|m| inputs.len() <= m),
-            "gate {self:?} arity violated: {} inputs",
-            inputs.len()
-        );
-        let level = match self {
-            GateKind::Buf => inputs[0],
-            GateKind::Not => inputs[0].not(),
-            GateKind::And => inputs.iter().copied().fold(Level::One, Level::and),
-            GateKind::Nand => inputs.iter().copied().fold(Level::One, Level::and).not(),
-            GateKind::Or => inputs.iter().copied().fold(Level::Zero, Level::or),
-            GateKind::Nor => inputs.iter().copied().fold(Level::Zero, Level::or).not(),
-            GateKind::Xor => inputs.iter().copied().fold(Level::Zero, Level::xor),
-            GateKind::Xnor => inputs.iter().copied().fold(Level::Zero, Level::xor).not(),
+        self.evaluate_pins(inputs, |&l| l)
+    }
+
+    /// Evaluates the gate over its pins, reading each pin's level through
+    /// `level` — the one gate kernel, which every engine and analysis
+    /// calls without gathering the levels first.
+    ///
+    /// One pass over the pins folds `seen`, the set of levels that occur
+    /// (bit `level as u8`: 0 a `0`, 1 a `1`, 2 an `X`), and the parity of
+    /// the ones. AND/NAND give `0` if any input is `0`, else `X` if any is
+    /// `X`, else `1`; OR/NOR are the mirror image; XOR/XNOR give `X` if
+    /// any input is `X`, else the parity. The inverting kinds then apply
+    /// [`Level::not`]. These are the Kleene folds of [`Level::and`],
+    /// [`Level::or`] and [`Level::xor`], without a dispatch per input.
+    /// Buf, Not and Tristate read their one or two pins directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`GateKind::evaluate`] does, if `pins.len()` violates
+    /// [`GateKind::arity`]. The check runs on every call (a deserialized
+    /// `Netlist` skips the builder's), and costs nothing: it is the slice
+    /// pattern that reads a one- or two-pin gate's pins, and one length
+    /// test ahead of the fold.
+    #[inline]
+    #[must_use]
+    pub fn evaluate_pins<P>(self, pins: &[P], level: impl Fn(&P) -> Level) -> Signal {
+        const ZERO: u8 = 1 << Level::Zero as u8;
+        const ONE: u8 = 1 << Level::One as u8;
+        const X: u8 = 1 << Level::X as u8;
+        let out = match self {
+            GateKind::Buf | GateKind::Not => {
+                let [p] = pins else {
+                    self.arity_violated(pins.len())
+                };
+                level(p)
+            }
             GateKind::Tristate => {
-                return match inputs[1] {
-                    Level::One => Signal::strong(inputs[0]),
+                let [data, enable] = pins else {
+                    self.arity_violated(pins.len())
+                };
+                return match level(enable) {
+                    Level::One => Signal::strong(level(data)),
                     Level::Zero => Signal::FLOATING,
                     Level::X => Signal::strong(Level::X),
+                };
+            }
+            GateKind::And
+            | GateKind::Nand
+            | GateKind::Or
+            | GateKind::Nor
+            | GateKind::Xor
+            | GateKind::Xnor => {
+                if pins.len() < 2 {
+                    self.arity_violated(pins.len());
+                }
+                let (mut seen, mut parity) = (0u8, 0u8);
+                for p in pins {
+                    let l = level(p) as u8;
+                    seen |= 1 << l;
+                    // An `X` adds 2, which leaves bit 0 alone.
+                    parity ^= l;
+                }
+                match self {
+                    GateKind::And | GateKind::Nand if seen & ZERO != 0 => Level::Zero,
+                    GateKind::Or | GateKind::Nor if seen & ONE != 0 => Level::One,
+                    _ if seen & X != 0 => Level::X,
+                    GateKind::And | GateKind::Nand => Level::One,
+                    GateKind::Or | GateKind::Nor => Level::Zero,
+                    _ => Level::from_bool(parity & 1 == 1),
                 }
             }
         };
-        Signal::strong(level)
+        let inverting = matches!(
+            self,
+            GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
+        );
+        Signal::strong(if inverting { out.not() } else { out })
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn arity_violated(self, inputs: usize) -> ! {
+        panic!("gate {self:?} arity violated: {inputs} inputs")
     }
 
     /// Approximate CMOS transistor cost of the gate, used to reproduce the
@@ -453,6 +519,116 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_is_enforced() {
         let _ = GateKind::Not.evaluate(&lv(&[1, 0]));
+    }
+
+    /// The definition the kernel is held to: the Kleene folds of
+    /// `Level::and`/`or`/`xor`, then `not` for the inverting kinds.
+    fn reference(kind: GateKind, inputs: &[Level]) -> Signal {
+        let and = || inputs.iter().copied().fold(Level::One, Level::and);
+        let or = || inputs.iter().copied().fold(Level::Zero, Level::or);
+        let xor = || inputs.iter().copied().fold(Level::Zero, Level::xor);
+        Signal::strong(match kind {
+            GateKind::Buf => inputs[0],
+            GateKind::Not => inputs[0].not(),
+            GateKind::And => and(),
+            GateKind::Nand => and().not(),
+            GateKind::Or => or(),
+            GateKind::Nor => or().not(),
+            GateKind::Xor => xor(),
+            GateKind::Xnor => xor().not(),
+            GateKind::Tristate => {
+                return match inputs[1] {
+                    Level::One => Signal::strong(inputs[0]),
+                    Level::Zero => Signal::FLOATING,
+                    Level::X => Signal::strong(Level::X),
+                }
+            }
+        })
+    }
+
+    /// Both entry points against the reference; `evaluate_pins` reads
+    /// the levels through pin indices, as the engines read net ids.
+    fn check_kernel(kind: GateKind, inputs: &[Level]) {
+        let want = reference(kind, inputs);
+        let pins: Vec<usize> = (0..inputs.len()).collect();
+        assert_eq!(
+            kind.evaluate_pins(&pins, |&i| inputs[i]),
+            want,
+            "{kind:?} {inputs:?}"
+        );
+        assert_eq!(kind.evaluate(inputs), want, "{kind:?} {inputs:?}");
+    }
+
+    fn allows(kind: GateKind, n: usize) -> bool {
+        let (min, max) = kind.arity();
+        n >= min && max.is_none_or(|m| n <= m)
+    }
+
+    #[test]
+    fn kernel_matches_kleene_folds_on_every_vector_up_to_six_inputs() {
+        for kind in GateKind::ALL {
+            for n in (1..=6).filter(|&n| allows(kind, n)) {
+                for code in 0..3usize.pow(n as u32) {
+                    let inputs: Vec<Level> = (0..n)
+                        .map(|i| Level::ALL[code / 3usize.pow(i as u32) % 3])
+                        .collect();
+                    check_kernel(kind, &inputs);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Past small widths: known bits with `X` at random positions
+        /// (none, a few, or most), so both the parity and the `X`
+        /// bookkeeping run over long folds. Every kind sees the vector,
+        /// the fixed-arity ones its first one or two pins.
+        #[test]
+        fn kernel_matches_kleene_folds_up_to_64_inputs(
+            bits in proptest::collection::vec((proptest::arbitrary::any::<bool>(), 0u8..16), 2..=64),
+            x_density in 0u8..=16,
+        ) {
+            let inputs: Vec<Level> = bits
+                .iter()
+                .map(|&(b, r)| if r < x_density { Level::X } else { Level::from_bool(b) })
+                .collect();
+            for kind in GateKind::ALL {
+                let n = kind.arity().1.unwrap_or(inputs.len());
+                check_kernel(kind, &inputs[..n]);
+            }
+        }
+    }
+
+    macro_rules! arity_boundary {
+        ($($name:ident: $kind:ident with $n:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "arity violated")]
+            fn $name() {
+                let pins = vec![0u32; $n];
+                let _ = GateKind::$kind.evaluate_pins(&pins, |_| Level::One);
+            }
+        )*};
+    }
+
+    arity_boundary! {
+        buf_rejects_no_inputs: Buf with 0;
+        buf_rejects_two_inputs: Buf with 2;
+        not_rejects_no_inputs: Not with 0;
+        not_rejects_two_inputs: Not with 2;
+        and_rejects_no_inputs: And with 0;
+        and_rejects_one_input: And with 1;
+        or_rejects_no_inputs: Or with 0;
+        or_rejects_one_input: Or with 1;
+        nand_rejects_no_inputs: Nand with 0;
+        nand_rejects_one_input: Nand with 1;
+        nor_rejects_no_inputs: Nor with 0;
+        nor_rejects_one_input: Nor with 1;
+        xor_rejects_no_inputs: Xor with 0;
+        xor_rejects_one_input: Xor with 1;
+        xnor_rejects_no_inputs: Xnor with 0;
+        xnor_rejects_one_input: Xnor with 1;
+        tristate_rejects_one_input: Tristate with 1;
+        tristate_rejects_three_inputs: Tristate with 3;
     }
 
     #[test]

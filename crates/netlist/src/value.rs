@@ -15,14 +15,20 @@ use std::fmt;
 /// The unknown level `X` propagates pessimistically through gate
 /// evaluation: a gate output is `X` unless the known inputs force it
 /// (e.g. `0 AND X = 0`, but `1 AND X = X`).
+///
+/// The discriminants are a contract: `level as u8` is 0, 1 or 2, which
+/// the gate kernel ([`GateKind::evaluate_pins`]) uses as a bit index and
+/// as the parity of a known level.
+///
+/// [`GateKind::evaluate_pins`]: crate::GateKind::evaluate_pins
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Level {
     /// Logic low.
-    Zero,
+    Zero = 0,
     /// Logic high.
-    One,
+    One = 1,
     /// Unknown level (uninitialized, or a drive fight).
-    X,
+    X = 2,
 }
 
 impl Level {

@@ -366,7 +366,6 @@ pub(crate) fn relax_power_up(
 ) {
     let mut scratch = solver::Scratch::default();
     let mut group_out: Vec<(NetId, Signal)> = Vec::new();
-    let mut levels: Vec<Level> = Vec::new();
     for round in 0..INIT_ROUNDS {
         // Recompute all net values from current drives.
         let mut changed = false;
@@ -404,14 +403,8 @@ pub(crate) fn relax_power_up(
         // Re-evaluate all gates.
         for ci in 0..img.eval.len() {
             if let EvalKind::Gate { kind, .. } = img.eval[ci] {
-                levels.clear();
-                levels.extend(
-                    img.gate_inputs
-                        .row(ci)
-                        .iter()
-                        .map(|&n| net_values[n as usize].level),
-                );
-                let out = kind.evaluate(&levels);
+                let out =
+                    kind.evaluate_pins(img.gate_inputs.row(ci), |&n| net_values[n as usize].level);
                 if comp_drive[ci] != out {
                     comp_drive[ci] = out;
                     last_scheduled[ci] = out;
@@ -441,8 +434,6 @@ struct Worklists {
     to_eval: OrderedSet,
     /// Nets whose resolved value changed, with the causing component.
     changed_nets: Vec<(NetId, CompId)>,
-    /// Gate input levels gathered for one evaluation.
-    levels: Vec<Level>,
     /// Output of one group resolution.
     group_out: Vec<(NetId, Signal)>,
     /// Switch-solver internal buffers.
@@ -826,15 +817,9 @@ impl<'a> Simulator<'a> {
                 match self.img.eval[ci as usize] {
                     EvalKind::Gate { kind, delay } => {
                         self.counters.evaluations += 1;
-                        ws.levels.clear();
-                        ws.levels.extend(
-                            self.img
-                                .gate_inputs
-                                .row(ci as usize)
-                                .iter()
-                                .map(|&n| self.net_values[n as usize].level),
-                        );
-                        let out = kind.evaluate(&ws.levels);
+                        let out = kind.evaluate_pins(self.img.gate_inputs.row(ci as usize), |&n| {
+                            self.net_values[n as usize].level
+                        });
                         let d = u64::from(delay.for_transition(out.level));
                         self.schedule_change(tick + d, CompId(ci), out);
                     }

@@ -264,8 +264,6 @@ struct PartyState {
     component_msgs: u64,
     /// Likewise: crossing messages by the sender's worker.
     messages_sent: Vec<u64>,
-    /// Scratch: gate input levels.
-    levels: Vec<Level>,
     /// Scratch: one group resolution's output.
     group_out: Vec<(NetId, Signal)>,
     /// Scratch: switch-solver buffers.
@@ -294,7 +292,6 @@ impl PartyState {
             crossing: 0,
             component_msgs: 0,
             messages_sent: vec![0; workers],
-            levels: Vec::new(),
             group_out: Vec::new(),
             solver: solver::Scratch::default(),
             obs,
@@ -1001,16 +998,10 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
         match core.img.eval[ci as usize] {
             EvalKind::Gate { kind, delay } => {
                 st.evaluations += 1;
-                st.levels.clear();
-                st.levels.extend(
-                    core.img
-                        .gate_inputs
-                        .row(ci as usize)
-                        .iter()
-                        // SAFETY: see above.
-                        .map(|&n| unsafe { core.net_values.get(n as usize) }.level),
-                );
-                let out = kind.evaluate(&st.levels);
+                let out = kind.evaluate_pins(core.img.gate_inputs.row(ci as usize), |&n| {
+                    // SAFETY: see above.
+                    unsafe { core.net_values.get(n as usize) }.level
+                });
                 let d = u64::from(delay.for_transition(out.level));
                 // Inertial scheduling, mirroring `schedule_change`.
                 // SAFETY: `ci` is owned by this party.
