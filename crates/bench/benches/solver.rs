@@ -16,10 +16,20 @@
 //!   6 nets, 12 switches.
 //! * `pass_chain_64` — 64 NMOS pass switches in series off one driven
 //!   head, 65 nets.
+//!
+//! The `settle` group times the settle rule where it acts, in the engine:
+//! `Simulator` over `priority_queue@10k` under its benchmark stimulus,
+//! one fixed window of ticks per iteration, continuing from where the
+//! last one stopped (the circuit is warmed up first). The throughput unit
+//! is one tick, so ns per tick is `1e9 / elem/s`; resolutions and
+//! evaluations per tick of the first window are printed before it.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use logicsim::circuits::{scaled, Benchmark, ScaledParams};
 use logicsim::netlist::{ChannelGroups, Level, NetId, Netlist, NetlistBuilder, Signal, SwitchKind};
 use logicsim::sim::solver::{resolve_group_into, GroupImage, Scratch};
+use logicsim::sim::stimulus::run_with_stimulus;
+use logicsim::sim::Simulator;
 
 /// One group to resolve: the nets in `driven` carry a strong level that
 /// toggles every resolution, `high` lists the control nets at 1 (all
@@ -157,5 +167,43 @@ fn solver_benches(c: &mut Criterion) {
     bench_group.finish();
 }
 
-criterion_group!(benches, solver_benches);
+/// Ticks per timed window of the `settle` group.
+const SETTLE_WINDOW: u64 = 2_000;
+
+fn settle_bench(c: &mut Criterion) {
+    let inst = scaled::build(&ScaledParams {
+        base: Benchmark::PriorityQueue,
+        target_components: 10_000,
+        seed: scaled::DEFAULT_SEED,
+    });
+    let mut stim = inst
+        .stimulus
+        .build(&inst.netlist, 0x1987)
+        .expect("benchmark stimulus resolves");
+    let mut sim = Simulator::new(&inst.netlist).expect("pre-flight");
+    run_with_stimulus(&mut sim, &mut stim, 8 * inst.vector_period.max(1));
+    sim.reset_measurements();
+    let mut until = sim.now() + SETTLE_WINDOW;
+    run_with_stimulus(&mut sim, &mut stim, until);
+    let counters = sim.counters();
+    let per_tick = |n: u64| n as f64 / SETTLE_WINDOW as f64;
+    println!(
+        "settle/priority_queue@10k: {:.1} resolutions, {:.1} evaluations, {:.1} events per tick",
+        per_tick(counters.group_resolutions),
+        per_tick(counters.evaluations),
+        per_tick(counters.events),
+    );
+    let mut group = c.benchmark_group("settle");
+    group.throughput(Throughput::Elements(SETTLE_WINDOW));
+    group.bench_function("priority_queue@10k", |b| {
+        b.iter(|| {
+            until += SETTLE_WINDOW;
+            run_with_stimulus(&mut sim, &mut stim, until);
+            black_box(sim.counters().events)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, solver_benches, settle_bench);
 criterion_main!(benches);

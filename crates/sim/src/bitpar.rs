@@ -1259,16 +1259,10 @@ fn eval_cell(
     diff
 }
 
-/// The cyclic-circuit generator of this crate's test suites (shared
-/// with `tests/proptests.rs`).
-#[cfg(test)]
-#[path = "../tests/common/cyclic.rs"]
-mod cyclic;
-
 #[cfg(test)]
 mod tests {
-    use super::cyclic::{self, Wiring};
     use super::*;
+    use crate::cyclic::{self, Wiring};
     use crate::engine::Simulator;
     use logicsim_netlist::{Delay, NetlistBuilder};
     use proptest::prelude::*;

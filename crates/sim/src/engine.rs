@@ -125,10 +125,13 @@ pub(crate) enum EvalKind {
         delay: Delay,
     },
     /// Mark the switch's channel-connected group dirty for intra-tick
-    /// settling.
+    /// settling if what the group reads through the switch moved since
+    /// its last settle ([`solver::GroupImage::conduction_read`]).
     Switch {
         /// The channel group both channel terminals belong to.
         group: u32,
+        /// The switch's slot in [`ChannelGroups`]' flat switch array.
+        slot: u32,
     },
     /// Inputs, pulls, and rails: nothing to evaluate.
     Passive,
@@ -291,7 +294,7 @@ impl Image {
             }
         }
 
-        let eval: Vec<EvalKind> = netlist
+        let mut eval: Vec<EvalKind> = netlist
             .components()
             .iter()
             .map(|c| match c {
@@ -299,12 +302,18 @@ impl Image {
                     kind: *kind,
                     delay: *delay,
                 },
-                Component::Switch { a, .. } => EvalKind::Switch {
-                    group: groups.group_of(*a),
-                },
                 _ => EvalKind::Passive,
             })
             .collect();
+        for group in 0..groups.num_groups() as u32 {
+            let slots = groups.switch_range(group);
+            for (slot, sw) in slots.zip(groups.switches(group)) {
+                eval[sw.index()] = EvalKind::Switch {
+                    group,
+                    slot: slot as u32,
+                };
+            }
+        }
         let ext_drivers = Csr::from_rows((0..nn).map(|i| {
             netlist
                 .drivers(NetId(i as u32))
@@ -418,6 +427,42 @@ pub(crate) fn relax_power_up(
     }
 }
 
+/// The nontrivial groups that a resolution against the current drives
+/// and levels would change, each with whether `settled` holds a record
+/// of its last resolution (one that is not [`solver::UNSETTLED`]).
+#[cfg(test)]
+pub(crate) fn stale_groups(
+    img: &Image,
+    net_values: &[Signal],
+    comp_drive: &[Signal],
+    settled: &[u8],
+) -> Vec<(u32, bool)> {
+    let mut scratch = solver::Scratch::default();
+    let mut out = Vec::new();
+    let level = |net: NetId| net_values[net.index()].level;
+    (0..img.groups.num_groups() as u32)
+        .filter(|&gid| img.group_nontrivial[gid as usize])
+        .filter_map(|gid| {
+            out.clear();
+            img.solver.resolve_into(
+                &img.groups,
+                gid,
+                &mut scratch,
+                |net| img.external_drive(comp_drive, net),
+                level,
+                level,
+                &mut out,
+            );
+            let stale = out.iter().any(|&(net, v)| net_values[net.index()] != v);
+            let recorded = img
+                .groups
+                .switch_range(gid)
+                .any(|slot| settled[slot] != solver::UNSETTLED);
+            stale.then_some((gid, recorded))
+        })
+        .collect()
+}
+
 /// Persistent per-tick scratch buffers, reused across every [`Simulator::step`].
 #[derive(Debug, Default)]
 struct Worklists {
@@ -438,6 +483,12 @@ struct Worklists {
     group_out: Vec<(NetId, Signal)>,
     /// Switch-solver internal buffers.
     solver: solver::Scratch,
+    /// Per switch slot, the conduction its group's last resolution read
+    /// ([`solver::GroupImage::record_conduction`]). Here rather than on
+    /// the simulator: as a `Simulator` field it slowed `eval-serial`'s
+    /// fanout walk, which never reads it (DESIGN.md §10, "When a group
+    /// is settled").
+    settled: Vec<u8>,
 }
 
 /// The event-driven gate/switch-level simulator.
@@ -521,6 +572,7 @@ impl<'a> Simulator<'a> {
                 affected_cause: vec![0; nn],
                 dirty_groups: OrderedSet::with_capacity(num_groups),
                 to_eval: OrderedSet::with_capacity(nc),
+                settled: img.solver.unsettled(),
                 ..Worklists::default()
             })),
             img,
@@ -764,6 +816,15 @@ impl<'a> Simulator<'a> {
             for &gid in groups_now {
                 self.counters.group_resolutions += 1;
                 self.resolve_group_now_into(gid, &mut ws.solver, &mut ws.group_out);
+                let settled = &mut ws.settled;
+                self.img.solver.record_conduction(
+                    &self.img.groups,
+                    gid,
+                    &ws.solver,
+                    |slot, code| {
+                        settled[slot] = code;
+                    },
+                );
                 for &(net, v) in &ws.group_out {
                     if self.net_values[net.index()] != v {
                         self.net_values[net.index()] = v;
@@ -811,7 +872,8 @@ impl<'a> Simulator<'a> {
             );
 
             // Evaluate fanout components: gates schedule delayed output
-            // changes; switches mark their group dirty for this tick.
+            // changes; a switch marks its group dirty for this tick if
+            // the conduction the group reads through it moved.
             let evals_before = self.counters.evaluations;
             for &ci in ws.to_eval.sorted() {
                 match self.img.eval[ci as usize] {
@@ -823,9 +885,17 @@ impl<'a> Simulator<'a> {
                         let d = u64::from(delay.for_transition(out.level));
                         self.schedule_change(tick + d, CompId(ci), out);
                     }
-                    EvalKind::Switch { group } => {
+                    EvalKind::Switch { group, slot } => {
                         self.counters.evaluations += 1;
-                        ws.dirty_groups.insert(group);
+                        let read = self.img.solver.conduction_read(
+                            &self.img.groups,
+                            group,
+                            slot as usize,
+                            |net| self.net_values[net.index()].level,
+                        );
+                        if read != ws.settled[slot as usize] {
+                            ws.dirty_groups.insert(group);
+                        }
                     }
                     EvalKind::Passive => {}
                 }
@@ -843,6 +913,17 @@ impl<'a> Simulator<'a> {
             rounds += 1;
             if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
+                // The dirty groups are dropped unsettled (the next tick
+                // starts with an empty set), so their next switch
+                // evaluation must settle them whatever it reads.
+                let settled = &mut ws.settled;
+                for &gid in ws.dirty_groups.sorted() {
+                    self.img
+                        .solver
+                        .forget_conduction(&self.img.groups, gid, |slot, code| {
+                            settled[slot] = code;
+                        });
+                }
                 break;
             }
         }
@@ -876,11 +957,21 @@ impl<'a> Simulator<'a> {
         }
         self.now()
     }
+
+    /// [`stale_groups`] of the current state.
+    #[cfg(test)]
+    pub(crate) fn stale_groups(&self) -> Vec<(u32, bool)> {
+        let ws = self.ws.as_ref().expect("worklists are back after a step");
+        stale_groups(&self.img, &self.net_values, &self.comp_drive, &ws.settled)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cyclic::{self, Wiring};
+    use crate::par_engine::ParSimulator;
+    use logicsim_circuits::Benchmark;
     use logicsim_netlist::{Delay, GateKind, NetlistBuilder, SwitchKind};
 
     fn inverter() -> Netlist {
@@ -1115,6 +1206,175 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("LS0001"), "{text}");
         assert!(text.contains("fails pre-flight"), "{text}");
+    }
+
+    /// Input changes for the tick about to execute, through a setter.
+    type Script = Box<dyn FnMut(u64, &mut dyn FnMut(NetId, Level))>;
+
+    /// Deals every gate and switch round-robin to `parts` partitions.
+    fn round_robin(netlist: &Netlist, parts: u32) -> Vec<u32> {
+        let mut next = 0..;
+        netlist
+            .components()
+            .iter()
+            .map(|c| match c {
+                Component::Gate { .. } | Component::Switch { .. } => {
+                    next.next().unwrap_or(0) % parts
+                }
+                _ => u32::MAX,
+            })
+            .collect()
+    }
+
+    /// Tracks one run against the settle rule's invariant: re-settling
+    /// a nontrivial group the engine holds a record of changes none of
+    /// its members. While no tick has counted a relaxation overflow, and
+    /// if power-up left every group settled, that holds for *every*
+    /// nontrivial group. Returns whether it still does.
+    fn check_stale(stale: &[(u32, bool)], every: bool, overflows: u64, what: &str) -> bool {
+        let every = every && overflows == 0;
+        let bad: Vec<u32> = stale
+            .iter()
+            .filter(|&&(_, recorded)| every || recorded)
+            .map(|&(gid, _)| gid)
+            .collect();
+        assert!(
+            bad.is_empty(),
+            "{what}: settling {bad:?} again would change them"
+        );
+        every
+    }
+
+    /// Runs a script from `script()` for `ticks` ticks on `Simulator`,
+    /// checked after every tick, and on `ParSimulator` at P ∈ {2, 3},
+    /// checked between `run_with` calls of 7 ticks; the three end with
+    /// the same counters. Returns whether every group stayed settled
+    /// throughout.
+    fn assert_no_stale_group(netlist: &Netlist, ticks: u64, script: &dyn Fn() -> Script) -> bool {
+        let mut serial = Simulator::new(netlist).expect("pre-flight");
+        let mut every = serial.stale_groups().is_empty();
+        let mut set_inputs = script();
+        while serial.now() < ticks {
+            let now = serial.now();
+            set_inputs(now, &mut |net, l| serial.set_input(net, l));
+            serial.step();
+            let overflows = serial.counters().relaxation_overflows;
+            let what = format!("Simulator after tick {now}");
+            every = check_stale(&serial.stale_groups(), every, overflows, &what);
+        }
+        for workers in [2, 3] {
+            let assignment = round_robin(netlist, workers as u32);
+            let mut par = ParSimulator::new(netlist, &assignment, workers).expect("pre-flight");
+            let mut par_every = par.stale_groups().is_empty();
+            let mut set_inputs = script();
+            while par.now() < ticks {
+                let until = (par.now() + 7).min(ticks);
+                par.run_with(until, |tick, frame| {
+                    set_inputs(tick, &mut |net, l| frame.set(net, l));
+                });
+                let overflows = par.counters().relaxation_overflows;
+                let what = format!("ParSimulator at P={workers} before tick {until}");
+                par_every = check_stale(&par.stale_groups(), par_every, overflows, &what);
+            }
+            assert_eq!(par.counters(), serial.counters(), "P={workers}");
+        }
+        every
+    }
+
+    /// The base `assoc_mem` and `priority_queue` under their benchmark
+    /// stimulus settle every group at power-up and never overflow, so no
+    /// group may ever be stale.
+    #[test]
+    fn no_group_is_left_stale_on_the_switch_level_benchmarks() {
+        for bench in [Benchmark::AssocMem, Benchmark::PriorityQueue] {
+            let inst = bench.build_default();
+            let proto = inst
+                .stimulus
+                .build(&inst.netlist, 0x1987)
+                .expect("stimulus");
+            let script = || -> Script {
+                let mut stim = proto.clone();
+                Box::new(move |tick, set| stim.apply_with(tick, &mut *set))
+            };
+            let every = assert_no_stale_group(&inst.netlist, 300, &script);
+            assert!(every, "{bench:?}: a group was stale before the first tick");
+        }
+    }
+
+    /// Three switch-level inverters in a ring closed by pass switches on
+    /// `en`: closing the ring oscillates it inside one tick until the
+    /// round bound drops its group unsettled (the ring of
+    /// `par_engine`'s `settle_round_overflow_forgets_dirty_groups_like_serial`).
+    /// Before and after, `rst` pulls every stage low through a switch
+    /// and back, which re-evaluates the ring's switches.
+    #[test]
+    fn no_group_is_left_stale_after_a_round_overflow() {
+        let mut b = NetlistBuilder::new("ring");
+        let (rst, en) = (b.input("rst"), b.input("en"));
+        let g = b.net("g");
+        b.supply(g, Level::Zero);
+        let n = [b.net("n1"), b.net("n2"), b.net("n3")];
+        let c = [b.net("c1"), b.net("c2"), b.net("c3")];
+        for k in 0..3 {
+            b.pull(n[k], Level::One);
+            b.switch(SwitchKind::Nmos, c[k], n[k], g);
+            b.switch(SwitchKind::Nmos, en, n[(k + 2) % 3], c[k]);
+            b.switch(SwitchKind::Nmos, rst, c[k], g);
+        }
+        let netlist = b.finish().unwrap();
+        let script = || -> Script {
+            Box::new(move |tick, set| match tick {
+                0 => (set(en, Level::Zero), set(rst, Level::One)).0,
+                5 | 25 => set(rst, Level::Zero),
+                10 => set(en, Level::One),
+                20 => set(rst, Level::One),
+                _ => (),
+            })
+        };
+        // `false`: the round bound was hit, and from then on only the
+        // groups with a record are held to the invariant.
+        assert!(!assert_no_stale_group(&netlist, 40, &script));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The same on random cyclic circuits, wired wild, two elements
+        /// in three with switches: pass-gate cells in feedback paths, a
+        /// storage node gating its own switch, nMOS latches that can
+        /// oscillate inside one tick until the round bound stops them,
+        /// buses, fights and supplied members, chained into one another.
+        /// One input takes a drawn level every other tick.
+        #[test]
+        fn no_group_is_left_stale_on_cyclic_circuits(
+            elements in proptest::collection::vec(
+                (0usize..17, 0usize..64, 0usize..64, 0usize..64, 0usize..64), 1..12),
+            gates in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 0..8),
+            changes in proptest::collection::vec((0usize..cyclic::INPUTS, 0usize..3), 8..48),
+        ) {
+            // Selectors past the 11 kinds pick a switch-level one.
+            let elements: Vec<cyclic::Element> = elements
+                .into_iter()
+                .map(|(s, p0, p1, p2, p3)| {
+                    let kind = [2, 3, 5, 8, 9, 10].get(s.wrapping_sub(11)).map_or(s, |&k| k);
+                    (kind as u8, p0, p1, p2, p3)
+                })
+                .collect();
+            let c = cyclic::build(&elements, &gates, Wiring::Wild);
+            if Image::build(&c.netlist).is_err() {
+                return; // a zero-delay gate loop: refused by pre-flight
+            }
+            let levels = [Level::Zero, Level::One, Level::X];
+            let script = || -> Script {
+                let (inputs, changes) = (c.inputs.clone(), changes.clone());
+                Box::new(move |tick, set| {
+                    if let Some(&(i, l)) = changes.get(tick as usize / 2).filter(|_| tick.is_multiple_of(2)) {
+                        set(inputs[i], levels[l]);
+                    }
+                })
+            };
+            assert_no_stale_group(&c.netlist, 2 * changes.len() as u64 + 6, &script);
+        }
     }
 
     /// Clear then reuse never leaks membership: ids inserted before a

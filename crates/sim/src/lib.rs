@@ -32,6 +32,11 @@
 //! ```
 
 pub mod bitpar;
+/// The cyclic-circuit generator of this crate's test suites (shared with
+/// `tests/proptests.rs`).
+#[cfg(test)]
+#[path = "../tests/common/cyclic.rs"]
+mod cyclic;
 pub mod engine;
 pub mod heap_list;
 pub mod instrument;

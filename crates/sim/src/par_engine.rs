@@ -51,21 +51,24 @@
 //!    merge, resolution and fan-out for the nets mailed to it.
 //! 3. **Resolve** (when a group is dirty): every owner drains its
 //!    dirty-group inbox, settles those groups in ascending group
-//!    order, and mails the fanout of the nets that changed.
+//!    order, records what each resolution read of its switches, and
+//!    mails the fanout of the nets that changed.
 //! 4. **Eval** (when a net changed): every party evaluates the
 //!    components named in its inboxes, scheduling delayed output
-//!    changes into its own wheel and mailing the groups of evaluated
-//!    switches to the groups' owners. Steps 3–4 repeat until the tick
-//!    settles exactly as in the serial engine.
+//!    changes into its own wheel and mailing the group of an evaluated
+//!    switch to the group's owner when the conduction the group reads
+//!    through it differs from that record (see the
+//!    [`solver`] module docs, "When a group is settled"). Steps 3–4
+//!    repeat until the tick settles exactly as in the serial engine.
 //!
 //! Within a phase a party writes only what it owns (its slot, its
-//! outboxes, its components' state, its nets' values, its causes'
-//! activity counts) and reads, besides that, only what no other party
-//! writes in that phase: in Apply the drives of its own components; in
-//! Merge and Resolve any `comp_drive` (nobody writes them); foreign
-//! `net_values` only in Eval (nobody writes them) and, in Resolve, for
-//! control nets outside every nontrivial group (written in Apply and
-//! Merge only).
+//! outboxes, its components' state, its nets' values, its groups'
+//! settle records, its causes' activity counts) and reads, besides
+//! that, only what no other party writes in that phase: in Apply the
+//! drives of its own components; in Merge and Resolve any `comp_drive`
+//! (nobody writes them); foreign `net_values` and settle records only in
+//! Eval (nobody writes them) and, in Resolve, for control nets outside
+//! every nontrivial group (written in Apply and Merge only).
 //!
 //! # Determinism
 //!
@@ -330,6 +333,10 @@ struct Core<'a> {
     /// only by the owner of its output net (or, for a switch, of its
     /// group), so the writers are disjoint.
     activity: SharedVec<u64>,
+    /// Per switch slot, the conduction its group's last resolution read
+    /// ([`solver::GroupImage::record_conduction`]): written by the
+    /// group's owner in Resolve, read by the switch's owner in Eval.
+    settled: SharedVec<u8>,
     /// Per-party wheels, scratch, and counters.
     parties: SharedSlots<PartyState>,
     /// Apply → Merge: changes onto nets with drivers in several
@@ -415,6 +422,7 @@ struct Tally {
     inline_phases: u64,
     merge_handshakes: u64,
     merge_inline: u64,
+    resolve_phases: u64,
 }
 
 impl Master {
@@ -570,6 +578,10 @@ impl Master {
         loop {
             if any_dirty(core) {
                 self.phase(core, Cmd::Resolve { tick: t });
+                #[cfg(test)]
+                {
+                    self.tally.resolve_phases += 1;
+                }
                 let m = self.obs.mark();
                 for p in 0..np {
                     let n = party(p).resolved_groups;
@@ -605,11 +617,24 @@ impl Master {
             rounds += 1;
             if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
-                // The serial engine forgets its dirty groups at the
-                // next tick; forget the mail that names them.
-                // SAFETY: workers parked; the master is the unique
-                // accessor of every box.
-                unsafe { core.dirty_mail.clear() };
+                // The serial engine drops its dirty groups unsettled;
+                // drop the mail that names them, and what they last
+                // read with it.
+                let mut dropped = Vec::new();
+                for dst in 0..np {
+                    // SAFETY: workers parked; the master is the unique
+                    // accessor of every box.
+                    unsafe { core.dirty_mail.drain_into(dst, &mut dropped) };
+                }
+                for gid in dropped {
+                    core.img
+                        .solver
+                        .forget_conduction(&core.img.groups, gid, |slot, code| {
+                            // SAFETY: workers parked; nobody else
+                            // touches `settled` between phases.
+                            unsafe { core.settled.set(slot, code) };
+                        });
+                }
                 break;
             }
         }
@@ -918,8 +943,8 @@ fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize
 }
 
 /// Resolve phase: settle the dirty switch groups this party owns, in
-/// ascending group order, writing member-net values, and mail the
-/// fanout of every net that changed.
+/// ascending group order, writing member-net values and settle
+/// records, and mail the fanout of every net that changed.
 fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: unique slot access during a phase. Net reads and writes
     // stay inside this party's coupling clusters (or read nets no party
@@ -950,6 +975,13 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
             |net| unsafe { core.net_values.get(net.index()) }.level,
             &mut st.group_out,
         );
+        core.img
+            .solver
+            .record_conduction(&core.img.groups, gid, &st.solver, |slot, code| {
+                // SAFETY: a group's switch slots are written by its
+                // owner, here, and read by nobody in Resolve.
+                unsafe { core.settled.set(slot, code) };
+            });
         for &(net, v) in &st.group_out {
             // SAFETY: member nets belong to this party's cluster.
             unsafe {
@@ -973,8 +1005,8 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
 
 /// Eval phase: evaluate the fanout components mailed to this party
 /// (ascending id order), scheduling delayed output changes into the
-/// party's own wheel and mailing evaluated switches' groups to the
-/// groups' owners.
+/// party's own wheel and mailing an evaluated switch's group to the
+/// group's owner when what the group reads through it moved.
 fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     // SAFETY: unique slot access during a phase; `net_values` is
     // read-only in this phase; per-component state touched here belongs
@@ -1030,11 +1062,24 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
                     }
                 }
             }
-            EvalKind::Switch { group } => {
+            EvalKind::Switch { group, slot } => {
                 st.evaluations += 1;
-                let owner = core.group_owner[group as usize] as usize;
-                // SAFETY: only this party fills its outboxes this phase.
-                unsafe { core.dirty_mail.mail(party, owner) }.push(group);
+                let read = core.img.solver.conduction_read(
+                    &core.img.groups,
+                    group,
+                    slot as usize,
+                    |net| {
+                        // SAFETY: see above.
+                        unsafe { core.net_values.get(net.index()) }.level
+                    },
+                );
+                // SAFETY: `settled` is written in Resolve only.
+                if read != unsafe { core.settled.get(slot as usize) } {
+                    let owner = core.group_owner[group as usize] as usize;
+                    // SAFETY: only this party fills its outboxes this
+                    // phase.
+                    unsafe { core.dirty_mail.mail(party, owner) }.push(group);
+                }
             }
             EvalKind::Passive => {}
         }
@@ -1223,6 +1268,7 @@ impl<'a> ParSimulator<'a> {
             &clock,
         );
         let master_obs = lane();
+        let settled = img.solver.unsettled();
 
         Ok(ParSimulator {
             core: Core {
@@ -1238,6 +1284,7 @@ impl<'a> ParSimulator<'a> {
                 last_scheduled: SharedVec::from_vec(last_scheduled, &clock),
                 pending: SharedVec::from_vec(vec![None; nc], &clock),
                 activity: SharedVec::from_vec(vec![0; nc], &clock),
+                settled: SharedVec::from_vec(settled, &clock),
                 parties,
                 affected_mail: Mailboxes::new(num_parties, &clock),
                 eval_mail: Mailboxes::new(num_parties, &clock),
@@ -1466,6 +1513,19 @@ impl<'a> ParSimulator<'a> {
         // publish) never share a phase with that final read.
         self.core.clock.advance();
         self.m.absorb(&self.core);
+    }
+
+    /// [`crate::engine::stale_groups`] of the current state.
+    #[cfg(test)]
+    pub(crate) fn stale_groups(&self) -> Vec<(u32, bool)> {
+        // No worker threads exist outside `run_with`, so the snapshots
+        // cannot observe a concurrent writer.
+        crate::engine::stale_groups(
+            &self.core.img,
+            &self.core.net_values.snapshot(),
+            &self.core.comp_drive.snapshot(),
+            &self.core.settled.snapshot(),
+        )
     }
 }
 
@@ -1799,6 +1859,60 @@ mod tests {
             });
             assert!(counters.group_resolutions > 8);
         }
+    }
+
+    /// A transmission-gate latch: `d` passes onto the storage node `q`
+    /// while `en` is 1 (an nMOS gated by `en`, a pMOS by `en_n`, the
+    /// inverted `en`), and `q` is read by an inverter. Components: `d`,
+    /// `en`, the inverter making `en_n`, the two switches, the reader.
+    fn tg_latch() -> Netlist {
+        let mut b = NetlistBuilder::new("tg_latch");
+        let (d, en) = (b.input("d"), b.input("en"));
+        let (en_n, q, y) = (b.net("en_n"), b.net("q"), b.net("y"));
+        b.gate(GateKind::Not, &[en], en_n, Delay::uniform(1));
+        b.transmission_gate(en, en_n, d, q);
+        b.gate(GateKind::Not, &[q], y, Delay::uniform(1));
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_latch_settles_in_one_resolve_phase_per_tick() {
+        // `d` toggles every 4 ticks; the latch closes at 20 and opens
+        // again at 40. A tick that settles the group — `d` moving while
+        // the latch is open, `en_n` closing the last switch — runs one
+        // Resolve phase: the switches the settle re-evaluates (their
+        // channel ends changed) read the conduction it read. Closing
+        // `en` while `en_n` still conducts settles nothing. Settling on
+        // every switch evaluation, as the engine once did, ran 35 Resolve
+        // phases in 18 ticks here, all but one tick ending on an idle
+        // second phase.
+        let n = tg_latch();
+        let (d, en) = (n.find_net("d").unwrap(), n.find_net("en").unwrap());
+        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
+            if tick.is_multiple_of(4) {
+                set(d, Level::from_bool(tick.is_multiple_of(8)));
+            }
+            match tick {
+                0 | 40 => set(en, Level::One),
+                20 => set(en, Level::Zero),
+                _ => {}
+            }
+        };
+        let assignment = round_robin(&n, 2);
+        let (tally, counters) = run_against_serial(&n, &assignment, 2, 60, &script);
+        // Tick by tick, the ticks that settled anything.
+        let mut par = ParSimulator::new(&n, &assignment, 2).expect("pre-flight");
+        let mut settling = 0;
+        for t in 0..60 {
+            let before = par.counters().group_resolutions;
+            par.run_with(t + 1, |tick, frame| {
+                script(tick, &mut |net, l| frame.set(net, l));
+            });
+            settling += u64::from(par.counters().group_resolutions > before);
+        }
+        assert_eq!(tally.resolve_phases, settling, "{tally:?}");
+        assert_eq!(counters.group_resolutions, settling);
+        assert_eq!(settling, 17);
     }
 
     #[test]

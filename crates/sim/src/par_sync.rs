@@ -332,19 +332,6 @@ impl<T> Mailboxes<T> {
         // SAFETY: forwards this method's contract.
         !(0..self.parties).any(|dst| unsafe { self.has_mail(dst) })
     }
-
-    /// Throws away all mail.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the unique party accessing any box in the
-    /// current phase.
-    pub(crate) unsafe fn clear(&self) {
-        for i in 0..self.boxes.len() {
-            // SAFETY: forwards this method's contract.
-            unsafe { self.boxes.get_mut(i) }.0.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -426,9 +413,6 @@ mod tests {
             let mut got = vec![6];
             m.drain_into(2, &mut got);
             assert_eq!(got, [6, 7, 8]);
-            assert!(m.is_empty());
-            m.mail(1, 0).push(9);
-            m.clear();
             assert!(m.is_empty());
         }
         // Neighbouring boxes never share a cache line pair.

@@ -33,6 +33,37 @@
 //! `n`. On the engines' groups — 2.07 members and 2.17 switches per
 //! resolution on `priority_queue@100k` — that per-call overhead, not
 //! the relaxation itself, is most of the cost.
+//!
+//! # When a group is settled
+//!
+//! A resolution is a deterministic function of the members' external
+//! drives, each switch's conduction and the members' previous levels,
+//! and it reads a previous level only where it keeps it unchanged (a
+//! member no driver reaches). The engines write a nontrivial group's
+//! member nets only from that group's resolution, so re-resolving it
+//! with the same drives and conduction returns the values it already
+//! holds. Drive changes dirty a group where they are applied; a switch
+//! evaluation, which only says a net the switch reads has changed, need
+//! dirty it only if the conduction the group reads through that switch
+//! differs from what its last resolution read. [`GroupImage`] keeps that
+//! rule in three calls: `record_conduction` after a resolution,
+//! `conduction_read` at a switch evaluation, compared with what was
+//! recorded, and `forget_conduction` for a dirty group an engine drops
+//! unsettled. The record is one byte per switch slot, `UNSETTLED` until
+//! the first resolution.
+//!
+//! What is compared depends on the group's shape. On a *pair* — two
+//! members, every switch bridging them, none a self-loop — the kernel
+//! carries one member's contribution to the other across each switch in
+//! turn, and the joins of those crossings are the join of one crossing
+//! through the *fold* of the switches' conduction: unknown if any is
+//! unknown, else closed if any is closed, else open. Its result depends
+//! on the fold alone, so a pair compares the fold. On every other group
+//! a different conduction vector can change the order in which members
+//! are visited, and on some networks the order picks the fixpoint, so
+//! each switch compares its own conduction. A one-member group's net is
+//! written outside the solver, so nothing is recorded for it and every
+//! evaluation settles it.
 
 use logicsim_netlist::{
     ChannelGroups, CompId, Component, Level, NetId, Netlist, Signal, Strength, SwitchKind,
@@ -227,13 +258,57 @@ pub struct Scratch {
     tmp: Vec<u32>,
 }
 
+/// The record of a group the engine holds no resolution of: before its
+/// first, and after it drops the group unsettled. Above every code
+/// [`GroupImage::conduction_read`] returns, so a switch evaluation
+/// always finds it moved.
+pub(crate) const UNSETTLED: u8 = 3;
+
+/// What a switch evaluation compares to decide whether its group must
+/// settle again (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// One member, whose net is written outside the solver: every
+    /// evaluation settles it.
+    Single,
+    /// Two members and every switch bridging them: the fold of the
+    /// switches' conduction.
+    Pair,
+    /// Anything else: each switch's own conduction.
+    General,
+}
+
+/// A conduction as a record byte: open 0, closed 1, unknown 2 — so the
+/// pair fold is the maximum.
+#[inline]
+fn conduction_code(c: Option<bool>) -> u8 {
+    match c {
+        Some(false) => 0,
+        Some(true) => 1,
+        None => 2,
+    }
+}
+
+/// The conduction of the switch whose packed control word is `word`.
+#[inline]
+fn conduction<FC: Fn(NetId) -> Level>(word: u32, control_level: FC) -> Option<bool> {
+    let kind = if word & 1 == 0 {
+        SwitchKind::Nmos
+    } else {
+        SwitchKind::Pmos
+    };
+    kind.conducts(control_level(NetId(word >> 1)))
+}
+
 /// Every channel group of a netlist, compiled for the relaxation kernel
-/// (see the [module docs](self)). Costs 16 bytes per switch and 4 bytes
-/// per net on top of the [`ChannelGroups`] it was built from, whose
-/// member arrays it indexes rather than copies.
+/// (see the [module docs](self)). Costs 16 bytes per switch, 4 bytes
+/// per net and 1 byte per group on top of the [`ChannelGroups`] it was
+/// built from, whose member arrays it indexes rather than copies.
 #[derive(Debug, Clone)]
 pub struct GroupImage {
     compiled: Compiled,
+    /// Per group: what a switch evaluation compares.
+    shape: Vec<Shape>,
 }
 
 impl GroupImage {
@@ -248,17 +323,88 @@ impl GroupImage {
     #[must_use]
     pub fn build(netlist: &Netlist, groups: &ChannelGroups) -> GroupImage {
         let mut compiled = Compiled::with_capacity(netlist.num_switches(), netlist.num_nets());
+        let mut shape = Vec::with_capacity(groups.num_groups());
         let mut tmp = Vec::new();
         for group in 0..groups.num_groups() as u32 {
-            compiled.push_group(
-                netlist,
-                groups.members(group),
-                groups.switches(group),
-                &mut tmp,
-            );
-            debug_assert_eq!(compiled.ctl.len(), groups.switch_range(group).end);
+            let members = groups.members(group);
+            compiled.push_group(netlist, members, groups.switches(group), &mut tmp);
+            let slots = groups.switch_range(group);
+            debug_assert_eq!(compiled.ctl.len(), slots.end);
+            // Bridging members 0 and 1 is a span of 0 ^ 1.
+            shape.push(match members.len() {
+                0 | 1 => Shape::Single,
+                2 if compiled.span[slots].iter().all(|&span| span == 1) => Shape::Pair,
+                _ => Shape::General,
+            });
         }
-        GroupImage { compiled }
+        GroupImage { compiled, shape }
+    }
+
+    /// A record of [`UNSETTLED`] for every switch slot: what an engine
+    /// holds before it has settled any group.
+    pub(crate) fn unsettled(&self) -> Vec<u8> {
+        vec![UNSETTLED; self.compiled.ctl.len()]
+    }
+
+    /// The conduction `group` reads through its switch slot `slot` now,
+    /// as a record byte: the fold of all its switches' conduction on a
+    /// pair, the switch's own on any other group. A switch evaluation
+    /// needs to settle the group again exactly when this differs from
+    /// the byte [`GroupImage::record_conduction`] last stored for `slot`.
+    #[inline]
+    pub(crate) fn conduction_read<FC: Fn(NetId) -> Level>(
+        &self,
+        groups: &ChannelGroups,
+        group: u32,
+        slot: usize,
+        control_level: FC,
+    ) -> u8 {
+        let slots = match self.shape[group as usize] {
+            Shape::Pair => groups.switch_range(group),
+            Shape::Single | Shape::General => slot..slot + 1,
+        };
+        self.compiled.ctl[slots].iter().fold(0, |code, &word| {
+            code.max(conduction_code(conduction(word, &control_level)))
+        })
+    }
+
+    /// Stores `(slot, byte)` through `store`, for every switch slot of
+    /// `group`, what the resolution `scratch` ran last read — the levels
+    /// of the controls before any member was written. That resolution
+    /// must have been `group`'s, through this image. A one-member group
+    /// stores nothing.
+    pub(crate) fn record_conduction(
+        &self,
+        groups: &ChannelGroups,
+        group: u32,
+        scratch: &Scratch,
+        mut store: impl FnMut(usize, u8),
+    ) {
+        let slots = groups.switch_range(group);
+        let read = scratch.work.conducts[..slots.len()]
+            .iter()
+            .map(|&c| conduction_code(c));
+        match self.shape[group as usize] {
+            Shape::Single => {}
+            Shape::Pair => {
+                let fold = read.max().unwrap_or(0);
+                slots.for_each(|slot| store(slot, fold));
+            }
+            Shape::General => slots.zip(read).for_each(|(slot, code)| store(slot, code)),
+        }
+    }
+
+    /// Stores [`UNSETTLED`] for every switch slot of `group`: for a group
+    /// an engine drops while it is still dirty.
+    pub(crate) fn forget_conduction(
+        &self,
+        groups: &ChannelGroups,
+        group: u32,
+        mut store: impl FnMut(usize, u8),
+    ) {
+        groups
+            .switch_range(group)
+            .for_each(|slot| store(slot, UNSETTLED));
     }
 
     /// Resolves one group to a fixpoint, appending `(net, resolved)` for
@@ -410,12 +556,7 @@ fn relax<FD, FC, FP>(
         on_list[i] = true;
     }
     for (c, &word) in conducts.iter_mut().zip(group.ctl) {
-        let kind = if word & 1 == 0 {
-            SwitchKind::Nmos
-        } else {
-            SwitchKind::Pmos
-        };
-        *c = kind.conducts(control_level(NetId(word >> 1)));
+        *c = conduction(word, &control_level);
     }
 
     let mut top = n;
@@ -611,6 +752,192 @@ mod tests {
         assert_eq!(value_of(&r, z), Signal::weak(Level::Zero));
         let r2 = solve(&n, &[(a, Signal::LOW)], &[(ctl, Level::One)]);
         assert_eq!(value_of(&r2, z).strength, Strength::HighZ);
+    }
+
+    const LEVELS: [Level; 3] = [Level::Zero, Level::One, Level::X];
+
+    /// The fold by its definition: unknown if any switch is, else closed
+    /// if any is, else open.
+    fn fold_by_definition(conducts: &[Option<bool>]) -> u8 {
+        if conducts.contains(&None) {
+            2
+        } else {
+            u8::from(conducts.contains(&Some(true)))
+        }
+    }
+
+    /// Exhaustive over two members bridged by 1–4 parallel switches of
+    /// every polarity mix, every control vector in {0, 1, X}ᵏ, every
+    /// pair of member drives and every pair of previous levels: vectors
+    /// with the same fold resolve alike, and `conduction_read` and
+    /// `record_conduction` both report that fold on every slot.
+    #[test]
+    fn pair_resolution_depends_on_the_conduction_fold_alone() {
+        // Floating, pull 0/1, strong 0/1/X, supply 0/1.
+        let pair_drives = [
+            Signal::FLOATING,
+            Signal::new(Level::Zero, Strength::Resistive),
+            Signal::new(Level::One, Strength::Resistive),
+            Signal::LOW,
+            Signal::HIGH,
+            Signal::new(Level::X, Strength::Strong),
+            Signal::GND,
+            Signal::VDD,
+        ];
+        for k in 1..=4u32 {
+            for polarity in 0..1u32 << k {
+                let mut b = NetlistBuilder::new("pair");
+                let controls: Vec<NetId> = (0..k).map(|i| b.input(format!("c{i}"))).collect();
+                let (m0, m1) = (b.net("m0"), b.net("m1"));
+                let kinds: Vec<SwitchKind> = (0..k)
+                    .map(|i| {
+                        if polarity >> i & 1 == 1 {
+                            SwitchKind::Pmos
+                        } else {
+                            SwitchKind::Nmos
+                        }
+                    })
+                    .collect();
+                for (&kind, &c) in kinds.iter().zip(&controls) {
+                    b.switch(kind, c, m0, m1);
+                }
+                let n = b.finish().unwrap();
+                let groups = ChannelGroups::compute(&n);
+                let image = GroupImage::build(&n, &groups);
+                let group = groups.group_of(m0);
+                assert_eq!(image.shape[group as usize], Shape::Pair);
+                let slots = groups.switch_range(group);
+                let mut scratch = Scratch::default();
+                let mut out = Vec::new();
+                for drives in 0..pair_drives.len().pow(2) {
+                    let ext =
+                        |net: NetId| pair_drives[if net == m0 { drives % 8 } else { drives / 8 }];
+                    for prev in 0..9 {
+                        let prev_level =
+                            |net: NetId| LEVELS[if net == m0 { prev % 3 } else { prev / 3 }];
+                        // The first output seen per fold.
+                        let mut by_fold: [Option<Vec<(NetId, Signal)>>; 3] = Default::default();
+                        for vector in 0..3usize.pow(k) {
+                            let ctl = |net: NetId| {
+                                let i = controls.iter().position(|&c| c == net).unwrap();
+                                LEVELS[vector / 3usize.pow(i as u32) % 3]
+                            };
+                            let conducts: Vec<Option<bool>> = kinds
+                                .iter()
+                                .zip(&controls)
+                                .map(|(kind, &c)| kind.conducts(ctl(c)))
+                                .collect();
+                            let fold = fold_by_definition(&conducts);
+                            out.clear();
+                            image.resolve_into(
+                                &groups,
+                                group,
+                                &mut scratch,
+                                ext,
+                                ctl,
+                                prev_level,
+                                &mut out,
+                            );
+                            for slot in slots.clone() {
+                                assert_eq!(image.conduction_read(&groups, group, slot, ctl), fold);
+                            }
+                            let mut recorded = Vec::new();
+                            image.record_conduction(&groups, group, &scratch, |slot, code| {
+                                recorded.push((slot, code));
+                            });
+                            assert_eq!(
+                                recorded,
+                                slots.clone().map(|s| (s, fold)).collect::<Vec<_>>()
+                            );
+                            match &by_fold[fold as usize] {
+                                None => by_fold[fold as usize] = Some(out.clone()),
+                                Some(want) => assert_eq!(
+                                    &out, want,
+                                    "k={k} polarity={polarity:b} drives={drives} prev={prev} \
+                                     vector={vector}"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which groups fold and which compare switch by switch: a pair with
+    /// a self-loop, a three-net chain and a one-net group with a
+    /// self-loop do not fold. A general group records and reads each
+    /// switch's own conduction; a one-net group records nothing, so
+    /// every evaluation finds it moved; a forgotten group reads as
+    /// unsettled.
+    #[test]
+    fn shapes_decide_what_an_evaluation_compares() {
+        let mut b = NetlistBuilder::new("shapes");
+        let (on, off, x) = (b.input("on"), b.input("off"), b.input("x"));
+        let (p0, p1) = (b.net("p0"), b.net("p1"));
+        b.switch(SwitchKind::Nmos, on, p0, p1);
+        b.switch(SwitchKind::Nmos, off, p1, p1);
+        let (c0, c1, c2) = (b.net("c0"), b.net("c1"), b.net("c2"));
+        b.switch(SwitchKind::Nmos, on, c0, c1);
+        b.switch(SwitchKind::Pmos, x, c1, c2);
+        b.switch(SwitchKind::Nmos, off, c2, c0);
+        let lone = b.net("lone");
+        b.switch(SwitchKind::Nmos, on, lone, lone);
+        let n = b.finish().unwrap();
+        let groups = ChannelGroups::compute(&n);
+        let image = GroupImage::build(&n, &groups);
+        let ctl = |net: NetId| {
+            if net == on {
+                Level::One
+            } else if net == off {
+                Level::Zero
+            } else {
+                Level::X
+            }
+        };
+        let shape = |net| image.shape[groups.group_of(net) as usize];
+        assert_eq!(shape(p0), Shape::General);
+        assert_eq!(shape(c0), Shape::General);
+        assert_eq!(shape(lone), Shape::Single);
+        let mut scratch = Scratch::default();
+        let mut out = Vec::new();
+        let mut settled = image.unsettled();
+        assert!(settled.iter().all(|&code| code == UNSETTLED));
+        for net in [p0, c0, lone] {
+            let group = groups.group_of(net);
+            image.resolve_into(
+                &groups,
+                group,
+                &mut scratch,
+                |_| Signal::FLOATING,
+                ctl,
+                |_| Level::X,
+                &mut out,
+            );
+            image.record_conduction(&groups, group, &scratch, |slot, code| {
+                settled[slot] = code;
+            });
+        }
+        let reads = |net: NetId| -> Vec<u8> {
+            let group = groups.group_of(net);
+            groups
+                .switch_range(group)
+                .map(|slot| image.conduction_read(&groups, group, slot, ctl))
+                .collect()
+        };
+        let recorded =
+            |settled: &[u8], net| settled[groups.switch_range(groups.group_of(net))].to_vec();
+        assert_eq!(reads(p0), [1, 0]);
+        assert_eq!(recorded(&settled, p0), [1, 0]);
+        assert_eq!(reads(c0), [1, 2, 0]);
+        assert_eq!(recorded(&settled, c0), [1, 2, 0]);
+        assert_eq!(reads(lone), [1]);
+        assert_eq!(recorded(&settled, lone), [UNSETTLED]);
+        image.forget_conduction(&groups, groups.group_of(c0), |slot, code| {
+            settled[slot] = code;
+        });
+        assert_eq!(recorded(&settled, c0), [UNSETTLED; 3]);
+        assert_eq!(recorded(&settled, p0), [1, 0]);
     }
 
     #[test]

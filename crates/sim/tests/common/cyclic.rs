@@ -4,10 +4,12 @@
 //! a supplied channel member — wired to six primary inputs and followed
 //! by random gates.
 //!
-//! Two suites share this file: the oracle proptest inside
-//! `src/bitpar.rs` (it reaches the private reference sweep, so it
-//! includes this file by `#[path]`) and `tests/proptests.rs` (the event
-//! engine as the second opinion). It uses `logicsim_netlist` only.
+//! The crate's unit tests include this file by `#[path]` (`src/lib.rs`):
+//! the oracle proptest in `src/bitpar.rs`, which reaches the private
+//! reference sweep, and the settle-rule invariant in `src/engine.rs`,
+//! which reaches the engines' settle records. `tests/proptests.rs` uses
+//! it too (the event engine as the second opinion to `BitParSim`). It
+//! uses `logicsim_netlist` only.
 
 use logicsim_netlist::{Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, SwitchKind};
 

@@ -27,6 +27,11 @@
 //! executes a party, and whether a phase pays the handshake, must not
 //! show in them.
 //!
+//! `group_resolutions` (and `loads_digest`, which folds it) counts effort,
+//! not behaviour: it was re-pinned, with every other field unmoved, when
+//! the engines stopped re-settling a switch group whose drives and
+//! conduction had not changed since its last resolution.
+//!
 //! Regenerate the table with
 //! `cargo test --test golden_trace -- --ignored --nocapture`.
 
@@ -271,7 +276,7 @@ fn assoc_mem_trace_is_golden() {
             events: 0x114c,
             messages_inf: 0x2602,
             evaluations: 0x25ce,
-            group_resolutions: 0x493,
+            group_resolutions: 0x2a9,
             event_list_peak: 0x1a,
             event_list_sum: 0xece,
         },
@@ -279,12 +284,12 @@ fn assoc_mem_trace_is_golden() {
             ParSide {
                 messages_crossing: 0xc4e,
                 messages_component: 0x1946,
-                loads_digest: 0xca32_f515_6a56_0a0e,
+                loads_digest: 0xedf4_45ed_7bfa_97c2,
             },
             ParSide {
                 messages_crossing: 0x1271,
                 messages_component: 0x1946,
-                loads_digest: 0x467e_eef8_3136_c3b4,
+                loads_digest: 0x62a0_f47c_f387_c5d8,
             },
         ],
     );
@@ -301,7 +306,7 @@ fn priority_queue_trace_is_golden() {
             events: 0xd640,
             messages_inf: 0x3_3e2c,
             evaluations: 0x2_d33a,
-            group_resolutions: 0x1_071d,
+            group_resolutions: 0x7a86,
             event_list_peak: 0x15c,
             event_list_sum: 0x745b,
         },
@@ -309,12 +314,12 @@ fn priority_queue_trace_is_golden() {
             ParSide {
                 messages_crossing: 0x1_30c1,
                 messages_component: 0x2_76fa,
-                loads_digest: 0xbe99_0994_30b6_8dd9,
+                loads_digest: 0xee40_c136_0138_3d81,
             },
             ParSide {
                 messages_crossing: 0x1_d328,
                 messages_component: 0x2_76fa,
-                loads_digest: 0xb420_705b_38c8_d475,
+                loads_digest: 0x8404_f666_8ba9_648e,
             },
         ],
     );
@@ -331,7 +336,7 @@ fn rtp_chip_trace_is_golden() {
             events: 0x3fee,
             messages_inf: 0xcf41,
             evaluations: 0xcd36,
-            group_resolutions: 0xcdd,
+            group_resolutions: 0x789,
             event_list_peak: 0x5c,
             event_list_sum: 0x3572,
         },
@@ -339,12 +344,12 @@ fn rtp_chip_trace_is_golden() {
             ParSide {
                 messages_crossing: 0x3e68,
                 messages_component: 0x7ca5,
-                loads_digest: 0x5ce9_6e8b_2eda_7d74,
+                loads_digest: 0x6dde_7bf6_3cec_6665,
             },
             ParSide {
                 messages_crossing: 0x5e45,
                 messages_component: 0x7ca5,
-                loads_digest: 0xbc1b_8964_43a4_55d0,
+                loads_digest: 0x2edb_8de6_884f_fa21,
             },
         ],
     );
