@@ -38,7 +38,6 @@ pub mod bitpar;
 #[path = "../tests/common/cyclic.rs"]
 mod cyclic;
 pub mod engine;
-pub mod heap_list;
 pub mod instrument;
 mod levelize;
 pub mod obs;
@@ -54,7 +53,6 @@ pub mod wheel;
 
 pub use bitpar::{BitParSim, BitParStats};
 pub use engine::{PreflightError, SimConfig, Simulator};
-pub use heap_list::HeapEventList;
 pub use instrument::{ActivityProfile, WorkloadCounters};
 pub use obs::{LaneReport, ObsReport, Phase, PhaseSample, PhaseTotal, NUM_PHASES};
 pub use par_engine::{InputFrame, ParSimulator};

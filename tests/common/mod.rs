@@ -1,0 +1,360 @@
+//! The one driver behind the engine-equivalence matrix: `golden_trace`,
+//! `opt_equivalence`, `bitpar_differential` and `scale_golden` are tables
+//! of rows over it (DESIGN.md §7, "Verification matrix").
+//!
+//! A row is a netlist form (the instance's own, or `optimize`'s rewrite
+//! of it when a driver is given `Some(&Optimized)`), an [`Engine`] —
+//! `Simulator`, or `ParSimulator` under a random or multilevel partition
+//! of the *original* netlist at some `P`, carried over to the rewrite by
+//! `remap_assignment` — or a `BitParSim` lane count, and one of two
+//! protocols. Every row is held to the serial engine on the original
+//! netlist:
+//!
+//! * **tick window** ([`window_rows`]): the benchmark's stimulus seeded
+//!   [`SEED`], a warm-up of whole vector periods, then a window of ticks
+//!   whose trace (with the counters and `ParSimulator`'s per-party side),
+//!   outputs after every tick, or outputs after the last tick are folded
+//!   into one FNV-1a digest;
+//! * **vector quiescence** ([`lanes_match`], [`bitpar_vectors`]): vector
+//!   `v` applied, the engine settled completely, then the vector index
+//!   and the outputs folded per lane (or, for `scale_golden`'s `digest64`
+//!   pins, every net, net-major over the lanes). Lane `i` is seeded
+//!   `Stimulus64::lane_seed(SEED, i)` on both sides, so it does not
+//!   depend on the lane count and one set of serial replays serves every
+//!   width.
+//!
+//! The optimizer keeps every net's id and name, so stimulus and outputs
+//! are resolved on the original netlist for both forms. [`Driver`]
+//! exists for these tests only: the library keeps no engine trait.
+
+#![allow(dead_code)] // each suite that includes this file uses part of it
+
+use logicsim::circuits::BenchmarkInstance;
+use logicsim::netlist::analyze::opt::Optimized;
+use logicsim::netlist::{Level, NetId};
+use logicsim::partition::{MultilevelPartitioner, Partitioner, RandomPartitioner};
+use logicsim::sim::stimulus::{run_with_stimulus, RandomStimulus};
+use logicsim::sim::{
+    BitParSim, BitParStats, ParSimulator, SimConfig, Simulator, Stimulus64, TickTrace,
+    WorkloadCounters,
+};
+
+/// One `#[test]` per `name => call;` row: the suites' test lists.
+macro_rules! rows {
+    ($($name:ident => $call:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            $call;
+        }
+    )*};
+}
+
+/// The stimulus seed of every row.
+const SEED: u64 = 0x1987;
+
+/// FNV-1a's offset basis, the digest of nothing.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit over `bytes`, continuing from `h`.
+pub fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Folds the level of every declared output.
+fn fold_outputs(h: &mut u64, inst: &BenchmarkInstance, level: impl Fn(NetId) -> Level) {
+    for &out in inst.netlist.outputs() {
+        fnv(h, &[level(out) as u8]);
+    }
+}
+
+/// The benchmark's stimulus on its own netlist.
+fn stimulus(inst: &BenchmarkInstance, seed: u64) -> RandomStimulus {
+    let stim = inst.stimulus.build(&inst.netlist, seed);
+    stim.expect("benchmark stimulus resolves")
+}
+
+/// Digests the complete trace structure: span, tick numbers, event
+/// order, sources, and fanout destination lists.
+fn trace_digest(trace: &TickTrace) -> u64 {
+    let mut h = FNV_OFFSET;
+    for v in [trace.start, trace.end, trace.ticks.len() as u64] {
+        fnv(&mut h, &v.to_le_bytes());
+    }
+    for tick in &trace.ticks {
+        fnv(&mut h, &tick.tick.to_le_bytes());
+        fnv(&mut h, &(tick.events.len() as u64).to_le_bytes());
+        for ev in &tick.events {
+            fnv(&mut h, &u64::from(ev.source).to_le_bytes());
+            fnv(&mut h, &(ev.dests.len() as u64).to_le_bytes());
+            for &d in &ev.dests {
+                fnv(&mut h, &u64::from(d).to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The event engine of a tick-window row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    Serial,
+    /// `ParSimulator` at `P` under `RandomPartitioner` seeded [`SEED`].
+    ParRandom(usize),
+    /// `ParSimulator` at `P` under `MultilevelPartitioner` seeded 11.
+    ParMultilevel(usize),
+}
+
+/// What a tick window folds into its digest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// The whole tick trace; the engine runs with trace collection and
+    /// phase timing armed, so the digest also pins that observation
+    /// never perturbs simulation state.
+    Trace,
+    /// Every output's level after every tick of the window.
+    OutputsEveryTick,
+    /// Every output's level after the window's last tick.
+    OutputsAtEnd,
+}
+
+/// The tick-window protocol: warm-up length in the instance's vector
+/// periods, window length in ticks (the counters cover the window only),
+/// and what is folded.
+#[derive(Clone, Copy, Debug)]
+pub struct Window(pub u64, pub u64, pub Fold);
+
+/// `ParSimulator`'s own instrumentation for one run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ParSide {
+    pub messages_crossing: u64,
+    pub messages_component: u64,
+    /// FNV-1a over every worker's `busy_ticks`, `idle_ticks`,
+    /// `evaluations`, `group_resolutions`, `messages_sent`, in order.
+    pub loads_digest: u64,
+}
+
+/// What one tick-window row yields.
+#[derive(Debug)]
+pub struct Run {
+    pub digest: u64,
+    pub counters: WorkloadCounters,
+    /// `None` on the serial engine.
+    pub side: Option<ParSide>,
+}
+
+/// What the tick window needs of an event engine.
+pub trait Driver {
+    /// Runs until `until` (exclusive), applying `stim` before every tick.
+    fn run(&mut self, until: u64, stim: &mut RandomStimulus);
+    fn level(&self, net: NetId) -> Level;
+    /// The counters, trace and per-party side since the last call (or
+    /// construction), which then start again from zero.
+    fn take_measured(&mut self) -> (WorkloadCounters, TickTrace, Option<ParSide>);
+}
+
+impl Driver for Simulator<'_> {
+    fn run(&mut self, until: u64, stim: &mut RandomStimulus) {
+        run_with_stimulus(self, stim, until);
+    }
+    fn level(&self, net: NetId) -> Level {
+        Simulator::level(self, net)
+    }
+    fn take_measured(&mut self) -> (WorkloadCounters, TickTrace, Option<ParSide>) {
+        let measured = (self.counters().clone(), self.take_trace(), None);
+        self.reset_measurements();
+        measured
+    }
+}
+
+impl Driver for ParSimulator<'_> {
+    fn run(&mut self, until: u64, stim: &mut RandomStimulus) {
+        self.run_with(until, |tick, frame| {
+            stim.apply_with(tick, |net, level| frame.set(net, level));
+        });
+    }
+    fn level(&self, net: NetId) -> Level {
+        ParSimulator::level(self, net)
+    }
+    fn take_measured(&mut self) -> (WorkloadCounters, TickTrace, Option<ParSide>) {
+        let mut loads_digest = FNV_OFFSET;
+        for l in self.worker_loads() {
+            for v in [
+                l.busy_ticks,
+                l.idle_ticks,
+                l.evaluations,
+                l.group_resolutions,
+                l.messages_sent,
+            ] {
+                fnv(&mut loads_digest, &v.to_le_bytes());
+            }
+        }
+        let side = ParSide {
+            messages_crossing: self.messages_crossing(),
+            messages_component: self.messages_component(),
+            loads_digest,
+        };
+        let measured = (self.counters().clone(), self.take_trace(), Some(side));
+        self.reset_measurements();
+        measured
+    }
+}
+
+/// Runs the serial engine on the original netlist, then every engine of
+/// `engines` on `opt`'s rewrite of it (the original when `None`), over
+/// the same tick window; asserts that the window saw events, and that
+/// each engine folds to the serial digest and, on the original netlist,
+/// counts the same counters. Returns the runs, the serial one first.
+pub fn window_rows(
+    inst: &BenchmarkInstance,
+    opt: Option<&Optimized>,
+    engines: &[Engine],
+    w: Window,
+) -> Vec<Run> {
+    let serial = window(inst, None, Engine::Serial, w);
+    let name = inst.netlist.name();
+    assert!(serial.counters.events > 0, "{name}: window saw no events");
+    let mut runs = vec![serial];
+    for &engine in engines {
+        let run = window(inst, opt, engine, w);
+        let (serial, optimized) = (&runs[0], opt.is_some());
+        assert_eq!(
+            run.digest, serial.digest,
+            "{name}: {engine:?} (optimized: {optimized}) diverged from the serial engine"
+        );
+        if !optimized {
+            assert_eq!(
+                run.counters, serial.counters,
+                "{name}: {engine:?} counters diverged from the serial engine"
+            );
+        }
+        runs.push(run);
+    }
+    runs
+}
+
+fn window(inst: &BenchmarkInstance, opt: Option<&Optimized>, engine: Engine, w: Window) -> Run {
+    let nl = opt.map_or(&inst.netlist, |o| &o.netlist);
+    let Window(periods, ticks, fold) = w;
+    let armed = fold == Fold::Trace;
+    let config = SimConfig {
+        collect_trace: armed,
+        observe: armed,
+    };
+    let mut sim: Box<dyn Driver + '_> = match engine {
+        Engine::Serial => Box::new(Simulator::with_config(nl, config).expect("pre-flight")),
+        Engine::ParRandom(p) | Engine::ParMultilevel(p) => {
+            let part = if engine == Engine::ParRandom(p) {
+                RandomPartitioner::new(SEED).partition(&inst.netlist, p as u32)
+            } else {
+                MultilevelPartitioner::new(11).partition(&inst.netlist, p as u32)
+            };
+            let a = part.as_slice();
+            let assignment = opt.map_or_else(|| a.to_vec(), |o| o.remap_assignment(a));
+            let sim = ParSimulator::with_config(nl, &assignment, p, config);
+            Box::new(sim.expect("pre-flight"))
+        }
+    };
+    let mut stim = stimulus(inst, SEED);
+    let warmup = periods * inst.vector_period.max(1);
+    let end = warmup + ticks;
+    sim.run(warmup, &mut stim);
+    sim.take_measured();
+    let mut digest = FNV_OFFSET;
+    if fold == Fold::OutputsEveryTick {
+        for t in warmup..end {
+            sim.run(t + 1, &mut stim);
+            fold_outputs(&mut digest, inst, |net| sim.level(net));
+        }
+    }
+    sim.run(end, &mut stim);
+    if fold == Fold::OutputsAtEnd {
+        fold_outputs(&mut digest, inst, |net| sim.level(net));
+    }
+    let (counters, trace, side) = sim.take_measured();
+    if fold == Fold::Trace {
+        digest = trace_digest(&trace);
+    }
+    Run {
+        digest,
+        counters,
+        side,
+    }
+}
+
+/// Runs the event engine until nothing is scheduled, asserting it gets
+/// there within 50 000 ticks (generous: the circuits settle far below
+/// it per vector).
+pub fn settle(sim: &mut Simulator<'_>, what: &str) {
+    let target = sim.now() + 50_000;
+    let end = sim.run_to_quiescence(target);
+    assert!(end < target, "{what}: no quiescence");
+}
+
+/// Vector quiescence on `BitParSim` at `lanes` lanes over `opt`'s
+/// rewrite of `inst`'s netlist (the original when `None`): vector `v` is
+/// applied and settled, then handed to `sample`.
+pub fn bitpar_vectors(
+    inst: &BenchmarkInstance,
+    opt: Option<&Optimized>,
+    lanes: usize,
+    vectors: u64,
+    mut sample: impl FnMut(u64, &BitParSim<'_>),
+) -> BitParStats {
+    let nl = opt.map_or(&inst.netlist, |o| &o.netlist);
+    let mut stim = Stimulus64::new(&inst.stimulus, &inst.netlist, SEED, lanes)
+        .expect("benchmark stimulus resolves");
+    let mut sim = BitParSim::new(nl, lanes).expect("pre-flight");
+    let name = nl.name();
+    for v in 0..vectors {
+        stim.apply_with(v, |net, plane| sim.set_input_plane(net, plane));
+        assert!(sim.settle_vector(), "{name}: v={v} did not settle");
+        sample(v, &sim);
+    }
+    sim.stats()
+}
+
+/// Vector quiescence at every width of `widths`, widest first: each
+/// `BitParSim` lane on `opt`'s rewrite (the original when `None`) must
+/// fold its outputs to the same digest as the serial engine replaying
+/// that lane on the original netlist.
+pub fn lanes_match(
+    inst: &BenchmarkInstance,
+    opt: Option<&Optimized>,
+    widths: &[usize],
+    vectors: u64,
+) {
+    let name = inst.netlist.name();
+    let replay = |lane: usize| {
+        let mut stim = stimulus(inst, Stimulus64::lane_seed(SEED, lane));
+        let mut sim = Simulator::new(&inst.netlist).expect("pre-flight");
+        let mut h = FNV_OFFSET;
+        for v in 0..vectors {
+            stim.apply_with(v, |net, level| sim.set_input(net, level));
+            settle(&mut sim, &format!("{name} lane {lane} vector {v}"));
+            fnv(&mut h, &v.to_le_bytes());
+            fold_outputs(&mut h, inst, |net| sim.level(net));
+        }
+        h
+    };
+    let serial: Vec<u64> = (0..widths[0]).map(replay).collect();
+    for &lanes in widths {
+        let mut got = vec![FNV_OFFSET; lanes];
+        let stats = bitpar_vectors(inst, opt, lanes, vectors, |v, sim| {
+            for (lane, h) in got.iter_mut().enumerate() {
+                fnv(h, &v.to_le_bytes());
+                fold_outputs(h, inst, |net| sim.level(net, lane));
+            }
+        });
+        let diverged = (0..lanes).find(|&l| got[l] != serial[l]);
+        assert_eq!(
+            diverged,
+            None,
+            "{name}: at {lanes} lanes (optimized: {}), the lane on the left is the \
+             first to diverge from the event-driven engine; {stats:?}",
+            opt.is_some()
+        );
+    }
+}

@@ -5,20 +5,20 @@
 //! suite checks two protocols:
 //!
 //! * **Tick window** — the serial event-driven engine and the
-//!   thread-parallel [`ParSimulator`] at `P` in {1, 2, 4} (under
+//!   thread-parallel `ParSimulator` at `P` in {1, 2, 4} (under
 //!   multilevel partitions, so the new partitioner is exercised on the
 //!   simulation path, not just in cut-size studies) replay the same
 //!   stimulus window; workload counters must match *exactly* and the
 //!   final settled levels of every observable output must fold to the
 //!   same FNV-1a digest.
-//! * **Vector quiescence** — the serial engine replaying lane 0's
-//!   stimulus and lane 0 of the bit-parallel compiled backend settle
-//!   the same vectors; the sampled output trajectory must be
-//!   bit-identical.
+//! * **Vector quiescence** — the serial engine replaying the stimulus
+//!   of lanes 0 and 1 and the two lanes of the bit-parallel compiled
+//!   backend settle the same 6 vectors; each lane's sampled output
+//!   trajectory must be bit-identical to its replay.
 //!
 //! * **64 lanes** — the two protocols above compare engines with each
-//!   other, and the second reads lane 0 only. The bit-parallel engine's
-//!   other 63 lanes are held to a number: 64 vectors at 64 lanes, every
+//!   other, and the second reads two lanes only. The bit-parallel
+//!   engine's other 62 lanes are held to a number: 64 vectors at 64 lanes, every
 //!   net folded lane by lane after every vector (net-major, the way
 //!   `benchmark/src/job.rs::fold` folds outputs into `digest64`; every
 //!   net, not the outputs, because 64 vectors after power-up most
@@ -29,31 +29,23 @@
 //!
 //! Together these pin the 10k instances as cross-engine golden: any
 //! generator change that perturbs simulated behavior (not just
-//! structure) trips one of the digests.
+//! structure) trips one of the digests. Every row runs through the
+//! shared drivers in `tests/common`; regenerate the `digest64` pins with
+//! `cargo test --release --test scale_golden -- --ignored --nocapture`.
 
+#[macro_use]
+mod common;
+
+use common::Engine::ParMultilevel;
+use common::{bitpar_vectors, fnv, lanes_match, window_rows, Fold, Window, FNV_OFFSET};
 use logicsim::circuits::{scaled, Benchmark, BenchmarkInstance, ScaledParams};
-use logicsim::partition::multilevel_assignment;
-use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::{BitParSim, ParSimulator, Simulator, Stimulus64};
+use logicsim::netlist::NetId;
 
-/// FNV-1a 64-bit over a byte slice, continuing from `h`.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
+/// The tick window: 200 ticks from power-up, outputs folded at the end.
+const WINDOW: Window = Window(0, 200, Fold::OutputsAtEnd);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Stimulus window for the tick-protocol comparison.
-const WINDOW: u64 = 200;
-
-/// Settled vectors for the quiescence-protocol comparison.
-const VECTORS: u64 = 6;
-
-/// Tick budget per quiescence run.
-const CAP: u64 = 50_000;
+/// The engines held to the serial engine over [`WINDOW`].
+const ENGINES: [common::Engine; 3] = [ParMultilevel(1), ParMultilevel(2), ParMultilevel(4)];
 
 fn instance_10k(bench: Benchmark) -> BenchmarkInstance {
     let inst = scaled::build(&ScaledParams {
@@ -65,171 +57,65 @@ fn instance_10k(bench: Benchmark) -> BenchmarkInstance {
     inst
 }
 
-/// Digest of every observable output's settled level.
-fn output_digest(
-    netlist: &logicsim::netlist::Netlist,
-    level: impl Fn(logicsim::netlist::NetId) -> logicsim::netlist::Level,
-) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &out in netlist.outputs() {
-        fnv1a(&mut h, &[level(out) as u8]);
-    }
-    h
-}
-
-/// Serial and parallel engines replay the same tick window; returns
-/// (counters, output digest) per engine configuration.
+/// Serial and parallel engines replay the same tick window: counters
+/// and the settled-output digest must match.
 fn tick_protocol_matches(bench: Benchmark) {
-    let inst = instance_10k(bench);
-    let nl = &inst.netlist;
-
-    let mut stim = inst.stimulus.build(nl, 0x1987).expect("stimulus");
-    let mut sim = Simulator::new(nl).expect("pre-flight");
-    run_with_stimulus(&mut sim, &mut stim, WINDOW);
-    let serial_counters = sim.counters().clone();
-    let serial_digest = output_digest(nl, |net| sim.level(net));
-    assert!(
-        serial_counters.events > 0,
-        "{bench:?}: window saw no events"
-    );
-
-    for workers in [1usize, 2, 4] {
-        let assignment = multilevel_assignment(nl, workers as u32, 11);
-        let mut pstim = inst.stimulus.build(nl, 0x1987).expect("stimulus");
-        let mut psim = ParSimulator::new(nl, &assignment, workers).expect("pre-flight");
-        psim.run_with(WINDOW, |tick, frame| {
-            pstim.apply_with(tick, |net, level| frame.set(net, level));
-        });
-        assert_eq!(
-            psim.counters(),
-            &serial_counters,
-            "{bench:?} P={workers}: parallel counters diverged"
-        );
-        let digest = output_digest(nl, |net| psim.level(net));
-        assert_eq!(
-            digest, serial_digest,
-            "{bench:?} P={workers}: settled outputs diverged from serial"
-        );
-    }
+    window_rows(&instance_10k(bench), None, &ENGINES, WINDOW);
 }
 
-/// Serial lane-0 replay and bit-parallel lane 0 settle the same
-/// vectors; trajectories must fold to the same digest.
+/// Serial replays and the two lanes of the bit-parallel backend settle
+/// the same 6 vectors; trajectories must fold to the same digests.
 fn vector_protocol_matches(bench: Benchmark) {
-    let inst = instance_10k(bench);
-    let nl = &inst.netlist;
-
-    let mut stim = inst
-        .stimulus
-        .build(nl, Stimulus64::lane_seed(0x1987, 0))
-        .expect("stimulus");
-    let mut sim = Simulator::new(nl).expect("pre-flight");
-    let mut serial = FNV_OFFSET;
-    for v in 0..VECTORS {
-        stim.apply_with(v, |net, level| sim.set_input(net, level));
-        let target = sim.now() + CAP;
-        assert!(
-            sim.run_to_quiescence(target) < target,
-            "{bench:?}: serial v={v} did not settle"
-        );
-        fnv1a(&mut serial, &v.to_le_bytes());
-        for &out in nl.outputs() {
-            fnv1a(&mut serial, &[sim.level(out) as u8]);
-        }
-    }
-
-    let mut stim64 = Stimulus64::new(&inst.stimulus, nl, 0x1987, 2).expect("stimulus");
-    let mut bp = BitParSim::new(nl, 2).expect("pre-flight");
-    let mut lane0 = FNV_OFFSET;
-    for v in 0..VECTORS {
-        stim64.apply_with(v, |net, plane| bp.set_input_plane(net, plane));
-        assert!(bp.settle_vector(), "{bench:?}: bitpar v={v} did not settle");
-        fnv1a(&mut lane0, &v.to_le_bytes());
-        for &out in nl.outputs() {
-            fnv1a(&mut lane0, &[bp.level(out, 0) as u8]);
-        }
-    }
-    assert_eq!(
-        lane0,
-        serial,
-        "{}@10k: bitpar lane 0 diverged from the event-driven engine",
-        bench.paper_name()
-    );
+    lanes_match(&instance_10k(bench), None, &[2], 6);
 }
 
-/// 64 vectors at 64 lanes fold to the pinned digest.
-fn digest64_matches(bench: Benchmark, pinned: u64) {
+/// 64 vectors at 64 lanes, every net folded lane by lane after every
+/// vector.
+fn digest64(bench: Benchmark) -> u64 {
     let inst = instance_10k(bench);
-    let nl = &inst.netlist;
-    let mut stim64 = Stimulus64::new(&inst.stimulus, nl, 0x1987, 64).expect("stimulus");
-    let mut bp = BitParSim::new(nl, 64).expect("pre-flight");
     let mut digest = FNV_OFFSET;
-    for v in 0..64 {
-        stim64.apply_with(v, |net, plane| bp.set_input_plane(net, plane));
-        assert!(bp.settle_vector(), "{bench:?}: bitpar v={v} did not settle");
-        for net in (0..nl.num_nets() as u32).map(logicsim::netlist::NetId) {
+    bitpar_vectors(&inst, None, 64, 64, |_, sim| {
+        for net in (0..inst.netlist.num_nets() as u32).map(NetId) {
             for lane in 0..64 {
-                fnv1a(&mut digest, &[bp.level(net, lane) as u8]);
+                fnv(&mut digest, &[sim.level(net, lane) as u8]);
             }
         }
-    }
+    });
+    digest
+}
+
+fn digest64_matches(bench: Benchmark, pinned: u64) {
+    let digest = digest64(bench);
+    let name = bench.paper_name();
     assert_eq!(
-        digest,
-        pinned,
-        "{}@10k: 64-lane digest {digest:#018x} left its pin",
-        bench.paper_name()
+        digest, pinned,
+        "{name}@10k: 64-lane digest {digest:#018x} left its pin"
     );
 }
 
-macro_rules! golden {
-    ($tick:ident, $vec:ident, $d64:ident, $bench:expr, $pinned:expr) => {
-        #[test]
-        fn $tick() {
-            tick_protocol_matches($bench);
-        }
-        #[test]
-        fn $vec() {
-            vector_protocol_matches($bench);
-        }
-        #[test]
-        fn $d64() {
-            digest64_matches($bench, $pinned);
-        }
-    };
+#[test]
+#[ignore = "regeneration helper: prints the digest64 calls of the row table"]
+fn print_pins() {
+    for bench in Benchmark::ALL {
+        let pin = digest64(bench);
+        println!("digest64_matches(Benchmark::{bench:?}, {pin:#x});");
+    }
 }
 
-golden!(
-    stopwatch_10k_tick_window_golden,
-    stopwatch_10k_vector_quiescence_golden,
-    stopwatch_10k_digest64_golden,
-    Benchmark::StopWatch,
-    0x9bd3_e0eb_3f2f_3325
-);
-golden!(
-    assoc_mem_10k_tick_window_golden,
-    assoc_mem_10k_vector_quiescence_golden,
-    assoc_mem_10k_digest64_golden,
-    Benchmark::AssocMem,
-    0xa52d_4623_27fb_e1fb
-);
-golden!(
-    priority_queue_10k_tick_window_golden,
-    priority_queue_10k_vector_quiescence_golden,
-    priority_queue_10k_digest64_golden,
-    Benchmark::PriorityQueue,
-    0x549d_7ca8_8a6d_6325
-);
-golden!(
-    rtp_chip_10k_tick_window_golden,
-    rtp_chip_10k_vector_quiescence_golden,
-    rtp_chip_10k_digest64_golden,
-    Benchmark::RtpChip,
-    0xedfe_a823_c473_d525
-);
-golden!(
-    crossbar_10k_tick_window_golden,
-    crossbar_10k_vector_quiescence_golden,
-    crossbar_10k_digest64_golden,
-    Benchmark::CrossbarSwitch,
-    0xa2fb_0b28_5087_97a5
-);
+rows! {
+    stopwatch_10k_tick_window_golden => tick_protocol_matches(Benchmark::StopWatch);
+    stopwatch_10k_vector_quiescence_golden => vector_protocol_matches(Benchmark::StopWatch);
+    stopwatch_10k_digest64_golden => digest64_matches(Benchmark::StopWatch, 0x9bd3_e0eb_3f2f_3325);
+    assoc_mem_10k_tick_window_golden => tick_protocol_matches(Benchmark::AssocMem);
+    assoc_mem_10k_vector_quiescence_golden => vector_protocol_matches(Benchmark::AssocMem);
+    assoc_mem_10k_digest64_golden => digest64_matches(Benchmark::AssocMem, 0xa52d_4623_27fb_e1fb);
+    priority_queue_10k_tick_window_golden => tick_protocol_matches(Benchmark::PriorityQueue);
+    priority_queue_10k_vector_quiescence_golden => vector_protocol_matches(Benchmark::PriorityQueue);
+    priority_queue_10k_digest64_golden => digest64_matches(Benchmark::PriorityQueue, 0x549d_7ca8_8a6d_6325);
+    rtp_chip_10k_tick_window_golden => tick_protocol_matches(Benchmark::RtpChip);
+    rtp_chip_10k_vector_quiescence_golden => vector_protocol_matches(Benchmark::RtpChip);
+    rtp_chip_10k_digest64_golden => digest64_matches(Benchmark::RtpChip, 0xedfe_a823_c473_d525);
+    crossbar_10k_tick_window_golden => tick_protocol_matches(Benchmark::CrossbarSwitch);
+    crossbar_10k_vector_quiescence_golden => vector_protocol_matches(Benchmark::CrossbarSwitch);
+    crossbar_10k_digest64_golden => digest64_matches(Benchmark::CrossbarSwitch, 0xa2fb_0b28_5087_97a5);
+}
