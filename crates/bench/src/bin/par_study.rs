@@ -51,7 +51,9 @@ use logicsim::partition::{FiducciaMattheysesPartitioner, Partitioner, RandomPart
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::{ParSimulator, SimConfig, Simulator, WorkloadCounters};
 use logicsim::stats::Workload;
-use logicsim_bench::report::{float, host_cores, lsim_threads, metadata_v2, obj, text, uint};
+use logicsim_bench::report::{
+    float, host_cores, metadata_v2, obj, refuse_oversubscription, text, uint,
+};
 use serde_json::Value;
 use std::time::Instant;
 
@@ -163,17 +165,7 @@ fn main() {
 
     // An oversubscribed harness produces sub-1 "speedups" that are pure
     // scheduling noise; refuse to dress those up as results.
-    if let Some(n) = lsim_threads() {
-        if n > host_cores() {
-            eprintln!(
-                "par_study: LSIM_THREADS={n} exceeds host cores ({}); \
-                 oversubscribed wall-clock speedups are meaningless — \
-                 lower LSIM_THREADS or unset it",
-                host_cores()
-            );
-            std::process::exit(2);
-        }
-    }
+    refuse_oversubscription("par_study");
 
     println!(
         "par_study: window {win} ticks, host cores = {} (wall speedup\n\

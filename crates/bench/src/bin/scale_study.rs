@@ -37,11 +37,11 @@ use logicsim::circuits::{scaled, Benchmark, ScaledParams};
 use logicsim::measure_instance;
 use logicsim::netlist::ConnectivityGraph;
 use logicsim::partition::{
-    cut_size_with, fm_assignment, measured_messages, multilevel_assignment,
-    multilevel_assignment_activity, Partition, Partitioner, RandomPartitioner,
+    cut_size_with, measured_messages, FiducciaMattheysesPartitioner, MultilevelPartitioner,
+    Partitioner, RandomPartitioner,
 };
 use logicsim::MeasureOptions;
-use logicsim_bench::report::{host_cores, lsim_threads};
+use logicsim_bench::report::refuse_oversubscription;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -62,20 +62,8 @@ fn human(scale: usize) -> String {
 }
 
 fn main() {
-    // Same guard as par_study: the measured traces behind the M_P
-    // columns are wall-clock runs, and an oversubscribed harness
-    // reports scheduling noise, not workload.
-    if let Some(n) = lsim_threads() {
-        if n > host_cores() {
-            eprintln!(
-                "scale_study: LSIM_THREADS={n} exceeds host cores ({}); \
-                 oversubscribed measurements are meaningless — \
-                 lower LSIM_THREADS or unset it",
-                host_cores()
-            );
-            std::process::exit(2);
-        }
-    }
+    // The measured traces behind the M_P columns are wall-clock runs.
+    refuse_oversubscription("scale_study");
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -149,9 +137,11 @@ fn main() {
 
             for p in P_SWEEP {
                 let rand_part = RandomPartitioner::new(SEED).partition(nl, p);
-                let fm_part = Partition::new(fm_assignment(nl, p, SEED), p);
-                let ml_part = Partition::new(multilevel_assignment(nl, p, SEED), p);
-                let act_part = Partition::new(multilevel_assignment_activity(nl, p, SEED), p);
+                let fm_part = FiducciaMattheysesPartitioner::new(SEED).partition(nl, p);
+                let ml_part = MultilevelPartitioner::new(SEED).partition(nl, p);
+                let act_part = MultilevelPartitioner::new(SEED)
+                    .with_activity_weights()
+                    .partition(nl, p);
                 let cut_rand = cut_size_with(&graph, &rand_part);
                 let cut_fm = cut_size_with(&graph, &fm_part);
                 let cut_ml = cut_size_with(&graph, &ml_part);

@@ -62,12 +62,27 @@ pub fn host_cores() -> u64 {
 }
 
 /// The `LSIM_THREADS` override, if set to a positive integer.
-#[must_use]
-pub fn lsim_threads() -> Option<u64> {
+fn lsim_threads() -> Option<u64> {
     std::env::var("LSIM_THREADS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&n| n > 0)
+}
+
+/// Exits with code 2, saying why on stderr, when `LSIM_THREADS` asks for
+/// more threads than the host has cores: an oversubscribed study times
+/// scheduler churn, not the workload. `binary` names the caller in the
+/// message.
+pub fn refuse_oversubscription(binary: &str) {
+    if let Some(n) = lsim_threads().filter(|&n| n > host_cores()) {
+        eprintln!(
+            "{binary}: LSIM_THREADS={n} exceeds host cores ({}); \
+             oversubscribed measurements are meaningless — \
+             lower LSIM_THREADS or unset it",
+            host_cores()
+        );
+        std::process::exit(2);
+    }
 }
 
 /// The standard v2 snapshot metadata object: `LSIM_THREADS` override,

@@ -405,10 +405,11 @@ impl<'a> Refiner<'a> {
 ///
 /// The pick is: highest gain, ties broken toward the largest vertex
 /// index, only from sides above the balance floor; a pass also ends
-/// when no vertex on the cut can move. The `bucketed_fm_matches_reference`
-/// proptest pins the whole kernel — carried gains, buckets, rollback —
-/// against a reimplementation that recomputes every gain per pass and
-/// picks by linear scan.
+/// when no vertex on the cut can move. The partition crate's
+/// `partition_pins` test pins the whole kernel — pick, carried gains,
+/// buckets, rollback — through the exact assignment of both FM-based
+/// partitioners on seven circuits; the unit tests below pin the stop
+/// rules and the invariants.
 pub fn refine_passes(g: &WorkGraph, side: &mut [bool], min_w: u64, max_passes: u32) {
     Refiner::new(g, side).passes(min_w, max_passes);
 }
@@ -475,17 +476,6 @@ impl Partitioner for FiducciaMattheysesPartitioner {
             "fiduccia-mattheyses"
         }
     }
-}
-
-/// FM partitioning as a plain `fn` returning the per-component
-/// assignment `ParSimulator` takes (e.g. to cut an optimizer-rewritten
-/// graph afresh instead of remapping the original's cut).
-#[must_use]
-pub fn fm_assignment(netlist: &Netlist, parts: u32, seed: u64) -> Vec<u32> {
-    FiducciaMattheysesPartitioner::new(seed)
-        .partition(netlist, parts)
-        .as_slice()
-        .to_vec()
 }
 
 #[cfg(test)]
@@ -633,6 +623,31 @@ mod tests {
             assert!(!improved && history.is_empty(), "moved {history:?}");
             assert_eq!(side, start);
         }
+    }
+
+    /// A pass that finds nothing better makes exactly [`STALL_MOVES`]
+    /// moves, then flips them all back. Two rings of `STALL_MOVES`
+    /// vertices with heavy edges, one per side, joined by two light
+    /// edges: a bisection that keeps the sides within one vertex of each
+    /// other either swaps whole rings (the same cut) or cuts a ring in
+    /// two places (10 more), so no prefix of moves beats the start, and
+    /// the rings give the pass more vertices on the cut than it may move.
+    #[test]
+    fn a_pass_stops_stall_moves_after_its_best_prefix() {
+        let m = STALL_MOVES as u32;
+        let ring = |base: u32| (0..m).map(move |i| (base + i, base + (i + 1) % m, 5));
+        let edges: Vec<_> = ring(0)
+            .chain(ring(m))
+            .chain([(0, m, 1), (1, m + 1, 1)])
+            .collect();
+        let g = WorkGraph::from_edges(&edges, vec![1; 2 * m as usize]);
+        let start: Vec<bool> = (0..2 * m).map(|v| v < m).collect();
+        let mut side = start.clone();
+        let mut history = Vec::new();
+        let improved = Refiner::new(&g, &mut side).pass(u64::from(m) - 1, &mut history);
+        assert!(!improved);
+        assert_eq!(history.len(), STALL_MOVES);
+        assert_eq!(side, start);
     }
 
     use proptest::prelude::*;

@@ -6,11 +6,13 @@
 //! (Eq. 6, `M_P = M_inf (1 - 1/P)`) and notes that "related research on
 //! the circuit partitioning problem is in progress ... to measure the
 //! performance of heuristics in reducing the communication volume".
-//! This crate implements that research direction: random, round-robin,
-//! BFS-clustering, fanout-greedy, and Kernighan-Lin partitioners over
-//! the component connectivity graph, plus metrics that measure the
-//! *actual* message volume `M_P` and load imbalance `beta` of a
-//! partition against a simulation trace.
+//! This crate implements that research direction: seven partitioners
+//! over the component connectivity graph — random, round-robin,
+//! fanout-greedy (contiguous blocks), BFS-clustering, Kernighan-Lin,
+//! Fiduccia-Mattheyses ([`fm`]) and multilevel ([`multilevel`]; the last
+//! two also balance static activity instead of component count) — plus
+//! metrics that measure the *actual* message volume `M_P` and load
+//! imbalance `beta` of a partition against a simulation trace.
 //!
 //! # Example
 //!
@@ -36,11 +38,9 @@ pub mod metrics;
 pub mod multilevel;
 pub mod strategies;
 
-pub use fm::{fm_assignment, FiducciaMattheysesPartitioner};
+pub use fm::FiducciaMattheysesPartitioner;
 pub use metrics::{cut_size, cut_size_with, measured_beta, measured_messages, PartitionQuality};
-pub use multilevel::{
-    multilevel_assignment, multilevel_assignment_activity, MultilevelPartitioner,
-};
+pub use multilevel::MultilevelPartitioner;
 pub use strategies::{
     BfsClusterPartitioner, FanoutGreedyPartitioner, KernighanLinPartitioner, Partitioner,
     RandomPartitioner, RoundRobinPartitioner,

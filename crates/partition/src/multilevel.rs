@@ -281,28 +281,6 @@ impl Partitioner for MultilevelPartitioner {
     }
 }
 
-/// Multilevel partitioning as a plain `fn` (like
-/// [`crate::fm::fm_assignment`], but with the coarsen–refine
-/// partitioner that stays effective at 100k+ components).
-#[must_use]
-pub fn multilevel_assignment(netlist: &Netlist, parts: u32, seed: u64) -> Vec<u32> {
-    MultilevelPartitioner::new(seed)
-        .partition(netlist, parts)
-        .as_slice()
-        .to_vec()
-}
-
-/// [`multilevel_assignment`] with activity-weighted balance: parts
-/// equalize the statically predicted event load, not component count.
-#[must_use]
-pub fn multilevel_assignment_activity(netlist: &Netlist, parts: u32, seed: u64) -> Vec<u32> {
-    MultilevelPartitioner::new(seed)
-        .with_activity_weights()
-        .partition(netlist, parts)
-        .as_slice()
-        .to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,14 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn assignment_fn_matches_partitioner() {
-        let n = cluster_ring(3, 20);
-        let via_fn = multilevel_assignment(&n, 4, 7);
-        let via_trait = MultilevelPartitioner::new(7).partition(&n, 4);
-        assert_eq!(via_fn.as_slice(), via_trait.as_slice());
-    }
-
-    #[test]
     fn activity_weighted_partition_is_valid_and_stays_competitive() {
         let n = cluster_ring(4, 40);
         for parts in [2u32, 4] {
@@ -492,10 +462,6 @@ mod tests {
                 .with_activity_weights()
                 .partition(&n, parts);
             assert!(weighted.covers(&n));
-            assert_eq!(
-                multilevel_assignment_activity(&n, parts, 11),
-                weighted.as_slice()
-            );
             // Re-weighting changes what "balanced" means; it must not
             // wreck the cut the refiner finds on a cluster ring.
             let cu = cut_size(&n, &uniform);

@@ -16,9 +16,7 @@
 
 use logicsim_circuits::Benchmark;
 use logicsim_netlist::analyze::opt;
-use logicsim_partition::{
-    cut_size, fm_assignment, FiducciaMattheysesPartitioner, Partition, Partitioner,
-};
+use logicsim_partition::{cut_size, FiducciaMattheysesPartitioner, Partition, Partitioner};
 use logicsim_sim::ParSimulator;
 
 const PARTS: u32 = 4;
@@ -38,8 +36,9 @@ fn rerun_fm_cut_is_no_worse_than_remapped_cut() {
             let original = FiducciaMattheysesPartitioner::new(seed).partition(&inst.netlist, PARTS);
             let remapped = optimized.remap_assignment(original.as_slice());
             let remapped_cut = cut_size(&optimized.netlist, &Partition::new(remapped, PARTS));
-            let fresh = fm_assignment(&optimized.netlist, PARTS, seed);
-            let fresh_cut = cut_size(&optimized.netlist, &Partition::new(fresh, PARTS));
+            let fresh =
+                FiducciaMattheysesPartitioner::new(seed).partition(&optimized.netlist, PARTS);
+            let fresh_cut = cut_size(&optimized.netlist, &fresh);
             assert!(
                 fresh_cut * 2 <= remapped_cut * 3,
                 "{} seed {seed}: re-run FM cut {fresh_cut} more than half again the remapped cut {remapped_cut}",
@@ -78,8 +77,9 @@ fn repartition_preserves_simulation_results() {
             .collect::<Vec<_>>()
     };
 
-    let remapped = run(&optimized.remap_assignment(&fm_assignment(&inst.netlist, PARTS, SEED)));
-    let repartitioned = run(&fm_assignment(&optimized.netlist, PARTS, SEED));
+    let fm = FiducciaMattheysesPartitioner::new(SEED);
+    let remapped = run(&optimized.remap_assignment(fm.partition(&inst.netlist, PARTS).as_slice()));
+    let repartitioned = run(fm.partition(&optimized.netlist, PARTS).as_slice());
     assert_eq!(
         remapped, repartitioned,
         "partition placement must never change simulated values"

@@ -21,9 +21,9 @@
 //! member the run of switch slots incident to it. A resolution then
 //! reads each control level once into a conduction byte and relaxes over
 //! that static adjacency, skipping open switches — no search, no
-//! [`Component`] access, no per-call graph build. The free functions
-//! [`resolve_group`]/[`resolve_group_into`] compile their one group into
-//! [`Scratch`] first and run the same kernel.
+//! [`Component`] access, no per-call graph build. The free function
+//! [`resolve_group_into`] compiles its one group into [`Scratch`] first
+//! and runs the same kernel.
 //!
 //! A [`Scratch`] grows once, to the largest group it has seen, and is
 //! then addressed by index: a resolution of `n` members and `s` switches
@@ -409,7 +409,7 @@ impl GroupImage {
 
     /// Resolves one group to a fixpoint, appending `(net, resolved)` for
     /// every member net to `out` in member order. The closures are those
-    /// of [`resolve_group`].
+    /// of [`resolve_group_into`].
     #[expect(
         clippy::too_many_arguments,
         reason = "resolve_group_into's closure interface plus the group tables"
@@ -444,7 +444,9 @@ impl GroupImage {
     }
 }
 
-/// Resolves one channel group to a fixpoint.
+/// Resolves one channel group to a fixpoint: compiles the group and
+/// relaxes inside `scratch`'s buffers, appending `(net, resolved)` for
+/// every member net to `out` in member order.
 ///
 /// * `ext_drive(net)` — the join of all non-switch drivers currently on
 ///   `net` (gate outputs, inputs, pulls, rails).
@@ -453,48 +455,14 @@ impl GroupImage {
 /// * `prev_level(net)` — the net's level before this resolution, used
 ///   for charge retention.
 ///
-/// Returns `(net, resolved)` for every member net, in member order.
-///
-/// The propagation only ever raises a net's contribution in the finite
-/// signal join lattice, so it terminates in at most
-/// `O(members * lattice_height)` relaxations regardless of switch
-/// topology (including cycles).
-#[must_use]
-pub fn resolve_group<FD, FC, FP>(
-    netlist: &Netlist,
-    groups: &ChannelGroups,
-    group: u32,
-    ext_drive: FD,
-    control_level: FC,
-    prev_level: FP,
-) -> Vec<(NetId, Signal)>
-where
-    FD: Fn(NetId) -> Signal,
-    FC: Fn(NetId) -> Level,
-    FP: Fn(NetId) -> Level,
-{
-    let mut scratch = Scratch::default();
-    let mut out = Vec::new();
-    resolve_group_into(
-        netlist,
-        groups,
-        group,
-        &mut scratch,
-        ext_drive,
-        control_level,
-        prev_level,
-        &mut out,
-    );
-    out
-}
-
-/// Allocation-free variant of [`resolve_group`]: compiles the group and
-/// relaxes inside `scratch`'s buffers, appending `(net, resolved)` pairs
-/// to `out` in member order. Results are identical to [`resolve_group`]
-/// and to [`GroupImage::resolve_into`], which skips the compile step.
+/// Results are identical to [`GroupImage::resolve_into`], which skips
+/// the compile step. The propagation only ever raises a net's
+/// contribution in the finite signal join lattice, so it terminates in
+/// at most `O(members * lattice_height)` relaxations regardless of
+/// switch topology (including cycles).
 #[expect(
     clippy::too_many_arguments,
-    reason = "mirrors resolve_group's closure interface plus the two buffers"
+    reason = "three closures, the group tables and the two buffers"
 )]
 pub fn resolve_group_into<FD, FC, FP>(
     netlist: &Netlist,
@@ -627,10 +595,12 @@ mod tests {
     ) -> Vec<(NetId, Signal)> {
         let groups = ChannelGroups::compute(n);
         let gid = groups.group_of(drives[0].0);
-        resolve_group(
+        let mut out = Vec::new();
+        resolve_group_into(
             n,
             &groups,
             gid,
+            &mut Scratch::default(),
             |net| {
                 drives
                     .iter()
@@ -644,7 +614,9 @@ mod tests {
                     .map_or(Level::X, |&(_, l)| l)
             },
             |_| Level::X,
-        )
+            &mut out,
+        );
+        out
     }
 
     fn value_of(result: &[(NetId, Signal)], net: NetId) -> Signal {
@@ -945,10 +917,12 @@ mod tests {
         let (n, ctl, a, _, z) = chain();
         let groups = ChannelGroups::compute(&n);
         let gid = groups.group_of(z);
-        let r = resolve_group(
+        let mut r = Vec::new();
+        resolve_group_into(
             &n,
             &groups,
             gid,
+            &mut Scratch::default(),
             |net| {
                 if net == a {
                     Signal::HIGH
@@ -958,6 +932,7 @@ mod tests {
             },
             |net| if net == ctl { Level::Zero } else { Level::X },
             |net| if net == z { Level::One } else { Level::X },
+            &mut r,
         );
         assert_eq!(value_of(&r, z), Signal::new(Level::One, Strength::HighZ));
     }

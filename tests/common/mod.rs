@@ -4,11 +4,11 @@
 //!
 //! A row is a netlist form (the instance's own, or `optimize`'s rewrite
 //! of it when a driver is given `Some(&Optimized)`), an [`Engine`] —
-//! `Simulator`, or `ParSimulator` under a random or multilevel partition
-//! of the *original* netlist at some `P`, carried over to the rewrite by
-//! `remap_assignment` — or a `BitParSim` lane count, and one of two
-//! protocols. Every row is held to the serial engine on the original
-//! netlist:
+//! `Simulator`, or `ParSimulator` under a random, round-robin or
+//! multilevel partition of the *original* netlist at some `P`, carried
+//! over to the rewrite by `remap_assignment` — or a `BitParSim` lane
+//! count, and one of two protocols. Every row is held to the serial
+//! engine on the original netlist:
 //!
 //! * **tick window** ([`window_rows`]): the benchmark's stimulus seeded
 //!   [`SEED`], a warm-up of whole vector periods, then a window of ticks
@@ -31,9 +31,11 @@
 
 use logicsim::circuits::BenchmarkInstance;
 use logicsim::netlist::analyze::opt::Optimized;
-use logicsim::netlist::{Level, NetId};
-use logicsim::partition::{MultilevelPartitioner, Partitioner, RandomPartitioner};
-use logicsim::sim::stimulus::{run_with_stimulus, RandomStimulus};
+use logicsim::netlist::{Clocking, Delay, GateKind, Level, NetId, NetlistBuilder, Technology};
+use logicsim::partition::{
+    MultilevelPartitioner, Partitioner, RandomPartitioner, RoundRobinPartitioner,
+};
+use logicsim::sim::stimulus::{run_with_stimulus, RandomStimulus, SignalRole, StimulusSpec};
 use logicsim::sim::{
     BitParSim, BitParStats, ParSimulator, SimConfig, Simulator, Stimulus64, TickTrace,
     WorkloadCounters,
@@ -103,8 +105,50 @@ pub enum Engine {
     Serial,
     /// `ParSimulator` at `P` under `RandomPartitioner` seeded [`SEED`].
     ParRandom(usize),
+    /// `ParSimulator` at `P` under `RoundRobinPartitioner`, which deals
+    /// components declared next to each other to different parties.
+    ParRoundRobin(usize),
     /// `ParSimulator` at `P` under `MultilevelPartitioner` seeded 11.
     ParMultilevel(usize),
+}
+
+/// Two tristate buses, each with one driver per input pair — `x` driven
+/// by `(d0, en0)` and `(d1, en1)`, `y` by `(d1, en0)` and `(d0, en1)` —
+/// read by an inverter and an XOR. The four drivers are declared one
+/// after the other, so [`Engine::ParRoundRobin`] at `P >= 2` puts the
+/// two drivers of each bus in different parties. All four inputs are
+/// re-drawn in the same ticks and every driver has the same delay, so
+/// both drivers of a bus often change their drive in one tick and the
+/// bus's owner merges the two changes: the serial engine's last writer
+/// must be the cause the trace records.
+pub fn bus_instance() -> BenchmarkInstance {
+    let mut b = NetlistBuilder::new("buses");
+    let (d0, d1) = (b.input("d0"), b.input("d1"));
+    let (en0, en1) = (b.input("en0"), b.input("en1"));
+    let (x, y, q, r) = (b.net("x"), b.net("y"), b.net("q"), b.net("r"));
+    for (d, en, bus) in [(d0, en0, x), (d1, en1, x), (d1, en0, y), (d0, en1, y)] {
+        b.gate(GateKind::Tristate, &[d, en], bus, Delay::uniform(1));
+    }
+    b.gate(GateKind::Not, &[x], q, Delay::uniform(1));
+    b.gate(GateKind::Xor, &[x, y], r, Delay::uniform(2));
+    for net in [x, y, q, r] {
+        b.mark_output(net);
+    }
+    let data = SignalRole::Random {
+        period: 4,
+        phase: 0,
+        toggle_prob: 0.5,
+    };
+    let stimulus = ["d0", "d1", "en0", "en1"]
+        .into_iter()
+        .fold(StimulusSpec::new(), |s, net| s.with(net, data.clone()));
+    BenchmarkInstance {
+        netlist: b.finish().expect("valid netlist"),
+        stimulus,
+        technology: Technology::Cmos,
+        clocking: Clocking::Asynchronous,
+        vector_period: 4,
+    }
 }
 
 /// What a tick window folds into its digest.
@@ -245,11 +289,12 @@ fn window(inst: &BenchmarkInstance, opt: Option<&Optimized>, engine: Engine, w: 
     };
     let mut sim: Box<dyn Driver + '_> = match engine {
         Engine::Serial => Box::new(Simulator::with_config(nl, config).expect("pre-flight")),
-        Engine::ParRandom(p) | Engine::ParMultilevel(p) => {
-            let part = if engine == Engine::ParRandom(p) {
-                RandomPartitioner::new(SEED).partition(&inst.netlist, p as u32)
-            } else {
-                MultilevelPartitioner::new(11).partition(&inst.netlist, p as u32)
+        Engine::ParRandom(p) | Engine::ParRoundRobin(p) | Engine::ParMultilevel(p) => {
+            let (original, parts) = (&inst.netlist, p as u32);
+            let part = match engine {
+                Engine::ParRandom(_) => RandomPartitioner::new(SEED).partition(original, parts),
+                Engine::ParRoundRobin(_) => RoundRobinPartitioner.partition(original, parts),
+                _ => MultilevelPartitioner::new(11).partition(original, parts),
             };
             let a = part.as_slice();
             let assignment = opt.map_or_else(|| a.to_vec(), |o| o.remap_assignment(a));

@@ -36,12 +36,20 @@
 //! `tests/common`. Regenerate the pins with
 //! `cargo test --test golden_trace -- --ignored --nocapture`.
 
+//!
+//! One more row runs a circuit no benchmark family contains: two live
+//! tristate buses (`common::bus_instance`) whose drivers sit in
+//! different parties under a round-robin partition and often change
+//! their drive in the same tick. Only there does a bus's owner merge two
+//! same-tick changes onto one net, so only that row pins which of them
+//! the parallel engine records as the event's cause.
+
 #[macro_use]
 mod common;
 
-use common::Engine::ParRandom;
-use common::{window_rows, Fold, ParSide, Window};
-use logicsim::circuits::Benchmark;
+use common::Engine::{ParRandom, ParRoundRobin};
+use common::{bus_instance, window_rows, Engine, Fold, ParSide, Window};
+use logicsim::circuits::{Benchmark, BenchmarkInstance};
 use logicsim::sim::WorkloadCounters;
 
 /// Seed 0x1987, 8 warm-up vector periods, a 3000-tick window, the whole
@@ -49,13 +57,17 @@ use logicsim::sim::WorkloadCounters;
 const WINDOW: Window = Window(8, 3_000, Fold::Trace);
 
 /// The rows held to the serial engine's trace and counters.
-const ENGINES: [common::Engine; 4] = [ParRandom(1), ParRandom(2), ParRandom(4), ParRandom(8)];
+const ENGINES: [Engine; 4] = [ParRandom(1), ParRandom(2), ParRandom(4), ParRandom(8)];
+
+/// The bus row's engines: at `P = 2` and `P = 4` the two drivers of each
+/// bus are in different parties.
+const BUS_ENGINES: [Engine; 3] = [ParRoundRobin(1), ParRoundRobin(2), ParRoundRobin(4)];
 
 /// The serial row's trace digest and counters, and the [`ParSide`] of
-/// the rows at `P = 2` and `P = 4`.
-fn measure(bench: Benchmark) -> (u64, WorkloadCounters, [ParSide; 2]) {
-    let mut runs = window_rows(&bench.build_default(), None, &ENGINES, WINDOW);
-    // The serial row first, then `ENGINES` in order.
+/// the rows at `P = 2` and `P = 4` (the second and third of `engines`).
+fn measure(inst: &BenchmarkInstance, engines: &[Engine]) -> (u64, WorkloadCounters, [ParSide; 2]) {
+    let mut runs = window_rows(inst, None, engines, WINDOW);
+    // The serial row first, then `engines` in order.
     let sides = [2, 3].map(|i| runs[i].side.expect("a parallel row"));
     let serial = runs.swap_remove(0);
     (serial.digest, serial.counters, sides)
@@ -64,10 +76,19 @@ fn measure(bench: Benchmark) -> (u64, WorkloadCounters, [ParSide; 2]) {
 /// `par` is the expected [`ParSide`] at `P = 2` and `P = 4`.
 fn check(bench: Benchmark, digest: u64, counters: WorkloadCounters, par: [ParSide; 2]) {
     assert_eq!(
-        measure(bench),
+        measure(&bench.build_default(), &ENGINES),
         (digest, counters, par),
         "{}: trace, counters or per-party instrumentation left its pin",
         bench.paper_name()
+    );
+}
+
+/// [`check`] on the bus row.
+fn check_bus(digest: u64, counters: WorkloadCounters, par: [ParSide; 2]) {
+    assert_eq!(
+        measure(&bus_instance(), &BUS_ENGINES),
+        (digest, counters, par),
+        "buses: trace, counters or per-party instrumentation left its pin"
     );
 }
 
@@ -75,9 +96,11 @@ fn check(bench: Benchmark, digest: u64, counters: WorkloadCounters, par: [ParSid
 #[ignore = "regeneration helper: prints the pins of every check"]
 fn print_pins() {
     for bench in Benchmark::ALL {
-        let (digest, counters, par) = measure(bench);
+        let (digest, counters, par) = measure(&bench.build_default(), &ENGINES);
         println!("check(Benchmark::{bench:?}, {digest:#x}, {counters:#x?}, {par:#x?});");
     }
+    let (digest, counters, par) = measure(&bus_instance(), &BUS_ENGINES);
+    println!("check_bus({digest:#x}, {counters:#x?}, {par:#x?});");
 }
 
 rows! {
@@ -213,6 +236,32 @@ rows! {
                 messages_crossing: 0x9af,
                 messages_component: 0xd2a,
                 loads_digest: 0xa423_1725_1307_b341,
+            },
+        ],
+    );
+    tristate_bus_trace_is_golden => check_bus(
+        0x9d5b_e9ce_a419_fc32,
+        WorkloadCounters {
+            busy_ticks: 0x8fa,
+            idle_ticks: 0x2be,
+            events: 0xdee,
+            messages_inf: 0x1205,
+            evaluations: 0xd44,
+            group_resolutions: 0,
+            relaxation_overflows: 0,
+            event_list_peak: 0x4,
+            event_list_sum: 0x12db,
+        },
+        [
+            ParSide {
+                messages_crossing: 0x2c1,
+                messages_component: 0x665,
+                loads_digest: 0xd8fa_291d_5f80_eab3,
+            },
+            ParSide {
+                messages_crossing: 0x43e,
+                messages_component: 0x665,
+                loads_digest: 0x4fa9_4a4f_91fd_ac7f,
             },
         ],
     );
