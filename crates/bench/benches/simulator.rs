@@ -10,12 +10,22 @@
 //! `GateKind::evaluate`, once through `GateKind::evaluate_pins`. The
 //! pins sit in one CSR of net indices, as the engines hold them. The
 //! throughput unit is one gate, so ns per gate is `1e9 / elem/s`.
+//!
+//! The `wheel` group is the timing beside `wheel::tests`'
+//! `a_busy_wheel_retains_only_what_is_in_flight` and `wheel_equals_heap`:
+//! a warm 256-slot `TimingWheel` of 16-byte items (the engines'
+//! schedule entry size), drained each tick into one reused buffer, in
+//! two shapes — the engines' (about 1 000 items a tick at delays 1–2)
+//! and the benchmark probe's (4 items a tick at delays 1–200). The
+//! throughput unit is one schedule plus its pop, so ns per item is
+//! `1e9 / elem/s`. Each row also prints once the bytes the wheel's
+//! slots and the drain buffer hold after the timing.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
 use logicsim::netlist::{Component, Csr, GateKind, Level, Signal};
 use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::Simulator;
+use logicsim::sim::{Simulator, TimingWheel};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -126,6 +136,64 @@ fn bench_gate_eval(c: &mut Criterion, base: Benchmark) {
     group.finish();
 }
 
+/// A schedule entry the size of the engines' (component, drive,
+/// sequence number).
+type Item = (u32, u32, u64);
+
+/// One tick: drain the current slot into `buf`, schedule `per_tick`
+/// items at LCG-drawn delays in `1..=max_delay`, advance. Returns the
+/// items drained.
+fn wheel_tick(
+    wheel: &mut TimingWheel<Item>,
+    buf: &mut Vec<Item>,
+    lcg: &mut u64,
+    per_tick: u64,
+    max_delay: u64,
+) -> usize {
+    buf.clear();
+    wheel.pop_current_into(buf);
+    for _ in 0..per_tick {
+        *lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let delay = 1 + (*lcg >> 33) % max_delay;
+        wheel.schedule(wheel.now() + delay, (*lcg as u32, 0, *lcg));
+    }
+    wheel.advance();
+    buf.len()
+}
+
+fn bench_wheel(c: &mut Criterion, name: &str, per_tick: u64, max_delay: u64) {
+    const SLOTS: usize = 256;
+    const TICKS: u64 = 1_000;
+    let mut wheel = TimingWheel::new(SLOTS);
+    let mut buf = Vec::new();
+    let mut lcg = 0x1987_u64;
+    // Two laps of warm-up: every slot has seen traffic.
+    for _ in 0..2 * SLOTS {
+        wheel_tick(&mut wheel, &mut buf, &mut lcg, per_tick, max_delay);
+    }
+    let mut group = c.benchmark_group("wheel");
+    group.throughput(Throughput::Elements(TICKS * per_tick));
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            (0..TICKS)
+                .map(|_| wheel_tick(&mut wheel, &mut buf, &mut lcg, per_tick, max_delay))
+                .sum::<usize>()
+        });
+    });
+    group.finish();
+    // Drain one lap into fresh buffers: each slot hands over the buffer
+    // it holds.
+    let mut held = buf.capacity();
+    for _ in 0..SLOTS {
+        held += wheel.pop_current().capacity();
+        wheel.advance();
+    }
+    let bytes = held * std::mem::size_of::<Item>();
+    println!("wheel/{name}: {bytes} bytes held by the slots and the drain buffer");
+}
+
 fn simulator_benches(c: &mut Criterion) {
     bench_circuit(c, Benchmark::StopWatch, 4_000);
     bench_circuit(c, Benchmark::AssocMem, 2_000);
@@ -134,6 +202,8 @@ fn simulator_benches(c: &mut Criterion) {
     bench_circuit(c, Benchmark::CrossbarSwitch, 2_000);
     bench_gate_eval(c, Benchmark::RtpChip);
     bench_gate_eval(c, Benchmark::PriorityQueue);
+    bench_wheel(c, "engine: 1000 a tick, delays 1-2", 1_000, 2);
+    bench_wheel(c, "probe: 4 a tick, delays 1-200", 4, 200);
 }
 
 criterion_group!(benches, simulator_benches);

@@ -87,6 +87,9 @@ struct Change {
 /// Timing-wheel size in slots; delays at or beyond it fall back to the
 /// wheel's overflow map.
 pub(crate) const WHEEL_SIZE: usize = 256;
+/// [`Image::comp_out`]'s entry for a component that drives no net of
+/// its own (a switch).
+pub(crate) const NO_NET: u32 = u32::MAX;
 /// Bound on intra-tick switch-group relaxation rounds before the engine
 /// declares a zero-delay oscillation and stops the tick.
 pub(crate) const MAX_SETTLE_ROUNDS: u32 = 64;
@@ -255,8 +258,8 @@ pub(crate) struct Image {
     /// Input component per net (`u32::MAX` when the net is not a
     /// primary input).
     pub(crate) input_comp: Vec<u32>,
-    /// Output net per component (None for switches).
-    pub(crate) comp_out: Vec<Option<NetId>>,
+    /// Output net id per component ([`NO_NET`] for switches).
+    pub(crate) comp_out: Vec<u32>,
     /// Initial component drive (static for pulls/rails, floating else).
     pub(crate) static_drive: Vec<Signal>,
 }
@@ -276,18 +279,18 @@ impl Image {
         let nn = netlist.num_nets();
         let groups = ChannelGroups::compute(netlist);
 
-        let mut comp_out = vec![None; nc];
+        let mut comp_out = vec![NO_NET; nc];
         let mut static_drive = vec![Signal::FLOATING; nc];
         let mut input_comp = vec![u32::MAX; nn];
         for (id, comp) in netlist.iter() {
             match comp {
-                Component::Gate { output, .. } => comp_out[id.index()] = Some(*output),
+                Component::Gate { output, .. } => comp_out[id.index()] = output.0,
                 Component::Input { net } => {
-                    comp_out[id.index()] = Some(*net);
+                    comp_out[id.index()] = net.0;
                     input_comp[net.index()] = id.0;
                 }
                 Component::Pull { net, .. } | Component::Supply { net, .. } => {
-                    comp_out[id.index()] = Some(*net);
+                    comp_out[id.index()] = net.0;
                     static_drive[id.index()] = comp.static_drive().expect("static component");
                 }
                 Component::Switch { .. } => {}
@@ -510,10 +513,11 @@ pub struct Simulator<'a> {
     /// used to suppress redundant schedules.
     last_scheduled: Vec<Signal>,
     /// Sequence number of each component's outstanding scheduled change
-    /// (`None` when nothing is in flight); stale wheel entries are
-    /// skipped at application time.
-    pending_seq: Vec<Option<u64>>,
-    /// Monotonic sequence counter for [`Change::seq`].
+    /// (0 when nothing is in flight); stale wheel entries are skipped at
+    /// application time.
+    pending_seq: Vec<u64>,
+    /// Monotonic sequence counter for [`Change::seq`], pre-incremented,
+    /// so no change carries the 0 of `pending_seq`.
     seq_counter: u64,
     counters: WorkloadCounters,
     activity: ActivityProfile,
@@ -565,7 +569,7 @@ impl<'a> Simulator<'a> {
             activity: ActivityProfile::new(nc),
             trace: TickTrace::new(),
             obs: obs::Lane::new(config.observe, obs::Origin::now(), OBS_CAPACITY),
-            pending_seq: vec![None; nc],
+            pending_seq: vec![0; nc],
             seq_counter: 0,
             ws: Some(Box::new(Worklists {
                 affected: OrderedSet::with_capacity(nn),
@@ -699,12 +703,12 @@ impl<'a> Simulator<'a> {
         if drive == self.comp_drive[comp.index()] {
             // Re-evaluation back to the applied value: swallow the
             // in-flight pulse.
-            self.pending_seq[comp.index()] = None;
+            self.pending_seq[comp.index()] = 0;
             return;
         }
         self.seq_counter += 1;
         let seq = self.seq_counter;
-        self.pending_seq[comp.index()] = Some(seq);
+        self.pending_seq[comp.index()] = seq;
         self.wheel.schedule(tick, Change { comp, drive, seq });
     }
 
@@ -769,18 +773,19 @@ impl<'a> Simulator<'a> {
         // re-evaluation) are skipped — that is the inertial filter.
         ws.affected.clear();
         for &Change { comp, drive, seq } in &ws.changes {
-            if self.pending_seq[comp.index()] != Some(seq) {
+            if self.pending_seq[comp.index()] != seq {
                 continue; // descheduled
             }
-            self.pending_seq[comp.index()] = None;
+            self.pending_seq[comp.index()] = 0;
             if self.comp_drive[comp.index()] == drive {
                 continue;
             }
             self.comp_drive[comp.index()] = drive;
-            if let Some(net) = self.img.comp_out[comp.index()] {
-                ws.affected.insert(net.0);
+            let net = self.img.comp_out[comp.index()];
+            if net != NO_NET {
+                ws.affected.insert(net);
                 // Unconditional overwrite = BTreeMap last-writer-wins.
-                ws.affected_cause[net.index()] = comp.0;
+                ws.affected_cause[net as usize] = comp.0;
             }
         }
 
@@ -956,6 +961,14 @@ impl<'a> Simulator<'a> {
             self.step();
         }
         self.now()
+    }
+
+    /// Schedule entries the event list has room for: the wheel's
+    /// buffers and the drain buffer they circulate through.
+    #[cfg(test)]
+    pub(crate) fn retained_schedule_capacity(&self) -> usize {
+        let ws = self.ws.as_ref().expect("worklists are back after a step");
+        self.wheel.retained().sum::<usize>() + ws.changes.capacity()
     }
 
     /// [`stale_groups`] of the current state.
@@ -1334,6 +1347,46 @@ mod tests {
         // `false`: the round bound was hit, and from then on only the
         // groups with a record are held to the invariant.
         assert!(!assert_no_stale_group(&netlist, 40, &script));
+    }
+
+    /// The event lists hold what is in flight, not the wheel's 256-slot
+    /// horizon: after 5 000 ticks of `rtp@10k` the serial engine, and
+    /// every party at P ∈ {2, 4}, has room for at most four times the
+    /// busiest tick boundary's pending changes (`event_list_peak`); the
+    /// serial engine needs 1.7 times. A wheel whose slots keep their
+    /// high-water capacity needs over a hundred times.
+    #[test]
+    fn event_lists_retain_only_what_is_in_flight() {
+        const TICKS: u64 = 5_000;
+        let inst = Benchmark::RtpChip.build_at(10_000);
+        let netlist = &inst.netlist;
+        let proto = inst.stimulus.build(netlist, 0x1987).expect("stimulus");
+        let mut serial = Simulator::new(netlist).expect("pre-flight");
+        let mut stim = proto.clone();
+        while serial.now() < TICKS {
+            let now = serial.now();
+            stim.apply_with(now, |net, l| serial.set_input(net, l));
+            serial.step();
+        }
+        let peak = serial.counters().event_list_peak as usize;
+        assert!(peak > 100, "rtp@10k keeps the wheel busy: {peak}");
+        let held = serial.retained_schedule_capacity();
+        assert!(held <= 4 * peak, "serial: room for {held}, peak {peak}");
+        for workers in [2, 4] {
+            let assignment = round_robin(netlist, workers as u32);
+            let mut par = ParSimulator::new(netlist, &assignment, workers).expect("pre-flight");
+            let mut stim = proto.clone();
+            par.run_with(TICKS, |tick, frame| {
+                stim.apply_with(tick, |net, l| frame.set(net, l));
+            });
+            assert_eq!(par.counters(), serial.counters(), "P={workers}");
+            for (p, held) in par.retained_schedule_capacity().into_iter().enumerate() {
+                assert!(
+                    held <= 4 * peak,
+                    "P={workers} party {p}: room for {held}, peak {peak}"
+                );
+            }
+        }
     }
 
     proptest::proptest! {

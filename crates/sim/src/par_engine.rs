@@ -117,8 +117,8 @@
 #![allow(unsafe_code)]
 
 use crate::engine::{
-    relax_power_up, EvalKind, Image, PreflightError, SimConfig, MAX_SETTLE_ROUNDS, OBS_CAPACITY,
-    WHEEL_SIZE,
+    relax_power_up, EvalKind, Image, PreflightError, SimConfig, MAX_SETTLE_ROUNDS, NO_NET,
+    OBS_CAPACITY, WHEEL_SIZE,
 };
 use crate::instrument::{ActivityProfile, WorkloadCounters};
 use crate::obs::{self, Phase};
@@ -142,6 +142,16 @@ struct Stamp {
     pass: u32,
     /// Order within the pass: stimulus call index, or component id.
     rank: u32,
+}
+
+impl Stamp {
+    /// `pending`'s entry for a component with nothing in flight. No
+    /// schedule event carries it: passes stop at [`MAX_SETTLE_ROUNDS`].
+    const NONE: Stamp = Stamp {
+        tick: 0,
+        pass: u32::MAX,
+        rank: u32::MAX,
+    };
 }
 
 /// A scheduled output change in a party's wheel (the parallel analog of
@@ -327,8 +337,9 @@ struct Core<'a> {
     comp_drive: SharedVec<Signal>,
     /// Last scheduled drive per component (owner only).
     last_scheduled: SharedVec<Signal>,
-    /// Outstanding schedule stamp per component (owner only).
-    pending: SharedVec<Option<Stamp>>,
+    /// Outstanding schedule stamp per component, [`Stamp::NONE`] when
+    /// nothing is in flight (owner only).
+    pending: SharedVec<Stamp>,
     /// Events caused per component. A component is named as a cause
     /// only by the owner of its output net (or, for a switch, of its
     /// group), so the writers are disjoint.
@@ -744,10 +755,10 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
         }
         core.last_scheduled.set(comp, drive);
         if drive == core.comp_drive.get(comp) {
-            core.pending.set(comp, None);
+            core.pending.set(comp, Stamp::NONE);
             return;
         }
-        core.pending.set(comp, Some(stamp));
+        core.pending.set(comp, stamp);
         let party = core.place[comp].owner as usize;
         core.parties.get_mut(party).wheel.schedule(
             m.now,
@@ -820,18 +831,18 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
         let ci = comp as usize;
         // SAFETY: see above.
         unsafe {
-            if core.pending.get(ci) != Some(stamp) {
+            if core.pending.get(ci) != stamp {
                 continue; // descheduled (the inertial filter)
             }
-            core.pending.set(ci, None);
+            core.pending.set(ci, Stamp::NONE);
             if core.comp_drive.get(ci) == drive {
                 continue;
             }
             core.comp_drive.set(ci, drive);
         }
-        if let Some(net) = core.img.comp_out[ci] {
+        let net = core.img.comp_out[ci];
+        if net != NO_NET {
             st.worked = true;
-            let net = net.0;
             match core.net_route[net as usize] {
                 NetRoute::Own => st.merged.push(Affected { net, comp, stamp }),
                 NetRoute::Shared { owner } => {
@@ -1041,14 +1052,14 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
                     if core.last_scheduled.get(ci as usize) != out {
                         core.last_scheduled.set(ci as usize, out);
                         if out == core.comp_drive.get(ci as usize) {
-                            core.pending.set(ci as usize, None);
+                            core.pending.set(ci as usize, Stamp::NONE);
                         } else {
                             let stamp = Stamp {
                                 tick,
                                 pass,
                                 rank: ci,
                             };
-                            core.pending.set(ci as usize, Some(stamp));
+                            core.pending.set(ci as usize, stamp);
                             st.wheel.schedule(
                                 tick + d,
                                 PChange {
@@ -1282,7 +1293,7 @@ impl<'a> ParSimulator<'a> {
                 net_values: SharedVec::from_vec(net_values, &clock),
                 comp_drive: SharedVec::from_vec(comp_drive, &clock),
                 last_scheduled: SharedVec::from_vec(last_scheduled, &clock),
-                pending: SharedVec::from_vec(vec![None; nc], &clock),
+                pending: SharedVec::from_vec(vec![Stamp::NONE; nc], &clock),
                 activity: SharedVec::from_vec(vec![0; nc], &clock),
                 settled: SharedVec::from_vec(settled, &clock),
                 parties,
@@ -1526,6 +1537,19 @@ impl<'a> ParSimulator<'a> {
             &self.core.comp_drive.snapshot(),
             &self.core.settled.snapshot(),
         )
+    }
+
+    /// Per party, the schedule entries its event list has room for:
+    /// the wheel's buffers and the drain buffer they circulate through.
+    #[cfg(test)]
+    pub(crate) fn retained_schedule_capacity(&self) -> Vec<usize> {
+        (0..self.core.num_parties())
+            .map(|p| {
+                // SAFETY: no worker threads exist outside `run_with`.
+                let st = unsafe { self.core.parties.get(p) };
+                st.wheel.retained().sum::<usize>() + st.changes.capacity()
+            })
+            .collect()
     }
 }
 

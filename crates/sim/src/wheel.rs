@@ -8,6 +8,20 @@
 //! [`TimingWheel::next_pending_tick`] answers from a per-slot occupancy
 //! bitmap (word-scanned, O(slots/64)) or the overflow map's first key
 //! (O(log n)) — never by touching the slot vectors themselves.
+//!
+//! # Memory
+//!
+//! A slot owns an allocation only while it holds items. Draining a slot
+//! into an empty buffer hands the slot's buffer over whole and keeps
+//! the caller's emptied one on a free list (draining into a non-empty
+//! buffer appends and keeps the slot's emptied one); the next schedule
+//! into an empty slot takes its buffer from that list, and overflow
+//! items move into their slot as the `Vec` they already were. A drain
+//! trims the free list to one buffer more than there are non-empty
+//! slots. So what the wheel retains follows the ticks in flight, not
+//! its size or how long it has run: with delays of 1–2 and one reused
+//! drain buffer, three buffers circulate between the wheel and its
+//! caller.
 
 use std::collections::BTreeMap;
 
@@ -16,6 +30,8 @@ use std::collections::BTreeMap;
 /// Items scheduled within `wheel_size` ticks of the current time live in
 /// the circular slot array; farther items go to the overflow
 /// [`BTreeMap`] and migrate into the wheel as time advances past them.
+/// A size of 0 makes a one-slot wheel: only the current tick lives in
+/// the slot, every later one in the overflow map.
 ///
 /// ```
 /// use logicsim_sim::TimingWheel;
@@ -43,17 +59,17 @@ pub struct TimingWheel<T> {
     /// Occupancy bitmap over *physical* slot indices; bit set iff the
     /// slot is nonempty.
     occupied: Vec<u64>,
+    /// Empty buffers with capacity, for the next slots to fill; at most
+    /// `nonempty_slots + 1` of them (a drain trims the rest).
+    free: Vec<Vec<T>>,
 }
 
 impl<T> TimingWheel<T> {
-    /// Creates a wheel with the given number of slots (the horizon).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wheel_size == 0`.
+    /// Creates a wheel with the given number of slots (the horizon); 0
+    /// makes a one-slot wheel.
     #[must_use]
     pub fn new(wheel_size: usize) -> TimingWheel<T> {
-        assert!(wheel_size > 0, "wheel size must be positive");
+        let wheel_size = wheel_size.max(1);
         TimingWheel {
             slots: (0..wheel_size).map(|_| Vec::new()).collect(),
             now: 0,
@@ -62,6 +78,7 @@ impl<T> TimingWheel<T> {
             len: 0,
             nonempty_slots: 0,
             occupied: vec![0u64; wheel_size.div_ceil(64)],
+            free: Vec::new(),
         }
     }
 
@@ -109,11 +126,19 @@ impl<T> TimingWheel<T> {
             "cannot schedule at tick {tick}, wheel is at {}",
             self.now
         );
-        let horizon = self.slots.len() as u64;
-        if tick < self.now + horizon {
-            let idx = (self.cursor + (tick - self.now) as usize) % self.slots.len();
+        let n = self.slots.len();
+        let offset = tick - self.now;
+        if offset < n as u64 {
+            // `cursor < n` and `offset < n`: one subtraction wraps it.
+            let mut idx = self.cursor + offset as usize;
+            if idx >= n {
+                idx -= n;
+            }
             if self.slots[idx].is_empty() {
                 self.mark_occupied(idx);
+                if let Some(buf) = self.free.pop() {
+                    self.slots[idx] = buf;
+                }
             }
             self.slots[idx].push(item);
         } else {
@@ -130,15 +155,30 @@ impl<T> TimingWheel<T> {
         items
     }
 
-    /// Drains all items scheduled for the current tick into `out`
-    /// (appended in scheduling order), reusing the caller's allocation.
-    /// Does not advance time.
+    /// Drains all items scheduled for the current tick into `out`, in
+    /// scheduling order. Does not advance time.
+    ///
+    /// An empty `out` receives the slot's buffer itself, and its own
+    /// allocation stays with the wheel for a later slot; a non-empty one
+    /// has the items appended. Either way the drained slot owns no
+    /// allocation afterwards, and draining an empty slot leaves `out`
+    /// untouched.
     pub fn pop_current_into(&mut self, out: &mut Vec<T>) {
         let slot = &mut self.slots[self.cursor];
-        if !slot.is_empty() {
-            self.len -= slot.len();
+        if slot.is_empty() {
+            return;
+        }
+        self.len -= slot.len();
+        if out.is_empty() {
+            std::mem::swap(slot, out);
+        } else {
             out.append(slot);
-            self.mark_vacant(self.cursor);
+        }
+        let buf = std::mem::take(slot);
+        self.mark_vacant(self.cursor);
+        self.free.truncate(self.nonempty_slots);
+        if buf.capacity() > 0 {
+            self.free.push(buf);
         }
     }
 
@@ -149,17 +189,23 @@ impl<T> TimingWheel<T> {
             self.slots[self.cursor].is_empty(),
             "advancing past unpopped events"
         );
+        let vacated = self.cursor;
         self.now += 1;
-        self.cursor = (self.cursor + 1) % self.slots.len();
+        self.cursor += 1;
+        if self.cursor == self.slots.len() {
+            self.cursor = 0;
+        }
         // The slot the cursor vacated now represents tick
         // `now + horizon - 1`; pull matching overflow in.
         let incoming_tick = self.now + self.slots.len() as u64 - 1;
         if let Some(items) = self.overflow.remove(&incoming_tick) {
-            let idx = (self.cursor + self.slots.len() - 1) % self.slots.len();
-            if self.slots[idx].is_empty() && !items.is_empty() {
-                self.mark_occupied(idx);
+            let slot = &mut self.slots[vacated];
+            if slot.is_empty() {
+                *slot = items;
+                self.mark_occupied(vacated);
+            } else {
+                slot.extend(items);
             }
-            self.slots[idx].extend(items);
         }
     }
 
@@ -201,6 +247,18 @@ impl<T> TimingWheel<T> {
             }
         }
         self.overflow.keys().next().copied()
+    }
+
+    /// The capacity of every buffer the wheel holds an allocation for:
+    /// slots, free list and overflow map.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .chain(&self.free)
+            .chain(self.overflow.values())
+            .map(Vec::capacity)
+            .filter(|&c| c > 0)
     }
 
     /// First set bit in `occupied` over physical indices `[from, to)`,
@@ -311,21 +369,89 @@ mod tests {
         assert_eq!(w.pop_current(), (0..10).collect::<Vec<_>>());
     }
 
+    /// The drain contract: an empty slot leaves `out` as it was; an
+    /// empty `out` receives the slot's buffer itself, and its own
+    /// allocation is what the next empty slot fills; a non-empty `out`
+    /// has the items appended. The drained slot owns no allocation.
     #[test]
-    fn pop_current_into_reuses_buffer() {
+    fn pop_current_into_hands_the_slot_buffer_over() {
         let mut w: TimingWheel<u32> = TimingWheel::new(4);
+        let mut buf = Vec::with_capacity(8);
+        buf.push(7);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        w.pop_current_into(&mut buf);
+        assert_eq!(
+            (buf.as_slice(), buf.as_ptr(), buf.capacity()),
+            (&[7][..], ptr, cap)
+        );
+
+        buf.clear();
         w.schedule(0, 1);
         w.schedule(0, 2);
-        let mut buf = Vec::with_capacity(8);
+        let slot_ptr = w.slots[0].as_ptr();
         w.pop_current_into(&mut buf);
-        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(buf, [1, 2]);
+        assert_eq!(buf.as_ptr(), slot_ptr, "the slot's buffer is handed over");
+        assert_eq!(w.slots[0].capacity(), 0);
         assert!(w.is_empty());
         assert_eq!(w.next_pending_tick(), None);
-        // Draining an empty slot appends nothing and keeps the buffer.
-        buf.clear();
+        w.schedule(1, 3);
+        assert_eq!(
+            w.slots[1].as_ptr(),
+            ptr,
+            "the caller's buffer fills the next slot"
+        );
+
+        w.advance();
         w.pop_current_into(&mut buf);
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 8);
+        assert_eq!(buf, [1, 2, 3]);
+        assert_eq!(buf.as_ptr(), slot_ptr, "a non-empty buffer is appended to");
+        assert_eq!(w.slots[1].capacity(), 0);
+    }
+
+    /// The engine's shape: a 256-slot wheel, about 1 000 items a tick
+    /// at delays 1–2, drained into one reused buffer. The wheel never
+    /// holds more than four buffers with capacity.
+    #[test]
+    fn a_busy_wheel_retains_only_what_is_in_flight() {
+        let mut w: TimingWheel<u64> = TimingWheel::new(256);
+        let mut buf = Vec::new();
+        let mut lcg: u64 = 0x1987;
+        for _ in 0..10_000 {
+            buf.clear();
+            w.pop_current_into(&mut buf);
+            for _ in 0..1_000 {
+                lcg = lcg
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                w.schedule(w.now() + 1 + (lcg >> 63), lcg);
+            }
+            w.advance();
+            let held = w.retained().count();
+            assert!(held <= 4, "{held} buffers at tick {}", w.now());
+        }
+    }
+
+    /// Size 0 is a one-slot wheel: every later tick overflows and
+    /// migrates on the advance that reaches it.
+    #[test]
+    fn a_zero_size_wheel_has_one_slot() {
+        let mut w: TimingWheel<u32> = TimingWheel::new(0);
+        assert_eq!(w.slots.len(), 1);
+        w.schedule(0, 1);
+        w.schedule(1, 2);
+        w.schedule(3, 3);
+        assert_eq!(w.overflow.len(), 2);
+        assert_eq!(w.next_pending_tick(), Some(0));
+        assert_eq!(w.pop_current(), [1]);
+        w.advance();
+        assert_eq!(w.pop_current(), [2]);
+        w.advance();
+        assert!(!w.has_current());
+        assert_eq!(w.next_pending_tick(), Some(3));
+        w.advance();
+        assert_eq!(w.pop_current(), [3]);
+        assert!(w.is_empty());
     }
 
     /// The boundary case: `now + wheel_size` is the first tick *outside*
@@ -412,5 +538,182 @@ mod tests {
             w.advance();
         }
         assert_eq!(w.pop_current(), vec![42]);
+    }
+
+    /// A binary-heap event list: the conventional alternative to
+    /// Ulrich's timing wheel (a priority queue over `(tick, seq)`), with
+    /// the wheel's interface. It is the reference `wheel_equals_heap`
+    /// holds the wheel to; its cost against the wheel is recorded in
+    /// EXPERIMENTS.md, "Event-list ablation".
+    mod heap_list {
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, HashMap};
+
+        /// A heap-backed event list keyed by absolute tick, preserving
+        /// FIFO order among items scheduled for the same tick.
+        pub struct HeapEventList<T> {
+            heap: BinaryHeap<Reverse<(u64, u64)>>,
+            items: HashMap<u64, T>,
+            now: u64,
+            seq: u64,
+        }
+
+        impl<T> HeapEventList<T> {
+            pub fn new() -> HeapEventList<T> {
+                HeapEventList {
+                    heap: BinaryHeap::new(),
+                    items: HashMap::new(),
+                    now: 0,
+                    seq: 0,
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.heap.len()
+            }
+
+            pub fn is_empty(&self) -> bool {
+                self.heap.is_empty()
+            }
+
+            /// Schedules an item at an absolute tick.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `tick` is before the current tick.
+            pub fn schedule(&mut self, tick: u64, item: T) {
+                assert!(
+                    tick >= self.now,
+                    "cannot schedule at tick {tick}, list is at {}",
+                    self.now
+                );
+                let seq = self.seq;
+                self.seq += 1;
+                self.heap.push(Reverse((tick, seq)));
+                self.items.insert(seq, item);
+            }
+
+            /// Removes and returns all items scheduled for the current
+            /// tick, in scheduling order.
+            pub fn pop_current(&mut self) -> Vec<T> {
+                let mut out = Vec::new();
+                while let Some(&Reverse((tick, seq))) = self.heap.peek() {
+                    if tick != self.now {
+                        break;
+                    }
+                    self.heap.pop();
+                    out.push(self.items.remove(&seq).expect("item for key"));
+                }
+                out
+            }
+
+            /// Advances to the next tick.
+            pub fn advance(&mut self) {
+                debug_assert!(
+                    self.heap.peek().is_none_or(|&Reverse((t, _))| t > self.now),
+                    "advancing past unpopped events"
+                );
+                self.now += 1;
+            }
+
+            /// The next tick with scheduled items, if any.
+            pub fn next_pending_tick(&self) -> Option<u64> {
+                self.heap.peek().map(|&Reverse((t, _))| t)
+            }
+        }
+
+        #[test]
+        fn behaves_like_a_timing_wheel() {
+            let mut h: HeapEventList<u32> = HeapEventList::new();
+            h.schedule(0, 1);
+            h.schedule(0, 2);
+            h.schedule(3, 3);
+            assert_eq!(h.pop_current(), vec![1, 2]);
+            assert_eq!(h.next_pending_tick(), Some(3));
+            for _ in 0..3 {
+                assert!(h.pop_current().is_empty());
+                h.advance();
+            }
+            assert_eq!(h.pop_current(), vec![3]);
+            assert!(h.is_empty());
+        }
+
+        #[test]
+        fn same_tick_fifo_order() {
+            let mut h: HeapEventList<u32> = HeapEventList::new();
+            for i in 0..20 {
+                h.schedule(5, i);
+            }
+            for _ in 0..5 {
+                h.pop_current();
+                h.advance();
+            }
+            assert_eq!(h.pop_current(), (0..20).collect::<Vec<_>>());
+        }
+
+        #[test]
+        #[should_panic(expected = "cannot schedule")]
+        fn past_scheduling_panics() {
+            let mut h: HeapEventList<u32> = HeapEventList::new();
+            h.advance();
+            h.schedule(0, 1);
+        }
+    }
+
+    proptest::proptest! {
+        /// The timing wheel and the binary-heap list are observationally
+        /// equivalent under arbitrary interleavings of schedule/advance,
+        /// whichever way the slots are drained: into a fresh buffer, a
+        /// reused empty one, or one already holding items. After every
+        /// advance no empty slot owns an allocation, and the free list
+        /// holds at most one buffer more than there are non-empty slots.
+        #[test]
+        fn wheel_equals_heap(
+            script in proptest::collection::vec((0u64..40, proptest::prelude::any::<u16>()), 1..120)
+        ) {
+            let mut wheel: TimingWheel<u16> = TimingWheel::new(8); // tiny: force overflow
+            let mut heap = heap_list::HeapEventList::new();
+            let mut buf = Vec::new();
+            let mut drain = |wheel: &mut TimingWheel<u16>, style: u16| match style % 3 {
+                0 => wheel.pop_current(),
+                1 => {
+                    buf.clear();
+                    wheel.pop_current_into(&mut buf);
+                    buf.clone()
+                }
+                _ => {
+                    buf.clear();
+                    buf.push(u16::MAX);
+                    wheel.pop_current_into(&mut buf);
+                    buf[1..].to_vec()
+                }
+            };
+            let in_flight_only = |w: &TimingWheel<u16>| {
+                w.slots.iter().all(|s| !s.is_empty() || s.capacity() == 0)
+                    && w.retained().count() <= 2 * w.nonempty_slots + 1 + w.overflow.len()
+            };
+            for (delay, item) in script {
+                // Drain/advance with probability encoded in the item.
+                if item % 3 == 0 {
+                    proptest::prop_assert_eq!(drain(&mut wheel, item / 3), heap.pop_current());
+                    wheel.advance();
+                    heap.advance();
+                    proptest::prop_assert!(in_flight_only(&wheel));
+                }
+                let tick = wheel.now() + delay;
+                wheel.schedule(tick, item);
+                heap.schedule(tick, item);
+                proptest::prop_assert_eq!(wheel.len(), heap.len());
+                proptest::prop_assert_eq!(wheel.next_pending_tick(), heap.next_pending_tick());
+            }
+            // Drain to empty.
+            while !wheel.is_empty() || !heap.is_empty() {
+                let style = wheel.now() as u16;
+                proptest::prop_assert_eq!(drain(&mut wheel, style), heap.pop_current());
+                wheel.advance();
+                heap.advance();
+                proptest::prop_assert!(in_flight_only(&wheel));
+            }
+        }
     }
 }

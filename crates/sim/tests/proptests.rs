@@ -1,166 +1,14 @@
-//! Property tests for the event-driven simulator: event-list
-//! equivalence, determinism, and agreement with direct combinational
-//! evaluation.
+//! Property tests for the event-driven simulator: determinism and
+//! agreement with direct combinational evaluation. (The event list's
+//! own proptest against a binary heap, `wheel_equals_heap`, lives in
+//! `src/wheel.rs`, where it can see how many buffers the wheel holds.)
 
 use logicsim_netlist::{Delay, GateKind, Level, NetId, NetlistBuilder};
-use logicsim_sim::{SimConfig, Simulator, TimingWheel};
+use logicsim_sim::{SimConfig, Simulator};
 use proptest::prelude::*;
-
-use heap_list::HeapEventList;
 
 #[path = "common/cyclic.rs"]
 mod cyclic;
-
-/// A binary-heap event list: the conventional alternative to Ulrich's
-/// timing wheel (a priority queue over `(tick, seq)`), with the wheel's
-/// interface. It is the reference `wheel_equals_heap` holds the wheel
-/// to; its cost against the wheel is recorded in EXPERIMENTS.md,
-/// "Event-list ablation".
-mod heap_list {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap};
-
-    /// A heap-backed event list keyed by absolute tick, preserving FIFO
-    /// order among items scheduled for the same tick.
-    pub struct HeapEventList<T> {
-        heap: BinaryHeap<Reverse<(u64, u64)>>,
-        items: HashMap<u64, T>,
-        now: u64,
-        seq: u64,
-    }
-
-    impl<T> HeapEventList<T> {
-        pub fn new() -> HeapEventList<T> {
-            HeapEventList {
-                heap: BinaryHeap::new(),
-                items: HashMap::new(),
-                now: 0,
-                seq: 0,
-            }
-        }
-
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Schedules an item at an absolute tick.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `tick` is before the current tick.
-        pub fn schedule(&mut self, tick: u64, item: T) {
-            assert!(
-                tick >= self.now,
-                "cannot schedule at tick {tick}, list is at {}",
-                self.now
-            );
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse((tick, seq)));
-            self.items.insert(seq, item);
-        }
-
-        /// Removes and returns all items scheduled for the current tick,
-        /// in scheduling order.
-        pub fn pop_current(&mut self) -> Vec<T> {
-            let mut out = Vec::new();
-            while let Some(&Reverse((tick, seq))) = self.heap.peek() {
-                if tick != self.now {
-                    break;
-                }
-                self.heap.pop();
-                out.push(self.items.remove(&seq).expect("item for key"));
-            }
-            out
-        }
-
-        /// Advances to the next tick.
-        pub fn advance(&mut self) {
-            debug_assert!(
-                self.heap.peek().is_none_or(|&Reverse((t, _))| t > self.now),
-                "advancing past unpopped events"
-            );
-            self.now += 1;
-        }
-
-        /// The next tick with scheduled items, if any.
-        pub fn next_pending_tick(&self) -> Option<u64> {
-            self.heap.peek().map(|&Reverse((t, _))| t)
-        }
-    }
-
-    #[test]
-    fn behaves_like_a_timing_wheel() {
-        let mut h: HeapEventList<u32> = HeapEventList::new();
-        h.schedule(0, 1);
-        h.schedule(0, 2);
-        h.schedule(3, 3);
-        assert_eq!(h.pop_current(), vec![1, 2]);
-        assert_eq!(h.next_pending_tick(), Some(3));
-        for _ in 0..3 {
-            assert!(h.pop_current().is_empty());
-            h.advance();
-        }
-        assert_eq!(h.pop_current(), vec![3]);
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn same_tick_fifo_order() {
-        let mut h: HeapEventList<u32> = HeapEventList::new();
-        for i in 0..20 {
-            h.schedule(5, i);
-        }
-        for _ in 0..5 {
-            h.pop_current();
-            h.advance();
-        }
-        assert_eq!(h.pop_current(), (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule")]
-    fn past_scheduling_panics() {
-        let mut h: HeapEventList<u32> = HeapEventList::new();
-        h.advance();
-        h.schedule(0, 1);
-    }
-}
-
-proptest! {
-    /// The timing wheel and the binary-heap list are observationally
-    /// equivalent under arbitrary interleavings of schedule/advance.
-    #[test]
-    fn wheel_equals_heap(
-        script in proptest::collection::vec((0u64..40, any::<u16>()), 1..120)
-    ) {
-        let mut wheel: TimingWheel<u16> = TimingWheel::new(8); // tiny: force overflow
-        let mut heap: HeapEventList<u16> = HeapEventList::new();
-        for (delay, item) in script {
-            // Drain/advance with probability encoded in the item.
-            if item % 3 == 0 {
-                prop_assert_eq!(wheel.pop_current(), heap.pop_current());
-                wheel.advance();
-                heap.advance();
-            }
-            let tick = wheel.now() + delay;
-            wheel.schedule(tick, item);
-            heap.schedule(tick, item);
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.next_pending_tick(), heap.next_pending_tick());
-        }
-        // Drain to empty.
-        while !wheel.is_empty() || !heap.is_empty() {
-            prop_assert_eq!(wheel.pop_current(), heap.pop_current());
-            wheel.advance();
-            heap.advance();
-        }
-    }
-}
 
 /// A random combinational DAG over the given input count; returns the
 /// netlist and, for each net in creation order, a closure-friendly
