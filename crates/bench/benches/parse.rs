@@ -7,7 +7,10 @@
 //! indices and the undriven-net check — and dropped. The text is the
 //! `eval-serial` workload's input; the benchmark's traced
 //! `netlist.text.parse_s` times the same call once per job, and its
-//! `scale-1m` workload is where the name table leaves the cache.
+//! `scale-1m` workload is where the name table leaves the cache. Each
+//! row also prints once what the parsed netlist holds per component
+//! (`Netlist::memory_footprint`: the component columns, the pin array,
+//! the name arena and the fanout/driver indices).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use logicsim::circuits::Benchmark;
@@ -17,6 +20,15 @@ fn parse_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("parse");
     for (scale, label) in [(10_000, "rtp@10k"), (100_000, "rtp@100k")] {
         let source = text::serialize(&Benchmark::RtpChip.build_at(scale).netlist);
+        let parsed = text::parse(&source).expect("serializer output parses");
+        println!(
+            "parse/{label}: {:.1} bytes per component held by the parsed netlist \
+             ({} components, {} pins)",
+            parsed.memory_footprint() as f64 / parsed.num_components() as f64,
+            parsed.num_components(),
+            parsed.gate_pins().num_items()
+        );
+        drop(parsed);
         group.throughput(Throughput::Bytes(source.len() as u64));
         group.bench_function(label, |b| {
             b.iter(|| text::parse(&source).expect("serializer output parses"));

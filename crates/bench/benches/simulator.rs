@@ -8,8 +8,9 @@
 //! order, evaluated against one fixed random net-level vector, once by
 //! gathering the input levels into a buffer and calling
 //! `GateKind::evaluate`, once through `GateKind::evaluate_pins`. The
-//! pins sit in one CSR of net indices, as the engines hold them. The
-//! throughput unit is one gate, so ns per gate is `1e9 / elem/s`.
+//! pins are the netlist's own pin array (`Netlist::gate_pins`), borrowed
+//! as the engines borrow it. The throughput unit is one gate, so ns per
+//! gate is `1e9 / elem/s`.
 //!
 //! The `wheel` group is the timing beside `wheel::tests`'
 //! `a_busy_wheel_retains_only_what_is_in_flight` and `wheel_equals_heap`:
@@ -23,7 +24,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
-use logicsim::netlist::{Component, Csr, GateKind, Level, Signal};
+use logicsim::netlist::{ComponentRef, GateKind, Level, NetId, Netlist, Signal};
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::{Simulator, TimingWheel};
 use rand::{Rng, SeedableRng};
@@ -61,10 +62,11 @@ fn bench_circuit(c: &mut Criterion, bench: Benchmark, window: u64) {
 }
 
 /// Every gate of a circuit as the engines hold it: kinds in id order,
-/// input pins as one CSR of net indices, and a level per net.
+/// input pins borrowed from the netlist, and a level per net.
 struct Gates {
-    kinds: Vec<GateKind>,
-    pins: Csr<u32>,
+    netlist: Netlist,
+    /// Component index and kind of every gate, ascending.
+    gates: Vec<(usize, GateKind)>,
     levels: Vec<Level>,
 }
 
@@ -75,14 +77,14 @@ impl Gates {
             target_components: 10_000,
             seed: scaled::DEFAULT_SEED,
         });
-        let mut kinds = Vec::new();
-        let mut pins = Csr::default();
-        for comp in inst.netlist.components() {
-            if let Component::Gate { kind, inputs, .. } = comp {
-                kinds.push(*kind);
-                pins.push_row(inputs.iter().map(|n| n.0));
-            }
-        }
+        let gates = inst
+            .netlist
+            .iter()
+            .filter_map(|(id, comp)| match comp {
+                ComponentRef::Gate { kind, .. } => Some((id.index(), kind)),
+                _ => None,
+            })
+            .collect();
         // Mostly known levels, one net in sixteen at X.
         let mut rng = ChaCha8Rng::seed_from_u64(0x1987);
         let levels = (0..inst.netlist.num_nets())
@@ -92,19 +94,20 @@ impl Gates {
             })
             .collect();
         Gates {
-            kinds,
-            pins,
+            netlist: inst.netlist,
+            gates,
             levels,
         }
     }
 
     /// Evaluates every gate once and folds the outputs into a checksum,
     /// so no evaluation is dead code.
-    fn eval_all(&self, mut eval: impl FnMut(GateKind, &[u32], &[Level]) -> Signal) -> u32 {
+    fn eval_all(&self, mut eval: impl FnMut(GateKind, &[NetId], &[Level]) -> Signal) -> u32 {
         let levels = black_box(&self.levels[..]);
+        let pins = self.netlist.gate_pins().view();
         let mut acc = 0u32;
-        for (ci, &kind) in self.kinds.iter().enumerate() {
-            let out = eval(kind, self.pins.row(ci), levels);
+        for &(ci, kind) in &self.gates {
+            let out = eval(kind, pins.row(ci), levels);
             acc = acc
                 .wrapping_mul(3)
                 .wrapping_add(out.level as u32 + 4 * out.strength as u32);
@@ -117,20 +120,20 @@ fn bench_gate_eval(c: &mut Criterion, base: Benchmark) {
     let gates = Gates::new(base);
     let name = format!("{}@10k", base.paper_name());
     let mut group = c.benchmark_group("gate_eval");
-    group.throughput(Throughput::Elements(gates.kinds.len() as u64));
+    group.throughput(Throughput::Elements(gates.gates.len() as u64));
     let mut gathered: Vec<Level> = Vec::new();
     group.bench_function(format!("{name} gather + evaluate"), |b| {
         b.iter(|| {
             gates.eval_all(|kind, row, levels| {
                 gathered.clear();
-                gathered.extend(row.iter().map(|&n| levels[n as usize]));
+                gathered.extend(row.iter().map(|n| levels[n.index()]));
                 kind.evaluate(&gathered)
             })
         });
     });
     group.bench_function(format!("{name} evaluate_pins"), |b| {
         b.iter(|| {
-            gates.eval_all(|kind, row, levels| kind.evaluate_pins(row, |&n| levels[n as usize]))
+            gates.eval_all(|kind, row, levels| kind.evaluate_pins(row, |n| levels[n.index()]))
         });
     });
     group.finish();

@@ -37,7 +37,7 @@
 
 use crate::{Benchmark, BenchmarkInstance};
 use logicsim_netlist::analyze::Levelization;
-use logicsim_netlist::{Component, Delay, GateKind, NetId, NetlistBuilder};
+use logicsim_netlist::{Component, ComponentRef, Delay, GateKind, NetId, NetlistBuilder};
 use logicsim_sim::SignalRole;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -71,7 +71,6 @@ pub fn build(params: &ScaledParams) -> BenchmarkInstance {
     }
     let nl = &base.netlist;
     let n = nl.num_nets();
-    let comps = nl.components();
 
     // Classify base input nets: global (clock/const/pulse) vs data.
     let mut global = vec![false; n];
@@ -88,7 +87,7 @@ pub fn build(params: &ScaledParams) -> BenchmarkInstance {
     b.reserve(
         tiles * n,
         name_bytes * tiles,
-        tiles * comps.len() + tiles * nl.inputs().len(),
+        tiles * nl.num_components() + tiles * nl.inputs().len(),
     );
 
     // All nets, tile-major: net (t, i) has id t*n + i. Tile 0 keeps the
@@ -117,16 +116,18 @@ pub fn build(params: &ScaledParams) -> BenchmarkInstance {
         "base benchmark has no outputs to export"
     );
 
+    // A gate's pins in tile `t`, reused from gate to gate.
+    let mut pins: Vec<NetId> = Vec::new();
     for t in 0..tiles {
         let at = |net: NetId| NetId((t * n + net.index()) as u32);
         let mut data_inputs = 0usize;
-        for comp in comps {
+        for (_, comp) in nl.iter() {
             match comp {
-                Component::Input { net } if t > 0 => {
+                ComponentRef::Input { net } if t > 0 => {
                     let (source, delay) = if global[net.index()] {
                         // Local copy of the shared global: one buffer
                         // level off tile 0's net.
-                        (*net, Delay::uniform(1))
+                        (net, Delay::uniform(1))
                     } else {
                         // Data input: wired to an exported output of an
                         // earlier tile. Within a column tiles chain off
@@ -146,53 +147,34 @@ pub fn build(params: &ScaledParams) -> BenchmarkInstance {
                         let out = exports[rng.gen_range(0..exports.len())];
                         (NetId((donor * n + out.index()) as u32), Delay::uniform(2))
                     };
-                    b.add_component(Component::Gate {
-                        kind: GateKind::Buf,
-                        inputs: vec![source],
-                        output: at(*net),
-                        delay,
-                    });
+                    b.gate(GateKind::Buf, &[source], at(net), delay);
                 }
-                Component::Input { net } => {
-                    b.add_component(Component::Input { net: at(*net) });
+                ComponentRef::Input { net } => {
+                    b.add_component(Component::Input { net: at(net) });
                 }
-                Component::Gate {
+                ComponentRef::Gate {
                     kind,
                     inputs,
                     output,
                     delay,
                 } => {
-                    b.add_component(Component::Gate {
-                        kind: *kind,
-                        inputs: inputs.iter().map(|&i| at(i)).collect(),
-                        output: at(*output),
-                        delay: *delay,
-                    });
+                    pins.clear();
+                    pins.extend(inputs.iter().map(|&i| at(i)));
+                    b.gate(kind, &pins, at(output), delay);
                 }
-                Component::Switch {
+                ComponentRef::Switch {
                     kind,
                     control,
                     a,
                     b: bb,
                 } => {
-                    b.add_component(Component::Switch {
-                        kind: *kind,
-                        control: at(*control),
-                        a: at(*a),
-                        b: at(*bb),
-                    });
+                    b.switch(kind, at(control), at(a), at(bb));
                 }
-                Component::Pull { net, level } => {
-                    b.add_component(Component::Pull {
-                        net: at(*net),
-                        level: *level,
-                    });
+                ComponentRef::Pull { net, level } => {
+                    b.pull(at(net), level);
                 }
-                Component::Supply { net, level } => {
-                    b.add_component(Component::Supply {
-                        net: at(*net),
-                        level: *level,
-                    });
+                ComponentRef::Supply { net, level } => {
+                    b.supply(at(net), level);
                 }
             }
         }

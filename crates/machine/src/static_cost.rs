@@ -36,7 +36,7 @@ use crate::calibrate::MeasuredParams;
 use logicsim_netlist::analyze::dataflow::activity::Activity;
 use logicsim_netlist::analyze::dataflow::seeds::InputSeeds;
 use logicsim_netlist::analyze::dataflow::timing::Timing;
-use logicsim_netlist::{CompId, Component, NetId, Netlist};
+use logicsim_netlist::{CompId, ComponentRef, NetId, Netlist};
 
 /// Statically predicted per-tick workload rates for one netlist under
 /// one stimulus plan.
@@ -74,8 +74,8 @@ impl StaticCost {
             .map(|i| {
                 let comp = netlist.component(CompId(i as u32));
                 match comp {
-                    Component::Input { net } => est[net.index()],
-                    Component::Supply { .. } | Component::Pull { .. } => 0.0,
+                    ComponentRef::Input { net } => est[net.index()],
+                    ComponentRef::Supply { .. } | ComponentRef::Pull { .. } => 0.0,
                     _ => {
                         let mut sum = 0.0;
                         comp.for_each_read(|r| sum += est[r.index()]);
@@ -188,8 +188,8 @@ fn busy_fraction(netlist: &Netlist, seeds: &InputSeeds) -> f64 {
     }
     let mut idle = 1.0f64;
     for i in 0..netlist.num_components() {
-        if let Component::Input { net } = netlist.component(CompId(i as u32)) {
-            let d = seeds.get(*net).copied().unwrap_or_default().density;
+        if let ComponentRef::Input { net } = netlist.component(CompId(i as u32)) {
+            let d = seeds.get(net).copied().unwrap_or_default().density;
             idle *= 1.0 - (d * f64::from(span + 1)).min(1.0);
         }
     }

@@ -16,14 +16,14 @@
 
 use super::depgraph::{is_cyclic, strongly_connected_components, DepGraph};
 use super::diag::{Code, Diagnostic};
-use crate::component::{CompId, Component, NetId};
+use crate::component::{CompId, ComponentRef, NetId};
 use crate::netlist::Netlist;
 
 /// Whether a component propagates in zero simulated time.
-fn is_zero_time(component: &Component) -> bool {
+fn is_zero_time(component: ComponentRef<'_>) -> bool {
     match component {
-        Component::Gate { delay, .. } => delay.rise.min(delay.fall) == 0,
-        Component::Switch { .. } => true,
+        ComponentRef::Gate { delay, .. } => delay.rise.min(delay.fall) == 0,
+        ComponentRef::Switch { .. } => true,
         _ => false,
     }
 }
@@ -32,8 +32,8 @@ fn is_zero_time(component: &Component) -> bool {
 pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     // Only a cycle through a zero-delay gate is a finding, and none of
     // the `Delay` constructors builds one: rule the graph out first.
-    let zero_delay_gate = |c: &Component| c.is_gate() && is_zero_time(c);
-    if !netlist.components().iter().any(zero_delay_gate) {
+    let zero_delay_gate = |(_, c): (CompId, ComponentRef<'_>)| c.is_gate() && is_zero_time(c);
+    if !netlist.iter().any(zero_delay_gate) {
         return;
     }
     let graph = DepGraph::build(netlist, |id| is_zero_time(netlist.component(id)));

@@ -28,7 +28,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
-use crate::component::{CompId, Component, GateKind, NetId};
+use crate::component::{CompId, ComponentRef, GateKind, NetId};
 use crate::netlist::Netlist;
 use crate::value::Level;
 
@@ -271,18 +271,18 @@ impl Analysis for ActivityAnalysis<'_> {
         for &c in self.netlist.drivers(id) {
             let comp = self.netlist.component(c);
             match comp {
-                Component::Input { .. } => {
+                ComponentRef::Input { .. } => {
                     let s = self.seeds.get(id).copied().unwrap_or_default();
                     acc = acc.join(NetActivity::from_float(s.p1_lo, s.p1_hi, 0.0));
                     density_sum += s.density;
                 }
-                Component::Supply { level, .. } | Component::Pull { level, .. } => {
+                ComponentRef::Supply { level, .. } | ComponentRef::Pull { level, .. } => {
                     // A rail settles once and never toggles. A
                     // `Supply` moreover drives at the strongest
                     // strength, so no co-driver (a switch group
                     // hanging off the rail) can ever move the
                     // resolved level: the net is pinned.
-                    pinned |= matches!(comp, Component::Supply { .. });
+                    pinned |= matches!(comp, ComponentRef::Supply { .. });
                     let p = match level {
                         Level::One => (1.0, 1.0),
                         Level::Zero => (0.0, 0.0),
@@ -290,20 +290,20 @@ impl Analysis for ActivityAnalysis<'_> {
                     };
                     acc = acc.join(NetActivity::from_float(p.0, p.1, 0.0));
                 }
-                Component::Gate { kind, inputs, .. } => {
+                ComponentRef::Gate { kind, inputs, .. } => {
                     let ins: Vec<In> = inputs
                         .iter()
                         .map(|i| input_view(values[i.index()]))
                         .collect();
-                    let (lo, hi, d) = gate_activity(*kind, &ins);
+                    let (lo, hi, d) = gate_activity(kind, &ins);
                     acc = acc.join(NetActivity::from_float(lo, hi, 0.0));
                     density_sum += d;
                 }
-                Component::Switch { control, a, b, .. } => {
+                ComponentRef::Switch { control, a, b, .. } => {
                     terminal = true;
                     // The group can toggle when the opposite terminal
                     // or the control toggles.
-                    let other = if *a == id { *b } else { *a };
+                    let other = if a == id { b } else { a };
                     density_sum += values[other.index()].d() + values[control.index()].d();
                 }
             }
@@ -390,8 +390,8 @@ impl Activity {
             .map(|i| {
                 let comp = netlist.component(CompId(i as u32));
                 match comp {
-                    Component::Input { net } => self.density(*net),
-                    Component::Supply { .. } | Component::Pull { .. } => 0.0,
+                    ComponentRef::Input { net } => self.density(net),
+                    ComponentRef::Supply { .. } | ComponentRef::Pull { .. } => 0.0,
                     _ => {
                         let mut sum = 0.0;
                         comp.for_each_read(|r| sum += self.density(r));
@@ -471,13 +471,13 @@ impl Activity {
                         }
                     };
                     match comp {
-                        Component::Input { .. } => {
+                        ComponentRef::Input { .. } => {
                             sum += seeds.get(id).copied().unwrap_or_default().density;
                         }
-                        Component::Supply { .. } | Component::Pull { .. } => {
-                            pinned |= matches!(comp, Component::Supply { .. });
+                        ComponentRef::Supply { .. } | ComponentRef::Pull { .. } => {
+                            pinned |= matches!(comp, ComponentRef::Supply { .. });
                         }
-                        Component::Gate { kind, inputs, .. } => {
+                        ComponentRef::Gate { kind, inputs, .. } => {
                             let ins: Vec<In> = inputs
                                 .iter()
                                 .map(|&m| {
@@ -485,11 +485,11 @@ impl Activity {
                                     In { lo, hi, d: damp(m) }
                                 })
                                 .collect();
-                            sum += gate_activity(*kind, &ins).2;
+                            sum += gate_activity(kind, &ins).2;
                         }
-                        Component::Switch { control, a, b, .. } => {
-                            let other = if *a == id { *b } else { *a };
-                            sum += damp(other) + damp(*control);
+                        ComponentRef::Switch { control, a, b, .. } => {
+                            let other = if a == id { b } else { a };
+                            sum += damp(other) + damp(control);
                         }
                     }
                 }

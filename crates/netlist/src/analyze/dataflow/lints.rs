@@ -46,9 +46,9 @@ pub(in crate::analyze) fn check(
                 && per_comp[c.index()] == 0.0
                 && !matches!(
                     netlist.component(c),
-                    crate::component::Component::Input { .. }
-                        | crate::component::Component::Pull { .. }
-                        | crate::component::Component::Supply { .. }
+                    crate::component::ComponentRef::Input { .. }
+                        | crate::component::ComponentRef::Pull { .. }
+                        | crate::component::ComponentRef::Supply { .. }
                 )
         })
         .collect();
@@ -88,7 +88,7 @@ pub(in crate::analyze) fn check(
     }
 
     // LS0013: gates provably immune to inertial pulse filtering.
-    let num_gates = netlist.components().iter().filter(|c| c.is_gate()).count();
+    let num_gates = netlist.num_gates();
     let filter_free: Vec<CompId> = (0..netlist.num_components() as u32)
         .map(CompId)
         .filter(|&c| timing.is_filter_free(c))

@@ -8,7 +8,7 @@
 //! and fall back to the conservative [`InputSeed::default`] for bare
 //! netlists (`lsim lint` on a file).
 
-use crate::component::{Component, NetId};
+use crate::component::{ComponentRef, NetId};
 use crate::netlist::Netlist;
 
 /// Static assumptions about one primary input net.
@@ -53,12 +53,12 @@ pub struct InputSeeds {
 
 impl InputSeeds {
     /// Conservative defaults for every declared input of `netlist`
-    /// (and every undeclared [`Component::Input`] driver).
+    /// (and every undeclared [`ComponentRef::Input`] driver).
     #[must_use]
     pub fn unconstrained(netlist: &Netlist) -> InputSeeds {
         let mut seeds = vec![None; netlist.num_nets()];
-        for c in netlist.components() {
-            if let Component::Input { net } = c {
+        for (_, c) in netlist.iter() {
+            if let ComponentRef::Input { net } = c {
                 seeds[net.index()] = Some(InputSeed::default());
             }
         }

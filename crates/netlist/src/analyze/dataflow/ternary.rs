@@ -24,7 +24,7 @@
 //! [`GateKind::evaluate`]: crate::component::GateKind::evaluate
 
 use super::{solve, Analysis, Direction, Solution};
-use crate::component::{Component, NetId};
+use crate::component::{ComponentRef, NetId};
 use crate::netlist::Netlist;
 use crate::value::{Level, Signal, Strength};
 
@@ -35,9 +35,9 @@ pub trait TernaryView {
     /// Number of nets.
     fn num_nets(&self) -> usize;
     /// Visits every live component that can drive `net`.
-    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(&Component));
+    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>));
     /// Visits every live component that reads `net`.
-    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(&Component));
+    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>));
     /// Whether `net` is attached to a switch channel terminal (member
     /// of a nontrivial bidirectional resolution group).
     fn is_terminal(&self, net: u32) -> bool;
@@ -48,13 +48,13 @@ impl TernaryView for Netlist {
         Netlist::num_nets(self)
     }
 
-    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(&Component)) {
+    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>)) {
         for &c in self.drivers(NetId(net)) {
             f(self.component(c));
         }
     }
 
-    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(&Component)) {
+    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>)) {
         for &c in self.fanout(NetId(net)) {
             f(self.component(c));
         }
@@ -86,15 +86,15 @@ impl<'a, V: TernaryView> TernaryAnalysis<'a, V> {
 /// The abstract signal a component contributes to the nets it drives,
 /// or `None` for switches (their influence is handled by terminal
 /// conservatism in the transfer function).
-fn contribution(comp: &Component, values: &[Level]) -> Option<Signal> {
+fn contribution(comp: ComponentRef<'_>, values: &[Level]) -> Option<Signal> {
     match comp {
         // A primary input varies with the stimulus: strong unknown.
-        Component::Input { .. } => Some(Signal::strong(Level::X)),
-        Component::Pull { .. } | Component::Supply { .. } => comp.static_drive(),
-        Component::Gate { kind, inputs, .. } => {
+        ComponentRef::Input { .. } => Some(Signal::strong(Level::X)),
+        ComponentRef::Pull { .. } | ComponentRef::Supply { .. } => comp.static_drive(),
+        ComponentRef::Gate { kind, inputs, .. } => {
             Some(kind.evaluate_pins(inputs, |n| values[n.index()]))
         }
-        Component::Switch { .. } => None,
+        ComponentRef::Switch { .. } => None,
     }
 }
 

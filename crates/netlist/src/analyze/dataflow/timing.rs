@@ -25,7 +25,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
-use crate::component::{CompId, Component, NetId};
+use crate::component::{CompId, ComponentRef, NetId};
 use crate::netlist::Netlist;
 
 /// Arrival interval and event-separation bound for one net.
@@ -111,19 +111,19 @@ impl Analysis for TimingAnalysis<'_> {
         let mut out = Window::BOTTOM;
         for &c in self.netlist.drivers(id) {
             let w = match self.netlist.component(c) {
-                Component::Input { .. } => Window {
+                ComponentRef::Input { .. } => Window {
                     min: 0,
                     max: 0,
                     sep: self.seeds.get(id).map_or(1, |s| s.min_separation),
                 },
                 // A rail produces exactly one settling event at
                 // power-up.
-                Component::Supply { .. } | Component::Pull { .. } => Window {
+                ComponentRef::Supply { .. } | ComponentRef::Pull { .. } => Window {
                     min: 0,
                     max: 0,
                     sep: u32::MAX,
                 },
-                Component::Gate { inputs, delay, .. } => {
+                ComponentRef::Gate { inputs, delay, .. } => {
                     let lo = delay.rise.min(delay.fall);
                     let hi = delay.rise.max(delay.fall);
                     let mut min = u32::MAX;
@@ -167,7 +167,7 @@ impl Analysis for TimingAnalysis<'_> {
                 }
                 // Bidirectional groups resolve with unit switch delay
                 // and no provable structure.
-                Component::Switch { .. } => Window::TOP,
+                ComponentRef::Switch { .. } => Window::TOP,
             };
             out = out.join(w);
         }
@@ -214,7 +214,7 @@ impl Timing {
         let solution = solve(&TimingAnalysis { netlist, seeds });
         let filter_free = (0..netlist.num_components())
             .map(|i| {
-                let Component::Gate { inputs, delay, .. } = netlist.component(CompId(i as u32))
+                let ComponentRef::Gate { inputs, delay, .. } = netlist.component(CompId(i as u32))
                 else {
                     return false;
                 };
@@ -364,7 +364,7 @@ mod tests {
             .find(|&c| {
                 matches!(
                     n.component(c),
-                    Component::Gate {
+                    ComponentRef::Gate {
                         kind: GateKind::And,
                         ..
                     }

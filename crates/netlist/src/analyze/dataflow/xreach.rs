@@ -22,7 +22,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
-use crate::component::{Component, GateKind, NetId};
+use crate::component::{ComponentRef, GateKind, NetId};
 use crate::netlist::Netlist;
 use crate::value::Level;
 
@@ -167,21 +167,21 @@ impl Analysis for XReachAnalysis<'_> {
         let mut terminal = false;
         for &c in drivers {
             match self.netlist.component(c) {
-                Component::Input { .. } => {
+                ComponentRef::Input { .. } => {
                     let levels = self
                         .seeds
                         .get(id)
                         .map_or(LevelSet::ALL, |s| LevelSet(s.levels));
                     out = out.union(levels);
                 }
-                Component::Supply { level, .. } | Component::Pull { level, .. } => {
-                    out = out.union(LevelSet::just(*level));
+                ComponentRef::Supply { level, .. } | ComponentRef::Pull { level, .. } => {
+                    out = out.union(LevelSet::just(level));
                 }
-                Component::Gate { kind, inputs, .. } => {
+                ComponentRef::Gate { kind, inputs, .. } => {
                     let sets: Vec<LevelSet> = inputs.iter().map(|i| values[i.index()]).collect();
-                    out = out.union(gate_image(*kind, &sets));
+                    out = out.union(gate_image(kind, &sets));
                 }
-                Component::Switch { .. } => terminal = true,
+                ComponentRef::Switch { .. } => terminal = true,
             }
         }
         if terminal {

@@ -1,6 +1,6 @@
 //! Structured diagnostics: stable codes, severities, and renderers.
 
-use crate::component::{CompId, Component, NetId};
+use crate::component::{CompId, ComponentRef, NetId};
 use crate::netlist::Netlist;
 use serde::Serialize;
 use std::fmt;
@@ -241,15 +241,15 @@ fn push_limited(out: &mut String, len: usize, item: impl Fn(usize) -> String) {
 #[must_use]
 pub fn describe_component(netlist: &Netlist, id: CompId) -> String {
     match netlist.component(id) {
-        Component::Gate { kind, output, .. } => {
-            format!("{id} {kind}->{}", netlist.net_name(*output))
+        ComponentRef::Gate { kind, output, .. } => {
+            format!("{id} {kind}->{}", netlist.net_name(output))
         }
-        Component::Switch { kind, control, .. } => {
-            format!("{id} {kind}[{}]", netlist.net_name(*control))
+        ComponentRef::Switch { kind, control, .. } => {
+            format!("{id} {kind}[{}]", netlist.net_name(control))
         }
-        Component::Input { net } => format!("{id} INPUT {}", netlist.net_name(*net)),
-        Component::Pull { net, .. } => format!("{id} PULL {}", netlist.net_name(*net)),
-        Component::Supply { net, .. } => format!("{id} SUPPLY {}", netlist.net_name(*net)),
+        ComponentRef::Input { net } => format!("{id} INPUT {}", netlist.net_name(net)),
+        ComponentRef::Pull { net, .. } => format!("{id} PULL {}", netlist.net_name(net)),
+        ComponentRef::Supply { net, .. } => format!("{id} SUPPLY {}", netlist.net_name(net)),
     }
 }
 

@@ -14,15 +14,15 @@
 //!    strong drive on both sides of one switch.)
 
 use super::diag::{Code, Diagnostic};
-use crate::component::{Component, GateKind, NetId};
+use crate::component::{ComponentRef, GateKind, NetId};
 use crate::netlist::Netlist;
 
 /// Whether `component` drives its output net strongly at all times.
-fn is_always_on_strong(component: &Component) -> bool {
+fn is_always_on_strong(component: ComponentRef<'_>) -> bool {
     match component {
-        Component::Gate { kind, .. } => *kind != GateKind::Tristate,
-        Component::Input { .. } | Component::Supply { .. } => true,
-        Component::Switch { .. } | Component::Pull { .. } => false,
+        ComponentRef::Gate { kind, .. } => kind != GateKind::Tristate,
+        ComponentRef::Input { .. } | ComponentRef::Supply { .. } => true,
+        ComponentRef::Switch { .. } | ComponentRef::Pull { .. } => false,
     }
 }
 
@@ -60,7 +60,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     }
 
     for (id, comp) in netlist.iter() {
-        if let Component::Switch { a, b, .. } = comp {
+        if let ComponentRef::Switch { a, b, .. } = comp {
             if !strong[a.index()].is_empty() && !strong[b.index()].is_empty() {
                 let mut comps = vec![id];
                 comps.extend(strong[a.index()].iter().copied());
@@ -73,7 +73,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
                             .to_string(),
                     )
                     .with_components(comps)
-                    .with_nets(vec![*a, *b]),
+                    .with_nets(vec![a, b]),
                 );
             }
         }

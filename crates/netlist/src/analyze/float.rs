@@ -17,13 +17,13 @@
 //! exists to simulate.
 
 use super::diag::{Code, Diagnostic};
-use crate::component::{Component, GateKind, NetId};
+use crate::component::{ComponentRef, GateKind, NetId};
 use crate::graph::ChannelGroups;
 use crate::netlist::Netlist;
 
 /// Whether a driver injects a value into a net (anything but a switch
 /// channel; tristates count — pattern 2 handles their enables).
-fn injects_value(component: &Component) -> bool {
+fn injects_value(component: ComponentRef<'_>) -> bool {
     !component.is_switch()
 }
 
@@ -73,7 +73,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         let all_tristate = drivers.iter().all(|&d| {
             matches!(
                 netlist.component(d),
-                Component::Gate {
+                ComponentRef::Gate {
                     kind: GateKind::Tristate,
                     ..
                 }

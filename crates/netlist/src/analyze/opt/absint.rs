@@ -13,7 +13,7 @@
 
 use super::Work;
 use crate::analyze::dataflow::ternary::{self, TernaryView};
-use crate::component::Component;
+use crate::component::ComponentRef;
 use crate::value::Level;
 
 impl TernaryView for Work {
@@ -21,18 +21,18 @@ impl TernaryView for Work {
         Work::num_nets(self)
     }
 
-    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(&Component)) {
+    fn for_each_driver(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>)) {
         for &d in &self.drivers[net as usize] {
-            if let Some(comp) = self.comps[d as usize].as_ref() {
-                f(comp);
+            if let Some(comp) = &self.comps[d as usize] {
+                f(comp.as_ref());
             }
         }
     }
 
-    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(&Component)) {
+    fn for_each_reader(&self, net: u32, f: &mut dyn FnMut(ComponentRef<'_>)) {
         for &r in &self.readers[net as usize] {
-            if let Some(comp) = self.comps[r as usize].as_ref() {
-                f(comp);
+            if let Some(comp) = &self.comps[r as usize] {
+                f(comp.as_ref());
             }
         }
     }

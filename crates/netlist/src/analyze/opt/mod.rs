@@ -32,6 +32,7 @@ mod absint;
 mod rewrite;
 
 use crate::analyze::diag::{Code, Diagnostic, JsonDiagnostic};
+use crate::columns::Columns;
 use crate::component::{CompId, Component, NetId};
 use crate::netlist::Netlist;
 use serde::Serialize;
@@ -265,7 +266,7 @@ impl Work {
     fn new(netlist: &Netlist) -> Work {
         let nets = netlist.num_nets();
         let mut w = Work {
-            comps: netlist.components().iter().cloned().map(Some).collect(),
+            comps: netlist.iter().map(|(_, c)| Some(c.to_owned())).collect(),
             drivers: vec![Vec::new(); nets],
             readers: vec![Vec::new(); nets],
             switches_on: vec![0; nets],
@@ -409,12 +410,12 @@ fn emit(
     absint_rounds: u32,
     passes: u32,
 ) -> Optimized {
-    let mut components = Vec::new();
+    let mut components = Columns::default();
     let mut comp_map = vec![None; work.comps.len()];
     for (i, slot) in work.comps.iter().enumerate() {
         if let Some(c) = slot {
             comp_map[i] = Some(CompId(components.len() as u32));
-            components.push(c.clone());
+            components.push(c.as_ref());
         }
     }
     let netlist = Netlist::from_parts(
@@ -503,7 +504,7 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Delay, GateKind, SwitchKind};
+    use crate::component::{ComponentRef, Delay, GateKind, SwitchKind};
     use crate::value::Level;
     use crate::NetlistBuilder;
 
@@ -524,11 +525,9 @@ mod tests {
         let o = optimize(&n);
         assert_eq!(o.report.folded_gates, 1);
         assert_eq!(o.netlist.num_gates(), 0);
-        assert!(o
-            .netlist
-            .components()
-            .iter()
-            .any(|c| matches!(c, Component::Supply { net, level: Level::Zero } if *net == y)));
+        assert!(o.netlist.iter().any(
+            |(_, c)| matches!(c, ComponentRef::Supply { net, level: Level::Zero } if net == y)
+        ));
         assert_eq!(o.report.findings[0].code, Code::Ls0006ConstantNet);
     }
 
@@ -568,12 +567,11 @@ mod tests {
         assert_eq!(o.report.specialized_gates, 3);
         let kinds: Vec<GateKind> = o
             .netlist
-            .components()
             .iter()
-            .filter_map(|comp| match comp {
-                Component::Gate { kind, inputs, .. } => {
+            .filter_map(|(_, comp)| match comp {
+                ComponentRef::Gate { kind, inputs, .. } => {
                     assert!(inputs.iter().all(|&i| i != vdd));
-                    Some(*kind)
+                    Some(kind)
                 }
                 _ => None,
             })
@@ -602,14 +600,13 @@ mod tests {
         assert_eq!(o.netlist.num_gates(), 2);
         let or_inputs = o
             .netlist
-            .components()
             .iter()
-            .find_map(|comp| match comp {
-                Component::Gate {
+            .find_map(|(_, comp)| match comp {
+                ComponentRef::Gate {
                     kind: GateKind::Or,
                     inputs,
                     ..
-                } => Some(inputs.clone()),
+                } => Some(inputs.to_vec()),
                 _ => None,
             })
             .unwrap();
@@ -632,10 +629,9 @@ mod tests {
         assert_eq!(o.report.canonicalized_chains, 1);
         let kinds: Vec<GateKind> = o
             .netlist
-            .components()
             .iter()
-            .filter_map(|comp| match comp {
-                Component::Gate { kind, .. } => Some(*kind),
+            .filter_map(|(_, comp)| match comp {
+                ComponentRef::Gate { kind, .. } => Some(kind),
                 _ => None,
             })
             .collect();
@@ -660,9 +656,8 @@ mod tests {
         // Both Input components survive for stimulus resolution.
         let inputs = o
             .netlist
-            .components()
             .iter()
-            .filter(|c| matches!(c, Component::Input { .. }))
+            .filter(|(_, c)| matches!(c, ComponentRef::Input { .. }))
             .count();
         assert_eq!(inputs, 2);
         // Net ids are stable: the observed net keeps its id and name.

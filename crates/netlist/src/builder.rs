@@ -1,6 +1,7 @@
 //! Incremental construction and validation of [`Netlist`]s.
 
-use crate::component::{CompId, Component, Delay, GateKind, NetId, SwitchKind};
+use crate::columns::Columns;
+use crate::component::{CompId, Component, ComponentRef, Delay, GateKind, NetId, SwitchKind};
 use crate::names::{NameIndex, NetNames};
 use crate::netlist::Netlist;
 use crate::value::Level;
@@ -77,7 +78,7 @@ impl Error for BuildError {}
 #[derive(Debug, Clone, Default)]
 pub struct NetlistBuilder {
     name: String,
-    components: Vec<Component>,
+    components: Columns,
     net_names: NetNames,
     name_index: NameIndex,
     inputs: Vec<NetId>,
@@ -140,10 +141,15 @@ impl NetlistBuilder {
     /// [`NetlistBuilder::input`] would. Validation still happens in
     /// [`NetlistBuilder::finish`].
     pub fn add_component(&mut self, comp: Component) -> CompId {
-        let id = CompId(self.components.len() as u32);
         if let Component::Input { net } = comp {
             self.inputs.push(net);
         }
+        self.push(comp.as_ref())
+    }
+
+    /// Appends one component to the columns; returns its id.
+    fn push(&mut self, comp: ComponentRef<'_>) -> CompId {
+        let id = CompId(self.components.len() as u32);
         self.components.push(comp);
         id
     }
@@ -159,7 +165,7 @@ impl NetlistBuilder {
     /// [`Component::Input`] driver for it.
     pub fn input(&mut self, name: impl AsRef<str>) -> NetId {
         let net = self.net(name);
-        self.components.push(Component::Input { net });
+        self.push(ComponentRef::Input { net });
         self.inputs.push(net);
         net
     }
@@ -169,7 +175,8 @@ impl NetlistBuilder {
         self.outputs.push(net);
     }
 
-    /// Adds a gate; returns its component id.
+    /// Adds a gate; returns its component id. The pins are appended to
+    /// the netlist's one pin array.
     pub fn gate(
         &mut self,
         kind: GateKind,
@@ -177,26 +184,22 @@ impl NetlistBuilder {
         output: NetId,
         delay: Delay,
     ) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component::Gate {
+        self.push(ComponentRef::Gate {
             kind,
-            inputs: inputs.to_vec(),
+            inputs,
             output,
             delay,
-        });
-        id
+        })
     }
 
     /// Adds a bidirectional MOS switch; returns its component id.
     pub fn switch(&mut self, kind: SwitchKind, control: NetId, a: NetId, b: NetId) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component::Switch {
+        self.push(ComponentRef::Switch {
             kind,
             control,
             a,
             b,
-        });
-        id
+        })
     }
 
     /// Adds a CMOS transmission gate: an NMOS controlled by `control` and
@@ -217,16 +220,12 @@ impl NetlistBuilder {
     /// Adds a resistive pull toward `level` on `net` (nmos depletion load
     /// when `level` is `One`).
     pub fn pull(&mut self, net: NetId, level: Level) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component::Pull { net, level });
-        id
+        self.push(ComponentRef::Pull { net, level })
     }
 
     /// Adds a supply rail at `level` on `net`.
     pub fn supply(&mut self, net: NetId, level: Level) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component::Supply { net, level });
-        id
+        self.push(ComponentRef::Supply { net, level })
     }
 
     /// Number of nets declared so far.
@@ -243,7 +242,7 @@ impl NetlistBuilder {
     /// Returns `true` when no components have been added.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.components.len() == 0
     }
 
     /// Validates the circuit and builds the indexed [`Netlist`].
@@ -254,58 +253,67 @@ impl NetlistBuilder {
     /// referenced net was never declared, a read net has no driver of any
     /// kind, or the netlist is empty.
     pub fn finish(self) -> Result<Netlist, BuildError> {
-        if self.components.is_empty() {
-            return Err(BuildError::Empty);
-        }
-        let num_nets = self.net_names.len();
-        for (i, comp) in self.components.iter().enumerate() {
-            let id = CompId(i as u32);
-            if let Component::Gate { kind, inputs, .. } = comp {
-                let (min, max) = kind.arity();
-                let ok = inputs.len() >= min && max.is_none_or(|m| inputs.len() <= m);
-                if !ok {
-                    return Err(BuildError::BadArity {
-                        comp: id,
-                        kind: *kind,
-                        got: inputs.len(),
-                    });
-                }
-            }
-            let mut bad: Option<NetId> = None;
-            let mut check = |net: NetId| {
-                if net.index() >= num_nets && bad.is_none() {
-                    bad = Some(net);
-                }
-            };
-            comp.for_each_read(&mut check);
-            comp.for_each_driven(&mut check);
-            if let Some(net) = bad {
-                return Err(BuildError::UnknownNet { net });
-            }
-        }
-        // Indices are built arena-backed in O(components): a count /
-        // prefix-sum / fill pass, no per-net vectors.
-        let netlist = Netlist::from_parts(
+        checked(
             self.name,
             self.components,
             self.net_names,
             self.inputs,
             self.outputs,
-        );
-        // A net that is read must be drivable by something. Switch channel
-        // terminals count both as reads and potential drives, so a pure
-        // switch network never trips this; a gate input left floating does.
-        for i in 0..num_nets {
-            let net = NetId(i as u32);
-            if !netlist.fanout(net).is_empty() && netlist.drivers(net).is_empty() {
-                return Err(BuildError::UndrivenNet {
-                    net,
-                    name: netlist.net_name(net).to_string(),
+        )
+    }
+}
+
+/// The builder's checks, then the indexed [`Netlist`]: what
+/// [`NetlistBuilder::finish`] and the netlist's `Deserialize` both run.
+/// Fails on the first component (in id order) with a bad arity or an
+/// undeclared net, then on an undeclared input or output, then on the
+/// lowest read net that nothing drives.
+pub(crate) fn checked(
+    name: String,
+    components: Columns,
+    net_names: NetNames,
+    inputs: Vec<NetId>,
+    outputs: Vec<NetId>,
+) -> Result<Netlist, BuildError> {
+    if components.len() == 0 {
+        return Err(BuildError::Empty);
+    }
+    let num_nets = net_names.len();
+    let declared = |net: &NetId| net.index() < num_nets;
+    for (i, comp) in components.iter().enumerate() {
+        if let ComponentRef::Gate { kind, inputs, .. } = comp {
+            let (min, max) = kind.arity();
+            if inputs.len() < min || max.is_some_and(|m| inputs.len() > m) {
+                return Err(BuildError::BadArity {
+                    comp: CompId(i as u32),
+                    kind,
+                    got: inputs.len(),
                 });
             }
         }
-        Ok(netlist)
+        if let Some(net) = comp.reads().chain(comp.drives()).find(|n| !declared(n)) {
+            return Err(BuildError::UnknownNet { net });
+        }
     }
+    if let Some(&net) = inputs.iter().chain(&outputs).find(|n| !declared(n)) {
+        return Err(BuildError::UnknownNet { net });
+    }
+    // Indices are built arena-backed in O(components): a count /
+    // prefix-sum / fill pass, no per-net vectors.
+    let netlist = Netlist::from_parts(name, components, net_names, inputs, outputs);
+    // A net that is read must be drivable by something. Switch channel
+    // terminals count both as reads and potential drives, so a pure
+    // switch network never trips this; a gate input left floating does.
+    for i in 0..num_nets {
+        let net = NetId(i as u32);
+        if !netlist.fanout(net).is_empty() && netlist.drivers(net).is_empty() {
+            return Err(BuildError::UndrivenNet {
+                net,
+                name: netlist.net_name(net).to_string(),
+            });
+        }
+    }
+    Ok(netlist)
 }
 
 #[cfg(test)]

@@ -325,7 +325,9 @@ impl fmt::Display for SwitchKind {
     }
 }
 
-/// A circuit component.
+/// A circuit component, owned: what [`crate::NetlistBuilder`] takes.
+/// A built [`crate::Netlist`] stores its components as columns and
+/// shows each as a [`ComponentRef`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Component {
     /// A unidirectional logic gate.
@@ -374,87 +376,264 @@ pub enum Component {
     },
 }
 
-impl Component {
+/// A borrowed view of one component of a [`crate::Netlist`]: what
+/// [`crate::Netlist::component`] and [`crate::Netlist::iter`] return.
+///
+/// It pattern-matches like [`Component`], field for field, except that a
+/// gate's `inputs` is a slice of the netlist's one pin array rather than
+/// a `Vec` of its own, and every field is a value (the view is `Copy`).
+/// [`ComponentRef::to_owned`] makes the [`Component`] a builder takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ComponentRef<'a> {
+    /// A unidirectional logic gate.
+    Gate {
+        /// Truth-table kind.
+        kind: GateKind,
+        /// Input nets (order matters for [`GateKind::Tristate`]).
+        inputs: &'a [NetId],
+        /// Output net.
+        output: NetId,
+        /// Fixed rise/fall delay.
+        delay: Delay,
+    },
+    /// A bidirectional MOS pass transistor between `a` and `b`,
+    /// controlled by `control`.
+    Switch {
+        /// Transistor polarity.
+        kind: SwitchKind,
+        /// Control (gate terminal) net.
+        control: NetId,
+        /// One channel terminal.
+        a: NetId,
+        /// The other channel terminal.
+        b: NetId,
+    },
+    /// A primary input driving `net`.
+    Input {
+        /// The net this input drives.
+        net: NetId,
+    },
+    /// A resistive pull to a fixed level on `net`.
+    Pull {
+        /// The pulled net.
+        net: NetId,
+        /// The level pulled toward.
+        level: Level,
+    },
+    /// A supply rail holding `net` at a fixed level.
+    Supply {
+        /// The rail net.
+        net: NetId,
+        /// Rail level (`One` for VDD, `Zero` for GND).
+        level: Level,
+    },
+}
+
+impl<'a> ComponentRef<'a> {
     /// The nets this component reads (changes on these require
     /// re-evaluation), in pin order, without allocating.
-    pub fn reads(&self) -> impl Iterator<Item = NetId> + '_ {
+    pub fn reads(self) -> impl Iterator<Item = NetId> + 'a {
         let (pins, channel): (&[NetId], [Option<NetId>; 3]) = match self {
-            Component::Gate { inputs, .. } => (inputs, [None; 3]),
-            Component::Switch { control, a, b, .. } => (&[], [Some(*control), Some(*a), Some(*b)]),
-            Component::Input { .. } | Component::Pull { .. } | Component::Supply { .. } => {
-                (&[], [None; 3])
-            }
+            ComponentRef::Gate { inputs, .. } => (inputs, [None; 3]),
+            ComponentRef::Switch { control, a, b, .. } => (&[], [Some(control), Some(a), Some(b)]),
+            ComponentRef::Input { .. }
+            | ComponentRef::Pull { .. }
+            | ComponentRef::Supply { .. } => (&[], [None; 3]),
         };
         pins.iter().copied().chain(channel.into_iter().flatten())
     }
 
     /// The nets this component can drive, without allocating.
-    pub fn drives(&self) -> impl Iterator<Item = NetId> {
+    pub fn drives(self) -> impl Iterator<Item = NetId> {
         let nets = match self {
-            Component::Gate { output, .. } => [Some(*output), None],
-            Component::Switch { a, b, .. } => [Some(*a), Some(*b)],
-            Component::Input { net }
-            | Component::Pull { net, .. }
-            | Component::Supply { net, .. } => [Some(*net), None],
+            ComponentRef::Gate { output, .. } => [Some(output), None],
+            ComponentRef::Switch { a, b, .. } => [Some(a), Some(b)],
+            ComponentRef::Input { net }
+            | ComponentRef::Pull { net, .. }
+            | ComponentRef::Supply { net, .. } => [Some(net), None],
         };
         nets.into_iter().flatten()
     }
 
-    /// [`Component::reads`], collected.
+    /// [`ComponentRef::reads`], collected.
     #[must_use]
-    pub fn read_nets(&self) -> Vec<NetId> {
+    pub fn read_nets(self) -> Vec<NetId> {
         self.reads().collect()
+    }
+
+    /// [`ComponentRef::drives`], collected.
+    #[must_use]
+    pub fn driven_nets(self) -> Vec<NetId> {
+        self.drives().collect()
     }
 
     /// Visits the nets this component reads.
     #[inline]
-    pub fn for_each_read(&self, f: impl FnMut(NetId)) {
+    pub fn for_each_read(self, f: impl FnMut(NetId)) {
         self.reads().for_each(f);
     }
 
     /// Visits the nets this component can drive.
     #[inline]
-    pub fn for_each_driven(&self, f: impl FnMut(NetId)) {
+    pub fn for_each_driven(self, f: impl FnMut(NetId)) {
         self.drives().for_each(f);
-    }
-
-    /// [`Component::drives`], collected.
-    #[must_use]
-    pub fn driven_nets(&self) -> Vec<NetId> {
-        self.drives().collect()
     }
 
     /// Returns `true` for a gate.
     #[must_use]
-    pub fn is_gate(&self) -> bool {
-        matches!(self, Component::Gate { .. })
+    pub fn is_gate(self) -> bool {
+        matches!(self, ComponentRef::Gate { .. })
     }
 
     /// Returns `true` for a switch.
     #[must_use]
-    pub fn is_switch(&self) -> bool {
-        matches!(self, Component::Switch { .. })
+    pub fn is_switch(self) -> bool {
+        matches!(self, ComponentRef::Switch { .. })
     }
 
     /// Approximate transistor cost (Table 4 reproduction).
     #[must_use]
-    pub fn approx_transistors(&self) -> u32 {
+    pub fn approx_transistors(self) -> u32 {
         match self {
-            Component::Gate { kind, inputs, .. } => kind.approx_transistors(inputs.len()),
-            Component::Switch { .. } => 1,
-            Component::Pull { .. } => 1,
-            Component::Input { .. } | Component::Supply { .. } => 0,
+            ComponentRef::Gate { kind, inputs, .. } => kind.approx_transistors(inputs.len()),
+            ComponentRef::Switch { .. } | ComponentRef::Pull { .. } => 1,
+            ComponentRef::Input { .. } | ComponentRef::Supply { .. } => 0,
         }
     }
 
     /// The weak signal contributed by a pull or supply, if any.
     #[must_use]
-    pub fn static_drive(&self) -> Option<Signal> {
+    pub fn static_drive(self) -> Option<Signal> {
         match self {
-            Component::Pull { level, .. } => Some(Signal::new(*level, Strength::Resistive)),
-            Component::Supply { level, .. } => Some(Signal::new(*level, Strength::Supply)),
+            ComponentRef::Pull { level, .. } => Some(Signal::new(level, Strength::Resistive)),
+            ComponentRef::Supply { level, .. } => Some(Signal::new(level, Strength::Supply)),
             _ => None,
         }
+    }
+
+    /// The owned [`Component`] this view shows.
+    #[must_use]
+    pub fn to_owned(self) -> Component {
+        match self {
+            ComponentRef::Gate {
+                kind,
+                inputs,
+                output,
+                delay,
+            } => Component::Gate {
+                kind,
+                inputs: inputs.to_vec(),
+                output,
+                delay,
+            },
+            ComponentRef::Switch {
+                kind,
+                control,
+                a,
+                b,
+            } => Component::Switch {
+                kind,
+                control,
+                a,
+                b,
+            },
+            ComponentRef::Input { net } => Component::Input { net },
+            ComponentRef::Pull { net, level } => Component::Pull { net, level },
+            ComponentRef::Supply { net, level } => Component::Supply { net, level },
+        }
+    }
+}
+
+impl Component {
+    /// The borrowed view of this component, on which every query is
+    /// implemented.
+    #[must_use]
+    pub fn as_ref(&self) -> ComponentRef<'_> {
+        match *self {
+            Component::Gate {
+                kind,
+                ref inputs,
+                output,
+                delay,
+            } => ComponentRef::Gate {
+                kind,
+                inputs,
+                output,
+                delay,
+            },
+            Component::Switch {
+                kind,
+                control,
+                a,
+                b,
+            } => ComponentRef::Switch {
+                kind,
+                control,
+                a,
+                b,
+            },
+            Component::Input { net } => ComponentRef::Input { net },
+            Component::Pull { net, level } => ComponentRef::Pull { net, level },
+            Component::Supply { net, level } => ComponentRef::Supply { net, level },
+        }
+    }
+
+    /// [`ComponentRef::reads`].
+    pub fn reads(&self) -> impl Iterator<Item = NetId> + '_ {
+        self.as_ref().reads()
+    }
+
+    /// [`ComponentRef::drives`].
+    pub fn drives(&self) -> impl Iterator<Item = NetId> {
+        self.as_ref().drives()
+    }
+
+    /// [`ComponentRef::read_nets`].
+    #[must_use]
+    pub fn read_nets(&self) -> Vec<NetId> {
+        self.as_ref().read_nets()
+    }
+
+    /// [`ComponentRef::for_each_read`].
+    #[inline]
+    pub fn for_each_read(&self, f: impl FnMut(NetId)) {
+        self.as_ref().for_each_read(f);
+    }
+
+    /// [`ComponentRef::for_each_driven`].
+    #[inline]
+    pub fn for_each_driven(&self, f: impl FnMut(NetId)) {
+        self.as_ref().for_each_driven(f);
+    }
+
+    /// [`ComponentRef::driven_nets`].
+    #[must_use]
+    pub fn driven_nets(&self) -> Vec<NetId> {
+        self.as_ref().driven_nets()
+    }
+
+    /// [`ComponentRef::is_gate`].
+    #[must_use]
+    pub fn is_gate(&self) -> bool {
+        self.as_ref().is_gate()
+    }
+
+    /// [`ComponentRef::is_switch`].
+    #[must_use]
+    pub fn is_switch(&self) -> bool {
+        self.as_ref().is_switch()
+    }
+
+    /// [`ComponentRef::approx_transistors`].
+    #[must_use]
+    pub fn approx_transistors(&self) -> u32 {
+        self.as_ref().approx_transistors()
+    }
+
+    /// [`ComponentRef::static_drive`].
+    #[must_use]
+    pub fn static_drive(&self) -> Option<Signal> {
+        self.as_ref().static_drive()
     }
 }
 

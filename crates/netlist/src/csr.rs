@@ -145,6 +145,48 @@ impl<T> Csr<T> {
         self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.items.capacity() * std::mem::size_of::<T>()
     }
+
+    /// The matrix as two borrowed slices, for a hot loop that should
+    /// index them without going through the `Vec`s.
+    #[must_use]
+    pub fn view(&self) -> CsrView<'_, T> {
+        CsrView {
+            offsets: &self.offsets,
+            items: &self.items,
+        }
+    }
+
+    /// Room for `additional` more rows.
+    pub(crate) fn reserve_rows(&mut self, additional: usize) {
+        self.offsets.reserve(additional);
+    }
+
+    /// Releases the capacity the matrix grew past its length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+}
+
+/// A borrowed [`Csr`]: its offset and item slices, with the same row
+/// lookup. `Copy`, so an engine can hold one beside its own arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrView<'a, T = u32> {
+    offsets: &'a [u32],
+    items: &'a [T],
+}
+
+impl<'a, T> CsrView<'a, T> {
+    /// The items of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn row(self, i: usize) -> &'a [T] {
+        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 /// A [`Csr`] whose row lengths are known and whose items are still
@@ -256,6 +298,8 @@ mod tests {
         assert_eq!(csr.row_len(0), 2);
         assert_eq!(csr.row_range(2), 2..3);
         assert_eq!(csr.num_items(), 3);
+        let view = csr.view();
+        assert!((0..3).all(|i| view.row(i) == csr.row(i)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Graphviz (DOT) export for visual inspection of small circuits.
 
-use crate::component::Component;
+use crate::component::ComponentRef;
 use crate::netlist::Netlist;
 use std::fmt::Write as _;
 
@@ -18,23 +18,23 @@ pub fn to_dot(netlist: &Netlist) -> String {
     let _ = writeln!(out, "  rankdir=LR;");
     for (id, comp) in netlist.iter() {
         match comp {
-            Component::Gate { kind, .. } => {
+            ComponentRef::Gate { kind, .. } => {
                 let _ = writeln!(out, "  {id} [shape=box,label=\"{kind}\"];");
             }
-            Component::Switch { kind, .. } => {
+            ComponentRef::Switch { kind, .. } => {
                 let _ = writeln!(out, "  {id} [shape=diamond,label=\"{kind}\"];");
             }
-            Component::Input { net } => {
+            ComponentRef::Input { net } => {
                 let _ = writeln!(
                     out,
                     "  {id} [shape=ellipse,label=\"{}\"];",
-                    netlist.net_name(*net)
+                    netlist.net_name(net)
                 );
             }
-            Component::Pull { level, .. } => {
+            ComponentRef::Pull { level, .. } => {
                 let _ = writeln!(out, "  {id} [shape=triangle,label=\"pull{level}\"];");
             }
-            Component::Supply { level, .. } => {
+            ComponentRef::Supply { level, .. } => {
                 let _ = writeln!(out, "  {id} [shape=plaintext,label=\"rail{level}\"];");
             }
         }

@@ -1,7 +1,7 @@
 //! Structural analyses: channel-connected components and the
 //! component-connectivity graph used by partitioners.
 
-use crate::component::{CompId, Component, NetId};
+use crate::component::{CompId, ComponentRef, NetId};
 use crate::csr::Csr;
 use crate::netlist::Netlist;
 use std::ops::Range;
@@ -81,7 +81,7 @@ impl ChannelGroups {
         let n = netlist.num_nets();
         let channels = || {
             netlist.iter().filter_map(|(id, comp)| match comp {
-                Component::Switch { a, b, .. } => Some((id, *a, *b)),
+                ComponentRef::Switch { a, b, .. } => Some((id, a, b)),
                 _ => None,
             })
         };

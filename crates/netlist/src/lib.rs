@@ -33,6 +33,7 @@
 pub mod analyze;
 pub mod bitplane;
 pub mod builder;
+mod columns;
 pub mod component;
 pub mod csr;
 pub mod dot;
@@ -48,8 +49,8 @@ pub use analyze::{
 };
 pub use bitplane::{BitPlanes, Plane, LANES};
 pub use builder::{BuildError, NetlistBuilder};
-pub use component::{CompId, Component, Delay, GateKind, NetId, SwitchKind};
-pub use csr::Csr;
+pub use component::{CompId, Component, ComponentRef, Delay, GateKind, NetId, SwitchKind};
+pub use csr::{Csr, CsrView};
 pub use graph::{ChannelGroups, ConnectivityGraph, UnionFind};
 pub use names::NetNames;
 pub use netlist::Netlist;

@@ -1,9 +1,12 @@
 //! The [`Netlist`] container: components, nets, and derived indices.
 
-use crate::component::{CompId, Component, NetId};
+use crate::builder::{self, BuildError};
+use crate::columns::Columns;
+use crate::component::{CompId, Component, ComponentRef, NetId};
 use crate::csr::{Csr, CsrFill};
 use crate::names::NetNames;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 
 /// An immutable, validated circuit.
 ///
@@ -11,10 +14,16 @@ use serde::{Deserialize, Serialize};
 /// connectivity and precomputes the fanout/driver indices the simulator
 /// and the paper's message-volume model depend on (a *message* in the
 /// paper is the propagation of one output change to one fanout component).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Components are stored as columns — a tag byte, an 8-byte pair (a
+/// gate's delay or a switch's channel ends), one terminal net, and every
+/// gate's input pins in one [`Csr`] — and read through the borrowed
+/// [`ComponentRef`] that [`Netlist::component`] returns. The engines
+/// borrow [`Netlist::gate_pins`] rather than copy it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     pub(crate) name: String,
-    pub(crate) components: Vec<Component>,
+    pub(crate) components: Columns,
     pub(crate) net_names: NetNames,
     /// For each net: components that read it (fanout).
     pub(crate) fanout: Csr<CompId>,
@@ -34,21 +43,22 @@ impl Netlist {
     /// net-range validity.
     pub(crate) fn from_parts(
         name: String,
-        components: Vec<Component>,
+        mut components: Columns,
         net_names: NetNames,
         inputs: Vec<NetId>,
         outputs: Vec<NetId>,
     ) -> Netlist {
+        components.shrink_to_fit();
         // One walk sizes both indices, a second fills them.
         let nets = net_names.len();
         let (mut readers, mut drivers) = (vec![0u32; nets], vec![0u32; nets]);
-        for comp in &components {
+        for comp in components.iter() {
             comp.for_each_read(|net| readers[net.index()] += 1);
             comp.for_each_driven(|net| drivers[net.index()] += 1);
         }
         let mut fanout = CsrFill::with_row_lens(readers, CompId(0));
         let mut drivers = CsrFill::with_row_lens(drivers, CompId(0));
-        for (id, comp) in (0u32..).map(CompId).zip(&components) {
+        for (id, comp) in (0u32..).map(CompId).zip(components.iter()) {
             comp.for_each_read(|net| fanout.push(net.0, id));
             comp.for_each_driven(|net| drivers.push(net.0, id));
         }
@@ -86,13 +96,13 @@ impl Netlist {
     /// Number of unidirectional gates (the paper's "Gates" column).
     #[must_use]
     pub fn num_gates(&self) -> usize {
-        self.components.iter().filter(|c| c.is_gate()).count()
+        self.components.num_gates()
     }
 
     /// Number of bidirectional switches (the paper's "Switches" column).
     #[must_use]
     pub fn num_switches(&self) -> usize {
-        self.components.iter().filter(|c| c.is_switch()).count()
+        self.components.num_switches()
     }
 
     /// Simulated component count in the paper's sense: gates + switches
@@ -108,22 +118,14 @@ impl Netlist {
     ///
     /// Panics if `id` is out of range.
     #[must_use]
-    pub fn component(&self, id: CompId) -> &Component {
-        &self.components[id.index()]
+    #[inline]
+    pub fn component(&self, id: CompId) -> ComponentRef<'_> {
+        self.components.get(id.index())
     }
 
-    /// All components, indexable by [`CompId::index`].
-    #[must_use]
-    pub fn components(&self) -> &[Component] {
-        &self.components
-    }
-
-    /// Iterates over `(CompId, &Component)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (CompId, &Component)> {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (CompId(i as u32), c))
+    /// Iterates over `(CompId, ComponentRef)` pairs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (CompId, ComponentRef<'_>)> + '_ {
+        (0u32..).map(CompId).zip(self.components.iter())
     }
 
     /// The name of a net.
@@ -164,17 +166,12 @@ impl Netlist {
         self.drivers.row(net.index())
     }
 
-    /// Per-component gate input pins (net ids); rows for non-gate
-    /// components are empty.
+    /// Per-component gate input pins, in pin order: row `i` is
+    /// component `i`'s inputs if it is a gate, empty otherwise. This is
+    /// the netlist's own pin array; the engines borrow it.
     #[must_use]
-    pub fn gate_inputs_csr(&self) -> Csr {
-        Csr::from_rows(self.components.iter().map(|c| {
-            let inputs: &[NetId] = match c {
-                Component::Gate { inputs, .. } => inputs,
-                _ => &[],
-            };
-            inputs.iter().map(|n| n.0)
-        }))
+    pub fn gate_pins(&self) -> &Csr<NetId> {
+        self.components.pins()
     }
 
     /// Primary input nets in declaration order.
@@ -240,16 +237,16 @@ impl Netlist {
         let mut h = Fnv(OFFSET);
         h.bytes(self.name.as_bytes());
         h.u32(self.components.len() as u32);
-        for comp in &self.components {
+        for comp in self.components.iter() {
             match comp {
-                Component::Gate {
+                ComponentRef::Gate {
                     kind,
                     inputs,
                     output,
                     delay,
                 } => {
                     h.u32(1);
-                    h.u32(*kind as u32);
+                    h.u32(kind as u32);
                     h.u32(inputs.len() as u32);
                     for n in inputs {
                         h.u32(n.0);
@@ -258,31 +255,31 @@ impl Netlist {
                     h.u32(delay.rise);
                     h.u32(delay.fall);
                 }
-                Component::Switch {
+                ComponentRef::Switch {
                     kind,
                     control,
                     a,
                     b,
                 } => {
                     h.u32(2);
-                    h.u32(*kind as u32);
+                    h.u32(kind as u32);
                     h.u32(control.0);
                     h.u32(a.0);
                     h.u32(b.0);
                 }
-                Component::Input { net } => {
+                ComponentRef::Input { net } => {
                     h.u32(3);
                     h.u32(net.0);
                 }
-                Component::Pull { net, level } => {
+                ComponentRef::Pull { net, level } => {
                     h.u32(4);
                     h.u32(net.0);
-                    h.u32(*level as u32);
+                    h.u32(level as u32);
                 }
-                Component::Supply { net, level } => {
+                ComponentRef::Supply { net, level } => {
                     h.u32(5);
                     h.u32(net.0);
-                    h.u32(*level as u32);
+                    h.u32(level as u32);
                 }
             }
         }
@@ -300,23 +297,14 @@ impl Netlist {
         h.0
     }
 
-    /// Approximate heap bytes held by the netlist (components, gate input
-    /// pins, name arena, adjacency indices). Reported per scale by the
-    /// `scale_study` bench alongside process peak RSS.
+    /// Heap bytes held by the netlist: the capacities of the component
+    /// columns, the pin array, the name arena, the adjacency indices and
+    /// the input and output lists, read without a walk. Reported per
+    /// scale by the `scale_study` bench alongside process peak RSS.
     #[must_use]
     pub fn memory_footprint(&self) -> u64 {
-        let comp_slots = self.components.capacity() * std::mem::size_of::<Component>();
-        let gate_pins: usize = self
-            .components
-            .iter()
-            .map(|c| match c {
-                Component::Gate { inputs, .. } => inputs.capacity() * std::mem::size_of::<NetId>(),
-                _ => 0,
-            })
-            .sum();
         let ids = (self.inputs.capacity() + self.outputs.capacity()) * std::mem::size_of::<NetId>();
-        (comp_slots
-            + gate_pins
+        (self.components.heap_bytes()
             + self.net_names.heap_bytes()
             + self.fanout.heap_bytes()
             + self.drivers.heap_bytes()
@@ -324,9 +312,81 @@ impl Netlist {
     }
 }
 
+/// The JSON shape of a derived `Serialize` over the fields, with
+/// `components` as a list of [`Component`] values.
+impl Serialize for Netlist {
+    fn to_value(&self) -> Value {
+        let components = self.iter().map(|(_, c)| c.to_owned().to_value()).collect();
+        let fields = [
+            ("components", Value::Array(components)),
+            ("drivers", self.drivers.to_value()),
+            ("fanout", self.fanout.to_value()),
+            ("inputs", self.inputs.to_value()),
+            ("name", self.name.to_value()),
+            ("net_names", self.net_names.to_value()),
+            ("outputs", self.outputs.to_value()),
+        ];
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
+/// Reads the shape [`Serialize`] writes and trusts none of it: the
+/// components go through the builder's checks (arity, net range, every
+/// read net driven), the indices and the input list are rebuilt from
+/// them, and serialized ones that disagree are an error.
+impl Deserialize for Netlist {
+    fn from_value(value: &Value) -> Result<Netlist, serde::Error> {
+        let fields: &BTreeMap<String, Value> = value
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("netlist: expected an object"))?;
+        let field = |key: &str| {
+            fields
+                .get(key)
+                .ok_or_else(|| serde::Error::custom(format!("netlist: missing field `{key}`")))
+        };
+        let components = Vec::<Component>::from_value(field("components")?)?;
+        let mut columns = Columns::default();
+        columns.reserve(components.len());
+        let mut inputs = Vec::new();
+        for comp in &components {
+            if let Component::Input { net } = *comp {
+                inputs.push(net);
+            }
+            columns.push(comp.as_ref());
+        }
+        let netlist = builder::checked(
+            String::from_value(field("name")?)?,
+            columns,
+            NetNames::from_value(field("net_names")?)?,
+            inputs,
+            Vec::<NetId>::from_value(field("outputs")?)?,
+        )
+        .map_err(|e: BuildError| serde::Error::custom(format!("netlist: {e}")))?;
+        let disagrees = |key: &str| {
+            serde::Error::custom(format!("netlist: `{key}` disagrees with the components"))
+        };
+        if Vec::<NetId>::from_value(field("inputs")?)? != netlist.inputs {
+            return Err(disagrees("inputs"));
+        }
+        if Csr::<CompId>::from_value(field("fanout")?)? != netlist.fanout {
+            return Err(disagrees("fanout"));
+        }
+        if Csr::<CompId>::from_value(field("drivers")?)? != netlist.drivers {
+            return Err(disagrees("drivers"));
+        }
+        Ok(netlist)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{Delay, GateKind, NetlistBuilder};
+    use super::Netlist;
+    use crate::{ComponentRef, Delay, GateKind, Level, NetId, NetlistBuilder, SwitchKind};
 
     #[test]
     fn counting_and_lookup() {
@@ -348,23 +408,54 @@ mod tests {
     }
 
     #[test]
-    fn gate_input_pins_match_components() {
+    fn gate_pins_match_components() {
         let mut b = NetlistBuilder::new("c");
         let a = b.input("a");
         let y = b.net("y");
         let z = b.net("z");
         b.gate(GateKind::Not, &[a], y, Delay::default());
         b.gate(GateKind::And, &[a, y], z, Delay::default());
+        b.switch(SwitchKind::Nmos, a, y, z);
         let n = b.finish().unwrap();
-        let pins = n.gate_inputs_csr();
+        let pins = n.gate_pins();
         assert_eq!(pins.num_rows(), n.num_components());
         for (id, comp) in n.iter() {
-            let want: Vec<u32> = match comp {
-                crate::Component::Gate { inputs, .. } => inputs.iter().map(|x| x.0).collect(),
-                _ => Vec::new(),
+            let want: &[NetId] = match comp {
+                ComponentRef::Gate { inputs, .. } => inputs,
+                _ => &[],
             };
-            assert_eq!(pins.row(id.index()), &want[..]);
+            assert_eq!(pins.row(id.index()), want);
         }
+        assert_eq!(pins.row(2), [a, y]);
+    }
+
+    /// What `memory_footprint` reports is the capacity the columns and
+    /// indices hold, and a finished netlist holds no more than it uses:
+    /// 17 bytes a component, 4 a pin, one offset more for the pin array.
+    #[test]
+    fn memory_footprint_is_what_the_columns_and_indices_hold() {
+        let mut b = NetlistBuilder::new("m");
+        let a = b.input("a");
+        let c = b.input("c");
+        let y = b.net("y");
+        b.gate(GateKind::Nand, &[a, c, a], y, Delay::default());
+        b.switch(SwitchKind::Pmos, c, a, y);
+        b.pull(y, Level::One);
+        b.mark_output(y);
+        let n = b.finish().unwrap();
+        let ids = (n.inputs.capacity() + n.outputs.capacity()) * 4;
+        let held = n.components.heap_bytes()
+            + n.net_names.heap_bytes()
+            + n.fanout.heap_bytes()
+            + n.drivers.heap_bytes()
+            + ids;
+        assert_eq!(n.memory_footprint(), held as u64);
+        let pins = n.gate_pins().num_items();
+        assert_eq!(pins, 3);
+        assert_eq!(
+            n.components.heap_bytes(),
+            17 * n.num_components() + 4 * pins + 4
+        );
     }
 
     #[test]
@@ -416,6 +507,73 @@ mod tests {
         let back: super::Netlist = serde_json::from_str(&json).unwrap();
         assert_eq!(back, n);
         assert_eq!(back.structural_digest(), n.structural_digest());
+    }
+
+    /// The JSON of `serde_round_trip_preserves_structure`'s netlist with
+    /// `from` replaced by `to`, and the error deserializing it gives.
+    fn refusal(from: &str, to: &str) -> String {
+        const JSON: &str = r#"{"components":[{"Input":{"net":0}},{"Gate":{"delay":{"fall":1,"rise":1},"inputs":[0],"kind":"Not","output":1}}],"drivers":[[0],[1]],"fanout":[[1],[]],"inputs":[0],"name":"rt","net_names":["a","y"],"outputs":[1]}"#;
+        assert!(serde_json::from_str::<Netlist>(JSON).is_ok());
+        assert!(JSON.contains(from), "{from}");
+        let json = JSON.replacen(from, to, 1);
+        match serde_json::from_str::<Netlist>(&json) {
+            Ok(n) => panic!("accepted {json}: {n:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn deserialization_checks_gate_arity() {
+        let e = refusal(r#""inputs":[0],"kind""#, r#""inputs":[0,0],"kind""#);
+        assert!(e.contains("invalid input count 2"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_checks_component_nets_are_declared() {
+        let e = refusal(r#""output":1"#, r#""output":7"#);
+        assert!(e.contains("n7 was never declared"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_checks_outputs_are_declared() {
+        let e = refusal(r#""outputs":[1]"#, r#""outputs":[5]"#);
+        assert!(e.contains("n5 was never declared"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_checks_every_read_net_is_driven() {
+        let e = refusal(
+            r#"{"Input":{"net":0}}"#,
+            r#"{"Pull":{"level":"One","net":1}}"#,
+        );
+        assert!(e.contains("(a) is read but never driven"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_refuses_no_components() {
+        let e = refusal(
+            r#"[{"Input":{"net":0}},{"Gate":{"delay":{"fall":1,"rise":1},"inputs":[0],"kind":"Not","output":1}}]"#,
+            "[]",
+        );
+        assert!(e.contains("no components"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_refuses_a_fanout_that_disagrees() {
+        let e = refusal(r#""fanout":[[1],[]]"#, r#""fanout":[[],[1]]"#);
+        assert!(e.contains("`fanout` disagrees"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_refuses_drivers_that_disagree() {
+        let e = refusal(r#""drivers":[[0],[1]]"#, r#""drivers":[[1],[0]]"#);
+        assert!(e.contains("`drivers` disagrees"), "{e}");
+    }
+
+    #[test]
+    fn deserialization_refuses_inputs_that_disagree() {
+        let e = refusal(r#""inputs":[0],"name""#, r#""inputs":[],"name""#);
+        assert!(e.contains("`inputs` disagrees"), "{e}");
     }
 
     #[test]

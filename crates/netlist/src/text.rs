@@ -28,7 +28,7 @@
 //! ```
 
 use crate::builder::{BuildError, NetlistBuilder};
-use crate::component::{Component, Delay, GateKind, SwitchKind};
+use crate::component::{Component, ComponentRef, Delay, GateKind, SwitchKind};
 use crate::netlist::Netlist;
 use crate::value::Level;
 use std::error::Error;
@@ -167,6 +167,9 @@ pub fn parse(source: &str) -> Result<Netlist, ParseError> {
     let mut outputs: Vec<(&str, usize)> = Vec::new();
     // Per net id, whether an `input` statement drives it.
     let mut is_input: Vec<bool> = Vec::new();
+    // A gate's input pins, reused from statement to statement: the
+    // builder copies them into the netlist's one pin array.
+    let mut pins = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
         let mut tokens = tokens_of(raw);
@@ -228,18 +231,13 @@ pub fn parse(source: &str) -> Result<Netlist, ParseError> {
                 };
                 let out = next.ok_or_else(|| err("gate needs an output net".into()))?;
                 // Inputs are numbered before the output, in pin order.
-                let mut inputs = Vec::with_capacity(tokens.clone().count());
-                inputs.extend(tokens.map(|name| b.net(name)));
-                if inputs.is_empty() {
+                pins.clear();
+                pins.extend(tokens.map(|name| b.net(name)));
+                if pins.is_empty() {
                     return Err(err("gate needs at least one input".into()));
                 }
                 let output = b.net(out);
-                b.add_component(Component::Gate {
-                    kind,
-                    inputs,
-                    output,
-                    delay,
-                });
+                b.gate(kind, &pins, output, delay);
             }
             "switch" => {
                 let operands = [(); 5].map(|()| tokens.next());
@@ -314,10 +312,10 @@ pub fn serialize(netlist: &Netlist) -> String {
     let name = |n| netlist.net_name(n);
     for (_, comp) in netlist.iter() {
         match comp {
-            Component::Input { net } => {
-                let _ = writeln!(out, "input {}", name(*net));
+            ComponentRef::Input { net } => {
+                let _ = writeln!(out, "input {}", name(net));
             }
-            Component::Gate {
+            ComponentRef::Gate {
                 kind,
                 inputs,
                 output,
@@ -328,14 +326,14 @@ pub fn serialize(netlist: &Netlist) -> String {
                     "gate {kind} d={},{} {}",
                     delay.rise,
                     delay.fall,
-                    name(*output)
+                    name(output)
                 );
                 for &i in inputs {
                     let _ = write!(out, " {}", name(i));
                 }
                 out.push('\n');
             }
-            Component::Switch {
+            ComponentRef::Switch {
                 kind,
                 control,
                 a,
@@ -344,18 +342,18 @@ pub fn serialize(netlist: &Netlist) -> String {
                 let _ = writeln!(
                     out,
                     "switch {kind} {} {} {}",
-                    name(*control),
-                    name(*a),
-                    name(*b)
+                    name(control),
+                    name(a),
+                    name(b)
                 );
             }
-            Component::Pull { net, level } => {
-                let dir = if *level == Level::One { "up" } else { "down" };
-                let _ = writeln!(out, "pull {dir} {}", name(*net));
+            ComponentRef::Pull { net, level } => {
+                let dir = if level == Level::One { "up" } else { "down" };
+                let _ = writeln!(out, "pull {dir} {}", name(net));
             }
-            Component::Supply { net, level } => {
-                let rail = if *level == Level::One { "vdd" } else { "gnd" };
-                let _ = writeln!(out, "supply {rail} {}", name(*net));
+            ComponentRef::Supply { net, level } => {
+                let rail = if level == Level::One { "vdd" } else { "gnd" };
+                let _ = writeln!(out, "supply {rail} {}", name(net));
             }
         }
     }
@@ -390,11 +388,11 @@ output carry
         let carry_gate = n
             .iter()
             .find_map(|(_, c)| match c {
-                Component::Gate {
+                ComponentRef::Gate {
                     kind: GateKind::And,
                     delay,
                     ..
-                } => Some(*delay),
+                } => Some(delay),
                 _ => None,
             })
             .unwrap();

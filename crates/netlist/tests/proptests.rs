@@ -1,10 +1,11 @@
-//! Property tests for the value algebra, the CSR builder and the text
-//! format.
+//! Property tests for the value algebra, the CSR builder, the columnar
+//! component store and the text format.
 
 use logicsim_circuits::Benchmark;
 use logicsim_netlist::text;
 use logicsim_netlist::{
-    Component, Csr, Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, Signal, Strength,
+    CompId, Component, ComponentRef, Csr, Delay, GateKind, Level, NetId, Netlist, NetlistBuilder,
+    Signal, Strength, SwitchKind,
 };
 use proptest::prelude::*;
 
@@ -22,7 +23,7 @@ fn assert_same_up_to_net_numbering(a: &Netlist, b: &Netlist) {
             .map(|&net| n.net_name(net).to_string())
             .collect()
     };
-    let pins = |n: &Netlist, c: &Component| {
+    let pins = |n: &Netlist, c: ComponentRef<'_>| {
         let mut nets = c.read_nets();
         nets.extend(c.driven_nets());
         named(n, &nets)
@@ -30,8 +31,8 @@ fn assert_same_up_to_net_numbering(a: &Netlist, b: &Netlist) {
     for ((id, ca), (_, cb)) in a.iter().zip(b.iter()) {
         assert_eq!(pins(a, ca), pins(b, cb), "pins of {id}");
         // With the pins equal by name, what is left must be equal as is.
-        let blank = |c: &Component| {
-            let mut c = c.clone();
+        let blank = |c: ComponentRef<'_>| {
+            let mut c = c.to_owned();
             match &mut c {
                 Component::Gate { inputs, output, .. } => {
                     inputs.fill(NetId(0));
@@ -106,6 +107,94 @@ fn check_parse_outcome(source: &str) {
         );
         assert!(!e.message.is_empty());
     }
+}
+
+/// One step of a random build: what to add, a pick of nets for its
+/// operands, an arity in 1..=6 (clamped to the kind's), a delay, and
+/// whether it goes through `add_component` instead of the builder's own
+/// method.
+type BuildOp = (u8, u8, Vec<usize>, u8, (u32, u32), bool);
+
+fn any_build_op() -> impl Strategy<Value = BuildOp> {
+    (
+        0u8..16,
+        0u8..16,
+        proptest::collection::vec(any::<usize>(), 6..=6),
+        1u8..=6,
+        (1u32..5, 1u32..5),
+        any::<bool>(),
+    )
+}
+
+/// Runs `ops` on a builder and returns what went in, in order. Reads
+/// draw from nets something already drives, so the result is valid.
+fn build_random(ops: &[BuildOp]) -> (Netlist, Vec<Component>) {
+    let mut b = NetlistBuilder::new("columns");
+    let mut added = Vec::new();
+    let mut driven = vec![b.input("i0")];
+    added.push(Component::Input { net: driven[0] });
+    for (step, (what, sub, picks, arity, (rise, fall), raw)) in ops.iter().enumerate() {
+        let (what, sub, arity, rise, fall, raw) = (*what, *sub, *arity, *rise, *fall, *raw);
+        let pick = |k: usize| driven[picks[k] % driven.len()];
+        let fresh = b.net(format!("n{step}"));
+        let comp = match what % 8 {
+            // Gates are half the draws.
+            0..=3 => {
+                let kind = GateKind::ALL[usize::from(sub) % GateKind::ALL.len()];
+                let (min, max) = kind.arity();
+                let n = usize::from(arity).clamp(min, max.unwrap_or(6));
+                Component::Gate {
+                    kind,
+                    inputs: (0..n).map(pick).collect(),
+                    output: if sub >= 12 { pick(5) } else { fresh },
+                    delay: Delay { rise, fall },
+                }
+            }
+            4 => Component::Switch {
+                kind: [SwitchKind::Nmos, SwitchKind::Pmos][usize::from(sub % 2)],
+                control: pick(0),
+                a: if sub >= 8 { pick(1) } else { fresh },
+                b: pick(2),
+            },
+            5 => Component::Pull {
+                net: if sub >= 8 { pick(0) } else { fresh },
+                level: Level::ALL[usize::from(sub) % 3],
+            },
+            6 => Component::Supply {
+                net: if sub >= 8 { pick(0) } else { fresh },
+                level: Level::ALL[usize::from(sub) % 3],
+            },
+            _ => Component::Input { net: fresh },
+        };
+        let id = if raw {
+            b.add_component(comp.clone())
+        } else {
+            match comp {
+                Component::Gate {
+                    kind,
+                    ref inputs,
+                    output,
+                    delay,
+                } => b.gate(kind, inputs, output, delay),
+                Component::Switch {
+                    kind,
+                    control,
+                    a,
+                    b: bb,
+                } => b.switch(kind, control, a, bb),
+                Component::Pull { net, level } => b.pull(net, level),
+                Component::Supply { net, level } => b.supply(net, level),
+                Component::Input { net } => b.add_component(Component::Input { net }),
+            }
+        };
+        assert_eq!(id.index(), added.len());
+        if step % 5 == 0 {
+            b.mark_output(pick(3));
+        }
+        driven.extend(comp.drives());
+        added.push(comp);
+    }
+    (b.finish().expect("valid by construction"), added)
 }
 
 fn any_level() -> impl Strategy<Value = Level> {
@@ -251,6 +340,43 @@ proptest! {
         // numbered it, so the netlist comes back exactly.
         let n2 = text::parse(&text::serialize(&n)).expect("serializer output parses");
         prop_assert_eq!(n2, n);
+    }
+
+    /// The column store gives back what the builder was given: every
+    /// component, in order, through `component(id).to_owned()`; fanout
+    /// and driver rows equal to a recount from those components; and a
+    /// JSON round trip that is equal and keeps the digest.
+    #[test]
+    fn the_columnar_store_gives_back_what_went_in(
+        ops in proptest::collection::vec(any_build_op(), 0..40),
+    ) {
+        let (n, added) = build_random(&ops);
+        prop_assert_eq!(n.num_components(), added.len());
+        for (i, comp) in added.iter().enumerate() {
+            let id = CompId(i as u32);
+            prop_assert_eq!(&n.component(id).to_owned(), comp);
+            prop_assert_eq!(n.component(id), comp.as_ref());
+            let pins: &[NetId] = match comp {
+                Component::Gate { inputs, .. } => inputs,
+                _ => &[],
+            };
+            prop_assert_eq!(n.gate_pins().row(i), pins);
+        }
+        let mut fanout = vec![Vec::new(); n.num_nets()];
+        let mut drivers = vec![Vec::new(); n.num_nets()];
+        for (i, comp) in added.iter().enumerate() {
+            comp.for_each_read(|net| fanout[net.index()].push(CompId(i as u32)));
+            comp.for_each_driven(|net| drivers[net.index()].push(CompId(i as u32)));
+        }
+        for net in 0..n.num_nets() {
+            let id = NetId(net as u32);
+            prop_assert_eq!(n.fanout(id), &fanout[net][..]);
+            prop_assert_eq!(n.drivers(id), &drivers[net][..]);
+        }
+        let json = serde_json::to_string(&n).expect("serializes");
+        let back: Netlist = serde_json::from_str(&json).expect("its own JSON deserializes");
+        prop_assert_eq!(back.structural_digest(), n.structural_digest());
+        prop_assert_eq!(back, n);
     }
 
     /// Arbitrary bytes (read as text the way `lsim` reads a file).

@@ -82,7 +82,8 @@
 use crate::engine::PreflightError;
 use crate::levelize::levelize_nodes;
 use logicsim_netlist::{
-    BitPlanes, Component, Csr, GateKind, Level, NetId, Netlist, Plane, SwitchKind, UnionFind, LANES,
+    BitPlanes, ComponentRef, Csr, GateKind, Level, NetId, Netlist, Plane, SwitchKind, UnionFind,
+    LANES,
 };
 
 /// One compiled evaluation in the straight-line sweep program: a gate
@@ -424,11 +425,11 @@ impl<'a> BitParSim<'a> {
         let mut live = vec![false; nn];
         for (_id, comp) in netlist.iter() {
             match comp {
-                Component::Supply { net, level } => {
-                    rail_level[net.index()] = joined(rail_level[net.index()], *level);
+                ComponentRef::Supply { net, level } => {
+                    rail_level[net.index()] = joined(rail_level[net.index()], level);
                 }
-                Component::Pull { net, level } => {
-                    pull_level[net.index()] = joined(pull_level[net.index()], *level);
+                ComponentRef::Pull { net, level } => {
+                    pull_level[net.index()] = joined(pull_level[net.index()], level);
                 }
                 _ => comp.for_each_driven(|net| live[net.index()] = true),
             }
@@ -456,7 +457,7 @@ impl<'a> BitParSim<'a> {
         let mut member = vec![false; nn];
         let mut channel = UnionFind::new(nn);
         for (_id, comp) in netlist.iter() {
-            if let Component::Switch { a, b, .. } = comp {
+            if let ComponentRef::Switch { a, b, .. } = comp {
                 member[a.index()] = true;
                 member[b.index()] = true;
                 if rail_level[a.index()].is_none() && rail_level[b.index()].is_none() {
@@ -525,17 +526,17 @@ impl<'a> BitParSim<'a> {
                 };
                 for &d in netlist.drivers(NetId(m)) {
                     match netlist.component(d) {
-                        Component::Switch { .. } | Component::Pull { .. } => {}
-                        Component::Supply { .. } => unreachable!("a supplied net is a rail"),
+                        ComponentRef::Switch { .. } | ComponentRef::Pull { .. } => {}
+                        ComponentRef::Supply { .. } => unreachable!("a supplied net is a rail"),
                         // However many input components name the net,
                         // it is staged once.
-                        Component::Input { .. } => {
+                        ComponentRef::Input { .. } => {
                             if input_redirect[m as usize] == m {
                                 input_redirect[m as usize] = alloc_slot();
                                 always_on(input_redirect[m as usize], &mut sources);
                             }
                         }
-                        Component::Gate { kind, inputs, .. } => match enable_of(*kind, inputs) {
+                        ComponentRef::Gate { kind, inputs, .. } => match enable_of(kind, inputs) {
                             Some(Level::One) => {
                                 slot_of_comp[d.index()] = alloc_slot();
                                 always_on(slot_of_comp[d.index()], &mut sources);
@@ -565,7 +566,7 @@ impl<'a> BitParSim<'a> {
         let mut edges: Vec<(u32, CellEdge)> = Vec::new();
         let mut rails: Vec<(u32, RailBranch)> = Vec::new();
         for (_id, comp) in netlist.iter() {
-            let Component::Switch {
+            let ComponentRef::Switch {
                 kind,
                 control,
                 a,
@@ -575,7 +576,7 @@ impl<'a> BitParSim<'a> {
             else {
                 continue;
             };
-            let pmos = *kind == SwitchKind::Pmos;
+            let pmos = kind == SwitchKind::Pmos;
             let (ia, ib) = (a.index(), b.index());
             match (rail_level[ia], rail_level[ib]) {
                 // Rail-to-rail: conduction cannot move a Supply net.
@@ -632,7 +633,7 @@ impl<'a> BitParSim<'a> {
         let mut gate_ops: Vec<(GateKind, u32)> = Vec::new();
         let mut producer = vec![u32::MAX; np];
         for (id, comp) in netlist.iter() {
-            let Component::Gate {
+            let ComponentRef::Gate {
                 kind,
                 inputs,
                 output,
@@ -645,12 +646,12 @@ impl<'a> BitParSim<'a> {
             if rail_level[o].is_some() {
                 continue;
             }
-            let (kernel, pins) = match enable_of(*kind, inputs) {
-                Some(Level::One) if *kind == GateKind::Tristate => (GateKind::Buf, &inputs[..1]),
-                Some(Level::One) => (*kind, inputs.as_slice()),
+            let (kernel, pins) = match enable_of(kind, inputs) {
+                Some(Level::One) if kind == GateKind::Tristate => (GateKind::Buf, &inputs[..1]),
+                Some(Level::One) => (kind, inputs),
                 Some(Level::Zero) => continue,
                 Some(Level::X) | None if member[o] => continue,
-                Some(Level::X) | None => (GateKind::Tristate, inputs.as_slice()),
+                Some(Level::X) | None => (GateKind::Tristate, inputs),
             };
             let out = match slot_of_comp[id.index()] {
                 u32::MAX => o as u32,
@@ -1264,7 +1265,7 @@ mod tests {
     use super::*;
     use crate::cyclic::{self, Wiring};
     use crate::engine::Simulator;
-    use logicsim_netlist::{Delay, NetlistBuilder};
+    use logicsim_netlist::{Component, Delay, NetlistBuilder};
     use proptest::prelude::*;
 
     impl BitParSim<'_> {

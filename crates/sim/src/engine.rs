@@ -38,7 +38,8 @@ use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
 use logicsim_netlist::analyze::{self, Diagnostic};
 use logicsim_netlist::{
-    ChannelGroups, CompId, Component, Csr, Delay, GateKind, Level, NetId, Netlist, Signal,
+    ChannelGroups, CompId, ComponentRef, Csr, CsrView, Delay, GateKind, Level, NetId, Netlist,
+    Signal,
 };
 use std::fmt;
 use std::ops::Range;
@@ -115,7 +116,7 @@ pub struct SimConfig {
 }
 
 /// How a component reacts to an input-net change, precomputed per
-/// component so the evaluation loop never matches on [`Component`].
+/// component so the evaluation loop never matches on [`ComponentRef`].
 /// Shared with the parallel engine ([`crate::par_engine`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EvalKind {
@@ -237,17 +238,19 @@ impl OrderedSet {
 /// iterates over: CSR adjacency, per-component dispatch, per-net group
 /// and attribution maps. Built once by [`Image::build`] and shared
 /// between the serial engine and the parallel engine, so both execute
-/// the exact same precomputed structure.
+/// the exact same precomputed structure. The gate pins are the
+/// netlist's own, borrowed.
 #[derive(Debug)]
-pub(crate) struct Image {
+pub(crate) struct Image<'n> {
     /// Channel-connected switch groups (also the per-net group map).
     pub(crate) groups: ChannelGroups,
     /// The groups compiled for the switch-level solver.
     pub(crate) solver: solver::GroupImage,
     /// Per-component evaluation dispatch.
     pub(crate) eval: Vec<EvalKind>,
-    /// Per-component gate input pins (net ids; empty for non-gates).
-    pub(crate) gate_inputs: Csr,
+    /// Per-component gate input pins (empty for non-gates): the
+    /// netlist's [`Netlist::gate_pins`], borrowed as two slices.
+    pub(crate) gate_pins: CsrView<'n, NetId>,
     /// Per-net non-switch driver component ids (the external-drive set).
     pub(crate) ext_drivers: Csr,
     /// Whether each group needs switch-level resolution.
@@ -264,9 +267,9 @@ pub(crate) struct Image {
     pub(crate) static_drive: Vec<Signal>,
 }
 
-impl Image {
+impl<'n> Image<'n> {
     /// Runs the static pre-flight and precomputes the hot-path image.
-    pub(crate) fn build(netlist: &Netlist) -> Result<Image, PreflightError> {
+    pub(crate) fn build(netlist: &'n Netlist) -> Result<Image<'n>, PreflightError> {
         let errors = analyze::preflight(netlist);
         if !errors.is_empty() {
             return Err(PreflightError {
@@ -284,27 +287,23 @@ impl Image {
         let mut input_comp = vec![u32::MAX; nn];
         for (id, comp) in netlist.iter() {
             match comp {
-                Component::Gate { output, .. } => comp_out[id.index()] = output.0,
-                Component::Input { net } => {
+                ComponentRef::Gate { output, .. } => comp_out[id.index()] = output.0,
+                ComponentRef::Input { net } => {
                     comp_out[id.index()] = net.0;
                     input_comp[net.index()] = id.0;
                 }
-                Component::Pull { net, .. } | Component::Supply { net, .. } => {
+                ComponentRef::Pull { net, .. } | ComponentRef::Supply { net, .. } => {
                     comp_out[id.index()] = net.0;
                     static_drive[id.index()] = comp.static_drive().expect("static component");
                 }
-                Component::Switch { .. } => {}
+                ComponentRef::Switch { .. } => {}
             }
         }
 
         let mut eval: Vec<EvalKind> = netlist
-            .components()
             .iter()
-            .map(|c| match c {
-                Component::Gate { kind, delay, .. } => EvalKind::Gate {
-                    kind: *kind,
-                    delay: *delay,
-                },
+            .map(|(_, c)| match c {
+                ComponentRef::Gate { kind, delay, .. } => EvalKind::Gate { kind, delay },
                 _ => EvalKind::Passive,
             })
             .collect();
@@ -341,7 +340,7 @@ impl Image {
             .collect();
         Ok(Image {
             eval,
-            gate_inputs: netlist.gate_inputs_csr(),
+            gate_pins: netlist.gate_pins().view(),
             ext_drivers,
             group_nontrivial,
             net_attr,
@@ -371,7 +370,7 @@ impl Image {
 /// No events are counted. Shared by the serial and parallel engines so
 /// both start every run from the identical state.
 pub(crate) fn relax_power_up(
-    img: &Image,
+    img: &Image<'_>,
     net_values: &mut [Signal],
     comp_drive: &mut [Signal],
     last_scheduled: &mut [Signal],
@@ -416,7 +415,7 @@ pub(crate) fn relax_power_up(
         for ci in 0..img.eval.len() {
             if let EvalKind::Gate { kind, .. } = img.eval[ci] {
                 let out =
-                    kind.evaluate_pins(img.gate_inputs.row(ci), |&n| net_values[n as usize].level);
+                    kind.evaluate_pins(img.gate_pins.row(ci), |n| net_values[n.index()].level);
                 if comp_drive[ci] != out {
                     comp_drive[ci] = out;
                     last_scheduled[ci] = out;
@@ -435,7 +434,7 @@ pub(crate) fn relax_power_up(
 /// of its last resolution (one that is not [`solver::UNSETTLED`]).
 #[cfg(test)]
 pub(crate) fn stale_groups(
-    img: &Image,
+    img: &Image<'_>,
     net_values: &[Signal],
     comp_drive: &[Signal],
     settled: &[u8],
@@ -503,7 +502,7 @@ pub struct Simulator<'a> {
     config: SimConfig,
     wheel: TimingWheel<Change>,
     /// Immutable hot-path image (CSR adjacency, dispatch, group maps).
-    img: Image,
+    img: Image<'a>,
     /// Resolved value of every net.
     net_values: Vec<Signal>,
     /// Output drive currently applied by every component (gates, inputs;
@@ -884,8 +883,8 @@ impl<'a> Simulator<'a> {
                 match self.img.eval[ci as usize] {
                     EvalKind::Gate { kind, delay } => {
                         self.counters.evaluations += 1;
-                        let out = kind.evaluate_pins(self.img.gate_inputs.row(ci as usize), |&n| {
-                            self.net_values[n as usize].level
+                        let out = kind.evaluate_pins(self.img.gate_pins.row(ci as usize), |n| {
+                            self.net_values[n.index()].level
                         });
                         let d = u64::from(delay.for_transition(out.level));
                         self.schedule_change(tick + d, CompId(ci), out);
@@ -1228,10 +1227,9 @@ mod tests {
     fn round_robin(netlist: &Netlist, parts: u32) -> Vec<u32> {
         let mut next = 0..;
         netlist
-            .components()
             .iter()
-            .map(|c| match c {
-                Component::Gate { .. } | Component::Switch { .. } => {
+            .map(|(_, c)| match c {
+                ComponentRef::Gate { .. } | ComponentRef::Switch { .. } => {
                     next.next().unwrap_or(0) % parts
                 }
                 _ => u32::MAX,

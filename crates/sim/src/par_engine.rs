@@ -127,7 +127,7 @@ use crate::phase_check::{self, PhaseClock};
 use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
-use logicsim_netlist::{CompId, Component, Level, NetId, Netlist, Signal, UnionFind};
+use logicsim_netlist::{CompId, ComponentRef, Level, NetId, Netlist, Signal, UnionFind};
 use logicsim_stats::{ParallelWorkload, WorkerLoad};
 
 /// Identifies one schedule event in the serial engine's program order:
@@ -316,7 +316,7 @@ impl PartyState {
 /// the workers.
 struct Core<'a> {
     netlist: &'a Netlist,
-    img: Image,
+    img: Image<'a>,
     config: SimConfig,
     /// Number of evaluator workers `P`. Party indices `0..workers` are
     /// workers; index `workers` is the master's own party (inputs,
@@ -1041,9 +1041,9 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
         match core.img.eval[ci as usize] {
             EvalKind::Gate { kind, delay } => {
                 st.evaluations += 1;
-                let out = kind.evaluate_pins(core.img.gate_inputs.row(ci as usize), |&n| {
+                let out = kind.evaluate_pins(core.img.gate_pins.row(ci as usize), |n| {
                     // SAFETY: see above.
-                    unsafe { core.net_values.get(n as usize) }.level
+                    unsafe { core.net_values.get(n.index()) }.level
                 });
                 let d = u64::from(delay.for_transition(out.level));
                 // Inertial scheduling, mirroring `schedule_change`.
@@ -1122,7 +1122,7 @@ fn worker_loop(core: &Core<'_>, party: usize) {
 /// within a settle pass (a switch whose control net belongs to the
 /// other nontrivial group), and clusters are dealt round-robin to
 /// parties in first-group order.
-fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Vec<u32> {
+fn compute_group_owner(netlist: &Netlist, img: &Image<'_>, num_parties: usize) -> Vec<u32> {
     let ng = img.groups.num_groups();
     let mut clusters = UnionFind::new(ng);
     for gid in 0..ng as u32 {
@@ -1130,8 +1130,8 @@ fn compute_group_owner(netlist: &Netlist, img: &Image, num_parties: usize) -> Ve
             continue;
         }
         for &sw in img.groups.switches(gid) {
-            if let Component::Switch { control, .. } = netlist.component(sw) {
-                let h = img.groups.group_of(*control);
+            if let ComponentRef::Switch { control, .. } = netlist.component(sw) {
+                let h = img.groups.group_of(control);
                 if img.group_nontrivial[h as usize] {
                     clusters.union(gid, h);
                 }
@@ -1563,10 +1563,9 @@ mod tests {
     fn round_robin(netlist: &Netlist, parts: u32) -> Vec<u32> {
         let mut next = 0u32;
         netlist
-            .components()
             .iter()
-            .map(|c| {
-                if matches!(c, Component::Gate { .. } | Component::Switch { .. }) {
+            .map(|(_, c)| {
+                if matches!(c, ComponentRef::Gate { .. } | ComponentRef::Switch { .. }) {
                     let p = next % parts;
                     next += 1;
                     p

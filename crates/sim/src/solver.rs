@@ -21,7 +21,7 @@
 //! member the run of switch slots incident to it. A resolution then
 //! reads each control level once into a conduction byte and relaxes over
 //! that static adjacency, skipping open switches — no search, no
-//! [`Component`] access, no per-call graph build. The free function
+//! [`ComponentRef`] access, no per-call graph build. The free function
 //! [`resolve_group_into`] compiles its one group into [`Scratch`] first
 //! and runs the same kernel.
 //!
@@ -66,7 +66,7 @@
 //! evaluation settles it.
 
 use logicsim_netlist::{
-    ChannelGroups, CompId, Component, Level, NetId, Netlist, Signal, Strength, SwitchKind,
+    ChannelGroups, CompId, ComponentRef, Level, NetId, Netlist, Signal, Strength, SwitchKind,
 };
 use std::ops::Range;
 
@@ -146,7 +146,7 @@ impl Compiled {
         // `tmp` remembers each slot's first terminal for pass 2.
         tmp.clear();
         for &sw in switches {
-            let Component::Switch {
+            let ComponentRef::Switch {
                 kind,
                 control,
                 a,
@@ -159,12 +159,12 @@ impl Compiled {
                 control.0 <= u32::MAX >> 1,
                 "control net id must fit 31 bits"
             );
-            let (Ok(la), Ok(lb)) = (members.binary_search(a), members.binary_search(b)) else {
+            let (Ok(la), Ok(lb)) = (members.binary_search(&a), members.binary_search(&b)) else {
                 continue;
             };
             let (la, lb) = (la as u32, lb as u32);
             self.ctl
-                .push(control.0 << 1 | u32::from(*kind == SwitchKind::Pmos));
+                .push(control.0 << 1 | u32::from(kind == SwitchKind::Pmos));
             self.span.push(la ^ lb);
             tmp.push(la);
             off[la as usize + 1] += 1;

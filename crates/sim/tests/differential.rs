@@ -11,7 +11,8 @@
 //! flip schedules.
 
 use logicsim_netlist::{
-    CompId, Component, Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, Signal, SwitchKind,
+    CompId, ComponentRef, Delay, GateKind, Level, NetId, Netlist, NetlistBuilder, Signal,
+    SwitchKind,
 };
 use logicsim_partition::{FiducciaMattheysesPartitioner, Partitioner};
 use logicsim_sim::{ParSimulator, SimConfig, Simulator};
@@ -24,10 +25,9 @@ use std::collections::{BTreeMap, BTreeSet};
 fn round_robin_assignment(netlist: &Netlist, parts: u32) -> Vec<u32> {
     let mut next = 0u32;
     netlist
-        .components()
         .iter()
-        .map(|c| {
-            if matches!(c, Component::Gate { .. } | Component::Switch { .. }) {
+        .map(|(_, c)| {
+            if matches!(c, ComponentRef::Gate { .. } | ComponentRef::Switch { .. }) {
                 let p = next % parts;
                 next += 1;
                 p
@@ -67,10 +67,10 @@ impl<'a> RefSim<'a> {
         let mut input_comp = BTreeMap::new();
         for (id, comp) in netlist.iter() {
             match comp {
-                Component::Gate { output, .. } => comp_out[id.index()] = Some(*output),
-                Component::Input { net } => {
-                    comp_out[id.index()] = Some(*net);
-                    input_comp.insert(*net, id);
+                ComponentRef::Gate { output, .. } => comp_out[id.index()] = Some(output),
+                ComponentRef::Input { net } => {
+                    comp_out[id.index()] = Some(net);
+                    input_comp.insert(net, id);
                 }
                 _ => panic!("RefSim handles gates and inputs only"),
             }
@@ -109,7 +109,7 @@ impl<'a> RefSim<'a> {
                 }
             }
             for (id, comp) in self.netlist.iter() {
-                if let Component::Gate { kind, inputs, .. } = comp {
+                if let ComponentRef::Gate { kind, inputs, .. } = comp {
                     let levels: Vec<Level> = inputs
                         .iter()
                         .map(|&n| self.net_values[n.index()].level)
@@ -195,7 +195,7 @@ impl<'a> RefSim<'a> {
                 to_eval.extend(fanout.iter().copied());
             }
             for comp in to_eval {
-                if let Component::Gate {
+                if let ComponentRef::Gate {
                     kind,
                     inputs,
                     delay,
@@ -529,8 +529,8 @@ fn parallel_engine_matches_serial_on_straddling_switch_groups() {
 fn splits_switch_cluster(netlist: &Netlist, assignment: &[u32]) -> bool {
     let mut parts_by_net: BTreeMap<NetId, Vec<u32>> = BTreeMap::new();
     for (id, comp) in netlist.iter() {
-        if let Component::Switch { a, b, .. } = comp {
-            for net in [*a, *b] {
+        if let ComponentRef::Switch { a, b, .. } = comp {
+            for net in [a, b] {
                 parts_by_net
                     .entry(net)
                     .or_default()

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// The implementations this PR replaced, kept as oracles.
 mod reference {
     use logicsim_netlist::{
-        ChannelGroups, CompId, Component, Level, NetId, Netlist, Signal, Strength,
+        ChannelGroups, CompId, ComponentRef, Level, NetId, Netlist, Signal, Strength,
     };
     use std::collections::HashMap;
 
@@ -68,16 +68,16 @@ mod reference {
         let edges = &mut scratch.edges;
         edges.clear();
         for &sw in groups.switches(group) {
-            if let Component::Switch {
+            if let ComponentRef::Switch {
                 kind,
                 control,
                 a,
                 b,
             } = netlist.component(sw)
             {
-                let cond = kind.conducts(control_level(*control));
+                let cond = kind.conducts(control_level(control));
                 if cond != Some(false) {
-                    edges.push((local(*a), local(*b), cond.is_none()));
+                    edges.push((local(a), local(b), cond.is_none()));
                 }
             }
         }
@@ -168,7 +168,7 @@ mod reference {
             root
         }
         for (_, comp) in netlist.iter() {
-            if let Component::Switch { a, b, .. } = comp {
+            if let ComponentRef::Switch { a, b, .. } = comp {
                 let ra = find(&mut parent, a.0);
                 let rb = find(&mut parent, b.0);
                 if ra != rb {
@@ -190,7 +190,7 @@ mod reference {
         }
         let mut switches: Vec<Vec<CompId>> = vec![Vec::new(); members.len()];
         for (id, comp) in netlist.iter() {
-            if let Component::Switch { a, .. } = comp {
+            if let ComponentRef::Switch { a, .. } = comp {
                 switches[group_of[a.index()] as usize].push(id);
             }
         }
