@@ -9,8 +9,13 @@
 //! gathering the input levels into a buffer and calling
 //! `GateKind::evaluate`, once through `GateKind::evaluate_pins`. The
 //! pins are the netlist's own pin array (`Netlist::gate_pins`), borrowed
-//! as the engines borrow it. The throughput unit is one gate, so ns per
-//! gate is `1e9 / elem/s`.
+//! as the engines borrow it. A third row does what an engine's
+//! evaluation phase does with no table of its own: it walks every
+//! component, dispatches on the netlist's tag column
+//! (`ComponentColumns::kind`), evaluates the gates through
+//! `evaluate_pins` and reads each one's delay for its output's
+//! transition. The throughput unit is one gate, so ns per gate is
+//! `1e9 / elem/s`.
 //!
 //! The `wheel` group is the timing beside `wheel::tests`'
 //! `a_busy_wheel_retains_only_what_is_in_flight` and `wheel_equals_heap`:
@@ -24,7 +29,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
-use logicsim::netlist::{ComponentRef, GateKind, Level, NetId, Netlist, Signal};
+use logicsim::netlist::{ComponentKind, ComponentRef, GateKind, Level, NetId, Netlist, Signal};
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::{Simulator, TimingWheel};
 use rand::{Rng, SeedableRng};
@@ -136,6 +141,24 @@ fn bench_gate_eval(c: &mut Criterion, base: Benchmark) {
             gates.eval_all(|kind, row, levels| kind.evaluate_pins(row, |n| levels[n.index()]))
         });
     });
+    group.bench_function(
+        format!("{name} tag dispatch + evaluate_pins + delay"),
+        |b| {
+            let cols = gates.netlist.columns();
+            let levels = &gates.levels[..];
+            b.iter(|| {
+                let mut acc = 0u32;
+                for ci in 0..black_box(cols.len()) {
+                    if let ComponentKind::Gate(kind) = cols.kind(ci) {
+                        let out = kind.evaluate_pins(cols.pins(ci), |n| levels[n.index()]);
+                        let delay = cols.delay(ci).for_transition(out.level);
+                        acc = acc.wrapping_mul(3).wrapping_add(out.level as u32 + delay);
+                    }
+                }
+                acc
+            });
+        },
+    );
     group.finish();
 }
 

@@ -63,7 +63,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     // Pattern 2: tristate-only nets outside switch networks.
     for i in 0..netlist.num_nets() {
         let net = NetId(i as u32);
-        if groups.is_nontrivial(groups.group_of(net)) {
+        if groups.in_nontrivial_group(net) {
             continue;
         }
         let drivers = netlist.drivers(net);

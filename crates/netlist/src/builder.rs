@@ -253,13 +253,19 @@ impl NetlistBuilder {
     /// referenced net was never declared, a read net has no driver of any
     /// kind, or the netlist is empty.
     pub fn finish(self) -> Result<Netlist, BuildError> {
-        checked(
-            self.name,
-            self.components,
-            self.net_names,
-            self.inputs,
-            self.outputs,
-        )
+        let NetlistBuilder {
+            name,
+            components,
+            net_names,
+            name_index,
+            inputs,
+            outputs,
+            anon_counter: _,
+        } = self;
+        // The name look-up is done with; freed before the indices are
+        // built, it does not add to the peak of a large parse.
+        drop(name_index);
+        checked(name, components, net_names, inputs, outputs)
     }
 }
 
@@ -280,7 +286,7 @@ pub(crate) fn checked(
     }
     let num_nets = net_names.len();
     let declared = |net: &NetId| net.index() < num_nets;
-    for (i, comp) in components.iter().enumerate() {
+    for (i, comp) in components.view().iter().enumerate() {
         if let ComponentRef::Gate { kind, inputs, .. } = comp {
             let (min, max) = kind.arity();
             if inputs.len() < min || max.is_some_and(|m| inputs.len() > m) {

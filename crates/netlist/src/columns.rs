@@ -10,11 +10,13 @@
 //! | `pins` | 4 B offset + 4 B per pin | a gate's inputs in pin order; empty otherwise |
 //!
 //! So a component costs 17 bytes and a gate pin 4 more, with no
-//! allocation of its own. [`Columns::get`] decodes a record into the
-//! [`ComponentRef`] every reader matches on.
+//! allocation of its own. [`ComponentColumns`] borrows the four columns:
+//! [`ComponentColumns::get`] decodes a record into the [`ComponentRef`]
+//! every reader matches on, and an engine's hot loop reads the one
+//! column it needs ([`ComponentColumns::kind`] from the tag byte alone).
 
-use crate::component::{ComponentRef, Delay, GateKind, NetId, SwitchKind};
-use crate::csr::Csr;
+use crate::component::{ComponentKind, ComponentRef, Delay, GateKind, NetId, SwitchKind};
+use crate::csr::{Csr, CsrView};
 use crate::value::Level;
 
 /// Tag of a gate; the low nibble is its [`GateKind`] in declaration order.
@@ -29,6 +31,29 @@ const PULL: u8 = 0x30;
 const SUPPLY: u8 = 0x40;
 
 const SWITCH_KINDS: [SwitchKind; 2] = [SwitchKind::Nmos, SwitchKind::Pmos];
+
+/// Every tag byte decoded, so reading a component's kind is one load
+/// from a 512-byte table ([`Columns::push`] writes no other tags).
+const KIND_OF_TAG: [ComponentKind; 256] = {
+    let mut table = [ComponentKind::Input; 256];
+    let mut sub = 0;
+    while sub < GateKind::ALL.len() {
+        table[GATE as usize + sub] = ComponentKind::Gate(GateKind::ALL[sub]);
+        sub += 1;
+    }
+    let mut sub = 0;
+    while sub < SWITCH_KINDS.len() {
+        table[SWITCH as usize + sub] = ComponentKind::Switch(SWITCH_KINDS[sub]);
+        sub += 1;
+    }
+    let mut sub = 0;
+    while sub < Level::ALL.len() {
+        table[PULL as usize + sub] = ComponentKind::Pull(Level::ALL[sub]);
+        table[SUPPLY as usize + sub] = ComponentKind::Supply(Level::ALL[sub]);
+        sub += 1;
+    }
+    table
+};
 
 /// Components as columns (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -78,45 +103,14 @@ impl Columns {
         self.pins.push_row(pins.iter().copied());
     }
 
-    /// The component at index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> ComponentRef<'_> {
-        let tag = self.tag[i];
-        let sub = usize::from(tag & 0x0f);
-        let [x, y] = self.pair[i];
-        let term = self.term[i];
-        match tag & 0xf0 {
-            GATE => ComponentRef::Gate {
-                kind: GateKind::ALL[sub],
-                inputs: self.pins.row(i),
-                output: term,
-                delay: Delay { rise: x, fall: y },
-            },
-            SWITCH => ComponentRef::Switch {
-                kind: SWITCH_KINDS[sub],
-                control: term,
-                a: NetId(x),
-                b: NetId(y),
-            },
-            INPUT => ComponentRef::Input { net: term },
-            PULL => ComponentRef::Pull {
-                net: term,
-                level: Level::ALL[sub],
-            },
-            _ => ComponentRef::Supply {
-                net: term,
-                level: Level::ALL[sub],
-            },
+    /// The columns, borrowed.
+    pub(crate) fn view(&self) -> ComponentColumns<'_> {
+        ComponentColumns {
+            tag: &self.tag,
+            pair: &self.pair,
+            term: &self.term,
+            pins: self.pins.view(),
         }
-    }
-
-    /// Every component in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = ComponentRef<'_>> + '_ {
-        (0..self.len()).map(|i| self.get(i))
     }
 
     /// Number of components whose tag is in `variant`'s range.
@@ -153,6 +147,108 @@ impl Columns {
             + self.pair.capacity() * std::mem::size_of::<[u32; 2]>()
             + self.term.capacity() * std::mem::size_of::<NetId>()
             + self.pins.heap_bytes()
+    }
+}
+
+/// A netlist's component columns, borrowed: what
+/// [`Netlist::columns`](crate::Netlist::columns) returns. `Copy`, so an
+/// engine holds one beside its own state arrays and reads component `i`
+/// one column at a time, with no per-component record of its own.
+///
+/// Every accessor panics if `i` is out of range.
+#[derive(Debug, Clone, Copy)]
+pub struct ComponentColumns<'a> {
+    tag: &'a [u8],
+    pair: &'a [[u32; 2]],
+    term: &'a [NetId],
+    pins: CsrView<'a, NetId>,
+}
+
+impl<'a> ComponentColumns<'a> {
+    /// Number of components.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.tag.len()
+    }
+
+    /// Whether there are no components.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.tag.is_empty()
+    }
+
+    /// What component `i` is: its tag byte, decoded.
+    #[must_use]
+    #[inline]
+    pub fn kind(self, i: usize) -> ComponentKind {
+        KIND_OF_TAG[usize::from(self.tag[i])]
+    }
+
+    /// Component `i`'s delay, if it is a gate (any other component's
+    /// pair column holds something else: a switch's channel ends, or
+    /// zeros).
+    #[must_use]
+    #[inline]
+    pub fn delay(self, i: usize) -> Delay {
+        let [rise, fall] = self.pair[i];
+        Delay { rise, fall }
+    }
+
+    /// Component `i`'s channel ends `(a, b)`, if it is a switch (see
+    /// [`ComponentColumns::delay`] for the rest).
+    #[must_use]
+    #[inline]
+    pub fn channel(self, i: usize) -> (NetId, NetId) {
+        let [a, b] = self.pair[i];
+        (NetId(a), NetId(b))
+    }
+
+    /// Component `i`'s one fixed terminal: a gate's output, a switch's
+    /// control, the net of an input, pull or supply.
+    #[must_use]
+    #[inline]
+    pub fn terminal(self, i: usize) -> NetId {
+        self.term[i]
+    }
+
+    /// Component `i`'s input pins in pin order if it is a gate, empty
+    /// otherwise.
+    #[must_use]
+    #[inline]
+    pub fn pins(self, i: usize) -> &'a [NetId] {
+        self.pins.row(i)
+    }
+
+    /// Component `i`, decoded from all four columns.
+    #[must_use]
+    #[inline]
+    pub fn get(self, i: usize) -> ComponentRef<'a> {
+        let term = self.term[i];
+        match self.kind(i) {
+            ComponentKind::Gate(kind) => ComponentRef::Gate {
+                kind,
+                inputs: self.pins(i),
+                output: term,
+                delay: self.delay(i),
+            },
+            ComponentKind::Switch(kind) => {
+                let (a, b) = self.channel(i);
+                ComponentRef::Switch {
+                    kind,
+                    control: term,
+                    a,
+                    b,
+                }
+            }
+            ComponentKind::Input => ComponentRef::Input { net: term },
+            ComponentKind::Pull(level) => ComponentRef::Pull { net: term, level },
+            ComponentKind::Supply(level) => ComponentRef::Supply { net: term, level },
+        }
+    }
+
+    /// Every component in id order.
+    pub fn iter(self) -> impl Iterator<Item = ComponentRef<'a>> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
     }
 }
 
@@ -193,8 +289,8 @@ mod tests {
         }
         assert_eq!(cols.len(), comps.len());
         for (i, c) in comps.iter().enumerate() {
-            assert_eq!(cols.get(i), c.as_ref());
-            assert_eq!(cols.get(i).to_owned(), *c);
+            assert_eq!(cols.view().get(i), c.as_ref());
+            assert_eq!(cols.view().get(i).to_owned(), *c);
         }
         assert_eq!(cols.num_gates(), GateKind::ALL.len());
         assert_eq!(cols.num_switches(), 2);

@@ -504,10 +504,18 @@ impl<'a> ComponentRef<'a> {
     /// The weak signal contributed by a pull or supply, if any.
     #[must_use]
     pub fn static_drive(self) -> Option<Signal> {
+        self.kind().static_drive()
+    }
+
+    /// What the component is, without its nets.
+    #[must_use]
+    pub fn kind(self) -> ComponentKind {
         match self {
-            ComponentRef::Pull { level, .. } => Some(Signal::new(level, Strength::Resistive)),
-            ComponentRef::Supply { level, .. } => Some(Signal::new(level, Strength::Supply)),
-            _ => None,
+            ComponentRef::Gate { kind, .. } => ComponentKind::Gate(kind),
+            ComponentRef::Switch { kind, .. } => ComponentKind::Switch(kind),
+            ComponentRef::Input { .. } => ComponentKind::Input,
+            ComponentRef::Pull { level, .. } => ComponentKind::Pull(level),
+            ComponentRef::Supply { level, .. } => ComponentKind::Supply(level),
         }
     }
 
@@ -541,6 +549,42 @@ impl<'a> ComponentRef<'a> {
             ComponentRef::Pull { net, level } => Component::Pull { net, level },
             ComponentRef::Supply { net, level } => Component::Supply { net, level },
         }
+    }
+}
+
+/// What a component is — its variant and sub-kind — without its nets:
+/// what a netlist's tag column holds, one byte a component, and what an
+/// engine's evaluation loop dispatches on
+/// ([`crate::ComponentColumns::kind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ComponentKind {
+    /// A gate of this kind.
+    Gate(GateKind),
+    /// A switch of this polarity.
+    Switch(SwitchKind),
+    /// A primary input.
+    Input,
+    /// A pull toward this level.
+    Pull(Level),
+    /// A supply rail at this level.
+    Supply(Level),
+}
+
+impl ComponentKind {
+    /// The signal a pull or supply holds its net at, if any.
+    #[must_use]
+    pub fn static_drive(self) -> Option<Signal> {
+        match self {
+            ComponentKind::Pull(level) => Some(Signal::new(level, Strength::Resistive)),
+            ComponentKind::Supply(level) => Some(Signal::new(level, Strength::Supply)),
+            _ => None,
+        }
+    }
+
+    /// Returns `true` for a switch.
+    #[must_use]
+    pub fn is_switch(self) -> bool {
+        matches!(self, ComponentKind::Switch(_))
     }
 }
 

@@ -58,14 +58,18 @@ impl UnionFind {
 /// Two nets belong to the same group when a bidirectional switch bridges
 /// them. The switch-level solver must resolve each group as a unit
 /// (conduction can carry a value either way), while nets connected only
-/// through gates are evaluated independently. Gate-only circuits have one
-/// singleton group per net.
+/// through gates are evaluated independently. Only nets a switch channel
+/// touches belong to a group: every other net's value is the plain join
+/// of its drivers, and [`ChannelGroups::group_of`] gives it
+/// [`ChannelGroups::NONE`]. A gate-only circuit has no groups, and what
+/// is held is proportional to the switch-level part of a circuit, not to
+/// its size. A group of one net is one some switch connects to itself.
 ///
 /// Groups are numbered by their lowest member net; a group's members
 /// ascend by net id, its switches by component id.
 #[derive(Debug, Clone)]
 pub struct ChannelGroups {
-    /// For each net index, the id of its group.
+    /// For each net index, the id of its group, or [`ChannelGroups::NONE`].
     group_of: Vec<u32>,
     /// Member nets of every group.
     members: Csr<NetId>,
@@ -74,10 +78,17 @@ pub struct ChannelGroups {
 }
 
 impl ChannelGroups {
+    /// What [`ChannelGroups::group_of`] gives a net no switch channel
+    /// touches.
+    pub const NONE: u32 = u32::MAX;
+
     /// Computes the channel-connected groups of a netlist by union-find
     /// over switch channel terminals.
     #[must_use]
     pub fn compute(netlist: &Netlist) -> ChannelGroups {
+        const NONE: u32 = ChannelGroups::NONE;
+        /// A channel terminal not numbered yet.
+        const UNSET: u32 = NONE - 1;
         let n = netlist.num_nets();
         let channels = || {
             netlist.iter().filter_map(|(id, comp)| match comp {
@@ -86,17 +97,22 @@ impl ChannelGroups {
             })
         };
         let mut sets = UnionFind::new(n);
+        let mut group_of = vec![NONE; n];
         for (_, a, b) in channels() {
             sets.union(a.0, b.0);
+            group_of[a.index()] = UNSET;
+            group_of[b.index()] = UNSET;
         }
-        // Number groups in order of their lowest member net. A root's
-        // slot carries its group's id from the first member seen on; a
-        // root that is not itself that first member is overwritten with
-        // the same id when the scan reaches it.
-        const UNSET: u32 = u32::MAX;
-        let mut group_of = vec![UNSET; n];
+        // Number groups in order of their lowest member net. Every net of
+        // a set is a channel terminal, the root included. A root's slot
+        // carries its group's id from the first member seen on; a root
+        // that is not itself that first member is overwritten with the
+        // same id when the scan reaches it.
         let mut num_groups = 0usize;
         for i in 0..n {
+            if group_of[i] == NONE {
+                continue;
+            }
             let root = sets.find(i as u32) as usize;
             if group_of[root] == UNSET {
                 group_of[root] = num_groups as u32;
@@ -105,9 +121,14 @@ impl ChannelGroups {
             group_of[i] = group_of[root];
         }
         drop(sets); // before the runs are allocated: keeps the peak down
-        let members = Csr::bucket(num_groups, || {
-            (0u32..).map(NetId).zip(&group_of).map(|(net, &g)| (g, net))
-        });
+        let grouped = || {
+            (0u32..)
+                .map(NetId)
+                .zip(&group_of)
+                .filter(|&(_, &g)| g != NONE)
+                .map(|(net, &g)| (g, net))
+        };
+        let members = Csr::bucket(num_groups, grouped);
         let switches = Csr::bucket(num_groups, || {
             channels().map(|(id, a, _)| (group_of[a.index()], id))
         });
@@ -118,7 +139,8 @@ impl ChannelGroups {
         }
     }
 
-    /// The group containing `net`.
+    /// The group containing `net`, or [`ChannelGroups::NONE`] when no
+    /// switch channel touches it.
     ///
     /// # Panics
     ///
@@ -127,6 +149,19 @@ impl ChannelGroups {
     #[inline]
     pub fn group_of(&self, net: NetId) -> u32 {
         self.group_of[net.index()]
+    }
+
+    /// Whether `net` belongs to a group of more than one net — one whose
+    /// value the switch-level solver, not its drivers alone, decides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn in_nontrivial_group(&self, net: NetId) -> bool {
+        let g = self.group_of(net);
+        g != ChannelGroups::NONE && self.is_nontrivial(g)
     }
 
     /// Number of groups.
@@ -146,6 +181,12 @@ impl ChannelGroups {
     #[inline]
     pub fn member_range(&self, group: u32) -> Range<usize> {
         self.members.row_range(group as usize)
+    }
+
+    /// Number of member positions: the nets that belong to a group.
+    #[must_use]
+    pub fn num_members(&self) -> usize {
+        self.members.num_items()
     }
 
     /// Where a group's switches sit in the flat switch array; the
@@ -185,9 +226,22 @@ impl ChannelGroups {
 
     /// Returns `true` when the group has more than one net, i.e. actually
     /// needs switch-level resolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is out of range.
     #[must_use]
+    #[inline]
     pub fn is_nontrivial(&self, group: u32) -> bool {
         self.members.row_len(group as usize) > 1
+    }
+
+    /// Heap bytes held: the per-net group map and the two runs.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.group_of.capacity() * std::mem::size_of::<u32>()
+            + self.members.heap_bytes()
+            + self.switches.heap_bytes()
     }
 }
 
@@ -447,31 +501,36 @@ mod tests {
             .iter()
             .map(|&net| g.group_of(net))
             .collect();
-        assert_eq!(ids, [0, 1, 2, 1, 2, 1, 3]);
-        assert_eq!(g.num_groups(), 4);
-        assert_eq!(g.members(1), [p0, p1, p2]);
-        assert_eq!(g.switches(1), [s_p12, s_p01]);
-        assert_eq!(g.members(2), [q0, q1]);
-        assert_eq!(g.switches(2), [s_q]);
-        assert_eq!(g.members(3), [loner]);
-        assert_eq!(g.switches(3), [s_self]);
-        assert!(!g.is_nontrivial(3));
-        assert_eq!(g.member_range(2), 4..6);
-        assert_eq!(g.switch_range(2), 2..3);
+        assert_eq!(ids, [ChannelGroups::NONE, 0, 1, 0, 1, 0, 2]);
+        assert_eq!(g.num_groups(), 3);
+        assert_eq!(g.num_members(), 6);
+        assert_eq!(g.members(0), [p0, p1, p2]);
+        assert_eq!(g.switches(0), [s_p12, s_p01]);
+        assert_eq!(g.members(1), [q0, q1]);
+        assert_eq!(g.switches(1), [s_q]);
+        assert_eq!(g.members(2), [loner]);
+        assert_eq!(g.switches(2), [s_self]);
+        assert!(!g.is_nontrivial(2));
+        assert!(g.in_nontrivial_group(q1) && !g.in_nontrivial_group(loner));
+        assert!(!g.in_nontrivial_group(ctl));
+        assert_eq!(g.member_range(1), 3..5);
+        assert_eq!(g.switch_range(1), 2..3);
     }
 
+    /// Nothing is grouped without a switch, so a gate-only circuit holds
+    /// the per-net map and two empty runs.
     #[test]
-    fn gate_only_circuit_has_singleton_groups() {
+    fn gate_only_circuit_has_no_groups() {
         let mut b = NetlistBuilder::new("g");
         let a = b.input("a");
         let y = b.net("y");
         b.gate(GateKind::Not, &[a], y, Delay::default());
         let n = b.finish().unwrap();
         let g = ChannelGroups::compute(&n);
-        assert_eq!(g.num_groups(), n.num_nets());
-        for gid in 0..g.num_groups() as u32 {
-            assert!(!g.is_nontrivial(gid));
-        }
+        assert_eq!(g.num_groups(), 0);
+        assert_eq!(g.num_members(), 0);
+        assert_eq!([a, y].map(|net| g.group_of(net)), [ChannelGroups::NONE; 2]);
+        assert_eq!(g.heap_bytes(), 4 * n.num_nets() + 2 * 4);
     }
 
     #[test]

@@ -49,7 +49,10 @@ pub use analyze::{
 };
 pub use bitplane::{BitPlanes, Plane, LANES};
 pub use builder::{BuildError, NetlistBuilder};
-pub use component::{CompId, Component, ComponentRef, Delay, GateKind, NetId, SwitchKind};
+pub use columns::ComponentColumns;
+pub use component::{
+    CompId, Component, ComponentKind, ComponentRef, Delay, GateKind, NetId, SwitchKind,
+};
 pub use csr::{Csr, CsrView};
 pub use graph::{ChannelGroups, ConnectivityGraph, UnionFind};
 pub use names::NetNames;

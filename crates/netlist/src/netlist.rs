@@ -1,9 +1,9 @@
 //! The [`Netlist`] container: components, nets, and derived indices.
 
 use crate::builder::{self, BuildError};
-use crate::columns::Columns;
+use crate::columns::{Columns, ComponentColumns};
 use crate::component::{CompId, Component, ComponentRef, NetId};
-use crate::csr::{Csr, CsrFill};
+use crate::csr::{Csr, CsrFill, CsrView};
 use crate::names::NetNames;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -19,7 +19,9 @@ use std::collections::BTreeMap;
 /// gate's delay or a switch's channel ends), one terminal net, and every
 /// gate's input pins in one [`Csr`] — and read through the borrowed
 /// [`ComponentRef`] that [`Netlist::component`] returns. The engines
-/// borrow [`Netlist::gate_pins`] rather than copy it.
+/// read the circuit from here — [`Netlist::columns`],
+/// [`Netlist::gate_pins`], [`Netlist::driver_rows`] — rather than keep
+/// copies of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     pub(crate) name: String,
@@ -52,13 +54,13 @@ impl Netlist {
         // One walk sizes both indices, a second fills them.
         let nets = net_names.len();
         let (mut readers, mut drivers) = (vec![0u32; nets], vec![0u32; nets]);
-        for comp in components.iter() {
+        for comp in components.view().iter() {
             comp.for_each_read(|net| readers[net.index()] += 1);
             comp.for_each_driven(|net| drivers[net.index()] += 1);
         }
         let mut fanout = CsrFill::with_row_lens(readers, CompId(0));
         let mut drivers = CsrFill::with_row_lens(drivers, CompId(0));
-        for (id, comp) in (0u32..).map(CompId).zip(components.iter()) {
+        for (id, comp) in (0u32..).map(CompId).zip(components.view().iter()) {
             comp.for_each_read(|net| fanout.push(net.0, id));
             comp.for_each_driven(|net| drivers.push(net.0, id));
         }
@@ -120,12 +122,21 @@ impl Netlist {
     #[must_use]
     #[inline]
     pub fn component(&self, id: CompId) -> ComponentRef<'_> {
-        self.components.get(id.index())
+        self.columns().get(id.index())
+    }
+
+    /// The component columns, borrowed: what an engine reads component
+    /// by component, one column at a time, instead of keeping a
+    /// per-component copy of its own.
+    #[must_use]
+    #[inline]
+    pub fn columns(&self) -> ComponentColumns<'_> {
+        self.components.view()
     }
 
     /// Iterates over `(CompId, ComponentRef)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (CompId, ComponentRef<'_>)> + '_ {
-        (0u32..).map(CompId).zip(self.components.iter())
+        (0u32..).map(CompId).zip(self.columns().iter())
     }
 
     /// The name of a net.
@@ -164,6 +175,13 @@ impl Netlist {
     #[must_use]
     pub fn drivers(&self, net: NetId) -> &[CompId] {
         self.drivers.row(net.index())
+    }
+
+    /// Every net's [`Netlist::drivers`] row, borrowed as two slices for
+    /// a hot loop that should index them directly.
+    #[must_use]
+    pub fn driver_rows(&self) -> CsrView<'_, CompId> {
+        self.drivers.view()
     }
 
     /// Per-component gate input pins, in pin order: row `i` is
@@ -209,7 +227,7 @@ impl Netlist {
     /// Total approximate transistor count (Table 4's right column).
     #[must_use]
     pub fn approx_transistors(&self) -> u64 {
-        self.components
+        self.columns()
             .iter()
             .map(|c| u64::from(c.approx_transistors()))
             .sum()
@@ -237,7 +255,7 @@ impl Netlist {
         let mut h = Fnv(OFFSET);
         h.bytes(self.name.as_bytes());
         h.u32(self.components.len() as u32);
-        for comp in self.components.iter() {
+        for comp in self.columns().iter() {
             match comp {
                 ComponentRef::Gate {
                     kind,

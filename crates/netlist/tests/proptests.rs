@@ -343,9 +343,11 @@ proptest! {
     }
 
     /// The column store gives back what the builder was given: every
-    /// component, in order, through `component(id).to_owned()`; fanout
-    /// and driver rows equal to a recount from those components; and a
-    /// JSON round trip that is equal and keeps the digest.
+    /// component, in order, through `component(id).to_owned()` and
+    /// column by column through `columns()` (kind, terminal, delay or
+    /// channel, pins), as the engines read it; fanout and driver rows
+    /// equal to a recount from those components; and a JSON round trip
+    /// that is equal and keeps the digest.
     #[test]
     fn the_columnar_store_gives_back_what_went_in(
         ops in proptest::collection::vec(any_build_op(), 0..40),
@@ -361,7 +363,25 @@ proptest! {
                 _ => &[],
             };
             prop_assert_eq!(n.gate_pins().row(i), pins);
+            // The columns one at a time, as an engine reads them.
+            let cols = n.columns();
+            prop_assert_eq!(cols.kind(i), comp.as_ref().kind());
+            prop_assert_eq!(cols.pins(i), pins);
+            match *comp {
+                Component::Gate { output, delay, .. } => {
+                    prop_assert_eq!(cols.terminal(i), output);
+                    prop_assert_eq!(cols.delay(i), delay);
+                }
+                Component::Switch { control, a, b, .. } => {
+                    prop_assert_eq!(cols.terminal(i), control);
+                    prop_assert_eq!(cols.channel(i), (a, b));
+                }
+                Component::Input { net } | Component::Pull { net, .. } | Component::Supply { net, .. } => {
+                    prop_assert_eq!(cols.terminal(i), net);
+                }
+            }
         }
+        prop_assert_eq!(n.columns().len(), added.len());
         let mut fanout = vec![Vec::new(); n.num_nets()];
         let mut drivers = vec![Vec::new(); n.num_nets()];
         for (i, comp) in added.iter().enumerate() {
@@ -372,6 +392,7 @@ proptest! {
             let id = NetId(net as u32);
             prop_assert_eq!(n.fanout(id), &fanout[net][..]);
             prop_assert_eq!(n.drivers(id), &drivers[net][..]);
+            prop_assert_eq!(n.driver_rows().row(net), &drivers[net][..]);
         }
         let json = serde_json::to_string(&n).expect("serializes");
         let back: Netlist = serde_json::from_str(&json).expect("its own JSON deserializes");

@@ -18,13 +18,14 @@
 //!
 //! # Hot-path layout
 //!
-//! The per-tick loop runs over a data-oriented image of the netlist
-//! built once at construction: CSR adjacency ([`logicsim_netlist::Csr`])
-//! for non-switch drivers and gate input pins (fanout is read from the
-//! netlist's own index, which has the same layout); a dense
-//! `EvalKind` dispatch table; and dense per-net group/attribution
-//! maps. Per-tick set semantics (`affected`, `dirty_groups`, `to_eval`)
-//! are provided by two-level bitmaps (`OrderedSet`) that list their
+//! The per-tick loop reads the circuit from the netlist itself: the
+//! component columns ([`logicsim_netlist::ComponentColumns`]: the tag
+//! byte it dispatches on, a gate's delay, pins and output net) and the
+//! fanout and driver rows. What it builds once at construction
+//! (`Image`) is only what the netlist cannot hold — the channel
+//! groups, their compiled solver image, and a switch's group and slot —
+//! so nothing of the circuit is copied. Per-tick set semantics
+//! (`affected`, `dirty_groups`, `to_eval`) are provided by two-level bitmaps (`OrderedSet`) that list their
 //! members ascending without sorting, reproducing the exact `BTreeMap`/
 //! `BTreeSet` iteration order of the reference implementation — the
 //! golden-trace tests pin this bit-for-bit. All per-tick buffers live in
@@ -38,8 +39,7 @@ use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
 use logicsim_netlist::analyze::{self, Diagnostic};
 use logicsim_netlist::{
-    ChannelGroups, CompId, ComponentRef, Csr, CsrView, Delay, GateKind, Level, NetId, Netlist,
-    Signal,
+    ChannelGroups, CompId, ComponentColumns, ComponentKind, CsrView, Level, NetId, Netlist, Signal,
 };
 use std::fmt;
 use std::ops::Range;
@@ -88,9 +88,6 @@ struct Change {
 /// Timing-wheel size in slots; delays at or beyond it fall back to the
 /// wheel's overflow map.
 pub(crate) const WHEEL_SIZE: usize = 256;
-/// [`Image::comp_out`]'s entry for a component that drives no net of
-/// its own (a switch).
-pub(crate) const NO_NET: u32 = u32::MAX;
 /// Bound on intra-tick switch-group relaxation rounds before the engine
 /// declares a zero-delay oscillation and stops the tick.
 pub(crate) const MAX_SETTLE_ROUNDS: u32 = 64;
@@ -113,32 +110,6 @@ pub struct SimConfig {
     /// feeds back into simulation state: traces and counters are
     /// bit-identical either way.
     pub observe: bool,
-}
-
-/// How a component reacts to an input-net change, precomputed per
-/// component so the evaluation loop never matches on [`ComponentRef`].
-/// Shared with the parallel engine ([`crate::par_engine`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EvalKind {
-    /// Evaluate the gate function over the input pins and schedule the
-    /// output change after the transition delay.
-    Gate {
-        /// The gate's logic function.
-        kind: GateKind,
-        /// Rise/fall propagation delays.
-        delay: Delay,
-    },
-    /// Mark the switch's channel-connected group dirty for intra-tick
-    /// settling if what the group reads through the switch moved since
-    /// its last settle ([`solver::GroupImage::conduction_read`]).
-    Switch {
-        /// The channel group both channel terminals belong to.
-        group: u32,
-        /// The switch's slot in [`ChannelGroups`]' flat switch array.
-        slot: u32,
-    },
-    /// Inputs, pulls, and rails: nothing to evaluate.
-    Passive,
 }
 
 /// An ordered set of `u32` ids below a fixed capacity: one bit per id,
@@ -234,37 +205,25 @@ impl OrderedSet {
     }
 }
 
-/// The immutable data-oriented image of a netlist that the hot path
-/// iterates over: CSR adjacency, per-component dispatch, per-net group
-/// and attribution maps. Built once by [`Image::build`] and shared
-/// between the serial engine and the parallel engine, so both execute
-/// the exact same precomputed structure. The gate pins are the
-/// netlist's own, borrowed.
+/// What the hot path reads besides the netlist: the channel groups and
+/// their compiled solver image, built once by [`Image::build`] and
+/// shared by the serial and the parallel engine, so both execute the
+/// exact same structure. The circuit itself — kind, delay, pins, output
+/// net, drivers — is the netlist's own, borrowed, and the image keeps
+/// no copy of it: per net it holds a group id, per component a
+/// switch's group and slot, and the rest scales with the switch-level
+/// part (DESIGN.md §10, "What the engines hold").
 #[derive(Debug)]
 pub(crate) struct Image<'n> {
     /// Channel-connected switch groups (also the per-net group map).
     pub(crate) groups: ChannelGroups,
     /// The groups compiled for the switch-level solver.
     pub(crate) solver: solver::GroupImage,
-    /// Per-component evaluation dispatch.
-    pub(crate) eval: Vec<EvalKind>,
-    /// Per-component gate input pins (empty for non-gates): the
-    /// netlist's [`Netlist::gate_pins`], borrowed as two slices.
-    pub(crate) gate_pins: CsrView<'n, NetId>,
-    /// Per-net non-switch driver component ids (the external-drive set).
-    pub(crate) ext_drivers: Csr,
-    /// Whether each group needs switch-level resolution.
-    pub(crate) group_nontrivial: Vec<bool>,
-    /// Trace attribution per net: the first switch driver if any, else
-    /// the first driver, else component 0.
-    pub(crate) net_attr: Vec<u32>,
-    /// Input component per net (`u32::MAX` when the net is not a
-    /// primary input).
-    pub(crate) input_comp: Vec<u32>,
-    /// Output net id per component ([`NO_NET`] for switches).
-    pub(crate) comp_out: Vec<u32>,
-    /// Initial component drive (static for pulls/rails, floating else).
-    pub(crate) static_drive: Vec<Signal>,
+    /// The netlist's component columns: what the evaluation loop
+    /// dispatches on (the tag byte) and reads (delay, pins, output net).
+    pub(crate) comps: ComponentColumns<'n>,
+    /// The netlist's driver rows.
+    pub(crate) drivers: CsrView<'n, CompId>,
 }
 
 impl<'n> Image<'n> {
@@ -278,89 +237,78 @@ impl<'n> Image<'n> {
                 diagnostics: errors,
             });
         }
-        let nc = netlist.num_components();
-        let nn = netlist.num_nets();
         let groups = ChannelGroups::compute(netlist);
-
-        let mut comp_out = vec![NO_NET; nc];
-        let mut static_drive = vec![Signal::FLOATING; nc];
-        let mut input_comp = vec![u32::MAX; nn];
-        for (id, comp) in netlist.iter() {
-            match comp {
-                ComponentRef::Gate { output, .. } => comp_out[id.index()] = output.0,
-                ComponentRef::Input { net } => {
-                    comp_out[id.index()] = net.0;
-                    input_comp[net.index()] = id.0;
-                }
-                ComponentRef::Pull { net, .. } | ComponentRef::Supply { net, .. } => {
-                    comp_out[id.index()] = net.0;
-                    static_drive[id.index()] = comp.static_drive().expect("static component");
-                }
-                ComponentRef::Switch { .. } => {}
-            }
-        }
-
-        let mut eval: Vec<EvalKind> = netlist
-            .iter()
-            .map(|(_, c)| match c {
-                ComponentRef::Gate { kind, delay, .. } => EvalKind::Gate { kind, delay },
-                _ => EvalKind::Passive,
-            })
-            .collect();
-        for group in 0..groups.num_groups() as u32 {
-            let slots = groups.switch_range(group);
-            for (slot, sw) in slots.zip(groups.switches(group)) {
-                eval[sw.index()] = EvalKind::Switch {
-                    group,
-                    slot: slot as u32,
-                };
-            }
-        }
-        let ext_drivers = Csr::from_rows((0..nn).map(|i| {
-            netlist
-                .drivers(NetId(i as u32))
-                .iter()
-                .filter(|&&d| !netlist.component(d).is_switch())
-                .map(|c| c.0)
-        }));
-        let net_attr: Vec<u32> = (0..nn)
-            .map(|i| {
-                let drivers = netlist.drivers(NetId(i as u32));
-                drivers
-                    .iter()
-                    .copied()
-                    .find(|&d| netlist.component(d).is_switch())
-                    .or_else(|| drivers.first().copied())
-                    .unwrap_or(CompId(0))
-                    .0
-            })
-            .collect();
-        let group_nontrivial: Vec<bool> = (0..groups.num_groups())
-            .map(|g| groups.is_nontrivial(g as u32))
-            .collect();
         Ok(Image {
-            eval,
-            gate_pins: netlist.gate_pins().view(),
-            ext_drivers,
-            group_nontrivial,
-            net_attr,
-            input_comp,
-            comp_out,
-            static_drive,
             solver: solver::GroupImage::build(netlist, &groups),
             groups,
+            comps: netlist.columns(),
+            drivers: netlist.driver_rows(),
         })
     }
 
     /// External (non-switch) drive on a net: the join of all gate/input/
-    /// pull/rail drivers' current output, read from `comp_drive`.
+    /// pull/rail drivers' current output, read from `comp_drive`. Called
+    /// for nets outside nontrivial groups (a group's members get theirs
+    /// from [`solver::GroupImage::resolve_drives_into`]).
+    ///
+    /// The row is the netlist's whole driver row: on such a net the only
+    /// switch there can be is one with both channel ends on it, and an
+    /// engine never writes a switch's `comp_drive` entry, which stays
+    /// [`Signal::FLOATING`] — the join's unit on every drive a component
+    /// can hold (a tristate's disabled output is `FLOATING` itself) — so
+    /// folding it in changes nothing.
     #[inline]
     pub(crate) fn external_drive(&self, comp_drive: &[Signal], net: NetId) -> Signal {
         let mut v = Signal::FLOATING;
-        for &d in self.ext_drivers.row(net.index()) {
-            v = v.resolve(comp_drive[d as usize]);
+        for &d in self.drivers.row(net.index()) {
+            v = v.resolve(comp_drive[d.index()]);
         }
         v
+    }
+
+    /// Every component's drive before power-up: a pull's or rail's
+    /// static drive, [`Signal::FLOATING`] for the rest.
+    pub(crate) fn initial_drive(&self) -> Vec<Signal> {
+        (0..self.comps.len())
+            .map(|i| {
+                self.comps
+                    .kind(i)
+                    .static_drive()
+                    .unwrap_or(Signal::FLOATING)
+            })
+            .collect()
+    }
+
+    /// Heap bytes the image holds: the channel groups and their solver
+    /// image. The netlist it borrows is not counted.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.groups.heap_bytes() + self.solver.heap_bytes()
+    }
+
+    /// The primary input driving `net`: the last `Input` component among
+    /// its drivers, `None` if there is none.
+    pub(crate) fn input_comp(&self, net: NetId) -> Option<CompId> {
+        let drivers = self.drivers.row(net.index());
+        drivers
+            .iter()
+            .rev()
+            .copied()
+            .find(|d| self.comps.kind(d.index()) == ComponentKind::Input)
+    }
+
+    /// The component a trace names as the cause of a change that a group
+    /// resolution made on `net`: its first switch driver if any, else its
+    /// first driver, else component 0. Found by a walk of the net's
+    /// drivers, once per such change.
+    pub(crate) fn net_attr(&self, net: NetId) -> CompId {
+        let drivers = self.drivers.row(net.index());
+        drivers
+            .iter()
+            .copied()
+            .find(|d| self.comps.kind(d.index()).is_switch())
+            .or_else(|| drivers.first().copied())
+            .unwrap_or(CompId(0))
     }
 }
 
@@ -381,7 +329,7 @@ pub(crate) fn relax_power_up(
         // Recompute all net values from current drives.
         let mut changed = false;
         for (net_idx, value) in net_values.iter_mut().enumerate() {
-            if img.group_nontrivial[img.groups.group_of(NetId(net_idx as u32)) as usize] {
+            if img.groups.in_nontrivial_group(NetId(net_idx as u32)) {
                 continue; // handled below per group
             }
             let v = img.external_drive(comp_drive, NetId(net_idx as u32));
@@ -391,15 +339,15 @@ pub(crate) fn relax_power_up(
             }
         }
         for gid in 0..img.groups.num_groups() as u32 {
-            if !img.group_nontrivial[gid as usize] {
+            if !img.groups.is_nontrivial(gid) {
                 continue;
             }
             group_out.clear();
-            img.solver.resolve_into(
+            img.solver.resolve_drives_into(
                 &img.groups,
                 gid,
                 &mut scratch,
-                |net| img.external_drive(comp_drive, net),
+                |d| comp_drive[d.index()],
                 |net| net_values[net.index()].level,
                 |net| net_values[net.index()].level,
                 &mut group_out,
@@ -412,10 +360,9 @@ pub(crate) fn relax_power_up(
             }
         }
         // Re-evaluate all gates.
-        for ci in 0..img.eval.len() {
-            if let EvalKind::Gate { kind, .. } = img.eval[ci] {
-                let out =
-                    kind.evaluate_pins(img.gate_pins.row(ci), |n| net_values[n.index()].level);
+        for ci in 0..img.comps.len() {
+            if let ComponentKind::Gate(kind) = img.comps.kind(ci) {
+                let out = kind.evaluate_pins(img.comps.pins(ci), |n| net_values[n.index()].level);
                 if comp_drive[ci] != out {
                     comp_drive[ci] = out;
                     last_scheduled[ci] = out;
@@ -443,14 +390,14 @@ pub(crate) fn stale_groups(
     let mut out = Vec::new();
     let level = |net: NetId| net_values[net.index()].level;
     (0..img.groups.num_groups() as u32)
-        .filter(|&gid| img.group_nontrivial[gid as usize])
+        .filter(|&gid| img.groups.is_nontrivial(gid))
         .filter_map(|gid| {
             out.clear();
-            img.solver.resolve_into(
+            img.solver.resolve_drives_into(
                 &img.groups,
                 gid,
                 &mut scratch,
-                |net| img.external_drive(comp_drive, net),
+                |d| comp_drive[d.index()],
                 level,
                 level,
                 &mut out,
@@ -562,7 +509,7 @@ impl<'a> Simulator<'a> {
         let mut sim = Simulator {
             wheel: TimingWheel::new(WHEEL_SIZE),
             net_values: vec![Signal::FLOATING; nn],
-            comp_drive: img.static_drive.clone(),
+            comp_drive: img.initial_drive(),
             last_scheduled: vec![Signal::FLOATING; nc],
             counters: WorkloadCounters::new(),
             activity: ActivityProfile::new(nc),
@@ -685,10 +632,11 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `net` is not a primary input.
     pub fn set_input(&mut self, net: NetId, level: Level) {
-        let comp = self.img.input_comp[net.index()];
-        assert!(comp != u32::MAX, "{net} is not a primary input");
+        let Some(comp) = self.img.input_comp(net) else {
+            panic!("{net} is not a primary input");
+        };
         let now = self.now();
-        self.schedule_change(now, CompId(comp), Signal::strong(level));
+        self.schedule_change(now, comp, Signal::strong(level));
     }
 
     /// Inertial scheduling: replaces any outstanding change for `comp`;
@@ -727,11 +675,11 @@ impl<'a> Simulator<'a> {
         out: &mut Vec<(NetId, Signal)>,
     ) {
         out.clear();
-        self.img.solver.resolve_into(
+        self.img.solver.resolve_drives_into(
             &self.img.groups,
             gid,
             scratch,
-            |net| self.external_drive(net),
+            |d| self.comp_drive[d.index()],
             |net| self.net_values[net.index()].level,
             |net| self.net_values[net.index()].level,
             out,
@@ -780,12 +728,12 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             self.comp_drive[comp.index()] = drive;
-            let net = self.img.comp_out[comp.index()];
-            if net != NO_NET {
-                ws.affected.insert(net);
-                // Unconditional overwrite = BTreeMap last-writer-wins.
-                ws.affected_cause[net as usize] = comp.0;
-            }
+            // Only gates and inputs are scheduled: the terminal is the
+            // net they drive.
+            let net = self.img.comps.terminal(comp.index());
+            ws.affected.insert(net.0);
+            // Unconditional overwrite = BTreeMap last-writer-wins.
+            ws.affected_cause[net.index()] = comp.0;
         }
 
         m = self.obs.rec(Phase::Apply, tick, m, ws.changes.len() as u64);
@@ -798,7 +746,7 @@ impl<'a> Simulator<'a> {
         for &net_idx in ws.affected.sorted() {
             let cause = CompId(ws.affected_cause[net_idx as usize]);
             let gid = self.img.groups.group_of(NetId(net_idx));
-            if self.img.group_nontrivial[gid as usize] {
+            if gid != ChannelGroups::NONE && self.img.groups.is_nontrivial(gid) {
                 ws.dirty_groups.insert(gid);
             } else {
                 let net = NetId(net_idx);
@@ -832,7 +780,7 @@ impl<'a> Simulator<'a> {
                 for &(net, v) in &ws.group_out {
                     if self.net_values[net.index()] != v {
                         self.net_values[net.index()] = v;
-                        let cause = CompId(self.img.net_attr[net.index()]);
+                        let cause = self.img.net_attr(net);
                         ws.changed_nets.push((net, cause));
                     }
                 }
@@ -879,29 +827,32 @@ impl<'a> Simulator<'a> {
             // changes; a switch marks its group dirty for this tick if
             // the conduction the group reads through it moved.
             let evals_before = self.counters.evaluations;
+            let comps = self.img.comps;
             for &ci in ws.to_eval.sorted() {
-                match self.img.eval[ci as usize] {
-                    EvalKind::Gate { kind, delay } => {
+                match comps.kind(ci as usize) {
+                    ComponentKind::Gate(kind) => {
                         self.counters.evaluations += 1;
-                        let out = kind.evaluate_pins(self.img.gate_pins.row(ci as usize), |n| {
+                        let out = kind.evaluate_pins(comps.pins(ci as usize), |n| {
                             self.net_values[n.index()].level
                         });
+                        let delay = comps.delay(ci as usize);
                         let d = u64::from(delay.for_transition(out.level));
                         self.schedule_change(tick + d, CompId(ci), out);
                     }
-                    EvalKind::Switch { group, slot } => {
+                    ComponentKind::Switch(_) => {
                         self.counters.evaluations += 1;
-                        let read = self.img.solver.conduction_read(
-                            &self.img.groups,
-                            group,
-                            slot as usize,
-                            |net| self.net_values[net.index()].level,
-                        );
-                        if read != ws.settled[slot as usize] {
+                        let (group, slot) = self.img.solver.locate(ci);
+                        let read =
+                            self.img
+                                .solver
+                                .conduction_read(&self.img.groups, group, slot, |net| {
+                                    self.net_values[net.index()].level
+                                });
+                        if read != ws.settled[slot] {
                             ws.dirty_groups.insert(group);
                         }
                     }
-                    EvalKind::Passive => {}
+                    ComponentKind::Input | ComponentKind::Pull(_) | ComponentKind::Supply(_) => {}
                 }
             }
             m = self.obs.rec(
@@ -984,7 +935,7 @@ mod tests {
     use crate::cyclic::{self, Wiring};
     use crate::par_engine::ParSimulator;
     use logicsim_circuits::Benchmark;
-    use logicsim_netlist::{Delay, GateKind, NetlistBuilder, SwitchKind};
+    use logicsim_netlist::{ComponentRef, Delay, GateKind, NetlistBuilder, SwitchKind};
 
     fn inverter() -> Netlist {
         let mut b = NetlistBuilder::new("inv");
@@ -1345,6 +1296,40 @@ mod tests {
         // `false`: the round bound was hit, and from then on only the
         // groups with a record are held to the invariant.
         assert!(!assert_no_stale_group(&netlist, 40, &script));
+    }
+
+    /// The image keeps no copy of the circuit: what it holds per net is
+    /// the group map's one word, per component the switch place table's
+    /// two, and the rest scales with the switch-level part — so a
+    /// gate-only circuit costs exactly those two tables plus the empty
+    /// runs' offsets, and a circuit with switches at most 64 bytes per
+    /// switch and per group member on top.
+    #[test]
+    fn the_image_keeps_no_copy_of_the_circuit() {
+        let mut b = NetlistBuilder::new("chain");
+        let mut net = b.input("a");
+        for i in 0..1_000 {
+            let next = b.net(format!("n{i}"));
+            b.gate(GateKind::Not, &[net], next, Delay::uniform(1));
+            net = next;
+        }
+        let n = b.finish().unwrap();
+        let img = Image::build(&n).expect("pre-flight");
+        let tables = 4 * n.num_nets() + 8 * n.num_components();
+        assert_eq!(img.heap_bytes(), tables + 4 * 4, "four empty runs' offsets");
+        for bench in [Benchmark::RtpChip, Benchmark::PriorityQueue] {
+            let inst = bench.build_at(10_000);
+            let n = &inst.netlist;
+            let img = Image::build(n).expect("pre-flight");
+            let tables = 4 * n.num_nets() + 8 * n.num_components();
+            let switch_part = n.num_switches() + img.groups.num_members();
+            let held = img.heap_bytes();
+            assert!(held > tables, "{bench:?}");
+            assert!(
+                held - tables <= 64 * switch_part,
+                "{bench:?}: {held} bytes held, {switch_part} switches and members"
+            );
+        }
     }
 
     /// The event lists hold what is in flight, not the wheel's 256-slot

@@ -117,8 +117,7 @@
 #![allow(unsafe_code)]
 
 use crate::engine::{
-    relax_power_up, EvalKind, Image, PreflightError, SimConfig, MAX_SETTLE_ROUNDS, NO_NET,
-    OBS_CAPACITY, WHEEL_SIZE,
+    relax_power_up, Image, PreflightError, SimConfig, MAX_SETTLE_ROUNDS, OBS_CAPACITY, WHEEL_SIZE,
 };
 use crate::instrument::{ActivityProfile, WorkloadCounters};
 use crate::obs::{self, Phase};
@@ -127,7 +126,7 @@ use crate::phase_check::{self, PhaseClock};
 use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
-use logicsim_netlist::{CompId, ComponentRef, Level, NetId, Netlist, Signal, UnionFind};
+use logicsim_netlist::{CompId, ComponentKind, Level, NetId, Netlist, Signal, UnionFind};
 use logicsim_stats::{ParallelWorkload, WorkerLoad};
 
 /// Identifies one schedule event in the serial engine's program order:
@@ -373,7 +372,10 @@ impl Core<'_> {
         self.parties.len()
     }
 
-    /// External (non-switch) drive on a net from the shared drive array.
+    /// External (non-switch) drive on a net from the shared drive array:
+    /// the join over the net's whole driver row, as
+    /// [`Image::external_drive`] takes it (a switch's entry is never
+    /// written and stays the join's unit).
     ///
     /// # Safety
     ///
@@ -382,10 +384,10 @@ impl Core<'_> {
     #[inline]
     unsafe fn external_drive(&self, net: NetId) -> Signal {
         let mut v = Signal::FLOATING;
-        for &d in self.img.ext_drivers.row(net.index()) {
+        for &d in self.img.drivers.row(net.index()) {
             // SAFETY: forwards this method's own contract — no party
             // writes these `comp_drive` entries in the current phase.
-            v = v.resolve(unsafe { self.comp_drive.get(d as usize) });
+            v = v.resolve(unsafe { self.comp_drive.get(d.index()) });
         }
         v
     }
@@ -735,8 +737,10 @@ impl InputFrame<'_, '_> {
 /// `schedule_change`. Only called while no worker threads are active
 /// (outside `run`, or between phases during the stimulus callback).
 fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
-    let comp = core.img.input_comp[net.index()] as usize;
-    assert!(comp != u32::MAX as usize, "{net} is not a primary input");
+    let Some(comp) = core.img.input_comp(net) else {
+        panic!("{net} is not a primary input");
+    };
+    let comp = comp.index();
     if m.input_tick != m.now {
         m.input_tick = m.now;
         m.input_rank = 0;
@@ -840,22 +844,21 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
             }
             core.comp_drive.set(ci, drive);
         }
-        let net = core.img.comp_out[ci];
-        if net != NO_NET {
-            st.worked = true;
-            match core.net_route[net as usize] {
-                NetRoute::Own => st.merged.push(Affected { net, comp, stamp }),
-                NetRoute::Shared { owner } => {
-                    // SAFETY: only this party fills its outboxes this
-                    // phase.
-                    let outbox = unsafe { core.affected_mail.mail(party, owner as usize) };
-                    outbox.push(Affected { net, comp, stamp });
-                }
-                NetRoute::Group { gid } => {
-                    let owner = core.group_owner[gid as usize] as usize;
-                    // SAFETY: as above.
-                    unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
-                }
+        // Only gates and inputs are scheduled: the terminal is the net
+        // they drive.
+        let net = core.img.comps.terminal(ci).0;
+        st.worked = true;
+        match core.net_route[net as usize] {
+            NetRoute::Own => st.merged.push(Affected { net, comp, stamp }),
+            NetRoute::Shared { owner } => {
+                // SAFETY: only this party fills its outboxes this phase.
+                let outbox = unsafe { core.affected_mail.mail(party, owner as usize) };
+                outbox.push(Affected { net, comp, stamp });
+            }
+            NetRoute::Group { gid } => {
+                let owner = core.group_owner[gid as usize] as usize;
+                // SAFETY: as above.
+                unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
             }
         }
     }
@@ -976,12 +979,12 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     for &gid in &st.gids {
         debug_assert_eq!(core.group_owner[gid as usize] as usize, party);
         st.group_out.clear();
-        core.img.solver.resolve_into(
+        core.img.solver.resolve_drives_into(
             &core.img.groups,
             gid,
             &mut st.solver,
             // SAFETY: see above.
-            |net| unsafe { core.external_drive(net) },
+            |d| unsafe { core.comp_drive.get(d.index()) },
             |net| unsafe { core.net_values.get(net.index()) }.level,
             |net| unsafe { core.net_values.get(net.index()) }.level,
             &mut st.group_out,
@@ -1001,7 +1004,7 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
                     st.changed.push(Changed {
                         key: gid,
                         net: net.0,
-                        cause: core.img.net_attr[net.index()],
+                        cause: core.img.net_attr(net).0,
                     });
                 }
             }
@@ -1036,16 +1039,17 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     st.eval_comps.sort_unstable();
     st.eval_comps.dedup();
     let m = st.obs.rec(Phase::Exchange, tick, m, 0);
+    let comps = core.img.comps;
     for &ci in &st.eval_comps {
         debug_assert_eq!(core.place[ci as usize].owner as usize, party);
-        match core.img.eval[ci as usize] {
-            EvalKind::Gate { kind, delay } => {
+        match comps.kind(ci as usize) {
+            ComponentKind::Gate(kind) => {
                 st.evaluations += 1;
-                let out = kind.evaluate_pins(core.img.gate_pins.row(ci as usize), |n| {
+                let out = kind.evaluate_pins(comps.pins(ci as usize), |n| {
                     // SAFETY: see above.
                     unsafe { core.net_values.get(n.index()) }.level
                 });
-                let d = u64::from(delay.for_transition(out.level));
+                let d = u64::from(comps.delay(ci as usize).for_transition(out.level));
                 // Inertial scheduling, mirroring `schedule_change`.
                 // SAFETY: `ci` is owned by this party.
                 unsafe {
@@ -1073,26 +1077,25 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
                     }
                 }
             }
-            EvalKind::Switch { group, slot } => {
+            ComponentKind::Switch(_) => {
                 st.evaluations += 1;
-                let read = core.img.solver.conduction_read(
-                    &core.img.groups,
-                    group,
-                    slot as usize,
-                    |net| {
+                let (group, slot) = core.img.solver.locate(ci);
+                let read = core
+                    .img
+                    .solver
+                    .conduction_read(&core.img.groups, group, slot, |net| {
                         // SAFETY: see above.
                         unsafe { core.net_values.get(net.index()) }.level
-                    },
-                );
+                    });
                 // SAFETY: `settled` is written in Resolve only.
-                if read != unsafe { core.settled.get(slot as usize) } {
+                if read != unsafe { core.settled.get(slot) } {
                     let owner = core.group_owner[group as usize] as usize;
                     // SAFETY: only this party fills its outboxes this
                     // phase.
                     unsafe { core.dirty_mail.mail(party, owner) }.push(group);
                 }
             }
-            EvalKind::Passive => {}
+            ComponentKind::Input | ComponentKind::Pull(_) | ComponentKind::Supply(_) => {}
         }
     }
     st.worked |= st.evaluations > 0;
@@ -1122,19 +1125,17 @@ fn worker_loop(core: &Core<'_>, party: usize) {
 /// within a settle pass (a switch whose control net belongs to the
 /// other nontrivial group), and clusters are dealt round-robin to
 /// parties in first-group order.
-fn compute_group_owner(netlist: &Netlist, img: &Image<'_>, num_parties: usize) -> Vec<u32> {
+fn compute_group_owner(img: &Image<'_>, num_parties: usize) -> Vec<u32> {
     let ng = img.groups.num_groups();
     let mut clusters = UnionFind::new(ng);
     for gid in 0..ng as u32 {
-        if !img.group_nontrivial[gid as usize] {
+        if !img.groups.is_nontrivial(gid) {
             continue;
         }
         for &sw in img.groups.switches(gid) {
-            if let ComponentRef::Switch { control, .. } = netlist.component(sw) {
-                let h = img.groups.group_of(control);
-                if img.group_nontrivial[h as usize] {
-                    clusters.union(gid, h);
-                }
+            let control = img.comps.terminal(sw.index());
+            if img.groups.in_nontrivial_group(control) {
+                clusters.union(gid, img.groups.group_of(control));
             }
         }
     }
@@ -1142,7 +1143,7 @@ fn compute_group_owner(netlist: &Netlist, img: &Image<'_>, num_parties: usize) -
     let mut root_owner = vec![u32::MAX; ng];
     let mut next = 0usize;
     for gid in 0..ng as u32 {
-        if !img.group_nontrivial[gid as usize] {
+        if !img.groups.is_nontrivial(gid) {
             continue;
         }
         let r = clusters.find(gid) as usize;
@@ -1235,15 +1236,15 @@ impl<'a> ParSimulator<'a> {
 
         // Identical power-up state to the serial engine.
         let mut net_values = vec![Signal::FLOATING; nn];
-        let mut comp_drive = img.static_drive.clone();
+        let mut comp_drive = img.initial_drive();
         let mut last_scheduled = vec![Signal::FLOATING; nc];
         relax_power_up(&img, &mut net_values, &mut comp_drive, &mut last_scheduled);
 
         let place: Vec<Place> = (0..nc)
             .map(|ci| {
                 let part = assignment[ci];
-                let owner = match img.eval[ci] {
-                    EvalKind::Gate { .. } | EvalKind::Switch { .. } if part != u32::MAX => {
+                let owner = match img.comps.kind(ci) {
+                    ComponentKind::Gate(_) | ComponentKind::Switch(_) if part != u32::MAX => {
                         part % workers as u32
                     }
                     _ => workers as u32,
@@ -1251,15 +1252,18 @@ impl<'a> ParSimulator<'a> {
                 Place { owner, part }
             })
             .collect();
-        let group_owner = compute_group_owner(netlist, &img, num_parties);
+        let group_owner = compute_group_owner(&img, num_parties);
         let net_route: Vec<NetRoute> = (0..nn)
             .map(|ni| {
-                let gid = img.groups.group_of(NetId(ni as u32));
-                if img.group_nontrivial[gid as usize] {
+                let net = NetId(ni as u32);
+                if img.groups.in_nontrivial_group(net) {
+                    let gid = img.groups.group_of(net);
                     return NetRoute::Group { gid };
                 }
-                let drivers = img.ext_drivers.row(ni).iter();
-                let mut owners = drivers.map(|&d| place[d as usize].owner);
+                let drivers = img.drivers.row(ni).iter();
+                let mut owners = drivers
+                    .filter(|d| !img.comps.kind(d.index()).is_switch())
+                    .map(|d| place[d.index()].owner);
                 match owners.next() {
                     Some(owner) if owners.any(|o| o != owner) => NetRoute::Shared { owner },
                     _ => NetRoute::Own,
@@ -1557,7 +1561,7 @@ impl<'a> ParSimulator<'a> {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
-    use logicsim_netlist::{Delay, GateKind, NetlistBuilder, SwitchKind};
+    use logicsim_netlist::{ComponentRef, Delay, GateKind, NetlistBuilder, SwitchKind};
 
     /// Assignment that deals every gate/switch round-robin to `parts`.
     fn round_robin(netlist: &Netlist, parts: u32) -> Vec<u32> {

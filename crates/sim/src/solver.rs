@@ -66,7 +66,7 @@
 //! evaluation settles it.
 
 use logicsim_netlist::{
-    ChannelGroups, CompId, ComponentRef, Level, NetId, Netlist, Signal, Strength, SwitchKind,
+    ChannelGroups, CompId, ComponentRef, Csr, Level, NetId, Netlist, Signal, Strength, SwitchKind,
 };
 use std::ops::Range;
 
@@ -301,14 +301,25 @@ fn conduction<FC: Fn(NetId) -> Level>(word: u32, control_level: FC) -> Option<bo
 }
 
 /// Every channel group of a netlist, compiled for the relaxation kernel
-/// (see the [module docs](self)). Costs 16 bytes per switch, 4 bytes
-/// per net and 1 byte per group on top of the [`ChannelGroups`] it was
-/// built from, whose member arrays it indexes rather than copies.
+/// (see the [module docs](self)). On top of the [`ChannelGroups`] it was
+/// built from, whose member arrays it indexes rather than copies, it
+/// costs 16 bytes per switch, 8 bytes per group member plus 4 per
+/// external driver of one, 1 byte per group — nothing per net — and the
+/// 8 bytes per component of the table a switch evaluation looks its
+/// group and slot up in.
 #[derive(Debug, Clone)]
 pub struct GroupImage {
     compiled: Compiled,
     /// Per group: what a switch evaluation compares.
     shape: Vec<Shape>,
+    /// Per member position: its non-switch drivers, the netlist's driver
+    /// row without the switches, so a resolution reads one drive per
+    /// real source.
+    drivers: Csr<CompId>,
+    /// Per component: a switch's `[group, slot]` — what an evaluation
+    /// looks up, and what the netlist cannot hold (the group is the
+    /// closure of channel connections); `[0, 0]` for the rest.
+    place: Vec<[u32; 2]>,
 }
 
 impl GroupImage {
@@ -322,7 +333,7 @@ impl GroupImage {
     /// Panics if a net id used as a switch control exceeds 31 bits.
     #[must_use]
     pub fn build(netlist: &Netlist, groups: &ChannelGroups) -> GroupImage {
-        let mut compiled = Compiled::with_capacity(netlist.num_switches(), netlist.num_nets());
+        let mut compiled = Compiled::with_capacity(netlist.num_switches(), groups.num_members());
         let mut shape = Vec::with_capacity(groups.num_groups());
         let mut tmp = Vec::new();
         for group in 0..groups.num_groups() as u32 {
@@ -337,7 +348,50 @@ impl GroupImage {
                 _ => Shape::General,
             });
         }
-        GroupImage { compiled, shape }
+        let cols = netlist.columns();
+        let drivers = Csr::bucket(groups.num_members(), || {
+            let members = (0..groups.num_groups() as u32).flat_map(|g| groups.members(g));
+            members.enumerate().flat_map(|(at, &net)| {
+                let row = netlist.drivers(net).iter().copied();
+                let sources = row.filter(move |d| !cols.kind(d.index()).is_switch());
+                sources.map(move |d| (at as u32, d))
+            })
+        });
+        let mut place = vec![[0; 2]; netlist.num_components()];
+        for group in 0..groups.num_groups() as u32 {
+            for (slot, &sw) in groups.switch_range(group).zip(groups.switches(group)) {
+                place[sw.index()] = [group, slot as u32];
+            }
+        }
+        GroupImage {
+            compiled,
+            shape,
+            drivers,
+            place,
+        }
+    }
+
+    /// The group of switch `ci` and its slot in [`ChannelGroups`]' flat
+    /// switch array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ci` is out of range; returns group 0, slot 0 for a
+    /// component that is not a switch.
+    #[inline]
+    pub(crate) fn locate(&self, ci: u32) -> (u32, usize) {
+        let [group, slot] = self.place[ci as usize];
+        (group, slot as usize)
+    }
+
+    /// Heap bytes held, the [`ChannelGroups`] it indexes not included.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let c = &self.compiled;
+        (c.ctl.capacity() + c.span.capacity() + c.adj_off.capacity() + c.adj.capacity()) * 4
+            + self.shape.capacity()
+            + self.drivers.heap_bytes()
+            + self.place.capacity() * 8
     }
 
     /// A record of [`UNSETTLED`] for every switch slot: what an engine
@@ -436,6 +490,45 @@ impl GroupImage {
         relax(
             compiled,
             &mut scratch.work,
+            |_, net| ext_drive(net),
+            control_level,
+            prev_level,
+            out,
+        );
+    }
+
+    /// [`GroupImage::resolve_into`] with each member's external drive
+    /// joined here from `drive(component)` over its non-switch drivers,
+    /// as the engines take it.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "resolve_into's interface with a drive per component"
+    )]
+    pub(crate) fn resolve_drives_into<FS, FC, FP>(
+        &self,
+        groups: &ChannelGroups,
+        group: u32,
+        scratch: &mut Scratch,
+        drive: FS,
+        control_level: FC,
+        prev_level: FP,
+        out: &mut Vec<(NetId, Signal)>,
+    ) where
+        FS: Fn(CompId) -> Signal,
+        FC: Fn(NetId) -> Level,
+        FP: Fn(NetId) -> Level,
+    {
+        let first = groups.member_range(group).start;
+        let compiled =
+            self.compiled
+                .group(groups.members(group), first, groups.switch_range(group));
+        let ext_drive = |i: usize, _| {
+            let row = self.drivers.row(first + i).iter();
+            row.fold(Signal::FLOATING, |v, &d| v.resolve(drive(d)))
+        };
+        relax(
+            compiled,
+            &mut scratch.work,
             ext_drive,
             control_level,
             prev_level,
@@ -483,7 +576,14 @@ pub fn resolve_group_into<FD, FC, FP>(
     one.clear();
     one.push_group(netlist, members, groups.switches(group), tmp);
     let compiled = one.group(members, 0, 0..one.ctl.len());
-    relax(compiled, work, ext_drive, control_level, prev_level, out);
+    relax(
+        compiled,
+        work,
+        |_, net| ext_drive(net),
+        control_level,
+        prev_level,
+        out,
+    );
 }
 
 /// The relaxation kernel: the only implementation of group resolution.
@@ -496,6 +596,7 @@ pub fn resolve_group_into<FD, FC, FP>(
 /// `Strong` and overrides a `Weak` contribution its neighbour has
 /// already forwarded), so a different order can leave a different
 /// fixpoint on such topologies. The golden traces pin this order.
+/// `ext_drive(i, net)` is member `i`'s external drive.
 fn relax<FD, FC, FP>(
     group: Group<'_>,
     work: &mut Work,
@@ -504,7 +605,7 @@ fn relax<FD, FC, FP>(
     prev_level: FP,
     out: &mut Vec<(NetId, Signal)>,
 ) where
-    FD: Fn(NetId) -> Signal,
+    FD: Fn(usize, NetId) -> Signal,
     FC: Fn(NetId) -> Level,
     FP: Fn(NetId) -> Level,
 {
@@ -519,7 +620,7 @@ fn relax<FD, FC, FP>(
     let on_list = &mut work.on_list[..n];
     // Seed: every member on the worklist, the highest index on top.
     for (i, &net) in members.iter().enumerate() {
-        contrib[i] = ext_drive(net);
+        contrib[i] = ext_drive(i, net);
         stack[i] = i as u32;
         on_list[i] = true;
     }
