@@ -15,6 +15,7 @@
 //! capped by the item count; set `LSIM_THREADS=<n>` to override (use
 //! `LSIM_THREADS=1` for fully serial execution).
 
+use crate::report;
 use std::sync::{mpsc, Mutex};
 
 /// Number of worker threads for `items` independent tasks: the
@@ -22,14 +23,8 @@ use std::sync::{mpsc, Mutex};
 /// by the item count and always at least 1.
 #[must_use]
 pub fn worker_count(items: usize) -> usize {
-    let hw = std::env::var("LSIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-    hw.min(items).max(1)
+    let hw = report::lsim_threads().unwrap_or_else(report::host_cores);
+    usize::try_from(hw).unwrap_or(usize::MAX).min(items).max(1)
 }
 
 /// Applies `f` to every item on a pool of scoped threads, returning the

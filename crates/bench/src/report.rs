@@ -62,7 +62,7 @@ pub fn host_cores() -> u64 {
 }
 
 /// The `LSIM_THREADS` override, if set to a positive integer.
-fn lsim_threads() -> Option<u64> {
+pub(crate) fn lsim_threads() -> Option<u64> {
     std::env::var("LSIM_THREADS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())

@@ -50,13 +50,6 @@ pub fn inv(b: &mut NetlistBuilder, a: NetId, hint: &str) -> NetId {
     y
 }
 
-/// 2-input NAND.
-pub fn nand2(b: &mut NetlistBuilder, x: NetId, y: NetId, hint: &str) -> NetId {
-    let out = b.fresh(hint);
-    b.gate(GateKind::Nand, &[x, y], out, d1());
-    out
-}
-
 /// 2-input AND.
 pub fn and2(b: &mut NetlistBuilder, x: NetId, y: NetId, hint: &str) -> NetId {
     let out = b.fresh(hint);

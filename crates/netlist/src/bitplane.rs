@@ -229,16 +229,6 @@ impl BitPlanes {
         changed
     }
 
-    /// Sets one lane of one plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` or `lane` is out of range.
-    pub fn set_lane(&mut self, idx: usize, lane: usize, level: Level) {
-        let p = self.get(idx).with_lane(lane, level);
-        self.set(idx, p);
-    }
-
     /// The level of one lane of one plane.
     ///
     /// # Panics

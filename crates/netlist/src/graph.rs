@@ -438,13 +438,6 @@ impl ConnectivityGraph {
     pub fn total_node_weight(&self) -> u64 {
         self.weight.iter().map(|&w| u64::from(w)).sum()
     }
-
-    /// Total edge weight of the graph.
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        let twice: u64 = self.adj.rows().flatten().map(|&(_, w)| u64::from(w)).sum();
-        twice / 2
-    }
 }
 
 #[cfg(test)]

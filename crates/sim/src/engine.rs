@@ -1363,7 +1363,9 @@ mod tests {
                 stim.apply_with(tick, |net, l| frame.set(net, l));
             });
             assert_eq!(par.counters(), serial.counters(), "P={workers}");
-            for (p, held) in par.retained_schedule_capacity().into_iter().enumerate() {
+            let held = par.retained_schedule_capacity();
+            assert_eq!(held.len(), workers, "one event list per party");
+            for (p, held) in held.into_iter().enumerate() {
                 assert!(
                     held <= 4 * peak,
                     "P={workers} party {p}: room for {held}, peak {peak}"

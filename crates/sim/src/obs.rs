@@ -51,12 +51,12 @@ pub enum Phase {
     /// its nets by maximum stamp, resolve them, mail the fanout to the
     /// readers' owners (`tM` per message, `items` = messages mailed) —
     /// and the draining of its evaluation inbox (`items == 0`). Recorded
-    /// on the lane of the party that did it, the master party's share
-    /// on the master lane; the serial engine records its own merge and
-    /// fan-out loops here.
+    /// on the lane of the party that did it, never on the master lane;
+    /// the serial engine records its own merge and fan-out loops here.
     Exchange = 4,
-    /// Master: read the parties' mailbox lengths and scalar counters
-    /// after a phase, account them and pick the next command (`tD`).
+    /// Master: read the mailbox lengths and the parties' scalars that
+    /// steer the protocol after a phase and pick the next command
+    /// (`tD`).
     Done = 5,
     /// Master: join-barrier wait after its own share — the straggler
     /// skew of the slowest worker.
@@ -347,20 +347,6 @@ mod imp {
         pub totals: [PhaseTotal; NUM_PHASES],
     }
 
-    impl LaneReport {
-        /// Folds `other` into this lane (used to present the master's
-        /// party work and its control work as one lane): samples are
-        /// merged in `start_ns` order, totals and drop counts add.
-        pub fn merge(&mut self, other: LaneReport) {
-            self.samples.extend(other.samples);
-            self.samples.sort_by_key(|s| s.start_ns);
-            self.dropped += other.dropped;
-            for (t, o) in self.totals.iter_mut().zip(other.totals.iter()) {
-                t.merge(o);
-            }
-        }
-    }
-
     /// Aggregated observation of one run: one lane per worker plus the
     /// master lane last.
     #[derive(Debug, Clone, Default)]
@@ -414,12 +400,13 @@ mod imp {
         }
 
         /// Number of ticks that went through the full phase protocol
-        /// (the master lane's `Apply` count; idle ticks are
+        /// (the first lane's `Apply` count: the serial engine, or party
+        /// 0, applies in every executed tick; idle ticks are
         /// fast-forwarded without recording).
         #[must_use]
         pub fn executed_ticks(&self) -> u64 {
             self.lanes
-                .last()
+                .first()
                 .map_or(0, |l| l.totals[Phase::Apply.idx()].count)
         }
 

@@ -2,13 +2,14 @@
 //! `UI/GC/Q=P/P/L` machine executed on real threads.
 //!
 //! [`ParSimulator`] runs the same event-driven semantics as the serial
-//! [`Simulator`](crate::Simulator) across `P` threads: the calling
-//! thread, which is the *master* (the paper's host processor) and also
-//! executes worker party 0 and the master party, and `P - 1` long-lived
-//! worker threads for parties `1..P`. Components are dealt to worker
-//! parties by a `logicsim-partition` assignment; each party owns a
-//! private [`TimingWheel`] (the paper's per-processor event list) and
-//! the per-component state of the components it owns.
+//! [`Simulator`](crate::Simulator) across `P` parties on `P` threads,
+//! party `k` on thread `k`: the calling thread runs party 0 and is also
+//! the *master* (the paper's host processor, which only synchronises
+//! the parties), and `P - 1` long-lived worker threads run parties
+//! `1..P`. Components are dealt to parties by a `logicsim-partition`
+//! assignment; each party owns a private [`TimingWheel`] (the paper's
+//! per-processor event list) and the per-component state of the
+//! components it owns.
 //!
 //! # Ownership
 //!
@@ -16,13 +17,13 @@
 //! does it (*owner computes*):
 //!
 //! * a **component** belongs to the party of its partition (inputs,
-//!   pulls, rails and unassigned components to the master party);
+//!   pulls, rails and unassigned components to party 0);
 //! * a **nontrivial switch group** belongs to the party of its coupling
 //!   cluster (see below), and so does every net in it;
 //! * every **other net** belongs to the party of its first non-switch
-//!   driver, the master party if it has none.
+//!   driver, party 0 if it has none.
 //!
-//! Parties talk through `(P + 1) × (P + 1)` single-producer
+//! Parties talk through `P × P` single-producer
 //! single-consumer mailboxes (`par_sync::Mailboxes`): box `(src, dst)`
 //! is filled by `src` in one phase and drained by `dst` in a later one —
 //! the machine's interconnection network, with an evaluator sending
@@ -32,8 +33,10 @@
 //!
 //! Every global tick is a bulk-synchronous round — the machine's
 //! START/DONE handshake — built from barrier-delimited phases. No phase
-//! has a serial stage: the master only reads the parties' mailbox
-//! lengths and scalar counters between phases to pick the next command.
+//! has a serial stage: between phases the master only reads the
+//! mailbox lengths and the parties' `popped`, `scheduled` and `changed`
+//! to pick the next command. Each party keeps its own load counters,
+//! which the master folds once a run returns.
 //!
 //! 1. **Apply**: every party drains its own wheel's current slot and
 //!    applies the surviving (non-stale) output changes to its
@@ -105,7 +108,7 @@
 //! Ticks where no party has pending work are fast-forwarded by the
 //! master without waking the workers, mirroring the serial engine's
 //! cheap idle ticks (and the modeled machine's START/DONE-only cycles).
-//! Within an executed tick, a phase in which at most one thread has
+//! Within an executed tick, a phase in which at most one party has
 //! work skips the handshake as well: the master runs every party's
 //! share itself while the workers stay parked (see `Master::phase`).
 
@@ -211,7 +214,7 @@ enum NetRoute {
 enum Cmd {
     /// Drain the party's current wheel slot and apply changes.
     Apply {
-        /// Current tick (observation label only).
+        /// Current tick (observation label and busy-tick key).
         tick: u64,
     },
     /// Merge the affected-net inboxes, resolve the nets they name and
@@ -223,7 +226,7 @@ enum Cmd {
     /// Resolve the switch groups in the party's inboxes and mail the
     /// fanout of the nets that changed.
     Resolve {
-        /// Current tick (observation label only).
+        /// Current tick (observation label and busy-tick key).
         tick: u64,
     },
     /// Evaluate the fanout components in the party's inboxes; stamps are
@@ -234,9 +237,10 @@ enum Cmd {
 }
 
 /// Per-party wheel, scratch and counters. Each slot is owned by its
-/// party during a phase; between phases the master reads its lengths
-/// and scalars. Aligned like [`SpinBarrier`] so one party's counters
-/// never share a cache line with another's.
+/// party during a phase; between phases the master reads the lengths
+/// and scalars that steer the protocol, and it folds the counters once
+/// the run's workers are gone. Aligned like [`SpinBarrier`] so one
+/// party's counters never share a cache line with another's.
 #[derive(Debug)]
 #[repr(align(128))]
 struct PartyState {
@@ -246,16 +250,11 @@ struct PartyState {
     changes: Vec<PChange>,
     /// Entries popped from the wheel by this tick's Apply.
     popped: u64,
-    /// Whether the party applied, resolved or evaluated anything this
-    /// tick (its [`WorkerLoad`] busy flag).
-    worked: bool,
     /// Scratch: the changes onto this party's nets being merged — the
     /// ones it applied itself (Apply) or the ones mailed to it (Merge).
     merged: Vec<Affected>,
     /// Scratch: the switch groups this Resolve settles, ascending.
     gids: Vec<u32>,
-    /// Switch groups settled by the last Resolve.
-    resolved_groups: u64,
     /// Nets this party changed since the master last counted them: in
     /// this tick's Apply and Merge, or in the last Resolve (ascending
     /// `key` within each).
@@ -264,8 +263,13 @@ struct PartyState {
     eval_comps: Vec<u32>,
     /// Changes the last Eval scheduled into the wheel.
     scheduled: u64,
-    /// Evaluations the last Eval performed.
-    evaluations: u64,
+    /// This party's busy ticks (it applied, resolved or evaluated
+    /// something), evaluations and group resolutions since the master
+    /// last absorbed them. The master derives `idle_ticks`;
+    /// `messages_sent` is counted by sender below.
+    load: WorkerLoad,
+    /// The tick `load.busy_ticks` counted last.
+    busy_tick: u64,
     /// Fanout messages routed since the master last absorbed them
     /// (this party's share of `messages_inf`).
     messages_inf: u64,
@@ -292,14 +296,13 @@ impl PartyState {
             wheel: TimingWheel::new(WHEEL_SIZE),
             changes: Vec::new(),
             popped: 0,
-            worked: false,
             merged: Vec::new(),
             gids: Vec::new(),
-            resolved_groups: 0,
             changed: Vec::new(),
             eval_comps: Vec::new(),
             scheduled: 0,
-            evaluations: 0,
+            load: WorkerLoad::default(),
+            busy_tick: u64::MAX,
             messages_inf: 0,
             crossing: 0,
             component_msgs: 0,
@@ -307,6 +310,14 @@ impl PartyState {
             group_out: Vec::new(),
             solver: solver::Scratch::default(),
             obs,
+        }
+    }
+
+    /// Counts `tick` among this party's busy ticks, once.
+    fn mark_busy(&mut self, tick: u64) {
+        if self.busy_tick != tick {
+            self.busy_tick = tick;
+            self.load.busy_ticks += 1;
         }
     }
 }
@@ -317,11 +328,8 @@ struct Core<'a> {
     netlist: &'a Netlist,
     img: Image<'a>,
     config: SimConfig,
-    /// Number of evaluator workers `P`. Party indices `0..workers` are
-    /// workers; index `workers` is the master's own party (inputs,
-    /// pulls, rails, and any unassigned component). Party `k >= 1` runs
-    /// on worker thread `k`; parties 0 and `workers` run on the calling
-    /// thread.
+    /// Number of parties `P`, one per thread: party 0 runs on the
+    /// calling thread, party `k >= 1` on worker thread `k`.
     workers: usize,
     /// Owning party and partition id per component.
     place: Vec<Place>,
@@ -368,10 +376,6 @@ struct Core<'a> {
 }
 
 impl Core<'_> {
-    fn num_parties(&self) -> usize {
-        self.parties.len()
-    }
-
     /// External (non-switch) drive on a net from the shared drive array:
     /// the join over the net's whole driver row, as
     /// [`Image::external_drive`] takes it (a switch's entry is never
@@ -411,7 +415,7 @@ struct Master {
     /// Scratch for the trace's event list: one phase's changed nets
     /// from every party, in serial order.
     merged: Vec<Changed>,
-    /// Per-party load counters (last entry = master party).
+    /// Per-party load counters.
     loads: Vec<WorkerLoad>,
     /// Messages between assigned components on different partitions.
     crossing: u64,
@@ -439,7 +443,7 @@ struct Tally {
 }
 
 impl Master {
-    fn new(num_parties: usize, obs: obs::Lane) -> Master {
+    fn new(workers: usize, obs: obs::Lane) -> Master {
         Master {
             now: 0,
             pending_total: 0,
@@ -449,7 +453,7 @@ impl Master {
             counters: WorkloadCounters::new(),
             trace: TickTrace::new(),
             merged: Vec::new(),
-            loads: vec![WorkerLoad::default(); num_parties],
+            loads: vec![WorkerLoad::default(); workers],
             crossing: 0,
             component_msgs: 0,
             obs,
@@ -461,22 +465,22 @@ impl Master {
     /// Runs one phase of the protocol: every party executes `cmd` on
     /// its own slot.
     ///
-    /// When two or more threads have work, the phase is
+    /// When two or more parties have work, the phase is
     /// barrier-delimited: publish `cmd`, release the workers, do the
-    /// calling thread's shares (party 0 and the master party), and
-    /// join. When at most one thread has work, a handshake would buy no
-    /// parallelism, so the master runs every party's share itself while
-    /// the workers stay parked at the release barrier — the same
-    /// footing on which it touches their slots between phases.
+    /// calling thread's share (party 0), and join. When at most one
+    /// party has work, a handshake would buy no parallelism, so the
+    /// master runs every party's share itself while the workers stay
+    /// parked at the release barrier — the same footing on which it
+    /// touches their slots between phases.
     ///
     /// Observation: `Start` times the command publish through the
     /// release-barrier crossing (the machine's START fan-out);
     /// `Barrier` times the join wait after the calling thread's own
-    /// shares — how long the slowest worker straggles past it. A phase
+    /// share — how long the slowest worker straggles past it. A phase
     /// without a handshake records neither.
     fn phase(&mut self, core: &Core<'_>, cmd: Cmd) {
-        if threads_with_work(core, cmd) <= 1 {
-            for party in 0..core.num_parties() {
+        if parties_with_work(core, cmd) <= 1 {
+            for party in 0..core.workers {
                 run_party_cmd(core, party, cmd);
             }
             #[cfg(test)]
@@ -494,10 +498,8 @@ impl Master {
         }
         self.in_phase = true;
         core.barrier.wait();
-        self.obs
-            .rec(Phase::Start, self.now, m, core.num_parties() as u64);
+        self.obs.rec(Phase::Start, self.now, m, core.workers as u64);
         run_party_cmd(core, 0, cmd);
-        run_party_cmd(core, core.workers, cmd);
         let m = self.obs.mark();
         core.barrier.wait();
         self.obs.rec(Phase::Barrier, self.now, m, 0);
@@ -542,17 +544,14 @@ impl Master {
             // Fast-forward ticks where no wheel has work: the full
             // protocol would pop nothing and settle immediately.
             // SAFETY: workers are parked at the barrier between phases.
-            let has_work = (0..core.num_parties())
-                .any(|p| unsafe { core.parties.get_mut(p) }.wheel.has_current());
+            let has_work =
+                (0..core.workers).any(|p| unsafe { core.parties.get_mut(p) }.wheel.has_current());
             if has_work {
                 self.execute_tick(core, t);
             } else {
                 self.counters.idle_ticks += 1;
-                for load in &mut self.loads {
-                    load.idle_ticks += 1;
-                }
             }
-            for p in 0..core.num_parties() {
+            for p in 0..core.workers {
                 // SAFETY: workers parked; master advances every wheel.
                 unsafe { core.parties.get_mut(p) }.wheel.advance();
             }
@@ -563,18 +562,17 @@ impl Master {
 
     /// Executes one busy-candidate tick through the full phase protocol.
     /// Between phases, while the workers are parked at the barrier, the
-    /// master reads only the parties' mailbox lengths and scalar
-    /// counters — every net, fanout list and component is handled by
-    /// its owner inside a phase.
+    /// master reads only the mailbox lengths and the parties' `popped`,
+    /// `scheduled` and `changed` — every net, fanout list and component
+    /// is handled by its owner inside a phase.
     fn execute_tick(&mut self, core: &Core<'_>, t: u64) {
-        let np = core.num_parties();
         // SAFETY: this method reads the slots between phases only, while
         // the workers are parked and nobody writes them.
         let party = |p: usize| unsafe { core.parties.get(p) };
 
         self.phase(core, Cmd::Apply { tick: t });
         let m = self.obs.mark();
-        let popped: u64 = (0..np).map(|p| party(p).popped).sum();
+        let popped: u64 = (0..core.workers).map(|p| party(p).popped).sum();
         self.pending_total -= popped;
         self.obs.rec(Phase::Done, t, m, popped);
 
@@ -596,11 +594,6 @@ impl Master {
                     self.tally.resolve_phases += 1;
                 }
                 let m = self.obs.mark();
-                for p in 0..np {
-                    let n = party(p).resolved_groups;
-                    self.counters.group_resolutions += n;
-                    self.loads[p].group_resolutions += n;
-                }
                 let resolved = self.collect_changed(core, &mut events);
                 changed += resolved;
                 self.obs.rec(Phase::Done, t, m, resolved);
@@ -615,12 +608,7 @@ impl Master {
             pass += 1;
             self.phase(core, Cmd::Eval { tick: t, pass });
             let m = self.obs.mark();
-            for p in 0..np {
-                let st = party(p);
-                self.pending_total += st.scheduled;
-                self.counters.evaluations += st.evaluations;
-                self.loads[p].evaluations += st.evaluations;
-            }
+            self.pending_total += (0..core.workers).map(|p| party(p).scheduled).sum::<u64>();
             let dirty = any_dirty(core);
             self.obs.rec(Phase::Done, t, m, 0);
 
@@ -634,7 +622,7 @@ impl Master {
                 // drop the mail that names them, and what they last
                 // read with it.
                 let mut dropped = Vec::new();
-                for dst in 0..np {
+                for dst in 0..core.workers {
                     // SAFETY: workers parked; the master is the unique
                     // accessor of every box.
                     unsafe { core.dirty_mail.drain_into(dst, &mut dropped) };
@@ -661,13 +649,6 @@ impl Master {
         } else {
             self.counters.idle_ticks += 1;
         }
-        for p in 0..np {
-            if party(p).worked {
-                self.loads[p].busy_ticks += 1;
-            } else {
-                self.loads[p].idle_ticks += 1;
-            }
-        }
     }
 
     /// Number of nets the parties changed since the last count — by
@@ -678,7 +659,7 @@ impl Master {
     /// resolution order.
     fn collect_changed(&mut self, core: &Core<'_>, events: &mut Vec<EventRecord>) -> u64 {
         // SAFETY: workers are parked between phases.
-        let lists = (0..core.num_parties()).map(|p| &unsafe { core.parties.get(p) }.changed);
+        let lists = (0..core.workers).map(|p| &unsafe { core.parties.get(p) }.changed);
         if !core.config.collect_trace {
             return lists.map(|l| l.len() as u64).sum();
         }
@@ -699,18 +680,30 @@ impl Master {
         self.merged.len() as u64
     }
 
-    /// Folds the message counters the parties accumulated during a run
-    /// into the master's totals. Called once the run's workers are gone.
+    /// Folds the counters the parties accumulated during a run into the
+    /// master's totals and loads; a party was idle in every tick it was
+    /// not busy. Called once the run's workers are gone.
     fn absorb(&mut self, core: &Core<'_>) {
-        for p in 0..core.num_parties() {
+        for p in 0..core.workers {
             // SAFETY: no worker threads exist outside `run_with`.
             let st = unsafe { core.parties.get_mut(p) };
+            let own = std::mem::take(&mut st.load);
+            self.counters.evaluations += own.evaluations;
+            self.counters.group_resolutions += own.group_resolutions;
+            let load = &mut self.loads[p];
+            load.busy_ticks += own.busy_ticks;
+            load.evaluations += own.evaluations;
+            load.group_resolutions += own.group_resolutions;
             self.counters.messages_inf += std::mem::take(&mut st.messages_inf);
             self.crossing += std::mem::take(&mut st.crossing);
             self.component_msgs += std::mem::take(&mut st.component_msgs);
             for (load, sent) in self.loads.iter_mut().zip(&mut st.messages_sent) {
                 load.messages_sent += std::mem::take(sent);
             }
+        }
+        let ticks = self.counters.total_ticks();
+        for load in &mut self.loads {
+            load.idle_ticks = ticks - load.busy_ticks;
         }
     }
 }
@@ -783,12 +776,11 @@ fn any_dirty(core: &Core<'_>) -> bool {
     !unsafe { core.dirty_mail.is_empty() }
 }
 
-/// Number of threads that have something to do in the phase `cmd`
+/// Number of parties that have something to do in the phase `cmd`
 /// opens: a non-empty current wheel slot for Apply, mail in the inboxes
-/// the phase drains for Merge, Resolve and Eval. Parties 0 and
-/// `workers` share the calling thread. Only called by the master
-/// between phases, while the workers are parked at the barrier.
-fn threads_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
+/// the phase drains for Merge, Resolve and Eval. Only called by the
+/// master between phases, while the workers are parked at the barrier.
+fn parties_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
     // SAFETY: workers parked; nobody writes the slots or the boxes.
     let has_work = |party: usize| unsafe {
         match cmd {
@@ -799,8 +791,7 @@ fn threads_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
             Cmd::Exit => false,
         }
     };
-    usize::from(has_work(0) || has_work(core.workers))
-        + (1..core.workers).filter(|&p| has_work(p)).count()
+    (0..core.workers).filter(|&p| has_work(p)).count()
 }
 
 /// Dispatches one phase command for one party.
@@ -828,9 +819,9 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     st.changes.clear();
     st.wheel.pop_current_into(&mut st.changes);
     st.popped = st.changes.len() as u64;
-    st.worked = false;
     st.changed.clear();
     st.merged.clear();
+    let mut applied = false;
     for &PChange { comp, drive, stamp } in &st.changes {
         let ci = comp as usize;
         // SAFETY: see above.
@@ -847,7 +838,7 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
         // Only gates and inputs are scheduled: the terminal is the net
         // they drive.
         let net = core.img.comps.terminal(ci).0;
-        st.worked = true;
+        applied = true;
         match core.net_route[net as usize] {
             NetRoute::Own => st.merged.push(Affected { net, comp, stamp }),
             NetRoute::Shared { owner } => {
@@ -861,6 +852,9 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
                 unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
             }
         }
+    }
+    if applied {
+        st.mark_busy(tick);
     }
     let m = st.obs.rec(Phase::Apply, tick, m, st.popped);
     if !st.merged.is_empty() {
@@ -965,7 +959,6 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     // writes this phase); `comp_drive` is stable during resolution.
     let st = unsafe { core.parties.get_mut(party) };
     st.changed.clear();
-    st.resolved_groups = 0;
     st.gids.clear();
     // SAFETY: only this party drains its inboxes this phase; the
     // senders filled them in Apply or Eval.
@@ -1010,9 +1003,10 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
             }
         }
     }
-    st.resolved_groups = st.gids.len() as u64;
-    st.worked = true;
-    let m = st.obs.rec(Phase::Resolve, tick, m, st.resolved_groups);
+    let resolved = st.gids.len() as u64;
+    st.load.group_resolutions += resolved;
+    st.mark_busy(tick);
+    let m = st.obs.rec(Phase::Resolve, tick, m, resolved);
     let routed = route_fanout(core, party, st, 0);
     st.obs.rec(Phase::Exchange, tick, m, routed);
 }
@@ -1027,7 +1021,6 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     // to owned components.
     let st = unsafe { core.parties.get_mut(party) };
     st.scheduled = 0;
-    st.evaluations = 0;
     st.eval_comps.clear();
     // SAFETY: only this party drains its inboxes this phase; the
     // senders filled them in Apply, Merge or Resolve.
@@ -1040,11 +1033,12 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     st.eval_comps.dedup();
     let m = st.obs.rec(Phase::Exchange, tick, m, 0);
     let comps = core.img.comps;
+    let mut evaluations = 0u64;
     for &ci in &st.eval_comps {
         debug_assert_eq!(core.place[ci as usize].owner as usize, party);
         match comps.kind(ci as usize) {
             ComponentKind::Gate(kind) => {
-                st.evaluations += 1;
+                evaluations += 1;
                 let out = kind.evaluate_pins(comps.pins(ci as usize), |n| {
                     // SAFETY: see above.
                     unsafe { core.net_values.get(n.index()) }.level
@@ -1078,7 +1072,7 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
                 }
             }
             ComponentKind::Switch(_) => {
-                st.evaluations += 1;
+                evaluations += 1;
                 let (group, slot) = core.img.solver.locate(ci);
                 let read = core
                     .img
@@ -1098,8 +1092,11 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
             ComponentKind::Input | ComponentKind::Pull(_) | ComponentKind::Supply(_) => {}
         }
     }
-    st.worked |= st.evaluations > 0;
-    st.obs.rec(Phase::Eval, tick, m, st.evaluations);
+    if evaluations > 0 {
+        st.load.evaluations += evaluations;
+        st.mark_busy(tick);
+    }
+    st.obs.rec(Phase::Eval, tick, m, evaluations);
 }
 
 /// The body of worker thread `party` (`1..workers`): wait for a
@@ -1125,7 +1122,7 @@ fn worker_loop(core: &Core<'_>, party: usize) {
 /// within a settle pass (a switch whose control net belongs to the
 /// other nontrivial group), and clusters are dealt round-robin to
 /// parties in first-group order.
-fn compute_group_owner(img: &Image<'_>, num_parties: usize) -> Vec<u32> {
+fn compute_group_owner(img: &Image<'_>, workers: usize) -> Vec<u32> {
     let ng = img.groups.num_groups();
     let mut clusters = UnionFind::new(ng);
     for gid in 0..ng as u32 {
@@ -1148,7 +1145,7 @@ fn compute_group_owner(img: &Image<'_>, num_parties: usize) -> Vec<u32> {
         }
         let r = clusters.find(gid) as usize;
         if root_owner[r] == u32::MAX {
-            root_owner[r] = (next % num_parties) as u32;
+            root_owner[r] = (next % workers) as u32;
             next += 1;
         }
         owner[gid as usize] = root_owner[r];
@@ -1189,7 +1186,8 @@ impl<'a> ParSimulator<'a> {
     /// `assignment` maps every component to a partition id (`u32::MAX`
     /// for unpartitioned infrastructure — inputs, pulls, rails), as
     /// produced by `logicsim-partition` strategies. Partition `k` is
-    /// executed by worker `k % workers`.
+    /// executed by party `k % workers`; `u32::MAX`, and every input,
+    /// pull and rail, by party 0.
     ///
     /// # Errors
     ///
@@ -1232,7 +1230,6 @@ impl<'a> ParSimulator<'a> {
         let img = Image::build(netlist)?;
         let nc = netlist.num_components();
         let nn = netlist.num_nets();
-        let num_parties = workers + 1;
 
         // Identical power-up state to the serial engine.
         let mut net_values = vec![Signal::FLOATING; nn];
@@ -1247,12 +1244,12 @@ impl<'a> ParSimulator<'a> {
                     ComponentKind::Gate(_) | ComponentKind::Switch(_) if part != u32::MAX => {
                         part % workers as u32
                     }
-                    _ => workers as u32,
+                    _ => 0,
                 };
                 Place { owner, part }
             })
             .collect();
-        let group_owner = compute_group_owner(&img, num_parties);
+        let group_owner = compute_group_owner(&img, workers);
         let net_route: Vec<NetRoute> = (0..nn)
             .map(|ni| {
                 let net = NetId(ni as u32);
@@ -1279,7 +1276,7 @@ impl<'a> ParSimulator<'a> {
         let origin = obs::Origin::now();
         let lane = || obs::Lane::new(config.observe, origin, OBS_CAPACITY);
         let parties = SharedSlots::from_iter(
-            (0..num_parties).map(|_| PartyState::new(workers, lane())),
+            (0..workers).map(|_| PartyState::new(workers, lane())),
             &clock,
         );
         let master_obs = lane();
@@ -1301,14 +1298,14 @@ impl<'a> ParSimulator<'a> {
                 activity: SharedVec::from_vec(vec![0; nc], &clock),
                 settled: SharedVec::from_vec(settled, &clock),
                 parties,
-                affected_mail: Mailboxes::new(num_parties, &clock),
-                eval_mail: Mailboxes::new(num_parties, &clock),
-                dirty_mail: Mailboxes::new(num_parties, &clock),
+                affected_mail: Mailboxes::new(workers, &clock),
+                eval_mail: Mailboxes::new(workers, &clock),
+                dirty_mail: Mailboxes::new(workers, &clock),
                 cmd: SharedSlots::from_iter([Cmd::Exit], &clock),
                 barrier: SpinBarrier::new(workers, &clock),
                 clock,
             },
-            m: Master::new(num_parties, master_obs),
+            m: Master::new(workers, master_obs),
         })
     }
 
@@ -1389,11 +1386,11 @@ impl<'a> ParSimulator<'a> {
         std::mem::take(&mut self.m.trace)
     }
 
-    /// Per-worker load counters (busy/idle ticks, evaluations, group
-    /// resolutions, cross-partition messages sent).
+    /// Per-party load counters, one per worker (busy/idle ticks,
+    /// evaluations, group resolutions, cross-partition messages sent).
     #[must_use]
     pub fn worker_loads(&self) -> &[WorkerLoad] {
-        &self.m.loads[..self.core.workers]
+        &self.m.loads
     }
 
     /// Measured cross-partition message count (`M_P`): messages whose
@@ -1441,17 +1438,16 @@ impl<'a> ParSimulator<'a> {
         self.m.crossing = 0;
         self.m.component_msgs = 0;
         self.m.obs.reset();
-        for p in 0..self.core.num_parties() {
+        for p in 0..self.core.workers {
             // SAFETY: no worker threads exist outside `run_with`.
             unsafe { self.core.parties.get_mut(p) }.obs.reset();
         }
     }
 
     /// Snapshot of the per-phase wall-clock observations: one lane per
-    /// worker, then the master lane (its own party's share — the
-    /// exchange of the nets it owns included — merged with the control
-    /// work: START fan-out, DONE collection, barrier waits). Empty
-    /// unless [`SimConfig::observe`] armed the recorder.
+    /// party, then the master lane, which holds control work only
+    /// (START fan-out, DONE collection, barrier waits). Empty unless
+    /// [`SimConfig::observe`] armed the recorder.
     #[must_use]
     pub fn obs_report(&self) -> obs::ObsReport {
         let mut lanes = Vec::with_capacity(self.core.workers + 1);
@@ -1461,12 +1457,7 @@ impl<'a> ParSimulator<'a> {
             lanes.push(unsafe { self.core.parties.get_mut(p) }.obs.report());
             lane_names.push(format!("worker {p}"));
         }
-        // SAFETY: no worker threads exist outside `run_with`.
-        let mut master = unsafe { self.core.parties.get_mut(self.core.workers) }
-            .obs
-            .report();
-        master.merge(self.m.obs.report());
-        lanes.push(master);
+        lanes.push(self.m.obs.report());
         lane_names.push("master".to_string());
         obs::ObsReport { lanes, lane_names }
     }
@@ -1547,7 +1538,7 @@ impl<'a> ParSimulator<'a> {
     /// the wheel's buffers and the drain buffer they circulate through.
     #[cfg(test)]
     pub(crate) fn retained_schedule_capacity(&self) -> Vec<usize> {
-        (0..self.core.num_parties())
+        (0..self.core.workers)
             .map(|p| {
                 // SAFETY: no worker threads exist outside `run_with`.
                 let st = unsafe { self.core.parties.get(p) };
@@ -1746,18 +1737,19 @@ mod tests {
     #[test]
     fn phases_with_one_busy_thread_skip_the_handshake() {
         // `b` changes while the circuit is quiet, so every phase has
-        // work in one party: the master party when an input is applied
-        // (and, with unassigned gates, all along), else the party that
-        // holds the gates. Whichever thread that is, it is the only one.
+        // work in one party: party 0 when an input is applied (and, with
+        // the gates in party 0 or unassigned, all along), else the party
+        // that holds the gates. Whichever party that is, it is the only
+        // one.
         for gates in [[1; 4], [0; 4], [u32::MAX; 4]] {
             let tally = fan_run(gates, 2, 5);
             assert_eq!(tally.handshakes, 0, "{gates:?}");
             assert!(tally.inline_phases > 0, "{gates:?}");
             assert_eq!(tally.spawned, 1);
         }
-        // `b` changes in the tick that applies `na`: the master party
-        // and the gates' party both have work in that Apply phase. With
-        // the gates in party 0 that is still one thread.
+        // `b` changes in the tick that applies `na`: party 0 (the
+        // inputs' owner) and the gates' party both have work in that
+        // Apply phase. With the gates in party 0 that is one party.
         assert_eq!(fan_run([0; 4], 2, 1).handshakes, 0);
         assert!(fan_run([1; 4], 2, 1).handshakes > 0);
     }
@@ -1785,10 +1777,10 @@ mod tests {
 
     #[test]
     fn input_net_fans_out_to_both_parties_in_one_tick() {
-        // `b` feeds the inverter in party 0 and the XOR in party 1. The
-        // master party applies it and resolves the net on its own (an
-        // inline Apply), and the Eval phase of the same tick has mail
-        // for both threads.
+        // `b` feeds the inverter in party 0 and the XOR in party 1.
+        // Party 0, the inputs' owner, applies it and resolves the net on
+        // its own (an inline Apply), and the Eval phase of the same tick
+        // has mail for both parties.
         let tally = fan_run([0, 0, 0, 1], 2, 5);
         assert!(tally.handshakes >= 4, "one per change of `b`: {tally:?}");
     }
@@ -1848,11 +1840,11 @@ mod tests {
         // swap, both owners have a bus to merge in the same tick.
         let tally = bus_run([0, 1, 1, 0, 1, 0], 2);
         assert!(tally.merge_handshakes > 0, "{tally:?}");
-        // At P = 1 an unassigned driver still makes `x` a bus between
-        // two parties (party 0 and the master's), but one thread runs
-        // both: nothing to shake hands with.
+        // At P = 1 an unassigned driver lands in party 0 with the
+        // others: one party drives every bus, so nothing is merged and
+        // nobody shakes hands.
         let tally = bus_run([0, u32::MAX, 0, 0, 0, 0], 1);
-        assert!(tally.merge_inline > 0, "{tally:?}");
+        assert_eq!(tally.merge_inline + tally.merge_handshakes, 0, "{tally:?}");
         assert_eq!(tally.handshakes, 0, "{tally:?}");
     }
 
@@ -1860,8 +1852,8 @@ mod tests {
     fn switch_cluster_with_control_net_owned_elsewhere_matches_serial() {
         // The pass-transistor mux again: its one switch group {a, z, b}
         // is the first coupling cluster, so party 0 resolves it, while
-        // its control nets belong to the master party (`sel`) and to
-        // party 1 (`sel_n`, the inverter's output).
+        // its control net `sel_n`, the inverter's output, belongs to
+        // party 1.
         let mut b = NetlistBuilder::new("ptmux");
         let sel = b.input("sel");
         let sel_n = b.net("sel_n");
@@ -1875,6 +1867,11 @@ mod tests {
         // Components: sel, a, b, then the inverter and the switches.
         let assignment = [u32::MAX, u32::MAX, u32::MAX, 1, 0, 1];
         for workers in [2, 3] {
+            let par = ParSimulator::new(&n, &assignment, workers).expect("pre-flight");
+            let group = par.core.img.groups.group_of(z) as usize;
+            assert_eq!(par.core.group_owner[group], 0);
+            let inverter = par.core.img.drivers.row(sel_n.index())[0];
+            assert_eq!(par.core.place[inverter.index()].owner, 1);
             let (_, counters) = run_against_serial(&n, &assignment, workers, 40, &|tick, set| {
                 if tick.is_multiple_of(10) {
                     set(sel, Level::from_bool(tick.is_multiple_of(20)));
@@ -2002,7 +1999,11 @@ mod tests {
         let assignment = round_robin(&n, 2);
         let mut par = ParSimulator::new(&n, &assignment, 2).expect("pre-flight");
         par.set_input(s_n, Level::Zero);
+        // Two runs, so the parties' counters are folded twice.
         par.run_until(25);
+        par.set_input(s_n, Level::One);
+        par.run_until(40);
+        assert_eq!(par.worker_loads().len(), 2);
         for (w, load) in par.worker_loads().iter().enumerate() {
             assert_eq!(
                 load.busy_ticks + load.idle_ticks,

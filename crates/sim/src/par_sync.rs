@@ -204,11 +204,6 @@ impl<T> SharedSlots<T> {
         SharedSlots { slots, recorder }
     }
 
-    /// Number of slots.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Shared access to slot `i` (e.g. every worker reading the phase
     /// command the master published before the barrier).
     ///
@@ -422,7 +417,6 @@ mod tests {
     #[test]
     fn shared_slots_indexing() {
         let s = SharedSlots::from_iter(vec![vec![0u8; 0], vec![7u8]], &PhaseClock::new());
-        assert_eq!(s.len(), 2);
         // SAFETY: single-threaded test.
         unsafe {
             s.get_mut(0).push(5);

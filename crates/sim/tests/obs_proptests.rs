@@ -5,13 +5,10 @@
 //! * wrap-around keeps exactly the newest `capacity` samples, drops the
 //!   oldest, and never panics, for any push count and capacity;
 //! * per-worker histograms merged in any grouping equal the histogram a
-//!   single observer of the combined stream would have built;
-//! * [`LaneReport::merge`] adds totals exactly and keeps samples sorted
-//!   by start time.
+//!   single observer of the combined stream would have built.
 
-use logicsim_sim::obs::{LaneReport, ObsReport, PhaseRing, PhaseSample, PhaseTotal};
+use logicsim_sim::obs::{LaneReport, ObsReport, PhaseRing, PhaseSample};
 use logicsim_sim::{Phase, NUM_PHASES};
-use logicsim_stats::Histogram;
 use proptest::prelude::*;
 
 fn phase_of(code: u8) -> Phase {
@@ -90,52 +87,6 @@ proptest! {
         for phase in Phase::ALL {
             prop_assert_eq!(split.histogram(phase), single.histogram(phase));
             prop_assert_eq!(split.summary(phase), single.summary(phase));
-        }
-    }
-
-    #[test]
-    fn lane_merge_adds_totals_and_sorts_samples(
-        a in proptest::collection::vec((0u8..NUM_PHASES as u8, 0u64..10_000, 0u64..500), 0..60),
-        b in proptest::collection::vec((0u8..NUM_PHASES as u8, 0u64..10_000, 0u64..500), 0..60),
-    ) {
-        let build = |spec: &[(u8, u64, u64)]| -> LaneReport {
-            let mut totals = [PhaseTotal::default(); NUM_PHASES];
-            let mut samples = Vec::new();
-            for &(p, start, d) in spec {
-                let s = sample(p, start, d);
-                totals[s.phase.idx()].count += 1;
-                totals[s.phase.idx()].total_ns += d;
-                totals[s.phase.idx()].items += s.items;
-                samples.push(s);
-            }
-            samples.sort_by_key(|s| s.start_ns);
-            LaneReport { samples, dropped: spec.len() as u64, totals }
-        };
-        let la = build(&a);
-        let lb = build(&b);
-        let mut merged = la.clone();
-        merged.merge(lb.clone());
-
-        prop_assert_eq!(merged.samples.len(), la.samples.len() + lb.samples.len());
-        prop_assert!(merged.samples.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-        prop_assert_eq!(merged.dropped, la.dropped + lb.dropped);
-        for i in 0..NUM_PHASES {
-            prop_assert_eq!(merged.totals[i].count, la.totals[i].count + lb.totals[i].count);
-            prop_assert_eq!(
-                merged.totals[i].total_ns,
-                la.totals[i].total_ns + lb.totals[i].total_ns
-            );
-            prop_assert_eq!(merged.totals[i].items, la.totals[i].items + lb.totals[i].items);
-        }
-        // Totals feed executed_ticks/parameter derivation; cross-check
-        // against the histogram path for one phase.
-        let rep = ObsReport {
-            lanes: vec![merged],
-            lane_names: vec!["merged".to_string()],
-        };
-        for phase in Phase::ALL {
-            let h: Histogram = rep.histogram(phase);
-            prop_assert_eq!(h.len(), rep.total(phase).count);
         }
     }
 }

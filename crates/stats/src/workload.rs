@@ -198,9 +198,8 @@ impl WorkerLoad {
 /// `M_P = M_inf (1 - 1/P)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelWorkload {
-    /// One entry per evaluator worker (the master/host processor is
-    /// excluded, as in the paper's machine where the host only
-    /// orchestrates).
+    /// One entry per evaluator worker. The master does no evaluation
+    /// work of its own, as the paper's host only orchestrates.
     pub workers: Vec<WorkerLoad>,
     /// Messages whose source and destination components sit on
     /// *different* partitions (`M_P` measured).
@@ -215,29 +214,6 @@ pub struct ParallelWorkload {
 }
 
 impl ParallelWorkload {
-    /// Eq. 6 prediction for `P` random partitions:
-    /// `M_P = M_inf (1 - 1/P)` over the component-to-component volume.
-    #[must_use]
-    pub fn predicted_crossing(&self) -> f64 {
-        let p = self.workers.len() as f64;
-        if p == 0.0 {
-            0.0
-        } else {
-            self.messages_component as f64 * (1.0 - 1.0 / p)
-        }
-    }
-
-    /// Measured `M_P / M_inf` ratio; Eq. 6 predicts `1 - 1/P` for a
-    /// random partition.
-    #[must_use]
-    pub fn crossing_ratio(&self) -> f64 {
-        if self.messages_component == 0 {
-            0.0
-        } else {
-            self.messages_crossing as f64 / self.messages_component as f64
-        }
-    }
-
     /// Total evaluations across workers.
     #[must_use]
     pub fn total_evaluations(&self) -> u64 {

@@ -577,13 +577,13 @@ fn run_trace(path: &str, opts: &Options) -> Result<(), String> {
             );
         }
     }
-    // What only one thread can do: the master lane's exchange share
-    // (its own party's nets) and its between-phase decisions.
+    // What only one thread can do: the master's between-phase
+    // decisions (its lane holds no party's work).
     let lane_us = |lane: &logicsim::sim::LaneReport, phase: Phase| {
         lane.totals[phase.idx()].total_ns as f64 / 1e3
     };
     if let Some(master) = run.report.lanes.last() {
-        let serial_us = lane_us(master, Phase::Exchange) + lane_us(master, Phase::Done);
+        let serial_us = lane_us(master, Phase::Done);
         println!(
             "master-only : {serial_us:.1} us ({:.1}% of window)",
             100.0 * serial_us * 1e3 / run.wall_ns.max(1) as f64

@@ -191,8 +191,7 @@ pub mod observed {
     /// CPU time per message summed over the parties' lanes, not wall
     /// time; inbox-draining samples carry `items == 0`, so their
     /// overhead amortizes across the real messages. `executed_ticks` is
-    /// the master lane's Apply count (its party applies in every
-    /// executed tick).
+    /// lane 0's Apply count (party 0 applies in every executed tick).
     #[must_use]
     pub fn measured_params(report: &ObsReport, workers: u32) -> MeasuredParams {
         let ticks = report.executed_ticks();

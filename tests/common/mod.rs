@@ -40,6 +40,7 @@ use logicsim::sim::{
     BitParSim, BitParStats, ParSimulator, SimConfig, Simulator, Stimulus64, TickTrace,
     WorkloadCounters,
 };
+use logicsim::stats::WorkerLoad;
 
 /// One `#[test]` per `name => call;` row: the suites' test lists.
 macro_rules! rows {
@@ -222,9 +223,21 @@ impl Driver for ParSimulator<'_> {
     fn level(&self, net: NetId) -> Level {
         ParSimulator::level(self, net)
     }
+    /// Also holds the per-party loads to the run's totals: one load per
+    /// party, every party's ticks adding up to the run's, and the
+    /// parties' evaluations and group resolutions to the counters'.
     fn take_measured(&mut self) -> (WorkloadCounters, TickTrace, Option<ParSide>) {
+        let (counters, loads) = (self.counters(), self.worker_loads());
+        assert_eq!(loads.len(), self.workers(), "one load per party");
+        for (p, l) in loads.iter().enumerate() {
+            let ticks = l.busy_ticks + l.idle_ticks;
+            assert_eq!(ticks, counters.total_ticks(), "party {p}'s ticks");
+        }
+        let sum = |f: fn(&WorkerLoad) -> u64| loads.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|l| l.evaluations), counters.evaluations);
+        assert_eq!(sum(|l| l.group_resolutions), counters.group_resolutions);
         let mut loads_digest = FNV_OFFSET;
-        for l in self.worker_loads() {
+        for l in loads {
             for v in [
                 l.busy_ticks,
                 l.idle_ticks,
