@@ -2,6 +2,14 @@
 //! throughput on the benchmark circuits (the number that decides how
 //! long Table 5/6 measurements take), and the gate kernel alone.
 //!
+//! The `simulator` group's last three rows time one window of
+//! `rtp@10k` on `Simulator` and on `ParSimulator` at P = 1 and P = 2,
+//! the parties dealt by the benchmark's partitioner (multilevel,
+//! activity-weighted, seed `0x1987`). They are the timing beside
+//! `par_engine`'s `run_against_serial` tests: P = 1 ÷ serial is what the
+//! parallel engine's own bookkeeping costs, and P = 2 ÷ P = 1 what a
+//! second thread buys. The throughput unit is one event.
+//!
 //! The `gate_eval` group is the timing beside
 //! `component::tests::kernel_matches_kleene_folds_on_every_vector_up_to_six_inputs`:
 //! every gate of `rtp@10k` and of `priority_queue@10k`, in ascending id
@@ -30,8 +38,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
 use logicsim::netlist::{ComponentKind, ComponentRef, GateKind, Level, NetId, Netlist, Signal};
+use logicsim::partition::{MultilevelPartitioner, Partitioner};
 use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::{Simulator, TimingWheel};
+use logicsim::sim::{ParSimulator, Simulator, TimingWheel};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -63,6 +72,52 @@ fn bench_circuit(c: &mut Criterion, bench: Benchmark, window: u64) {
             BatchSize::LargeInput,
         );
     });
+    group.finish();
+}
+
+/// One window of `base@10k` on the serial engine and on `ParSimulator`
+/// at P = 1 and P = 2 (see the module docs). Construction and the
+/// stimulus clone happen outside the timing.
+fn bench_engines(c: &mut Criterion, base: Benchmark, window: u64) {
+    const SEED: u64 = 0x1987;
+    let inst = base.build_at(10_000);
+    let nl = &inst.netlist;
+    let proto = inst.stimulus.build(nl, SEED).unwrap();
+    let events = {
+        let mut stim = proto.clone();
+        let mut sim = Simulator::new(nl).expect("pre-flight");
+        run_with_stimulus(&mut sim, &mut stim, window);
+        sim.counters().events.max(1)
+    };
+    let name = format!("{}@10k", base.paper_name());
+    let mut group = c.benchmark_group("simulator");
+    group.throughput(Throughput::Elements(events));
+    group.sample_size(10);
+    group.bench_function(format!("{name} Simulator"), |b| {
+        b.iter_batched(
+            || (Simulator::new(nl).expect("pre-flight"), proto.clone()),
+            |(mut sim, mut stim)| run_with_stimulus(&mut sim, &mut stim, window),
+            BatchSize::LargeInput,
+        );
+    });
+    for workers in [1, 2] {
+        let partition = MultilevelPartitioner::new(SEED)
+            .with_activity_weights()
+            .partition(nl, workers as u32);
+        let new = || ParSimulator::new(nl, partition.as_slice(), workers).expect("pre-flight");
+        group.bench_function(format!("{name} ParSimulator P={workers}"), |b| {
+            b.iter_batched(
+                || (new(), proto.clone()),
+                |(mut sim, mut stim)| {
+                    sim.run_with(window, |tick, frame| {
+                        stim.apply_with(tick, |net, level| frame.set(net, level));
+                    });
+                    assert_eq!(sim.counters().events, events);
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
     group.finish();
 }
 
@@ -226,6 +281,7 @@ fn simulator_benches(c: &mut Criterion) {
     bench_circuit(c, Benchmark::PriorityQueue, 1_000);
     bench_circuit(c, Benchmark::RtpChip, 1_000);
     bench_circuit(c, Benchmark::CrossbarSwitch, 2_000);
+    bench_engines(c, Benchmark::RtpChip, 2_000);
     bench_gate_eval(c, Benchmark::RtpChip);
     bench_gate_eval(c, Benchmark::PriorityQueue);
     bench_wheel(c, "engine: 1000 a tick, delays 1-2", 1_000, 2);

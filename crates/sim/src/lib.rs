@@ -50,6 +50,7 @@ mod sync_shim;
 pub mod trace;
 pub mod vcd;
 pub mod wheel;
+mod worklist;
 
 pub use bitpar::{BitParSim, BitParStats};
 pub use engine::{PreflightError, SimConfig, Simulator};

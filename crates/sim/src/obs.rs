@@ -48,9 +48,10 @@ pub enum Phase {
     /// Party: evaluate fanout components (`tE` per evaluation).
     Eval = 3,
     /// Party: the owner's side of the exchange — merge the changes onto
-    /// its nets by maximum stamp, resolve them, mail the fanout to the
-    /// readers' owners (`tM` per message, `items` = messages mailed) —
-    /// and the draining of its evaluation inbox (`items == 0`). Recorded
+    /// its nets (last writer in stamp order), resolve them, route the
+    /// fanout to the readers' owners, its own into its worklist and the
+    /// others' by mail (`tM` per message, `items` = messages routed) —
+    /// and the listing of its evaluation worklist (`items == 0`). Recorded
     /// on the lane of the party that did it, never on the master lane;
     /// the serial engine records its own merge and fan-out loops here.
     Exchange = 4,

@@ -28,6 +28,12 @@
 //! is filled by `src` in one phase and drained by `dst` in a later one —
 //! the machine's interconnection network, with an evaluator sending
 //! each output change to the processor that owns the destination.
+//! Like the machine, which charges network time only for messages
+//! between processors (Eq. 6), a party mails only what another party
+//! owns: the components it evaluates next and the groups it settles
+//! next stay in its own worklists (`to_eval`, `dirty`: the serial
+//! engine's `OrderedSet`, one bit per id), so at `P = 1` nothing
+//! goes through a mailbox.
 //!
 //! # Phases
 //!
@@ -44,34 +50,39 @@
 //!    drive it (`NetRoute`, fixed at construction). A net whose
 //!    non-switch drivers all belong to one party — nearly every net —
 //!    needs nobody else's word: its owner merges this tick's changes
-//!    onto it by maximum stamp, resolves it (ascending net order) and
-//!    mails the fanout of every net that changed to the fanout
-//!    components' owners, all inside Apply. A net with drivers in
-//!    several parties is mailed as `(net, component, stamp)` to its
-//!    owner; a net of a nontrivial switch group dirties the group at
-//!    the group's owner.
-//! 2. **Merge** (when such mail exists): every owner does the same
-//!    merge, resolution and fan-out for the nets mailed to it.
-//! 3. **Resolve** (when a group is dirty): every owner drains its
-//!    dirty-group inbox, settles those groups in ascending group
-//!    order, records what each resolution read of its switches, and
-//!    mails the fanout of the nets that changed.
-//! 4. **Eval** (when a net changed): every party evaluates the
-//!    components named in its inboxes, scheduling delayed output
-//!    changes into its own wheel and mailing the group of an evaluated
-//!    switch to the group's owner when the conduction the group reads
-//!    through it differs from that record (see the
-//!    [`solver`] module docs, "When a group is settled"). Steps 3–4
-//!    repeat until the tick settles exactly as in the serial engine.
+//!    onto it, last writer in pop order wins (the slot pops in stamp
+//!    order, see `party_apply`), resolves it and routes the fanout of
+//!    every net that changed, all inside Apply. Routing puts a fanout
+//!    component the party owns into its own `to_eval` set and mails
+//!    any other to its owner. A net with drivers in several parties is
+//!    mailed as `(net, component, stamp)` to its owner; a net of a
+//!    nontrivial switch group dirties the group — in the party's own
+//!    `dirty` set if it owns the group, else by mail to the owner.
+//! 2. **Merge** (when such mail exists): every owner puts the mail in
+//!    stamp order and does the same merge, resolution and routing for
+//!    the nets mailed to it.
+//! 3. **Resolve** (when a group is dirty): every owner adds its
+//!    dirty-group mail to its `dirty` set, settles those groups in
+//!    ascending group order, records what each resolution read of its
+//!    switches, and routes the fanout of the nets that changed.
+//! 4. **Eval** (when a net changed): every party adds its mail to its
+//!    `to_eval` set and evaluates those components in ascending id
+//!    order, scheduling delayed output changes into its own wheel and
+//!    dirtying the group of an evaluated switch (at the group's owner,
+//!    as in Apply) when the conduction the group reads through it
+//!    differs from that record (see the [`solver`] module docs, "When a
+//!    group is settled"). Steps 3–4 repeat until the tick settles
+//!    exactly as in the serial engine.
 //!
-//! Within a phase a party writes only what it owns (its slot, its
-//! outboxes, its components' state, its nets' values, its groups'
-//! settle records, its causes' activity counts) and reads, besides
-//! that, only what no other party writes in that phase: in Apply the
-//! drives of its own components; in Merge and Resolve any `comp_drive`
-//! (nobody writes them); foreign `net_values` and settle records only in
-//! Eval (nobody writes them) and, in Resolve, for control nets outside
-//! every nontrivial group (written in Apply and Merge only).
+//! Within a phase a party writes only what it owns (its slot and the
+//! worklists in it, its outboxes, its components' state, its nets'
+//! values, its groups' settle records, its causes' activity counts)
+//! and reads, besides that, only what no other party writes in that
+//! phase: in Apply the drives of its own components; in Merge and
+//! Resolve any `comp_drive` (nobody writes them); foreign `net_values`
+//! and settle records only in Eval (nobody writes them) and, in
+//! Resolve, for control nets outside every nontrivial group (written in
+//! Apply and Merge only).
 //!
 //! # Determinism
 //!
@@ -87,16 +98,17 @@
 //! each schedule event, and lexicographic stamp order *is* serial
 //! sequence order. Parties stamp their schedules locally with no
 //! coordination; when several parties change drives onto the same net
-//! in one tick, the net's owner picks the maximum-stamp cause, which
-//! equals the serial engine's last-writer-wins whatever order the mail
-//! arrived in. Inertial descheduling compares stamps for equality only,
-//! so it is local to the owning party. Everything else a party computes
-//! is a function of the *set* of mail it received: a net's value
-//! depends on its drivers' drives, a gate's output on its input nets'
-//! values and its stamp on its own id, and counters are sums. The one
-//! ordered output, the trace's event list, is assembled by the master
-//! from the owners' changed-net lists in the serial order (ordinary
-//! nets by net id, then group nets by group id).
+//! in one tick, the net's owner sorts their mail by stamp and picks the
+//! last, which equals the serial engine's last-writer-wins whatever
+//! order the mail arrived in. Inertial descheduling compares stamps for
+//! equality only, so it is local to the owning party. Everything else a
+//! party computes is a function of the *set* of work it received (its
+//! own worklists and its mail): a net's value depends on its drivers'
+//! drives, a gate's output on its input nets' values and its stamp on
+//! its own id, and counters are sums. The one ordered output, the
+//! trace's event list, is assembled by the master from the owners'
+//! changed-net lists in the serial order (ordinary nets by net id, then
+//! group nets by group id).
 //!
 //! Switch groups are settled in parallel by *coupling cluster*: groups
 //! whose resolution can observe each other within a settle pass (a
@@ -129,6 +141,7 @@ use crate::phase_check::{self, PhaseClock};
 use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
+use crate::worklist::OrderedSet;
 use logicsim_netlist::{CompId, ComponentKind, Level, NetId, Netlist, Signal, UnionFind};
 use logicsim_stats::{ParallelWorkload, WorkerLoad};
 
@@ -218,19 +231,19 @@ enum Cmd {
         tick: u64,
     },
     /// Merge the affected-net inboxes, resolve the nets they name and
-    /// mail their fanout.
+    /// route their fanout.
     Merge {
         /// Current tick (observation label only).
         tick: u64,
     },
-    /// Resolve the switch groups in the party's inboxes and mail the
-    /// fanout of the nets that changed.
+    /// Resolve the switch groups in the party's `dirty` set and
+    /// inboxes and route the fanout of the nets that changed.
     Resolve {
         /// Current tick (observation label and busy-tick key).
         tick: u64,
     },
-    /// Evaluate the fanout components in the party's inboxes; stamps are
-    /// `(tick, pass, component id)`.
+    /// Evaluate the fanout components in the party's `to_eval` set and
+    /// inboxes; stamps are `(tick, pass, component id)`.
     Eval { tick: u64, pass: u32 },
     /// Terminate the worker loop.
     Exit,
@@ -251,16 +264,24 @@ struct PartyState {
     /// Entries popped from the wheel by this tick's Apply.
     popped: u64,
     /// Scratch: the changes onto this party's nets being merged — the
-    /// ones it applied itself (Apply) or the ones mailed to it (Merge).
+    /// ones it applied itself (Apply, in pop order) or the ones mailed
+    /// to it (Merge).
     merged: Vec<Affected>,
-    /// Scratch: the switch groups this Resolve settles, ascending.
-    gids: Vec<u32>,
+    /// Scratch: the nets of `merged` already resolved (the merge scans
+    /// it backwards, so the first change met on a net is its last).
+    seen: OrderedSet,
     /// Nets this party changed since the master last counted them: in
-    /// this tick's Apply and Merge, or in the last Resolve (ascending
-    /// `key` within each).
+    /// this tick's Apply and Merge, or in the last Resolve (within one
+    /// group, in resolution order).
     changed: Vec<Changed>,
-    /// Scratch: the components this Eval evaluates, ascending.
-    eval_comps: Vec<u32>,
+    /// Scratch: the foreign mail one Resolve or Eval drains.
+    inbox: Vec<u32>,
+    /// The switch groups this party owns that the next Resolve settles:
+    /// dirtied by this party itself or mailed to it.
+    dirty: OrderedSet,
+    /// The components this party owns that the next Eval evaluates:
+    /// fanout of nets this party changed, or mailed to it.
+    to_eval: OrderedSet,
     /// Changes the last Eval scheduled into the wheel.
     scheduled: u64,
     /// This party's busy ticks (it applied, resolved or evaluated
@@ -288,18 +309,26 @@ struct PartyState {
     /// during its phase (the slot discipline covers it), so recording
     /// takes no locks.
     obs: obs::Lane,
+    /// Items this party pushed into each kind of mailbox since the
+    /// master last absorbed them.
+    #[cfg(test)]
+    mailed: Mailed,
 }
 
 impl PartyState {
-    fn new(workers: usize, obs: obs::Lane) -> PartyState {
+    /// A party of `workers` in a circuit of `nc` components, `nn` nets
+    /// and `ng` switch groups.
+    fn new(workers: usize, obs: obs::Lane, nc: usize, nn: usize, ng: usize) -> PartyState {
         PartyState {
             wheel: TimingWheel::new(WHEEL_SIZE),
             changes: Vec::new(),
             popped: 0,
             merged: Vec::new(),
-            gids: Vec::new(),
+            seen: OrderedSet::with_capacity(nn),
             changed: Vec::new(),
-            eval_comps: Vec::new(),
+            inbox: Vec::new(),
+            dirty: OrderedSet::with_capacity(ng),
+            to_eval: OrderedSet::with_capacity(nc),
             scheduled: 0,
             load: WorkerLoad::default(),
             busy_tick: u64::MAX,
@@ -310,6 +339,8 @@ impl PartyState {
             group_out: Vec::new(),
             solver: solver::Scratch::default(),
             obs,
+            #[cfg(test)]
+            mailed: Mailed::default(),
         }
     }
 
@@ -358,12 +389,14 @@ struct Core<'a> {
     /// Per-party wheels, scratch, and counters.
     parties: SharedSlots<PartyState>,
     /// Apply → Merge: changes onto nets with drivers in several
-    /// parties, to the net's owner.
+    /// parties, to the net's owner (the owner's own changes onto such a
+    /// net among them, so Merge sees every writer in one list).
     affected_mail: Mailboxes<Affected>,
     /// Apply/Merge/Resolve → Eval: fanout components, to the
-    /// component's owner.
+    /// component's owner when that is another party.
     eval_mail: Mailboxes<u32>,
-    /// Apply/Eval → Resolve: dirty switch groups, to the group's owner.
+    /// Apply/Eval → Resolve: dirty switch groups, to the group's owner
+    /// when that is another party.
     dirty_mail: Mailboxes<u32>,
     /// The current phase command (single slot).
     cmd: SharedSlots<Cmd>,
@@ -429,8 +462,8 @@ struct Master {
 }
 
 /// What the unit tests pin about the thread model: threads spawned by
-/// `run_with`, and phases (Merge phases among them) run with and
-/// without the handshake.
+/// `run_with`, phases (Merge phases among them) run with and without
+/// the handshake, and the items pushed into each kind of mailbox.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Tally {
@@ -440,6 +473,16 @@ struct Tally {
     merge_handshakes: u64,
     merge_inline: u64,
     resolve_phases: u64,
+    mailed: Mailed,
+}
+
+/// Items pushed into `affected_mail`, `eval_mail` and `dirty_mail`.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Mailed {
+    affected: u64,
+    eval: u64,
+    dirty: u64,
 }
 
 impl Master {
@@ -619,13 +662,18 @@ impl Master {
             if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
                 // The serial engine drops its dirty groups unsettled;
-                // drop the mail that names them, and what they last
-                // read with it.
+                // drop the mail and the party sets that name them, and
+                // what they last read with it.
                 let mut dropped = Vec::new();
                 for dst in 0..core.workers {
                     // SAFETY: workers parked; the master is the unique
-                    // accessor of every box.
-                    unsafe { core.dirty_mail.drain_into(dst, &mut dropped) };
+                    // accessor of every box and slot.
+                    let dirty = unsafe {
+                        core.dirty_mail.drain_into(dst, &mut dropped);
+                        &mut core.parties.get_mut(dst).dirty
+                    };
+                    dropped.extend_from_slice(dirty.sorted());
+                    dirty.clear();
                 }
                 for gid in dropped {
                     core.img
@@ -700,6 +748,13 @@ impl Master {
             for (load, sent) in self.loads.iter_mut().zip(&mut st.messages_sent) {
                 load.messages_sent += std::mem::take(sent);
             }
+            #[cfg(test)]
+            {
+                let mailed = std::mem::take(&mut st.mailed);
+                self.tally.mailed.affected += mailed.affected;
+                self.tally.mailed.eval += mailed.eval;
+                self.tally.mailed.dirty += mailed.dirty;
+            }
         }
         let ticks = self.counters.total_ticks();
         for load in &mut self.loads {
@@ -769,25 +824,31 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
     m.pending_total += 1;
 }
 
-/// Whether any party has dirty switch groups waiting for a Resolve.
-/// Only called by the master between phases.
+/// Whether any party has dirty switch groups waiting for a Resolve, in
+/// its own set or in its inboxes. Only called by the master between
+/// phases.
 fn any_dirty(core: &Core<'_>) -> bool {
-    // SAFETY: workers parked; nobody writes the boxes.
-    !unsafe { core.dirty_mail.is_empty() }
+    // SAFETY: workers parked; nobody writes the slots or the boxes.
+    unsafe {
+        !core.dirty_mail.is_empty()
+            || (0..core.workers).any(|p| !core.parties.get(p).dirty.is_empty())
+    }
 }
 
 /// Number of parties that have something to do in the phase `cmd`
 /// opens: a non-empty current wheel slot for Apply, mail in the inboxes
-/// the phase drains for Merge, Resolve and Eval. Only called by the
-/// master between phases, while the workers are parked at the barrier.
+/// the phase drains for Merge, and for Resolve and Eval mail or a
+/// non-empty own set. Only called by the master between phases, while
+/// the workers are parked at the barrier.
 fn parties_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
     // SAFETY: workers parked; nobody writes the slots or the boxes.
     let has_work = |party: usize| unsafe {
+        let st = core.parties.get(party);
         match cmd {
-            Cmd::Apply { .. } => core.parties.get(party).wheel.has_current(),
+            Cmd::Apply { .. } => st.wheel.has_current(),
             Cmd::Merge { .. } => core.affected_mail.has_mail(party),
-            Cmd::Resolve { .. } => core.dirty_mail.has_mail(party),
-            Cmd::Eval { .. } => core.eval_mail.has_mail(party),
+            Cmd::Resolve { .. } => !st.dirty.is_empty() || core.dirty_mail.has_mail(party),
+            Cmd::Eval { .. } => !st.to_eval.is_empty() || core.eval_mail.has_mail(party),
             Cmd::Exit => false,
         }
     };
@@ -810,6 +871,14 @@ fn run_party_cmd(core: &Core<'_>, party: usize, cmd: Cmd) {
 /// resolved and fanned out here and now (see [`NetRoute::Own`]); a net
 /// with drivers elsewhere is mailed to its owner, a switch-group net
 /// dirties its group.
+///
+/// The slot lists its changes in stamp order: stimulus (pass 0) is
+/// scheduled before the tick's phases, evaluation passes run in
+/// ascending order and each walks its components ascending, and a tick
+/// schedules after every earlier one (an overflow item reaches its
+/// slot before anything can be scheduled there directly). So of the
+/// changes onto an [`NetRoute::Own`] net the last one popped carries
+/// the maximum stamp, as in the serial engine's pop order.
 fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: this party is the unique accessor of its slot during a
     // phase; `pending`/`comp_drive` entries touched here belong to
@@ -818,6 +887,10 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     let m = st.obs.mark();
     st.changes.clear();
     st.wheel.pop_current_into(&mut st.changes);
+    debug_assert!(
+        st.changes.windows(2).all(|w| w[0].stamp < w[1].stamp),
+        "a wheel slot lists its changes in stamp order"
+    );
     st.popped = st.changes.len() as u64;
     st.changed.clear();
     st.merged.clear();
@@ -845,11 +918,23 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
                 // SAFETY: only this party fills its outboxes this phase.
                 let outbox = unsafe { core.affected_mail.mail(party, owner as usize) };
                 outbox.push(Affected { net, comp, stamp });
+                #[cfg(test)]
+                {
+                    st.mailed.affected += 1;
+                }
             }
             NetRoute::Group { gid } => {
                 let owner = core.group_owner[gid as usize] as usize;
-                // SAFETY: as above.
-                unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
+                if owner == party {
+                    st.dirty.insert(gid);
+                } else {
+                    // SAFETY: as above.
+                    unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
+                    #[cfg(test)]
+                    {
+                        st.mailed.dirty += 1;
+                    }
+                }
             }
         }
     }
@@ -876,13 +961,16 @@ fn party_merge(core: &Core<'_>, party: usize, tick: u64) {
         return;
     }
     let m = st.obs.mark();
+    // The mail comes from several wheels: put it in stamp order, the
+    // order one wheel would have popped it in.
+    st.merged.sort_unstable_by_key(|a| a.stamp);
     let routed = merge_and_route(core, party, st);
     st.obs.rec(Phase::Exchange, tick, m, routed);
 }
 
-/// Merges `st.merged` by maximum stamp, resolves those nets in
-/// ascending net order, and mails the fanout of every one that changed.
-/// Returns the number of fanout messages.
+/// Merges `st.merged` (in stamp order) onto its nets, last writer wins,
+/// resolves those nets, and routes the fanout of every one that
+/// changed. Returns the number of fanout messages.
 ///
 /// Runs in Apply on the nets only this party drives and in Merge on the
 /// nets it owns with drivers elsewhere; in both, nobody writes the
@@ -891,11 +979,11 @@ fn party_merge(core: &Core<'_>, party: usize, tick: u64) {
 /// touches the nets' values.
 fn merge_and_route(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
     let first = st.changed.len();
-    // Of several changes onto one net the maximum stamp wins = the
-    // serial last-writer-wins application order.
-    st.merged.sort_unstable_by_key(|a| (a.net, a.stamp));
-    for (i, a) in st.merged.iter().enumerate() {
-        if st.merged.get(i + 1).is_some_and(|next| next.net == a.net) {
+    // Of several changes onto one net the last in stamp order wins =
+    // the serial last-writer-wins application order; scanning
+    // backwards, that is the first one met.
+    for a in st.merged.iter().rev() {
+        if !st.seen.insert(a.net) {
             continue;
         }
         // SAFETY: see the function docs.
@@ -911,11 +999,13 @@ fn merge_and_route(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
             }
         }
     }
+    st.seen.clear();
     route_fanout(core, party, st, first)
 }
 
-/// Records one event per net in `st.changed[first..]` and mails its
-/// fanout components to their owners, counting the messages as the
+/// Records one event per net in `st.changed[first..]` and hands its
+/// fanout components to their owners — this party's own to its
+/// `to_eval` set, the others' by mail — counting the messages as the
 /// machine would send them. Returns the number of fanout messages.
 fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize) -> u64 {
     let mut routed = 0u64;
@@ -931,8 +1021,16 @@ fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize
         let from = core.place[cause as usize];
         for &CompId(f) in fanout {
             let to = core.place[f as usize];
-            // SAFETY: only this party fills its outboxes this phase.
-            unsafe { core.eval_mail.mail(party, to.owner as usize) }.push(f);
+            if to.owner as usize == party {
+                st.to_eval.insert(f);
+            } else {
+                // SAFETY: only this party fills its outboxes this phase.
+                unsafe { core.eval_mail.mail(party, to.owner as usize) }.push(f);
+                #[cfg(test)]
+                {
+                    st.mailed.eval += 1;
+                }
+            }
             // Self-messages (feedback into the producing component)
             // stay processor-local under every assignment, so they are
             // excluded from the Eq. 6 base as well as from the crossing
@@ -950,26 +1048,28 @@ fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize
     routed
 }
 
-/// Resolve phase: settle the dirty switch groups this party owns, in
-/// ascending group order, writing member-net values and settle
-/// records, and mail the fanout of every net that changed.
+/// Resolve phase: settle the dirty switch groups this party owns — its
+/// own set and the mail drained into it — in ascending group order,
+/// writing member-net values and settle records, and route the fanout
+/// of every net that changed.
 fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: unique slot access during a phase. Net reads and writes
     // stay inside this party's coupling clusters (or read nets no party
     // writes this phase); `comp_drive` is stable during resolution.
     let st = unsafe { core.parties.get_mut(party) };
     st.changed.clear();
-    st.gids.clear();
     // SAFETY: only this party drains its inboxes this phase; the
     // senders filled them in Apply or Eval.
-    unsafe { core.dirty_mail.drain_into(party, &mut st.gids) };
-    if st.gids.is_empty() {
+    unsafe { core.dirty_mail.drain_into(party, &mut st.inbox) };
+    if st.inbox.is_empty() && st.dirty.is_empty() {
         return;
     }
     let m = st.obs.mark();
-    st.gids.sort_unstable();
-    st.gids.dedup();
-    for &gid in &st.gids {
+    for gid in st.inbox.drain(..) {
+        st.dirty.insert(gid);
+    }
+    let gids = st.dirty.sorted();
+    for &gid in gids {
         debug_assert_eq!(core.group_owner[gid as usize] as usize, party);
         st.group_out.clear();
         core.img.solver.resolve_drives_into(
@@ -1003,7 +1103,8 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
             }
         }
     }
-    let resolved = st.gids.len() as u64;
+    let resolved = gids.len() as u64;
+    st.dirty.clear();
     st.load.group_resolutions += resolved;
     st.mark_busy(tick);
     let m = st.obs.rec(Phase::Resolve, tick, m, resolved);
@@ -1011,30 +1112,32 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     st.obs.rec(Phase::Exchange, tick, m, routed);
 }
 
-/// Eval phase: evaluate the fanout components mailed to this party
-/// (ascending id order), scheduling delayed output changes into the
-/// party's own wheel and mailing an evaluated switch's group to the
-/// group's owner when what the group reads through it moved.
+/// Eval phase: evaluate the fanout components this party owns — its
+/// own set and the mail drained into it — in ascending id order,
+/// scheduling delayed output changes into the party's own wheel and
+/// dirtying an evaluated switch's group at the group's owner when what
+/// the group reads through it moved.
 fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
     // SAFETY: unique slot access during a phase; `net_values` is
     // read-only in this phase; per-component state touched here belongs
     // to owned components.
     let st = unsafe { core.parties.get_mut(party) };
     st.scheduled = 0;
-    st.eval_comps.clear();
     // SAFETY: only this party drains its inboxes this phase; the
     // senders filled them in Apply, Merge or Resolve.
-    unsafe { core.eval_mail.drain_into(party, &mut st.eval_comps) };
-    if st.eval_comps.is_empty() {
+    unsafe { core.eval_mail.drain_into(party, &mut st.inbox) };
+    if st.inbox.is_empty() && st.to_eval.is_empty() {
         return;
     }
     let m = st.obs.mark();
-    st.eval_comps.sort_unstable();
-    st.eval_comps.dedup();
+    for ci in st.inbox.drain(..) {
+        st.to_eval.insert(ci);
+    }
+    let to_eval = st.to_eval.sorted();
     let m = st.obs.rec(Phase::Exchange, tick, m, 0);
     let comps = core.img.comps;
     let mut evaluations = 0u64;
-    for &ci in &st.eval_comps {
+    for &ci in to_eval {
         debug_assert_eq!(core.place[ci as usize].owner as usize, party);
         match comps.kind(ci as usize) {
             ComponentKind::Gate(kind) => {
@@ -1084,14 +1187,23 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u32) {
                 // SAFETY: `settled` is written in Resolve only.
                 if read != unsafe { core.settled.get(slot) } {
                     let owner = core.group_owner[group as usize] as usize;
-                    // SAFETY: only this party fills its outboxes this
-                    // phase.
-                    unsafe { core.dirty_mail.mail(party, owner) }.push(group);
+                    if owner == party {
+                        st.dirty.insert(group);
+                    } else {
+                        // SAFETY: only this party fills its outboxes
+                        // this phase.
+                        unsafe { core.dirty_mail.mail(party, owner) }.push(group);
+                        #[cfg(test)]
+                        {
+                            st.mailed.dirty += 1;
+                        }
+                    }
                 }
             }
             ComponentKind::Input | ComponentKind::Pull(_) | ComponentKind::Supply(_) => {}
         }
     }
+    st.to_eval.clear();
     if evaluations > 0 {
         st.load.evaluations += evaluations;
         st.mark_busy(tick);
@@ -1275,8 +1387,9 @@ impl<'a> ParSimulator<'a> {
         // single comparable timeline.
         let origin = obs::Origin::now();
         let lane = || obs::Lane::new(config.observe, origin, OBS_CAPACITY);
+        let ng = img.groups.num_groups();
         let parties = SharedSlots::from_iter(
-            (0..workers).map(|_| PartyState::new(workers, lane())),
+            (0..workers).map(|_| PartyState::new(workers, lane(), nc, nn, ng)),
             &clock,
         );
         let master_obs = lane();
@@ -1846,6 +1959,118 @@ mod tests {
         let tally = bus_run([0, u32::MAX, 0, 0, 0, 0], 1);
         assert_eq!(tally.merge_inline + tally.merge_handshakes, 0, "{tally:?}");
         assert_eq!(tally.handshakes, 0, "{tally:?}");
+    }
+
+    /// Two tristate drivers on `x`, a slow one (component 4, delay 3)
+    /// and a fast one (5, delay 1), read by an inverter (6); components
+    /// 0..=3 are the inputs `d0`, `en0`, `d1`, `en1`.
+    fn slow_fast_bus() -> Netlist {
+        let mut b = NetlistBuilder::new("slow_fast");
+        let (d0, en0) = (b.input("d0"), b.input("en0"));
+        let (d1, en1) = (b.input("d1"), b.input("en1"));
+        let (x, q) = (b.net("x"), b.net("q"));
+        b.gate(GateKind::Tristate, &[d0, en0], x, Delay::uniform(3));
+        b.gate(GateKind::Tristate, &[d1, en1], x, Delay::uniform(1));
+        b.gate(GateKind::Not, &[x], q, Delay::uniform(1));
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn changes_scheduled_in_different_ticks_merge_in_pop_order() {
+        // `d0` falls at tick 10 and `en1` rises at tick 12: the slow
+        // driver, evaluated in tick 10, and the fast one, evaluated in
+        // tick 12, both land a 0 in tick 13's slot, in that order. Both
+        // drivers sit in one party, so `x` is merged in Apply by pop
+        // order; the serial engine's last writer, the fast driver, must
+        // be the event's cause, not the first change popped.
+        let n = slow_fast_bus();
+        let net = |s: &str| n.find_net(s).unwrap();
+        let (d0, en0, d1, en1) = (net("d0"), net("en0"), net("d1"), net("en1"));
+        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| match tick {
+            0 => {
+                set(d0, Level::One);
+                set(en0, Level::One);
+                set(d1, Level::Zero);
+                set(en1, Level::Zero);
+            }
+            10 => set(d0, Level::Zero),
+            12 => set(en1, Level::One),
+            _ => {}
+        };
+        let mut serial = Simulator::with_config(
+            &n,
+            SimConfig {
+                collect_trace: true,
+                ..SimConfig::default()
+            },
+        )
+        .expect("pre-flight");
+        while serial.now() < 20 {
+            let now = serial.now();
+            script(now, &mut |net, l| serial.set_input(net, l));
+            serial.step();
+        }
+        let tick13 = serial
+            .trace()
+            .ticks
+            .iter()
+            .find(|r| r.tick == 13)
+            .expect("x falls at 13");
+        assert_eq!(tick13.events[0].source, 5, "{tick13:?}");
+        for workers in [1, 2] {
+            // The drivers in the last party, the inverter in party 0.
+            let last = workers as u32 - 1;
+            let assignment = [u32::MAX, u32::MAX, u32::MAX, u32::MAX, last, last, 0];
+            let (tally, _) = run_against_serial(&n, &assignment, workers, 20, &script);
+            assert_eq!(tally.mailed.affected, 0, "x is merged in Apply: {tally:?}");
+        }
+    }
+
+    #[test]
+    fn one_party_mails_nothing_and_two_mail_only_what_crosses() {
+        // At P = 1 every fanout component, net and switch group belongs
+        // to the one party: nothing goes through a mailbox.
+        let none = Mailed::default();
+        assert_eq!(fan_run([0, 1, 2, 3], 1, 1).mailed, none);
+        assert_eq!(bus_run([0, 1, 2, 3, 4, 5], 1).mailed, none);
+        let n = latch_circuit();
+        let (s_n, r_n) = (n.find_net("s_n").unwrap(), n.find_net("r_n").unwrap());
+        let latch_script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| match tick {
+            0 => (set(s_n, Level::Zero), set(r_n, Level::One)).0,
+            10 => set(s_n, Level::One),
+            20 => set(r_n, Level::Zero),
+            _ => {}
+        };
+        let (tally, _) = run_against_serial(&n, &round_robin(&n, 1), 1, 30, &latch_script);
+        assert_eq!(tally.mailed, none);
+        // At P = 2 the latch's NANDs sit in different parties, so each
+        // output change is mailed to the other one; and `na` feeds the
+        // AND in party 0 and the XOR in party 1, so only the XOR's
+        // evaluation is mailed from party 0.
+        let (tally, _) = run_against_serial(&n, &round_robin(&n, 2), 2, 30, &latch_script);
+        assert!(tally.mailed.eval > 0, "{tally:?}");
+        assert_eq!(fan_run([0, 0, 0, 0], 2, 5).mailed, none);
+        assert!(fan_run([0, 1, 0, 1], 2, 5).mailed.eval > 0);
+        // The transmission-gate latch's group belongs to party 0; with
+        // both its switches in party 1, that party mails the group when
+        // what the group reads through them moves.
+        let n = tg_latch();
+        let (d, en) = (n.find_net("d").unwrap(), n.find_net("en").unwrap());
+        let tg_script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
+            if tick.is_multiple_of(4) {
+                set(d, Level::from_bool(tick.is_multiple_of(8)));
+            }
+            match tick {
+                0 | 40 => set(en, Level::One),
+                20 => set(en, Level::Zero),
+                _ => {}
+            }
+        };
+        let (tally, _) = run_against_serial(&n, &round_robin(&n, 1), 1, 60, &tg_script);
+        assert_eq!(tally.mailed, none);
+        let assignment = [u32::MAX, u32::MAX, 0, 1, 1, 0];
+        let (tally, _) = run_against_serial(&n, &assignment, 2, 60, &tg_script);
+        assert!(tally.mailed.dirty > 0, "{tally:?}");
     }
 
     #[test]

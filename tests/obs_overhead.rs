@@ -3,18 +3,18 @@
 //! The observability design brief promises "no allocation or locking on
 //! the hot path" and a runtime cost small enough to leave armed in
 //! normal runs. This test holds it to that: the same binary runs the
-//! same serial measurement window with the recorders disarmed and
-//! armed, and the armed run must stay within 1.10x of the disarmed one
-//! in optimized builds — CI runs this suite with `--release` — with
-//! min-of-trials stopwatches on both sides plus a bounded re-measure
-//! loop to shed scheduler noise (see [`BUDGET`] for the debug-build
-//! slack).
+//! same serial measurement window (the stopwatch tiled to 10k
+//! components) with the recorders disarmed and armed, and the armed
+//! run must stay within 1.10x of the disarmed one in optimized builds —
+//! CI runs this suite with `--release` — with min-of-trials stopwatches
+//! on both sides plus a bounded re-measure loop to shed scheduler noise
+//! (see [`BUDGET`] for the debug-build slack).
 //!
 //! The companion invariant — that arming changes no simulation state —
 //! is pinned bit-exactly by `golden_trace.rs`, which runs every golden
 //! digest with `observe: true` at P in {1, 2, 4, 8}.
 
-use logicsim::circuits::Benchmark;
+use logicsim::circuits::{scaled, Benchmark, BenchmarkInstance, ScaledParams};
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::{SimConfig, Simulator};
 use std::time::Instant;
@@ -30,10 +30,21 @@ const TRIALS: usize = 5;
 /// allocation or locking, which costs integer multiples either way.
 const BUDGET: f64 = if cfg!(debug_assertions) { 1.25 } else { 1.10 };
 
-/// Wall time of the standard stopwatch-benchmark window with the
-/// recorder armed or not; returns the fastest of `TRIALS` runs.
+/// The stopwatch tiled to 10k components (wiring seed [`SEED`]): a
+/// window of the base circuit lasts half a millisecond, short enough for
+/// timer and scheduler noise to decide a 10 % budget.
+fn stopwatch_10k() -> BenchmarkInstance {
+    scaled::build(&ScaledParams {
+        base: Benchmark::StopWatch,
+        target_components: 10_000,
+        seed: SEED,
+    })
+}
+
+/// Wall time of the tiled stopwatch window with the recorder armed or
+/// not; returns the fastest of `TRIALS` runs.
 fn best_wall_seconds(observe: bool) -> f64 {
-    let inst = Benchmark::StopWatch.build_default();
+    let inst = stopwatch_10k();
     let mut best = f64::INFINITY;
     for _ in 0..TRIALS {
         let mut stim = inst
@@ -88,7 +99,7 @@ fn armed_run_is_within_overhead_budget_of_disarmed() {
 
 #[test]
 fn armed_run_actually_recorded_something() {
-    let inst = Benchmark::StopWatch.build_default();
+    let inst = stopwatch_10k();
     let mut stim = inst
         .stimulus
         .build(&inst.netlist, SEED)
