@@ -1,4 +1,5 @@
-//! `fm::refine_passes`, one level of the multilevel hierarchy at a time.
+//! `fm::refine_passes`, one level of the multilevel hierarchy at a time,
+//! and the graph it starts from.
 //!
 //! The delay-estimation half of the FM kernel's tests (the partition
 //! crate's `partition_pins` and proptests). The hierarchy is the one
@@ -14,9 +15,16 @@
 //! handed, and the cut before and after is printed. The benchmark's
 //! traced `partition.multilevel.partition_s` times the whole
 //! partitioner.
+//!
+//! The `activity_graph` group times the partitioners' input on `rtp@10k`
+//! and `crossbar@10k`: static activity weights plus the connectivity
+//! graph, built node by node (its differential test is the netlist
+//! crate's `graph::tests::rows_equal_the_pair_walk`). Throughput counts
+//! adjacency items, so ns per item is 1e9 / elem/s.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::Benchmark;
+use logicsim::partition::activity_graph;
 use logicsim::partition::fm::{refine_passes, WorkGraph};
 use logicsim::partition::multilevel::{coarsen, min_side_weight, COARSEN_TARGET, MAX_PASSES};
 use rand::SeedableRng;
@@ -34,9 +42,9 @@ struct Level {
 /// bisection the V-cycle hands its refinement.
 fn levels() -> Vec<Level> {
     let netlist = Benchmark::RtpChip.build_at(10_000).netlist;
-    let connectivity = logicsim::partition::activity_graph(&netlist, true);
+    let (graph, _) = WorkGraph::from_connectivity(activity_graph(&netlist, true));
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let mut graphs = vec![WorkGraph::from_connectivity(&connectivity)];
+    let mut graphs = vec![graph];
     let mut maps: Vec<Vec<u32>> = Vec::new();
     while graphs.last().expect("nonempty").num_nodes() > COARSEN_TARGET {
         let (graph, map) = coarsen(graphs.last().expect("nonempty"), &mut rng).into_parts();
@@ -104,5 +112,22 @@ fn partition_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, partition_benches);
+fn graph_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("activity_graph");
+    for (name, base) in [
+        ("rtp", Benchmark::RtpChip),
+        ("crossbar", Benchmark::CrossbarSwitch),
+    ] {
+        let netlist = base.build_at(10_000).netlist;
+        let items = activity_graph(&netlist, true).adjacency().num_items();
+        println!("{name}@10k: {items} adjacency items");
+        group.throughput(Throughput::Elements(items as u64));
+        group.bench_function(format!("{name}@10k"), |b| {
+            b.iter(|| activity_graph(&netlist, true));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, partition_benches, graph_benches);
 criterion_main!(benches);

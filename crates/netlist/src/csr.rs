@@ -49,6 +49,17 @@ impl<T> Csr<T> {
         csr
     }
 
+    /// A matrix with no rows and room for `rows` rows of `items` items
+    /// in all, for a caller that pushes rows whose total it can bound.
+    pub(crate) fn with_capacity(rows: usize, items: usize) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
+    }
+
     /// Appends one row.
     ///
     /// # Panics

@@ -258,23 +258,27 @@ pub struct ConnectivityGraph {
     node_index: Vec<u32>,
     /// Node `i`'s `(neighbor, weight)` pairs, sorted by neighbor.
     adj: Csr<(u32, u32)>,
-    /// Per-node partitioning weight: 1 for live components, 0 for dead
-    /// ones (logic that cannot reach a primary output, per the LS0003
-    /// analysis). Dead components are still nodes — they must be placed
-    /// somewhere — but balanced partitioners should not count them
-    /// toward processor load, since they never generate events that
-    /// matter.
+    /// Per-node partitioning weight, as the caller of
+    /// [`ConnectivityGraph::build_weighted`] supplied it: what balanced
+    /// partitioners count as processor load. [`ConnectivityGraph::build`]
+    /// gives 1 to live components and 0 to dead ones (logic that cannot
+    /// reach a primary output, per the LS0003 analysis); dead
+    /// components are still nodes, they must be placed somewhere.
     weight: Vec<u32>,
 }
 
 impl ConnectivityGraph {
     /// Builds the graph from a netlist: for every net, the driving and
-    /// reading simulated components are pairwise connected.
+    /// reading simulated components are pairwise connected. Node
+    /// weights are 1 for live components and 0 for dead ones.
     ///
     /// To avoid quadratic blowup on very-high-fanout nets (clocks,
     /// resets), fanout lists longer than `fanout_clique_limit` connect
     /// reader components to the driver only (a star instead of a clique),
-    /// which is exactly the message pattern the machine sees.
+    /// which is exactly the message pattern the machine sees. A clique
+    /// net adds 1 to each pair on it; a star net adds 1 per (driver
+    /// pin, reader pin) pair, so a gate that reads the net on two pins
+    /// is joined to its driver twice.
     #[must_use]
     pub fn build(netlist: &Netlist, fanout_clique_limit: usize) -> ConnectivityGraph {
         let live = crate::analyze::live_components(netlist);
@@ -311,67 +315,30 @@ impl ConnectivityGraph {
             node_index[id.index()] = i as u32;
         }
         let weight: Vec<u32> = nodes.iter().map(|id| weights[id.index()]).collect();
-        // Edge accumulation without a hash map: push every connection as a
-        // normalized `a << 32 | b` key, sort once, and count runs. This is
-        // O(E log E) with contiguous allocations only, which at the
-        // million-component scale replaces millions of hash probes and
-        // per-bucket allocations.
-        let mut pairs: Vec<u64> = Vec::new();
-        let bump = |pairs: &mut Vec<u64>, a: u32, b: u32| {
-            if a == b {
-                return;
-            }
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            pairs.push((u64::from(lo) << 32) | u64::from(hi));
-        };
-        let mut drivers: Vec<u32> = Vec::new();
-        let mut readers: Vec<u32> = Vec::new();
-        let mut all: Vec<u32> = Vec::new();
-        for net_idx in 0..netlist.num_nets() {
-            let net = NetId(net_idx as u32);
-            let collect = |ids: &[CompId], out: &mut Vec<u32>| {
-                out.clear();
-                out.extend(
-                    ids.iter()
-                        .map(|c| node_index[c.index()])
-                        .filter(|&i| i != u32::MAX),
-                );
-            };
-            collect(netlist.drivers(net), &mut drivers);
-            collect(netlist.fanout(net), &mut readers);
-            if readers.len() <= fanout_clique_limit {
-                // Clique over everything touching the net.
-                all.clear();
-                all.extend_from_slice(&drivers);
-                all.extend_from_slice(&readers);
-                all.sort_unstable();
-                all.dedup();
-                for i in 0..all.len() {
-                    for j in (i + 1)..all.len() {
-                        bump(&mut pairs, all[i], all[j]);
-                    }
+        // Rows go in node by node, each gathered from the node's own
+        // pins (see `RowScratch`), into an adjacency reserved at a bound
+        // on its length: every net adds at most one item per (member,
+        // other member) of a clique, two per (driver, reader) of a star.
+        // Nothing edge-sized is held besides it. The pages of the
+        // reserve that no row reaches are never written, so they take
+        // no memory, and trimming the reserve hands them back.
+        let bound: usize = (0..netlist.num_nets() as u32)
+            .map(NetId)
+            .map(|net| {
+                let (d, r) = (netlist.drivers(net).len(), netlist.fanout(net).len());
+                if r <= fanout_clique_limit {
+                    (d + r) * (d + r).saturating_sub(1)
+                } else {
+                    2 * d * r
                 }
-            } else {
-                // Star: driver to each reader.
-                for &d in &drivers {
-                    for &r in &readers {
-                        bump(&mut pairs, d, r);
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        // One run of equal keys is one edge, its length the weight. Runs
-        // ascend by (lo, hi), so row `n` is handed its neighbors below
-        // `n` (runs with hi == n) before those above (lo == n), each
-        // ascending: `neighbors` comes out ordered by neighbor id.
-        let adj = Csr::bucket(nodes.len(), || {
-            pairs.chunk_by(|a, b| a == b).flat_map(|run| {
-                let (a, b) = ((run[0] >> 32) as u32, (run[0] & 0xffff_ffff) as u32);
-                let w = run.len() as u32;
-                [(a, (b, w)), (b, (a, w))]
             })
-        });
+            .sum();
+        let mut row = RowScratch::new(netlist, &node_index, nodes.len(), fanout_clique_limit);
+        let mut adj = Csr::with_capacity(nodes.len(), bound);
+        for (n, &c) in (0u32..).zip(&nodes) {
+            row.push_to(n, c, &mut adj);
+        }
+        adj.shrink_to_fit();
         ConnectivityGraph {
             nodes,
             node_index,
@@ -422,8 +389,23 @@ impl ConnectivityGraph {
         &self.adj
     }
 
-    /// Partitioning weight of node `i`: 1 when live, 0 when the LS0003
-    /// analysis proved the component dead.
+    /// The simulated components in node order: entry `i` is
+    /// [`ConnectivityGraph::component`] of node `i`.
+    #[must_use]
+    pub fn components(&self) -> &[CompId] {
+        &self.nodes
+    }
+
+    /// The graph taken apart without a copy: the components in node
+    /// order, the adjacency and the node weights.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<CompId>, Csr<(u32, u32)>, Vec<u32>) {
+        (self.nodes, self.adj, self.weight)
+    }
+
+    /// Partitioning weight of node `i`, as supplied to
+    /// [`ConnectivityGraph::build_weighted`] (1 live, 0 dead under
+    /// [`ConnectivityGraph::build`]).
     ///
     /// # Panics
     ///
@@ -433,17 +415,317 @@ impl ConnectivityGraph {
         self.weight[i as usize]
     }
 
-    /// Sum of all node weights (the number of live components).
+    /// Sum of all node weights.
     #[must_use]
     pub fn total_node_weight(&self) -> u64 {
         self.weight.iter().map(|&w| u64::from(w)).sum()
     }
 }
 
+/// What [`ConnectivityGraph::build_weighted`] holds while it gathers
+/// one node's row: a slot per node, of which only the row's
+/// neighbours are nonzero, and the list of those neighbours.
+///
+/// A node's row comes from its own pins and the nets they reach. Per
+/// net, the weight added to the edge between the node and another
+/// simulated component `m` is what the net-by-net pair walk (kept in
+/// the tests as the oracle) gives the pair:
+///
+/// * a clique net (at most `clique_limit` reader pins) adds 1 for each
+///   other component on it, however many pins join either to it;
+/// * a star net adds one per (driver pin, reader pin) pair joining the
+///   two: the node's driver pins times `m`'s reader pins, plus the
+///   node's reader pins times `m`'s driver pins. The node's own pin
+///   counts come from its run of pins on the net and `m`'s from
+///   meeting it once per pin in the net's rows, so a star net costs
+///   its drivers times its readers, as in the pair walk.
+struct RowScratch<'a> {
+    netlist: &'a Netlist,
+    node_index: &'a [u32],
+    clique_limit: usize,
+    /// Per node: its edge weight to the row's node, and the clique net
+    /// that last counted it (`NONE` for none). Both are reset for the
+    /// row's neighbours once the row is taken, which leaves every slot
+    /// clear.
+    slots: Vec<Slot>,
+    /// The row's neighbours in the order they were first reached.
+    neighbors: Vec<u32>,
+    /// The row's node's pins as `(net, is_read)`, sorted: one run per
+    /// net, its driver pins first.
+    pins: Vec<(u32, bool)>,
+}
+
+/// One node's entry in [`RowScratch`].
+#[derive(Clone, Copy)]
+struct Slot {
+    weight: u32,
+    counted_on: u32,
+}
+
+impl Slot {
+    /// Adds `w` to the edge's weight; `true` if the edge is new to the
+    /// row.
+    #[inline]
+    fn add(&mut self, w: u32) -> bool {
+        let new = self.weight == 0;
+        self.weight += w;
+        new
+    }
+}
+
+impl<'a> RowScratch<'a> {
+    /// Not a node, not a net.
+    const NONE: u32 = u32::MAX;
+    const CLEAR: Slot = Slot {
+        weight: 0,
+        counted_on: Self::NONE,
+    };
+
+    fn new(
+        netlist: &'a Netlist,
+        node_index: &'a [u32],
+        num_nodes: usize,
+        clique_limit: usize,
+    ) -> RowScratch<'a> {
+        RowScratch {
+            netlist,
+            node_index,
+            clique_limit,
+            slots: vec![Self::CLEAR; num_nodes],
+            neighbors: Vec::new(),
+            pins: Vec::new(),
+        }
+    }
+
+    /// Accumulates the row of node `n`, component `comp`, into `slots`
+    /// and `neighbors`.
+    fn gather(&mut self, n: u32, comp: CompId) {
+        let (netlist, node_index) = (self.netlist, self.node_index);
+        let comp = netlist.component(comp);
+        let others = |comps: &'a [CompId]| {
+            comps.iter().filter_map(move |c| {
+                let m = node_index[c.index()];
+                (m != Self::NONE && m != n).then_some(m)
+            })
+        };
+        let mut pins = std::mem::take(&mut self.pins);
+        pins.clear();
+        comp.for_each_driven(|net| pins.push((net.0, false)));
+        comp.for_each_read(|net| pins.push((net.0, true)));
+        pins.sort_unstable();
+        for run in pins.chunk_by(|a, b| a.0 == b.0) {
+            let net = NetId(run[0].0);
+            let (drivers, readers) = (netlist.drivers(net), netlist.fanout(net));
+            if readers.len() <= self.clique_limit {
+                for m in others(drivers).chain(others(readers)) {
+                    let slot = &mut self.slots[m as usize];
+                    if slot.counted_on != net.0 {
+                        slot.counted_on = net.0;
+                        if slot.add(1) {
+                            self.neighbors.push(m);
+                        }
+                    }
+                }
+            } else {
+                let reads = run.iter().filter(|&&(_, is_read)| is_read).count() as u32;
+                let drives = run.len() as u32 - reads;
+                let mut add = |m: u32, w: u32| {
+                    if self.slots[m as usize].add(w) {
+                        self.neighbors.push(m);
+                    }
+                };
+                if drives > 0 {
+                    others(readers).for_each(|m| add(m, drives));
+                }
+                if reads > 0 {
+                    others(drivers).for_each(|m| add(m, reads));
+                }
+            }
+        }
+        self.pins = pins;
+    }
+
+    /// Appends node `n`'s row, ascending by neighbour, to `adj`, and
+    /// clears the slots it used.
+    fn push_to(&mut self, n: u32, comp: CompId, adj: &mut Csr<(u32, u32)>) {
+        self.gather(n, comp);
+        self.neighbors.sort_unstable();
+        adj.push_row(
+            self.neighbors
+                .iter()
+                .map(|&m| (m, self.slots[m as usize].weight)),
+        );
+        for &m in &self.neighbors {
+            self.slots[m as usize] = Self::CLEAR;
+        }
+        self.neighbors.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Delay, GateKind, NetlistBuilder, SwitchKind};
+    use crate::{Component, Delay, GateKind, Level, NetlistBuilder, SwitchKind};
+    use proptest::prelude::*;
+
+    /// The adjacency as `build_weighted` made it before it went node by
+    /// node, kept as the oracle of its rows and weights: every
+    /// connection pushed net by net as a `lo << 32 | hi` key, all keys
+    /// sorted, each run of equal keys one edge. It lives only here, and
+    /// goes when the edge weights are redefined on purpose.
+    fn pair_walk(netlist: &Netlist, fanout_clique_limit: usize) -> Csr<(u32, u32)> {
+        let g = ConnectivityGraph::build(netlist, fanout_clique_limit);
+        let node = |c: &CompId| g.node_of(*c);
+        let mut pairs: Vec<u64> = Vec::new();
+        let mut bump = |a: u32, b: u32| {
+            if a != b {
+                let (lo, hi) = (a.min(b), a.max(b));
+                pairs.push((u64::from(lo) << 32) | u64::from(hi));
+            }
+        };
+        for net in (0..netlist.num_nets() as u32).map(NetId) {
+            let drivers: Vec<u32> = netlist.drivers(net).iter().filter_map(node).collect();
+            let readers: Vec<u32> = netlist.fanout(net).iter().filter_map(node).collect();
+            if readers.len() <= fanout_clique_limit {
+                let mut all = [drivers, readers].concat();
+                all.sort_unstable();
+                all.dedup();
+                for (i, &a) in all.iter().enumerate() {
+                    for &b in &all[i + 1..] {
+                        bump(a, b);
+                    }
+                }
+            } else {
+                for &d in &drivers {
+                    for &r in &readers {
+                        bump(d, r);
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        Csr::bucket(g.num_nodes(), || {
+            pairs.chunk_by(|a, b| a == b).flat_map(|run| {
+                let (a, b) = ((run[0] >> 32) as u32, run[0] as u32);
+                let w = run.len() as u32;
+                [(a, (b, w)), (b, (a, w))]
+            })
+        })
+    }
+
+    /// One step of a random circuit: what to add, a pick of nets for
+    /// its operands and an arity in 1..=4 (clamped to the kind's).
+    type Op = (u8, Vec<usize>, u8);
+
+    /// Runs `ops` on a builder. Reads draw from nets something already
+    /// drives; a quarter of the draws go to `hub`, which so has more
+    /// readers than small clique limits allow, and a gate's draws can
+    /// repeat, so a gate can read one net on two pins. Gates and
+    /// switches can drive a net that is driven already (a bus). Some
+    /// nets are marked outputs and the rest of the logic is dead.
+    fn random_circuit(ops: &[Op]) -> Netlist {
+        let mut b = NetlistBuilder::new("random");
+        let hub = b.input("hub");
+        let mut driven = vec![hub, b.input("i1")];
+        for (step, (what, picks, arity)) in ops.iter().enumerate() {
+            let pick = |k: usize| match picks[k] % 4 {
+                0 => hub,
+                _ => driven[picks[k] / 4 % driven.len()],
+            };
+            let fresh = b.net(format!("n{step}"));
+            let comp = match what % 8 {
+                0..=4 => {
+                    let kind = GateKind::ALL[usize::from(*what) % GateKind::ALL.len()];
+                    let (min, max) = kind.arity();
+                    let n = usize::from(*arity).clamp(min, max.unwrap_or(4));
+                    let output = if what % 16 >= 12 { pick(4) } else { fresh };
+                    Component::Gate {
+                        kind,
+                        inputs: (0..n).map(pick).collect(),
+                        output,
+                        delay: Delay::uniform(1),
+                    }
+                }
+                5 | 6 => Component::Switch {
+                    kind: SwitchKind::Nmos,
+                    control: pick(0),
+                    a: if what % 16 >= 8 { pick(1) } else { fresh },
+                    b: pick(2),
+                },
+                _ => Component::Pull {
+                    net: pick(3),
+                    level: Level::One,
+                },
+            };
+            if step % 7 == 0 {
+                b.mark_output(pick(5));
+            }
+            driven.extend(comp.drives());
+            b.add_component(comp);
+        }
+        b.finish().expect("valid by construction")
+    }
+
+    fn any_op() -> impl Strategy<Value = Op> {
+        (
+            any::<u8>(),
+            proptest::collection::vec(any::<usize>(), 6..=6),
+            1u8..=4,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The node-by-node build gives the pair walk's rows, neighbour
+        /// order and weights, under clique limits that make most busy
+        /// nets stars (0, 1, 2) or all of them cliques (16).
+        #[test]
+        fn rows_equal_the_pair_walk(ops in proptest::collection::vec(any_op(), 1..80)) {
+            let netlist = random_circuit(&ops);
+            for limit in [0, 1, 2, 16] {
+                let g = ConnectivityGraph::build(&netlist, limit);
+                prop_assert_eq!(g.adjacency(), &pair_walk(&netlist, limit), "limit {}", limit);
+            }
+        }
+    }
+
+    /// The cases the proptest draws only sometimes, each in one circuit:
+    /// a gate reading one net on two pins, under a star and under a
+    /// clique; a bus of two drivers; a switch on a net that is read; a
+    /// dead component.
+    #[test]
+    fn rows_equal_the_pair_walk_on_the_named_cases() {
+        let mut b = NetlistBuilder::new("cases");
+        let a = b.input("a");
+        let y = b.net("y");
+        let bus = b.net("bus");
+        let dead = b.net("dead");
+        b.gate(GateKind::Not, &[a], y, Delay::default());
+        let twice = b.gate(GateKind::And, &[y, y, a], bus, Delay::default());
+        b.gate(GateKind::Tristate, &[a, y], bus, Delay::default());
+        for i in 0..3 {
+            let z = b.net(format!("z{i}"));
+            b.gate(GateKind::Buf, &[y], z, Delay::default());
+        }
+        b.switch(SwitchKind::Nmos, a, bus, y);
+        b.gate(GateKind::Buf, &[bus], dead, Delay::default());
+        b.mark_output(bus);
+        let n = b.finish().unwrap();
+        for limit in [0, 1, 2, 16] {
+            assert_eq!(
+                ConnectivityGraph::build(&n, limit).adjacency(),
+                &pair_walk(&n, limit),
+                "limit {limit}"
+            );
+        }
+        // y has seven reader pins: at limit 2 it is a star, and the gate
+        // reading it twice is joined to its driver twice.
+        let g = ConnectivityGraph::build(&n, 2);
+        let (not, and) = (g.node_of(CompId(1)).unwrap(), g.node_of(twice).unwrap());
+        assert!(g.neighbors(and).contains(&(not, 2)));
+        assert_eq!(g.total_node_weight(), g.num_nodes() as u64 - 4);
+    }
 
     fn switch_chain(k: usize) -> Netlist {
         let mut b = NetlistBuilder::new("chain");

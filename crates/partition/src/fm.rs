@@ -17,7 +17,7 @@
 
 use crate::strategies::{recursive_bisection, Partitioner};
 use crate::Partition;
-use logicsim_netlist::{ConnectivityGraph, Csr, Netlist};
+use logicsim_netlist::{CompId, ConnectivityGraph, Csr, Netlist};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -137,15 +137,14 @@ impl WorkGraph {
     }
 
     /// The full connectivity graph as a `WorkGraph`, vertex weights
-    /// from [`ConnectivityGraph::node_weight`].
+    /// from [`ConnectivityGraph::node_weight`], and beside it the
+    /// components in node order. The adjacency is moved, not copied:
+    /// the partitioners hold one.
     #[must_use]
-    pub fn from_connectivity(graph: &ConnectivityGraph) -> WorkGraph {
-        WorkGraph {
-            adj: graph.adjacency().clone(),
-            vwgt: (0..graph.num_nodes() as u32)
-                .map(|v| u64::from(graph.node_weight(v)))
-                .collect(),
-        }
+    pub fn from_connectivity(graph: ConnectivityGraph) -> (WorkGraph, Vec<CompId>) {
+        let (nodes, adj, weight) = graph.into_parts();
+        let vwgt = weight.into_iter().map(u64::from).collect();
+        (WorkGraph { adj, vwgt }, nodes)
     }
 
     /// The induced subgraph over `nodes` — distinct and ascending — with
@@ -456,7 +455,7 @@ fn bisect(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
 impl Partitioner for FiducciaMattheysesPartitioner {
     fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
-        let mut g0 = WorkGraph::from_connectivity(&graph);
+        let (mut g0, nodes) = WorkGraph::from_connectivity(graph);
         if !self.activity_weighted {
             // Count balance: a dead (weight 0) component fills a slot
             // like any other.
@@ -464,7 +463,7 @@ impl Partitioner for FiducciaMattheysesPartitioner {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut scratch: Vec<u32> = Vec::new();
-        recursive_bisection(netlist, &graph, parts, |region| {
+        recursive_bisection(netlist, &nodes, parts, |region| {
             lowest_member_first(bisect(&g0.subgraph(region, &mut scratch), &mut rng))
         })
     }

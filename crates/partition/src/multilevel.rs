@@ -261,10 +261,10 @@ fn bisect_multilevel(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
 impl Partitioner for MultilevelPartitioner {
     fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
-        let g0 = WorkGraph::from_connectivity(&graph);
+        let (g0, nodes) = WorkGraph::from_connectivity(graph);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut scratch: Vec<u32> = Vec::new();
-        recursive_bisection(netlist, &graph, parts, |region| {
+        recursive_bisection(netlist, &nodes, parts, |region| {
             lowest_member_first(bisect_multilevel(
                 &g0.subgraph(region, &mut scratch),
                 &mut rng,
@@ -354,9 +354,8 @@ mod tests {
     #[test]
     fn coarsening_preserves_weight_and_is_surjective() {
         let n = cluster_ring(4, 60);
-        let graph = ConnectivityGraph::build(&n, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut g = WorkGraph::from_connectivity(&graph);
+        let (mut g, _) = WorkGraph::from_connectivity(ConnectivityGraph::build(&n, 16));
         // Walk the full coarsening hierarchy, checking invariants at
         // every level.
         for _level in 0..20 {
@@ -430,8 +429,8 @@ mod tests {
     #[test]
     fn refinement_respects_balance_floor_at_every_level() {
         let n = cluster_ring(5, 40);
-        let graph = ConnectivityGraph::build(&n, 16);
-        check_floor_at_every_level(WorkGraph::from_connectivity(&graph), 3).unwrap();
+        let (g, _) = WorkGraph::from_connectivity(ConnectivityGraph::build(&n, 16));
+        check_floor_at_every_level(g, 3).unwrap();
     }
 
     proptest! {

@@ -40,20 +40,20 @@ fn assignment_from(
     Partition::new(v, parts)
 }
 
-/// Recursive bisection of the graph's nodes to the next power of two
-/// at or above `parts`, folded onto `parts` by modulo (exact when
-/// `parts` is a power of two). `bisect` is handed one region (graph
-/// node ids) at a time, level by level and left to right, and returns
-/// the side of every node in it; the `true` side becomes the region's
-/// first child.
+/// Recursive bisection of a graph's nodes — `nodes[i]` is node `i`'s
+/// component — to the next power of two at or above `parts`, folded
+/// onto `parts` by modulo (exact when `parts` is a power of two).
+/// `bisect` is handed one region (graph node ids) at a time, level by
+/// level and left to right, and returns the side of every node in it;
+/// the `true` side becomes the region's first child.
 pub(crate) fn recursive_bisection(
     netlist: &Netlist,
-    graph: &ConnectivityGraph,
+    nodes: &[CompId],
     parts: u32,
     mut bisect: impl FnMut(&[u32]) -> Vec<bool>,
 ) -> Partition {
     let levels = f64::from(parts).log2().ceil() as u32;
-    let mut regions: Vec<Vec<u32>> = vec![(0..graph.num_nodes() as u32).collect()];
+    let mut regions: Vec<Vec<u32>> = vec![(0..nodes.len() as u32).collect()];
     for _ in 0..levels {
         let mut next = Vec::with_capacity(regions.len() * 2);
         for region in regions {
@@ -75,7 +75,7 @@ pub(crate) fn recursive_bisection(
     for (r, region) in regions.iter().enumerate() {
         let part = (r as u32) % parts;
         for &node in region {
-            v[graph.component(node).index()] = part;
+            v[nodes[node as usize].index()] = part;
         }
     }
     Partition::new(v, parts)
@@ -334,7 +334,7 @@ impl Partitioner for KernighanLinPartitioner {
     fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = ConnectivityGraph::build(netlist, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        recursive_bisection(netlist, &graph, parts, |region| {
+        recursive_bisection(netlist, graph.components(), parts, |region| {
             if region.len() <= 1 {
                 vec![true; region.len()]
             } else {
