@@ -2,15 +2,18 @@
 //! and the graph it starts from.
 //!
 //! The delay-estimation half of the FM kernel's tests (the partition
-//! crate's `partition_pins` and proptests). The hierarchy is the one
-//! the multilevel partitioner climbs on `rtp@10k` under activity
-//! weights (`multilevel::coarsen` until a level has at most 192 nodes);
-//! every level is refined from the bisection projected up from the
-//! level below, as in the V-cycle, so each row starts where the
-//! partitioner's own call starts. One row per level times
-//! `refine_passes` as it is: gains computed once per call and carried
-//! across passes, boundary vertices only in the buckets, a pass over
-//! 1024 moves after its last new best prefix, the rest flipped back.
+//! crate's `partition_pins` and proptests, and `fm`'s gain-heap
+//! proptest). The hierarchies are the ones the multilevel partitioner
+//! climbs on `rtp@10k` and `crossbar@10k` under activity weights
+//! (`multilevel::coarsen` until a level has at most 192 nodes); every
+//! level is refined from the bisection projected up from the level
+//! below, as in the V-cycle, so each row starts where the partitioner's
+//! own call starts. The crossbar's coarse levels have high-degree
+//! nodes, where refinement is most of a level's cost. One row per level
+//! times `refine_passes` as it is: gains computed once per call and
+//! carried across passes, boundary vertices only in the gain heaps, a
+//! pass over 1024 moves after its last new best prefix, the rest
+//! flipped back.
 //! Before timing, the refinement is checked not to raise the cut it was
 //! handed, and the cut before and after is printed. The benchmark's
 //! traced `partition.multilevel.partition_s` times the whole
@@ -38,10 +41,10 @@ struct Level {
     start: Vec<bool>,
 }
 
-/// The hierarchy of `rtp@10k`, coarsest level first, each with the
+/// The hierarchy of `base` at 10k, coarsest level first, each with the
 /// bisection the V-cycle hands its refinement.
-fn levels() -> Vec<Level> {
-    let netlist = Benchmark::RtpChip.build_at(10_000).netlist;
+fn levels(base: Benchmark) -> Vec<Level> {
+    let netlist = base.build_at(10_000).netlist;
     let (graph, _) = WorkGraph::from_connectivity(activity_graph(&netlist, true));
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let mut graphs = vec![graph];
@@ -84,30 +87,35 @@ fn levels() -> Vec<Level> {
 
 fn partition_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine_passes");
-    for level in levels() {
-        let Level { graph, start } = &level;
-        let min_w = min_side_weight(graph.total_vwgt());
-        let before = graph.cut_weight(start);
-        let mut side = start.clone();
-        refine_passes(graph, &mut side, min_w, MAX_PASSES);
-        let cut = graph.cut_weight(&side);
-        assert!(
-            cut <= before,
-            "refinement raised the cut: {before} -> {cut}"
-        );
-        let n = graph.num_nodes();
-        println!("rtp@10k n={n}: cut {before} -> kernel {cut}");
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_function(format!("rtp@10k/n{n}/kernel"), |b| {
-            b.iter_batched(
-                || start.clone(),
-                |mut side| {
-                    refine_passes(graph, &mut side, min_w, MAX_PASSES);
-                    side
-                },
-                BatchSize::LargeInput,
+    for (name, base) in [
+        ("rtp", Benchmark::RtpChip),
+        ("crossbar", Benchmark::CrossbarSwitch),
+    ] {
+        for level in levels(base) {
+            let Level { graph, start } = &level;
+            let min_w = min_side_weight(graph.total_vwgt());
+            let before = graph.cut_weight(start);
+            let mut side = start.clone();
+            refine_passes(graph, &mut side, min_w, MAX_PASSES);
+            let cut = graph.cut_weight(&side);
+            assert!(
+                cut <= before,
+                "refinement raised the cut: {before} -> {cut}"
             );
-        });
+            let n = graph.num_nodes();
+            println!("{name}@10k n={n}: cut {before} -> kernel {cut}");
+            group.throughput(Throughput::Elements(n as u64));
+            group.bench_function(format!("{name}@10k/n{n}/kernel"), |b| {
+                b.iter_batched(
+                    || start.clone(),
+                    |mut side| {
+                        refine_passes(graph, &mut side, min_w, MAX_PASSES);
+                        side
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+        }
     }
     group.finish();
 }

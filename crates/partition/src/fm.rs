@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::BinaryHeap;
 
 /// Refinement passes per flat FM bisection.
 pub const MAX_PASSES: u32 = 6;
@@ -196,19 +196,199 @@ impl WorkGraph {
     }
 }
 
+/// The candidates of both sides of a bisection: per side an indexed
+/// binary max-heap of `(gain, vertex)` entries, and per vertex its slot
+/// in its side's heap (4 bytes).
+///
+/// A parent's entry is above its children's, so the root holds the
+/// highest gain, ties toward the largest index; entries are distinct,
+/// since a vertex is in at most one heap, once. A gain that changes is
+/// moved in place by one sift, and an entry leaves only with its vertex.
+/// Reads pop nothing: [`Buckets::best`] lists a heap in descending order
+/// by a best-first walk.
+struct Buckets {
+    heaps: [Vec<(i64, u32)>; 2],
+    /// Per vertex, its index in its side's heap; [`Buckets::ABSENT`]
+    /// when it is in neither.
+    slot: Vec<u32>,
+    /// [`Buckets::best`]'s scratch: the entries whose parent the walk
+    /// has listed and which it has not, with their slots.
+    frontier: BinaryHeap<(i64, u32, u32)>,
+}
+
+impl Buckets {
+    const ABSENT: u32 = u32::MAX;
+
+    /// The heaps of `entries[s]` over vertices `0..n`, each vertex at
+    /// most once in all of `entries`.
+    fn new(n: usize, entries: [Vec<(i64, u32)>; 2]) -> Buckets {
+        let mut buckets = Buckets {
+            heaps: entries,
+            slot: vec![Buckets::ABSENT; n],
+            frontier: BinaryHeap::new(),
+        };
+        for s in 0..2 {
+            for (i, &(_, v)) in buckets.heaps[s].iter().enumerate() {
+                buckets.slot[v as usize] = i as u32;
+            }
+            for i in (0..buckets.heaps[s].len() / 2).rev() {
+                buckets.sift_down(s, i);
+            }
+        }
+        buckets
+    }
+
+    fn contains(&self, v: u32) -> bool {
+        self.slot[v as usize] != Buckets::ABSENT
+    }
+
+    /// Adds `(gain, v)` to side `s`; `v` must be in neither heap.
+    fn insert(&mut self, s: usize, gain: i64, v: u32) {
+        debug_assert!(!self.contains(v));
+        self.heaps[s].push((gain, v));
+        self.sift_up(s, self.heaps[s].len() - 1);
+    }
+
+    /// Gives `v`, which must be in side `s`'s heap, the gain `gain`.
+    fn update(&mut self, s: usize, v: u32, gain: i64) {
+        let i = self.slot[v as usize] as usize;
+        let old = std::mem::replace(&mut self.heaps[s][i].0, gain);
+        if gain > old {
+            self.sift_up(s, i);
+        } else {
+            self.sift_down(s, i);
+        }
+    }
+
+    /// Takes `v` out of side `s`'s heap, where it must be.
+    fn remove(&mut self, s: usize, v: u32) {
+        let i = std::mem::replace(&mut self.slot[v as usize], Buckets::ABSENT) as usize;
+        let heap = &mut self.heaps[s];
+        let last = heap.pop().expect("`v` is in the heap");
+        if i < heap.len() {
+            let removed = std::mem::replace(&mut heap[i], last);
+            if last > removed {
+                self.sift_up(s, i);
+            } else {
+                self.sift_down(s, i);
+            }
+        }
+    }
+
+    /// Moves the entry at slot `i` of side `s` up to where it belongs.
+    fn sift_up(&mut self, s: usize, mut i: usize) {
+        let heap = &mut self.heaps[s];
+        let entry = heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if heap[parent] > entry {
+                break;
+            }
+            heap[i] = heap[parent];
+            self.slot[heap[i].1 as usize] = i as u32;
+            i = parent;
+        }
+        heap[i] = entry;
+        self.slot[entry.1 as usize] = i as u32;
+    }
+
+    /// Moves the entry at slot `i` of side `s` down to where it belongs.
+    fn sift_down(&mut self, s: usize, mut i: usize) {
+        let heap = &mut self.heaps[s];
+        let entry = heap[i];
+        loop {
+            let left = 2 * i + 1;
+            let Some(&left_entry) = heap.get(left) else {
+                break;
+            };
+            let child = match heap.get(left + 1) {
+                Some(&right_entry) if right_entry > left_entry => left + 1,
+                _ => left,
+            };
+            if entry > heap[child] {
+                break;
+            }
+            heap[i] = heap[child];
+            self.slot[heap[i].1 as usize] = i as u32;
+            i = child;
+        }
+        heap[i] = entry;
+        self.slot[entry.1 as usize] = i as u32;
+    }
+
+    /// The first of side `s`'s top `limit` entries, in descending order,
+    /// whose vertex `accept` takes. The walk lists an entry only after
+    /// its parent, each time the highest of those whose parent it has
+    /// listed; when it takes the root, that is all it reads.
+    fn best(
+        &mut self,
+        s: usize,
+        limit: usize,
+        mut accept: impl FnMut(u32) -> bool,
+    ) -> Option<(i64, u32)> {
+        let heap = &self.heaps[s];
+        let &(mut gain, mut v) = heap.first()?;
+        let mut i = 0;
+        self.frontier.clear();
+        for _ in 0..limit {
+            if accept(v) {
+                return Some((gain, v));
+            }
+            for child in [2 * i + 1, 2 * i + 2] {
+                if let Some(&(g, u)) = heap.get(child) {
+                    self.frontier.push((g, u, child as u32));
+                }
+            }
+            let (g, u, next) = self.frontier.pop()?;
+            (gain, v, i) = (g, u, next as usize);
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+impl Buckets {
+    /// Side `s`'s entries in ascending order.
+    fn sorted(&self, s: usize) -> Vec<(i64, u32)> {
+        let mut entries = self.heaps[s].clone();
+        entries.sort_unstable();
+        entries
+    }
+
+    /// Whether every parent is above its children and the slots name
+    /// exactly the entries' positions.
+    fn is_consistent(&self) -> bool {
+        let in_order = self
+            .heaps
+            .iter()
+            .all(|heap| (1..heap.len()).all(|i| heap[(i - 1) / 2] > heap[i]));
+        let members: usize = self.heaps.iter().map(Vec::len).sum();
+        let slotted = self.slot.iter().filter(|&&i| i != Buckets::ABSENT).count();
+        let slots_point_back = self.heaps.iter().all(|heap| {
+            heap.iter()
+                .enumerate()
+                .all(|(i, &(_, v))| self.slot[v as usize] == i as u32)
+        });
+        in_order && members == slotted && slots_point_back
+    }
+}
+
 /// The state one FM refinement of a bisection carries from move to move
 /// and from pass to pass.
 ///
 /// *Per call* (`O(m)`): the gain of every vertex — external minus
 /// internal edge weight, what moving it would take off the cut — its
-/// total incident edge weight, and one ordered bucket per side holding
+/// total incident edge weight, and the [`Buckets`]: per side a heap of
 /// the vertices *on the cut*, those with an edge across it
-/// (`gain > -incident`). *Per move* (`O(deg · log)`): the neighbors'
-/// gains, and their bucket entries as they change gain or come onto and
-/// off the cut. *Per pass* (`O(moves · deg · log)`): the moves past the
-/// best prefix are flipped back through the same update, which leaves
-/// every gain and bucket exact for the next pass; nothing is recomputed
-/// or refilled.
+/// (`gain > -incident`), built bottom-up in time linear in their number.
+/// *Per move* (`O(deg · log c)`, `c` the candidates on a side): the
+/// neighbors' gains, and for each unlocked one its entry sifted once in
+/// place, or inserted or removed as it comes onto or off the cut; a
+/// pick reads the two roots, and only walks further (at most 8 entries
+/// a side) past balance-blocked ones. *Per pass* (`O(moves · deg · log
+/// c)`): the moves past the best prefix are flipped back through the
+/// same update, which leaves every gain and entry exact for the next
+/// pass; nothing is recomputed or refilled.
 ///
 /// Candidates are the vertices on the cut, and no others. One off it has
 /// the negative of its whole incident weight for a gain, and a pass that
@@ -217,7 +397,7 @@ impl WorkGraph {
 /// try the cut's own neighborhood. When no vertex on the cut can move —
 /// a bisection along component borders, or every such vertex locked or
 /// held by the balance floor — the pass ends: a pick never costs more
-/// than a look at the bucket tops.
+/// than a look at the heap tops.
 pub(crate) struct Refiner<'a> {
     g: &'a WorkGraph,
     side: &'a mut [bool],
@@ -229,9 +409,8 @@ pub(crate) struct Refiner<'a> {
     incident: Vec<i64>,
     /// Moved in the current pass: in no bucket until the pass ends.
     locked: Vec<bool>,
-    /// Per side, the unlocked vertices on the cut as `(gain, vertex)`:
-    /// `last()` is the highest gain, ties toward the largest index.
-    buckets: [BTreeSet<(i64, u32)>; 2],
+    /// Per side, the unlocked vertices on the cut.
+    buckets: Buckets,
 }
 
 impl<'a> Refiner<'a> {
@@ -262,22 +441,28 @@ impl<'a> Refiner<'a> {
             gains,
             incident,
             locked: vec![false; n],
-            // Collecting sorts once and builds the tree in one sweep.
-            buckets: on_cut.map(BTreeSet::from_iter),
+            buckets: Buckets::new(n, on_cut),
         }
     }
 
-    /// Puts an unlocked `v` in its side's bucket if it is on the cut.
-    fn enter(&mut self, v: u32) {
+    /// Brings an unlocked `v`'s bucket entry up to date: in its side's
+    /// bucket with its gain if it is on the cut, in neither if not.
+    fn place(&mut self, v: u32) {
         let gain = self.gains[v as usize];
-        if gain > -self.incident[v as usize] {
-            self.buckets[usize::from(self.side[v as usize])].insert((gain, v));
+        let s = usize::from(self.side[v as usize]);
+        let on_cut = gain > -self.incident[v as usize];
+        match (self.buckets.contains(v), on_cut) {
+            (true, true) => self.buckets.update(s, v, gain),
+            (true, false) => self.buckets.remove(s, v),
+            (false, true) => self.buckets.insert(s, gain, v),
+            (false, false) => {}
         }
     }
 
     /// Moves `v` to the other side and brings the side weights, every
     /// gain and the bucket entries of `v`'s unlocked neighbors up to
-    /// date. `v`'s own bucket entry is the caller's to remove or add.
+    /// date. `v` must be in neither bucket; placing it after is the
+    /// caller's call.
     fn flip(&mut self, v: u32) {
         let g = self.g;
         let v = v as usize;
@@ -291,17 +476,13 @@ impl<'a> Refiner<'a> {
             // An edge to a neighbor now on the other side became
             // external (+w for the external edge gained, +w for the
             // internal one lost), and the reverse.
-            let old = self.gains[j];
-            self.gains[j] = if self.side[j] == self.side[v] {
-                old - 2 * w
+            self.gains[j] += if self.side[j] == self.side[v] {
+                -2 * w
             } else {
-                old + 2 * w
+                2 * w
             };
             if !self.locked[j] {
-                if old > -self.incident[j] {
-                    self.buckets[usize::from(self.side[j])].remove(&(old, j32));
-                }
-                self.enter(j32);
+                self.place(j32);
             }
         }
     }
@@ -309,19 +490,17 @@ impl<'a> Refiner<'a> {
     /// The vertex to move next: the highest-gain unlocked vertex on the
     /// cut whose move keeps its side at or above `min_w` — the better
     /// of the two bucket tops, ties toward the largest index. A few top
-    /// entries per bucket are scanned so one balance-blocked heavy
-    /// vertex does not hide lighter movable ones; with unit weights the
-    /// first entry decides.
-    fn pick(&self, min_w: u64) -> Option<(i64, u32)> {
+    /// entries per bucket are read so one balance-blocked heavy vertex
+    /// does not hide lighter movable ones; with unit weights the root
+    /// decides.
+    fn pick(&mut self, min_w: u64) -> Option<(i64, u32)> {
+        let (vwgt, side, weights) = (&self.g.vwgt, &*self.side, self.weights);
         let movable = |v: u32| {
-            let vw = self.g.vwgt[v as usize];
-            self.weights[usize::from(self.side[v as usize])] >= min_w + vw || vw == 0
+            let vw = vwgt[v as usize];
+            weights[usize::from(side[v as usize])] >= min_w + vw || vw == 0
         };
-        let top = |bucket: &BTreeSet<(i64, u32)>| {
-            let mut highest = bucket.iter().rev().take(8);
-            highest.find(|&&(_, v)| movable(v)).copied()
-        };
-        top(&self.buckets[0]).max(top(&self.buckets[1]))
+        let top = self.buckets.best(0, 8, movable);
+        top.max(self.buckets.best(1, 8, movable))
     }
 
     /// One pass: picks and moves until no vertex on the cut can move or
@@ -335,7 +514,7 @@ impl<'a> Refiner<'a> {
             let Some((gain, v)) = self.pick(min_w) else {
                 break;
             };
-            self.buckets[usize::from(self.side[v as usize])].remove(&(gain, v));
+            self.buckets.remove(usize::from(self.side[v as usize]), v);
             self.locked[v as usize] = true;
             self.flip(v);
             history.push(v);
@@ -350,7 +529,7 @@ impl<'a> Refiner<'a> {
         }
         for &v in history.iter() {
             self.locked[v as usize] = false;
-            self.enter(v);
+            self.place(v);
         }
         best_k > 0
     }
@@ -369,10 +548,11 @@ impl<'a> Refiner<'a> {
 
     /// Moves weight from the heavy side until both sides hold at least
     /// `min_w`, best gain first so that rebalancing adds as little cut
-    /// as it can: a vertex on the cut if one weighs anything, else the
-    /// best off it, by one scan of the carried gains (the balance floor
-    /// is not optional, so unlike a pass this does reach past the cut).
-    /// Weightless vertices are left where they are.
+    /// as it can: a vertex on the cut if one weighs anything (the same
+    /// walk as a pick's, as far as it takes), else the best off it, by
+    /// one scan of the carried gains (the balance floor is not optional,
+    /// so unlike a pass this does reach past the cut). Weightless
+    /// vertices are left where they are.
     pub(crate) fn rebalance(&mut self, min_w: u64) {
         for _ in 0..self.g.num_nodes() {
             let light = usize::from(self.weights[0] >= self.weights[1]);
@@ -380,17 +560,19 @@ impl<'a> Refiner<'a> {
             if self.weights[heavy] <= self.weights[light] || self.weights[light] >= min_w {
                 break;
             }
-            let weighs = |v: u32| self.g.vwgt[v as usize] > 0;
-            let mut on_cut = self.buckets[heavy].iter().rev();
-            let pick = on_cut.find(|&&(_, v)| weighs(v)).copied().or_else(|| {
+            let vwgt = &self.g.vwgt;
+            let weighs = |v: u32| vwgt[v as usize] > 0;
+            let pick = self.buckets.best(heavy, usize::MAX, weighs).or_else(|| {
                 let heavy_side = (0..self.g.num_nodes() as u32)
                     .filter(|&v| usize::from(self.side[v as usize]) == heavy && weighs(v));
                 heavy_side.map(|v| (self.gains[v as usize], v)).max()
             });
-            let Some((gain, v)) = pick else { break };
-            self.buckets[heavy].remove(&(gain, v));
+            let Some((_, v)) = pick else { break };
+            if self.buckets.contains(v) {
+                self.buckets.remove(heavy, v);
+            }
             self.flip(v);
-            self.enter(v);
+            self.place(v);
         }
     }
 }
@@ -453,7 +635,7 @@ fn bisect(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
 }
 
 impl Partitioner for FiducciaMattheysesPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
         let (mut g0, nodes) = WorkGraph::from_connectivity(graph);
         if !self.activity_weighted {
@@ -624,6 +806,18 @@ mod tests {
         }
     }
 
+    /// A pick reads past a bucket top the balance floor holds: the
+    /// heavy vertex with the best gain cannot leave its side, the light
+    /// one below it can, and nothing on the other side can move.
+    #[test]
+    fn a_pick_reads_past_a_balance_blocked_top() {
+        // Side 0: 0 (heavy, gain 5), 1 (light, gain 2), 2 (heavy, off
+        // the cut); side 1: 3 (heavy), 4 (light). Weights 21 and 11.
+        let g = WorkGraph::from_edges(&[(0, 3, 5), (1, 4, 2)], vec![10, 1, 10, 10, 1]);
+        let mut side = [false, false, false, true, true];
+        assert_eq!(Refiner::new(&g, &mut side).pick(12), Some((2, 1)));
+    }
+
     /// A pass that finds nothing better makes exactly [`STALL_MOVES`]
     /// moves, then flips them all back. Two rings of `STALL_MOVES`
     /// vertices with heavy edges, one per side, joined by two light
@@ -650,6 +844,7 @@ mod tests {
     }
 
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// A weighted graph, a bisection of it and a balance floor:
     /// `(edges, vertex weights, sides, floor as a share of half the
@@ -720,12 +915,86 @@ mod tests {
             let mut refiner = Refiner::new(&g, &mut side);
             refiner.rebalance(min_w);
             refiner.passes(min_w, 2);
-            let (gains, buckets, weights) =
-                (refiner.gains.clone(), refiner.buckets.clone(), refiner.weights);
+            prop_assert!(refiner.buckets.is_consistent());
+            let (gains, buckets, weights) = (
+                refiner.gains.clone(),
+                [refiner.buckets.sorted(0), refiner.buckets.sorted(1)],
+                refiner.weights,
+            );
             let fresh = Refiner::new(&g, &mut side);
             prop_assert_eq!(gains, fresh.gains.clone());
-            prop_assert_eq!(buckets, fresh.buckets.clone());
+            prop_assert_eq!(buckets, [fresh.buckets.sorted(0), fresh.buckets.sorted(1)]);
             prop_assert_eq!(weights, fresh.weights);
+        }
+
+        /// The gain heaps against a `BTreeSet<(gain, vertex)>` per side,
+        /// the buckets' representation before the heaps and the model
+        /// they keep (this test is the only place it lives): random runs
+        /// of inserts, in-place updates, removals, side changes and
+        /// best-first reads, with gains from a small range so that ties
+        /// are broken by the vertex. After every step both sides hold
+        /// the model's entries, in heap order, with every slot right;
+        /// every read returns what the model's descending iteration
+        /// finds among as many entries.
+        #[test]
+        fn the_gain_heaps_keep_what_ordered_sets_keep(
+            n in 1u32..48,
+            sides in any::<u64>(),
+            start in proptest::collection::vec((any::<u32>(), -6i64..=6), 0..48),
+            ops in proptest::collection::vec(
+                (0u8..5, any::<u32>(), -6i64..=6, any::<u64>(), 1usize..11),
+                0..400,
+            ),
+        ) {
+            let mut side: Vec<usize> = (0..n).map(|v| (sides >> v & 1) as usize).collect();
+            let mut model = [BTreeSet::new(), BTreeSet::new()];
+            let mut gain_of = vec![None; n as usize];
+            for (v, gain) in start {
+                let v = v % n;
+                if gain_of[v as usize].is_none() {
+                    gain_of[v as usize] = Some(gain);
+                    model[side[v as usize]].insert((gain, v));
+                }
+            }
+            let entries = [0, 1].map(|s| model[s].iter().copied().collect());
+            let mut buckets = Buckets::new(n as usize, entries);
+            for (op, v, gain, accepted, limit) in ops {
+                let v = v % n;
+                let s = side[v as usize];
+                let accept = |u: u32| accepted >> (u % 64) & 1 == 1;
+                match (op, gain_of[v as usize]) {
+                    (0, None) => {
+                        buckets.insert(s, gain, v);
+                        model[s].insert((gain, v));
+                        gain_of[v as usize] = Some(gain);
+                    }
+                    (0 | 1, Some(old)) => {
+                        buckets.update(s, v, gain);
+                        model[s].remove(&(old, v));
+                        model[s].insert((gain, v));
+                        gain_of[v as usize] = Some(gain);
+                    }
+                    (2, Some(old)) => {
+                        buckets.remove(s, v);
+                        model[s].remove(&(old, v));
+                        gain_of[v as usize] = None;
+                    }
+                    (3, None) => side[v as usize] = 1 - s,
+                    (4, _) => {
+                        for s in [0, 1] {
+                            let expected = model[s].iter().rev().take(limit).copied().find(|&(_, u)| accept(u));
+                            prop_assert_eq!(buckets.best(s, limit, accept), expected);
+                            let expected = model[s].iter().rev().copied().find(|&(_, u)| accept(u));
+                            prop_assert_eq!(buckets.best(s, usize::MAX, accept), expected);
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert!(buckets.is_consistent());
+                for s in [0, 1] {
+                    prop_assert_eq!(buckets.sorted(s), model[s].iter().copied().collect::<Vec<_>>());
+                }
+            }
         }
     }
 }

@@ -73,6 +73,12 @@ pub fn activity_graph(netlist: &Netlist, activity_weighted: bool) -> Connectivit
     }
 }
 
+/// Panics with "need at least one part" if `parts == 0`: the one check
+/// behind [`Partition::new`] and [`Partitioner::partition`].
+fn assert_parts(parts: u32) {
+    assert!(parts >= 1, "need at least one part");
+}
+
 /// An assignment of every simulated component (gate or switch) to one of
 /// `P` processors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +97,7 @@ impl Partition {
     /// Panics if `parts == 0` or any assigned entry is out of range.
     #[must_use]
     pub fn new(assignment: Vec<u32>, parts: u32) -> Partition {
-        assert!(parts >= 1, "need at least one part");
+        assert_parts(parts);
         for &a in &assignment {
             assert!(
                 a == u32::MAX || a < parts,

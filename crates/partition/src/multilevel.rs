@@ -208,11 +208,13 @@ fn grow_bisection(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
     side
 }
 
-/// The minimum per-side weight a bisection of `total` must keep.
+/// The minimum per-side weight a bisection of `total` must keep: at
+/// least 1 once there are 2 to share, so that no side of a tiny region
+/// may be left empty (the slack alone would take a floor of 1 to 0).
 #[must_use]
 pub fn min_side_weight(total: u64) -> u64 {
     let slack = ((BALANCE_EPS * total as f64) / 2.0).max(1.0) as u64;
-    (total / 2).saturating_sub(slack)
+    (total / 2).saturating_sub(slack).max(u64::from(total >= 2))
 }
 
 /// Refines `side` in place: restores the balance floor if the
@@ -259,7 +261,7 @@ fn bisect_multilevel(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Vec<bool> {
 }
 
 impl Partitioner for MultilevelPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = crate::activity_graph(netlist, self.activity_weighted);
         let (g0, nodes) = WorkGraph::from_connectivity(graph);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -405,15 +407,20 @@ mod tests {
     }
 
     /// Grows and refines a bisection on every level of `g`'s coarsening
-    /// hierarchy; both sides must come out at or above the floor.
+    /// hierarchy; both sides must come out at or above the floor
+    /// wherever a bisection can: not where one vertex leaves the others
+    /// less than the floor (a total of 2 or 3 on one vertex, floor 1).
     fn check_floor_at_every_level(mut g: WorkGraph, seed: u64) -> Result<(), String> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for level in 0..20 {
-            let min_w = min_side_weight(g.total_vwgt());
+            let total = g.total_vwgt();
+            let min_w = min_side_weight(total);
             let mut side = grow_bisection(&g, &mut rng);
             refine(&g, &mut side, min_w);
             let weights = g.side_weights(&side);
-            if weights[0] < min_w || weights[1] < min_w {
+            let heaviest = (0..g.num_nodes()).map(|v| g.vertex_weight(v)).max();
+            let reachable = heaviest.is_some_and(|w| w + min_w <= total);
+            if reachable && (weights[0] < min_w || weights[1] < min_w) {
                 return Err(format!(
                     "level {level} violates balance: {weights:?} (floor {min_w})"
                 ));
@@ -433,14 +440,32 @@ mod tests {
         check_floor_at_every_level(g, 3).unwrap();
     }
 
+    /// At a total of 2 or 3 the floor is 1, and a bisection that can
+    /// give each side something does: paths of two and three vertices
+    /// and a weighted pair, joined or not, from every start.
+    #[test]
+    fn a_tiny_region_keeps_weight_on_both_sides() {
+        assert_eq!([0, 1, 2, 3, 4].map(min_side_weight), [0, 0, 1, 1, 1]);
+        for vwgt in [vec![1, 1], vec![1, 1, 1], vec![2, 1], vec![1, 0, 1]] {
+            let path: Vec<_> = (1..vwgt.len() as u32).map(|v| (v - 1, v, 1)).collect();
+            for edges in [path, Vec::new()] {
+                for seed in 0..8 {
+                    let g = WorkGraph::from_edges(&edges, vwgt.clone());
+                    check_floor_at_every_level(g, seed).unwrap();
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The same on weighted random graphs, connected or not, some
         /// vertices weightless: a vertex weighs at most 3, which one
         /// rebalancing move cannot carry from below the floor on one
-        /// side to below it on the other (the slack is at least 1 each
-        /// way), and coarse vertices are capped well under the slack.
+        /// side to below it on the other (from a total of 4 the slack
+        /// is at least 1 each way), and coarse vertices are capped well
+        /// under the slack.
         #[test]
         fn refinement_respects_balance_floor_at_every_level_of_random_graphs(
             edges in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..5), 0..1500),

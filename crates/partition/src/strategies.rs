@@ -9,11 +9,20 @@ use std::collections::VecDeque;
 
 /// Something that can split a circuit over `parts` processors.
 pub trait Partitioner {
-    /// Produces an assignment of every simulated component.
+    /// Produces an assignment of every simulated component: every gate
+    /// and switch in a part in `0..parts`, inputs/pulls/rails in none.
     ///
-    /// Implementations must assign every gate and switch to a part in
-    /// `0..parts` and leave inputs/pulls/rails unassigned.
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition;
+    /// # Panics
+    ///
+    /// Panics with "need at least one part" if `parts == 0`, as
+    /// [`Partition::new`] does; the check comes before any work.
+    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+        crate::assert_parts(parts);
+        self.split(netlist, parts)
+    }
+
+    /// [`Partitioner::partition`]'s work, called with `parts >= 1`.
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition;
 
     /// A short human-readable strategy name for reports.
     fn name(&self) -> &'static str;
@@ -98,7 +107,7 @@ impl RandomPartitioner {
 }
 
 impl Partitioner for RandomPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut comps = simulated(netlist);
         comps.shuffle(&mut rng);
@@ -120,7 +129,7 @@ impl Partitioner for RandomPartitioner {
 pub struct RoundRobinPartitioner;
 
 impl Partitioner for RoundRobinPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         assignment_from(netlist, parts, |pos, _| (pos as u32) % parts)
     }
 
@@ -140,7 +149,7 @@ impl Partitioner for RoundRobinPartitioner {
 pub struct FanoutGreedyPartitioner;
 
 impl Partitioner for FanoutGreedyPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let live = logicsim_netlist::analyze::live_components(netlist);
         let comps = simulated(netlist);
         let total_live: usize = comps.iter().filter(|id| live[id.index()]).count();
@@ -175,7 +184,7 @@ impl Partitioner for FanoutGreedyPartitioner {
 pub struct BfsClusterPartitioner;
 
 impl Partitioner for BfsClusterPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = ConnectivityGraph::build(netlist, 16);
         let n = graph.num_nodes();
         let quota = (graph.total_node_weight() as usize)
@@ -331,7 +340,7 @@ impl KernighanLinPartitioner {
 }
 
 impl Partitioner for KernighanLinPartitioner {
-    fn partition(&self, netlist: &Netlist, parts: u32) -> Partition {
+    fn split(&self, netlist: &Netlist, parts: u32) -> Partition {
         let graph = ConnectivityGraph::build(netlist, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         recursive_bisection(netlist, graph.components(), parts, |region| {
