@@ -105,7 +105,27 @@ impl NetlistBuilder {
     /// Sizes the name look-up for `names` more [`NetlistBuilder::net`]
     /// declarations, so that it does not grow step by step.
     pub(crate) fn expect_names(&mut self, names: usize) {
-        self.name_index.reserve(&self.net_names, names);
+        self.name_index.reserve(names);
+    }
+
+    /// The hash [`NetlistBuilder::net_hashed`] takes for `name`.
+    pub(crate) fn name_hash(&self, name: &str) -> u64 {
+        self.name_index.hash(name)
+    }
+
+    /// Brings the name look-up's slots for these hashes (from
+    /// [`NetlistBuilder::name_hash`]) into the cache, all at once, ahead
+    /// of the [`NetlistBuilder::net_hashed`] calls that need them.
+    pub(crate) fn touch_names(&self, hashes: impl IntoIterator<Item = u64>) {
+        self.name_index.touch(hashes);
+    }
+
+    /// [`NetlistBuilder::net`] for a name whose hash is already taken.
+    pub(crate) fn net_hashed(&mut self, (name, hash): (&str, u64)) -> NetId {
+        let index = self
+            .name_index
+            .intern_hashed(&mut self.net_names, name, hash);
+        NetId(index as u32)
     }
 
     /// Replaces the circuit name.
@@ -154,11 +174,20 @@ impl NetlistBuilder {
         id
     }
 
-    /// Declares a fresh anonymous net (unique auto-generated name).
+    /// Declares a fresh anonymous net under a generated name,
+    /// `_{hint}_{counter}`, that no net declared through
+    /// [`NetlistBuilder::net`] (or an earlier `fresh`) holds: the counter
+    /// moves past every name already taken. Names pushed with
+    /// [`NetlistBuilder::bulk_net`] are not seen, so a fresh net may share
+    /// the name of one of those.
     pub fn fresh(&mut self, hint: &str) -> NetId {
-        self.anon_counter += 1;
-        let name = format!("_{hint}_{}", self.anon_counter);
-        self.net(name)
+        loop {
+            self.anon_counter += 1;
+            let name = format!("_{hint}_{}", self.anon_counter);
+            if self.declared(&name).is_none() {
+                return self.net(name);
+            }
+        }
     }
 
     /// Declares a primary input: creates the net and an
@@ -341,6 +370,25 @@ mod tests {
         let n1 = b.fresh("w");
         let n2 = b.fresh("w");
         assert_ne!(n1, n2);
+    }
+
+    #[test]
+    fn fresh_nets_skip_names_already_declared() {
+        let mut b = NetlistBuilder::new("t");
+        let taken = b.net("_t_1");
+        let fresh = b.fresh("t");
+        assert_ne!(fresh, taken);
+        assert_eq!(b.net("_t_2"), fresh, "the counter moved past `_t_1`");
+        b.net("_t_3");
+        b.net("_t_4");
+        let next = b.fresh("t");
+        assert_eq!(b.net("_t_5"), next);
+        // A bulk name is not in the look-up, and is not seen: the fresh
+        // net is a second net of that name.
+        let bulk = b.bulk_net(format_args!("_u_6"));
+        let twin = b.fresh("u");
+        assert_ne!(twin, bulk);
+        assert_eq!(b.net_names.get(twin.index()), "_u_6");
     }
 
     #[test]

@@ -133,19 +133,34 @@ impl NetNames {
 /// vector. Only names appended through [`NameIndex::intern`] are found;
 /// names pushed onto the arena directly are never unified with.
 ///
+/// Each slot keeps the high 32 bits of its name's hash (the *tag*)
+/// beside the index, and a probe reads the arena only where the tags
+/// match, in practice on the true hit alone. The probe sequence starts
+/// at the tag's top bits, so growth re-seats every slot from the slot
+/// itself, without hashing a name or reading the arena.
+///
 /// `S` is [`RandomState`] outside tests: names come from netlist files,
 /// so probe sequences must not be predictable from the file.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameIndex<S = RandomState> {
-    /// `index + 1` of an interned name, 0 for an empty slot. Empty or a
-    /// power of two long, and never more than half full.
-    slots: Vec<u32>,
+    /// An interned name's tag in the high half, its `index + 1` in the
+    /// low half; 0 for an empty slot. Empty or a power of two long, and
+    /// never more than half full.
+    slots: Vec<u64>,
     /// Number of occupied slots.
     len: usize,
     hasher: S,
 }
 
+/// The bits of a hash (and of a slot) that hold the tag.
+const TAG: u64 = !(u32::MAX as u64);
+
 impl<S: BuildHasher> NameIndex<S> {
+    /// The hash `name` is looked up by.
+    pub(crate) fn hash(&self, name: &str) -> u64 {
+        self.hasher.hash_one(name)
+    }
+
     /// The index of `name` in `names`, appending it first if no interned
     /// name equals it.
     ///
@@ -153,12 +168,19 @@ impl<S: BuildHasher> NameIndex<S> {
     ///
     /// Panics if the arena would exceed its `u32` limits.
     pub(crate) fn intern(&mut self, names: &mut NetNames, name: &str) -> usize {
-        self.reserve(names, 1);
-        match self.probe(names, name) {
+        self.intern_hashed(names, name, self.hash(name))
+    }
+
+    /// [`NameIndex::intern`] with `name`'s [`NameIndex::hash`] already
+    /// taken.
+    pub(crate) fn intern_hashed(&mut self, names: &mut NetNames, name: &str, hash: u64) -> usize {
+        self.reserve(1);
+        match self.probe(names, name, hash) {
             Ok(index) => index,
             Err(vacant) => {
                 let index = names.push(name);
-                self.slots[vacant] = u32::try_from(index + 1).expect("more than u32::MAX names");
+                let index_1 = u32::try_from(index + 1).expect("more than u32::MAX names");
+                self.slots[vacant] = (hash & TAG) | u64::from(index_1);
                 self.len += 1;
                 index
             }
@@ -170,36 +192,64 @@ impl<S: BuildHasher> NameIndex<S> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(names, name).ok()
+        self.probe(names, name, self.hash(name)).ok()
     }
 
-    /// Walks `name`'s probe sequence through a non-empty table: the
-    /// index of the equal name, or the empty slot where it belongs.
-    fn probe(&self, names: &NetNames, name: &str) -> Result<usize, usize> {
+    /// Reads the slot each of `hashes` starts its probe at, and does
+    /// nothing with it. The loads do not depend on one another, so where
+    /// the table is larger than the cache their misses overlap, and the
+    /// probes that follow find the slots cached.
+    pub(crate) fn touch(&self, hashes: impl IntoIterator<Item = u64>) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let seen = hashes
+            .into_iter()
+            .fold(0, |seen, hash| seen | self.slots[self.start(hash)]);
+        std::hint::black_box(seen);
+    }
+
+    /// The slot a probe for a name with this hash (or the slot that
+    /// holds it) starts at in a non-empty table: the top bits of the tag.
+    fn start(&self, hash: u64) -> usize {
+        let shift = 64 - self.slots.len().trailing_zeros();
+        ((hash & TAG) >> shift) as usize
+    }
+
+    /// Walks the probe sequence of `name` (whose hash is `hash`) through
+    /// a non-empty table: the index of the equal name, or the empty slot
+    /// where it belongs.
+    fn probe(&self, names: &NetNames, name: &str, hash: u64) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
-        let mut at = self.hasher.hash_one(name) as usize & mask;
+        let mut at = self.start(hash);
         loop {
-            match self.slots[at] {
-                0 => return Err(at),
-                slot if names.get(slot as usize - 1) == name => return Ok(slot as usize - 1),
-                _ => at = (at + 1) & mask,
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
             }
+            if slot & TAG == hash & TAG {
+                let index = (slot & !TAG) as usize - 1;
+                if names.get(index) == name {
+                    return Ok(index);
+                }
+            }
+            at = (at + 1) & mask;
         }
     }
 
     /// Makes room for `additional` more names to be interned without the
     /// table growing on the way (it at least doubles when it has to, so
     /// single interns are amortised constant time).
-    pub(crate) fn reserve(&mut self, names: &NetNames, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         let slots = ((self.len + additional) * 2).next_power_of_two().max(16);
         if slots <= self.slots.len() {
             return;
         }
-        // Re-seat every index in the larger table.
+        // Re-seat every slot in the larger table, where its tag says.
         let old = std::mem::replace(&mut self.slots, vec![0; slots]);
         let mask = slots - 1;
         for slot in old.into_iter().filter(|&slot| slot != 0) {
-            let mut at = self.hasher.hash_one(names.get(slot as usize - 1)) as usize & mask;
+            let mut at = self.start(slot);
             while self.slots[at] != 0 {
                 at = (at + 1) & mask;
             }
@@ -270,16 +320,42 @@ mod tests {
         assert_eq!(back, n);
     }
 
-    /// Hashes every name to 0: all names share one probe sequence.
+    /// FNV-1a-style mixing of what is hashed, then `MASK` applied: a
+    /// hasher whose hashes keep only the bits `MASK` leaves.
     #[derive(Default)]
-    struct Colliding;
+    struct Masked<const MASK: u64>(u64);
 
-    impl std::hash::Hasher for Colliding {
+    impl<const MASK: u64> std::hash::Hasher for Masked<MASK> {
         fn finish(&self) -> u64 {
-            0
+            self.0 & MASK
         }
 
-        fn write(&mut self, _: &[u8]) {}
+        fn write(&mut self, bytes: &[u8]) {
+            for &byte in bytes {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Every name has the tag 0, so every name also starts its probe at
+    /// slot 0 and every slot a probe passes has a matching tag: the arena
+    /// is read at each step.
+    type TagsCollide = std::hash::BuildHasherDefault<Masked<{ !TAG }>>;
+
+    /// The top 12 bits are 0, so in a table of up to 4096 slots every
+    /// name starts its probe at slot 0, but the tags differ: the probe
+    /// passes a run of slots and reads the arena only at its own name.
+    type StartsCollide = std::hash::BuildHasherDefault<Masked<{ u64::MAX >> 12 }>>;
+
+    /// How many distinct tags, and how many distinct probe starts in a
+    /// table of 4096 slots, `S` gives `spellings`.
+    fn tags_and_starts<S: BuildHasher + Default>(spellings: &[String]) -> (usize, usize) {
+        let hashes: Vec<u64> = spellings.iter().map(|n| S::default().hash_one(n)).collect();
+        let distinct = |bits: fn(u64) -> u64| {
+            let set: std::collections::BTreeSet<u64> = hashes.iter().map(|&h| bits(h)).collect();
+            set.len()
+        };
+        (distinct(|h| h & TAG), distinct(|h| h >> 52))
     }
 
     fn intern_all<S: BuildHasher + Default>(spellings: &[String]) {
@@ -314,7 +390,11 @@ mod tests {
             .map(String::from)
             .to_vec();
         spellings.extend((0..200).map(|i| format!("t{i}|n")));
-        intern_all::<std::hash::BuildHasherDefault<Colliding>>(&spellings);
+        assert_eq!(tags_and_starts::<TagsCollide>(&spellings), (1, 1));
+        let (tags, starts) = tags_and_starts::<StartsCollide>(&spellings);
+        assert!(tags > spellings.len() / 2 && starts == 1, "{tags} tags");
+        intern_all::<TagsCollide>(&spellings);
+        intern_all::<StartsCollide>(&spellings);
         intern_all::<RandomState>(&spellings);
     }
 
@@ -329,7 +409,7 @@ mod tests {
             1,
             "not unified with the bulk name"
         );
-        index.reserve(&names, 1000);
+        index.reserve(1000);
         let slots = index.slots.len();
         assert!(slots >= 2002 && slots.is_power_of_two());
         for i in 0..1000 {
