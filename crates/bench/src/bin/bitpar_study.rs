@@ -26,7 +26,8 @@
 //! ```
 
 use logicsim::circuits::Benchmark;
-use logicsim::sim::{BitParSim, Simulator, Stimulus64};
+use logicsim::job::{EngineSpec, Job, JobSpec};
+use logicsim::sim::{BitParSim, Stimulus64};
 use logicsim_bench::parallel::par_map_with_workers;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -81,20 +82,21 @@ fn main() {
             bench.paper_name()
         );
 
+        // `vectors` settled vectors of `engine`, seeded from `seed`.
+        let run = |engine, seed| {
+            let spec = JobSpec {
+                engine,
+                window: vectors,
+                seed,
+                ..JobSpec::default()
+            };
+            let job = Job::new(&inst.netlist, &inst.stimulus, &spec);
+            job.expect("stimulus resolves and pre-flight passes").run()
+        };
         // Serial baseline (lane 0's stimulus).
-        let mut stim = inst
-            .stimulus
-            .build(&inst.netlist, Stimulus64::lane_seed(0x1987, 0))
-            .expect("stimulus");
-        let mut sim = Simulator::new(&inst.netlist).expect("pre-flight");
-        let t0 = Instant::now();
-        for v in 0..vectors {
-            stim.apply_with(v, |net, level| sim.set_input(net, level));
-            let cap = sim.now() + 50_000;
-            sim.run_to_quiescence(cap);
-        }
-        let serial_wall = t0.elapsed().as_secs_f64();
-        let serial_events = sim.counters().events;
+        let serial = run(EngineSpec::Replay, Stimulus64::lane_seed(0x1987, 0));
+        let serial_wall = serial.wall.as_secs_f64();
+        let serial_events = serial.counters.events;
 
         let split = BitParSim::new(&inst.netlist, 1).expect("pre-flight");
         let st = split.stats();
@@ -119,21 +121,14 @@ fn main() {
         );
 
         for lanes in LANE_SWEEP {
-            let mut stim64 =
-                Stimulus64::new(&inst.stimulus, &inst.netlist, 0x1987, lanes).expect("stimulus");
-            let mut bp = BitParSim::new(&inst.netlist, lanes).expect("pre-flight");
-            let t0 = Instant::now();
-            for v in 0..vectors {
-                stim64.apply_with(v, |net, plane| bp.set_input_plane(net, plane));
-                bp.settle_vector();
-            }
-            let wall = t0.elapsed().as_secs_f64();
-            let run = bp.stats();
+            let m = run(EngineSpec::BitPar { lanes }, 0x1987);
+            let wall = m.wall.as_secs_f64();
+            let stats = m.bitpar.expect("bit-parallel statistics");
             let _ = writeln!(
                 md,
                 "| {lanes} | {:.3} | {:.1} | {:.3e} | {:.2}x |",
                 wall * 1e3,
-                run.compiled_evals as f64 / vectors as f64,
+                stats.compiled_evals as f64 / vectors as f64,
                 lanes as f64 * serial_events as f64 / wall.max(1e-12),
                 lanes as f64 * serial_wall / wall.max(1e-12),
             );
@@ -156,14 +151,10 @@ fn main() {
                 par_map_with_workers(w, (0..w).collect(), |worker| {
                     // Worker `w` replays lanes [64w, 64w + 64) of the
                     // global lane-seed sequence.
-                    let base = Stimulus64::lane_seed(0x1987, worker * 64);
-                    let mut stim64 =
-                        Stimulus64::new(&inst.stimulus, &inst.netlist, base, 64).expect("stimulus");
-                    let mut bp = BitParSim::new(&inst.netlist, 64).expect("pre-flight");
-                    for v in 0..vectors {
-                        stim64.apply_with(v, |net, plane| bp.set_input_plane(net, plane));
-                        bp.settle_vector();
-                    }
+                    run(
+                        EngineSpec::BitPar { lanes: 64 },
+                        Stimulus64::lane_seed(0x1987, worker * 64),
+                    );
                 });
                 let wall = t0.elapsed().as_secs_f64();
                 if w == 1 {

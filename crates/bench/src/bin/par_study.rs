@@ -45,17 +45,13 @@ use logicsim::circuits::{Benchmark, BenchmarkInstance};
 use logicsim::core::bounds::{comm_bound_speedup, ideal_speedup};
 use logicsim::core::speedup::speedup;
 use logicsim::core::{BaseMachine, MachineDesign};
+use logicsim::job::{EngineSpec, Job, JobSpec, Measured};
 use logicsim::machine::MeasuredParams;
-use logicsim::measure::measured_params;
 use logicsim::partition::{FiducciaMattheysesPartitioner, Partitioner, RandomPartitioner};
-use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::{ParSimulator, SimConfig, Simulator, WorkloadCounters};
-use logicsim::stats::Workload;
 use logicsim_bench::report::{
     float, host_cores, metadata_v2, obj, refuse_oversubscription, text, uint,
 };
 use serde_json::Value;
-use std::time::Instant;
 
 const SEED: u64 = 0x1987;
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -69,87 +65,19 @@ fn window(quick: bool) -> u64 {
     }
 }
 
-struct SerialRun {
-    counters: WorkloadCounters,
-    wall_seconds: f64,
-}
-
-/// Serial baseline: warm up, reset, time the measurement window.
-fn run_serial(inst: &BenchmarkInstance, win: u64) -> SerialRun {
-    let mut stim = inst.stimulus.build(&inst.netlist, SEED).expect("stimulus");
-    let mut sim = Simulator::new(&inst.netlist).expect("pre-flight");
-    let warmup = 8 * inst.vector_period.max(1);
-    run_with_stimulus(&mut sim, &mut stim, warmup);
-    sim.reset_measurements();
-    let t0 = Instant::now();
-    run_with_stimulus(&mut sim, &mut stim, warmup + win);
-    SerialRun {
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        counters: sim.counters().clone(),
-    }
-}
-
-struct ParRun {
-    wall_seconds: f64,
-    crossing: u64,
-    component_msgs: u64,
-    beta: f64,
-    params: MeasuredParams,
-}
-
-/// One parallel run under `strategy`, asserting bit-identical counters.
-fn run_parallel(
-    bench: Benchmark,
-    inst: &BenchmarkInstance,
-    win: u64,
-    workers: usize,
-    strategy: &dyn Partitioner,
-    serial: &WorkloadCounters,
-) -> ParRun {
-    let mut stim = inst.stimulus.build(&inst.netlist, SEED).expect("stimulus");
-    let part = strategy.partition(&inst.netlist, workers as u32);
-    let mut sim = ParSimulator::with_config(
-        &inst.netlist,
-        part.as_slice(),
-        workers,
-        SimConfig {
-            observe: true,
-            ..SimConfig::default()
-        },
-    )
-    .expect("pre-flight");
-    let warmup = 8 * inst.vector_period.max(1);
-    sim.run_with(warmup, |tick, frame| {
-        stim.apply_with(tick, |net, level| frame.set(net, level));
-    });
-    sim.reset_measurements();
-    let t0 = Instant::now();
-    sim.run_with(warmup + win, |tick, frame| {
-        stim.apply_with(tick, |net, level| frame.set(net, level));
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        sim.counters(),
-        serial,
-        "{} P={workers} {}: parallel counters diverged from serial",
-        bench.paper_name(),
-        strategy.name()
-    );
-    let pw = sim.parallel_workload();
-    let total_evals: u64 = pw.workers.iter().map(|w| w.evaluations).sum();
-    let max_evals = pw.workers.iter().map(|w| w.evaluations).max().unwrap_or(0);
-    let beta = if total_evals == 0 {
-        1.0
-    } else {
-        (max_evals as f64 / (total_evals as f64 / workers as f64)).max(1.0)
+/// The study's job on `inst` under `engine`: warm up for 8 vector
+/// periods, then the timed window.
+fn run(inst: &BenchmarkInstance, win: u64, engine: EngineSpec<'_>) -> Measured {
+    let spec = JobSpec {
+        engine,
+        warmup: 8 * inst.vector_period.max(1),
+        window: win,
+        seed: SEED,
+        observe: matches!(engine, EngineSpec::Par { .. }),
+        ..JobSpec::default()
     };
-    ParRun {
-        wall_seconds: wall,
-        crossing: pw.messages_crossing,
-        component_msgs: pw.messages_component,
-        beta,
-        params: measured_params(&sim.obs_report(), workers as u32),
-    }
+    let job = Job::new(&inst.netlist, &inst.stimulus, &spec);
+    job.expect("stimulus resolves and pre-flight passes").run()
 }
 
 fn main() {
@@ -179,18 +107,13 @@ fn main() {
         // graph a production run executes. Partitions are computed on
         // the optimized netlist directly.
         let (inst, opt) = bench.build_default().optimized();
-        let serial = run_serial(&inst, win);
-        let c = &serial.counters;
-        let w = Workload::new(
-            c.busy_ticks as f64,
-            c.idle_ticks as f64,
-            c.events as f64,
-            c.messages_inf as f64,
-        );
+        let serial = run(&inst, win, EngineSpec::Serial);
+        let (c, w) = (&serial.counters, serial.workload());
+        let serial_wall = serial.wall.as_secs_f64();
         println!(
             "== {} ==  serial: {:.1} kev/s over {} events (N = {:.1})",
             bench.paper_name(),
-            c.events as f64 / serial.wall_seconds.max(1e-12) / 1e3,
+            c.events as f64 / serial_wall.max(1e-12) / 1e3,
             c.events,
             w.simultaneity()
         );
@@ -224,29 +147,53 @@ fn main() {
             let fm_act = FiducciaMattheysesPartitioner::new(SEED).with_activity_weights();
             let strategies: [&dyn Partitioner; 3] = [&random, &fm, &fm_act];
             for strategy in strategies {
-                let par = run_parallel(bench, &inst, win, workers, strategy, c);
-                let s_meas = serial.wall_seconds / par.wall_seconds.max(1e-12);
+                let part = strategy.partition(&inst.netlist, workers as u32);
+                let assignment = part.as_slice();
+                let par = run(
+                    &inst,
+                    win,
+                    EngineSpec::Par {
+                        workers,
+                        assignment,
+                    },
+                );
+                assert_eq!(
+                    &par.counters,
+                    c,
+                    "{} P={workers} {}: parallel counters diverged from serial",
+                    bench.paper_name(),
+                    strategy.name()
+                );
+                let pw = par.parallel.expect("the parallel engine reports its loads");
+                let (crossing, component_msgs) = (pw.messages_crossing, pw.messages_component);
+                let max_evals = pw.workers.iter().map(|w| w.evaluations).max().unwrap_or(0);
+                let beta = match pw.total_evaluations() {
+                    0 => 1.0,
+                    total => (max_evals as f64 / (total as f64 / workers as f64)).max(1.0),
+                };
+                let (wall_seconds, params) = (par.wall.as_secs_f64(), par.params);
+                let s_meas = serial_wall / wall_seconds.max(1e-12);
                 // The software-analog machine: P unpipelined evaluators
                 // at base speed on one bus.
                 let design = MachineDesign::new(workers as u32, 1, 1.0, base.t_eval, 3.0, 1.0);
-                let eq11 = speedup(&w, &design, &base, par.beta);
+                let eq11 = speedup(&w, &design, &base, beta);
                 let eq14 = ideal_speedup(1.0, w.simultaneity().max(1e-9), 1, workers as u32);
                 let eq15 = if workers == 1 || c.messages_inf == 0 {
                     f64::INFINITY
                 } else {
                     comm_bound_speedup(&w, 1.0, base.t_eval, 3.0, workers as u32)
                 };
-                let eq6 = par.component_msgs as f64 * (1.0 - 1.0 / workers as f64);
+                let eq6 = component_msgs as f64 * (1.0 - 1.0 / workers as f64);
                 let ratio = if eq6 == 0.0 {
                     0.0
                 } else {
-                    par.crossing as f64 / eq6
+                    crossing as f64 / eq6
                 };
                 // Eq. 10 re-evaluated with the *measured* tS/tD/tE/tM
                 // of this very run (the obs layer), vs. the stopwatch.
-                let calib_ns = par.params.predict_runtime_ns(par.beta);
-                let calib_err = MeasuredParams::relative_error(calib_ns, par.wall_seconds * 1e9);
-                let row_crossover = par.params.crossover_processors(par.beta);
+                let calib_ns = params.predict_runtime_ns(beta);
+                let calib_err = MeasuredParams::relative_error(calib_ns, wall_seconds * 1e9);
+                let row_crossover = params.crossover_processors(beta);
                 if workers == 2 && strategy.name() == "random" {
                     crossover = Some(row_crossover);
                 }
@@ -254,15 +201,15 @@ fn main() {
                     "{:<3} {:<8} {:>8.2} {:>7.2} {:>7.1} {:>7.1} {:>8.1} {:>10} {:>10.0} {:>6.2} {:>6.2} {:>9.2} {:>+7.1}",
                     workers,
                     strategy.name(),
-                    par.wall_seconds * 1e3,
+                    wall_seconds * 1e3,
                     s_meas,
                     eq11,
                     eq14,
                     eq15,
-                    par.crossing,
+                    crossing,
                     eq6,
                     ratio,
-                    par.beta,
+                    beta,
                     calib_ns / 1e6,
                     calib_err * 100.0
                 );
@@ -270,16 +217,16 @@ fn main() {
                     ("circuit", text(bench.paper_name())),
                     ("workers", uint(workers as u64)),
                     ("strategy", text(strategy.name())),
-                    ("serial_wall_seconds", float(serial.wall_seconds)),
-                    ("wall_seconds", float(par.wall_seconds)),
+                    ("serial_wall_seconds", float(serial_wall)),
+                    ("wall_seconds", float(wall_seconds)),
                     ("measured_speedup", float(s_meas)),
                     (
                         "serial_events_per_second",
-                        float(c.events as f64 / serial.wall_seconds.max(1e-12)),
+                        float(c.events as f64 / serial_wall.max(1e-12)),
                     ),
                     (
                         "events_per_second",
-                        float(c.events as f64 / par.wall_seconds.max(1e-12)),
+                        float(c.events as f64 / wall_seconds.max(1e-12)),
                     ),
                     ("eq11_speedup", float(eq11)),
                     ("eq14_ideal", float(eq14)),
@@ -291,14 +238,14 @@ fn main() {
                             Value::Null
                         },
                     ),
-                    ("messages_crossing", uint(par.crossing)),
-                    ("messages_component", uint(par.component_msgs)),
+                    ("messages_crossing", uint(crossing)),
+                    ("messages_component", uint(component_msgs)),
                     ("eq6_predicted", float(eq6)),
                     ("eq6_ratio", float(ratio)),
-                    ("beta", float(par.beta)),
-                    ("t_sync_ns", float(par.params.t_sync_ns())),
-                    ("t_eval_ns", float(par.params.t_eval_ns)),
-                    ("t_msg_ns", float(par.params.t_msg_ns)),
+                    ("beta", float(beta)),
+                    ("t_sync_ns", float(params.t_sync_ns())),
+                    ("t_eval_ns", float(params.t_eval_ns)),
+                    ("t_msg_ns", float(params.t_msg_ns)),
                     ("calibrated_runtime_ns", float(calib_ns)),
                     ("calibrated_error", float(calib_err)),
                     (

@@ -12,20 +12,17 @@
 
 use logicsim::circuits::{Benchmark, BenchmarkInstance};
 use logicsim::core::BaseMachine;
+use logicsim::job::{EngineSpec, Job, JobSpec};
 use logicsim::machine::synthetic::SyntheticWorkload;
 use logicsim::machine::{
     validate_against_model, MachineConfig, MeasuredExecution, MeasuredParams, NetworkKind,
     StaticCost,
 };
-use logicsim::measure::{observe_netlist, MeasureOptions};
 use logicsim::measure_benchmark;
 use logicsim::netlist::analyze::opt::{optimize, Optimized};
 use logicsim::partition::{Partition, Partitioner, RandomPartitioner};
-use logicsim::sim::stimulus::run_with_stimulus;
-use logicsim::sim::{ParSimulator, Simulator};
 use logicsim_bench::{banner, measure_options, parallel};
 use logicsim_machine::sim::random_component_partition;
-use std::time::Instant;
 
 /// Window for the real-execution column (short: it only needs a stable
 /// wall-clock ratio, not a workload characterization).
@@ -43,22 +40,25 @@ fn measure_execution(
     part: &Partition,
     p: u32,
 ) -> MeasuredExecution {
-    let mut stim = inst.stimulus.build(&opt.netlist, 0x1987).expect("stimulus");
-    let mut sim = Simulator::new(&opt.netlist).expect("pre-flight");
-    let t0 = Instant::now();
-    run_with_stimulus(&mut sim, &mut stim, MEASURE_WINDOW);
-    let serial = t0.elapsed().as_secs_f64();
-    let events = sim.counters().events;
-
-    let mut stim = inst.stimulus.build(&opt.netlist, 0x1987).expect("stimulus");
+    let run = |engine| {
+        let spec = JobSpec {
+            engine,
+            window: MEASURE_WINDOW,
+            seed: 0x1987,
+            ..JobSpec::default()
+        };
+        let job = Job::new(&opt.netlist, &inst.stimulus, &spec);
+        job.expect("stimulus resolves and pre-flight passes").run()
+    };
+    let serial = run(EngineSpec::Serial);
+    let events = serial.counters.events;
     let assignment = opt.remap_assignment(part.as_slice());
-    let mut psim = ParSimulator::new(&opt.netlist, &assignment, p as usize).expect("pre-flight");
-    let t0 = Instant::now();
-    psim.run_with(MEASURE_WINDOW, |tick, frame| {
-        stim.apply_with(tick, |net, level| frame.set(net, level));
+    let par = run(EngineSpec::Par {
+        workers: p as usize,
+        assignment: &assignment,
     });
-    let par = t0.elapsed().as_secs_f64().max(1e-12);
-    assert_eq!(psim.counters().events, events, "determinism violated");
+    assert_eq!(par.counters.events, events, "determinism violated");
+    let (serial, par) = (serial.wall.as_secs_f64(), par.wall.as_secs_f64().max(1e-12));
     MeasuredExecution {
         workers: p,
         speedup: serial / par,
@@ -205,24 +205,26 @@ fn main() {
         "-comps"
     );
     let workers = 2usize;
-    let mopts = MeasureOptions {
-        warmup_periods: 8,
-        window_ticks: MEASURE_WINDOW,
-        seed: 0x1987,
-        collect_trace: false,
-    };
     // Observe the statically optimized circuits: the machine-parameter
     // calibration should see the graph a production run executes, and
     // the optimizer preserves net ids so the stimulus carries over.
     let runs = parallel::par_map(Benchmark::ALL.to_vec(), |bench| {
         let (oinst, report) = bench.build_default().optimized();
-        let run = observe_netlist(
-            &oinst.netlist,
-            &oinst.stimulus,
-            oinst.vector_period,
-            workers,
-            &mopts,
-        );
+        let part = RandomPartitioner::new(0x1987).partition(&oinst.netlist, workers as u32);
+        let spec = JobSpec {
+            engine: EngineSpec::Par {
+                workers,
+                assignment: part.as_slice(),
+            },
+            warmup: 8 * oinst.vector_period.max(1),
+            window: MEASURE_WINDOW,
+            seed: 0x1987,
+            observe: true,
+            ..JobSpec::default()
+        };
+        let run = Job::new(&oinst.netlist, &oinst.stimulus, &spec)
+            .expect("stimulus resolves and pre-flight passes")
+            .run();
         // Static job pricing from the same netlist + stimulus plan,
         // before (independent of) any simulated tick.
         let seeds = oinst.stimulus.activity_seeds(&oinst.netlist);
@@ -233,7 +235,7 @@ fn main() {
     for (bench, reduction, run, _) in &runs {
         let paper_ns = run.params.paper_prediction_ns(1.0);
         let calib_ns = run.params.predict_runtime_ns(1.0);
-        let meas_ns = run.wall_ns as f64;
+        let meas_ns = run.wall.as_nanos() as f64;
         let paper_err = MeasuredParams::relative_error(paper_ns, meas_ns);
         let calib_err = MeasuredParams::relative_error(calib_ns, meas_ns);
         if calib_err.abs() <= paper_err.abs() {
@@ -243,7 +245,7 @@ fn main() {
         println!(
             "{:<26} {:>3} {:>12.2} {:>12.2} {:>12.2} {:>9.0}x {:>+7.0}% {:>7.1} {:>6}",
             bench.paper_name(),
-            run.workers,
+            run.params.workers,
             paper_ns / 1e6,
             calib_ns / 1e6,
             meas_ns / 1e6,
@@ -280,7 +282,7 @@ fn main() {
     for (bench, _, run, cost) in &runs {
         let ticks = MEASURE_WINDOW;
         let static_ns = cost.predict_with(ticks, &run.params, 1.0);
-        let meas_ns = run.wall_ns as f64;
+        let meas_ns = run.wall.as_nanos() as f64;
         let factor = if meas_ns > 0.0 && static_ns > 0.0 {
             (static_ns / meas_ns).max(meas_ns / static_ns)
         } else {

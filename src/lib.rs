@@ -23,9 +23,12 @@
 //! * [`machine`] — a cycle-level simulator of the machine itself, used
 //!   to validate the model.
 //!
-//! The [`measure`] module ties the stack together: build a benchmark,
-//! apply random vectors (the paper's methodology), and extract the
-//! model's input workload.
+//! The [`job`] module ties the stack together: one [`job::Job`] owns a
+//! netlist's stimulus and engine (serial, parallel, bit-parallel, or a
+//! serial vector replay) and runs the paper's methodology — apply
+//! random vectors, warm up, then count over a window. [`measure`] is
+//! that method over the benchmark circuits, extracting the model's
+//! input workload.
 //!
 //! # Quickstart
 //!
@@ -51,6 +54,7 @@ pub use logicsim_partition as partition;
 pub use logicsim_sim as sim;
 pub use logicsim_stats as stats;
 
+pub mod job;
 pub mod measure;
 pub mod sarif;
 

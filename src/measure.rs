@@ -3,10 +3,11 @@
 //! aggregate statistics ... remained stable and most components
 //! experienced at least one output change."
 
+use crate::job::{Job, JobSpec};
 use logicsim_circuits::{Benchmark, BenchmarkInstance};
+use logicsim_machine::MeasuredParams;
 use logicsim_netlist::CircuitCharacteristics;
-use logicsim_sim::stimulus::run_with_stimulus;
-use logicsim_sim::{SimConfig, Simulator, TickTrace};
+use logicsim_sim::{ObsReport, Phase, TickTrace};
 use logicsim_stats::{NatureRow, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -119,7 +120,8 @@ pub fn measure_benchmark(benchmark: Benchmark, options: &MeasureOptions) -> Meas
     measure_instance(benchmark.paper_name(), &instance, options)
 }
 
-/// Measures an already-built instance (for custom parameters).
+/// Measures an already-built instance (for custom parameters): a
+/// serial [`Job`] warmed up for whole vector periods.
 #[must_use]
 pub fn measure_instance(
     name: &'static str,
@@ -127,30 +129,17 @@ pub fn measure_instance(
     options: &MeasureOptions,
 ) -> MeasuredCircuit {
     let netlist = &instance.netlist;
-    let mut stimulus = instance
-        .stimulus
-        .build(netlist, options.seed)
-        .expect("benchmark stimulus resolves against its own netlist");
-    let mut sim = Simulator::with_config(
-        netlist,
-        SimConfig {
-            collect_trace: options.collect_trace,
-            ..SimConfig::default()
-        },
-    )
-    .expect("benchmark netlists pass the static pre-flight");
-    let warmup = options.warmup_periods * instance.vector_period.max(1);
-    run_with_stimulus(&mut sim, &mut stimulus, warmup);
-    sim.reset_measurements();
-    run_with_stimulus(&mut sim, &mut stimulus, warmup + options.window_ticks);
-
-    let counters = sim.counters();
-    let workload = Workload::new(
-        counters.busy_ticks as f64,
-        counters.idle_ticks as f64,
-        counters.events as f64,
-        counters.messages_inf as f64,
-    );
+    let spec = JobSpec {
+        warmup: options.warmup_periods * instance.vector_period.max(1),
+        window: options.window_ticks,
+        seed: options.seed,
+        collect_trace: options.collect_trace,
+        ..JobSpec::default()
+    };
+    let m = Job::new(netlist, &instance.stimulus, &spec)
+        .expect("a benchmark passes the pre-flight and resolves its own stimulus")
+        .run();
+    let workload = m.workload();
     let components = netlist.num_simulated_components();
     MeasuredCircuit {
         name,
@@ -162,162 +151,50 @@ pub fn measure_instance(
         components,
         normalized: workload.normalized_to(components, 100_000),
         workload,
-        coverage: sim.activity().coverage(),
-        trace: {
-            let mut s = sim;
-            s.take_trace()
-        },
+        coverage: m.coverage,
+        trace: m.trace,
     }
 }
 
-/// Machine-parameter observation runs: drive the thread-parallel
-/// engine with phase timing armed and distill the paper's machine
-/// parameters from the wall-clock measurements.
-pub mod observed {
-    use super::MeasureOptions;
-    use logicsim_circuits::Benchmark;
-    use logicsim_machine::MeasuredParams;
-    use logicsim_netlist::Netlist;
-    use logicsim_partition::{Partitioner, RandomPartitioner};
-    use logicsim_sim::{ObsReport, ParSimulator, Phase, SimConfig};
-    use logicsim_stats::Workload;
-    use std::time::Instant;
-
-    /// Distills the paper's machine parameters from an observation
-    /// report: per-executed-tick means for the synchronization phases
-    /// (`tS` from START, `tD` from DONE, barrier skew) and per-item
-    /// means for `tE` (per evaluation) and `tM` (per routed message).
-    /// Every party does the exchange for the nets it owns, so `tM` is
-    /// CPU time per message summed over the parties' lanes, not wall
-    /// time; inbox-draining samples carry `items == 0`, so their
-    /// overhead amortizes across the real messages. `executed_ticks` is
-    /// lane 0's Apply count (party 0 applies in every executed tick).
-    #[must_use]
-    pub fn measured_params(report: &ObsReport, workers: u32) -> MeasuredParams {
-        let ticks = report.executed_ticks();
-        let per_tick = |phase: Phase| {
-            if ticks == 0 {
-                0.0
-            } else {
-                report.total(phase).total_ns as f64 / ticks as f64
-            }
-        };
-        let per_item = |phase: Phase| {
-            let t = report.total(phase);
-            if t.items == 0 {
-                0.0
-            } else {
-                t.total_ns as f64 / t.items as f64
-            }
-        };
-        MeasuredParams {
-            workers,
-            executed_ticks: ticks,
-            t_start_ns: per_tick(Phase::Start),
-            t_done_ns: per_tick(Phase::Done),
-            barrier_ns: per_tick(Phase::Barrier),
-            t_eval_ns: per_item(Phase::Eval),
-            t_msg_ns: per_item(Phase::Exchange),
-            evaluations: report.total(Phase::Eval).items,
-            messages: report.total(Phase::Exchange).items,
+/// Distills the paper's machine parameters from an observation report:
+/// per-executed-tick means for the synchronization phases (`tS` from
+/// START, `tD` from DONE, barrier skew) and per-item means for `tE` (per
+/// evaluation) and `tM` (per routed message). Every party does the
+/// exchange for the nets it owns, so `tM` is CPU time per message summed
+/// over the parties' lanes, not wall time; inbox-draining samples carry
+/// `items == 0`, so their overhead amortizes across the real messages.
+/// `executed_ticks` is lane 0's Apply count (party 0 applies in every
+/// executed tick).
+#[must_use]
+pub fn measured_params(report: &ObsReport, workers: u32) -> MeasuredParams {
+    let ticks = report.executed_ticks();
+    let per_tick = |phase: Phase| {
+        if ticks == 0 {
+            0.0
+        } else {
+            report.total(phase).total_ns as f64 / ticks as f64
         }
-    }
-
-    /// One observed run of the parallel engine: the raw phase report,
-    /// the distilled machine parameters, and the stopwatch wall time of
-    /// the measured window.
-    #[derive(Debug)]
-    pub struct ObservedRun {
-        /// Worker threads used.
-        pub workers: u32,
-        /// Raw per-lane phase report (Chrome-trace exportable).
-        pub report: ObsReport,
-        /// Distilled machine parameters.
-        pub params: MeasuredParams,
-        /// Wall-clock time of the measured window, nanoseconds.
-        pub wall_ns: u64,
-        /// Aggregate workload of the measured window.
-        pub workload: Workload,
-    }
-
-    /// Runs a netlist on the parallel engine with observation armed:
-    /// the standard recipe (seeded random partition, warm-up, then a
-    /// measured window) with per-phase wall-clock timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist fails the engine pre-flight or the
-    /// benchmark stimulus does not resolve.
-    #[must_use]
-    pub fn observe_netlist(
-        netlist: &Netlist,
-        stimulus: &logicsim_sim::StimulusSpec,
-        vector_period: u64,
-        workers: usize,
-        options: &MeasureOptions,
-    ) -> ObservedRun {
-        let mut stim = stimulus
-            .build(netlist, options.seed)
-            .expect("stimulus resolves against the netlist");
-        let part = RandomPartitioner::new(options.seed).partition(netlist, workers as u32);
-        let mut sim = ParSimulator::with_config(
-            netlist,
-            part.as_slice(),
-            workers,
-            SimConfig {
-                collect_trace: options.collect_trace,
-                observe: true,
-            },
-        )
-        .expect("netlist passes the engine pre-flight");
-        let warmup = options.warmup_periods * vector_period.max(1);
-        sim.run_with(warmup, |tick, frame| {
-            stim.apply_with(tick, |net, level| frame.set(net, level));
-        });
-        sim.reset_measurements();
-        let t0 = Instant::now();
-        sim.run_with(warmup + options.window_ticks, |tick, frame| {
-            stim.apply_with(tick, |net, level| frame.set(net, level));
-        });
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let c = sim.counters();
-        let workload = Workload::new(
-            c.busy_ticks as f64,
-            c.idle_ticks as f64,
-            c.events as f64,
-            c.messages_inf as f64,
-        );
-        let report = sim.obs_report();
-        let params = measured_params(&report, workers as u32);
-        ObservedRun {
-            workers: workers as u32,
-            report,
-            params,
-            wall_ns,
-            workload,
+    };
+    let per_item = |phase: Phase| {
+        let t = report.total(phase);
+        if t.items == 0 {
+            0.0
+        } else {
+            t.total_ns as f64 / t.items as f64
         }
-    }
-
-    /// [`observe_netlist`] for a built-in benchmark with its default
-    /// stimulus.
-    #[must_use]
-    pub fn observe_benchmark(
-        bench: Benchmark,
-        workers: usize,
-        options: &MeasureOptions,
-    ) -> ObservedRun {
-        let inst = bench.build_default();
-        observe_netlist(
-            &inst.netlist,
-            &inst.stimulus,
-            inst.vector_period,
-            workers,
-            options,
-        )
+    };
+    MeasuredParams {
+        workers,
+        executed_ticks: ticks,
+        t_start_ns: per_tick(Phase::Start),
+        t_done_ns: per_tick(Phase::Done),
+        barrier_ns: per_tick(Phase::Barrier),
+        t_eval_ns: per_item(Phase::Eval),
+        t_msg_ns: per_item(Phase::Exchange),
+        evaluations: report.total(Phase::Eval).items,
+        messages: report.total(Phase::Exchange).items,
     }
 }
-
-pub use observed::{measured_params, observe_benchmark, observe_netlist, ObservedRun};
 
 #[cfg(test)]
 mod tests {
