@@ -152,3 +152,64 @@ fn coverage_grows_with_window() {
     );
     assert!(long.coverage > 0.15, "coverage {} too low", long.coverage);
 }
+
+/// What `measured_params` turns into `t_eval_ns` and `t_msg_ns` is the
+/// same on every event engine: over 3 000 ticks of each family at
+/// `@10k` with the recorder armed, the serial engine, `ParSimulator` at
+/// P = 1 and at P = 2 agree on the executed ticks and on the items of
+/// the Eval and Exchange phases, and those items are the window's
+/// `evaluations` and `messages_inf`.
+#[test]
+fn calibration_inputs_agree_across_engines() {
+    use logicsim::job::{EngineSpec, Job, JobSpec};
+    use logicsim::partition::{Partitioner, RandomPartitioner};
+    use logicsim::sim::Phase;
+
+    let expected_ticks = [71, 1_176, 1_771, 729, 476];
+    for (bench, ticks) in Benchmark::ALL.into_iter().zip(expected_ticks) {
+        let inst = bench.build_at(10_000);
+        let netlist = &inst.netlist;
+        let one = RandomPartitioner::new(7).partition(netlist, 1);
+        let two = RandomPartitioner::new(7).partition(netlist, 2);
+        let engines = [
+            EngineSpec::Serial,
+            EngineSpec::Par {
+                workers: 1,
+                assignment: one.as_slice(),
+            },
+            EngineSpec::Par {
+                workers: 2,
+                assignment: two.as_slice(),
+            },
+        ];
+        let mut serial = None;
+        for engine in engines {
+            let spec = JobSpec {
+                engine,
+                window: 3_000,
+                seed: 0x1987,
+                observe: true,
+                ..JobSpec::default()
+            };
+            let m = Job::new(netlist, &inst.stimulus, &spec).expect("job").run();
+            let what = match engine {
+                EngineSpec::Par { workers, .. } => format!("{bench:?} at P = {workers}"),
+                _ => format!("{bench:?} serial"),
+            };
+            assert_eq!(m.obs.executed_ticks(), ticks, "{what}");
+            assert_eq!(m.params.executed_ticks, ticks, "{what}");
+            let eval = m.obs.total(Phase::Eval).items;
+            let exchange = m.obs.total(Phase::Exchange).items;
+            assert_eq!(eval, m.counters.evaluations, "{what}");
+            assert_eq!(exchange, m.counters.messages_inf, "{what}");
+            assert_eq!(m.params.evaluations, eval, "{what}");
+            assert_eq!(m.params.messages, exchange, "{what}");
+            assert!(eval > 0 && exchange > 0, "{what}");
+            assert_eq!(
+                *serial.get_or_insert((eval, exchange)),
+                (eval, exchange),
+                "{what}"
+            );
+        }
+    }
+}
