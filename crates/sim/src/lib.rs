@@ -57,7 +57,7 @@ pub use engine::{PreflightError, SimConfig, Simulator};
 pub use instrument::{ActivityProfile, WorkloadCounters};
 pub use obs::{LaneReport, ObsReport, Phase, PhaseSample, PhaseTotal, NUM_PHASES};
 pub use par_engine::{InputFrame, ParSimulator};
-pub use stimulus::{RandomStimulus, SignalRole, Stimulus, Stimulus64, StimulusSpec};
+pub use stimulus::{RandomStimulus, SignalRole, Stimulus64, StimulusSpec};
 pub use trace::{EventRecord, TickRecord, TickTrace};
 pub use vcd::VcdRecorder;
 pub use wheel::TimingWheel;

@@ -129,7 +129,7 @@ impl<T: Copy> SharedVec<T> {
     pub(crate) fn from_vec(v: Vec<T>, clock: &PhaseClock) -> SharedVec<T> {
         let recorder = Recorder::new(clock, v.len());
         SharedVec {
-            cells: v.into_iter().map(UnsafeCell::new).collect(),
+            cells: into_cells(v),
             recorder,
         }
     }
@@ -167,12 +167,38 @@ impl<T: Copy> SharedVec<T> {
         self.cells[i].with_mut(|p| unsafe { *p = v });
     }
 
+    /// Heap bytes of the elements.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<T>()
+    }
+
     /// Copies the contents out (single-threaded contexts only).
     pub(crate) fn snapshot(&self) -> Vec<T> {
         // SAFETY: callers invoke this only while no worker threads are
         // running (between `run` calls), so no concurrent writers exist.
         (0..self.len()).map(|i| unsafe { self.get(i) }).collect()
     }
+}
+
+/// The vector's allocation taken over as cells, element for element,
+/// without a pass over it: a zeroed vector's pages stay untouched (and
+/// out of the resident set) until the engine writes them, as a plain
+/// `vec![0; n]`'s do.
+#[cfg(not(loom))]
+fn into_cells<T>(v: Vec<T>) -> Box<[UnsafeCell<T>]> {
+    let raw = Box::into_raw(v.into_boxed_slice());
+    // SAFETY: the shim's `UnsafeCell<T>` is `repr(transparent)` over
+    // `std::cell::UnsafeCell<T>`, which has `T`'s in-memory
+    // representation, so the two slices have one layout and the box is
+    // handed back to the allocator with the layout it was made with.
+    unsafe { Box::from_raw(raw as *mut [UnsafeCell<T>]) }
+}
+
+/// The vector's elements, each wrapped in loom's tracked cell.
+#[cfg(loom)]
+fn into_cells<T>(v: Vec<T>) -> Box<[UnsafeCell<T>]> {
+    v.into_iter().map(UnsafeCell::new).collect()
 }
 
 /// A fixed set of per-party slots holding arbitrary (non-`Copy`) state,

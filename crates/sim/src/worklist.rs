@@ -33,6 +33,12 @@ pub(crate) struct OrderedSet {
 }
 
 impl OrderedSet {
+    /// Heap bytes the set holds.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        8 * (self.words.capacity() + self.summary.capacity()) + 4 * self.items.capacity()
+    }
+
     /// An empty set of ids below `n`.
     pub(crate) fn with_capacity(n: usize) -> OrderedSet {
         let words = n.div_ceil(64);
