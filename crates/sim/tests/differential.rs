@@ -96,7 +96,7 @@ impl<'a> RefSim<'a> {
         sim
     }
 
-    /// Power-up relaxation, mirroring `Simulator::initialize` (128
+    /// Power-up relaxation, mirroring the engines' `relax_power_up` (128
     /// default rounds, no events counted).
     fn initialize(&mut self) {
         for round in 0..128 {
