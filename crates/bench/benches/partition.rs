@@ -19,11 +19,12 @@
 //! traced `partition.multilevel.partition_s` times the whole
 //! partitioner.
 //!
-//! The `activity_graph` group times the partitioners' input on `rtp@10k`
-//! and `crossbar@10k`: static activity weights plus the connectivity
-//! graph, built node by node (its differential test is the netlist
-//! crate's `graph::tests::rows_equal_the_pair_walk`). Throughput counts
-//! adjacency items, so ns per item is 1e9 / elem/s.
+//! The `activity_graph` group times the partitioners' input on `rtp@10k`,
+//! `crossbar@10k` and `assoc_mem@10k`, the family with the most switches
+//! on supply rails: static activity weights plus the connectivity graph,
+//! built node by node with rails joining no pair (its differential test
+//! is the netlist crate's `graph::tests::rows_equal_the_pair_walk`).
+//! Throughput counts adjacency items, so ns per item is 1e9 / elem/s.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::Benchmark;
@@ -125,6 +126,7 @@ fn graph_benches(c: &mut Criterion) {
     for (name, base) in [
         ("rtp", Benchmark::RtpChip),
         ("crossbar", Benchmark::CrossbarSwitch),
+        ("assoc_mem", Benchmark::AssocMem),
     ] {
         let netlist = base.build_at(10_000).netlist;
         let items = activity_graph(&netlist, true).adjacency().num_items();

@@ -247,8 +247,9 @@ impl ChannelGroups {
 
 /// Undirected weighted graph over simulated components (gates and
 /// switches), with edge weight = number of net connections between the
-/// two components. This is the object partitioners cut: an edge crossing
-/// a partition boundary becomes inter-processor message traffic.
+/// two components, supply rails not counted. This is the object
+/// partitioners cut: an edge crossing a partition boundary becomes
+/// inter-processor message traffic.
 #[derive(Debug, Clone)]
 pub struct ConnectivityGraph {
     /// Simulated components in netlist order.
@@ -279,6 +280,10 @@ impl ConnectivityGraph {
     /// net adds 1 to each pair on it; a star net adds 1 per (driver
     /// pin, reader pin) pair, so a gate that reads the net on two pins
     /// is joined to its driver twice.
+    ///
+    /// A rail — a net a `Supply` component drives — joins no pair: its
+    /// value never changes, so it carries no message, however many
+    /// switches both drive and read it.
     #[must_use]
     pub fn build(netlist: &Netlist, fanout_clique_limit: usize) -> ConnectivityGraph {
         let live = crate::analyze::live_components(netlist);
@@ -315,15 +320,22 @@ impl ConnectivityGraph {
             node_index[id.index()] = i as u32;
         }
         let weight: Vec<u32> = nodes.iter().map(|id| weights[id.index()]).collect();
+        let mut rail = vec![false; netlist.num_nets()];
+        for (_, c) in netlist.iter() {
+            if let ComponentRef::Supply { net, .. } = c {
+                rail[net.index()] = true;
+            }
+        }
         // Rows go in node by node, each gathered from the node's own
         // pins (see `RowScratch`), into an adjacency reserved at a bound
-        // on its length: every net adds at most one item per (member,
-        // other member) of a clique, two per (driver, reader) of a star.
-        // Nothing edge-sized is held besides it. The pages of the
-        // reserve that no row reaches are never written, so they take
-        // no memory, and trimming the reserve hands them back.
+        // on its length: every net but a rail adds at most one item per
+        // (member, other member) of a clique, two per (driver, reader)
+        // of a star. Nothing edge-sized is held besides it. The pages of
+        // the reserve that no row reaches are never written, so they
+        // take no memory, and trimming the reserve hands them back.
         let bound: usize = (0..netlist.num_nets() as u32)
             .map(NetId)
+            .filter(|net| !rail[net.index()])
             .map(|net| {
                 let (d, r) = (netlist.drivers(net).len(), netlist.fanout(net).len());
                 if r <= fanout_clique_limit {
@@ -333,7 +345,13 @@ impl ConnectivityGraph {
                 }
             })
             .sum();
-        let mut row = RowScratch::new(netlist, &node_index, nodes.len(), fanout_clique_limit);
+        let mut row = RowScratch::new(
+            netlist,
+            &node_index,
+            &rail,
+            nodes.len(),
+            fanout_clique_limit,
+        );
         let mut adj = Csr::with_capacity(nodes.len(), bound);
         for (n, &c) in (0u32..).zip(&nodes) {
             row.push_to(n, c, &mut adj);
@@ -426,10 +444,10 @@ impl ConnectivityGraph {
 /// one node's row: a slot per node, of which only the row's
 /// neighbours are nonzero, and the list of those neighbours.
 ///
-/// A node's row comes from its own pins and the nets they reach. Per
-/// net, the weight added to the edge between the node and another
-/// simulated component `m` is what the net-by-net pair walk (kept in
-/// the tests as the oracle) gives the pair:
+/// A node's row comes from its own pins and the nets they reach, rails
+/// left out. Per net, the weight added to the edge between the node and
+/// another simulated component `m` is what the net-by-net pair walk
+/// (kept in the tests as the oracle) gives the pair:
 ///
 /// * a clique net (at most `clique_limit` reader pins) adds 1 for each
 ///   other component on it, however many pins join either to it;
@@ -442,6 +460,8 @@ impl ConnectivityGraph {
 struct RowScratch<'a> {
     netlist: &'a Netlist,
     node_index: &'a [u32],
+    /// Per net: whether a `Supply` drives it.
+    rail: &'a [bool],
     clique_limit: usize,
     /// Per node: its edge weight to the row's node, and the clique net
     /// that last counted it (`NONE` for none). Both are reset for the
@@ -484,12 +504,14 @@ impl<'a> RowScratch<'a> {
     fn new(
         netlist: &'a Netlist,
         node_index: &'a [u32],
+        rail: &'a [bool],
         num_nodes: usize,
         clique_limit: usize,
     ) -> RowScratch<'a> {
         RowScratch {
             netlist,
             node_index,
+            rail,
             clique_limit,
             slots: vec![Self::CLEAR; num_nodes],
             neighbors: Vec::new(),
@@ -515,6 +537,9 @@ impl<'a> RowScratch<'a> {
         pins.sort_unstable();
         for run in pins.chunk_by(|a, b| a.0 == b.0) {
             let net = NetId(run[0].0);
+            if self.rail[net.index()] {
+                continue;
+            }
             let (drivers, readers) = (netlist.drivers(net), netlist.fanout(net));
             if readers.len() <= self.clique_limit {
                 for m in others(drivers).chain(others(readers)) {
@@ -571,8 +596,9 @@ mod tests {
     /// The adjacency as `build_weighted` made it before it went node by
     /// node, kept as the oracle of its rows and weights: every
     /// connection pushed net by net as a `lo << 32 | hi` key, all keys
-    /// sorted, each run of equal keys one edge. It lives only here, and
-    /// goes when the edge weights are redefined on purpose.
+    /// sorted, each run of equal keys one edge. A net with a `Supply`
+    /// among its drivers is a rail and pushes nothing. It lives only
+    /// here.
     fn pair_walk(netlist: &Netlist, fanout_clique_limit: usize) -> Csr<(u32, u32)> {
         let g = ConnectivityGraph::build(netlist, fanout_clique_limit);
         let node = |c: &CompId| g.node_of(*c);
@@ -584,6 +610,13 @@ mod tests {
             }
         };
         for net in (0..netlist.num_nets() as u32).map(NetId) {
+            let supplied = netlist
+                .drivers(net)
+                .iter()
+                .any(|&c| matches!(netlist.component(c), ComponentRef::Supply { .. }));
+            if supplied {
+                continue;
+            }
             let drivers: Vec<u32> = netlist.drivers(net).iter().filter_map(node).collect();
             let readers: Vec<u32> = netlist.fanout(net).iter().filter_map(node).collect();
             if readers.len() <= fanout_clique_limit {
@@ -621,8 +654,10 @@ mod tests {
     /// drives; a quarter of the draws go to `hub`, which so has more
     /// readers than small clique limits allow, and a gate's draws can
     /// repeat, so a gate can read one net on two pins. Gates and
-    /// switches can drive a net that is driven already (a bus). Some
-    /// nets are marked outputs and the rest of the logic is dead.
+    /// switches can drive a net that is driven already (a bus). A supply
+    /// makes a rail of a fresh net, which later draws reach, or of one
+    /// already driven (the hub among them). Some nets are marked outputs
+    /// and the rest of the logic is dead.
     fn random_circuit(ops: &[Op]) -> Netlist {
         let mut b = NetlistBuilder::new("random");
         let hub = b.input("hub");
@@ -652,9 +687,13 @@ mod tests {
                     a: if what % 16 >= 8 { pick(1) } else { fresh },
                     b: pick(2),
                 },
-                _ => Component::Pull {
+                _ if what % 16 == 7 => Component::Pull {
                     net: pick(3),
                     level: Level::One,
+                },
+                _ => Component::Supply {
+                    net: if picks[4] % 2 == 0 { fresh } else { pick(3) },
+                    level: Level::Zero,
                 },
             };
             if step % 7 == 0 {
@@ -725,6 +764,38 @@ mod tests {
         let (not, and) = (g.node_of(CompId(1)).unwrap(), g.node_of(twice).unwrap());
         assert!(g.neighbors(and).contains(&(not, 2)));
         assert_eq!(g.total_node_weight(), g.num_nodes() as u64 - 4);
+    }
+
+    /// Twenty switches from one rail to nets of their own, each with a
+    /// control of its own and each net read by an inverter: the rail, both driven and read by every
+    /// switch, joins no two of them under a star (limit 2) or a clique
+    /// (limit 64), and each switch keeps the edges of its own nets.
+    #[test]
+    fn switches_on_one_rail_get_no_edge_through_it() {
+        let k = 20;
+        let mut b = NetlistBuilder::new("rail");
+        let gnd = b.net("gnd");
+        b.supply(gnd, Level::Zero);
+        let switches: Vec<CompId> = (0..k)
+            .map(|i| {
+                let ctl = b.input(format!("c{i}"));
+                let (x, y) = (b.net(format!("x{i}")), b.net(format!("y{i}")));
+                b.gate(GateKind::Not, &[x], y, Delay::default());
+                b.switch(SwitchKind::Nmos, ctl, gnd, x)
+            })
+            .collect();
+        let n = b.finish().unwrap();
+        for limit in [2, 64] {
+            let g = ConnectivityGraph::build(&n, limit);
+            assert_eq!(g.adjacency(), &pair_walk(&n, limit), "limit {limit}");
+            for &s in &switches {
+                let row = g.neighbors(g.node_of(s).unwrap());
+                assert_eq!(row.len(), 1, "limit {limit}: only the inverter on its net");
+                assert_eq!(g.component(row[0].0).0, s.0 - 1);
+            }
+            // Each inverter's edge to its switch, counted from both ends.
+            assert_eq!(g.adjacency().num_items(), 2 * k);
+        }
     }
 
     fn switch_chain(k: usize) -> Netlist {

@@ -152,8 +152,41 @@ impl PartitionQuality {
 mod tests {
     use super::*;
     use crate::strategies::{Partitioner, RandomPartitioner};
-    use logicsim_netlist::{Delay, GateKind, NetlistBuilder};
+    use logicsim_netlist::{Delay, GateKind, Level, NetlistBuilder, SwitchKind};
     use logicsim_sim::{EventRecord, TickRecord};
+
+    /// Four live switches from one rail to outputs of their own, split
+    /// two and two: the rail is all they share, and it carries no
+    /// message, so nothing is cut. A fifth switch sharing an output with
+    /// the first, placed across from it, is.
+    #[test]
+    fn a_split_between_switches_that_share_only_a_rail_cuts_nothing() {
+        let mut b = NetlistBuilder::new("rail");
+        let vdd = b.net("vdd");
+        b.supply(vdd, Level::One);
+        let mut outs = Vec::new();
+        let switches: Vec<CompId> = (0..4)
+            .map(|i| {
+                let (ctl, x) = (b.input(format!("c{i}")), b.net(format!("x{i}")));
+                b.mark_output(x);
+                outs.push(x);
+                b.switch(SwitchKind::Pmos, ctl, vdd, x)
+            })
+            .collect();
+        let ctl = b.input("c4");
+        let fifth = b.switch(SwitchKind::Nmos, ctl, vdd, outs[0]);
+        let n = b.finish().unwrap();
+        assert_eq!(ConnectivityGraph::build(&n, 16).total_node_weight(), 5);
+
+        let mut parts = vec![u32::MAX; n.num_components()];
+        for (i, s) in switches.iter().enumerate() {
+            parts[s.index()] = i as u32 % 2;
+        }
+        parts[fifth.index()] = 0;
+        assert_eq!(cut_size(&n, &Partition::new(parts.clone(), 2)), 0);
+        parts[fifth.index()] = 1;
+        assert_eq!(cut_size(&n, &Partition::new(parts, 2)), 1);
+    }
 
     #[test]
     fn cut_size_excludes_dead_logic() {
