@@ -723,7 +723,8 @@ mod tests {
     /// Runs a script from `script()` for `ticks` ticks on `Simulator`,
     /// checked after every tick, and on `ParSimulator` at P ∈ {2, 3},
     /// checked between `run_with` calls of 7 ticks; the three end with
-    /// the same counters. Returns whether every group stayed settled
+    /// the same counters, the same value on every net and the same
+    /// activity profile. Returns whether every group stayed settled
     /// throughout.
     fn assert_no_stale_group(netlist: &Netlist, ticks: u64, script: &dyn Fn() -> Script) -> bool {
         let mut serial = Simulator::new(netlist).expect("pre-flight");
@@ -752,6 +753,8 @@ mod tests {
                 par_every = check_stale(&par.stale_groups(), par_every, overflows, &what);
             }
             assert_eq!(par.counters(), serial.counters(), "P={workers}");
+            assert_eq!(par.signals(), serial.kernel.signals(), "P={workers}");
+            assert_eq!(par.activity(), serial.activity(), "P={workers}");
         }
         every
     }
@@ -851,8 +854,9 @@ mod tests {
     /// per net (its value), plus one worklist bit per net, component and
     /// group — for `Simulator` and for `ParSimulator` at P = 1 with no
     /// partition alike, no more than a serial engine needs (20 and 6
-    /// with a per-net cause). Two parties add the routing tables and a
-    /// second party's worklists.
+    /// with a per-net cause). Two parties add the routing tables (owner
+    /// and partition per component, an owner per group) and a second
+    /// party's worklists.
     #[test]
     fn one_party_holds_no_more_than_the_serial_engine() {
         let mut b = NetlistBuilder::new("chain");
@@ -877,7 +881,7 @@ mod tests {
         let p1 = ParSimulator::new(&n, &unassigned, 1).expect("pre-flight");
         assert_eq!(p1.state_heap_bytes(), one_party);
         let p2 = ParSimulator::new(&n, &round_robin(&n, 2), 2).expect("pre-flight");
-        let routing = 8 * nc + 8 * nn + 4 * ng;
+        let routing = 8 * nc + 4 * ng;
         assert_eq!(p2.state_heap_bytes(), one_party + routing + bits);
     }
 

@@ -48,7 +48,7 @@ pub enum Phase {
     /// Party: evaluate fanout components (`tE` per evaluation).
     Eval = 3,
     /// Party: the owner's side of the exchange — merge the changes onto
-    /// its nets (last writer in stamp order), resolve them, route the
+    /// its nets (last writer in pop order), resolve them, route the
     /// fanout to the readers' owners, its own into its worklist and the
     /// others' by mail (`tM` per message, `items` = messages routed) —
     /// and the listing of its evaluation worklist (`items == 0`). Recorded
@@ -277,12 +277,6 @@ mod imp {
                 ring: PhaseRing::with_capacity(if enabled { capacity } else { 1 }),
                 totals: [PhaseTotal::default(); NUM_PHASES],
             }
-        }
-
-        /// Whether the lane records anything.
-        #[must_use]
-        pub fn armed(&self) -> bool {
-            self.enabled
         }
 
         /// Starts timing a phase (one clock read when armed).

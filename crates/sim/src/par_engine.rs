@@ -28,12 +28,18 @@
 //! Every piece of work has exactly one owning party, and only the owner
 //! does it (*owner computes*):
 //!
-//! * a **component** belongs to the party of its partition (inputs,
-//!   pulls, rails and unassigned components to party 0);
 //! * a **nontrivial switch group** belongs to the party of its coupling
 //!   cluster (see below), and so does every net in it;
 //! * every **other net** belongs to the party of its first non-switch
-//!   driver, party 0 if it has none.
+//!   driver, party 0 if it has none, and so does every other non-switch
+//!   driver of it: a tristate bus cut by the partition is run whole by
+//!   one party;
+//! * every **other component** belongs to the party of its partition
+//!   (inputs, pulls, rails and unassigned components to party 0).
+//!
+//! A component keeps its partition id wherever it runs, so the Eq. 6
+//! message counts are the partition's. Only the party that owns a net
+//! ever changes a drive onto it.
 //!
 //! Parties talk through `P × P` single-producer
 //! single-consumer mailboxes (`par_sync::Mailboxes`): box `(src, dst)`
@@ -47,8 +53,8 @@
 //! `OrderedSet`, one bit per id, listing its members ascending), so at
 //! `P = 1` nothing goes through a mailbox.
 //!
-//! The routing tables behind that (`Core::place`, `net_route`,
-//! `group_owner`) exist only where something is routed: with one party
+//! The routing tables behind that (`Core::place`, `group_owner`) exist
+//! only where something is routed: with one party
 //! and no partition named — the [`Simulator`](crate::Simulator) case —
 //! every owner is party 0, no message crosses, and the kernel reads no
 //! routing array (DESIGN.md §10 lists what it then holds per element).
@@ -64,32 +70,26 @@
 //!
 //! 1. **Apply**: every party drains its own wheel's current slot and
 //!    applies the surviving (non-stale) output changes to its
-//!    components. What happens to the affected net depends on who can
-//!    drive it (`NetRoute`, fixed at construction). A net whose
-//!    non-switch drivers all belong to one party — nearly every net —
-//!    needs nobody else's word: its owner merges this tick's changes
-//!    onto it, last writer in pop order wins (the slot pops in stamp
-//!    order, see `party_apply`), resolves it and routes the fanout of
-//!    every net that changed, all inside Apply. Routing puts a fanout
-//!    component the party owns into its own `to_eval` set and mails
-//!    any other to its owner. A net with drivers in several parties is
-//!    mailed as `(net, component, stamp)` to its owner; a net of a
-//!    nontrivial switch group dirties the group — in the party's own
-//!    `dirty` set if it owns the group, else by mail to the owner.
-//! 2. **Merge** (when such mail exists): every owner puts the mail in
-//!    stamp order and does the same merge, resolution and routing for
-//!    the nets mailed to it.
-//! 3. **Resolve** (when a group is dirty): every owner adds its
+//!    components. A net outside the nontrivial switch groups needs
+//!    nobody else's word, because its owner runs all of its drivers:
+//!    the owner merges this tick's changes onto it, last writer in pop
+//!    order wins, resolves it and routes the fanout of every net that
+//!    changed, all inside Apply. Routing puts a fanout component the
+//!    party owns into its own `to_eval` set and mails any other to its
+//!    owner. A net of a nontrivial switch group dirties the group — in
+//!    the party's own `dirty` set if it owns the group, else by mail to
+//!    the owner.
+//! 2. **Resolve** (when a group is dirty): every owner adds its
 //!    dirty-group mail to its `dirty` set, settles those groups in
 //!    ascending group order, records what each resolution read of its
 //!    switches, and routes the fanout of the nets that changed.
-//! 4. **Eval** (when a net changed): every party adds its mail to its
+//! 3. **Eval** (when a net changed): every party adds its mail to its
 //!    `to_eval` set and evaluates those components in ascending id
 //!    order, scheduling delayed output changes into its own wheel and
 //!    dirtying the group of an evaluated switch (at the group's owner,
 //!    as in Apply) when the conduction the group reads through it
 //!    differs from that record (see the [`solver`] module docs, "When a
-//!    group is settled"). Steps 3–4 repeat until the tick settles, or
+//!    group is settled"). Steps 2–3 repeat until the tick settles, or
 //!    until `MAX_SETTLE_ROUNDS` passes declare a zero-delay oscillation
 //!    and drop the dirty groups unsettled.
 //!
@@ -97,11 +97,11 @@
 //! worklists in it, its outboxes, its components' state, its nets'
 //! values, its groups' settle records, its causes' activity counts)
 //! and reads, besides that, only what no other party writes in that
-//! phase: in Apply the drives of its own components; in Merge and
-//! Resolve any `comp_drive` (nobody writes them); foreign `net_values`
-//! and settle records only in Eval (nobody writes them) and, in
-//! Resolve, for control nets outside every nontrivial group (written in
-//! Apply and Merge only).
+//! phase: in Apply the drives of its own components; in Resolve any
+//! `comp_drive` (nobody writes them); foreign `net_values` and settle
+//! records only in Eval (nobody writes them) and, in Resolve, for
+//! control nets outside every nontrivial group (written in Apply
+//! only).
 //!
 //! # Determinism
 //!
@@ -110,27 +110,27 @@
 //! pass unchanged (see `tests/golden_trace.rs`), and `RefSim`
 //! (`crates/sim/tests/differential.rs`) checks the kernel against an
 //! independent gate-level reference. One party's schedules happen in a
-//! fixed program order: stimulus calls first, then, within each settle
-//! pass, components in ascending id order. A `Stamp`
-//! `(tick, pass, rank)` — scheduling tick, settle pass (stimulus =
-//! pass 0), and per-pass rank (call index for stimulus, component id
-//! for evaluations) — therefore identifies each schedule event, and
-//! lexicographic stamp order *is* that program order at `P = 1`.
-//! Parties stamp their schedules locally with no coordination; when
-//! several parties change drives onto the same net in one tick, the
-//! net's owner sorts their mail by stamp and picks the last, which is
-//! the one-party last-writer-wins whatever order the mail arrived in.
-//! Inertial descheduling needs equality only: each party numbers its
-//! own schedules, and a component's `pending` entry holds the number of
-//! its one change in flight, so the check is local to the owning party
-//! and costs 8 bytes per component. Everything else a
-//! party computes is a function of the *set* of work it received (its
-//! own worklists and its mail): a net's value depends on its drivers'
-//! drives, a gate's output on its input nets' values and its stamp on
-//! its own id, and counters are sums. The one ordered output, the
-//! trace's event list, is assembled by the master from the owners'
-//! changed-net lists in one order (ordinary nets by net id, then group
-//! nets by group id).
+//! fixed program order: stimulus calls first, then the tick's settle
+//! passes in turn, each over its components in ascending id order. A
+//! wheel slot pops its entries in the order they were scheduled, and a
+//! tick schedules after every earlier one (an overflow entry reaches
+//! its slot before anything can be scheduled there directly). With
+//! several parties, each party's schedules are the one-party sequence
+//! restricted to the components it runs, in the same order, so its
+//! slot pops them in one-party order. Every change onto a net comes
+//! from the wheel of the net's owner, which runs all of the net's
+//! drivers; so the last change the owner pops onto a net is the
+//! one-party last writer, with nothing to sort or compare across
+//! parties. Inertial descheduling needs equality only: each party
+//! numbers its own schedules, and a component's `pending` entry holds
+//! the number of its one change in flight, so the check is local to the
+//! owning party and costs 8 bytes per component. Everything else a party
+//! computes is a function of the *set* of work it received (its own
+//! worklists and its mail): a net's value depends on its drivers'
+//! drives, a gate's output on its input nets' values, and counters are
+//! sums. The one ordered output, the trace's event list, is assembled by
+//! the master from the owners' changed-net lists in one order (ordinary
+//! nets by net id, then group nets by group id).
 //!
 //! Switch groups are settled in parallel by *coupling cluster*: groups
 //! whose resolution can observe each other within a settle pass (a
@@ -177,57 +177,14 @@ const MAX_SETTLE_ROUNDS: u32 = 64;
 /// are kept separately and never windowed.
 const OBS_CAPACITY: usize = 4096;
 
-/// Identifies one schedule event in the one-party program order:
-/// lexicographic `(tick, pass, rank)` order equals the order one party
-/// schedules in (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Stamp {
-    /// Tick at which the schedule call happened.
-    tick: u64,
-    /// Settle pass within the tick: 0 for stimulus, `p >= 1` for the
-    /// `p`-th evaluation pass.
-    pass: u16,
-    /// Order within the pass: stimulus call index, or component id.
-    rank: u32,
-}
-
 /// A scheduled output change in a party's wheel: at its tick, `comp`
 /// starts driving `drive`, if `seq` is still the component's `pending`
-/// number (the inertial filter). The rest is the schedule event's
-/// [`Stamp`], which orders it among the changes other parties make
-/// onto the same net; its tick is kept as an age, so an entry is 24
-/// bytes.
+/// number (the inertial filter). 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct PChange {
     comp: u32,
     drive: Signal,
-    /// [`Stamp::pass`].
-    pass: u16,
-    /// [`Stamp::rank`].
-    rank: u32,
-    /// Ticks from the schedule call to the entry's tick.
-    age: u32,
     seq: u64,
-}
-
-impl PChange {
-    /// The stamp of an entry popped at `tick`.
-    fn stamp(&self, tick: u64) -> Stamp {
-        Stamp {
-            tick: tick - u64::from(self.age),
-            pass: self.pass,
-            rank: self.rank,
-        }
-    }
-}
-
-/// Apply's mail to a net's owner: `comp` changed its drive onto `net`
-/// by the schedule event `stamp`.
-#[derive(Debug, Clone, Copy)]
-struct Affected {
-    net: u32,
-    comp: u32,
-    stamp: Stamp,
 }
 
 /// A drive change being merged onto its net: `comp` now drives `net`.
@@ -239,7 +196,7 @@ struct Applied {
 
 /// A net whose resolved value changed — one event. `key` is the net's
 /// place in the trace's event list of its settle step: the net id for an
-/// ordinary net (Apply, Merge), the group id in Resolve.
+/// ordinary net (Apply), the group id in Resolve.
 #[derive(Debug, Clone, Copy)]
 struct Changed {
     key: u32,
@@ -256,45 +213,19 @@ struct Place {
     part: u32,
 }
 
-/// How Apply hands an affected net to whoever resolves it.
-#[derive(Debug, Clone, Copy)]
-enum NetRoute {
-    /// Every non-switch driver belongs to one party, the net's owner:
-    /// whoever applies a change onto the net *is* the owner and nobody
-    /// else can, so it merges and resolves the net inside Apply, with
-    /// no barrier to wait for.
-    Own,
-    /// Drivers in several parties: mailed to `owner` (the party of the
-    /// first driver) and merged there in the Merge phase.
-    Shared { owner: u32 },
-    /// Member of the nontrivial switch group `gid`: dirties the group
-    /// at the group's owner.
-    Group { gid: u32 },
-}
-
-/// Phase command published by the master before releasing the barrier.
+/// Phase command published by the master before releasing the barrier;
+/// each carries the current tick (the observation label and busy-tick
+/// key).
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
     /// Drain the party's current wheel slot and apply changes.
-    Apply {
-        /// Current tick (observation label and busy-tick key).
-        tick: u64,
-    },
-    /// Merge the affected-net inboxes, resolve the nets they name and
-    /// route their fanout.
-    Merge {
-        /// Current tick (observation label only).
-        tick: u64,
-    },
+    Apply { tick: u64 },
     /// Resolve the switch groups in the party's `dirty` set and
     /// inboxes and route the fanout of the nets that changed.
-    Resolve {
-        /// Current tick (observation label and busy-tick key).
-        tick: u64,
-    },
+    Resolve { tick: u64 },
     /// Evaluate the fanout components in the party's `to_eval` set and
-    /// inboxes; stamps are `(tick, pass, component id)`.
-    Eval { tick: u64, pass: u16 },
+    /// inboxes.
+    Eval { tick: u64 },
     /// Terminate the worker loop.
     Exit,
 }
@@ -313,18 +244,15 @@ struct PartyState {
     changes: Vec<PChange>,
     /// Entries popped from the wheel by this tick's Apply.
     popped: u64,
-    /// Scratch: the changes onto this party's nets being merged — the
-    /// ones it applied itself (Apply, in pop order) or the ones mailed
-    /// to it (Merge, in stamp order).
+    /// Scratch: this tick's changes onto this party's nets outside the
+    /// nontrivial groups, in pop order.
     merged: Vec<Applied>,
-    /// Scratch: the mail one Merge drains.
-    mail: Vec<Affected>,
     /// Scratch: the nets of `merged` already resolved (the merge scans
     /// it backwards, so the first change met on a net is its last).
     seen: OrderedSet,
     /// Nets this party changed since the master last counted them: in
-    /// this tick's Apply and Merge, or in the last Resolve (within one
-    /// group, in resolution order).
+    /// this tick's Apply, or in the last Resolve (within one group, in
+    /// resolution order).
     changed: Vec<Changed>,
     /// Scratch: the foreign mail one Resolve or Eval drains.
     inbox: Vec<u32>,
@@ -379,7 +307,6 @@ impl PartyState {
             changes: Vec::new(),
             popped: 0,
             merged: Vec::new(),
-            mail: Vec::new(),
             seen: OrderedSet::with_capacity(nn),
             changed: Vec::new(),
             inbox: Vec::new(),
@@ -420,12 +347,10 @@ struct Core<'a> {
     /// calling thread, party `k >= 1` on worker thread `k`.
     workers: usize,
     /// Owning party and partition id per component. This and the next
-    /// two tables are empty when one party owns everything and no
-    /// component names a partition: then every owner is party 0 and no
-    /// message crosses, and the accessors below answer without them.
+    /// table are empty when one party owns everything and no component
+    /// names a partition: then every owner is party 0 and no message
+    /// crosses, and the accessors below answer without them.
     place: Vec<Place>,
-    /// Per net, the way from a driver to the net's owner.
-    net_route: Vec<NetRoute>,
     /// Owning party per switch group's coupling cluster (`u32::MAX` for
     /// trivial groups, whose nets are owned one by one).
     group_owner: Vec<u32>,
@@ -449,11 +374,7 @@ struct Core<'a> {
     settled: SharedVec<u8>,
     /// Per-party wheels, scratch, and counters.
     parties: SharedSlots<PartyState>,
-    /// Apply → Merge: changes onto nets with drivers in several
-    /// parties, to the net's owner (the owner's own changes onto such a
-    /// net among them, so Merge sees every writer in one list).
-    affected_mail: Mailboxes<Affected>,
-    /// Apply/Merge/Resolve → Eval: fanout components, to the
+    /// Apply/Resolve → Eval: fanout components, to the
     /// component's owner when that is another party.
     eval_mail: Mailboxes<u32>,
     /// Apply/Eval → Resolve: dirty switch groups, to the group's owner
@@ -476,18 +397,6 @@ impl Core<'_> {
         self.place.get(ci).map_or(0, |p| p.owner as usize)
     }
 
-    /// How a change onto `net` reaches whoever resolves the net.
-    #[inline]
-    fn route(&self, net: u32) -> NetRoute {
-        match self.net_route.get(net as usize) {
-            Some(&route) => route,
-            None if self.img.groups.in_nontrivial_group(NetId(net)) => NetRoute::Group {
-                gid: self.img.groups.group_of(NetId(net)),
-            },
-            None => NetRoute::Own,
-        }
-    }
-
     /// The party that settles switch group `gid`.
     #[inline]
     fn group_owner(&self, gid: u32) -> usize {
@@ -504,10 +413,6 @@ struct Master {
     /// the event-list occupancy the counters sample, and what a run to
     /// quiescence waits to reach 0.
     pending_total: u64,
-    /// Tick of the last stimulus call, for per-tick rank reset.
-    input_tick: u64,
-    /// Rank of the next stimulus call within `input_tick`.
-    input_rank: u32,
     /// True between a phase's release and join barrier (for panic-safe
     /// worker shutdown).
     in_phase: bool,
@@ -530,25 +435,22 @@ struct Master {
 }
 
 /// What the unit tests pin about the thread model: threads spawned by
-/// `run_with`, phases (Merge phases among them) run with and without
-/// the handshake, and the items pushed into each kind of mailbox.
+/// `run_with`, phases run with and without the handshake, and the
+/// items pushed into each kind of mailbox.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Tally {
     spawned: usize,
     handshakes: u64,
     inline_phases: u64,
-    merge_handshakes: u64,
-    merge_inline: u64,
     resolve_phases: u64,
     mailed: Mailed,
 }
 
-/// Items pushed into `affected_mail`, `eval_mail` and `dirty_mail`.
+/// Items pushed into `eval_mail` and `dirty_mail`.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Mailed {
-    affected: u64,
     eval: u64,
     dirty: u64,
 }
@@ -558,8 +460,6 @@ impl Master {
         Master {
             now: 0,
             pending_total: 0,
-            input_tick: 0,
-            input_rank: 0,
             in_phase: false,
             counters: WorkloadCounters::new(),
             trace: TickTrace::new(),
@@ -597,7 +497,6 @@ impl Master {
             #[cfg(test)]
             {
                 self.tally.inline_phases += 1;
-                self.tally.merge_inline += u64::from(matches!(cmd, Cmd::Merge { .. }));
             }
             return;
         }
@@ -618,7 +517,6 @@ impl Master {
         #[cfg(test)]
         {
             self.tally.handshakes += 1;
-            self.tally.merge_handshakes += u64::from(matches!(cmd, Cmd::Merge { .. }));
         }
     }
 
@@ -690,15 +588,10 @@ impl Master {
         self.pending_total -= popped;
         self.obs.rec(Phase::Done, t, m, popped);
 
-        // SAFETY: workers parked; nobody writes the boxes.
-        if !unsafe { core.affected_mail.is_empty() } {
-            self.phase(core, Cmd::Merge { tick: t });
-        }
         let mut events: Vec<EventRecord> = Vec::new();
         let mut changed = self.collect_changed(core, &mut events);
 
         let mut rounds = 0u32;
-        let mut pass = 0u16;
         let mut events_this_tick = 0u64;
         loop {
             if any_dirty(core) {
@@ -719,8 +612,7 @@ impl Master {
             changed = 0;
 
             // Evaluate fanout components in parallel, each by its owner.
-            pass += 1;
-            self.phase(core, Cmd::Eval { tick: t, pass });
+            self.phase(core, Cmd::Eval { tick: t });
             let m = self.obs.mark();
             self.pending_total += (0..core.workers).map(|p| party(p).scheduled).sum::<u64>();
             let dirty = any_dirty(core);
@@ -771,7 +663,7 @@ impl Master {
     }
 
     /// Number of nets the parties changed since the last count — by
-    /// this tick's Apply and Merge, or by the Resolve just run: that
+    /// this tick's Apply, or by the Resolve just run: that
     /// settle step's events. With trace collection on, also appends
     /// them to `events` in trace order: ascending `key`,
     /// and within one key (one group, so one owner) the owner's own
@@ -822,7 +714,6 @@ impl Master {
             #[cfg(test)]
             {
                 let mailed = std::mem::take(&mut st.mailed);
-                self.tally.mailed.affected += mailed.affected;
                 self.tally.mailed.eval += mailed.eval;
                 self.tally.mailed.dirty += mailed.dirty;
             }
@@ -860,12 +751,6 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
         panic!("{net} is not a primary input");
     };
     let comp = comp.index();
-    if m.input_tick != m.now {
-        m.input_tick = m.now;
-        m.input_rank = 0;
-    }
-    let rank = m.input_rank;
-    m.input_rank += 1;
     let drive = Signal::strong(level);
     // SAFETY: no workers are running; the master is the unique accessor.
     unsafe {
@@ -883,9 +768,6 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
         let change = PChange {
             comp: comp as u32,
             drive,
-            pass: 0,
-            rank,
-            age: 0,
             seq: st.seq,
         };
         st.wheel.schedule(m.now, change);
@@ -905,17 +787,15 @@ fn any_dirty(core: &Core<'_>) -> bool {
 }
 
 /// Number of parties that have something to do in the phase `cmd`
-/// opens: a non-empty current wheel slot for Apply, mail in the inboxes
-/// the phase drains for Merge, and for Resolve and Eval mail or a
-/// non-empty own set. Only called by the master between phases, while
-/// the workers are parked at the barrier.
+/// opens: a non-empty current wheel slot for Apply, and for Resolve and
+/// Eval mail or a non-empty own set. Only called by the master between
+/// phases, while the workers are parked at the barrier.
 fn parties_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
     // SAFETY: workers parked; nobody writes the slots or the boxes.
     let has_work = |party: usize| unsafe {
         let st = core.parties.get(party);
         match cmd {
             Cmd::Apply { .. } => st.wheel.has_current(),
-            Cmd::Merge { .. } => core.affected_mail.has_mail(party),
             Cmd::Resolve { .. } => !st.dirty.is_empty() || core.dirty_mail.has_mail(party),
             Cmd::Eval { .. } => !st.to_eval.is_empty() || core.eval_mail.has_mail(party),
             Cmd::Exit => false,
@@ -928,26 +808,17 @@ fn parties_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
 fn run_party_cmd(core: &Core<'_>, party: usize, cmd: Cmd) {
     match cmd {
         Cmd::Apply { tick } => party_apply(core, party, tick),
-        Cmd::Merge { tick } => party_merge(core, party, tick),
         Cmd::Resolve { tick } => party_resolve(core, party, tick),
-        Cmd::Eval { tick, pass } => party_eval(core, party, tick, pass),
+        Cmd::Eval { tick } => party_eval(core, party, tick),
         Cmd::Exit => {}
     }
 }
 
 /// Apply phase: drain the party's wheel slot and apply surviving
-/// changes to owned components. A net only this party drives is merged,
-/// resolved and fanned out here and now (see [`NetRoute::Own`]); a net
-/// with drivers elsewhere is mailed to its owner, a switch-group net
-/// dirties its group.
-///
-/// The slot lists its changes in stamp order: stimulus (pass 0) is
-/// scheduled before the tick's phases, evaluation passes run in
-/// ascending order and each walks its components ascending, and a tick
-/// schedules after every earlier one (an overflow item reaches its
-/// slot before anything can be scheduled there directly). So of the
-/// changes onto an [`NetRoute::Own`] net the last one popped carries
-/// the maximum stamp.
+/// changes to owned components. A net outside the nontrivial switch
+/// groups is this party's, with all of its drivers, so it is merged,
+/// resolved and fanned out here and now; a switch-group net dirties
+/// its group.
 fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: this party is the unique accessor of its slot during a
     // phase; `pending`/`comp_drive` entries touched here belong to
@@ -956,12 +827,6 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     let m = st.obs.mark();
     st.changes.clear();
     st.wheel.pop_current_into(&mut st.changes);
-    debug_assert!(
-        st.changes
-            .windows(2)
-            .all(|w| w[0].stamp(tick) < w[1].stamp(tick)),
-        "a wheel slot lists its changes in stamp order"
-    );
     st.popped = st.changes.len() as u64;
     st.changed.clear();
     st.merged.clear();
@@ -982,32 +847,22 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
         }
         // Only gates and inputs are scheduled: the terminal is the net
         // they drive.
-        let net = core.img.comps.terminal(ci).0;
+        let net = core.img.comps.terminal(ci);
         applied = true;
-        match core.route(net) {
-            NetRoute::Own => st.merged.push(Applied { net, comp }),
-            NetRoute::Shared { owner } => {
-                // SAFETY: only this party fills its outboxes this phase.
-                let outbox = unsafe { core.affected_mail.mail(party, owner as usize) };
-                let stamp = change.stamp(tick);
-                outbox.push(Affected { net, comp, stamp });
-                #[cfg(test)]
-                {
-                    st.mailed.affected += 1;
-                }
-            }
-            NetRoute::Group { gid } => {
-                let owner = core.group_owner(gid);
-                if owner == party {
-                    st.dirty.insert(gid);
-                } else {
-                    // SAFETY: as above.
-                    unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
-                    #[cfg(test)]
-                    {
-                        st.mailed.dirty += 1;
-                    }
-                }
+        if !core.img.groups.in_nontrivial_group(net) {
+            st.merged.push(Applied { net: net.0, comp });
+            continue;
+        }
+        let gid = core.img.groups.group_of(net);
+        let owner = core.group_owner(gid);
+        if owner == party {
+            st.dirty.insert(gid);
+        } else {
+            // SAFETY: only this party fills its outboxes this phase.
+            unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
+            #[cfg(test)]
+            {
+                st.mailed.dirty += 1;
             }
         }
     }
@@ -1021,45 +876,16 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     }
 }
 
-/// Merge phase: the same merge, resolution and fan-out for the nets
-/// other parties mailed to this one.
-fn party_merge(core: &Core<'_>, party: usize, tick: u64) {
-    // SAFETY: unique slot access during a phase.
-    let st = unsafe { core.parties.get_mut(party) };
-    // SAFETY: only this party drains its inboxes this phase; the
-    // senders filled them in Apply and are not touching them now.
-    unsafe { core.affected_mail.drain_into(party, &mut st.mail) };
-    if st.mail.is_empty() {
-        return;
-    }
-    let m = st.obs.mark();
-    // The mail comes from several wheels: put it in stamp order, the
-    // order one wheel would have popped it in.
-    st.mail.sort_unstable_by_key(|a| a.stamp);
-    st.merged.clear();
-    let applied = st.mail.drain(..).map(|a| Applied {
-        net: a.net,
-        comp: a.comp,
-    });
-    st.merged.extend(applied);
-    let routed = merge_and_route(core, party, st);
-    st.obs.rec(Phase::Exchange, tick, m, routed);
-}
-
-/// Merges `st.merged` (in stamp order) onto its nets, last writer wins,
+/// Merges `st.merged` (in pop order) onto its nets, last writer wins,
 /// resolves those nets, and routes the fanout of every one that
 /// changed. Returns the number of fanout messages.
 ///
-/// Runs in Apply on the nets only this party drives and in Merge on the
-/// nets it owns with drivers elsewhere; in both, nobody writes the
-/// `comp_drive` entries read here (Apply: they are this party's own and
-/// already applied; Merge: nobody writes any), and only this party
-/// touches the nets' values.
+/// Runs in Apply on nets this party owns with all of their drivers, so
+/// the `comp_drive` entries read here are its own and already applied,
+/// and only this party touches the nets' values.
 fn merge_and_route(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
-    let first = st.changed.len();
-    // Of several changes onto one net the last in stamp order wins
-    // (last writer wins); scanning backwards, that is the first one
-    // met.
+    // Of several changes onto one net the last popped wins (last writer
+    // wins); scanning backwards, that is the first one met.
     for a in st.merged.iter().rev() {
         if !st.seen.insert(a.net) {
             continue;
@@ -1080,16 +906,16 @@ fn merge_and_route(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
         }
     }
     st.seen.clear();
-    route_fanout(core, party, st, first)
+    route_fanout(core, party, st)
 }
 
-/// Records one event per net in `st.changed[first..]` and hands its
+/// Records one event per net in `st.changed` and hands its
 /// fanout components to their owners — this party's own to its
 /// `to_eval` set, the others' by mail — counting the messages as the
 /// machine would send them. Returns the number of fanout messages.
-fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState, first: usize) -> u64 {
+fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
     let mut routed = 0u64;
-    for &Changed { net, cause, .. } in &st.changed[first..] {
+    for &Changed { net, cause, .. } in &st.changed {
         // SAFETY: a component is the cause of events on nets of one
         // owner only (see `Core::activity`), and that owner is here.
         unsafe {
@@ -1195,7 +1021,7 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     st.load.group_resolutions += resolved;
     st.mark_busy(tick);
     let m = st.obs.rec(Phase::Resolve, tick, m, resolved);
-    let routed = route_fanout(core, party, st, 0);
+    let routed = route_fanout(core, party, st);
     st.obs.rec(Phase::Exchange, tick, m, routed);
 }
 
@@ -1204,14 +1030,14 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
 /// scheduling delayed output changes into the party's own wheel and
 /// dirtying an evaluated switch's group at the group's owner when what
 /// the group reads through it moved.
-fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u16) {
+fn party_eval(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: unique slot access during a phase; `net_values` is
     // read-only in this phase; per-component state touched here belongs
     // to owned components.
     let st = unsafe { core.parties.get_mut(party) };
     st.scheduled = 0;
     // SAFETY: only this party drains its inboxes this phase; the
-    // senders filled them in Apply, Merge or Resolve.
+    // senders filled them in Apply or Resolve.
     unsafe { core.eval_mail.drain_into(party, &mut st.inbox) };
     if st.inbox.is_empty() && st.to_eval.is_empty() {
         return;
@@ -1248,9 +1074,6 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64, pass: u16) {
                             let change = PChange {
                                 comp: ci,
                                 drive: out,
-                                pass,
-                                rank: ci,
-                                age: d,
                                 seq: st.seq,
                             };
                             st.wheel.schedule(tick + u64::from(d), change);
@@ -1385,7 +1208,11 @@ impl<'a> ParSimulator<'a> {
     /// for unpartitioned infrastructure — inputs, pulls, rails), as
     /// produced by `logicsim-partition` strategies. Partition `k` is
     /// executed by party `k % workers`; `u32::MAX`, and every input,
-    /// pull and rail, by party 0.
+    /// pull and rail, by party 0. One exception: the co-drivers of a net
+    /// outside the nontrivial switch groups (a tristate bus, a drive
+    /// fight) follow the net's first non-switch driver, so one party
+    /// runs them all. A component keeps its partition id either way,
+    /// and the message counts are the partition's.
     ///
     /// # Errors
     ///
@@ -1449,7 +1276,7 @@ impl<'a> ParSimulator<'a> {
         // and no partition named, every owner is party 0 and nothing
         // crosses (see `Core::place`).
         let assignment = assignment.filter(|a| workers > 1 || a.iter().any(|&p| p != u32::MAX));
-        let place: Vec<Place> = assignment.map_or_else(Vec::new, |assignment| {
+        let mut place: Vec<Place> = assignment.map_or_else(Vec::new, |assignment| {
             (0..nc)
                 .map(|ci| {
                     let part = assignment[ci];
@@ -1463,29 +1290,25 @@ impl<'a> ParSimulator<'a> {
                 })
                 .collect()
         });
-        let routed = !place.is_empty();
-        let group_owner = if routed {
-            compute_group_owner(&img, workers)
-        } else {
+        // A net outside the nontrivial groups has one owner, the party
+        // of its first non-switch driver, and that party runs every
+        // other non-switch driver of it too; each keeps its partition.
+        for ni in 0..if place.is_empty() { 0 } else { nn } {
+            if img.groups.in_nontrivial_group(NetId(ni as u32)) {
+                continue;
+            }
+            let row = img.drivers.row(ni).iter();
+            let mut drivers = row.filter(|d| !img.comps.kind(d.index()).is_switch());
+            if let Some(first) = drivers.next() {
+                let owner = place[first.index()].owner;
+                drivers.for_each(|d| place[d.index()].owner = owner);
+            }
+        }
+        let group_owner = if place.is_empty() {
             Vec::new()
+        } else {
+            compute_group_owner(&img, workers)
         };
-        let net_route: Vec<NetRoute> = (0..if routed { nn } else { 0 })
-            .map(|ni| {
-                let net = NetId(ni as u32);
-                if img.groups.in_nontrivial_group(net) {
-                    let gid = img.groups.group_of(net);
-                    return NetRoute::Group { gid };
-                }
-                let drivers = img.drivers.row(ni).iter();
-                let mut owners = drivers
-                    .filter(|d| !img.comps.kind(d.index()).is_switch())
-                    .map(|d| place[d.index()].owner);
-                match owners.next() {
-                    Some(owner) if owners.any(|o| o != owner) => NetRoute::Shared { owner },
-                    _ => NetRoute::Own,
-                }
-            })
-            .collect();
         // One phase clock for the whole engine: the barrier advances it
         // at every crossing, and (under `phase-check`) every shared
         // container stamps accesses with it.
@@ -1509,7 +1332,6 @@ impl<'a> ParSimulator<'a> {
                 config,
                 workers,
                 place,
-                net_route,
                 group_owner,
                 net_values: SharedVec::from_vec(net_values, &clock),
                 comp_drive: SharedVec::from_vec(comp_drive, &clock),
@@ -1518,7 +1340,6 @@ impl<'a> ParSimulator<'a> {
                 activity: SharedVec::from_vec(vec![0; nc], &clock),
                 settled: SharedVec::from_vec(settled, &clock),
                 parties,
-                affected_mail: Mailboxes::new(workers, &clock),
                 eval_mail: Mailboxes::new(workers, &clock),
                 dirty_mail: Mailboxes::new(workers, &clock),
                 cmd: SharedSlots::from_iter([Cmd::Exit], &clock),
@@ -1786,7 +1607,6 @@ impl<'a> ParSimulator<'a> {
             + c.activity.heap_bytes()
             + c.settled.heap_bytes();
         let routing = std::mem::size_of_val(c.place.as_slice())
-            + std::mem::size_of_val(c.net_route.as_slice())
             + std::mem::size_of_val(c.group_owner.as_slice());
         let worklists: usize = (0..c.workers)
             .map(|p| {
@@ -1992,9 +1812,6 @@ mod tests {
             }
         });
         assert!(counters.busy_ticks > 8);
-        // Every net of the circuit has its drivers in one party, so no
-        // tick has anything to merge across parties.
-        assert_eq!(tally.merge_inline + tally.merge_handshakes, 0);
         tally
     }
 
@@ -2092,23 +1909,59 @@ mod tests {
         tally
     }
 
+    /// The party that runs each component of `n` under `assignment`.
+    fn owners(n: &Netlist, assignment: &[u32], workers: usize) -> Vec<usize> {
+        let par = ParSimulator::new(n, assignment, workers).expect("pre-flight");
+        (0..n.num_components())
+            .map(|ci| par.core.owner(ci))
+            .collect()
+    }
+
     #[test]
-    fn bus_with_drivers_in_two_parties_is_merged_by_its_owner() {
-        // `x` has a driver in each party and belongs to party 0, its
-        // first driver's; `y` is all party 0's. Only party 0 ever has
-        // mail to merge, so no Merge phase handshakes.
-        let tally = bus_run([0, 1, 0, 0, 1, 0], 2);
-        assert!(tally.merge_inline > 0, "{tally:?}");
-        assert_eq!(tally.merge_handshakes, 0, "{tally:?}");
-        // `y` now has its first driver in party 1: when the enables
-        // swap, both owners have a bus to merge in the same tick.
-        let tally = bus_run([0, 1, 1, 0, 1, 0], 2);
-        assert!(tally.merge_handshakes > 0, "{tally:?}");
+    fn every_driver_of_a_net_runs_in_its_first_drivers_party() {
+        // Components 4..=7 drive the buses `x` (4, 5) and `y` (6, 7),
+        // dealt over four partitions; the readers keep theirs.
+        let n = bus_circuit();
+        let assignment = [u32::MAX, u32::MAX, u32::MAX, u32::MAX, 0, 1, 2, 3, 1, 2];
+        assert_eq!(owners(&n, &assignment, 4)[4..], [0, 0, 2, 2, 1, 2]);
+        assert_eq!(owners(&n, &assignment, 3)[4..], [0, 0, 2, 2, 1, 2]);
+        // A pull is a non-switch driver too: on `x` it is the first, so
+        // party 0 runs both tristate drivers. A switch drives nothing
+        // Apply merges, and its channel puts `y` in a nontrivial group,
+        // whose drivers keep their parties.
+        let mut b = NetlistBuilder::new("pulled");
+        let (d, en) = (b.input("d"), b.input("en"));
+        let (x, y) = (b.net("x"), b.net("y"));
+        b.pull(x, Level::One);
+        b.gate(GateKind::Tristate, &[d, en], x, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[en, d], x, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[d, en], y, Delay::uniform(1));
+        b.gate(GateKind::Tristate, &[en, d], y, Delay::uniform(1));
+        b.switch(SwitchKind::Nmos, en, y, d);
+        let n = b.finish().unwrap();
+        let assignment = [u32::MAX, u32::MAX, u32::MAX, 1, 1, 0, 1, 1];
+        assert_eq!(owners(&n, &assignment, 2), [0, 0, 0, 0, 0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn a_bus_cut_by_the_partition_runs_in_one_party() {
+        // `x` has a driver in each partition and `y` too: each bus runs
+        // whole in its first driver's party, so no party ever changes a
+        // drive onto a net another party owns, and every net, counter,
+        // trace row and activity count is the one-party run's. When the
+        // enables swap, both drivers of a bus change in one tick.
+        let n = bus_circuit();
+        for (gates, workers) in [([0, 1, 0, 0, 1, 0], 2), ([0, 1, 1, 0, 1, 0], 2)] {
+            let mut assignment = vec![u32::MAX; 4];
+            assignment.extend(gates);
+            let owner = owners(&n, &assignment, workers);
+            assert_eq!(owner[4], owner[5], "{gates:?}");
+            assert_eq!(owner[6], owner[7], "{gates:?}");
+            bus_run(gates, workers);
+        }
         // At P = 1 an unassigned driver lands in party 0 with the
-        // others: one party drives every bus, so nothing is merged and
-        // nobody shakes hands.
+        // others, and nobody shakes hands.
         let tally = bus_run([0, u32::MAX, 0, 0, 0, 0], 1);
-        assert_eq!(tally.merge_inline + tally.merge_handshakes, 0, "{tally:?}");
         assert_eq!(tally.handshakes, 0, "{tally:?}");
     }
 
@@ -2131,7 +1984,7 @@ mod tests {
         // `d0` falls at tick 10 and `en1` rises at tick 12: the slow
         // driver, evaluated in tick 10, and the fast one, evaluated in
         // tick 12, both land a 0 in tick 13's slot, in that order. Both
-        // drivers sit in one party, so `x` is merged in Apply by pop
+        // drivers run in one party, so `x` is merged in Apply by pop
         // order; the serial engine's last writer, the fast driver, must
         // be the event's cause, not the first change popped.
         let n = slow_fast_bus();
@@ -2168,12 +2021,11 @@ mod tests {
             .find(|r| r.tick == 13)
             .expect("x falls at 13");
         assert_eq!(tick13.events[0].source, 5, "{tick13:?}");
-        for workers in [1, 2] {
-            // The drivers in the last party, the inverter in party 0.
-            let last = workers as u32 - 1;
-            let assignment = [u32::MAX, u32::MAX, u32::MAX, u32::MAX, last, last, 0];
-            let (tally, _) = run_against_serial(&n, &assignment, workers, 20, &script);
-            assert_eq!(tally.mailed.affected, 0, "x is merged in Apply: {tally:?}");
+        // The drivers in the last party, or dealt one to each party (the
+        // slow one's party runs both), the inverter in party 0.
+        for (workers, slow, fast) in [(1, 0, 0), (2, 1, 1), (2, 1, 0)] {
+            let assignment = [u32::MAX, u32::MAX, u32::MAX, u32::MAX, slow, fast, 0];
+            run_against_serial(&n, &assignment, workers, 20, &script);
         }
     }
 
@@ -2372,8 +2224,8 @@ mod tests {
     }
 
     #[test]
-    fn a_wheel_entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<PChange>(), 24);
+    fn a_wheel_entry_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<PChange>(), 16);
     }
 
     #[test]

@@ -564,22 +564,22 @@ mod loom_tests {
     /// Commands of the miniature engine below.
     const EXIT: u32 = 0;
     const APPLY: u32 = 1;
-    const MERGE: u32 = 2;
-    const EVAL: u32 = 3;
+    const EVAL: u32 = 2;
 
     /// `par_engine`'s tick protocol in miniature at `P = 2`: three
     /// parties on two threads (the calling thread runs party 0 and the
     /// master party 2, a spawned worker runs party 1), the engine's own
     /// `Mailboxes`, `SharedVec`, `SharedSlots` and `SpinBarrier`, and
-    /// one net, owned by party 0, with a driver in each of parties 0
-    /// and 1 and a reader in each of parties 1 and 2.
+    /// one net, owned by party 0 with both of its drivers, read by a
+    /// component in each of parties 1 and 2 whose evaluation dirties a
+    /// switch group party 0 owns.
     struct Mini {
         barrier: SpinBarrier,
         cmd: SharedSlots<u32>,
-        /// Apply → Merge: stamps, to the net's owner.
-        affected: Mailboxes<u32>,
-        /// Merge → Eval: messages, to the readers' owners.
+        /// Apply → Eval: messages, to the readers' owners.
         eval: Mailboxes<u32>,
+        /// Eval → Resolve: dirty groups, to the group's owner.
+        dirty: Mailboxes<u32>,
         /// One net value per owning party.
         value: SharedVec<u32>,
         /// One evaluation result per party.
@@ -592,8 +592,8 @@ mod loom_tests {
             Arc::new(Mini {
                 barrier: SpinBarrier::new(2, &clock),
                 cmd: SharedSlots::from_iter(vec![EXIT], &clock),
-                affected: Mailboxes::new(3, &clock),
                 eval: Mailboxes::new(3, &clock),
+                dirty: Mailboxes::new(3, &clock),
                 value: SharedVec::from_vec(vec![0; 3], &clock),
                 out: SharedVec::from_vec(vec![0; 3], &clock),
             })
@@ -608,16 +608,13 @@ mod loom_tests {
             // ones only in a phase nobody writes them.
             unsafe {
                 match cmd {
-                    APPLY if party < 2 => self.affected.mail(party, 0).push(party as u32 + 1),
-                    MERGE => {
-                        // Maximum stamp wins; every reader gets a message.
-                        let mut stamps = Vec::new();
-                        self.affected.drain_into(party, &mut stamps);
-                        if let Some(&best) = stamps.iter().max() {
-                            self.value.set(party, best);
-                            for dst in 1..3 {
-                                self.eval.mail(party, dst).push(10 * dst as u32);
-                            }
+                    APPLY if party == 0 => {
+                        // Both drivers' changes, 1 then 2, pop from the
+                        // owner's own wheel; the last popped wins, and
+                        // every reader gets a message.
+                        self.value.set(0, 2);
+                        for dst in 1..3 {
+                            self.eval.mail(0, dst).push(10 * dst as u32);
                         }
                     }
                     EVAL => {
@@ -626,6 +623,7 @@ mod loom_tests {
                         let mail: u32 = mail.iter().sum();
                         if mail > 0 {
                             self.out.set(party, mail + self.value.get(0));
+                            self.dirty.mail(party, 0).push(party as u32);
                         }
                     }
                     _ => {}
@@ -650,6 +648,14 @@ mod loom_tests {
             }
         }
 
+        /// `Master::phase` with one busy party: the master runs every
+        /// party's share itself while the worker stays parked.
+        fn inline(&self, cmd: u32) {
+            for party in 0..3 {
+                self.run(party, cmd);
+            }
+        }
+
         /// `Master::phase` with two busy threads: publish, release, the
         /// calling thread's shares (after `between`, which stands for
         /// whatever the master does first), join.
@@ -668,45 +674,49 @@ mod loom_tests {
         }
     }
 
-    /// One tick of the owner-computes protocol: Apply (both threads
-    /// mail a stamp to party 0; handshaken), Merge (only party 0 has
-    /// mail, so the master runs every party's share itself while the
-    /// worker stays parked — the skipped handshake), Eval (parties 1
-    /// and 2 have mail; handshaken), exit. Sound because Apply's join
-    /// crossing orders the worker's push before the master's drain, and
-    /// Eval's release crossing orders the master's push and its write
-    /// of the net's value before the worker's drain and read.
-    /// Preemption-bounded: five crossings of a spinning barrier are too
-    /// many schedules to enumerate outright.
+    /// One tick of the owner-computes protocol: Apply (only party 0 has
+    /// work — it merges its own drivers' changes onto its net and mails
+    /// the fanout — so the master runs every party's share itself while
+    /// the worker stays parked: the skipped handshake), Eval (parties 1
+    /// and 2 have mail; handshaken; each dirties party 0's group), exit.
+    /// Sound because Eval's release crossing orders the master's pushes
+    /// and its write of the net's value before the worker's drain and
+    /// read, and Eval's join crossing orders the worker's push before
+    /// the master's read of its dirty inbox. Preemption-bounded: four
+    /// crossings of a spinning barrier are too many schedules to
+    /// enumerate outright.
     #[test]
-    fn loom_mini_engine_owner_merge_and_skipped_handshake() {
+    fn loom_mini_engine_inline_apply_then_handshaken_eval() {
         let mut b = loom::model::Builder::new();
         b.preemption_bound = Some(2);
         b.check(|| {
             let mini = Mini::new();
             let m = Arc::clone(&mini);
             let worker = loom::thread::spawn(move || m.worker());
-            mini.handshaken(APPLY, || {});
-            for party in 0..3 {
-                mini.run(party, MERGE);
-            }
+            mini.inline(APPLY);
             mini.handshaken(EVAL, || {});
+            // SAFETY: between phases; the worker is parked.
+            assert!(unsafe { mini.dirty.has_mail(0) });
             mini.release(EXIT);
-            // Party 1's reader: message 10 plus the winning stamp 2.
+            // Party 1's reader: message 10 plus the last driver's 2.
             assert_eq!(worker.join().unwrap(), 12);
+            let mut dirty = Vec::new();
             // SAFETY: the worker has exited.
-            let (value, out) = unsafe { (mini.value.get(0), mini.out.get(2)) };
-            assert_eq!((value, out), (2, 22));
+            let (value, out) = unsafe {
+                mini.dirty.drain_into(0, &mut dirty);
+                (mini.value.get(0), mini.out.get(2))
+            };
+            assert_eq!((value, out, dirty), (2, 22, vec![1, 2]));
         });
     }
 
-    /// The broken twin: the owner drains its inbox from party 1 *inside*
-    /// the Apply phase, before the join crossing that would order the
-    /// worker's push before it, and the checker flags the data race.
-    /// (The yield stands for the master's own share: cell accesses are
-    /// not scheduling points of the vendored checker, so without one
-    /// the worker could never run between the crossing and the stray
-    /// drain.)
+    /// The broken twin: the group's owner drains its inbox from party 1
+    /// *inside* the Eval phase, before the join crossing that would
+    /// order the worker's push before it, and the checker flags the
+    /// data race. (The yield stands for the master's own share: cell
+    /// accesses are not scheduling points of the vendored checker, so
+    /// without one the worker could never run between the crossing and
+    /// the stray drain.)
     #[test]
     #[should_panic(expected = "data race")]
     fn loom_mini_engine_inbox_read_before_the_barrier_races() {
@@ -716,12 +726,13 @@ mod loom_tests {
             let mini = Mini::new();
             let m = Arc::clone(&mini);
             let worker = loom::thread::spawn(move || m.worker());
-            mini.handshaken(APPLY, || {
+            mini.inline(APPLY);
+            mini.handshaken(EVAL, || {
                 thread::yield_now();
                 // SAFETY: deliberately violates the contract — box
                 // (1, 0) is the released worker's to fill this phase;
                 // loom reports the race instead of exhibiting UB.
-                unsafe { mini.affected.mail(1, 0) }.clear();
+                unsafe { mini.dirty.drain_into(0, &mut Vec::new()) };
             });
             mini.release(EXIT);
             worker.join().unwrap();

@@ -484,17 +484,11 @@ impl Stimulus64 {
         })
     }
 
-    /// Number of lanes.
-    #[must_use]
-    pub fn num_lanes(&self) -> usize {
-        self.rngs.len()
-    }
-
     /// Feeds this tick's input planes to a sink (typically
     /// [`BitParSim::set_input_plane`](crate::bitpar::BitParSim::set_input_plane)),
     /// advancing every lane's random state exactly as a
     /// [`RandomStimulus::apply_with`] with that lane's seed would. Lanes
-    /// beyond [`Stimulus64::num_lanes`] are left `X` in every plane.
+    /// beyond the ones it was built for are left `X` in every plane.
     pub fn apply_with(&mut self, tick: u64, mut set: impl FnMut(NetId, Plane)) {
         for idx in 0..self.nets.len() {
             match self.roles[idx] {

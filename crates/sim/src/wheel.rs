@@ -5,9 +5,8 @@
 //! circular array of slots for the near future plus a sorted overflow map
 //! for events scheduled beyond the wheel horizon. Scheduling and popping
 //! are O(1) amortized for delays shorter than the wheel size, and
-//! [`TimingWheel::next_pending_tick`] answers from a per-slot occupancy
-//! bitmap (word-scanned, O(slots/64)) or the overflow map's first key
-//! (O(log n)) — never by touching the slot vectors themselves.
+//! [`TimingWheel::has_current`] tells in O(1) whether the current tick
+//! has anything to pop, which is all an engine asks before each tick.
 //!
 //! # Memory
 //!
@@ -53,12 +52,8 @@ pub struct TimingWheel<T> {
     overflow: BTreeMap<u64, Vec<T>>,
     /// Number of items currently stored (wheel + overflow).
     len: usize,
-    /// Count of nonempty slots, to short-circuit the bitmap scan when
-    /// everything pending lives in the overflow map.
+    /// Count of nonempty slots, which bounds the free list.
     nonempty_slots: usize,
-    /// Occupancy bitmap over *physical* slot indices; bit set iff the
-    /// slot is nonempty.
-    occupied: Vec<u64>,
     /// Empty buffers with capacity, for the next slots to fill; at most
     /// `nonempty_slots + 1` of them (a drain trims the rest).
     free: Vec<Vec<T>>,
@@ -77,7 +72,6 @@ impl<T> TimingWheel<T> {
             overflow: BTreeMap::new(),
             len: 0,
             nonempty_slots: 0,
-            occupied: vec![0u64; wheel_size.div_ceil(64)],
             free: Vec::new(),
         }
     }
@@ -99,18 +93,6 @@ impl<T> TimingWheel<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    #[inline]
-    fn mark_occupied(&mut self, idx: usize) {
-        self.nonempty_slots += 1;
-        self.occupied[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    #[inline]
-    fn mark_vacant(&mut self, idx: usize) {
-        self.nonempty_slots -= 1;
-        self.occupied[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     /// Schedules an item at an absolute tick.
@@ -135,7 +117,7 @@ impl<T> TimingWheel<T> {
                 idx -= n;
             }
             if self.slots[idx].is_empty() {
-                self.mark_occupied(idx);
+                self.nonempty_slots += 1;
                 if let Some(buf) = self.free.pop() {
                     self.slots[idx] = buf;
                 }
@@ -175,7 +157,7 @@ impl<T> TimingWheel<T> {
             out.append(slot);
         }
         let buf = std::mem::take(slot);
-        self.mark_vacant(self.cursor);
+        self.nonempty_slots -= 1;
         self.free.truncate(self.nonempty_slots);
         if buf.capacity() > 0 {
             self.free.push(buf);
@@ -202,51 +184,21 @@ impl<T> TimingWheel<T> {
             let slot = &mut self.slots[vacated];
             if slot.is_empty() {
                 *slot = items;
-                self.mark_occupied(vacated);
+                self.nonempty_slots += 1;
             } else {
                 slot.extend(items);
             }
         }
     }
 
-    /// Whether anything is scheduled for the current tick, in O(1):
-    /// the same answer as `next_pending_tick() == Some(now())`, because
-    /// an item due now always sits in the current slot (the overflow
-    /// map only holds ticks at least a full horizon away, and `advance`
+    /// Whether anything is scheduled for the current tick, in O(1): an
+    /// item due now always sits in the current slot (the overflow map
+    /// only holds ticks at least a full horizon away, and `advance`
     /// migrates them before they come due).
     #[must_use]
     #[inline]
     pub fn has_current(&self) -> bool {
         !self.slots[self.cursor].is_empty()
-    }
-
-    /// The next tick (>= now) that has scheduled items, or `None` when
-    /// the wheel is empty. Used by the engine to skip idle ticks in
-    /// event-increment mode while still counting them.
-    ///
-    /// Answers from the occupancy bitmap when any slot is nonempty, and
-    /// from the overflow map's first key otherwise, so a wheel whose
-    /// pending work is entirely beyond the horizon responds in O(log n)
-    /// without scanning slots.
-    #[must_use]
-    pub fn next_pending_tick(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.nonempty_slots > 0 {
-            if let Some(phys) = self
-                .find_occupied(self.cursor, self.slots.len())
-                .or_else(|| self.find_occupied(0, self.cursor))
-            {
-                let offset = if phys >= self.cursor {
-                    phys - self.cursor
-                } else {
-                    phys + self.slots.len() - self.cursor
-                };
-                return Some(self.now + offset as u64);
-            }
-        }
-        self.overflow.keys().next().copied()
     }
 
     /// The capacity of every buffer the wheel holds an allocation for:
@@ -259,32 +211,6 @@ impl<T> TimingWheel<T> {
             .chain(self.overflow.values())
             .map(Vec::capacity)
             .filter(|&c| c > 0)
-    }
-
-    /// First set bit in `occupied` over physical indices `[from, to)`,
-    /// scanned word-wise.
-    fn find_occupied(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let first_word = from / 64;
-        let last_word = (to - 1) / 64;
-        for w in first_word..=last_word {
-            let mut bits = self.occupied[w];
-            if w == first_word {
-                bits &= !0u64 << (from % 64);
-            }
-            if w == last_word {
-                let top = to - w * 64;
-                if top < 64 {
-                    bits &= (1u64 << top) - 1;
-                }
-            }
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 }
 
@@ -314,7 +240,7 @@ mod tests {
     fn overflow_migrates_into_wheel() {
         let mut w: TimingWheel<&str> = TimingWheel::new(4);
         w.schedule(10, "far");
-        assert_eq!(w.next_pending_tick(), Some(10));
+        assert_eq!((w.len(), w.overflow.len(), w.nonempty_slots), (1, 1, 0));
         while w.now() < 10 {
             assert!(w.pop_current().is_empty());
             w.advance();
@@ -322,14 +248,21 @@ mod tests {
         assert_eq!(w.pop_current(), vec!["far"]);
     }
 
+    /// A far item waits in the overflow map while a near one scheduled
+    /// after it sits in its slot, and each pops at its own tick.
     #[test]
-    fn next_pending_tick_prefers_wheel_then_overflow() {
+    fn near_items_pop_before_far_ones_scheduled_earlier() {
         let mut w: TimingWheel<u32> = TimingWheel::new(4);
-        assert_eq!(w.next_pending_tick(), None);
+        assert!(w.is_empty() && !w.has_current());
         w.schedule(100, 1);
-        assert_eq!(w.next_pending_tick(), Some(100));
         w.schedule(2, 2);
-        assert_eq!(w.next_pending_tick(), Some(2));
+        assert_eq!((w.len(), w.overflow.len(), w.nonempty_slots), (2, 1, 1));
+        let mut popped = Vec::new();
+        while !w.is_empty() {
+            popped.extend(w.pop_current().into_iter().map(|i| (w.now(), i)));
+            w.advance();
+        }
+        assert_eq!(popped, [(2, 2), (100, 1)]);
     }
 
     #[test]
@@ -393,8 +326,7 @@ mod tests {
         assert_eq!(buf, [1, 2]);
         assert_eq!(buf.as_ptr(), slot_ptr, "the slot's buffer is handed over");
         assert_eq!(w.slots[0].capacity(), 0);
-        assert!(w.is_empty());
-        assert_eq!(w.next_pending_tick(), None);
+        assert!(w.is_empty() && !w.has_current());
         w.schedule(1, 3);
         assert_eq!(
             w.slots[1].as_ptr(),
@@ -442,22 +374,21 @@ mod tests {
         w.schedule(1, 2);
         w.schedule(3, 3);
         assert_eq!(w.overflow.len(), 2);
-        assert_eq!(w.next_pending_tick(), Some(0));
+        assert!(w.has_current());
         assert_eq!(w.pop_current(), [1]);
         w.advance();
         assert_eq!(w.pop_current(), [2]);
         w.advance();
         assert!(!w.has_current());
-        assert_eq!(w.next_pending_tick(), Some(3));
+        assert_eq!((w.len(), w.overflow.len()), (1, 1));
         w.advance();
         assert_eq!(w.pop_current(), [3]);
         assert!(w.is_empty());
     }
 
     /// The boundary case: `now + wheel_size` is the first tick *outside*
-    /// the horizon, so it must land in the overflow map, be reported by
-    /// `next_pending_tick` without any slot being occupied, and migrate
-    /// into the wheel on the first `advance()`.
+    /// the horizon, so it must land in the overflow map, not in a slot,
+    /// and migrate into the wheel on the first `advance()`.
     #[test]
     fn overflow_edge_at_exactly_now_plus_wheel_size() {
         let size = 4;
@@ -466,7 +397,8 @@ mod tests {
         w.schedule(size as u64, "edge"); // first tick past the horizon
         assert_eq!(w.nonempty_slots, 1, "edge item must not occupy a slot");
         assert_eq!(w.overflow.len(), 1);
-        assert_eq!(w.next_pending_tick(), Some(size as u64 - 1));
+        assert_eq!(w.len(), 2);
+        assert!(!w.has_current());
 
         // The first advance vacates the slot that then represents
         // exactly tick `size` (= new now + horizon - 1), so the edge
@@ -475,7 +407,7 @@ mod tests {
         w.advance();
         assert!(w.overflow.is_empty(), "edge item must have migrated");
         assert_eq!(w.nonempty_slots, 2);
-        assert_eq!(w.next_pending_tick(), Some(size as u64 - 1));
+        assert_eq!(w.len(), 2);
 
         for t in 1..size as u64 - 1 {
             assert!(w.pop_current().is_empty(), "tick {t} should be empty");
@@ -483,56 +415,60 @@ mod tests {
         }
         assert_eq!(w.pop_current(), vec!["inside"]);
         w.advance();
-        assert_eq!(w.next_pending_tick(), Some(size as u64));
+        assert_eq!(w.now(), size as u64);
+        assert!(w.has_current());
         assert_eq!(w.pop_current(), vec!["edge"]);
         assert!(w.is_empty());
     }
 
-    /// `has_current` against the bitmap scan it replaces in the engines'
-    /// idle-tick test, over a script that crosses the overflow edge: a
-    /// one-slot wheel (every later tick overflows and migrates on the
-    /// advance that reaches it) and a four-slot one.
+    /// `has_current` against a count of the items due at each tick,
+    /// over a script that crosses the overflow edge: a one-slot wheel
+    /// (every later tick overflows and migrates on the advance that
+    /// reaches it) and a four-slot one.
     #[test]
-    fn has_current_agrees_with_next_pending_tick() {
+    fn has_current_tells_whether_the_current_tick_is_due() {
         for size in [1usize, 4] {
             let mut w: TimingWheel<u64> = TimingWheel::new(size);
-            let check = |w: &TimingWheel<u64>| {
+            let mut due: BTreeMap<u64, usize> = BTreeMap::new();
+            let check = |w: &TimingWheel<u64>, due: &BTreeMap<u64, usize>| {
                 assert_eq!(
                     w.has_current(),
-                    w.next_pending_tick() == Some(w.now()),
+                    due.contains_key(&w.now()),
                     "size {size} tick {}",
                     w.now()
                 );
+                assert_eq!(w.len(), due.values().sum::<usize>());
             };
-            check(&w);
+            check(&w, &due);
             for t in 0..40u64 {
                 // In-horizon, exactly at the edge, and far beyond it.
                 for d in [0, 2, size as u64 - 1, size as u64, 3 * size as u64 + 1] {
                     if (t + d) % 3 == 0 {
                         w.schedule(t + d, t);
-                        check(&w);
+                        *due.entry(t + d).or_default() += 1;
+                        check(&w, &due);
                     }
                 }
-                let due = w.has_current();
-                assert_eq!(!w.pop_current().is_empty(), due);
-                check(&w);
+                let popped = w.pop_current().len();
+                assert_eq!(popped, due.remove(&t).unwrap_or(0));
+                check(&w, &due);
                 w.advance();
-                check(&w);
+                check(&w, &due);
             }
         }
     }
 
-    /// Bitmap scan must handle a pending slot *behind* the cursor
-    /// (physical index wrapped around zero).
+    /// A pending slot *behind* the cursor (physical index wrapped
+    /// around zero) pops at its tick.
     #[test]
-    fn next_pending_tick_across_physical_wraparound() {
+    fn a_slot_behind_the_cursor_pops_at_its_tick() {
         let mut w: TimingWheel<u32> = TimingWheel::new(8);
         for _ in 0..6 {
             w.advance();
         }
         // cursor = 6; now = 6; tick 11 lands at physical (6 + 5) % 8 = 3.
         w.schedule(11, 42);
-        assert_eq!(w.next_pending_tick(), Some(11));
+        assert_eq!(w.slots[3], [42]);
         while w.now() < 11 {
             assert!(w.pop_current().is_empty());
             w.advance();
@@ -616,9 +552,11 @@ mod tests {
                 self.now += 1;
             }
 
-            /// The next tick with scheduled items, if any.
-            pub fn next_pending_tick(&self) -> Option<u64> {
-                self.heap.peek().map(|&Reverse((t, _))| t)
+            /// Whether anything is scheduled for the current tick.
+            pub fn has_current(&self) -> bool {
+                self.heap
+                    .peek()
+                    .is_some_and(|&Reverse((t, _))| t == self.now)
             }
         }
 
@@ -629,7 +567,8 @@ mod tests {
             h.schedule(0, 2);
             h.schedule(3, 3);
             assert_eq!(h.pop_current(), vec![1, 2]);
-            assert_eq!(h.next_pending_tick(), Some(3));
+            assert_eq!(h.len(), 1);
+            assert!(!h.has_current());
             for _ in 0..3 {
                 assert!(h.pop_current().is_empty());
                 h.advance();
@@ -704,7 +643,7 @@ mod tests {
                 wheel.schedule(tick, item);
                 heap.schedule(tick, item);
                 proptest::prop_assert_eq!(wheel.len(), heap.len());
-                proptest::prop_assert_eq!(wheel.next_pending_tick(), heap.next_pending_tick());
+                proptest::prop_assert_eq!(wheel.has_current(), heap.has_current());
             }
             // Drain to empty.
             while !wheel.is_empty() || !heap.is_empty() {

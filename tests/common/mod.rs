@@ -101,7 +101,7 @@ pub enum Engine {
     /// `ParSimulator` at `P` under `RandomPartitioner` seeded [`SEED`].
     ParRandom(usize),
     /// `ParSimulator` at `P` under `RoundRobinPartitioner`, which deals
-    /// components declared next to each other to different parties.
+    /// components declared next to each other to different partitions.
     ParRoundRobin(usize),
     /// `ParSimulator` at `P` under `MultilevelPartitioner` seeded 11.
     ParMultilevel(usize),
@@ -111,11 +111,12 @@ pub enum Engine {
 /// by `(d0, en0)` and `(d1, en1)`, `y` by `(d1, en0)` and `(d0, en1)` —
 /// read by an inverter and an XOR. The four drivers are declared one
 /// after the other, so [`Engine::ParRoundRobin`] at `P >= 2` puts the
-/// two drivers of each bus in different parties. All four inputs are
-/// re-drawn in the same ticks and every driver has the same delay, so
-/// both drivers of a bus often change their drive in one tick and the
-/// bus's owner merges the two changes: the serial engine's last writer
-/// must be the cause the trace records.
+/// two drivers of each bus in different partitions (the engine runs
+/// both in the first one's party). All four inputs are re-drawn in the
+/// same ticks and every driver has the same delay, so both drivers of a
+/// bus often change their drive in one tick and the bus's owner merges
+/// the two changes: the serial engine's last writer must be the cause
+/// the trace records.
 pub fn bus_instance() -> BenchmarkInstance {
     let mut b = NetlistBuilder::new("buses");
     let (d0, d1) = (b.input("d0"), b.input("d1"));
