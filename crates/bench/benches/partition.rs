@@ -25,9 +25,19 @@
 //! built node by node with rails joining no pair (its differential test
 //! is the netlist crate's `graph::tests::rows_equal_the_pair_walk`).
 //! Throughput counts adjacency items, so ns per item is 1e9 / elem/s.
+//!
+//! The `levelize` group times `Levelization::compute`, the logic depths
+//! `ml-act`'s activity weights start from, on the same three circuits.
+//! A net that two or more switches share (a supply rail, a pass-gate
+//! bus) enters its dependency graph once, as a hub; its differential
+//! test is the netlist crate's
+//! `depgraph::tests::hubs_give_the_clique_graphs_depths_and_cycles`.
+//! `crossbar@10k` has no such net: its row times the hub detection
+//! alone. Throughput counts components.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::Benchmark;
+use logicsim::netlist::analyze::Levelization;
 use logicsim::partition::activity_graph;
 use logicsim::partition::fm::{refine_passes, WorkGraph};
 use logicsim::partition::multilevel::{coarsen, min_side_weight, COARSEN_TARGET, MAX_PASSES};
@@ -139,5 +149,23 @@ fn graph_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, partition_benches, graph_benches);
+fn levelize_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("levelize");
+    for (name, base) in [
+        ("rtp", Benchmark::RtpChip),
+        ("assoc_mem", Benchmark::AssocMem),
+        ("crossbar", Benchmark::CrossbarSwitch),
+    ] {
+        let netlist = base.build_at(10_000).netlist;
+        let depth = Levelization::compute(&netlist).max_depth();
+        println!("{name}@10k: max depth {depth}");
+        group.throughput(Throughput::Elements(netlist.num_components() as u64));
+        group.bench_function(format!("{name}@10k"), |b| {
+            b.iter(|| Levelization::compute(&netlist));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, partition_benches, graph_benches, levelize_benches);
 criterion_main!(benches);

@@ -20,7 +20,7 @@ use crate::component::{CompId, ComponentRef, NetId};
 use crate::netlist::Netlist;
 
 /// Whether a component propagates in zero simulated time.
-fn is_zero_time(component: ComponentRef<'_>) -> bool {
+pub(super) fn is_zero_time(component: ComponentRef<'_>) -> bool {
     match component {
         ComponentRef::Gate { delay, .. } => delay.rise.min(delay.fall) == 0,
         ComponentRef::Switch { .. } => true,
@@ -37,12 +37,22 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
         return;
     }
     let graph = DepGraph::build(netlist, |id| is_zero_time(netlist.component(id)));
+    out.extend(findings(netlist, &graph));
+}
+
+/// The LS0001 findings over `graph`, the dependency graph of
+/// `netlist`'s zero-time components; hubs are no members.
+pub(super) fn findings(netlist: &Netlist, graph: &DepGraph) -> Vec<Diagnostic> {
     let mut findings = Vec::new();
     for scc in strongly_connected_components(&graph.succ).rows() {
         if !is_cyclic(&graph.succ, scc) {
             continue;
         }
-        let mut members: Vec<CompId> = scc.iter().map(|&i| CompId(i)).collect();
+        let mut members: Vec<CompId> = scc
+            .iter()
+            .filter(|&&i| !graph.is_hub(i))
+            .map(|&i| CompId(i))
+            .collect();
         members.sort_unstable();
         let zero_gates = members
             .iter()
@@ -72,7 +82,7 @@ pub(crate) fn check(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     }
     // Deterministic order regardless of DFS entry order.
     findings.sort_by_key(|d| d.components.first().copied());
-    out.extend(findings);
+    findings
 }
 
 #[cfg(test)]

@@ -182,12 +182,26 @@ pub fn solve<A: Analysis>(analysis: &A) -> Solution<A::Value> {
 /// Net ids of `netlist` in levelization order: ascending logic depth
 /// for [`Direction::Forward`] (drivers settle before readers), the
 /// reverse for [`Direction::Backward`]. Cyclic nets share a depth and
-/// appear in id order within it.
+/// appear in id order within it: a counting sort by depth over the
+/// ascending ids.
 #[must_use]
 pub fn level_order(netlist: &Netlist, direction: Direction) -> Vec<u32> {
     let levels = Levelization::compute(netlist);
-    let mut order: Vec<u32> = (0..netlist.num_nets() as u32).collect();
-    order.sort_by_key(|&n| (levels.net_depth(crate::component::NetId(n)), n));
+    let depth = |n: u32| levels.net_depth(crate::component::NetId(n)) as usize;
+    // Each depth's first slot, then its next free one.
+    let mut next = levels.depth_histogram();
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0u32; netlist.num_nets()];
+    for n in 0..netlist.num_nets() as u32 {
+        let slot = &mut next[depth(n)];
+        order[*slot] = n;
+        *slot += 1;
+    }
     if direction == Direction::Backward {
         order.reverse();
     }
@@ -294,6 +308,27 @@ mod tests {
         let mut rev = bwd.clone();
         rev.reverse();
         assert_eq!(fwd, rev);
+    }
+
+    #[test]
+    fn level_order_sorts_by_depth_then_id() {
+        // Nets declared deepest first, with ties at every depth.
+        let mut b = NetlistBuilder::new("ties");
+        let z: Vec<NetId> = (0..3).map(|i| b.net(format!("z{i}"))).collect();
+        let y: Vec<NetId> = (0..3).map(|i| b.net(format!("y{i}"))).collect();
+        let a = b.input("a");
+        let c = b.input("c");
+        for i in 0..3 {
+            b.gate(GateKind::Nand, &[a, c], y[i], Delay::default());
+            b.gate(GateKind::Not, &[y[2 - i]], z[i], Delay::default());
+        }
+        let n = b.finish().unwrap();
+        let levels = Levelization::compute(&n);
+        let mut sorted: Vec<u32> = (0..n.num_nets() as u32).collect();
+        sorted.sort_by_key(|&i| (levels.net_depth(NetId(i)), i));
+        assert_eq!(level_order(&n, Direction::Forward), sorted);
+        sorted.reverse();
+        assert_eq!(level_order(&n, Direction::Backward), sorted);
     }
 
     #[test]

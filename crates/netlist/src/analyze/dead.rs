@@ -58,12 +58,12 @@ pub fn live_components(netlist: &Netlist) -> Vec<bool> {
                 continue;
             }
             live_comp[driver.index()] = true;
-            for read in comp.read_nets() {
+            comp.for_each_read(|read| {
                 if !live_net[read.index()] {
                     live_net[read.index()] = true;
                     work.push(read);
                 }
-            }
+            });
         }
     }
     live_comp

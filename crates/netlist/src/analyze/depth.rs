@@ -17,11 +17,11 @@
 
 use super::depgraph::{is_cyclic, strongly_connected_components, DepGraph};
 use super::diag::{Code, Diagnostic};
-use crate::component::NetId;
+use crate::component::{CompId, ComponentKind, NetId};
 use crate::netlist::Netlist;
 
 /// Per-net and per-component logic depth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levelization {
     /// Longest logic path (in gate/switch evaluations) to each net.
     net_depth: Vec<u32>,
@@ -38,35 +38,49 @@ impl Levelization {
     /// of the component dependency graph.
     #[must_use]
     pub fn compute(netlist: &Netlist) -> Levelization {
-        let graph = DepGraph::build(netlist, |_| true);
+        Levelization::from_graph(netlist, &DepGraph::build(netlist, |_| true))
+    }
+
+    /// [`Levelization::compute`] over a given dependency graph of
+    /// `netlist`; its hubs take no depth of their own.
+    pub(crate) fn from_graph(netlist: &Netlist, graph: &DepGraph) -> Levelization {
         let sccs = strongly_connected_components(&graph.succ);
+        let columns = netlist.columns();
         let num_comps = netlist.num_components();
-        let mut scc_of = vec![0u32; num_comps];
+        let mut scc_of = vec![0u32; graph.succ.num_rows()];
         let mut cyclic = vec![false; num_comps];
         for (i, scc) in sccs.rows().enumerate() {
             let in_cycle = is_cyclic(&graph.succ, scc);
             for &member in scc {
                 scc_of[member as usize] = i as u32;
-                cyclic[member as usize] = in_cycle;
+                if !graph.is_hub(member) {
+                    cyclic[member as usize] = in_cycle;
+                }
             }
         }
         // Tarjan emits SCCs sinks-first; walk them in reverse for a
-        // topological order and relax longest paths.
-        let mut incoming = vec![0u32; sccs.num_rows()];
+        // topological order and relax longest paths. An SCC's entry
+        // holds the deepest SCC feeding it until its own turn, then its
+        // depth.
         let mut scc_depth = vec![0u32; sccs.num_rows()];
         let mut comp_depth = vec![0u32; num_comps];
         for i in (0..sccs.num_rows()).rev() {
             let counts_as_level = sccs.row(i).iter().any(|&m| {
-                let c = netlist.component(crate::component::CompId(m));
-                c.is_gate() || c.is_switch()
+                !graph.is_hub(m)
+                    && matches!(
+                        columns.kind(m as usize),
+                        ComponentKind::Gate(_) | ComponentKind::Switch(_)
+                    )
             });
-            scc_depth[i] = incoming[i] + u32::from(counts_as_level);
+            scc_depth[i] += u32::from(counts_as_level);
             for &u in sccs.row(i) {
-                comp_depth[u as usize] = scc_depth[i];
+                if !graph.is_hub(u) {
+                    comp_depth[u as usize] = scc_depth[i];
+                }
                 for &v in graph.succ.row(u as usize) {
                     let j = scc_of[v as usize] as usize;
                     if j != i {
-                        incoming[j] = incoming[j].max(scc_depth[i]);
+                        scc_depth[j] = scc_depth[j].max(scc_depth[i]);
                     }
                 }
             }
@@ -106,7 +120,7 @@ impl Levelization {
     ///
     /// Panics if `comp` is out of range.
     #[must_use]
-    pub fn comp_depth(&self, comp: crate::component::CompId) -> u32 {
+    pub fn comp_depth(&self, comp: CompId) -> u32 {
         self.comp_depth[comp.index()]
     }
 
@@ -116,7 +130,7 @@ impl Levelization {
     ///
     /// Panics if `comp` is out of range.
     #[must_use]
-    pub fn is_cyclic(&self, comp: crate::component::CompId) -> bool {
+    pub fn is_cyclic(&self, comp: CompId) -> bool {
         self.cyclic[comp.index()]
     }
 
