@@ -1,13 +1,18 @@
 //! Switch-group solver kernel, one resolution at a time.
 //!
-//! The delay-estimation half of `crates/sim/tests/solver_differential.rs`:
-//! three group shapes, each resolved through the compiled image the
-//! engines hold (`GroupImage::resolve_into`) and through the public
-//! `resolve_group_into` wrapper, which compiles the group on every call
-//! before running the same kernel. The gap between the two rows of a
-//! shape is the wrapper's compile cost; the benchmark's
-//! `sim.solver.resolve_chain_ns` probe times the wrapper row of
-//! `pass_chain_64`.
+//! The delay-estimation half of `crates/sim/tests/solver_differential.rs`
+//! and of the pair oracle in `solver::tests`: three group shapes, each
+//! resolved through the kernel over the compiled image
+//! (`GroupImage::resolve_into`), through the public `resolve_group_into`
+//! wrapper, which compiles the group on every call before running the
+//! same kernel, and through the engines' entry point
+//! (`GroupImage::settle`: drives joined per component, the record
+//! stored, each change's cause named), which settles `tg_latch`, a pair,
+//! in closed form and the other two through the kernel. The gap between
+//! the first two rows of a shape is the wrapper's compile cost, and on
+//! `tg_latch` the gap between the first and the third is what the closed
+//! form saves; the benchmark's `sim.solver.resolve_chain_ns` probe times
+//! the wrapper row of `pass_chain_64`.
 //!
 //! * `tg_latch` — a transmission gate between a driven net and a storage
 //!   node: 2 nets, 2 switches (the master stage of `cells::tg_dff`).
@@ -26,7 +31,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
-use logicsim::netlist::{ChannelGroups, Level, NetId, Netlist, NetlistBuilder, Signal, SwitchKind};
+use logicsim::netlist::{
+    ChannelGroups, CompId, Level, NetId, Netlist, NetlistBuilder, Signal, SwitchKind,
+};
 use logicsim::sim::solver::{resolve_group_into, GroupImage, Scratch};
 use logicsim::sim::stimulus::run_with_stimulus;
 use logicsim::sim::Simulator;
@@ -146,6 +153,40 @@ fn solver_benches(c: &mut Criterion) {
                 black_box(out.len())
             });
         });
+        let sources: Vec<CompId> = case
+            .driven
+            .iter()
+            .flat_map(|&net| case.netlist.drivers(net))
+            .copied()
+            .filter(|&d| !case.netlist.component(d).is_switch())
+            .collect();
+        let value = |net: NetId| Signal::strong(ctl(net));
+        let mut stored = 0u64;
+        bench_group.bench_function(format!("{}/settle", case.name), |b| {
+            b.iter(|| {
+                round += 1;
+                let level = Level::from_bool(round % 2 == 1);
+                let drive = |d: CompId| {
+                    if sources.contains(&d) {
+                        Signal::strong(level)
+                    } else {
+                        Signal::FLOATING
+                    }
+                };
+                let mut changed = 0usize;
+                image.settle(
+                    &groups,
+                    group,
+                    &mut scratch,
+                    drive,
+                    value,
+                    |_, code| stored += u64::from(code),
+                    |_, _, _| changed += 1,
+                );
+                black_box(changed)
+            });
+        });
+        black_box(stored);
         bench_group.bench_function(format!("{}/wrapper", case.name), |b| {
             b.iter(|| {
                 round += 1;

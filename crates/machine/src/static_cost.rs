@@ -36,6 +36,7 @@ use crate::calibrate::MeasuredParams;
 use logicsim_netlist::analyze::dataflow::activity::Activity;
 use logicsim_netlist::analyze::dataflow::seeds::InputSeeds;
 use logicsim_netlist::analyze::dataflow::timing::Timing;
+use logicsim_netlist::analyze::Levelization;
 use logicsim_netlist::{CompId, ComponentRef, NetId, Netlist};
 
 /// Statically predicted per-tick workload rates for one netlist under
@@ -68,8 +69,9 @@ impl StaticCost {
                 &unconstrained
             }
         };
-        let activity = Activity::analyze(netlist, seeds);
-        let est = activity.expected_densities(netlist, seeds);
+        let levels = Levelization::compute(netlist);
+        let activity = Activity::analyze_levelled(netlist, seeds, &levels);
+        let est = activity.expected_densities(netlist, seeds, &levels);
         let evals_per_tick: f64 = (0..netlist.num_components())
             .map(|i| {
                 let comp = netlist.component(CompId(i as u32));
@@ -92,7 +94,7 @@ impl StaticCost {
         StaticCost {
             evals_per_tick,
             messages_per_tick,
-            busy_fraction: busy_fraction(netlist, seeds),
+            busy_fraction: busy_fraction(netlist, seeds, &levels),
         }
     }
 
@@ -177,8 +179,8 @@ impl StaticCost {
 /// the timeline with its bursts, and under the independent-phase
 /// assumption the busy fraction is the coverage union
 /// `1 - prod_i (1 - min(1, d_i * (span + 1)))`.
-fn busy_fraction(netlist: &Netlist, seeds: &InputSeeds) -> f64 {
-    let timing = Timing::analyze(netlist, seeds);
+fn busy_fraction(netlist: &Netlist, seeds: &InputSeeds, levels: &Levelization) -> f64 {
+    let timing = Timing::analyze_levelled(netlist, seeds, levels);
     let mut span = 0u32;
     for i in 0..netlist.num_nets() {
         let w = timing.window(NetId(i as u32));

@@ -28,6 +28,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
+use crate::analyze::Levelization;
 use crate::component::{CompId, ComponentRef, GateKind, NetId};
 use crate::netlist::Netlist;
 use crate::value::Level;
@@ -235,15 +236,25 @@ fn gate_activity(kind: GateKind, ins: &[In]) -> (f64, f64, f64) {
 pub struct ActivityAnalysis<'a> {
     netlist: &'a Netlist,
     seeds: &'a InputSeeds,
+    levels: &'a Levelization,
 }
 
 impl<'a> ActivityAnalysis<'a> {
-    /// Wraps a netlist and its stimulus seeds for [`solve`] — or for
-    /// driving [`Analysis::transfer`] directly, which is how the
-    /// engine's property tests check monotonicity.
+    /// Wraps a netlist, its stimulus seeds and its levelization (the
+    /// seed order) for [`solve`] — or for driving
+    /// [`Analysis::transfer`] directly, which is how the engine's
+    /// property tests check monotonicity.
     #[must_use]
-    pub fn new(netlist: &'a Netlist, seeds: &'a InputSeeds) -> ActivityAnalysis<'a> {
-        ActivityAnalysis { netlist, seeds }
+    pub fn new(
+        netlist: &'a Netlist,
+        seeds: &'a InputSeeds,
+        levels: &'a Levelization,
+    ) -> ActivityAnalysis<'a> {
+        ActivityAnalysis {
+            netlist,
+            seeds,
+            levels,
+        }
     }
 }
 
@@ -348,7 +359,7 @@ impl Analysis for ActivityAnalysis<'_> {
     }
 
     fn seed_order(&self) -> Vec<u32> {
-        super::level_order(self.netlist, Direction::Forward)
+        super::level_order(self.levels, Direction::Forward)
     }
 }
 
@@ -362,8 +373,19 @@ impl Activity {
     /// Runs the analysis with the given input seeds.
     #[must_use]
     pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> Activity {
+        Activity::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
+    }
+
+    /// [`Activity::analyze`] seeded in the order of `levels`, the
+    /// netlist's levelization, which the caller already holds.
+    #[must_use]
+    pub fn analyze_levelled(
+        netlist: &Netlist,
+        seeds: &InputSeeds,
+        levels: &Levelization,
+    ) -> Activity {
         Activity {
-            solution: solve(&ActivityAnalysis { netlist, seeds }),
+            solution: solve(&ActivityAnalysis::new(netlist, seeds, levels)),
         }
     }
 
@@ -424,9 +446,15 @@ impl Activity {
     /// stays below one and it relaxes onto
     /// `excitation / (1 - damping)` instead of free-running at one
     /// transition per tick. The result is an estimate, not a bound —
-    /// lints keep using [`Activity::density`].
+    /// lints keep using [`Activity::density`]. `levels` is the
+    /// netlist's levelization, whose order the pass sweeps in.
     #[must_use]
-    pub fn expected_densities(&self, netlist: &Netlist, seeds: &InputSeeds) -> Vec<f64> {
+    pub fn expected_densities(
+        &self,
+        netlist: &Netlist,
+        seeds: &InputSeeds,
+        levels: &Levelization,
+    ) -> Vec<f64> {
         let n = netlist.num_nets();
         // Saturation by value, not by the `widened` counter: a loop
         // that sums densities (XOR-style) climbs to TOP geometrically
@@ -438,7 +466,7 @@ impl Activity {
             .map(|&v| v == NetActivity::TOP)
             .collect();
         let mut est = vec![0.0f64; n];
-        let order = super::level_order(netlist, Direction::Forward);
+        let order = super::level_order(levels, Direction::Forward);
         // Monotone from zero (all algebra coefficients are
         // non-negative), so the relaxation converges; level order
         // settles the feed-forward part in one sweep and the damped

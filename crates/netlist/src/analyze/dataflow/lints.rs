@@ -14,15 +14,18 @@ use super::timing::Timing;
 use super::xreach::XReach;
 use crate::analyze::dead::live_components;
 use crate::analyze::diag::{Code, Diagnostic};
+use crate::analyze::Levelization;
 use crate::component::CompId;
 use crate::netlist::Netlist;
 
 /// Runs the activity, timing, and X-reachability analyses with
-/// conservative (or supplied) input seeds and appends the LS0010–
+/// conservative (or supplied) input seeds, each seeded in the order of
+/// `levels` (the netlist's levelization), and appends the LS0010–
 /// LS0013 findings.
 pub(in crate::analyze) fn check(
     netlist: &Netlist,
     seeds: Option<&InputSeeds>,
+    levels: &Levelization,
     diagnostics: &mut Vec<Diagnostic>,
 ) {
     let fallback;
@@ -37,7 +40,7 @@ pub(in crate::analyze) fn check(
     let live = live_components(netlist);
 
     // LS0010: live components with zero estimated activity.
-    let activity = Activity::analyze(netlist, seeds);
+    let activity = Activity::analyze_levelled(netlist, seeds, levels);
     let per_comp = activity.component_activity(netlist);
     let quiescent: Vec<CompId> = (0..netlist.num_components() as u32)
         .map(CompId)
@@ -68,7 +71,7 @@ pub(in crate::analyze) fn check(
     }
 
     // LS0011: nets whose latest arrival diverged (timing feedback).
-    let timing = Timing::analyze(netlist, seeds);
+    let timing = Timing::analyze_levelled(netlist, seeds, levels);
     let unbounded: Vec<_> = (0..netlist.num_nets() as u32)
         .map(crate::component::NetId)
         .filter(|&n| timing.is_unbounded(n))
@@ -109,7 +112,7 @@ pub(in crate::analyze) fn check(
     }
 
     // LS0012: nets that can never leave X from power-up.
-    let xreach = XReach::analyze(netlist, seeds);
+    let xreach = XReach::analyze_levelled(netlist, seeds, levels);
     let stuck = xreach.x_stuck_nets();
     if !stuck.is_empty() {
         diagnostics.push(
@@ -135,7 +138,7 @@ mod tests {
 
     fn codes(netlist: &Netlist) -> Vec<Code> {
         let mut diags = Vec::new();
-        check(netlist, None, &mut diags);
+        check(netlist, None, &Levelization::compute(netlist), &mut diags);
         diags.iter().map(|d| d.code).collect()
     }
 

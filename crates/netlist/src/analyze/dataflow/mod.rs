@@ -38,7 +38,6 @@ pub mod timing;
 pub mod xreach;
 
 use crate::analyze::Levelization;
-use crate::netlist::Netlist;
 use std::collections::VecDeque;
 
 /// Direction of fact propagation through the circuit graph.
@@ -52,7 +51,7 @@ pub enum Direction {
 
 /// One monotone dataflow analysis: a join-semilattice of per-net
 /// values plus a transfer function over some circuit topology (the
-/// implementor holds its own reference to a [`Netlist`] or an
+/// implementor holds its own reference to a [`Netlist`](crate::Netlist) or an
 /// optimizer work graph).
 pub trait Analysis {
     /// The lattice element attached to each net.
@@ -179,14 +178,14 @@ pub fn solve<A: Analysis>(analysis: &A) -> Solution<A::Value> {
     }
 }
 
-/// Net ids of `netlist` in levelization order: ascending logic depth
-/// for [`Direction::Forward`] (drivers settle before readers), the
+/// Net ids in the levelization order of `levels`: ascending logic
+/// depth for [`Direction::Forward`] (drivers settle before readers), the
 /// reverse for [`Direction::Backward`]. Cyclic nets share a depth and
 /// appear in id order within it: a counting sort by depth over the
-/// ascending ids.
+/// ascending ids. The caller levelizes once ([`Levelization::compute`])
+/// and hands the result to every analysis it seeds.
 #[must_use]
-pub fn level_order(netlist: &Netlist, direction: Direction) -> Vec<u32> {
-    let levels = Levelization::compute(netlist);
+pub fn level_order(levels: &Levelization, direction: Direction) -> Vec<u32> {
     let depth = |n: u32| levels.net_depth(crate::component::NetId(n)) as usize;
     // Each depth's first slot, then its next free one.
     let mut next = levels.depth_histogram();
@@ -196,8 +195,8 @@ pub fn level_order(netlist: &Netlist, direction: Direction) -> Vec<u32> {
         *slot = start;
         start += count;
     }
-    let mut order = vec![0u32; netlist.num_nets()];
-    for n in 0..netlist.num_nets() as u32 {
+    let mut order = vec![0u32; start];
+    for n in 0..start as u32 {
         let slot = &mut next[depth(n)];
         order[*slot] = n;
         *slot += 1;
@@ -212,12 +211,14 @@ pub fn level_order(netlist: &Netlist, direction: Direction) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::component::{Delay, NetId};
+    use crate::netlist::Netlist;
     use crate::{GateKind, NetlistBuilder};
 
     /// Reachability from input nets: the simplest possible boolean
     /// lattice, enough to exercise the engine plumbing.
     struct Reach<'a> {
         netlist: &'a Netlist,
+        levels: &'a Levelization,
     }
 
     impl Analysis for Reach<'_> {
@@ -268,7 +269,7 @@ mod tests {
         }
 
         fn seed_order(&self) -> Vec<u32> {
-            level_order(self.netlist, self.direction())
+            level_order(self.levels, self.direction())
         }
     }
 
@@ -287,7 +288,11 @@ mod tests {
     #[test]
     fn reachability_converges_in_one_sweep_on_a_chain() {
         let n = chain(32);
-        let solution = solve(&Reach { netlist: &n });
+        let levels = Levelization::compute(&n);
+        let solution = solve(&Reach {
+            netlist: &n,
+            levels: &levels,
+        });
         assert!(solution.values.iter().all(|&v| v), "all nets reachable");
         // Topological seeding: every net settles on its first visit,
         // so transfers == nets and nothing is re-queued.
@@ -299,9 +304,9 @@ mod tests {
     #[test]
     fn level_order_respects_depth_and_direction() {
         let n = chain(8);
-        let fwd = level_order(&n, Direction::Forward);
-        let bwd = level_order(&n, Direction::Backward);
         let levels = Levelization::compute(&n);
+        let fwd = level_order(&levels, Direction::Forward);
+        let bwd = level_order(&levels, Direction::Backward);
         for w in fwd.windows(2) {
             assert!(levels.net_depth(NetId(w[0])) <= levels.net_depth(NetId(w[1])));
         }
@@ -326,9 +331,9 @@ mod tests {
         let levels = Levelization::compute(&n);
         let mut sorted: Vec<u32> = (0..n.num_nets() as u32).collect();
         sorted.sort_by_key(|&i| (levels.net_depth(NetId(i)), i));
-        assert_eq!(level_order(&n, Direction::Forward), sorted);
+        assert_eq!(level_order(&levels, Direction::Forward), sorted);
         sorted.reverse();
-        assert_eq!(level_order(&n, Direction::Backward), sorted);
+        assert_eq!(level_order(&levels, Direction::Backward), sorted);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
+use crate::analyze::Levelization;
 use crate::component::{CompId, ComponentRef, NetId};
 use crate::netlist::Netlist;
 
@@ -89,6 +90,7 @@ impl Window {
 pub struct TimingAnalysis<'a> {
     netlist: &'a Netlist,
     seeds: &'a InputSeeds,
+    levels: &'a Levelization,
 }
 
 impl Analysis for TimingAnalysis<'_> {
@@ -195,7 +197,7 @@ impl Analysis for TimingAnalysis<'_> {
     }
 
     fn seed_order(&self) -> Vec<u32> {
-        super::level_order(self.netlist, Direction::Forward)
+        super::level_order(self.levels, Direction::Forward)
     }
 }
 
@@ -211,7 +213,22 @@ impl Timing {
     /// every gate.
     #[must_use]
     pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> Timing {
-        let solution = solve(&TimingAnalysis { netlist, seeds });
+        Timing::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
+    }
+
+    /// [`Timing::analyze`] seeded in the order of `levels`, the
+    /// netlist's levelization, which the caller already holds.
+    #[must_use]
+    pub fn analyze_levelled(
+        netlist: &Netlist,
+        seeds: &InputSeeds,
+        levels: &Levelization,
+    ) -> Timing {
+        let solution = solve(&TimingAnalysis {
+            netlist,
+            seeds,
+            levels,
+        });
         let filter_free = (0..netlist.num_components())
             .map(|i| {
                 let ComponentRef::Gate { inputs, delay, .. } = netlist.component(CompId(i as u32))

@@ -22,6 +22,7 @@
 
 use super::seeds::InputSeeds;
 use super::{solve, Analysis, Direction, Solution};
+use crate::analyze::Levelization;
 use crate::component::{ComponentRef, GateKind, NetId};
 use crate::netlist::Netlist;
 use crate::value::Level;
@@ -141,6 +142,7 @@ fn gate_image(kind: GateKind, inputs: &[LevelSet]) -> LevelSet {
 pub struct XReachAnalysis<'a> {
     netlist: &'a Netlist,
     seeds: &'a InputSeeds,
+    levels: &'a Levelization,
 }
 
 impl Analysis for XReachAnalysis<'_> {
@@ -211,7 +213,7 @@ impl Analysis for XReachAnalysis<'_> {
     }
 
     fn seed_order(&self) -> Vec<u32> {
-        super::level_order(self.netlist, Direction::Forward)
+        super::level_order(self.levels, Direction::Forward)
     }
 }
 
@@ -225,8 +227,23 @@ impl XReach {
     /// Runs the analysis.
     #[must_use]
     pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> XReach {
+        XReach::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
+    }
+
+    /// [`XReach::analyze`] seeded in the order of `levels`, the
+    /// netlist's levelization, which the caller already holds.
+    #[must_use]
+    pub fn analyze_levelled(
+        netlist: &Netlist,
+        seeds: &InputSeeds,
+        levels: &Levelization,
+    ) -> XReach {
         XReach {
-            solution: solve(&XReachAnalysis { netlist, seeds }),
+            solution: solve(&XReachAnalysis {
+                netlist,
+                seeds,
+                levels,
+            }),
         }
     }
 

@@ -109,8 +109,9 @@ pub fn analyze_seeded(
     // Dry-run the optimizer: its aggregated findings (LS0006–LS0009)
     // surface what `lsim opt` would rewrite, against original ids.
     diagnostics.extend(opt::optimize(netlist).report.findings);
-    // Dataflow facts (LS0010–LS0013): activity, timing, X-reachability.
-    dataflow::lints::check(netlist, seeds, &mut diagnostics);
+    // Dataflow facts (LS0010–LS0013), seeded in the order of the one
+    // levelization depth::check computed.
+    dataflow::lints::check(netlist, seeds, &levels, &mut diagnostics);
     diagnostics.sort_by_key(Diagnostic::sort_key);
     Report {
         diagnostics,

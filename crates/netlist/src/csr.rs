@@ -144,6 +144,14 @@ impl<T> Csr<T> {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
+    /// Every row's items, row after row: what [`Csr::row_range`]
+    /// positions index.
+    #[must_use]
+    #[inline]
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+
     /// Total number of stored items.
     #[must_use]
     pub fn num_items(&self) -> usize {

@@ -23,6 +23,7 @@ use logicsim_netlist::analyze::dataflow::activity::{Activity, ActivityAnalysis, 
 use logicsim_netlist::analyze::dataflow::seeds::{InputSeed, InputSeeds};
 use logicsim_netlist::analyze::dataflow::ternary::TernaryAnalysis;
 use logicsim_netlist::analyze::dataflow::{solve, Analysis};
+use logicsim_netlist::analyze::Levelization;
 use logicsim_netlist::{Delay, GateKind, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 
@@ -129,7 +130,8 @@ proptest! {
     ) {
         let n = build_circuit(&p, feedback);
         let seeds = seeds_for(&n, raw);
-        let analysis = ActivityAnalysis::new(&n, &seeds);
+        let levels = Levelization::compute(&n);
+        let analysis = ActivityAnalysis::new(&n, &seeds, &levels);
         let solution = solve(&analysis);
         prop_assert!(solution.max_changes <= analysis.height() + 1);
         // transfers <= seeds + total_changes * max_fanout, with
@@ -161,7 +163,8 @@ proptest! {
     ) {
         let n = build_circuit(&p, feedback);
         let seeds = seeds_for(&n, raw);
-        let analysis = ActivityAnalysis::new(&n, &seeds);
+        let levels = Levelization::compute(&n);
+        let analysis = ActivityAnalysis::new(&n, &seeds, &levels);
         let v = solve(&analysis).values;
         let k = bump_at as usize % v.len();
         let lo = noise.0 % 1025;
@@ -212,7 +215,8 @@ proptest! {
     ) {
         let n = build_circuit(&p, feedback);
         let seeds = seeds_for(&n, raw);
-        let activity = Activity::analyze(&n, &seeds);
+        let levels = Levelization::compute(&n);
+        let activity = Activity::analyze_levelled(&n, &seeds, &levels);
         for i in 0..n.num_nets() {
             let net = logicsim_netlist::NetId(i as u32);
             let d = activity.density(net);
@@ -220,7 +224,7 @@ proptest! {
             let (lo, hi) = activity.net(net).p1();
             prop_assert!(lo >= 0.0 && hi <= 1.0 && lo <= hi, "net {i}: [{lo}, {hi}]");
         }
-        for (i, &e) in activity.expected_densities(&n, &seeds).iter().enumerate() {
+        for (i, &e) in activity.expected_densities(&n, &seeds, &levels).iter().enumerate() {
             prop_assert!((0.0..=1.0).contains(&e), "net {i} expected {e}");
         }
     }

@@ -113,9 +113,11 @@ pub fn coarsen(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Coarsening {
             if g.vwgt[v as usize] + g.vwgt[nb as usize] > max_vw {
                 continue;
             }
-            // Heaviest edge; ties toward the smallest neighbor id
-            // (strict `>` keeps the first maximum seen, and
-            // neighbors are sorted ascending).
+            // Heaviest edge; of tied edges the first in row order
+            // wins (strict `>` keeps the first maximum seen). Only
+            // the finest graph and its subgraphs list neighbours
+            // ascending; a coarse row lists them in the order its
+            // members' rows first met them.
             if best.is_none_or(|(bw, _)| w > bw) {
                 best = Some((w, nb));
             }

@@ -392,22 +392,17 @@ impl<'a> BitParSim<'a> {
     ///
     /// # Errors
     ///
-    /// None: every topology of inputs, gates, tristates, pulls, supplies
-    /// and switches compiles, and the `Result` stays for the callers that
-    /// match on it. The only error this ever returned was the embedded
-    /// event engines' pre-flight refusing a zero-delay loop (LS0001);
-    /// the program has no delays, so such a loop is an ordinary feedback
+    /// [`PreflightError::Lanes`] if `lanes` is not in `1..=64`, and
+    /// nothing else: every topology of inputs, gates, tristates, pulls,
+    /// supplies and switches compiles. The event engines' pre-flight,
+    /// which refuses a zero-delay loop (LS0001), does not apply: the
+    /// program has no delays, so such a loop is an ordinary feedback
     /// cluster here, forced to X after `MAX_LOOP_ITERS` passes if it
     /// oscillates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64`.
     pub fn new(netlist: &'a Netlist, lanes: usize) -> Result<BitParSim<'a>, PreflightError> {
-        assert!(
-            (1..=LANES).contains(&lanes),
-            "lanes must be 1..=64, got {lanes}"
-        );
+        if !(1..=LANES).contains(&lanes) {
+            return Err(PreflightError::Lanes(lanes));
+        }
         let nn = netlist.num_nets();
 
         // Static drive per net. A net with a Supply driver is a rail:

@@ -24,34 +24,68 @@ use logicsim_netlist::analyze::{self, Diagnostic};
 use logicsim_netlist::{
     ChannelGroups, CompId, ComponentColumns, ComponentKind, CsrView, Level, NetId, Netlist, Signal,
 };
+use std::cell::Cell;
 use std::fmt;
 
-/// The netlist failed the static pre-flight: it contains at least one
-/// error-level finding (see [`mod@logicsim_netlist::analyze`]) and cannot
-/// be simulated faithfully, so [`Simulator::new`] refuses it.
+/// Why an engine refuses to start: the netlist fails the static
+/// pre-flight, so [`Simulator::new`] refuses it, or the engine's
+/// configuration is one it cannot run — every engine constructor checks
+/// its arguments before it builds anything and returns this instead of
+/// panicking.
 #[derive(Debug, Clone)]
-pub struct PreflightError {
-    /// Name of the rejected circuit.
-    pub circuit: String,
-    /// The error-level findings (never empty).
-    pub diagnostics: Vec<Diagnostic>,
-    /// The findings rendered with net/component names resolved, one
-    /// per entry of `diagnostics`.
-    pub rendered: Vec<String>,
+pub enum PreflightError {
+    /// The netlist contains at least one error-level finding (see
+    /// [`mod@logicsim_netlist::analyze`]) and cannot be simulated
+    /// faithfully.
+    Findings {
+        /// Name of the rejected circuit.
+        circuit: String,
+        /// The error-level findings (never empty).
+        diagnostics: Vec<Diagnostic>,
+        /// The findings rendered with net/component names resolved, one
+        /// per entry of `diagnostics`.
+        rendered: Vec<String>,
+    },
+    /// A [`ParSimulator`] was asked for no parties.
+    NoWorkers,
+    /// A [`ParSimulator`]'s assignment does not name one partition per
+    /// component.
+    Assignment {
+        /// Entries in the assignment.
+        len: usize,
+        /// Components in the netlist.
+        components: usize,
+    },
+    /// A [`BitParSim`](crate::BitParSim) was asked for a lane count
+    /// outside `1..=64`.
+    Lanes(usize),
 }
 
 impl fmt::Display for PreflightError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "netlist `{}` fails pre-flight with {} error(s)",
-            self.circuit,
-            self.diagnostics.len()
-        )?;
-        for r in &self.rendered {
-            write!(f, "\n{r}")?;
+        match self {
+            PreflightError::Findings {
+                circuit,
+                diagnostics,
+                rendered,
+            } => {
+                write!(
+                    f,
+                    "netlist `{circuit}` fails pre-flight with {} error(s)",
+                    diagnostics.len()
+                )?;
+                for r in rendered {
+                    write!(f, "\n{r}")?;
+                }
+                Ok(())
+            }
+            PreflightError::NoWorkers => write!(f, "a parallel engine needs at least one worker"),
+            PreflightError::Assignment { len, components } => write!(
+                f,
+                "the assignment names {len} partition(s) for {components} component(s)"
+            ),
+            PreflightError::Lanes(lanes) => write!(f, "lanes must be 1..=64, got {lanes}"),
         }
-        Ok(())
     }
 }
 
@@ -99,7 +133,7 @@ impl<'n> Image<'n> {
     pub(crate) fn build(netlist: &'n Netlist) -> Result<Image<'n>, PreflightError> {
         let errors = analyze::preflight(netlist);
         if !errors.is_empty() {
-            return Err(PreflightError {
+            return Err(PreflightError::Findings {
                 circuit: netlist.name().to_string(),
                 rendered: errors.iter().map(|d| d.render(netlist)).collect(),
                 diagnostics: errors,
@@ -117,7 +151,7 @@ impl<'n> Image<'n> {
     /// External (non-switch) drive on a net: the join of all gate/input/
     /// pull/rail drivers' current output, read through `drive`. Called
     /// for nets outside nontrivial groups (a group's members get theirs
-    /// from [`solver::GroupImage::resolve_drives_into`]).
+    /// from [`solver::GroupImage::settle`]).
     ///
     /// The row is the netlist's whole driver row: on such a net the only
     /// switch there can be is one with both channel ends on it, and an
@@ -163,20 +197,6 @@ impl<'n> Image<'n> {
             .copied()
             .find(|d| self.comps.kind(d.index()) == ComponentKind::Input)
     }
-
-    /// The component a trace names as the cause of a change that a group
-    /// resolution made on `net`: its first switch driver if any, else its
-    /// first driver, else component 0. Found by a walk of the net's
-    /// drivers, once per such change.
-    pub(crate) fn net_attr(&self, net: NetId) -> CompId {
-        let drivers = self.drivers.row(net.index());
-        drivers
-            .iter()
-            .copied()
-            .find(|d| self.comps.kind(d.index()).is_switch())
-            .or_else(|| drivers.first().copied())
-            .unwrap_or(CompId(0))
-    }
 }
 
 /// Zero-delay relaxation to a consistent power-up state over plain
@@ -191,7 +211,6 @@ pub(crate) fn relax_power_up(
     last_scheduled: &mut [Signal],
 ) {
     let mut scratch = solver::Scratch::default();
-    let mut group_out: Vec<(NetId, Signal)> = Vec::new();
     for round in 0..INIT_ROUNDS {
         // Recompute all net values from current drives.
         let mut changed = false;
@@ -205,26 +224,23 @@ pub(crate) fn relax_power_up(
                 changed = true;
             }
         }
+        let values = Cell::from_mut(&mut *net_values).as_slice_of_cells();
         for gid in 0..img.groups.num_groups() as u32 {
             if !img.groups.is_nontrivial(gid) {
                 continue;
             }
-            group_out.clear();
-            img.solver.resolve_drives_into(
+            img.solver.settle(
                 &img.groups,
                 gid,
                 &mut scratch,
                 |d| comp_drive[d.index()],
-                |net| net_values[net.index()].level,
-                |net| net_values[net.index()].level,
-                &mut group_out,
-            );
-            for &(net, v) in &group_out {
-                if net_values[net.index()] != v {
-                    net_values[net.index()] = v;
+                |net| values[net.index()].get(),
+                |_, _| {},
+                |net, v, _| {
+                    values[net.index()].set(v);
                     changed = true;
-                }
-            }
+                },
+            );
         }
         // Re-evaluate all gates.
         for ci in 0..img.comps.len() {
@@ -254,22 +270,19 @@ pub(crate) fn stale_groups(
     settled: &[u8],
 ) -> Vec<(u32, bool)> {
     let mut scratch = solver::Scratch::default();
-    let mut out = Vec::new();
-    let level = |net: NetId| net_values[net.index()].level;
     (0..img.groups.num_groups() as u32)
         .filter(|&gid| img.groups.is_nontrivial(gid))
         .filter_map(|gid| {
-            out.clear();
-            img.solver.resolve_drives_into(
+            let mut stale = false;
+            img.solver.settle(
                 &img.groups,
                 gid,
                 &mut scratch,
                 |d| comp_drive[d.index()],
-                level,
-                level,
-                &mut out,
+                |net| net_values[net.index()],
+                |_, _| {},
+                |_, _, _| stale = true,
             );
-            let stale = out.iter().any(|&(net, v)| net_values[net.index()] != v);
             let recorded = img
                 .groups
                 .switch_range(gid)
@@ -448,7 +461,7 @@ mod tests {
     use crate::cyclic::{self, Wiring};
     use crate::worklist::OrderedSet;
     use logicsim_circuits::Benchmark;
-    use logicsim_netlist::{ComponentRef, Delay, GateKind, NetlistBuilder, SwitchKind};
+    use logicsim_netlist::{ComponentRef, Delay, GateKind, NetlistBuilder, Strength, SwitchKind};
 
     fn inverter() -> Netlist {
         let mut b = NetlistBuilder::new("inv");
@@ -677,8 +690,16 @@ mod tests {
         b.gate(GateKind::Nand, &[e, y], y, Delay { rise: 0, fall: 0 });
         let n = b.finish().unwrap();
         let err = Simulator::new(&n).expect_err("zero-delay loop must be refused");
-        assert_eq!(err.circuit, "livelock");
-        assert_eq!(err.diagnostics.len(), 1);
+        let PreflightError::Findings {
+            circuit,
+            diagnostics,
+            ..
+        } = &err
+        else {
+            panic!("refused for its findings, not {err:?}");
+        };
+        assert_eq!(circuit, "livelock");
+        assert_eq!(diagnostics.len(), 1);
         let text = err.to_string();
         assert!(text.contains("LS0001"), "{text}");
         assert!(text.contains("fails pre-flight"), "{text}");
@@ -812,6 +833,48 @@ mod tests {
         // `false`: the round bound was hit, and from then on only the
         // groups with a record are held to the invariant.
         assert!(!assert_no_stale_group(&netlist, 40, &script));
+    }
+
+    /// A settle names, as the cause of every member's change, the
+    /// member's first switch driver, for pairs (from their record) and
+    /// every other group (from the kernel's adjacency) alike: on the five
+    /// base circuits and two 10k tilings, with every member read as a
+    /// value no settle produces, so each one changes.
+    #[test]
+    fn a_settle_names_each_members_first_switch_driver() {
+        let mut netlists: Vec<Netlist> = Benchmark::ALL.map(|b| b.build_default().netlist).into();
+        for bench in [Benchmark::RtpChip, Benchmark::PriorityQueue] {
+            netlists.push(bench.build_at(10_000).netlist);
+        }
+        for n in &netlists {
+            let img = Image::build(n).expect("pre-flight");
+            let never = Signal::new(Level::X, Strength::Supply);
+            let mut scratch = solver::Scratch::default();
+            for gid in (0..img.groups.num_groups() as u32).filter(|&g| img.groups.is_nontrivial(g))
+            {
+                let mut named = Vec::new();
+                img.solver.settle(
+                    &img.groups,
+                    gid,
+                    &mut scratch,
+                    |_| Signal::FLOATING,
+                    |_| never,
+                    |_, _| {},
+                    |net, _, cause| named.push((net, cause)),
+                );
+                let first_switch = |net: NetId| {
+                    let row = n.drivers(net).iter().copied();
+                    row.clone().find(|d| n.component(*d).is_switch()).unwrap()
+                };
+                let want: Vec<_> = img
+                    .groups
+                    .members(gid)
+                    .iter()
+                    .map(|&m| (m, first_switch(m)))
+                    .collect();
+                assert_eq!(named, want, "{}: group {gid}", n.name());
+            }
+        }
     }
 
     /// The image keeps no copy of the circuit: what it holds per net is

@@ -284,8 +284,6 @@ struct PartyState {
     component_msgs: u64,
     /// Likewise: crossing messages by the sender's worker.
     messages_sent: Vec<u64>,
-    /// Scratch: one group resolution's output.
-    group_out: Vec<(NetId, Signal)>,
     /// Scratch: switch-solver buffers.
     solver: solver::Scratch,
     /// Per-party phase recorder. Written only by the owning party
@@ -320,7 +318,6 @@ impl PartyState {
             crossing: 0,
             component_msgs: 0,
             messages_sent: vec![0; workers],
-            group_out: Vec::new(),
             solver: solver::Scratch::default(),
             obs,
             #[cfg(test)]
@@ -984,37 +981,26 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     let gids = st.dirty.sorted();
     for &gid in gids {
         debug_assert_eq!(core.group_owner(gid), party);
-        st.group_out.clear();
-        core.img.solver.resolve_drives_into(
+        core.img.solver.settle(
             &core.img.groups,
             gid,
             &mut st.solver,
             // SAFETY: see above.
             |d| unsafe { core.comp_drive.get(d.index()) },
-            |net| unsafe { core.net_values.get(net.index()) }.level,
-            |net| unsafe { core.net_values.get(net.index()) }.level,
-            &mut st.group_out,
+            |net| unsafe { core.net_values.get(net.index()) },
+            // SAFETY: a group's switch slots are written by its owner,
+            // here, and read by nobody in Resolve.
+            |slot, code| unsafe { core.settled.set(slot, code) },
+            |net, v, cause| {
+                // SAFETY: member nets belong to this party's cluster.
+                unsafe { core.net_values.set(net.index(), v) };
+                st.changed.push(Changed {
+                    key: gid,
+                    net: net.0,
+                    cause: cause.0,
+                });
+            },
         );
-        core.img
-            .solver
-            .record_conduction(&core.img.groups, gid, &st.solver, |slot, code| {
-                // SAFETY: a group's switch slots are written by its
-                // owner, here, and read by nobody in Resolve.
-                unsafe { core.settled.set(slot, code) };
-            });
-        for &(net, v) in &st.group_out {
-            // SAFETY: member nets belong to this party's cluster.
-            unsafe {
-                if core.net_values.get(net.index()) != v {
-                    core.net_values.set(net.index(), v);
-                    st.changed.push(Changed {
-                        key: gid,
-                        net: net.0,
-                        cause: core.img.net_attr(net).0,
-                    });
-                }
-            }
-        }
     }
     let resolved = gids.len() as u64;
     st.dirty.clear();
@@ -1216,13 +1202,10 @@ impl<'a> ParSimulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`PreflightError`] as for
-    /// [`Simulator::new`](crate::Simulator::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or `assignment.len()` differs from the
-    /// netlist's component count.
+    /// Returns [`PreflightError::NoWorkers`] if `workers == 0`,
+    /// [`PreflightError::Assignment`] if `assignment.len()` differs from
+    /// the netlist's component count, and otherwise [`PreflightError`]
+    /// as for [`Simulator::new`](crate::Simulator::new).
     pub fn new(
         netlist: &'a Netlist,
         assignment: &[u32],
@@ -1236,35 +1219,39 @@ impl<'a> ParSimulator<'a> {
     /// # Errors
     ///
     /// Returns [`PreflightError`] as for [`ParSimulator::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`ParSimulator::new`].
     pub fn with_config(
         netlist: &'a Netlist,
         assignment: &[u32],
         workers: usize,
         config: SimConfig,
     ) -> Result<ParSimulator<'a>, PreflightError> {
-        assert_eq!(
-            assignment.len(),
-            netlist.num_components(),
-            "assignment must cover every component"
-        );
         ParSimulator::build(netlist, Some(assignment), workers, config)
     }
 
     /// The engine of `workers` parties under `assignment` (`None`: every
     /// component unassigned), at power-up.
+    ///
+    /// # Errors
+    ///
+    /// As [`ParSimulator::new`]: the party count and the assignment's
+    /// length are checked before anything is built.
     pub(crate) fn build(
         netlist: &'a Netlist,
         assignment: Option<&[u32]>,
         workers: usize,
         config: SimConfig,
     ) -> Result<ParSimulator<'a>, PreflightError> {
-        assert!(workers >= 1, "need at least one worker");
-        let img = Image::build(netlist)?;
+        if workers == 0 {
+            return Err(PreflightError::NoWorkers);
+        }
         let nc = netlist.num_components();
+        if let Some(len) = assignment.map(<[u32]>::len).filter(|&len| len != nc) {
+            return Err(PreflightError::Assignment {
+                len,
+                components: nc,
+            });
+        }
+        let img = Image::build(netlist)?;
         let nn = netlist.num_nets();
 
         let mut net_values = vec![Signal::FLOATING; nn];

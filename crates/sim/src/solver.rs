@@ -32,7 +32,29 @@
 //! stack pointer; a member is on it at most once, so it never outgrows
 //! `n`. On the engines' groups — 2.07 members and 2.17 switches per
 //! resolution on `priority_queue@100k` — that per-call overhead, not
-//! the relaxation itself, is most of the cost.
+//! the relaxation itself, was most of the cost, which is why the
+//! engines settle pairs without the kernel.
+//!
+//! # Pairs
+//!
+//! A *pair* is a group of two members in which every switch bridges
+//! them (see below); the transmission-gate latch, 98 % of the
+//! resolutions on `priority_queue@100k`, is one. [`GroupImage::build`]
+//! gives each pair one 40-byte record: the two member nets, the bounds
+//! of each member's run of non-switch drivers, the pair's switch slots,
+//! the control words of its first two switches, and the component a
+//! trace names as the cause of a change on either member. The engines'
+//! entry point, [`GroupImage::settle`], settles a pair from that record
+//! in closed form, in the kernel's own order: fold the switches'
+//! conduction, join each member's external drive, cross member 1's
+//! contribution to member 0 and member 0's to member 1, and repeat the
+//! crossings until one leaves its destination unchanged — what the
+//! kernel's stack does on two members — then apply charge retention.
+//! (On two members the order does not pick the fixpoint: the oracle
+//! covers every drive, fold and previous level, and a closed form that
+//! crosses 0 → 1 first passes it too.) Every other group goes through
+//! the kernel, which stays the oracle of the closed form
+//! (`solver::tests`).
 //!
 //! # When a group is settled
 //!
@@ -49,8 +71,9 @@
 //! rule in three calls: `record_conduction` after a resolution,
 //! `conduction_read` at a switch evaluation, compared with what was
 //! recorded, and `forget_conduction` for a dirty group an engine drops
-//! unsettled. The record is one byte per switch slot, `UNSETTLED` until
-//! the first resolution.
+//! unsettled; [`GroupImage::settle`] stores the first itself. The
+//! record is one byte per switch slot, `UNSETTLED` until the first
+//! resolution.
 //!
 //! What is compared depends on the group's shape. On a *pair* — two
 //! members, every switch bridging them, none a self-loop — the kernel
@@ -58,12 +81,13 @@
 //! turn, and the joins of those crossings are the join of one crossing
 //! through the *fold* of the switches' conduction: unknown if any is
 //! unknown, else closed if any is closed, else open. Its result depends
-//! on the fold alone, so a pair compares the fold. On every other group
-//! a different conduction vector can change the order in which members
-//! are visited, and on some networks the order picks the fixpoint, so
-//! each switch compares its own conduction. A one-member group's net is
-//! written outside the solver, so nothing is recorded for it and every
-//! evaluation settles it.
+//! on the fold alone, so a pair compares the fold, and the closed form
+//! crosses once per step. On every other group a different conduction
+//! vector can change the order in which members are visited, and on
+//! some networks the order picks the fixpoint, so each switch compares
+//! its own conduction. A one-member group's net is written outside the
+//! solver, so nothing is recorded for it and every evaluation settles
+//! it.
 
 use logicsim_netlist::{
     ChannelGroups, CompId, ComponentRef, Csr, Level, NetId, Netlist, Signal, Strength, SwitchKind,
@@ -256,6 +280,8 @@ pub struct Scratch {
     /// The one group [`resolve_group_into`] compiles per call.
     one: Compiled,
     tmp: Vec<u32>,
+    /// The kernel's output inside [`GroupImage::settle`].
+    out: Vec<(NetId, Signal)>,
 }
 
 /// The record of a group the engine holds no resolution of: before its
@@ -278,15 +304,46 @@ enum Shape {
     General,
 }
 
+/// Per group in [`GroupImage`]: a one-member group.
+const SINGLE: u32 = u32::MAX;
+/// Per group in [`GroupImage`]: a group that is neither a pair nor a
+/// single member. Every other entry is a pair's index in `pairs`.
+const GENERAL: u32 = u32::MAX - 1;
+
+/// The record byte of a switch that does not conduct.
+const OPEN: u8 = 0;
+/// The record byte of a switch whose control is `X`.
+const UNKNOWN: u8 = 2;
+
 /// A conduction as a record byte: open 0, closed 1, unknown 2 — so the
 /// pair fold is the maximum.
 #[inline]
 fn conduction_code(c: Option<bool>) -> u8 {
     match c {
-        Some(false) => 0,
+        Some(false) => OPEN,
         Some(true) => 1,
-        None => 2,
+        None => UNKNOWN,
     }
+}
+
+/// Everything a settle of one pair reads besides signal values, in one
+/// place (see the [module docs](self)). 40 bytes.
+#[derive(Debug, Clone, Copy)]
+struct PairRecord {
+    /// The two member nets, ascending.
+    nets: [NetId; 2],
+    /// Member `i`'s non-switch drivers are `GroupImage::drivers`' items
+    /// `runs[i]..runs[i + 1]`.
+    runs: [u32; 3],
+    /// The pair's switch slots, `slots[0]..slots[1]`.
+    slots: [u32; 2],
+    /// The control words of the first two slots; on a one-switch pair
+    /// the second repeats the first, which leaves the fold as it is.
+    ctl: [u32; 2],
+    /// The cause a trace names for a change on either member: the
+    /// lowest-id switch, which is the first switch in both members'
+    /// driver rows, since every switch of a pair drives both.
+    cause: CompId,
 }
 
 /// The conduction of the switch whose packed control word is `word`.
@@ -301,17 +358,20 @@ fn conduction<FC: Fn(NetId) -> Level>(word: u32, control_level: FC) -> Option<bo
 }
 
 /// Every channel group of a netlist, compiled for the relaxation kernel
-/// (see the [module docs](self)). On top of the [`ChannelGroups`] it was
-/// built from, whose member arrays it indexes rather than copies, it
-/// costs 16 bytes per switch, 8 bytes per group member plus 4 per
-/// external driver of one, 1 byte per group — nothing per net — and the
-/// 8 bytes per component of the table a switch evaluation looks its
-/// group and slot up in.
+/// and, for pairs, for the closed form (see the [module docs](self)).
+/// On top of the [`ChannelGroups`] it was built from, whose member
+/// arrays it indexes rather than copies, it costs 16 bytes per switch,
+/// 8 bytes per group member plus 4 per external driver of one, 4 bytes
+/// per group and 40 per pair — nothing per net — and the 8 bytes per
+/// component of the table a switch evaluation looks its group and slot
+/// up in.
 #[derive(Debug, Clone)]
 pub struct GroupImage {
     compiled: Compiled,
-    /// Per group: what a switch evaluation compares.
-    shape: Vec<Shape>,
+    /// Per group: [`SINGLE`], [`GENERAL`], or a pair's index in `pairs`.
+    form: Vec<u32>,
+    /// One record per pair, in group order.
+    pairs: Vec<PairRecord>,
     /// Per member position: its non-switch drivers, the netlist's driver
     /// row without the switches, so a resolution reads one drive per
     /// real source.
@@ -324,30 +384,15 @@ pub struct GroupImage {
 
 impl GroupImage {
     /// Compiles all groups. `groups` must have been computed from
-    /// `netlist`, and the same `groups` must be passed to
-    /// [`GroupImage::resolve_into`]: switch slots and member positions
-    /// are `groups`' own.
+    /// `netlist`, and the same `groups` must be passed to every method
+    /// that takes them: switch slots and member positions are `groups`'
+    /// own.
     ///
     /// # Panics
     ///
     /// Panics if a net id used as a switch control exceeds 31 bits.
     #[must_use]
     pub fn build(netlist: &Netlist, groups: &ChannelGroups) -> GroupImage {
-        let mut compiled = Compiled::with_capacity(netlist.num_switches(), groups.num_members());
-        let mut shape = Vec::with_capacity(groups.num_groups());
-        let mut tmp = Vec::new();
-        for group in 0..groups.num_groups() as u32 {
-            let members = groups.members(group);
-            compiled.push_group(netlist, members, groups.switches(group), &mut tmp);
-            let slots = groups.switch_range(group);
-            debug_assert_eq!(compiled.ctl.len(), slots.end);
-            // Bridging members 0 and 1 is a span of 0 ^ 1.
-            shape.push(match members.len() {
-                0 | 1 => Shape::Single,
-                2 if compiled.span[slots].iter().all(|&span| span == 1) => Shape::Pair,
-                _ => Shape::General,
-            });
-        }
         let cols = netlist.columns();
         let drivers = Csr::bucket(groups.num_members(), || {
             let members = (0..groups.num_groups() as u32).flat_map(|g| groups.members(g));
@@ -357,6 +402,38 @@ impl GroupImage {
                 sources.map(move |d| (at as u32, d))
             })
         });
+        let mut compiled = Compiled::with_capacity(netlist.num_switches(), groups.num_members());
+        let mut form = Vec::with_capacity(groups.num_groups());
+        let mut pairs = Vec::new();
+        let mut tmp = Vec::new();
+        for group in 0..groups.num_groups() as u32 {
+            let members = groups.members(group);
+            compiled.push_group(netlist, members, groups.switches(group), &mut tmp);
+            let slots = groups.switch_range(group);
+            debug_assert_eq!(compiled.ctl.len(), slots.end);
+            // Bridging members 0 and 1 is a span of 0 ^ 1.
+            let pair = members.len() == 2 && compiled.span[slots.clone()].iter().all(|&s| s == 1);
+            form.push(if pair {
+                pairs.len() as u32
+            } else if members.len() < 2 {
+                SINGLE
+            } else {
+                GENERAL
+            });
+            if pair {
+                let run = |at: usize| drivers.row_range(at);
+                let first = groups.member_range(group).start;
+                let ctl = &compiled.ctl[slots.clone()];
+                pairs.push(PairRecord {
+                    nets: [members[0], members[1]],
+                    runs: [run(first).start, run(first).end, run(first + 1).end].map(|o| o as u32),
+                    slots: [slots.start as u32, slots.end as u32],
+                    ctl: [ctl[0], ctl[ctl.len().min(2) - 1]],
+                    cause: groups.switches(group)[0],
+                });
+            }
+        }
+        pairs.shrink_to_fit();
         let mut place = vec![[0; 2]; netlist.num_components()];
         for group in 0..groups.num_groups() as u32 {
             for (slot, &sw) in groups.switch_range(group).zip(groups.switches(group)) {
@@ -365,9 +442,20 @@ impl GroupImage {
         }
         GroupImage {
             compiled,
-            shape,
+            form,
+            pairs,
             drivers,
             place,
+        }
+    }
+
+    /// What a switch evaluation in `group` compares.
+    #[inline]
+    fn shape(&self, group: u32) -> Shape {
+        match self.form[group as usize] {
+            SINGLE => Shape::Single,
+            GENERAL => Shape::General,
+            _ => Shape::Pair,
         }
     }
 
@@ -389,7 +477,8 @@ impl GroupImage {
     pub(crate) fn heap_bytes(&self) -> usize {
         let c = &self.compiled;
         (c.ctl.capacity() + c.span.capacity() + c.adj_off.capacity() + c.adj.capacity()) * 4
-            + self.shape.capacity()
+            + self.form.capacity() * 4
+            + self.pairs.capacity() * std::mem::size_of::<PairRecord>()
             + self.drivers.heap_bytes()
             + self.place.capacity() * 8
     }
@@ -413,11 +502,11 @@ impl GroupImage {
         slot: usize,
         control_level: FC,
     ) -> u8 {
-        let slots = match self.shape[group as usize] {
+        let slots = match self.shape(group) {
             Shape::Pair => groups.switch_range(group),
             Shape::Single | Shape::General => slot..slot + 1,
         };
-        self.compiled.ctl[slots].iter().fold(0, |code, &word| {
+        self.compiled.ctl[slots].iter().fold(OPEN, |code, &word| {
             code.max(conduction_code(conduction(word, &control_level)))
         })
     }
@@ -438,10 +527,10 @@ impl GroupImage {
         let read = scratch.work.conducts[..slots.len()]
             .iter()
             .map(|&c| conduction_code(c));
-        match self.shape[group as usize] {
+        match self.shape(group) {
             Shape::Single => {}
             Shape::Pair => {
-                let fold = read.max().unwrap_or(0);
+                let fold = read.max().unwrap_or(OPEN);
                 slots.for_each(|slot| store(slot, fold));
             }
             Shape::General => slots.zip(read).for_each(|(slot, code)| store(slot, code)),
@@ -497,27 +586,48 @@ impl GroupImage {
         );
     }
 
-    /// [`GroupImage::resolve_into`] with each member's external drive
-    /// joined here from `drive(component)` over its non-switch drivers,
-    /// as the engines take it.
+    /// Settles `group` as the engines do: with each member's external
+    /// drive joined from `drive(component)` over its non-switch drivers,
+    /// and `value(net)` the current value of any net — a control's level
+    /// is read from it, and so is a member's, as the charge it retains.
+    /// Stores through `store` the record byte per switch slot that a
+    /// switch evaluation compares, then calls `changed(net, settled,
+    /// cause)` in member order for every member whose settled value
+    /// differs from `value(net)`; `cause` is the component a trace names
+    /// for the change, the member's first switch driver. A pair settles
+    /// in closed form from its record, any other group through the
+    /// kernel, with the same result (see the [module docs](self)).
     #[expect(
         clippy::too_many_arguments,
-        reason = "resolve_into's interface with a drive per component"
+        reason = "the engines' state as closures plus the group tables"
     )]
-    pub(crate) fn resolve_drives_into<FS, FC, FP>(
+    #[inline]
+    pub fn settle<FS, FV, FR, FW>(
         &self,
         groups: &ChannelGroups,
         group: u32,
         scratch: &mut Scratch,
         drive: FS,
-        control_level: FC,
-        prev_level: FP,
-        out: &mut Vec<(NetId, Signal)>,
+        value: FV,
+        mut store: FR,
+        mut changed: FW,
     ) where
         FS: Fn(CompId) -> Signal,
-        FC: Fn(NetId) -> Level,
-        FP: Fn(NetId) -> Level,
+        FV: Fn(NetId) -> Signal,
+        FR: FnMut(usize, u8),
+        FW: FnMut(NetId, Signal, CompId),
     {
+        let level = |net: NetId| value(net).level;
+        if let Some(pair) = self.pairs.get(self.form[group as usize] as usize) {
+            let (settled, fold) = self.settle_pair(pair, drive, level);
+            (pair.slots[0]..pair.slots[1]).for_each(|slot| store(slot as usize, fold));
+            for (net, v) in pair.nets.into_iter().zip(settled) {
+                if value(net) != v {
+                    changed(net, v, pair.cause);
+                }
+            }
+            return;
+        }
         let first = groups.member_range(group).start;
         let compiled =
             self.compiled
@@ -526,14 +636,85 @@ impl GroupImage {
             let row = self.drivers.row(first + i).iter();
             row.fold(Signal::FLOATING, |v, &d| v.resolve(drive(d)))
         };
+        let mut out = std::mem::take(&mut scratch.out);
+        out.clear();
         relax(
             compiled,
             &mut scratch.work,
             ext_drive,
-            control_level,
-            prev_level,
-            out,
+            level,
+            level,
+            &mut out,
         );
+        self.record_conduction(groups, group, scratch, store);
+        let switches = groups.switches(group);
+        for (at, &(net, v)) in (first..).zip(&out) {
+            if value(net) != v {
+                // A member's first incident slot is its lowest-id switch.
+                let slot = self.compiled.adj[self.compiled.adj_off[at] as usize];
+                changed(net, v, switches[slot as usize]);
+            }
+        }
+        scratch.out = out;
+    }
+
+    /// The closed form of a pair's settle: both members' values and the
+    /// fold of the switches' conduction.
+    #[inline]
+    fn settle_pair<FS, FC>(&self, pair: &PairRecord, drive: FS, level: FC) -> ([Signal; 2], u8)
+    where
+        FS: Fn(CompId) -> Signal,
+        FC: Fn(NetId) -> Level,
+    {
+        let [start, end] = pair.slots.map(|s| s as usize);
+        let beyond = self.compiled.ctl.get(start + 2..end).unwrap_or_default();
+        let fold = pair.ctl.iter().chain(beyond).fold(OPEN, |code, &word| {
+            code.max(conduction_code(conduction(word, &level)))
+        });
+        let items = self.drivers.items();
+        let ext = |i: usize| {
+            let run = &items[pair.runs[i] as usize..pair.runs[i + 1] as usize];
+            run.iter()
+                .fold(Signal::FLOATING, |v, &d| v.resolve(drive(d)))
+        };
+        let (mut c0, mut c1) = (ext(0), ext(1));
+        if fold != OPEN {
+            // One crossing through the fold: the join of crossing every
+            // switch in turn. A floating source forwards nothing.
+            let cross = |src: Signal, dst: Signal| {
+                if src.strength == Strength::HighZ {
+                    return dst;
+                }
+                let mut cand = src.through_switch();
+                if fold == UNKNOWN {
+                    cand.level = Level::X;
+                }
+                dst.resolve(cand)
+            };
+            // The kernel's stack: member 1 is popped first, then 0, and
+            // each pops the other only if its crossing changed it.
+            c0 = cross(c1, c0);
+            loop {
+                let next = cross(c0, c1);
+                if next == c1 {
+                    break;
+                }
+                c1 = next;
+                let next = cross(c1, c0);
+                if next == c0 {
+                    break;
+                }
+                c0 = next;
+            }
+        }
+        let retain = |c: Signal, net: NetId| {
+            if c.strength == Strength::HighZ {
+                Signal::new(level(net), Strength::HighZ)
+            } else {
+                c
+            }
+        };
+        ([retain(c0, pair.nets[0]), retain(c1, pair.nets[1])], fold)
     }
 }
 
@@ -572,7 +753,7 @@ pub fn resolve_group_into<FD, FC, FP>(
     FP: Fn(NetId) -> Level,
 {
     let members = groups.members(group);
-    let Scratch { work, one, tmp } = scratch;
+    let Scratch { work, one, tmp, .. } = scratch;
     one.clear();
     one.push_group(netlist, members, groups.switches(group), tmp);
     let compiled = one.group(members, 0, 0..one.ctl.len());
@@ -878,7 +1059,7 @@ mod tests {
                 let groups = ChannelGroups::compute(&n);
                 let image = GroupImage::build(&n, &groups);
                 let group = groups.group_of(m0);
-                assert_eq!(image.shape[group as usize], Shape::Pair);
+                assert_eq!(image.shape(group), Shape::Pair);
                 let slots = groups.switch_range(group);
                 let mut scratch = Scratch::default();
                 let mut out = Vec::new();
@@ -937,6 +1118,114 @@ mod tests {
         }
     }
 
+    /// The closed form against the kernel it replaces on pairs: two
+    /// members bridged by 1–3 switches of every polarity mix, every
+    /// control vector in {0, 1, X}ᵏ (so every conduction vector), each
+    /// member's external drive over all 15 signals and its previous
+    /// level over {0, 1, X}. `settle` and `resolve_into` followed by
+    /// `record_conduction` agree on both members' values and store the
+    /// same record bytes, the fold; every change names the member's
+    /// first switch driver as its cause.
+    #[test]
+    fn a_pair_settles_in_closed_form_as_the_kernel_relaxes_it() {
+        let signals: Vec<Signal> = Strength::ALL
+            .iter()
+            .flat_map(|&s| LEVELS.map(|l| Signal::new(l, s)))
+            .collect();
+        assert_eq!(signals.len(), 15);
+        for k in 1..=3u32 {
+            for polarity in 0..1u32 << k {
+                let mut b = NetlistBuilder::new("pair");
+                let controls: Vec<NetId> = (0..k).map(|i| b.input(format!("c{i}"))).collect();
+                let members = [b.input("m0"), b.input("m1")];
+                for (i, &c) in controls.iter().enumerate() {
+                    let kind = if polarity >> i & 1 == 1 {
+                        SwitchKind::Pmos
+                    } else {
+                        SwitchKind::Nmos
+                    };
+                    b.switch(kind, c, members[0], members[1]);
+                }
+                let n = b.finish().unwrap();
+                let groups = ChannelGroups::compute(&n);
+                let image = GroupImage::build(&n, &groups);
+                let group = groups.group_of(members[0]);
+                assert_eq!(image.shape(group), Shape::Pair);
+                // Each member's one non-switch driver, and its first
+                // switch driver: what a trace names.
+                let source = members.map(|m| {
+                    let row = n.drivers(m).iter();
+                    *row.clone().find(|&&d| !n.component(d).is_switch()).unwrap()
+                });
+                let first_switch = members.map(|m| {
+                    let row = n.drivers(m).iter();
+                    *row.clone().find(|&&d| n.component(d).is_switch()).unwrap()
+                });
+                let mut scratch = Scratch::default();
+                let mut want = Vec::new();
+                for drives in 0..signals.len().pow(2) {
+                    let drive_of = [signals[drives % 15], signals[drives / 15]];
+                    let ext = |net: NetId| drive_of[usize::from(net == members[1])];
+                    let drive = |d: CompId| {
+                        let at = source.iter().position(|&s| s == d);
+                        at.map_or(Signal::FLOATING, |i| drive_of[i])
+                    };
+                    for prev in 0..9 {
+                        let prev_of = [LEVELS[prev % 3], LEVELS[prev / 3]];
+                        for vector in 0..3usize.pow(k) {
+                            let level = |net: NetId| {
+                                if let Some(i) = members.iter().position(|&m| m == net) {
+                                    return prev_of[i];
+                                }
+                                let i = controls.iter().position(|&c| c == net).unwrap();
+                                LEVELS[vector / 3usize.pow(i as u32) % 3]
+                            };
+                            let what = format!(
+                                "k={k} polarity={polarity:b} drives={drive_of:?} \
+                                 prev={prev_of:?} vector={vector}"
+                            );
+                            want.clear();
+                            image.resolve_into(
+                                &groups,
+                                group,
+                                &mut scratch,
+                                ext,
+                                level,
+                                level,
+                                &mut want,
+                            );
+                            let mut want_bytes = Vec::new();
+                            image.record_conduction(&groups, group, &scratch, |slot, code| {
+                                want_bytes.push((slot, code));
+                            });
+                            // A member reads as floating at its previous
+                            // level, so a retained one is unchanged.
+                            let value = |net: NetId| Signal::new(level(net), Strength::HighZ);
+                            let mut got: Vec<(NetId, Signal)> =
+                                members.iter().map(|&m| (m, value(m))).collect();
+                            let mut got_bytes = Vec::new();
+                            image.settle(
+                                &groups,
+                                group,
+                                &mut scratch,
+                                drive,
+                                value,
+                                |slot, code| got_bytes.push((slot, code)),
+                                |net, v, cause| {
+                                    let i = usize::from(net == members[1]);
+                                    assert_eq!(cause, first_switch[i], "{what}");
+                                    got[i].1 = v;
+                                },
+                            );
+                            assert_eq!(got, want, "{what}");
+                            assert_eq!(got_bytes, want_bytes, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Which groups fold and which compare switch by switch: a pair with
     /// a self-loop, a three-net chain and a one-net group with a
     /// self-loop do not fold. A general group records and reads each
@@ -968,7 +1257,7 @@ mod tests {
                 Level::X
             }
         };
-        let shape = |net| image.shape[groups.group_of(net) as usize];
+        let shape = |net| image.shape(groups.group_of(net));
         assert_eq!(shape(p0), Shape::General);
         assert_eq!(shape(c0), Shape::General);
         assert_eq!(shape(lone), Shape::Single);

@@ -89,7 +89,10 @@ pub enum JobError {
     },
     /// The stimulus names an unknown net or an undefined waveform.
     Stimulus(String),
-    /// The netlist fails the engines' static pre-flight.
+    /// The engine refuses to start: the netlist fails the event
+    /// engines' static pre-flight, or the spec asks for no parties, an
+    /// assignment that does not cover the components one to one, or
+    /// lanes outside 1..=64.
     Preflight(PreflightError),
 }
 
@@ -175,14 +178,13 @@ impl<'n> Job<'n> {
     ///
     /// # Errors
     ///
-    /// [`JobError::Window`] if `warmup + window` overflows, then
-    /// [`JobError::Stimulus`] if the stimulus does not resolve against
-    /// `netlist`, then [`JobError::Preflight`].
-    ///
-    /// # Panics
-    ///
-    /// As [`ParSimulator::new`] for a bad party count or assignment
-    /// length, and as [`BitParSim::new`] for lanes outside 1..=64.
+    /// [`JobError::Window`] if `warmup + window` overflows. Then, for
+    /// the bit-parallel engine, [`JobError::Preflight`] for lanes outside
+    /// 1..=64, and [`JobError::Stimulus`] if the stimulus does not
+    /// resolve against `netlist`. For the event engines,
+    /// [`JobError::Stimulus`] first, then [`JobError::Preflight`]: the
+    /// netlist's findings, or, for the parallel engine, no parties or an
+    /// assignment whose length is not the component count.
     pub fn new(
         netlist: &'n Netlist,
         stimulus: &StimulusSpec,
@@ -210,9 +212,11 @@ impl<'n> Job<'n> {
                 Engine::Par(stim, Box::new(sim))
             }
             EngineSpec::BitPar { lanes } => {
+                // The engine first: it refuses a lane count the stimulus
+                // would panic on.
+                let sim = BitParSim::new(netlist, lanes)?;
                 let stim = Stimulus64::new(stimulus, netlist, seed, lanes);
                 let stim = stim.map_err(JobError::Stimulus)?;
-                let sim = BitParSim::new(netlist, lanes)?;
                 let base = sim.stats();
                 Engine::BitPar(stim, sim, base)
             }
@@ -364,6 +368,93 @@ impl<'n> Job<'n> {
         match &self.engine {
             Engine::Serial(_, sim) | Engine::Replay(_, sim) => Some(sim),
             _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use logicsim_circuits::Benchmark;
+
+    /// What `Job::new` returns for `engine` on the stopwatch.
+    fn start(engine: EngineSpec<'_>) -> Result<(), JobError> {
+        let inst = Benchmark::StopWatch.build_default();
+        let spec = JobSpec {
+            engine,
+            window: 8,
+            ..JobSpec::default()
+        };
+        Job::new(&inst.netlist, &inst.stimulus, &spec).map(|_| ())
+    }
+
+    fn components() -> usize {
+        Benchmark::StopWatch
+            .build_default()
+            .netlist
+            .num_components()
+    }
+
+    /// A parallel job on no parties is refused with a typed error, and
+    /// one party is a job.
+    #[test]
+    fn a_job_on_no_parties_is_refused() {
+        let assignment = vec![0; components()];
+        let refused = start(EngineSpec::Par {
+            workers: 0,
+            assignment: &assignment,
+        });
+        assert!(
+            matches!(refused, Err(JobError::Preflight(PreflightError::NoWorkers))),
+            "{refused:?}"
+        );
+        start(EngineSpec::Par {
+            workers: 1,
+            assignment: &assignment,
+        })
+        .expect("one party");
+    }
+
+    /// An assignment one entry short of the component count, or one
+    /// long, is refused with both lengths; an exact one is a job.
+    #[test]
+    fn a_job_whose_assignment_misses_the_component_count_is_refused() {
+        let nc = components();
+        for len in [nc - 1, nc + 1] {
+            let assignment = vec![0; len];
+            let refused = start(EngineSpec::Par {
+                workers: 2,
+                assignment: &assignment,
+            });
+            assert!(
+                matches!(
+                    refused,
+                    Err(JobError::Preflight(PreflightError::Assignment { len: l, components }))
+                        if l == len && components == nc
+                ),
+                "{refused:?}"
+            );
+        }
+        start(EngineSpec::Par {
+            workers: 2,
+            assignment: &vec![0; nc],
+        })
+        .expect("one partition per component");
+    }
+
+    /// Lanes 0 and 65 are refused with a typed error, not the stimulus's
+    /// or the engine's panic; lanes 1 and 64 are jobs.
+    #[test]
+    fn a_job_on_lanes_outside_1_to_64_is_refused() {
+        for lanes in [0, 65] {
+            let refused = start(EngineSpec::BitPar { lanes });
+            assert!(
+                matches!(refused, Err(JobError::Preflight(PreflightError::Lanes(l))) if l == lanes),
+                "{refused:?}"
+            );
+        }
+        for lanes in [1, 64] {
+            start(EngineSpec::BitPar { lanes }).expect("lanes in range");
         }
     }
 }
