@@ -18,7 +18,12 @@
 //! it, and report the moved rows beside the parent's as the change's
 //! measure of traffic, not the cut. The rows were recorded when supply
 //! rails stopped joining the components on them; EXPERIMENTS.md
-//! ("Rails out of the graph") sets them beside the rows before.
+//! ("Rails out of the graph") sets them beside the rows before. The
+//! busiest-party column of the `rtp` rows was re-pinned, with
+//! `messages_crossing` unmoved, when every switch group came to run in
+//! the party of its coupling cluster's lowest-id switch: the switches
+//! and gates that rule re-homes take their evaluations with them
+//! (EXPERIMENTS.md, "Switch groups run whole in one party").
 
 use logicsim_circuits::{scaled, Benchmark, ScaledParams};
 use logicsim_partition::{MultilevelPartitioner, Partitioner};
@@ -38,12 +43,12 @@ const WINDOW: u64 = 10_000;
 /// `(family, seed, P, messages_crossing, busiest party's evaluations)`.
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u32, u64, u64)] = &[
-    ("rtp", 0x1987, 2, 770, 587625), // beta 1.100
-    ("rtp", 0x1987, 4, 771, 342716), // beta 1.283
-    ("rtp", 0x1987, 8, 2944, 188847), // beta 1.414
-    ("rtp", 0x2b, 2, 770, 565711), // beta 1.081
-    ("rtp", 0x2b, 4, 7342, 314760), // beta 1.203
-    ("rtp", 0x2b, 8, 7344, 200279), // beta 1.531
+    ("rtp", 0x1987, 2, 770, 587600), // beta 1.100
+    ("rtp", 0x1987, 4, 771, 342663), // beta 1.283
+    ("rtp", 0x1987, 8, 2944, 190178), // beta 1.424
+    ("rtp", 0x2b, 2, 770, 565708), // beta 1.081
+    ("rtp", 0x2b, 4, 7342, 315046), // beta 1.205
+    ("rtp", 0x2b, 8, 7344, 200219), // beta 1.531
     ("assoc_mem", 0x1987, 2, 5705, 315965), // beta 1.157
     ("assoc_mem", 0x1987, 4, 11666, 189823), // beta 1.390
     ("assoc_mem", 0x1987, 8, 15717, 122409), // beta 1.792

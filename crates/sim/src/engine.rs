@@ -917,9 +917,8 @@ mod tests {
     /// per net (its value), plus one worklist bit per net, component and
     /// group — for `Simulator` and for `ParSimulator` at P = 1 with no
     /// partition alike, no more than a serial engine needs (20 and 6
-    /// with a per-net cause). Two parties add the routing tables (owner
-    /// and partition per component, an owner per group) and a second
-    /// party's worklists.
+    /// with a per-net cause). Two parties add the routing table (owner
+    /// and partition per component) and a second party's worklists.
     #[test]
     fn one_party_holds_no_more_than_the_serial_engine() {
         let mut b = NetlistBuilder::new("chain");
@@ -944,7 +943,7 @@ mod tests {
         let p1 = ParSimulator::new(&n, &unassigned, 1).expect("pre-flight");
         assert_eq!(p1.state_heap_bytes(), one_party);
         let p2 = ParSimulator::new(&n, &round_robin(&n, 2), 2).expect("pre-flight");
-        let routing = 8 * nc + 4 * ng;
+        let routing = 8 * nc;
         assert_eq!(p2.state_heap_bytes(), one_party + routing + bits);
     }
 

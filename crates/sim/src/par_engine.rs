@@ -26,20 +26,24 @@
 //! # Ownership
 //!
 //! Every piece of work has exactly one owning party, and only the owner
-//! does it (*owner computes*):
+//! does it (*owner computes*). One placement pass in
+//! `ParSimulator::build` gives every net one owner:
 //!
-//! * a **nontrivial switch group** belongs to the party of its coupling
-//!   cluster (see below), and so does every net in it;
-//! * every **other net** belongs to the party of its first non-switch
-//!   driver, party 0 if it has none, and so does every other non-switch
-//!   driver of it: a tristate bus cut by the partition is run whole by
-//!   one party;
-//! * every **other component** belongs to the party of its partition
-//!   (inputs, pulls, rails and unassigned components to party 0).
+//! * a net on a switch channel belongs to the party of its **coupling
+//!   cluster's** lowest-id switch (see below), that switch's partition
+//!   party;
+//! * every other net belongs to the party of its first non-switch
+//!   driver, party 0 if it has none.
 //!
-//! A component keeps its partition id wherever it runs, so the Eq. 6
-//! message counts are the partition's. Only the party that owns a net
-//! ever changes a drive onto it.
+//! Every non-switch driver of a net runs in the net's party, and so does
+//! every switch whose channel touches it: a tristate bus or a switch
+//! group cut by the partition is run whole by one party. A component's
+//! partition party, where the rule starts from, is `part % P` for a gate
+//! or switch and party 0 for inputs, pulls, rails and unassigned
+//! components. A component keeps its partition id wherever it runs, so
+//! the Eq. 6 message counts are the partition's. Only the party that
+//! owns a net ever changes a drive onto it or settles it, and a switch's
+//! settle record is read and written by that party alone.
 //!
 //! Parties talk through `P × P` single-producer
 //! single-consumer mailboxes (`par_sync::Mailboxes`): box `(src, dst)`
@@ -48,13 +52,14 @@
 //! each output change to the processor that owns the destination.
 //! Like the machine, which charges network time only for messages
 //! between processors (Eq. 6), a party mails only what another party
-//! owns: the components it evaluates next and the groups it settles
-//! next stay in its own worklists (`to_eval`, `dirty`: an
-//! `OrderedSet`, one bit per id, listing its members ascending), so at
-//! `P = 1` nothing goes through a mailbox.
+//! owns: the components it evaluates next stay in its own `to_eval`
+//! worklist (an `OrderedSet`, one bit per id, listing its members
+//! ascending), and every group it dirties is its own, in its own `dirty`
+//! set. So the mail is fanout alone, and at `P = 1` nothing goes
+//! through a mailbox.
 //!
-//! The routing tables behind that (`Core::place`, `group_owner`) exist
-//! only where something is routed: with one party
+//! The routing table behind that (`Core::place`) exists only where
+//! something is routed: with one party
 //! and no partition named — the [`Simulator`](crate::Simulator) case —
 //! every owner is party 0, no message crosses, and the kernel reads no
 //! routing array (DESIGN.md §10 lists what it then holds per element).
@@ -76,32 +81,30 @@
 //!    order wins, resolves it and routes the fanout of every net that
 //!    changed, all inside Apply. Routing puts a fanout component the
 //!    party owns into its own `to_eval` set and mails any other to its
-//!    owner. A net of a nontrivial switch group dirties the group — in
-//!    the party's own `dirty` set if it owns the group, else by mail to
-//!    the owner.
-//! 2. **Resolve** (when a group is dirty): every owner adds its
-//!    dirty-group mail to its `dirty` set, settles those groups in
-//!    ascending group order, records what each resolution read of its
-//!    switches, and routes the fanout of the nets that changed.
+//!    owner. A net of a nontrivial switch group puts the group into the
+//!    party's own `dirty` set.
+//! 2. **Resolve** (when a group is dirty): every party settles the
+//!    groups in its `dirty` set in ascending group order, records what
+//!    each resolution read of its switches, and routes the fanout of
+//!    the nets that changed.
 //! 3. **Eval** (when a net changed): every party adds its mail to its
 //!    `to_eval` set and evaluates those components in ascending id
 //!    order, scheduling delayed output changes into its own wheel and
-//!    dirtying the group of an evaluated switch (at the group's owner,
-//!    as in Apply) when the conduction the group reads through it
-//!    differs from that record (see the [`solver`] module docs, "When a
-//!    group is settled"). Steps 2–3 repeat until the tick settles, or
-//!    until `MAX_SETTLE_ROUNDS` passes declare a zero-delay oscillation
-//!    and drop the dirty groups unsettled.
+//!    putting the group of an evaluated switch into its own `dirty` set
+//!    when the conduction the group reads through it differs from that
+//!    record (see the [`solver`] module docs, "When a group is
+//!    settled"). Steps 2–3 repeat until the tick settles, or until
+//!    `MAX_SETTLE_ROUNDS` passes declare a zero-delay oscillation and
+//!    drop the dirty groups unsettled.
 //!
 //! Within a phase a party writes only what it owns (its slot and the
 //! worklists in it, its outboxes, its components' state, its nets'
 //! values, its groups' settle records, its causes' activity counts)
 //! and reads, besides that, only what no other party writes in that
 //! phase: in Apply the drives of its own components; in Resolve any
-//! `comp_drive` (nobody writes them); foreign `net_values` and settle
-//! records only in Eval (nobody writes them) and, in Resolve, for
-//! control nets outside every nontrivial group (written in Apply
-//! only).
+//! `comp_drive` (nobody writes them); foreign `net_values` only in Eval
+//! (nobody writes them) and, in Resolve, for control nets off every
+//! switch channel (written in Apply only).
 //!
 //! # Determinism
 //!
@@ -163,8 +166,13 @@ use crate::solver;
 use crate::trace::{EventRecord, TickRecord, TickTrace};
 use crate::wheel::TimingWheel;
 use crate::worklist::OrderedSet;
-use logicsim_netlist::{CompId, ComponentKind, Level, NetId, Netlist, Signal, UnionFind};
+use logicsim_netlist::{
+    ChannelGroups, CompId, ComponentKind, Level, NetId, Netlist, Signal, UnionFind,
+};
 use logicsim_stats::{ParallelWorkload, WorkerLoad};
+use std::any::Any;
+use std::panic::{self as unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Timing-wheel size in slots; delays at or beyond it fall back to the
 /// wheel's overflow map.
@@ -254,10 +262,9 @@ struct PartyState {
     /// this tick's Apply, or in the last Resolve (within one group, in
     /// resolution order).
     changed: Vec<Changed>,
-    /// Scratch: the foreign mail one Resolve or Eval drains.
+    /// Scratch: the foreign mail one Eval drains.
     inbox: Vec<u32>,
-    /// The switch groups this party owns that the next Resolve settles:
-    /// dirtied by this party itself or mailed to it.
+    /// The switch groups this party owns that the next Resolve settles.
     dirty: OrderedSet,
     /// The components this party owns that the next Eval evaluates:
     /// fanout of nets this party changed, or mailed to it.
@@ -290,10 +297,9 @@ struct PartyState {
     /// during its phase (the slot discipline covers it), so recording
     /// takes no locks.
     obs: obs::Lane,
-    /// Items this party pushed into each kind of mailbox since the
-    /// master last absorbed them.
+    /// Items this party mailed since the master last absorbed them.
     #[cfg(test)]
-    mailed: Mailed,
+    mailed: u64,
 }
 
 impl PartyState {
@@ -321,7 +327,7 @@ impl PartyState {
             solver: solver::Scratch::default(),
             obs,
             #[cfg(test)]
-            mailed: Mailed::default(),
+            mailed: 0,
         }
     }
 
@@ -343,14 +349,11 @@ struct Core<'a> {
     /// Number of parties `P`, one per thread: party 0 runs on the
     /// calling thread, party `k >= 1` on worker thread `k`.
     workers: usize,
-    /// Owning party and partition id per component. This and the next
-    /// table are empty when one party owns everything and no component
-    /// names a partition: then every owner is party 0 and no message
-    /// crosses, and the accessors below answer without them.
+    /// Owning party and partition id per component. Empty when one
+    /// party owns everything and no component names a partition: then
+    /// every owner is party 0 and no message crosses, and
+    /// [`Core::owner`] answers without it.
     place: Vec<Place>,
-    /// Owning party per switch group's coupling cluster (`u32::MAX` for
-    /// trivial groups, whose nets are owned one by one).
-    group_owner: Vec<u32>,
     /// Resolved value of every net (written only by the net's owner).
     net_values: SharedVec<Signal>,
     /// Output drive per component (written only by the owner).
@@ -363,24 +366,32 @@ struct Core<'a> {
     pending: SharedVec<u64>,
     /// Events caused per component. A component is named as a cause
     /// only by the owner of its output net (or, for a switch, of its
-    /// group), so the writers are disjoint.
+    /// group's nets), which is the party that runs it, so the writers
+    /// are disjoint.
     activity: SharedVec<u64>,
     /// Per switch slot, the conduction its group's last resolution read
-    /// ([`solver::GroupImage::record_conduction`]): written by the
-    /// group's owner in Resolve, read by the switch's owner in Eval.
+    /// ([`solver::GroupImage::record_conduction`]): written in Resolve
+    /// and read in Eval by the party that runs the switch and owns its
+    /// group.
     settled: SharedVec<u8>,
     /// Per-party wheels, scratch, and counters.
     parties: SharedSlots<PartyState>,
     /// Apply/Resolve → Eval: fanout components, to the
     /// component's owner when that is another party.
     eval_mail: Mailboxes<u32>,
-    /// Apply/Eval → Resolve: dirty switch groups, to the group's owner
-    /// when that is another party.
-    dirty_mail: Mailboxes<u32>,
     /// The current phase command (single slot).
     cmd: SharedSlots<Cmd>,
     /// Phase barrier over the `workers` threads.
     barrier: SpinBarrier,
+    /// Set by a worker whose share of a phase panicked; the master
+    /// reads it after each join crossing and ends the run. `Relaxed`
+    /// suffices: it publishes nothing else, and the barrier crossing
+    /// between the store and the load orders them.
+    worker_panicked: AtomicBool,
+    /// Test trigger, like [`Tally`] test-only: the worker party whose
+    /// share of its next handshaken phase panics.
+    #[cfg(test)]
+    failing_worker: Option<usize>,
     /// Phase clock shared with the barrier and (under `phase-check`)
     /// every recorder; the master bumps it after a run's workers join
     /// so between-run accesses get their own phase.
@@ -392,14 +403,6 @@ impl Core<'_> {
     #[inline]
     fn owner(&self, ci: usize) -> usize {
         self.place.get(ci).map_or(0, |p| p.owner as usize)
-    }
-
-    /// The party that settles switch group `gid`.
-    #[inline]
-    fn group_owner(&self, gid: u32) -> usize {
-        self.group_owner
-            .get(gid as usize)
-            .map_or(0, |&o| o as usize)
     }
 }
 
@@ -433,7 +436,7 @@ struct Master {
 
 /// What the unit tests pin about the thread model: threads spawned by
 /// `run_with`, phases run with and without the handshake, and the
-/// items pushed into each kind of mailbox.
+/// items mailed.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Tally {
@@ -441,15 +444,7 @@ struct Tally {
     handshakes: u64,
     inline_phases: u64,
     resolve_phases: u64,
-    mailed: Mailed,
-}
-
-/// Items pushed into `eval_mail` and `dirty_mail`.
-#[cfg(test)]
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Mailed {
-    eval: u64,
-    dirty: u64,
+    mailed: u64,
 }
 
 impl Master {
@@ -515,6 +510,12 @@ impl Master {
         {
             self.tally.handshakes += 1;
         }
+        // The join crossing published the flag; `ParSimulator::run`
+        // resumes the worker's own panic once every thread is back.
+        assert!(
+            !core.worker_panicked.load(Ordering::Relaxed),
+            "a worker party panicked"
+        );
     }
 
     /// Releases the workers with [`Cmd::Exit`], completing any join the
@@ -621,28 +622,21 @@ impl Master {
             rounds += 1;
             if rounds >= MAX_SETTLE_ROUNDS {
                 self.counters.relaxation_overflows += 1;
-                // Drop the dirty groups unsettled: the mail and the
-                // party sets that name them, and what they last read
-                // with it, so the next tick starts clean.
-                let mut dropped = Vec::new();
-                for dst in 0..core.workers {
+                // Drop the dirty groups unsettled, and what they last
+                // read with them, so the next tick starts clean.
+                for p in 0..core.workers {
                     // SAFETY: workers parked; the master is the unique
-                    // accessor of every box and slot.
-                    let dirty = unsafe {
-                        core.dirty_mail.drain_into(dst, &mut dropped);
-                        &mut core.parties.get_mut(dst).dirty
-                    };
-                    dropped.extend_from_slice(dirty.sorted());
+                    // accessor of every slot and of `settled`.
+                    let dirty = &mut unsafe { core.parties.get_mut(p) }.dirty;
+                    for &gid in dirty.sorted() {
+                        core.img
+                            .solver
+                            .forget_conduction(&core.img.groups, gid, |slot, code| {
+                                // SAFETY: as above.
+                                unsafe { core.settled.set(slot, code) };
+                            });
+                    }
                     dirty.clear();
-                }
-                for gid in dropped {
-                    core.img
-                        .solver
-                        .forget_conduction(&core.img.groups, gid, |slot, code| {
-                            // SAFETY: workers parked; nobody else
-                            // touches `settled` between phases.
-                            unsafe { core.settled.set(slot, code) };
-                        });
                 }
                 break;
             }
@@ -710,9 +704,7 @@ impl Master {
             }
             #[cfg(test)]
             {
-                let mailed = std::mem::take(&mut st.mailed);
-                self.tally.mailed.eval += mailed.eval;
-                self.tally.mailed.dirty += mailed.dirty;
+                self.tally.mailed += std::mem::take(&mut st.mailed);
             }
         }
         let ticks = self.counters.total_ticks();
@@ -772,28 +764,25 @@ fn set_input_inner(core: &Core<'_>, m: &mut Master, net: NetId, level: Level) {
     m.pending_total += 1;
 }
 
-/// Whether any party has dirty switch groups waiting for a Resolve, in
-/// its own set or in its inboxes. Only called by the master between
-/// phases.
+/// Whether any party has dirty switch groups waiting for a Resolve.
+/// Only called by the master between phases.
 fn any_dirty(core: &Core<'_>) -> bool {
-    // SAFETY: workers parked; nobody writes the slots or the boxes.
-    unsafe {
-        !core.dirty_mail.is_empty()
-            || (0..core.workers).any(|p| !core.parties.get(p).dirty.is_empty())
-    }
+    // SAFETY: workers parked; nobody writes the slots.
+    (0..core.workers).any(|p| !unsafe { core.parties.get(p) }.dirty.is_empty())
 }
 
 /// Number of parties that have something to do in the phase `cmd`
-/// opens: a non-empty current wheel slot for Apply, and for Resolve and
-/// Eval mail or a non-empty own set. Only called by the master between
-/// phases, while the workers are parked at the barrier.
+/// opens: a non-empty current wheel slot for Apply, a non-empty `dirty`
+/// set for Resolve, and mail or a non-empty `to_eval` set for Eval.
+/// Only called by the master between phases, while the workers are
+/// parked at the barrier.
 fn parties_with_work(core: &Core<'_>, cmd: Cmd) -> usize {
     // SAFETY: workers parked; nobody writes the slots or the boxes.
     let has_work = |party: usize| unsafe {
         let st = core.parties.get(party);
         match cmd {
             Cmd::Apply { .. } => st.wheel.has_current(),
-            Cmd::Resolve { .. } => !st.dirty.is_empty() || core.dirty_mail.has_mail(party),
+            Cmd::Resolve { .. } => !st.dirty.is_empty(),
             Cmd::Eval { .. } => !st.to_eval.is_empty() || core.eval_mail.has_mail(party),
             Cmd::Exit => false,
         }
@@ -812,10 +801,10 @@ fn run_party_cmd(core: &Core<'_>, party: usize, cmd: Cmd) {
 }
 
 /// Apply phase: drain the party's wheel slot and apply surviving
-/// changes to owned components. A net outside the nontrivial switch
-/// groups is this party's, with all of its drivers, so it is merged,
-/// resolved and fanned out here and now; a switch-group net dirties
-/// its group.
+/// changes to owned components. Every net they drive is this party's,
+/// with all of its drivers: one outside the nontrivial switch groups is
+/// merged, resolved and fanned out here and now, and one inside puts
+/// its group into this party's `dirty` set.
 fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: this party is the unique accessor of its slot during a
     // phase; `pending`/`comp_drive` entries touched here belong to
@@ -846,21 +835,10 @@ fn party_apply(core: &Core<'_>, party: usize, tick: u64) {
         // they drive.
         let net = core.img.comps.terminal(ci);
         applied = true;
-        if !core.img.groups.in_nontrivial_group(net) {
-            st.merged.push(Applied { net: net.0, comp });
-            continue;
-        }
-        let gid = core.img.groups.group_of(net);
-        let owner = core.group_owner(gid);
-        if owner == party {
-            st.dirty.insert(gid);
+        if core.img.groups.in_nontrivial_group(net) {
+            st.dirty.insert(core.img.groups.group_of(net));
         } else {
-            // SAFETY: only this party fills its outboxes this phase.
-            unsafe { core.dirty_mail.mail(party, owner) }.push(gid);
-            #[cfg(test)]
-            {
-                st.mailed.dirty += 1;
-            }
+            st.merged.push(Applied { net: net.0, comp });
         }
     }
     if applied {
@@ -938,7 +916,7 @@ fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
                 unsafe { core.eval_mail.mail(party, to.owner as usize) }.push(f);
                 #[cfg(test)]
                 {
-                    st.mailed.eval += 1;
+                    st.mailed += 1;
                 }
             }
             // Self-messages (feedback into the producing component)
@@ -958,29 +936,21 @@ fn route_fanout(core: &Core<'_>, party: usize, st: &mut PartyState) -> u64 {
     routed
 }
 
-/// Resolve phase: settle the dirty switch groups this party owns — its
-/// own set and the mail drained into it — in ascending group order,
-/// writing member-net values and settle records, and route the fanout
-/// of every net that changed.
+/// Resolve phase: settle the dirty switch groups this party owns in
+/// ascending group order, writing member-net values and settle records,
+/// and route the fanout of every net that changed.
 fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: unique slot access during a phase. Net reads and writes
     // stay inside this party's coupling clusters (or read nets no party
     // writes this phase); `comp_drive` is stable during resolution.
     let st = unsafe { core.parties.get_mut(party) };
     st.changed.clear();
-    // SAFETY: only this party drains its inboxes this phase; the
-    // senders filled them in Apply or Eval.
-    unsafe { core.dirty_mail.drain_into(party, &mut st.inbox) };
-    if st.inbox.is_empty() && st.dirty.is_empty() {
+    if st.dirty.is_empty() {
         return;
     }
     let m = st.obs.mark();
-    for gid in st.inbox.drain(..) {
-        st.dirty.insert(gid);
-    }
     let gids = st.dirty.sorted();
     for &gid in gids {
-        debug_assert_eq!(core.group_owner(gid), party);
         core.img.solver.settle(
             &core.img.groups,
             gid,
@@ -988,8 +958,7 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
             // SAFETY: see above.
             |d| unsafe { core.comp_drive.get(d.index()) },
             |net| unsafe { core.net_values.get(net.index()) },
-            // SAFETY: a group's switch slots are written by its owner,
-            // here, and read by nobody in Resolve.
+            // SAFETY: a group's switch slots are this party's alone.
             |slot, code| unsafe { core.settled.set(slot, code) },
             |net, v, cause| {
                 // SAFETY: member nets belong to this party's cluster.
@@ -1014,8 +983,8 @@ fn party_resolve(core: &Core<'_>, party: usize, tick: u64) {
 /// Eval phase: evaluate the fanout components this party owns — its
 /// own set and the mail drained into it — in ascending id order,
 /// scheduling delayed output changes into the party's own wheel and
-/// dirtying an evaluated switch's group at the group's owner when what
-/// the group reads through it moved.
+/// putting an evaluated switch's group, which this party owns too, into
+/// its `dirty` set when what the group reads through the switch moved.
 fn party_eval(core: &Core<'_>, party: usize, tick: u64) {
     // SAFETY: unique slot access during a phase; `net_values` is
     // read-only in this phase; per-component state touched here belongs
@@ -1081,18 +1050,7 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64) {
                     });
                 // SAFETY: `settled` is written in Resolve only.
                 if read != unsafe { core.settled.get(slot) } {
-                    let owner = core.group_owner(group);
-                    if owner == party {
-                        st.dirty.insert(group);
-                    } else {
-                        // SAFETY: only this party fills its outboxes
-                        // this phase.
-                        unsafe { core.dirty_mail.mail(party, owner) }.push(group);
-                        #[cfg(test)]
-                        {
-                            st.mailed.dirty += 1;
-                        }
-                    }
+                    st.dirty.insert(group);
                 }
             }
             ComponentKind::Input | ComponentKind::Pull(_) | ComponentKind::Supply(_) => {}
@@ -1107,9 +1065,13 @@ fn party_eval(core: &Core<'_>, party: usize, tick: u64) {
 }
 
 /// The body of worker thread `party` (`1..workers`): wait for a
-/// command, run it, join.
-fn worker_loop(core: &Core<'_>, party: usize) {
+/// command, run it, join. A panic in its share is caught and flagged,
+/// and the thread goes on crossing the barrier as an idle party until
+/// the master, which sees the flag after the join, shuts the run down;
+/// the panic is handed back for the master to resume.
+fn worker_loop(core: &Core<'_>, party: usize) -> Option<Box<dyn Any + Send>> {
     phase_check::set_party(party);
+    let mut panicked = None;
     loop {
         core.barrier.wait();
         // SAFETY: the master wrote the command before releasing the
@@ -1117,47 +1079,49 @@ fn worker_loop(core: &Core<'_>, party: usize) {
         // may read it concurrently.
         let cmd = unsafe { *core.cmd.get(0) };
         if matches!(cmd, Cmd::Exit) {
-            break;
+            return panicked;
         }
-        run_party_cmd(core, party, cmd);
+        if panicked.is_none() {
+            let share = unwind::catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                if core.failing_worker == Some(party) {
+                    panic!("worker {party} panics on purpose");
+                }
+                run_party_cmd(core, party, cmd);
+            }));
+            if let Err(payload) = share {
+                core.worker_panicked.store(true, Ordering::Relaxed);
+                panicked = Some(payload);
+            }
+        }
         core.barrier.wait();
     }
 }
 
-/// Computes the coupling-cluster owner of every nontrivial switch
-/// group: groups are united when one's resolution can observe another
-/// within a settle pass (a switch whose control net belongs to the
-/// other nontrivial group), and clusters are dealt round-robin to
-/// parties in first-group order.
-fn compute_group_owner(img: &Image<'_>, workers: usize) -> Vec<u32> {
+/// The owning party of every switch group: the partition party, in
+/// `place`, of the lowest-id switch of its coupling cluster. Groups are
+/// united when one's resolution can observe another within a settle
+/// pass (a switch whose control net lies in the other group).
+fn cluster_parties(img: &Image<'_>, place: &[Place]) -> Vec<u32> {
     let ng = img.groups.num_groups();
     let mut clusters = UnionFind::new(ng);
     for gid in 0..ng as u32 {
-        if !img.groups.is_nontrivial(gid) {
-            continue;
-        }
         for &sw in img.groups.switches(gid) {
-            let control = img.comps.terminal(sw.index());
-            if img.groups.in_nontrivial_group(control) {
-                clusters.union(gid, img.groups.group_of(control));
+            let other = img.groups.group_of(img.comps.terminal(sw.index()));
+            if other != ChannelGroups::NONE {
+                clusters.union(gid, other);
             }
         }
     }
-    let mut owner = vec![u32::MAX; ng];
-    let mut root_owner = vec![u32::MAX; ng];
-    let mut next = 0usize;
+    // A group's switches ascend, so its first is its lowest.
+    let mut lowest = vec![u32::MAX; ng];
     for gid in 0..ng as u32 {
-        if !img.groups.is_nontrivial(gid) {
-            continue;
-        }
-        let r = clusters.find(gid) as usize;
-        if root_owner[r] == u32::MAX {
-            root_owner[r] = (next % workers) as u32;
-            next += 1;
-        }
-        owner[gid as usize] = root_owner[r];
+        let root = clusters.find(gid) as usize;
+        lowest[root] = lowest[root].min(img.groups.switches(gid)[0].0);
     }
-    owner
+    (0..ng as u32)
+        .map(|gid| place[lowest[clusters.find(gid) as usize] as usize].owner)
+        .collect()
 }
 
 /// The parallel tick-synchronous simulator.
@@ -1194,11 +1158,13 @@ impl<'a> ParSimulator<'a> {
     /// for unpartitioned infrastructure — inputs, pulls, rails), as
     /// produced by `logicsim-partition` strategies. Partition `k` is
     /// executed by party `k % workers`; `u32::MAX`, and every input,
-    /// pull and rail, by party 0. One exception: the co-drivers of a net
-    /// outside the nontrivial switch groups (a tristate bus, a drive
-    /// fight) follow the net's first non-switch driver, so one party
-    /// runs them all. A component keeps its partition id either way,
-    /// and the message counts are the partition's.
+    /// pull and rail, by party 0. Two exceptions keep the work on a net
+    /// in one party: the non-switch drivers of a net (a tristate bus, a
+    /// drive fight) follow its first one, and everything on a switch
+    /// group — its switches, its nets' drivers, and any group whose
+    /// switches read one of its nets — follows the lowest-id switch
+    /// among them. A component keeps its partition id either way, and
+    /// the message counts are the partition's.
     ///
     /// # Errors
     ///
@@ -1277,25 +1243,24 @@ impl<'a> ParSimulator<'a> {
                 })
                 .collect()
         });
-        // A net outside the nontrivial groups has one owner, the party
-        // of its first non-switch driver, and that party runs every
-        // other non-switch driver of it too; each keeps its partition.
-        for ni in 0..if place.is_empty() { 0 } else { nn } {
-            if img.groups.in_nontrivial_group(NetId(ni as u32)) {
-                continue;
-            }
-            let row = img.drivers.row(ni).iter();
-            let mut drivers = row.filter(|d| !img.comps.kind(d.index()).is_switch());
-            if let Some(first) = drivers.next() {
-                let owner = place[first.index()].owner;
-                drivers.for_each(|d| place[d.index()].owner = owner);
+        // One placement pass: every net gets one owner — a net on a
+        // switch channel its cluster's, any other net its first driver's
+        // (a switch drives only channel nets) — and every component
+        // driving it, switches on a channel included, runs there, each
+        // keeping its partition.
+        if !place.is_empty() {
+            let cluster = cluster_parties(&img, &place);
+            for ni in 0..nn {
+                let row = img.drivers.row(ni);
+                let gid = img.groups.group_of(NetId(ni as u32));
+                let owner = match row.first() {
+                    _ if gid != ChannelGroups::NONE => cluster[gid as usize],
+                    Some(first) => place[first.index()].owner,
+                    None => continue,
+                };
+                row.iter().for_each(|d| place[d.index()].owner = owner);
             }
         }
-        let group_owner = if place.is_empty() {
-            Vec::new()
-        } else {
-            compute_group_owner(&img, workers)
-        };
         // One phase clock for the whole engine: the barrier advances it
         // at every crossing, and (under `phase-check`) every shared
         // container stamps accesses with it.
@@ -1319,7 +1284,6 @@ impl<'a> ParSimulator<'a> {
                 config,
                 workers,
                 place,
-                group_owner,
                 net_values: SharedVec::from_vec(net_values, &clock),
                 comp_drive: SharedVec::from_vec(comp_drive, &clock),
                 last_scheduled: SharedVec::from_vec(last_scheduled, &clock),
@@ -1328,9 +1292,11 @@ impl<'a> ParSimulator<'a> {
                 settled: SharedVec::from_vec(settled, &clock),
                 parties,
                 eval_mail: Mailboxes::new(workers, &clock),
-                dirty_mail: Mailboxes::new(workers, &clock),
                 cmd: SharedSlots::from_iter([Cmd::Exit], &clock),
                 barrier: SpinBarrier::new(workers, &clock),
+                worker_panicked: AtomicBool::new(false),
+                #[cfg(test)]
+                failing_worker: None,
                 clock,
             },
             m: Master::new(workers, master_obs),
@@ -1537,25 +1503,33 @@ impl<'a> ParSimulator<'a> {
         let core = &self.core;
         let m = &mut self.m;
         std::thread::scope(|s| {
-            for w in 1..core.workers {
-                std::thread::Builder::new()
-                    .name(format!("lsim-worker-{w}"))
-                    .spawn_scoped(s, move || worker_loop(core, w))
-                    .expect("spawn worker");
-                #[cfg(test)]
-                {
-                    m.tally.spawned += 1;
-                }
+            let workers: Vec<_> = (1..core.workers)
+                .map(|w| {
+                    std::thread::Builder::new()
+                        .name(format!("lsim-worker-{w}"))
+                        .spawn_scoped(s, move || worker_loop(core, w))
+                        .expect("spawn worker")
+                })
+                .collect();
+            #[cfg(test)]
+            {
+                m.tally.spawned += workers.len();
             }
             // Shut the workers down even if the master panics (a panic
             // with workers parked at the barrier would deadlock the
-            // scope join), then resume the panic.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // scope join), then resume the panic: a worker's first, as
+            // the master's own then only reports it.
+            let result = unwind::catch_unwind(AssertUnwindSafe(|| {
                 m.run(core, until, quiesce, stim);
             }));
             m.shutdown(core);
-            if let Err(p) = result {
-                std::panic::resume_unwind(p);
+            for worker in workers {
+                if let Some(payload) = worker.join().expect("a worker catches its panics") {
+                    unwind::resume_unwind(payload);
+                }
+            }
+            if let Err(payload) = result {
+                unwind::resume_unwind(payload);
             }
         });
         // The workers' last act was reading `Cmd::Exit` *after* the
@@ -1593,8 +1567,7 @@ impl<'a> ParSimulator<'a> {
             + c.pending.heap_bytes()
             + c.activity.heap_bytes()
             + c.settled.heap_bytes();
-        let routing = std::mem::size_of_val(c.place.as_slice())
-            + std::mem::size_of_val(c.group_owner.as_slice());
+        let routing = std::mem::size_of_val(c.place.as_slice());
         let worklists: usize = (0..c.workers)
             .map(|p| {
                 // SAFETY: no worker threads exist outside `run_with`.
@@ -1623,6 +1596,7 @@ impl<'a> ParSimulator<'a> {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
+    use logicsim_circuits::Benchmark;
     use logicsim_netlist::{ComponentRef, Delay, GateKind, NetlistBuilder, SwitchKind};
 
     /// Assignment that deals every gate/switch round-robin to `parts`.
@@ -1914,8 +1888,9 @@ mod tests {
         assert_eq!(owners(&n, &assignment, 3)[4..], [0, 0, 2, 2, 1, 2]);
         // A pull is a non-switch driver too: on `x` it is the first, so
         // party 0 runs both tristate drivers. A switch drives nothing
-        // Apply merges, and its channel puts `y` in a nontrivial group,
-        // whose drivers keep their parties.
+        // Apply merges, and its channel puts `y` and `d` in one group,
+        // which follows the switch: party 1 runs the input `d`, both
+        // drivers of `y` and the switch.
         let mut b = NetlistBuilder::new("pulled");
         let (d, en) = (b.input("d"), b.input("en"));
         let (x, y) = (b.net("x"), b.net("y"));
@@ -1927,7 +1902,7 @@ mod tests {
         b.switch(SwitchKind::Nmos, en, y, d);
         let n = b.finish().unwrap();
         let assignment = [u32::MAX, u32::MAX, u32::MAX, 1, 1, 0, 1, 1];
-        assert_eq!(owners(&n, &assignment, 2), [0, 0, 0, 0, 0, 0, 1, 1]);
+        assert_eq!(owners(&n, &assignment, 2), [1, 0, 0, 0, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -2020,7 +1995,7 @@ mod tests {
     fn one_party_mails_nothing_and_two_mail_only_what_crosses() {
         // At P = 1 every fanout component, net and switch group belongs
         // to the one party: nothing goes through a mailbox.
-        let none = Mailed::default();
+        let none = 0;
         assert_eq!(fan_run([0, 1, 2, 3], 1, 1).mailed, none);
         assert_eq!(bus_run([0, 1, 2, 3, 4, 5], 1).mailed, none);
         let n = latch_circuit();
@@ -2038,12 +2013,13 @@ mod tests {
         // AND in party 0 and the XOR in party 1, so only the XOR's
         // evaluation is mailed from party 0.
         let (tally, _) = run_against_serial(&n, &round_robin(&n, 2), 2, 30, &latch_script);
-        assert!(tally.mailed.eval > 0, "{tally:?}");
+        assert!(tally.mailed > 0, "{tally:?}");
         assert_eq!(fan_run([0, 0, 0, 0], 2, 5).mailed, none);
-        assert!(fan_run([0, 1, 0, 1], 2, 5).mailed.eval > 0);
-        // The transmission-gate latch's group belongs to party 0; with
-        // both its switches in party 1, that party mails the group when
-        // what the group reads through them moves.
+        assert!(fan_run([0, 1, 0, 1], 2, 5).mailed > 0);
+        // The transmission-gate latch's group runs in party 1 with both
+        // its switches and the input `d` on its channel; its reader and
+        // the inverter making `en_n` run in party 0. Only fanout crosses:
+        // `q` to the reader, `en_n` to the pMOS switch.
         let n = tg_latch();
         let (d, en) = (n.find_net("d").unwrap(), n.find_net("en").unwrap());
         let tg_script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
@@ -2059,16 +2035,17 @@ mod tests {
         let (tally, _) = run_against_serial(&n, &round_robin(&n, 1), 1, 60, &tg_script);
         assert_eq!(tally.mailed, none);
         let assignment = [u32::MAX, u32::MAX, 0, 1, 1, 0];
+        assert_eq!(owners(&n, &assignment, 2), [1, 0, 0, 1, 1, 0]);
         let (tally, _) = run_against_serial(&n, &assignment, 2, 60, &tg_script);
-        assert!(tally.mailed.dirty > 0, "{tally:?}");
+        assert!(tally.mailed > 0, "{tally:?}");
     }
 
     #[test]
     fn switch_cluster_with_control_net_owned_elsewhere_matches_serial() {
         // The pass-transistor mux again: its one switch group {a, z, b}
-        // is the first coupling cluster, so party 0 resolves it, while
-        // its control net `sel_n`, the inverter's output, belongs to
-        // party 1.
+        // follows its lowest-id switch, in partition 0, so party 0 runs
+        // both switches and resolves the group, while its control net
+        // `sel_n`, the inverter's output, belongs to party 1.
         let mut b = NetlistBuilder::new("ptmux");
         let sel = b.input("sel");
         let sel_n = b.net("sel_n");
@@ -2082,11 +2059,7 @@ mod tests {
         // Components: sel, a, b, then the inverter and the switches.
         let assignment = [u32::MAX, u32::MAX, u32::MAX, 1, 0, 1];
         for workers in [2, 3] {
-            let par = ParSimulator::new(&n, &assignment, workers).expect("pre-flight");
-            let group = par.core.img.groups.group_of(z) as usize;
-            assert_eq!(par.core.group_owner[group], 0);
-            let inverter = par.core.img.drivers.row(sel_n.index())[0];
-            assert_eq!(par.core.place[inverter.index()].owner, 1);
+            assert_eq!(owners(&n, &assignment, workers)[3..], [1, 0, 0]);
             let (_, counters) = run_against_serial(&n, &assignment, workers, 40, &|tick, set| {
                 if tick.is_multiple_of(10) {
                     set(sel, Level::from_bool(tick.is_multiple_of(20)));
@@ -2098,6 +2071,157 @@ mod tests {
             });
             assert!(counters.group_resolutions > 8);
         }
+    }
+
+    #[test]
+    fn every_switch_group_runs_whole_in_one_party() {
+        // On the switch-level families, dealt round-robin, every switch
+        // of a group and every component driving its nets run in one
+        // party, and so does every group whose switches one of them
+        // controls: no dirty mark and no settle record ever crosses.
+        let families = [
+            Benchmark::StopWatch,
+            Benchmark::AssocMem,
+            Benchmark::PriorityQueue,
+            Benchmark::RtpChip,
+        ];
+        for bench in families {
+            let n = bench.build_default().netlist;
+            for workers in [2, 3, 8] {
+                let par = ParSimulator::new(&n, &round_robin(&n, workers as u32), workers)
+                    .expect("pre-flight");
+                let (img, owner) = (&par.core.img, |ci: usize| par.core.owner(ci));
+                let groups = &img.groups;
+                let party_of = |gid: u32| owner(groups.switches(gid)[0].index());
+                let mut cut = 0;
+                for gid in 0..groups.num_groups() as u32 {
+                    let party = party_of(gid);
+                    for &sw in groups.switches(gid) {
+                        cut += usize::from(owner(sw.index()) != party);
+                        let control = groups.group_of(img.comps.terminal(sw.index()));
+                        if control != ChannelGroups::NONE {
+                            cut += usize::from(party_of(control) != party);
+                        }
+                    }
+                    for net in groups.members(gid) {
+                        for d in img.drivers.row(net.index()) {
+                            cut += usize::from(owner(d.index()) != party);
+                        }
+                    }
+                }
+                assert_eq!(cut, 0, "{bench:?} at P={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_switch_on_one_net_runs_with_the_nets_owner() {
+        // `y = NOT a` with an nMOS from `y` to `y` gated by `a`, read by
+        // `z = NOT y`: the switch's group has one net. Components: `a`,
+        // the inverter making `y`, the switch, the reader.
+        let mut b = NetlistBuilder::new("self_loop");
+        let a = b.input("a");
+        let (y, z) = (b.net("y"), b.net("z"));
+        b.gate(GateKind::Not, &[a], y, Delay::uniform(1));
+        b.switch(SwitchKind::Nmos, a, y, y);
+        b.gate(GateKind::Not, &[y], z, Delay::uniform(1));
+        let n = b.finish().unwrap();
+        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| match tick % 12 {
+            0 => set(a, Level::One),
+            4 => set(a, Level::Zero),
+            8 => set(a, Level::X),
+            _ => {}
+        };
+        // The switch's partition maps to party 0, to party 1, and (at
+        // P = 3) to a party that neither `y`'s driver's partition nor
+        // the reader's maps to; the driver runs with the switch every
+        // time.
+        for (workers, gates) in [
+            (2, [1, 0, 1]),
+            (2, [0, 1, 0]),
+            (3, [2, 1, 0]),
+            (3, [0, 2, 1]),
+        ] {
+            let mut assignment = vec![u32::MAX];
+            assignment.extend(gates);
+            let owner = owners(&n, &assignment, workers);
+            assert_eq!(owner[1], owner[2], "P={workers} {gates:?}");
+            let (_, counters) = run_against_serial(&n, &assignment, workers, 48, &script);
+            assert!(counters.group_resolutions > 0, "{counters:?}");
+        }
+        // The one-net group's net controls a switch of a two-net group
+        // (an nMOS from the input `p` to `q`, read by `r = NOT q`). `y`
+        // is a tristate's output with a pull-up, so while the tristate
+        // is off and `c` is X, settling `y` forces it to X; a settle that
+        // forces `y` and one that reads it can fall in one Resolve pass,
+        // so the two groups form one cluster, run by the party of its
+        // lowest-id switch, the one on `y`. Components: `c`, `a`, `en`,
+        // `p`, the tristate, the pull, the switch on `y`, the switch from
+        // `p` to `q`, the reader.
+        let mut b = NetlistBuilder::new("self_loop_cluster");
+        let (c, a, en, p) = (b.input("c"), b.input("a"), b.input("en"), b.input("p"));
+        let (y, q, r) = (b.net("y"), b.net("q"), b.net("r"));
+        b.gate(GateKind::Tristate, &[a, en], y, Delay::uniform(1));
+        b.pull(y, Level::One);
+        b.switch(SwitchKind::Nmos, c, y, y);
+        b.switch(SwitchKind::Nmos, y, p, q);
+        b.gate(GateKind::Not, &[q], r, Delay::uniform(1));
+        let n = b.finish().unwrap();
+        let script = |tick: u64, set: &mut dyn FnMut(NetId, Level)| {
+            if tick.is_multiple_of(3) {
+                set(p, Level::from_bool(tick.is_multiple_of(6)));
+            }
+            match tick % 20 {
+                0 => (set(c, Level::X), set(a, Level::Zero), set(en, Level::One)).0,
+                4 | 12 => set(en, Level::Zero),
+                8 => set(en, Level::One),
+                14 => set(c, Level::One),
+                16 => set(en, Level::One),
+                _ => {}
+            }
+        };
+        for (workers, parts) in [(2, [1, 1, 0, 0]), (2, [0, 1, 0, 1]), (3, [2, 0, 1, 2])] {
+            let mut assignment = vec![u32::MAX; 4];
+            assignment.extend([parts[0], u32::MAX, parts[1], parts[2], parts[3]]);
+            let owner = owners(&n, &assignment, workers);
+            let party = parts[1] as usize % workers;
+            assert_eq!(owner[3..8], [party; 5], "P={workers} {parts:?}");
+            let (_, counters) = run_against_serial(&n, &assignment, workers, 80, &script);
+            assert!(counters.group_resolutions > 8, "{counters:?}");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        // `na` fans out to the AND in party 0 and the XOR in party 1, so
+        // the Eval phase that follows handshakes, and worker 1 panics in
+        // its share. The run must end with that panic, not spin at the
+        // barrier; it runs on a thread of its own so that a hang fails
+        // the test instead of stalling the suite.
+        let n: &'static Netlist = Box::leak(Box::new(fan_circuit()));
+        let (a, b) = (n.find_net("a").unwrap(), n.find_net("b").unwrap());
+        let assignment = [u32::MAX, u32::MAX, 0, 1, 0, 1];
+        let mut par = ParSimulator::new(n, &assignment, 2).expect("pre-flight");
+        par.core.failing_worker = Some(1);
+        let (done, outcome) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let run = unwind::catch_unwind(AssertUnwindSafe(|| {
+                par.run_with(40, |tick, frame| {
+                    frame.set(a, Level::from_bool(tick.is_multiple_of(20)));
+                    frame.set(b, Level::from_bool(tick % 20 < 5));
+                });
+            }));
+            let message = run.err().map(|payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(_) => "a panic without a message".to_string(),
+            });
+            done.send(message).expect("the test waits");
+        });
+        let message = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run ended instead of hanging");
+        runner.join().expect("the run's thread caught the panic");
+        assert_eq!(message.as_deref(), Some("worker 1 panics on purpose"));
     }
 
     /// A transmission-gate latch: `d` passes onto the storage node `q`

@@ -343,16 +343,6 @@ impl<T> Mailboxes<T> {
                 .is_empty()
         })
     }
-
-    /// Whether no box holds any mail.
-    ///
-    /// # Safety
-    ///
-    /// No party may be filling or draining any box in the current phase.
-    pub(crate) unsafe fn is_empty(&self) -> bool {
-        // SAFETY: forwards this method's contract.
-        !(0..self.parties).any(|dst| unsafe { self.has_mail(dst) })
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +415,6 @@ mod tests {
         let m: Mailboxes<u32> = Mailboxes::new(3, &PhaseClock::new());
         // SAFETY: single-threaded test.
         unsafe {
-            assert!(m.is_empty());
             m.mail(0, 2).push(7);
             m.mail(1, 2).push(8);
             assert!(m.has_mail(2) && !m.has_mail(0) && !m.has_mail(1));
@@ -434,7 +423,7 @@ mod tests {
             let mut got = vec![6];
             m.drain_into(2, &mut got);
             assert_eq!(got, [6, 7, 8]);
-            assert!(m.is_empty());
+            assert!(!m.has_mail(2));
         }
         // Neighbouring boxes never share a cache line pair.
         assert_eq!(std::mem::align_of::<Padded<Vec<u32>>>(), 128);
@@ -564,22 +553,25 @@ mod loom_tests {
     /// Commands of the miniature engine below.
     const EXIT: u32 = 0;
     const APPLY: u32 = 1;
-    const EVAL: u32 = 2;
+    const RESOLVE: u32 = 2;
+    const EVAL: u32 = 3;
 
     /// `par_engine`'s tick protocol in miniature at `P = 2`: three
     /// parties on two threads (the calling thread runs party 0 and the
     /// master party 2, a spawned worker runs party 1), the engine's own
     /// `Mailboxes`, `SharedVec`, `SharedSlots` and `SpinBarrier`, and
     /// one net, owned by party 0 with both of its drivers, read by a
-    /// component in each of parties 1 and 2 whose evaluation dirties a
-    /// switch group party 0 owns.
+    /// switch in each of parties 1 and 2. Each switch's group belongs to
+    /// the switch's party, which marks it dirty, settles it and mails the
+    /// fanout of its net back to party 0: the one mailbox kind, fanout.
     struct Mini {
         barrier: SpinBarrier,
         cmd: SharedSlots<u32>,
-        /// Apply → Eval: messages, to the readers' owners.
+        /// Apply/Resolve → Eval: fanout, to the reader's owner.
         eval: Mailboxes<u32>,
-        /// Eval → Resolve: dirty groups, to the group's owner.
-        dirty: Mailboxes<u32>,
+        /// Per party, whether its group is dirty: written by the party
+        /// in its phases, read by the master between them.
+        dirty: SharedVec<u32>,
         /// One net value per owning party.
         value: SharedVec<u32>,
         /// One evaluation result per party.
@@ -593,7 +585,7 @@ mod loom_tests {
                 barrier: SpinBarrier::new(2, &clock),
                 cmd: SharedSlots::from_iter(vec![EXIT], &clock),
                 eval: Mailboxes::new(3, &clock),
-                dirty: Mailboxes::new(3, &clock),
+                dirty: SharedVec::from_vec(vec![0; 3], &clock),
                 value: SharedVec::from_vec(vec![0; 3], &clock),
                 out: SharedVec::from_vec(vec![0; 3], &clock),
             })
@@ -623,16 +615,25 @@ mod loom_tests {
                         let mail: u32 = mail.iter().sum();
                         if mail > 0 {
                             self.out.set(party, mail + self.value.get(0));
-                            self.dirty.mail(party, 0).push(party as u32);
+                            if party != 0 {
+                                self.dirty.set(party, 1);
+                            }
                         }
+                    }
+                    RESOLVE if self.dirty.get(party) != 0 => {
+                        // The party's own group settles to what its
+                        // switch read, and party 0 reads the net.
+                        self.dirty.set(party, 0);
+                        self.value.set(party, self.out.get(party));
+                        self.eval.mail(party, 0).push(party as u32);
                     }
                     _ => {}
                 }
             }
         }
 
-        /// `par_engine::worker_loop` for party 1; hands back what its
-        /// evaluation produced.
+        /// `par_engine::worker_loop` for party 1; hands back the value
+        /// its settle produced.
         fn worker(&self) -> u32 {
             loop {
                 self.barrier.wait();
@@ -641,7 +642,7 @@ mod loom_tests {
                 let cmd = *unsafe { self.cmd.get(0) };
                 if cmd == EXIT {
                     // SAFETY: nobody writes after the exit release.
-                    return unsafe { self.out.get(1) };
+                    return unsafe { self.value.get(1) };
                 }
                 self.run(1, cmd);
                 self.barrier.wait();
@@ -678,13 +679,15 @@ mod loom_tests {
     /// work — it merges its own drivers' changes onto its net and mails
     /// the fanout — so the master runs every party's share itself while
     /// the worker stays parked: the skipped handshake), Eval (parties 1
-    /// and 2 have mail; handshaken; each dirties party 0's group), exit.
-    /// Sound because Eval's release crossing orders the master's pushes
-    /// and its write of the net's value before the worker's drain and
-    /// read, and Eval's join crossing orders the worker's push before
-    /// the master's read of its dirty inbox. Preemption-bounded: four
-    /// crossings of a spinning barrier are too many schedules to
-    /// enumerate outright.
+    /// and 2 have mail; handshaken; each marks its own group dirty),
+    /// Resolve (both dirty; handshaken; each settles its group and mails
+    /// the fanout to party 0), Eval (only party 0 has mail; inline),
+    /// exit. Sound because each release crossing orders the writes and
+    /// pushes before it ahead of the phase's reads and drains, and each
+    /// join crossing orders the worker's writes and pushes ahead of the
+    /// master's reads between phases and of the next inline share.
+    /// Preemption-bounded: five crossings of a spinning barrier are too
+    /// many schedules to enumerate outright.
     #[test]
     fn loom_mini_engine_inline_apply_then_handshaken_eval() {
         let mut b = loom::model::Builder::new();
@@ -696,27 +699,28 @@ mod loom_tests {
             mini.inline(APPLY);
             mini.handshaken(EVAL, || {});
             // SAFETY: between phases; the worker is parked.
-            assert!(unsafe { mini.dirty.has_mail(0) });
+            assert!((1..3).all(|p| unsafe { mini.dirty.get(p) } == 1));
+            mini.handshaken(RESOLVE, || {});
+            // SAFETY: as above.
+            assert!(unsafe { mini.eval.has_mail(0) });
+            mini.inline(EVAL);
             mini.release(EXIT);
-            // Party 1's reader: message 10 plus the last driver's 2.
+            // Party 1's net: message 10 plus the last driver's 2.
             assert_eq!(worker.join().unwrap(), 12);
-            let mut dirty = Vec::new();
             // SAFETY: the worker has exited.
-            let (value, out) = unsafe {
-                mini.dirty.drain_into(0, &mut dirty);
-                (mini.value.get(0), mini.out.get(2))
-            };
-            assert_eq!((value, out, dirty), (2, 22, vec![1, 2]));
+            let (value, out) = unsafe { (mini.value.get(2), mini.out.get(0)) };
+            // Party 0's reader: messages 1 and 2 plus its own net's 2.
+            assert_eq!((value, out), (22, 5));
         });
     }
 
-    /// The broken twin: the group's owner drains its inbox from party 1
-    /// *inside* the Eval phase, before the join crossing that would
-    /// order the worker's push before it, and the checker flags the
-    /// data race. (The yield stands for the master's own share: cell
-    /// accesses are not scheduling points of the vendored checker, so
-    /// without one the worker could never run between the crossing and
-    /// the stray drain.)
+    /// The broken twin: party 0 drains its inbox *inside* the Resolve
+    /// phase, before the join crossing that would order the worker's
+    /// push before it, and the checker flags the data race. (The yield
+    /// stands for the master's own share: cell accesses are not
+    /// scheduling points of the vendored checker, so without one the
+    /// worker could never run between the crossing and the stray
+    /// drain.)
     #[test]
     #[should_panic(expected = "data race")]
     fn loom_mini_engine_inbox_read_before_the_barrier_races() {
@@ -727,12 +731,13 @@ mod loom_tests {
             let m = Arc::clone(&mini);
             let worker = loom::thread::spawn(move || m.worker());
             mini.inline(APPLY);
-            mini.handshaken(EVAL, || {
+            mini.handshaken(EVAL, || {});
+            mini.handshaken(RESOLVE, || {
                 thread::yield_now();
                 // SAFETY: deliberately violates the contract — box
                 // (1, 0) is the released worker's to fill this phase;
                 // loom reports the race instead of exhibiting UB.
-                unsafe { mini.dirty.drain_into(0, &mut Vec::new()) };
+                unsafe { mini.eval.drain_into(0, &mut Vec::new()) };
             });
             mini.release(EXIT);
             worker.join().unwrap();

@@ -441,23 +441,18 @@ impl Stimulus64 {
     ///
     /// # Errors
     ///
-    /// Returns the offending name if the spec references an unknown net
-    /// or gives one an undefined waveform, as [`StimulusSpec::build`]
-    /// does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64`.
+    /// Returns a message if `lanes` is not in `1..=64`, and the offending
+    /// name if the spec references an unknown net or gives one an
+    /// undefined waveform, as [`StimulusSpec::build`] does.
     pub fn new(
         spec: &StimulusSpec,
         netlist: &logicsim_netlist::Netlist,
         base_seed: u64,
         lanes: usize,
     ) -> Result<Stimulus64, String> {
-        assert!(
-            (1..=LANES).contains(&lanes),
-            "lanes must be 1..=64, got {lanes}"
-        );
+        if !(1..=LANES).contains(&lanes) {
+            return Err(format!("lanes must be 1..=64, got {lanes}"));
+        }
         let (nets, roles): (Vec<NetId>, Vec<SignalRole>) =
             spec.resolve(netlist)?.into_iter().unzip();
         let active_mask = if lanes == LANES {
@@ -780,6 +775,19 @@ mod tests {
                 held[&n.find_net("a").unwrap()],
                 Level::from_bool(tick % 2 == 0)
             );
+        }
+    }
+
+    #[test]
+    fn a_lane_count_outside_1_to_64_is_refused() {
+        let n = buf_circuit();
+        let spec = StimulusSpec::new().with("a", SignalRole::Const(Level::One));
+        for lanes in [0, 65] {
+            let err = Stimulus64::new(&spec, &n, 0, lanes).unwrap_err();
+            assert_eq!(err, format!("lanes must be 1..=64, got {lanes}"));
+        }
+        for lanes in [1, 64] {
+            assert!(Stimulus64::new(&spec, &n, 0, lanes).is_ok(), "{lanes}");
         }
     }
 

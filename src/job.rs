@@ -212,8 +212,9 @@ impl<'n> Job<'n> {
                 Engine::Par(stim, Box::new(sim))
             }
             EngineSpec::BitPar { lanes } => {
-                // The engine first: it refuses a lane count the stimulus
-                // would panic on.
+                // The engine first, so a lane count outside 1..=64 comes
+                // back as the typed PreflightError::Lanes, not as the
+                // stimulus's message.
                 let sim = BitParSim::new(netlist, lanes)?;
                 let stim = Stimulus64::new(stimulus, netlist, seed, lanes);
                 let stim = stim.map_err(JobError::Stimulus)?;

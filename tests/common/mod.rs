@@ -147,6 +147,51 @@ pub fn bus_instance() -> BenchmarkInstance {
     }
 }
 
+/// A transmission-gate latch whose enable goes to `X`: `d` passes onto
+/// the storage node `q` while `en` is 1 (an nMOS gated by `en`, a pMOS
+/// by `en_n = NOT en`), and `q` is read by `y = NOT q`. `en = AND(e,
+/// fx)`, where `fx` is driven by two buffers, one from `k` and one from
+/// the constant `one`: while `k` is 1 they agree, while `k` is 0 they
+/// fight and `fx` is `X`, so `en` and `en_n` are `X` whenever `e` is 1
+/// and `k` is 0, and the latch settles with unknown conduction. The
+/// reader is declared between `en_n`'s inverter and the two switches,
+/// so [`Engine::ParRoundRobin`] at `P = 2` puts the reader and the pMOS
+/// in partition 0 and the nMOS, the latch's lowest-id switch, in
+/// partition 1 (the engine runs both switches and `d`'s input in its
+/// party).
+pub fn x_latch_instance() -> BenchmarkInstance {
+    let mut b = NetlistBuilder::new("x_latch");
+    let (d, e, k, one) = (b.input("d"), b.input("e"), b.input("k"), b.input("one"));
+    let (fx, en, en_n) = (b.net("fx"), b.net("en"), b.net("en_n"));
+    let (q, y) = (b.net("q"), b.net("y"));
+    b.gate(GateKind::Buf, &[k], fx, Delay::uniform(1));
+    b.gate(GateKind::Buf, &[one], fx, Delay::uniform(1));
+    b.gate(GateKind::And, &[e, fx], en, Delay::uniform(1));
+    b.gate(GateKind::Not, &[en], en_n, Delay::uniform(1));
+    b.gate(GateKind::Not, &[q], y, Delay::uniform(1));
+    b.transmission_gate(en, en_n, d, q);
+    for net in [en, q, y] {
+        b.mark_output(net);
+    }
+    let random = |phase| SignalRole::Random {
+        period: 4,
+        phase,
+        toggle_prob: 0.5,
+    };
+    let stimulus = StimulusSpec::new()
+        .with("d", random(0))
+        .with("e", random(1))
+        .with("k", random(2))
+        .with("one", SignalRole::Const(Level::One));
+    BenchmarkInstance {
+        netlist: b.finish().expect("valid netlist"),
+        stimulus,
+        technology: Technology::Cmos,
+        clocking: Clocking::Asynchronous,
+        vector_period: 4,
+    }
+}
+
 /// What a tick window folds into its digest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fold {

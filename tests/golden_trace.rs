@@ -35,7 +35,12 @@
 //! a party of their own into party 0 and coupling clusters were dealt
 //! over `P` parties instead of `P + 1`: the loads then cover every
 //! party, so they add up to the counters (`tests/common` checks that on
-//! every row).
+//! every row). It was re-pinned once more, on the three families whose
+//! windows settle switch groups, when every switch group came to run
+//! whole in the party of its coupling cluster's lowest-id switch
+//! instead of a party dealt round-robin: the switches and the drivers
+//! of group nets moved, and with them the busy ticks, evaluations and
+//! resolutions per party.
 //!
 //! Every row runs through the shared tick-window driver in
 //! `tests/common`. Regenerate the pins with
@@ -53,12 +58,19 @@
 //! party (the busy ticks and evaluations moved with them); its trace
 //! digest, counters and message counts, which follow the partition,
 //! did not move.
+//!
+//! The last row runs a transmission-gate latch whose enable is driven
+//! to `X` after power-up (`common::x_latch_instance`), so the pair's
+//! closed-form settle forces its storage node to `X` through unknown
+//! conduction. Under a round-robin partition at `P = 2` its two
+//! switches and its reader sit in different partitions; the engine runs
+//! both switches in the party of the lower-id one.
 
 #[macro_use]
 mod common;
 
 use common::Engine::{ParRandom, ParRoundRobin};
-use common::{bus_instance, window_rows, Engine, Fold, ParSide, Window};
+use common::{bus_instance, window_rows, x_latch_instance, Engine, Fold, ParSide, Window};
 use logicsim::circuits::{Benchmark, BenchmarkInstance};
 use logicsim::sim::WorkloadCounters;
 
@@ -72,6 +84,10 @@ const ENGINES: [Engine; 4] = [ParRandom(1), ParRandom(2), ParRandom(4), ParRando
 /// The bus row's engines: at `P = 2` and `P = 4` the two drivers of each
 /// bus are in different partitions.
 const BUS_ENGINES: [Engine; 3] = [ParRoundRobin(1), ParRoundRobin(2), ParRoundRobin(4)];
+
+/// The latch row's engines: at `P = 2` its two switches and its reader
+/// are in different partitions.
+const LATCH_ENGINES: [Engine; 2] = [ParRoundRobin(1), ParRoundRobin(2)];
 
 /// The serial row's trace digest and counters, and the [`ParSide`] of
 /// the rows at `P = 2` and `P = 4` (the second and third of `engines`).
@@ -102,6 +118,25 @@ fn check_bus(digest: u64, counters: WorkloadCounters, par: [ParSide; 2]) {
     );
 }
 
+/// The latch row: the serial trace digest and counters, and the
+/// [`ParSide`] at `P = 2`.
+fn measure_latch() -> (u64, WorkloadCounters, ParSide) {
+    let mut runs = window_rows(&x_latch_instance(), None, &LATCH_ENGINES, WINDOW);
+    let side = runs[2].side.expect("a parallel row");
+    let serial = runs.swap_remove(0);
+    (serial.digest, serial.counters, side)
+}
+
+/// [`check`] on the latch row; `par` is the expected [`ParSide`] at
+/// `P = 2`.
+fn check_latch(digest: u64, counters: WorkloadCounters, par: ParSide) {
+    assert_eq!(
+        measure_latch(),
+        (digest, counters, par),
+        "x_latch: trace, counters or per-party instrumentation left its pin"
+    );
+}
+
 #[test]
 #[ignore = "regeneration helper: prints the pins of every check"]
 fn print_pins() {
@@ -111,6 +146,8 @@ fn print_pins() {
     }
     let (digest, counters, par) = measure(&bus_instance(), &BUS_ENGINES);
     println!("check_bus({digest:#x}, {counters:#x?}, {par:#x?});");
+    let (digest, counters, par) = measure_latch();
+    println!("check_latch({digest:#x}, {counters:#x?}, {par:#x?});");
 }
 
 rows! {
@@ -159,12 +196,12 @@ rows! {
             ParSide {
                 messages_crossing: 0xc4e,
                 messages_component: 0x1946,
-                loads_digest: 0xedf4_45ed_7bfa_97c2,
+                loads_digest: 0x7065_9c56_9113_09e3,
             },
             ParSide {
                 messages_crossing: 0x1271,
                 messages_component: 0x1946,
-                loads_digest: 0x62a0_f47c_f387_c5d8,
+                loads_digest: 0x282e_0f78_2ce5_3fbe,
             },
         ],
     );
@@ -186,12 +223,12 @@ rows! {
             ParSide {
                 messages_crossing: 0x1_30c1,
                 messages_component: 0x2_76fa,
-                loads_digest: 0x55d1_6308_a747_1352,
+                loads_digest: 0x86e5_ccb0_8a24_35fa,
             },
             ParSide {
                 messages_crossing: 0x1_d328,
                 messages_component: 0x2_76fa,
-                loads_digest: 0x1571_9aca_0b14_3d2e,
+                loads_digest: 0xe7ab_12c3_3cb8_6719,
             },
         ],
     );
@@ -213,12 +250,12 @@ rows! {
             ParSide {
                 messages_crossing: 0x3e68,
                 messages_component: 0x7ca5,
-                loads_digest: 0x6dde_7bf6_3cec_6665,
+                loads_digest: 0xbbf2_ced7_6efb_e68e,
             },
             ParSide {
                 messages_crossing: 0x5e45,
                 messages_component: 0x7ca5,
-                loads_digest: 0x2edb_8de6_884f_fa21,
+                loads_digest: 0xbfc3_068b_3dcb_dc83,
             },
         ],
     );
@@ -274,5 +311,24 @@ rows! {
                 loads_digest: 0xe733_9e13_48f8_5199,
             },
         ],
+    );
+    x_latch_trace_is_golden => check_latch(
+        0x976d_57ac_4a22_c3cd,
+        WorkloadCounters {
+            busy_ticks: 0x7f8,
+            idle_ticks: 0x3c0,
+            events: 0xc8e,
+            messages_inf: 0x12d7,
+            evaluations: 0xfd0,
+            group_resolutions: 0x2c8,
+            relaxation_overflows: 0,
+            event_list_peak: 0x2,
+            event_list_sum: 0xa7b,
+        },
+        ParSide {
+            messages_crossing: 0xaf7,
+            messages_component: 0xc72,
+            loads_digest: 0x172_4369_c000_366f,
+        },
     );
 }
