@@ -19,6 +19,15 @@
 //! traced `partition.multilevel.partition_s` times the whole
 //! partitioner.
 //!
+//! The `coarsen` group times `multilevel::coarsen`, heavy-edge clustering
+//! under the weight cap, on the same two activity graphs: one level (the
+//! finest graph, the root bisection's first contraction) and the whole
+//! chain of levels down to the target. Its test is the partition crate's
+//! `multilevel::tests::coarsening_preserves_weight_and_is_surjective`.
+//! Before timing, each graph's levels are printed with their node and
+//! adjacency-item counts. Throughput counts the finest graph's adjacency
+//! items in both rows.
+//!
 //! The `activity_graph` group times the partitioners' input on `rtp@10k`,
 //! `crossbar@10k` and `assoc_mem@10k`, the family with the most switches
 //! on supply rails: static activity weights plus the connectivity graph,
@@ -52,23 +61,35 @@ struct Level {
     start: Vec<bool>,
 }
 
+/// The activity graph `ml-act` partitions, of `base` at 10k.
+fn graph_at_10k(base: Benchmark) -> WorkGraph {
+    let netlist = base.build_at(10_000).netlist;
+    WorkGraph::from_connectivity(activity_graph(&netlist, true)).0
+}
+
+/// The coarse levels the V-cycle climbs from `graph` down to the target,
+/// finest first, each with the fine→coarse map from the level above.
+fn coarse_levels(graph: &WorkGraph) -> Vec<(WorkGraph, Vec<u32>)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let mut out: Vec<(WorkGraph, Vec<u32>)> = Vec::new();
+    loop {
+        let fine = out.last().map_or(graph, |(g, _)| g);
+        if fine.num_nodes() <= COARSEN_TARGET {
+            return out;
+        }
+        let (coarse, map) = coarsen(fine, &mut rng).into_parts();
+        assert!(coarse.num_nodes() < fine.num_nodes(), "coarsening stalled");
+        out.push((coarse, map));
+    }
+}
+
 /// The hierarchy of `base` at 10k, coarsest level first, each with the
 /// bisection the V-cycle hands its refinement.
 fn levels(base: Benchmark) -> Vec<Level> {
-    let netlist = base.build_at(10_000).netlist;
-    let (graph, _) = WorkGraph::from_connectivity(activity_graph(&netlist, true));
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let graph = graph_at_10k(base);
+    let (coarse, mut maps): (Vec<_>, Vec<_>) = coarse_levels(&graph).into_iter().unzip();
     let mut graphs = vec![graph];
-    let mut maps: Vec<Vec<u32>> = Vec::new();
-    while graphs.last().expect("nonempty").num_nodes() > COARSEN_TARGET {
-        let (graph, map) = coarsen(graphs.last().expect("nonempty"), &mut rng).into_parts();
-        assert!(
-            graph.num_nodes() < graphs.last().expect("nonempty").num_nodes(),
-            "coarsening stalled"
-        );
-        graphs.push(graph);
-        maps.push(map);
-    }
+    graphs.extend(coarse);
     // Coarsest: the first vertices by index up to half the weight.
     let coarsest = graphs.last().expect("nonempty");
     let half = coarsest.total_vwgt() / 2;
@@ -131,6 +152,38 @@ fn partition_benches(c: &mut Criterion) {
     group.finish();
 }
 
+fn coarsen_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("coarsen");
+    for (name, base) in [
+        ("rtp", Benchmark::RtpChip),
+        ("crossbar", Benchmark::CrossbarSwitch),
+    ] {
+        let graph = graph_at_10k(base);
+        let items = |g: &WorkGraph| {
+            (0..g.num_nodes())
+                .map(|v| g.neighbors(v).count())
+                .sum::<usize>()
+        };
+        let sizes: Vec<String> = std::iter::once(&graph)
+            .chain(coarse_levels(&graph).iter().map(|(g, _)| g))
+            .map(|g| format!("{} ({} items)", g.num_nodes(), items(g)))
+            .collect();
+        println!(
+            "{name}@10k: {} levels: {}",
+            sizes.len() - 1,
+            sizes.join(" -> ")
+        );
+        group.throughput(Throughput::Elements(items(&graph) as u64));
+        group.bench_function(format!("{name}@10k/level"), |b| {
+            b.iter(|| coarsen(&graph, &mut ChaCha8Rng::seed_from_u64(SEED)));
+        });
+        group.bench_function(format!("{name}@10k/chain"), |b| {
+            b.iter(|| coarse_levels(&graph));
+        });
+    }
+    group.finish();
+}
+
 fn graph_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("activity_graph");
     for (name, base) in [
@@ -167,5 +220,11 @@ fn levelize_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, partition_benches, graph_benches, levelize_benches);
+criterion_group!(
+    benches,
+    partition_benches,
+    coarsen_benches,
+    graph_benches,
+    levelize_benches
+);
 criterion_main!(benches);

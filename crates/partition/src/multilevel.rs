@@ -2,8 +2,8 @@
 //!
 //! Flat FM starts from a random bisection, so on large graphs it only
 //! ever finds cuts a few moves away from random — the classic fix
-//! (Hendrickson–Leland, METIS) is multilevel: repeatedly contract a
-//! heavy-edge matching until the graph is small, bisect the coarsest
+//! (Hendrickson–Leland, METIS) is multilevel: repeatedly contract
+//! heavy-edge clusters until the graph is small, bisect the coarsest
 //! graph where a global view is cheap, then project the bisection back
 //! up, running weighted FM refinement at every level. Each refinement
 //! only needs to fix local detail, so the final cut reflects global
@@ -88,65 +88,78 @@ impl Coarsening {
     }
 }
 
-/// Contracts a heavy-edge matching: each fine node merges with its
-/// heaviest-edge unmatched neighbor (subject to a weight cap that
-/// keeps coarse nodes refinable), unmatched nodes carry over alone.
+/// The heaviest a cluster may grow by taking in more fine nodes: four
+/// times the mean weight of a node at the coarsening target.
+fn cluster_cap(total: u64) -> u64 {
+    (total / COARSEN_TARGET as u64).max(1) * 4
+}
+
+/// Contracts heavy-edge clusters: in a seeded random order, each fine
+/// node not yet placed joins the cluster across its heaviest edge
+/// (a neighbour not yet placed founds that cluster with it), as long as
+/// the cluster stays under a weight cap that keeps coarse nodes
+/// refinable; a node with no such edge starts a cluster of its own.
+/// Coarse ids follow the order the clusters were founded in.
 #[must_use]
 pub fn coarsen(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Coarsening {
+    const UNSET: u32 = u32::MAX;
     let n = g.num_nodes();
-    let max_vw = (g.total_vwgt() / COARSEN_TARGET as u64).max(1) * 4;
+    let max_vw = cluster_cap(g.total_vwgt());
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
-    let mut map = vec![u32::MAX; n];
-    let mut coarse = 0u32;
-    // Pair member lists: (fine_a, fine_b or u32::MAX).
-    let mut members: Vec<(u32, u32)> = Vec::with_capacity(n / 2 + 1);
+    let mut map = vec![UNSET; n];
+    // Weight of each cluster so far, by coarse id.
+    let mut cwgt: Vec<u64> = Vec::new();
     for &v in &order {
-        if map[v as usize] != u32::MAX {
+        if map[v as usize] != UNSET {
             continue;
         }
+        let vw = g.vwgt[v as usize];
         let mut best: Option<(u32, u32)> = None;
         for &(nb, w) in g.adj.row(v as usize) {
-            if map[nb as usize] != u32::MAX || nb == v {
+            // Heaviest edge the cap lets through; of tied edges the
+            // first in row order wins (an edge no heavier than the best
+            // so far is passed over before its cluster's weight is
+            // read). Only the finest graph and its subgraphs list
+            // neighbours ascending; a coarse row lists them in the
+            // order its members' rows first met them.
+            if best.is_some_and(|(bw, _)| w <= bw) || nb == v {
                 continue;
             }
-            if g.vwgt[v as usize] + g.vwgt[nb as usize] > max_vw {
-                continue;
-            }
-            // Heaviest edge; of tied edges the first in row order
-            // wins (strict `>` keeps the first maximum seen). Only
-            // the finest graph and its subgraphs list neighbours
-            // ascending; a coarse row lists them in the order its
-            // members' rows first met them.
-            if best.is_none_or(|(bw, _)| w > bw) {
+            let held = match map[nb as usize] {
+                UNSET => g.vwgt[nb as usize],
+                c => cwgt[c as usize],
+            };
+            if held + vw <= max_vw {
                 best = Some((w, nb));
             }
         }
-        map[v as usize] = coarse;
-        if let Some((_, u)) = best {
-            map[u as usize] = coarse;
-            members.push((v, u));
-        } else {
-            members.push((v, u32::MAX));
-        }
-        coarse += 1;
+        let c = match best {
+            Some((_, u)) if map[u as usize] != UNSET => map[u as usize],
+            found => {
+                // A new cluster, founded with `u` if there is one.
+                let c = cwgt.len() as u32;
+                cwgt.push(found.map_or(0, |(_, u)| {
+                    map[u as usize] = c;
+                    g.vwgt[u as usize]
+                }));
+                c
+            }
+        };
+        map[v as usize] = c;
+        cwgt[c as usize] += vw;
     }
+    // Every cluster's members in fine-id order: a counting sort of `map`.
+    let cn = cwgt.len();
+    let members = Csr::bucket(cn, || (0..n as u32).map(|fine| (map[fine as usize], fine)));
     // Build the coarse rows by merging member adjacencies; `slot`
     // remembers where a coarse neighbor landed in the current row
     // (`UNSET` outside it: rows are short, so it is reset per entry).
-    const UNSET: u32 = u32::MAX;
-    let cn = coarse as usize;
     let mut adj = Csr::default();
-    let mut vwgt = Vec::with_capacity(cn);
     let mut slot = vec![UNSET; cn];
     let mut row: Vec<(u32, u32)> = Vec::new();
-    for (c, &(a, b)) in members.iter().enumerate() {
-        let mut vw = 0u64;
-        for fine in [a, b] {
-            if fine == u32::MAX {
-                continue;
-            }
-            vw += g.vwgt[fine as usize];
+    for (c, cluster) in members.rows().enumerate() {
+        for &fine in cluster {
             for &(nb, w) in g.adj.row(fine as usize) {
                 let cnb = map[nb as usize] as usize;
                 if cnb == c {
@@ -165,10 +178,9 @@ pub fn coarsen(g: &WorkGraph, rng: &mut ChaCha8Rng) -> Coarsening {
             slot[cnb as usize] = UNSET;
         }
         adj.push_row(row.drain(..));
-        vwgt.push(vw);
     }
     Coarsening {
-        graph: WorkGraph { adj, vwgt },
+        graph: WorkGraph { adj, vwgt: cwgt },
         map,
     }
 }
@@ -355,57 +367,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn coarsening_preserves_weight_and_is_surjective() {
-        let n = cluster_ring(4, 60);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (mut g, _) = WorkGraph::from_connectivity(ConnectivityGraph::build(&n, 16));
-        // Walk the full coarsening hierarchy, checking invariants at
-        // every level.
-        for _level in 0..20 {
-            if g.num_nodes() <= COARSEN_TARGET {
-                break;
-            }
+    /// Coarsens `g` level by level down to the target (or until a level
+    /// no longer shrinks), checking every level's invariants; returns
+    /// the coarsest level's node count.
+    fn check_coarsening_at_every_level(mut g: WorkGraph, seed: u64) -> Result<usize, String> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        while g.num_nodes() > COARSEN_TARGET {
+            let mut replay = rng.clone();
             let c = coarsen(&g, &mut rng);
-            // Total vertex weight is conserved.
-            assert_eq!(c.graph.total_vwgt(), g.total_vwgt());
-            // The fine→coarse map is total and surjective.
-            assert_eq!(c.map.len(), g.num_nodes());
-            let cn = c.graph.num_nodes();
-            let mut seen = vec![false; cn];
-            for &m in &c.map {
-                assert!((m as usize) < cn, "map out of range");
-                seen[m as usize] = true;
+            // The same seed gives the same clusters.
+            if coarsen(&g, &mut replay).map != c.map {
+                return Err("the same seed gave another map".into());
             }
-            assert!(seen.iter().all(|&s| s), "coarse node with no fine member");
-            // Contraction only merges: strictly fewer (or equal) nodes,
-            // and total edge weight never grows.
-            assert!(cn <= g.num_nodes());
-            let edge_weight = |g: &WorkGraph| -> i64 {
-                (0..g.num_nodes())
-                    .flat_map(|v| g.neighbors(v))
-                    .map(|(_, w)| w)
-                    .sum()
-            };
-            let (fine_w, coarse_w) = (edge_weight(&g), edge_weight(&c.graph));
-            assert!(coarse_w <= fine_w);
-            // Adjacency stays symmetric with matching weights.
-            for v in 0..c.graph.num_nodes() {
-                for (nb, w) in c.graph.neighbors(v) {
-                    assert!(
-                        c.graph
-                            .neighbors(nb as usize)
-                            .any(|(back, bw)| back as usize == v && bw == w),
-                        "asymmetric coarse edge {v} <-> {nb}"
-                    );
-                }
+            check_level(&g, &c)?;
+            if c.graph.num_nodes() == g.num_nodes() {
+                break;
             }
             g = c.graph;
         }
-        assert!(
-            g.num_nodes() <= COARSEN_TARGET,
-            "coarsening never reached the target"
-        );
+        Ok(g.num_nodes())
+    }
+
+    /// One coarsening's invariants against the graph it contracted.
+    fn check_level(g: &WorkGraph, c: &Coarsening) -> Result<(), String> {
+        let (n, cn) = (g.num_nodes(), c.graph.num_nodes());
+        // Total vertex weight is conserved.
+        if c.graph.total_vwgt() != g.total_vwgt() {
+            return Err("total vertex weight changed".into());
+        }
+        // The fine→coarse map is total and surjective, and each coarse
+        // node weighs what its members do.
+        if c.map.len() != n || cn > n {
+            return Err(format!(
+                "map of {} over {n} fine nodes, {cn} coarse",
+                c.map.len()
+            ));
+        }
+        let mut weight = vec![0u64; cn];
+        let mut size = vec![0usize; cn];
+        for (fine, &m) in c.map.iter().enumerate() {
+            let m = m as usize;
+            if m >= cn {
+                return Err(format!("map[{fine}] = {m} out of range"));
+            }
+            weight[m] += g.vertex_weight(fine);
+            size[m] += 1;
+        }
+        if let Some(empty) = size.iter().position(|&s| s == 0) {
+            return Err(format!("coarse node {empty} has no fine member"));
+        }
+        // No cluster outgrows the cap unless it is one fine node.
+        let cap = cluster_cap(g.total_vwgt());
+        for v in 0..cn {
+            if weight[v] != c.graph.vertex_weight(v) {
+                return Err(format!("coarse node {v} weighs other than its members"));
+            }
+            if weight[v] > cap && size[v] > 1 {
+                return Err(format!(
+                    "cluster {v} of {} weighs {} > {cap}",
+                    size[v], weight[v]
+                ));
+            }
+        }
+        // The coarse edge between two clusters weighs what the fine edges
+        // between their members do (exact: nothing saturates here); a
+        // contracted edge leaves no self edge, and no row repeats a
+        // neighbour. With the fine rows symmetric, that makes the coarse
+        // rows symmetric and their total weight no more than the fine.
+        let mut between = std::collections::BTreeMap::new();
+        for fine in 0..n {
+            for (nb, w) in g.neighbors(fine) {
+                let (a, b) = (c.map[fine], c.map[nb as usize]);
+                if a != b {
+                    *between.entry((a, b)).or_insert(0i64) += w;
+                }
+            }
+        }
+        let mut coarse = std::collections::BTreeMap::new();
+        for v in 0..cn {
+            for (nb, w) in c.graph.neighbors(v) {
+                if nb as usize == v {
+                    return Err(format!("self edge on coarse node {v}"));
+                }
+                if coarse.insert((v as u32, nb), w).is_some() {
+                    return Err(format!("coarse row {v} lists {nb} twice"));
+                }
+            }
+        }
+        if coarse != between {
+            return Err("coarse edge weights differ from the fine edges between clusters".into());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every level of the hierarchy, on random weighted graphs
+        /// (connected or not, some vertices weightless, some heavier than
+        /// the cap alone) and on cluster rings, which must reach the
+        /// target.
+        #[test]
+        fn coarsening_preserves_weight_and_is_surjective(
+            edges in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..5), 0..3000),
+            vwgt in proptest::collection::vec(0u64..7, 2..1200),
+            ring in (2usize..6, 20usize..80),
+            seed in any::<u64>(),
+        ) {
+            let random = check_coarsening_at_every_level(WorkGraph::from_edges(&edges, vwgt), seed);
+            prop_assert!(random.is_ok(), "random graph: {}", random.unwrap_err());
+            let n = cluster_ring(ring.0, ring.1);
+            let (g, _) = WorkGraph::from_connectivity(ConnectivityGraph::build(&n, 16));
+            match check_coarsening_at_every_level(g, seed) {
+                Ok(coarsest) => prop_assert!(
+                    coarsest <= COARSEN_TARGET,
+                    "{ring:?} ring stalled at {coarsest} nodes"
+                ),
+                Err(e) => prop_assert!(false, "{ring:?} ring: {e}"),
+            }
+        }
     }
 
     /// Grows and refines a bisection on every level of `g`'s coarsening

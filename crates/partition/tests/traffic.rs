@@ -23,7 +23,11 @@
 //! `messages_crossing` unmoved, when every switch group came to run in
 //! the party of its coupling cluster's lowest-id switch: the switches
 //! and gates that rule re-homes take their evaluations with them
-//! (EXPERIMENTS.md, "Switch groups run whole in one party").
+//! (EXPERIMENTS.md, "Switch groups run whole in one party"). Every row
+//! was re-pinned when coarsening came to contract heavy-edge clusters
+//! instead of a heavy-edge matching: the `rtp` rows fell (770 → 3
+//! messages at `0x1987`, P = 2), the `assoc_mem` rows moved both ways
+//! (EXPERIMENTS.md, "Heavy-edge clusters", has both tables).
 
 use logicsim_circuits::{scaled, Benchmark, ScaledParams};
 use logicsim_partition::{MultilevelPartitioner, Partitioner};
@@ -43,18 +47,18 @@ const WINDOW: u64 = 10_000;
 /// `(family, seed, P, messages_crossing, busiest party's evaluations)`.
 #[rustfmt::skip]
 const PINS: &[(&str, u64, u32, u64, u64)] = &[
-    ("rtp", 0x1987, 2, 770, 587600), // beta 1.100
-    ("rtp", 0x1987, 4, 771, 342663), // beta 1.283
-    ("rtp", 0x1987, 8, 2944, 190178), // beta 1.424
-    ("rtp", 0x2b, 2, 770, 565708), // beta 1.081
-    ("rtp", 0x2b, 4, 7342, 315046), // beta 1.205
-    ("rtp", 0x2b, 8, 7344, 200219), // beta 1.531
-    ("assoc_mem", 0x1987, 2, 5705, 315965), // beta 1.157
-    ("assoc_mem", 0x1987, 4, 11666, 189823), // beta 1.390
-    ("assoc_mem", 0x1987, 8, 15717, 122409), // beta 1.792
-    ("assoc_mem", 0x2b, 2, 4301, 162560), // beta 1.330
-    ("assoc_mem", 0x2b, 4, 5424, 133523), // beta 2.185
-    ("assoc_mem", 0x2b, 8, 8712, 69327), // beta 2.269
+    ("rtp", 0x1987, 2, 3, 556846), // beta 1.043
+    ("rtp", 0x1987, 4, 3, 315804), // beta 1.183
+    ("rtp", 0x1987, 8, 1639, 195291), // beta 1.463
+    ("rtp", 0x2b, 2, 97, 552354), // beta 1.056
+    ("rtp", 0x2b, 4, 97, 311340), // beta 1.190
+    ("rtp", 0x2b, 8, 98, 188405), // beta 1.441
+    ("assoc_mem", 0x1987, 2, 9835, 330382), // beta 1.209
+    ("assoc_mem", 0x1987, 4, 11934, 206879), // beta 1.514
+    ("assoc_mem", 0x1987, 8, 14991, 124050), // beta 1.816
+    ("assoc_mem", 0x2b, 2, 4592, 159699), // beta 1.307
+    ("assoc_mem", 0x2b, 4, 8276, 86422), // beta 1.414
+    ("assoc_mem", 0x2b, 8, 9750, 50652), // beta 1.658
 ];
 
 /// `(messages_crossing, evaluations per party)` of `ml-act` at `parts`
