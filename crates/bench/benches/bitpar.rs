@@ -14,6 +14,8 @@
 //! multiply-driven shape here: cells whose sources are gated by live
 //! enables — the timing beside
 //! `bitpar::tests::every_pair_of_drivers_on_one_net_agrees_with_the_event_engine`.
+//! The `cell` group times the solver-cell kernel alone on the two cell
+//! shapes `priority_queue@100k` spends its cell evaluations on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use logicsim::circuits::{scaled, Benchmark, BenchmarkInstance, ScaledParams};
@@ -170,6 +172,106 @@ fn bench_bus(c: &mut Criterion, vectors: u64) {
     group.finish();
 }
 
+/// Which solver cell [`bench_cells`] copies.
+#[derive(Clone, Copy)]
+enum CellShape {
+    /// A transmission gate from a driven net onto a storage node: the
+    /// flip-flop cell most of `priority_queue@100k`'s cell evaluations
+    /// run, settled in closed form.
+    Pair,
+    /// The priority queue's mux junctions: three driven hubs, three
+    /// junctions between them behind transmission gates, and one more
+    /// gate from junction to junction, so the relaxation loop runs too.
+    SixMember,
+}
+
+/// The solver-cell kernel alone, the timing beside
+/// `bitpar::tests::a_pair_cell_settles_in_closed_form_as_the_relaxation_does`
+/// and `compiled_cells_settle_as_the_unfolded_relaxation_does`: 512
+/// copies of one cell, nothing reading their members, every input
+/// re-drawn every vector (drawn outside the timing, like `bus32`'s), so
+/// every cell runs once a vector. Throughput unit: cell evaluations;
+/// ns per cell = 1e9 / elem/s.
+fn bench_cells(c: &mut Criterion, shape: CellShape, vectors: u64) {
+    const CELLS: usize = 512;
+    const CONTROLS: usize = 8;
+    let mut b = NetlistBuilder::new("cells");
+    let mut stimulus = StimulusSpec::new();
+    let mut input = |b: &mut NetlistBuilder, name: String| {
+        let role = SignalRole::Random {
+            period: 1,
+            phase: 0,
+            toggle_prob: 0.5,
+        };
+        stimulus.assignments.push((name.clone(), role));
+        b.input(name)
+    };
+    let controls: Vec<(NetId, NetId)> = (0..CONTROLS)
+        .map(|k| {
+            (
+                input(&mut b, format!("c{k}")),
+                input(&mut b, format!("cn{k}")),
+            )
+        })
+        .collect();
+    for i in 0..CELLS {
+        let tg = |b: &mut NetlistBuilder, k: usize, x: NetId, y: NetId| {
+            let (ctl, ctl_n) = controls[(i + k) % CONTROLS];
+            b.transmission_gate(ctl, ctl_n, x, y);
+        };
+        match shape {
+            CellShape::Pair => {
+                let d = input(&mut b, format!("d{i}"));
+                let m = b.net(format!("m{i}"));
+                tg(&mut b, 0, d, m);
+                b.mark_output(m);
+            }
+            CellShape::SixMember => {
+                let hubs: Vec<NetId> = (0..3).map(|h| input(&mut b, format!("h{i}_{h}"))).collect();
+                let j: Vec<NetId> = (0..3).map(|k| b.net(format!("j{i}_{k}"))).collect();
+                tg(&mut b, 0, hubs[0], j[0]);
+                tg(&mut b, 1, hubs[1], j[0]);
+                tg(&mut b, 1, hubs[0], j[1]);
+                tg(&mut b, 0, hubs[1], j[1]);
+                tg(&mut b, 2, hubs[2], j[2]);
+                tg(&mut b, 3, j[1], j[2]);
+                j.iter().for_each(|&n| b.mark_output(n));
+            }
+        }
+    }
+    let netlist = b.finish().expect("valid netlist");
+    let mut stim = Stimulus64::new(&stimulus, &netlist, 1, LANES).expect("stimulus");
+    let recorded: Vec<Vec<(NetId, Plane)>> = (0..vectors)
+        .map(|v| {
+            let mut planes = Vec::new();
+            stim.apply_with(v, |net, plane| planes.push((net, plane)));
+            planes
+        })
+        .collect();
+    let name = match shape {
+        CellShape::Pair => "pair x64",
+        CellShape::SixMember => "six-member x64",
+    };
+    let mut group = c.benchmark_group("cell");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(vectors * CELLS as u64));
+    group.bench_function(name, |b| {
+        b.iter_batched(
+            || BitParSim::new(&netlist, LANES).expect("pre-flight"),
+            |mut sim| {
+                for planes in &recorded {
+                    for &(net, plane) in planes {
+                        sim.set_input_plane(net, plane);
+                    }
+                    sim.settle_vector();
+                }
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 fn bitpar_benches(c: &mut Criterion) {
     bench_circuit(c, Benchmark::StopWatch, 512);
     bench_circuit(c, Benchmark::AssocMem, 128);
@@ -179,6 +281,8 @@ fn bitpar_benches(c: &mut Criterion) {
     bench_scaled(c, Benchmark::PriorityQueue, 256);
     bench_scaled(c, Benchmark::RtpChip, 256);
     bench_bus(c, 256);
+    bench_cells(c, CellShape::Pair, 256);
+    bench_cells(c, CellShape::SixMember, 256);
 }
 
 criterion_group!(benches, bitpar_benches);

@@ -102,11 +102,13 @@ fn main() {
         let st = split.stats();
         let _ = writeln!(
             md,
-            "## {} — {} compiled gates + {} solver cells ({} switches, {} ranks)\n",
+            "## {} — {} compiled gates + {} solver cells ({} pairs; {} switches, {} folded; {} ranks)\n",
             bench.paper_name(),
             st.compiled_gates,
             st.solver_cells,
+            st.pair_cells,
             st.compiled_switches,
+            st.folded_switches,
             st.ranks
         );
         let _ = writeln!(

@@ -53,7 +53,9 @@
 //!   by its control. The cell writes the resolved member planes; lanes
 //!   nothing reaches keep their charge when the engine's channel group
 //!   holds a second net and read X when it does not — bit-exactly the
-//!   solver's least fixpoint.
+//!   solver's least fixpoint. Parallel switches between two members
+//!   are one edge, and a cell of two members joined by one such edge (a
+//!   transmission gate) settles in closed form.
 //!
 //! Acyclic ops form a straight-line CSR sweep over the bit planes.
 //! Feedback — latches from cross-coupled gates, a cell whose control is
@@ -112,17 +114,65 @@ enum OpKind {
     Cell(u32),
 }
 
-/// A member-to-member switch inside a solver cell.
+/// Every member-to-member switch of a solver cell that bridges one
+/// unordered pair of members (both ends one member for a self-loop),
+/// folded into one edge at compile time: the relaxation crosses it once
+/// per direction, through the fold of its switches' conduction.
 #[derive(Debug, Clone, Copy)]
 struct CellEdge {
-    /// Local member indices of the channel terminals.
+    /// Local member indices of the channel terminals; `a` is the
+    /// pinned one of a `feed` edge.
     a: u32,
     b: u32,
-    /// Control net plane index.
-    ctl: u32,
-    /// P-channel polarity (conducts on `0`).
-    pmos: bool,
+    /// The switches' control words ([`ctl_word`]) are
+    /// `CellImage::ctls[ctls[0]..ctls[1]]`.
+    ctls: [u32; 2],
+    /// `a` is pinned: an always-on driver holds it at Strong in every
+    /// lane, so no switch can move it, and what it offers across the
+    /// edge is final once the members' drives are initialized. The
+    /// edge is crossed once, `a` to `b`, before the relaxation.
+    feed: bool,
 }
+
+/// A switch's control as one word: the control net's plane index
+/// shifted left by one, the low bit set for a p-channel switch (which
+/// conducts on `0`).
+fn ctl_word(ctl: NetId, pmos: bool) -> u32 {
+    assert!(
+        ctl.0 < 1 << 31,
+        "switch control net {} exceeds 31 bits",
+        ctl.0
+    );
+    ctl.0 << 1 | u32::from(pmos)
+}
+
+/// A cell of two members and one folded edge between them: the
+/// transmission gate of a flip-flop, 68 % of the cell evaluations of a
+/// `priority_queue@100k` window. Everything its settle reads besides
+/// planes sits in this one 32-byte record, and it settles in closed
+/// form ([`settle_pair`]) instead of through the relaxation loop.
+#[derive(Debug, Clone, Copy)]
+struct PairCell {
+    /// The two member nets, ascending.
+    nets: [u32; 2],
+    /// Each member's `ext_slot` entry.
+    slot: [u32; 2],
+    /// The first two control words of the edge; on a one-switch pair
+    /// the second repeats the first, which leaves the fold as it is.
+    ctl: [u32; 2],
+    /// The cell's row in [`CellImage`]'s tables.
+    cell: u32,
+    /// Each member's `ext_pull` entry.
+    pull: [Option<Level>; 2],
+    /// The cell has sources, rail branches or a third switch, which
+    /// the settle reads from the cell's rows.
+    extra: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<PairCell>() == 32);
+
+/// [`CellImage::form`] of a cell that is not a [`PairCell`].
+const GENERAL: u32 = u32::MAX;
 
 /// A switch from a cell member to a supply rail. The rail side is
 /// constant — nothing propagates *through* a Supply-strength net — so
@@ -171,8 +221,10 @@ struct CellImage {
     /// `ext_slot` hold one entry per member, at the positions of
     /// [`Csr::row_range`].
     members: Csr,
-    /// Member-member switches, in netlist order.
+    /// Member-member switches, one folded edge per member pair.
     edges: Csr<CellEdge>,
+    /// The edges' switch control words, edge by edge.
+    ctls: Vec<u32>,
     /// Member-rail switches, in netlist order.
     rails: Csr<RailBranch>,
     /// Per-member resistive pull level (statically joined when a net
@@ -189,6 +241,10 @@ struct CellImage {
     /// member's first always-on driver — member by member in driver
     /// order.
     sources: Csr<Source>,
+    /// Per cell: its index in `pairs`, or [`GENERAL`].
+    form: Vec<u32>,
+    /// The pair cells' records, in cell order.
+    pairs: Vec<PairCell>,
 }
 
 /// One member's accumulated contribution during [`eval_cell`]: level
@@ -202,15 +258,16 @@ struct Drive {
     s0: u64,
 }
 
-/// A member-member switch that conducts in some lane of the evaluation
-/// in flight, with its conduction masks (see [`conduction`]).
+/// A folded edge that conducts in some lane of the evaluation in
+/// flight, with its conduction masks (see [`fold_conduction`]).
 #[derive(Debug, Clone, Copy)]
 struct LiveEdge {
     a: u32,
     b: u32,
-    /// Lanes not definitely off.
+    /// Lanes where some switch of the edge is not definitely off.
     maybe: u64,
-    /// Lanes whose control is unknown: they pass strength, level X.
+    /// Lanes where some switch has an unknown control: they pass
+    /// strength, level X.
     unknown: u64,
 }
 
@@ -305,9 +362,16 @@ pub struct BitParStats {
     pub compiled_gates: usize,
     /// Switch channel sub-groups compiled as vectorized solver cells.
     pub solver_cells: usize,
+    /// Solver cells of two members and one folded edge between them,
+    /// settled in closed form (a subset of `solver_cells`).
+    pub pair_cells: usize,
     /// Switches consumed by the compiled region (cell edges, rail
     /// branches, and rail-to-rail no-ops).
     pub compiled_switches: usize,
+    /// Member-member switches folded into an edge that another switch
+    /// of the same member pair already holds: the cells' relaxations
+    /// walk that many fewer edges than there are such switches.
+    pub folded_switches: usize,
     /// Feedback clusters (gates and/or cells) compiled as in-place
     /// fixpoint loops.
     pub feedback_loops: usize,
@@ -399,6 +463,10 @@ impl<'a> BitParSim<'a> {
     /// program has no delays, so such a loop is an ordinary feedback
     /// cluster here, forced to X after `MAX_LOOP_ITERS` passes if it
     /// oscillates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a net id used as a switch control exceeds 31 bits.
     pub fn new(netlist: &'a Netlist, lanes: usize) -> Result<BitParSim<'a>, PreflightError> {
         if !(1..=LANES).contains(&lanes) {
             return Err(PreflightError::Lanes(lanes));
@@ -502,6 +570,7 @@ impl<'a> BitParSim<'a> {
         let mut cells = CellImage::default();
         let mut local_of = vec![u32::MAX; nn];
         let mut sources: Vec<Source> = Vec::new();
+        let mut bridges: Vec<[u32; 3]> = Vec::new();
         for members in subs.rows() {
             for (li, &m) in (0u32..).zip(members) {
                 local_of[m as usize] = li;
@@ -519,9 +588,27 @@ impl<'a> BitParSim<'a> {
                         });
                     }
                 };
-                for &d in netlist.drivers(NetId(m)) {
+                let row = netlist.drivers(NetId(m));
+                for (i, &d) in row.iter().enumerate() {
                     match netlist.component(d) {
-                        ComponentRef::Switch { .. } | ComponentRef::Pull { .. } => {}
+                        // A member-member switch, once, from the row of
+                        // its lower end (which lists a self-loop twice,
+                        // side by side).
+                        ComponentRef::Switch {
+                            kind,
+                            control,
+                            a,
+                            b,
+                            ..
+                        } => {
+                            let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
+                            let again = i > 0 && row[i - 1] == d;
+                            if lo == m && rail_level[hi as usize].is_none() && !again {
+                                let word = ctl_word(control, kind == SwitchKind::Pmos);
+                                bridges.push([lo, hi, word]);
+                            }
+                        }
+                        ComponentRef::Pull { .. } => {}
                         ComponentRef::Supply { .. } => unreachable!("a supplied net is a rail"),
                         // However many input components name the net,
                         // it is staged once.
@@ -548,6 +635,12 @@ impl<'a> BitParSim<'a> {
             }
             cells.members.push_row(members.iter().copied());
             cells.sources.push_row(sources.drain(..));
+            for s in &mut bridges {
+                let (a, b) = (local_of[s[0] as usize], local_of[s[1] as usize]);
+                (s[0], s[1]) = (a.min(b), a.max(b));
+            }
+            cells.push_edges(&mut bridges);
+            bridges.clear();
         }
         // A primary input on a rail is overpowered like any other
         // driver there: it stages into a plane nothing reads.
@@ -558,7 +651,6 @@ impl<'a> BitParSim<'a> {
         }
         let np = nn + n_slots as usize;
         let num_cells = cells.members.num_rows();
-        let mut edges: Vec<(u32, CellEdge)> = Vec::new();
         let mut rails: Vec<(u32, RailBranch)> = Vec::new();
         for (_id, comp) in netlist.iter() {
             let ComponentRef::Switch {
@@ -588,18 +680,10 @@ impl<'a> BitParSim<'a> {
                         },
                     ));
                 }
-                (None, None) => edges.push((
-                    sub_of[ia],
-                    CellEdge {
-                        a: local_of[ia],
-                        b: local_of[ib],
-                        ctl: control.0,
-                        pmos,
-                    },
-                )),
+                // Folded into the cell's edges above.
+                (None, None) => {}
             }
         }
-        cells.edges = Csr::bucket(num_cells, || edges.iter().copied());
         cells.rails = Csr::bucket(num_cells, || rails.iter().copied());
         // Floating lanes. In the event engine a net nothing drives
         // keeps its charge if its channel group holds a second net
@@ -616,6 +700,7 @@ impl<'a> BitParSim<'a> {
                 *lone = lone.or(Some(Level::X));
             }
         }
+        cells.find_pairs();
 
         // Node graph: one node per gate op plus one per cell, edges
         // producer → reader over real and virtual planes. The generic
@@ -658,16 +743,21 @@ impl<'a> BitParSim<'a> {
         }
         let ng = gate_ops.len();
         let n_nodes = ng + num_cells;
+        let mut reads: Vec<u32> = Vec::new();
         for ci in 0..num_cells {
-            let mut reads: Vec<u32> = (cells.edges.row(ci).iter().map(|e| e.ctl))
-                .chain(cells.rails.row(ci).iter().map(|r| r.ctl))
-                .chain(cells.ext_slot[cells.members.row_range(ci)].iter().copied())
-                .chain(cells.sources.row(ci).iter().flat_map(|s| [s.data, s.en]))
-                .filter(|&p| p != u32::MAX)
-                .collect();
+            reads.clear();
+            reads.extend(
+                (cells.edges.row(ci).iter())
+                    .flat_map(|e| &cells.ctls[e.ctls[0] as usize..e.ctls[1] as usize])
+                    .map(|&w| w >> 1)
+                    .chain(cells.rails.row(ci).iter().map(|r| r.ctl))
+                    .chain(cells.ext_slot[cells.members.row_range(ci)].iter().copied())
+                    .chain(cells.sources.row(ci).iter().flat_map(|s| [s.data, s.en]))
+                    .filter(|&p| p != u32::MAX),
+            );
             reads.sort_unstable();
             reads.dedup();
-            node_reads.push_row(reads);
+            node_reads.push_row(reads.iter().copied());
             for &m in cells.members.row(ci) {
                 producer[m as usize] = (ng + ci) as u32;
             }
@@ -996,7 +1086,9 @@ impl<'a> BitParSim<'a> {
             // Every op is a gate kernel or a cell, once.
             compiled_gates: self.ops.len() - self.cells.members.num_rows(),
             solver_cells: self.cells.members.num_rows(),
+            pair_cells: self.cells.pairs.len(),
             compiled_switches: self.netlist.num_switches(),
+            folded_switches: self.cells.ctls.len() - self.cells.edges.num_items(),
             feedback_loops: self.loops,
             fallback_components: 0,
             ranks: self.depth,
@@ -1069,6 +1161,34 @@ fn conduction(ctl: Plane, pmos: bool) -> (u64, u64) {
     (on, !off)
 }
 
+/// The conduction of a folded edge from its switches' control words:
+/// `(maybe, unknown)`, the lanes where some switch is not definitely off
+/// and those where some switch's control is unknown. Crossing the fold
+/// once joins what crossing each switch in turn would: a known level
+/// meets its own copy, and an unknown control's X wins at equal
+/// strength.
+#[inline]
+fn fold_conduction<'w>(words: impl IntoIterator<Item = &'w u32>, planes: &BitPlanes) -> (u64, u64) {
+    words.into_iter().fold((0, 0), |(maybe, unknown), &w| {
+        let (on, m) = conduction(planes.get((w >> 1) as usize), w & 1 != 0);
+        (maybe | m, unknown | (m & !on))
+    })
+}
+
+/// `src` crossing a folded edge: Strong degrades to Weak, the level is
+/// X where a control is unknown, and nothing passes where every switch
+/// is off.
+#[inline]
+fn through(src: Drive, maybe: u64, unknown: u64) -> Drive {
+    let k = src.k & !unknown & maybe;
+    Drive {
+        v: src.v & k,
+        k,
+        s1: src.s1 & maybe,
+        s0: (src.s0 & !src.s1) & maybe,
+    }
+}
+
 /// Joins one candidate contribution into `dst`, lane-parallel:
 /// strictly stronger candidates replace the accumulated (strength,
 /// level); equal-strength candidates resolve levels (agree → keep,
@@ -1097,6 +1217,66 @@ fn join(dst: &mut Drive, c: Drive) -> bool {
     ((n.v ^ d.v) | (n.k ^ d.k) | (n.s1 ^ d.s1) | (n.s0 ^ d.s0)) != 0
 }
 
+impl CellImage {
+    /// Folds the member-member switches of the cell last pushed to
+    /// `members` — `[a, b, word]`: local member indices `a <= b` and the
+    /// switch's [`ctl_word`], in any order — into one [`CellEdge`] per
+    /// member pair, and pushes them as the cell's row of `edges`. The
+    /// cell's `ext_slot` entries must be in place: they say which edges
+    /// feed.
+    fn push_edges(&mut self, switches: &mut [[u32; 3]]) {
+        let at = self.members.row_range(self.members.num_rows() - 1);
+        switches.sort_unstable();
+        let ctls = &mut self.ctls;
+        let ext_slot = &self.ext_slot[at];
+        self.edges
+            .push_row(switches.chunk_by(|x, y| x[..2] == y[..2]).map(|run| {
+                let start = ctls.len() as u32;
+                ctls.extend(run.iter().map(|s| s[2]));
+                let [mut a, mut b, _] = run[0];
+                let pinned = |m: u32| ext_slot[m as usize] != u32::MAX;
+                if pinned(b) && !pinned(a) {
+                    (a, b) = (b, a);
+                }
+                CellEdge {
+                    a,
+                    b,
+                    ctls: [start, ctls.len() as u32],
+                    feed: pinned(a),
+                }
+            }));
+    }
+
+    /// Records every cell of two members and one edge between them as
+    /// a [`PairCell`]. The image must be complete.
+    fn find_pairs(&mut self) {
+        let num_cells = self.members.num_rows();
+        self.form = Vec::with_capacity(num_cells);
+        for ci in 0..num_cells {
+            let (members, at) = (self.members.row(ci), self.members.row_range(ci));
+            let pair = match self.edges.row(ci) {
+                &[e] if members.len() == 2 && e.a != e.b => e,
+                _ => {
+                    self.form.push(GENERAL);
+                    continue;
+                }
+            };
+            let words = &self.ctls[pair.ctls[0] as usize..pair.ctls[1] as usize];
+            self.form.push(self.pairs.len() as u32);
+            self.pairs.push(PairCell {
+                nets: [members[0], members[1]],
+                slot: [self.ext_slot[at.start], self.ext_slot[at.start + 1]],
+                ctl: [words[0], words[words.len().min(2) - 1]],
+                cell: ci as u32,
+                pull: [self.ext_pull[at.start], self.ext_pull[at.start + 1]],
+                extra: words.len() > 2
+                    || self.sources.row_len(ci) > 0
+                    || self.rails.row_len(ci) > 0,
+            });
+        }
+    }
+}
+
 impl CellScratch {
     /// A workspace that fits every cell of `cells`.
     fn sized_for(cells: &CellImage) -> CellScratch {
@@ -1112,50 +1292,28 @@ impl CellScratch {
     }
 }
 
-/// Evaluates cell `ci` over the planes: initializes each member from
-/// its external drive (strong slot, else resistive pull, else
-/// high-impedance), joins the further sources and the constant rail
-/// branches in, then relaxes the member-member switch edges to the
-/// least fixpoint of the (strength, level) join lattice — the
-/// vectorized [`crate::solver::resolve_group_into`]. Members left at
-/// `HighZ` keep their previous plane as trapped charge, which makes a
-/// second evaluation over unchanged inputs a no-op. Writes the member
-/// planes that change in a lane under `active`, records them in
-/// `sc.changed`, and returns the lanes where any did.
-fn eval_cell(
-    cells: &CellImage,
-    ci: usize,
-    planes: &mut BitPlanes,
-    sc: &mut CellScratch,
-    active: u64,
-) -> u64 {
-    let members = cells.members.row(ci);
-    let at = cells.members.row_range(ci);
-    let drive = &mut sc.drive[..members.len()];
-    for ((d, &slot), &pull) in (drive.iter_mut())
-        .zip(&cells.ext_slot[at.clone()])
-        .zip(&cells.ext_pull[at])
-    {
-        *d = if slot != u32::MAX {
-            let p = planes.get(slot as usize);
-            Drive {
-                v: p.val,
-                k: p.known,
-                s1: !0,
-                s0: !0,
-            }
-        } else if let Some(l) = pull {
-            let p = Plane::splat(l);
-            Drive {
-                v: p.val,
-                k: p.known,
-                s1: 0,
-                s0: !0,
-            }
-        } else {
-            Drive::default()
-        };
+/// A member's drive before any source or switch joins in: its
+/// always-on slot at Strong, else its pull at Resistive, else `HighZ`.
+#[inline]
+fn ext_drive(slot: u32, pull: Option<Level>, planes: &BitPlanes) -> Drive {
+    let (p, s1) = if slot != u32::MAX {
+        (planes.get(slot as usize), !0)
+    } else if let Some(l) = pull {
+        (Plane::splat(l), 0)
+    } else {
+        return Drive::default();
+    };
+    Drive {
+        v: p.val,
+        k: p.known,
+        s1,
+        s0: !0,
     }
+}
+
+/// Joins cell `ci`'s further sources and its rail branches into its
+/// members' drives.
+fn join_sources_and_rails(cells: &CellImage, ci: usize, planes: &BitPlanes, drive: &mut [Drive]) {
     for s in cells.sources.row(ci) {
         let data = planes.get(s.data as usize);
         let (on, maybe) = match s.en {
@@ -1190,56 +1348,64 @@ fn eval_cell(
             },
         );
     }
-    // Conduction is fixed for the whole evaluation (control planes are
-    // read, never written, until the write-back below), and an edge
-    // that is off in every lane offers `HighZ` to both ends: the join
-    // provably moves nothing, so the relaxation never visits it.
-    sc.live.clear();
-    for e in cells.edges.row(ci) {
-        let (on, maybe) = conduction(planes.get(e.ctl as usize), e.pmos);
-        if maybe != 0 {
-            sc.live.push(LiveEdge {
-                a: e.a,
-                b: e.b,
-                maybe,
-                unknown: maybe & !on,
-            });
-        }
-    }
-    // Member-member relaxation. The join only ascends a finite lattice
-    // (strength tier up, then level known → X), so this terminates; a
-    // relaxation that outlives the guard is reported, not trusted.
-    let mut guard = 0u32;
-    loop {
+}
+
+/// Relaxes the live edges over `drive` to the least fixpoint of the
+/// (strength, level) join lattice. Returns `false` if the relaxation
+/// outlived its guard, which a finite ascending lattice never should.
+///
+/// The fixpoint does not depend on the order or grouping of the joins:
+/// every contribution crosses a switch, so it is at most Weak; a member
+/// at Strong got there from its own drivers and no join moves it; and
+/// at or below Weak, [`through`] is monotone and idempotent. So the
+/// equations are monotone on every state the loop reaches, and their
+/// least fixpoint is unique — which is what lets
+/// [`CellImage::push_edges`] merge parallel switches and [`settle_pair`] stop after three joins.
+fn relax(drive: &mut [Drive], live: &[LiveEdge]) -> bool {
+    let guard = 64 * 6 * (drive.len() as u32 + 1);
+    for _ in 0..=guard {
         let mut moved = false;
-        for e in &sc.live {
+        for e in live {
             for (s, d) in [(e.a, e.b), (e.b, e.a)] {
-                let src = drive[s as usize];
-                // through_switch on tiers: Strong → Weak, rest as-is.
-                let k = src.k & !e.unknown & e.maybe;
-                moved |= join(
-                    &mut drive[d as usize],
-                    Drive {
-                        v: src.v & k,
-                        k,
-                        s1: src.s1 & e.maybe,
-                        s0: (src.s0 & !src.s1) & e.maybe,
-                    },
-                );
+                let src = through(drive[s as usize], e.maybe, e.unknown);
+                moved |= join(&mut drive[d as usize], src);
             }
         }
         if !moved {
-            break;
-        }
-        guard += 1;
-        if guard > 64 * 6 * (members.len() as u32 + 1) {
-            sc.unconverged = true;
-            break;
+            return true;
         }
     }
-    sc.changed.clear();
+    false
+}
+
+/// The closed form of a pair cell's relaxation: three half-steps,
+/// `y ⊔= T(x); x ⊔= T(y); y ⊔= T(x)`. By [`relax`]'s order freedom the
+/// first lifts `y` by `x`'s drive, the second `x` by the result, and
+/// the third carries back what the second changed in `x` (an X or a
+/// stronger tier); a fourth would move nothing.
+#[inline]
+fn settle_pair(drive: &mut [Drive; 2], maybe: u64, unknown: u64) {
+    let [x, y] = drive;
+    join(y, through(*x, maybe, unknown));
+    join(x, through(*y, maybe, unknown));
+    join(y, through(*x, maybe, unknown));
+}
+
+/// Writes the resolved member planes: lanes left at `HighZ` keep the
+/// previous plane as trapped charge, which makes a second evaluation
+/// over unchanged inputs a no-op. Records in `changed` the members that
+/// moved in a lane under `active`, and returns the lanes where any did.
+#[inline]
+fn write_back(
+    drive: &[Drive],
+    nets: &[u32],
+    planes: &mut BitPlanes,
+    changed: &mut Vec<u32>,
+    active: u64,
+) -> u64 {
+    changed.clear();
     let mut diff = 0u64;
-    for (d, &g) in drive.iter().zip(members) {
+    for (d, &g) in drive.iter().zip(nets) {
         let g = g as usize;
         let highz = !(d.s1 | d.s0);
         let old = planes.get(g);
@@ -1248,11 +1414,82 @@ fn eval_cell(
         let moved = ((val ^ old.val) | (known ^ old.known)) & active;
         if moved != 0 {
             planes.set(g, Plane { val, known });
-            sc.changed.push(g as u32);
+            changed.push(g as u32);
             diff |= moved;
         }
     }
     diff
+}
+
+/// Evaluates cell `ci` over the planes — the vectorized
+/// [`crate::solver::resolve_group_into`]: initializes each member from
+/// its external drive (strong slot, else resistive pull, else
+/// high-impedance), joins the further sources and the constant rail
+/// branches in, settles the member-member edges (a pair cell in closed
+/// form, any other by [`relax`]) and writes back with charge retention
+/// ([`write_back`]). Records the members that changed in a lane under
+/// `active` in `sc.changed`, and returns the lanes where any did.
+fn eval_cell(
+    cells: &CellImage,
+    ci: usize,
+    planes: &mut BitPlanes,
+    sc: &mut CellScratch,
+    active: u64,
+) -> u64 {
+    if let Some(p) = cells.pairs.get(cells.form[ci] as usize) {
+        let mut drive = [0, 1].map(|i| ext_drive(p.slot[i], p.pull[i], planes));
+        let (mut maybe, mut unknown) = fold_conduction(&p.ctl, planes);
+        if p.extra {
+            let cell = p.cell as usize;
+            join_sources_and_rails(cells, cell, planes, &mut drive);
+            let e = cells.edges.row(cell)[0];
+            let beyond = cells.ctls.get(e.ctls[0] as usize + 2..e.ctls[1] as usize);
+            let (m, u) = fold_conduction(beyond.unwrap_or_default(), planes);
+            (maybe, unknown) = (maybe | m, unknown | u);
+        }
+        if maybe != 0 {
+            settle_pair(&mut drive, maybe, unknown);
+        }
+        return write_back(&drive, &p.nets, planes, &mut sc.changed, active);
+    }
+    let members = cells.members.row(ci);
+    let at = cells.members.row_range(ci);
+    let drive = &mut sc.drive[..members.len()];
+    for ((d, &slot), &pull) in (drive.iter_mut())
+        .zip(&cells.ext_slot[at.clone()])
+        .zip(&cells.ext_pull[at])
+    {
+        *d = ext_drive(slot, pull, planes);
+    }
+    join_sources_and_rails(cells, ci, planes, drive);
+    // Conduction is fixed for the whole evaluation (control planes are
+    // read, never written, until the write-back below), and an edge
+    // that is off in every lane offers `HighZ` to both ends: the join
+    // provably moves nothing, so the relaxation never visits it. A feed
+    // edge's pinned end is final already: it is crossed here, once.
+    sc.live.clear();
+    for e in cells.edges.row(ci) {
+        let words = &cells.ctls[e.ctls[0] as usize..e.ctls[1] as usize];
+        let (maybe, unknown) = fold_conduction(words, planes);
+        if maybe == 0 {
+            continue;
+        }
+        if e.feed {
+            let src = through(drive[e.a as usize], maybe, unknown);
+            join(&mut drive[e.b as usize], src);
+        } else {
+            sc.live.push(LiveEdge {
+                a: e.a,
+                b: e.b,
+                maybe,
+                unknown,
+            });
+        }
+    }
+    if !relax(drive, &sc.live) {
+        sc.unconverged = true;
+    }
+    write_back(drive, members, planes, &mut sc.changed, active)
 }
 
 #[cfg(test)]
@@ -1494,6 +1731,267 @@ mod tests {
         }
     }
 
+    /// One random solver cell for [`compiled_cells_settle_as_the_unfolded_relaxation_does`]:
+    /// per member an always-on slot or not and a pull, switches
+    /// `(a, b, ctl, pmos)` in netlist order (parallel ones and
+    /// self-loops included), rail branches and sources, member indices
+    /// local and taken modulo the member count.
+    #[derive(Debug, Clone)]
+    struct CellSpec {
+        members: Vec<(bool, Option<Level>)>,
+        switches: Vec<(u32, u32, u32, bool)>,
+        rails: Vec<(u32, u32, bool, Level)>,
+        sources: Vec<(u32, u32, Option<u32>)>,
+    }
+
+    /// Planes of the random cells: every member, then [`CTLS`] control
+    /// planes, [`DATA`] data planes and one slot per pinned member.
+    const CTLS: u32 = 4;
+    const DATA: u32 = 4;
+
+    /// Compiles `specs` into one image: folded and paired as
+    /// [`BitParSim::new`] does, or with one edge per switch in netlist
+    /// order and no pair records — the generic relaxation over the
+    /// switch list as the netlist gives it. Returns the image and the
+    /// number of planes it reads.
+    fn cell_image(specs: &[CellSpec], fold: bool) -> (CellImage, usize) {
+        let total: u32 = specs.iter().map(|c| c.members.len() as u32).sum();
+        let (ctl0, data0) = (total, total + CTLS);
+        let mut next_slot = data0 + DATA;
+        let mut cells = CellImage::default();
+        let mut first = 0u32;
+        for c in specs {
+            let m = c.members.len() as u32;
+            cells.members.push_row(first..first + m);
+            for &(pinned, pull) in &c.members {
+                cells.ext_pull.push(pull);
+                cells.ext_slot.push(if pinned {
+                    next_slot += 1;
+                    next_slot - 1
+                } else {
+                    u32::MAX
+                });
+            }
+            cells
+                .rails
+                .push_row(c.rails.iter().map(|&(rm, ctl, pmos, level)| RailBranch {
+                    m: rm % m,
+                    ctl: ctl0 + ctl % CTLS,
+                    pmos,
+                    level,
+                }));
+            cells
+                .sources
+                .push_row(c.sources.iter().map(|&(sm, data, en)| Source {
+                    m: sm % m,
+                    data: data0 + data % DATA,
+                    en: en.map_or(u32::MAX, |e| ctl0 + e % CTLS),
+                }));
+            let mut switches: Vec<[u32; 3]> = (c.switches.iter())
+                .map(|&(a, b, ctl, pmos)| {
+                    let (a, b) = (a % m, b % m);
+                    [a.min(b), a.max(b), ctl_word(NetId(ctl0 + ctl % CTLS), pmos)]
+                })
+                .collect();
+            if fold {
+                cells.push_edges(&mut switches);
+            } else {
+                let first_ctl = cells.ctls.len() as u32;
+                cells
+                    .edges
+                    .push_row((first_ctl..).zip(&switches).map(|(i, &[a, b, _])| {
+                        let feed = false;
+                        CellEdge {
+                            a,
+                            b,
+                            ctls: [i, i + 1],
+                            feed,
+                        }
+                    }));
+                cells.ctls.extend(switches.iter().map(|s| s[2]));
+            }
+            first += m;
+        }
+        if fold {
+            cells.find_pairs();
+        } else {
+            cells.form = vec![GENERAL; specs.len()];
+        }
+        (cells, next_slot as usize)
+    }
+
+    fn level_of(code: u8) -> Level {
+        [Level::Zero, Level::One, Level::X][usize::from(code % 3)]
+    }
+
+    type CellParts = (
+        Vec<(bool, Option<Level>)>,
+        Vec<(u32, u32, u32, bool)>,
+        Vec<(u32, u32, bool, Level)>,
+        Vec<(u32, u32, Option<u32>)>,
+    );
+
+    fn cell_parts() -> impl Strategy<Value = CellParts> {
+        let pull = (0u8..4).prop_map(|c| (c < 3).then(|| level_of(c)));
+        (
+            proptest::collection::vec((any::<bool>(), pull), 1..=6),
+            proptest::collection::vec((0u32..6, 0u32..6, 0..CTLS, any::<bool>()), 0..=9),
+            proptest::collection::vec(
+                (0u32..6, 0..CTLS, any::<bool>(), (0u8..3).prop_map(level_of)),
+                0..3,
+            ),
+            proptest::collection::vec(
+                (
+                    0u32..6,
+                    0..DATA,
+                    (0..=CTLS).prop_map(|e| (e < CTLS).then_some(e)),
+                ),
+                0..3,
+            ),
+        )
+    }
+
+    /// A random cell; every other one is pair-shaped: two members and
+    /// one to three switches between them.
+    fn cell_spec() -> impl Strategy<Value = CellSpec> {
+        (any::<bool>(), cell_parts()).prop_map(|(pair, (members, switches, rails, sources))| {
+            let mut c = CellSpec {
+                members,
+                switches,
+                rails,
+                sources,
+            };
+            if pair {
+                c.members.resize(2, (false, None));
+                c.switches
+                    .resize(c.switches.len().clamp(1, 3), (0, 1, 0, false));
+                c.switches.iter_mut().for_each(|s| (s.0, s.1) = (0, 1));
+            }
+            c
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Order freedom: folding each member pair's switches into one
+        /// edge, crossing a pinned member's edges once ahead of the
+        /// relaxation and settling pairs in closed form leave every lane
+        /// of every member plane, the lanes reported changed, the changed
+        /// list and the guard's verdict what the generic relaxation over
+        /// the unfolded netlist-order switch list leaves — on random
+        /// cells of 1–6 members with up to 9 switches (parallel ones and
+        /// self-loops), rail branches, tristate and fighting sources, and
+        /// random 64-lane planes (a quarter of the lanes X) under a
+        /// random active mask. A second evaluation over the same inputs
+        /// moves nothing.
+        #[test]
+        fn compiled_cells_settle_as_the_unfolded_relaxation_does(
+            specs in proptest::collection::vec(cell_spec(), 1..4),
+            lanes in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 64),
+            active in any::<u64>(),
+        ) {
+            let (folded, np) = cell_image(&specs, true);
+            let (unfolded, _) = cell_image(&specs, false);
+            let mut planes = BitPlanes::new(np);
+            for (i, &(val, k1, k2)) in lanes.iter().cycle().take(np).enumerate() {
+                planes.set(i, Plane::new(val.rotate_left(i as u32), k1 | k2));
+            }
+            let mut oracle = planes.clone();
+            let mut sc = CellScratch::sized_for(&folded);
+            let mut sc_oracle = CellScratch::sized_for(&unfolded);
+            for ci in 0..specs.len() {
+                let d = eval_cell(&folded, ci, &mut planes, &mut sc, active);
+                let d_oracle = eval_cell(&unfolded, ci, &mut oracle, &mut sc_oracle, active);
+                prop_assert_eq!(d, d_oracle, "cell {}: lanes changed", ci);
+                prop_assert_eq!(&sc.changed, &sc_oracle.changed, "cell {}", ci);
+                prop_assert_eq!(&planes, &oracle, "cell {}: planes", ci);
+                prop_assert_eq!(sc.unconverged, sc_oracle.unconverged, "cell {}", ci);
+                prop_assert_eq!(eval_cell(&folded, ci, &mut planes, &mut sc, active), 0);
+            }
+        }
+    }
+
+    /// The closed form against its oracle, exhaustively: every per-lane
+    /// combination of two members' drives (four tiers, each at 0, 1 and
+    /// X), the edge's state (off, on, unknown control) and both members'
+    /// prior levels, packed 64 to a plane. Three half-steps settle each
+    /// to what [`relax`] settles it to, and the write-back then keeps
+    /// the same charge.
+    #[test]
+    fn a_pair_cell_settles_in_closed_form_as_the_relaxation_does() {
+        let drives: Vec<(u8, u8)> = (0..4).flat_map(|t| (0..3).map(move |l| (t, l))).collect();
+        let mut cases = Vec::new();
+        for &x in &drives {
+            for &y in &drives {
+                for edge in 0..3u8 {
+                    for prior in 0..9u8 {
+                        cases.push((x, y, edge, prior));
+                    }
+                }
+            }
+        }
+        assert_eq!(cases.len(), 12 * 12 * 3 * 9);
+        let set = |d: &mut Drive, lane: u32, (tier, level): (u8, u8)| {
+            let bit = 1u64 << lane;
+            if tier & 2 != 0 {
+                d.s1 |= bit;
+            }
+            if tier & 1 != 0 {
+                d.s0 |= bit;
+            }
+            if level < 2 {
+                d.k |= bit;
+            }
+            if level == 1 {
+                d.v |= bit;
+            }
+        };
+        for word in cases.chunks(64) {
+            let (mut x, mut y) = (Drive::default(), Drive::default());
+            let (mut maybe, mut unknown) = (0u64, 0u64);
+            let mut planes = BitPlanes::new(2);
+            for (lane, &(dx, dy, edge, prior)) in (0u32..).zip(word) {
+                set(&mut x, lane, dx);
+                set(&mut y, lane, dy);
+                let bit = 1u64 << lane;
+                maybe |= if edge > 0 { bit } else { 0 };
+                unknown |= if edge == 2 { bit } else { 0 };
+                for (m, code) in [(0, prior % 3), (1, prior / 3)] {
+                    let mut p = planes.get(m);
+                    match level_of(code) {
+                        Level::Zero => p.known |= bit,
+                        Level::One => (p.val, p.known) = (p.val | bit, p.known | bit),
+                        Level::X => {}
+                    }
+                    planes.set(m, p);
+                }
+            }
+            let mut closed = [x, y];
+            settle_pair(&mut closed, maybe, unknown);
+            let mut relaxed = [x, y];
+            let live = [LiveEdge {
+                a: 0,
+                b: 1,
+                maybe,
+                unknown,
+            }];
+            assert!(relax(&mut relaxed, &live));
+            let (mut after, mut after_oracle) = (planes.clone(), planes);
+            let (mut changed, mut changed_oracle) = (Vec::new(), Vec::new());
+            let d = write_back(&closed, &[0, 1], &mut after, &mut changed, !0);
+            let d_oracle = write_back(
+                &relaxed,
+                &[0, 1],
+                &mut after_oracle,
+                &mut changed_oracle,
+                !0,
+            );
+            assert_eq!((d, &changed), (d_oracle, &changed_oracle));
+            assert_eq!(after, after_oracle);
+        }
+    }
+
     fn adder2() -> Netlist {
         let mut b = NetlistBuilder::new("adder2");
         let a0 = b.input("a0");
@@ -1697,6 +2195,55 @@ mod tests {
         assert!(sim.settle_vector());
         assert_eq!(sim.level(net("s"), 0), Level::Zero);
         assert_eq!(sim.level(net("q"), 0), Level::One);
+    }
+
+    #[test]
+    fn a_transmission_gate_compiles_to_one_folded_pair_cell() {
+        // Two transmission gates from inputs onto storage nodes; the
+        // second node also carries a switch from itself to itself,
+        // which its driver row lists twice. The first cell is a pair
+        // (one edge of two switches), the second is not (a second edge,
+        // the self-loop, counted once).
+        let mut b = NetlistBuilder::new("tg");
+        let clk = b.input("clk");
+        let clk_n = b.input("clk_n");
+        let (d1, d2) = (b.input("d1"), b.input("d2"));
+        let (s1, s2) = (b.net("s1"), b.net("s2"));
+        b.transmission_gate(clk, clk_n, d1, s1);
+        b.transmission_gate(clk, clk_n, d2, s2);
+        b.switch(SwitchKind::Nmos, clk, s2, s2);
+        b.mark_output(s1);
+        b.mark_output(s2);
+        let n = b.finish().unwrap();
+        let mut sim = BitParSim::new(&n, 3).unwrap();
+        let st = sim.stats();
+        assert_eq!((st.solver_cells, st.pair_cells), (2, 1));
+        assert_eq!(st.folded_switches, 2, "one switch per transmission gate");
+        // Lane 0 conducts, lane 1 is open and keeps its charge, lane 2
+        // has an unknown clock and passes the data's tier at level X.
+        for (clk_lanes, data, want) in [
+            ([Level::One; 3], Level::One, [Level::One; 3]),
+            (
+                [Level::One, Level::Zero, Level::X],
+                Level::Zero,
+                [Level::Zero, Level::One, Level::X],
+            ),
+        ] {
+            let ctl = clk_lanes.iter().enumerate();
+            let plane = ctl.fold(Plane::ALL_X, |p, (lane, &l)| p.with_lane(lane, l));
+            sim.set_input_plane(clk, plane);
+            sim.set_input_plane(clk_n, plane.not());
+            sim.set_input_plane(d1, Plane::splat(data));
+            sim.set_input_plane(d2, Plane::splat(data));
+            assert!(sim.settle_vector());
+            for (lane, &w) in want.iter().enumerate() {
+                assert_eq!(
+                    (sim.level(s1, lane), sim.level(s2, lane)),
+                    (w, w),
+                    "lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //!   line or within the two lines directly above. Suppressing a lint
 //!   is fine; suppressing one silently is how dead `allow`s
 //!   accumulate.
+//!
+//! * `pairs` — alternated runs of two prebuilt `lsim-benchmark`
+//!   binaries, a parent and a change, with both medians, the parent's
+//!   interquartile range, the pairs won and a verdict per metric against
+//!   `BENCHMARK.json`'s bounds (see [`pairs`]).
+
+mod pairs;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -51,15 +58,20 @@ fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("lint-unsafe") => lint_unsafe(),
         Some("lint-allow") => lint_allow(),
+        Some("pairs") => {
+            let args: Vec<String> = std::env::args().skip(2).collect();
+            pairs::main(&args, &workspace_root())
+        }
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (available: lint-unsafe, lint-allow)");
+            eprintln!("xtask: unknown task `{other}` (available: lint-unsafe, lint-allow, pairs)");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo xtask <task>\n\ntasks:\n  \
                  lint-unsafe  audit unsafe code\n  \
-                 lint-allow   audit lint suppressions"
+                 lint-allow   audit lint suppressions\n  \
+                 pairs        alternated benchmark runs of a parent and a change, with verdicts"
             );
             ExitCode::FAILURE
         }
