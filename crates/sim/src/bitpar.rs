@@ -146,10 +146,11 @@ fn ctl_word(ctl: NetId, pmos: bool) -> u32 {
     ctl.0 << 1 | u32::from(pmos)
 }
 
-/// A cell of two members and one folded edge between them: the
+/// A cell of two members and one folded edge of one or two switches
+/// between them, with no sources and no rail branches: the
 /// transmission gate of a flip-flop, 68 % of the cell evaluations of a
 /// `priority_queue@100k` window. Everything its settle reads besides
-/// planes sits in this one 32-byte record, and it settles in closed
+/// planes sits in this one 28-byte record, and it settles in closed
 /// form ([`settle_pair`]) instead of through the relaxation loop.
 #[derive(Debug, Clone, Copy)]
 struct PairCell {
@@ -157,19 +158,14 @@ struct PairCell {
     nets: [u32; 2],
     /// Each member's `ext_slot` entry.
     slot: [u32; 2],
-    /// The first two control words of the edge; on a one-switch pair
-    /// the second repeats the first, which leaves the fold as it is.
+    /// The edge's control words; on a one-switch pair the second
+    /// repeats the first, which leaves the fold as it is.
     ctl: [u32; 2],
-    /// The cell's row in [`CellImage`]'s tables.
-    cell: u32,
     /// Each member's `ext_pull` entry.
     pull: [Option<Level>; 2],
-    /// The cell has sources, rail branches or a third switch, which
-    /// the settle reads from the cell's rows.
-    extra: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<PairCell>() == 32);
+const _: () = assert!(std::mem::size_of::<PairCell>() == 28);
 
 /// [`CellImage::form`] of a cell that is not a [`PairCell`].
 const GENERAL: u32 = u32::MAX;
@@ -1247,31 +1243,32 @@ impl CellImage {
             }));
     }
 
-    /// Records every cell of two members and one edge between them as
-    /// a [`PairCell`]. The image must be complete.
+    /// Records every cell of two members and one edge of one or two
+    /// switches between them, with no sources and no rail branches, as a
+    /// [`PairCell`]; every other cell is [`GENERAL`]. The image must be
+    /// complete.
     fn find_pairs(&mut self) {
         let num_cells = self.members.num_rows();
         self.form = Vec::with_capacity(num_cells);
         for ci in 0..num_cells {
             let (members, at) = (self.members.row(ci), self.members.row_range(ci));
-            let pair = match self.edges.row(ci) {
-                &[e] if members.len() == 2 && e.a != e.b => e,
-                _ => {
-                    self.form.push(GENERAL);
-                    continue;
+            let words = match self.edges.row(ci) {
+                &[e] if members.len() == 2 && e.a != e.b => {
+                    &self.ctls[e.ctls[0] as usize..e.ctls[1] as usize]
                 }
+                _ => &[],
             };
-            let words = &self.ctls[pair.ctls[0] as usize..pair.ctls[1] as usize];
+            let bare = self.sources.row_len(ci) == 0 && self.rails.row_len(ci) == 0;
+            if !(1..=2).contains(&words.len()) || !bare {
+                self.form.push(GENERAL);
+                continue;
+            }
             self.form.push(self.pairs.len() as u32);
             self.pairs.push(PairCell {
                 nets: [members[0], members[1]],
                 slot: [self.ext_slot[at.start], self.ext_slot[at.start + 1]],
-                ctl: [words[0], words[words.len().min(2) - 1]],
-                cell: ci as u32,
+                ctl: [words[0], words[words.len() - 1]],
                 pull: [self.ext_pull[at.start], self.ext_pull[at.start + 1]],
-                extra: words.len() > 2
-                    || self.sources.row_len(ci) > 0
-                    || self.rails.row_len(ci) > 0,
             });
         }
     }
@@ -1438,15 +1435,7 @@ fn eval_cell(
 ) -> u64 {
     if let Some(p) = cells.pairs.get(cells.form[ci] as usize) {
         let mut drive = [0, 1].map(|i| ext_drive(p.slot[i], p.pull[i], planes));
-        let (mut maybe, mut unknown) = fold_conduction(&p.ctl, planes);
-        if p.extra {
-            let cell = p.cell as usize;
-            join_sources_and_rails(cells, cell, planes, &mut drive);
-            let e = cells.edges.row(cell)[0];
-            let beyond = cells.ctls.get(e.ctls[0] as usize + 2..e.ctls[1] as usize);
-            let (m, u) = fold_conduction(beyond.unwrap_or_default(), planes);
-            (maybe, unknown) = (maybe | m, unknown | u);
-        }
+        let (maybe, unknown) = fold_conduction(&p.ctl, planes);
         if maybe != 0 {
             settle_pair(&mut drive, maybe, unknown);
         }
@@ -1851,21 +1840,29 @@ mod tests {
         )
     }
 
-    /// A random cell; every other one is pair-shaped: two members and
-    /// one to three switches between them.
+    /// A random cell; two in three are pair-shaped: two members and one
+    /// to three switches between them. Half of those are bare — one or
+    /// two switches, no sources, no rail branches — so they compile to a
+    /// [`PairCell`]; the rest keep what was drawn and take the generic
+    /// relaxation.
     fn cell_spec() -> impl Strategy<Value = CellSpec> {
-        (any::<bool>(), cell_parts()).prop_map(|(pair, (members, switches, rails, sources))| {
+        (0u8..3, cell_parts()).prop_map(|(shape, (members, switches, rails, sources))| {
             let mut c = CellSpec {
                 members,
                 switches,
                 rails,
                 sources,
             };
-            if pair {
+            if shape > 0 {
+                let most = if shape == 1 { 2 } else { 3 };
                 c.members.resize(2, (false, None));
                 c.switches
-                    .resize(c.switches.len().clamp(1, 3), (0, 1, 0, false));
+                    .resize(c.switches.len().clamp(1, most), (0, 1, 0, false));
                 c.switches.iter_mut().for_each(|s| (s.0, s.1) = (0, 1));
+            }
+            if shape == 1 {
+                c.rails.clear();
+                c.sources.clear();
             }
             c
         })
@@ -2220,19 +2217,22 @@ mod tests {
         assert_eq!((st.solver_cells, st.pair_cells), (2, 1));
         assert_eq!(st.folded_switches, 2, "one switch per transmission gate");
         // Lane 0 conducts, lane 1 is open and keeps its charge, lane 2
-        // has an unknown clock and passes the data's tier at level X.
-        for (clk_lanes, data, want) in [
-            ([Level::One; 3], Level::One, [Level::One; 3]),
-            (
-                [Level::One, Level::Zero, Level::X],
-                Level::Zero,
-                [Level::Zero, Level::One, Level::X],
-            ),
+        // has an unknown clock and passes the data's tier at level X. In
+        // the last vector the p-channel half is off in every lane, and
+        // the n-channel half alone decides: the edge conducts where
+        // either switch does, and is unknown where either is.
+        let (one, zero, x) = (Level::One, Level::Zero, Level::X);
+        let lanes = |ls: [Level; 3]| {
+            let ls = ls.iter().enumerate();
+            ls.fold(Plane::ALL_X, |p, (lane, &l)| p.with_lane(lane, l))
+        };
+        for (clk_lanes, clk_n_lanes, data, want) in [
+            ([one; 3], [zero; 3], one, [one; 3]),
+            ([one, zero, x], [zero, one, x], zero, [zero, one, x]),
+            ([one, zero, x], [one; 3], one, [one, one, x]),
         ] {
-            let ctl = clk_lanes.iter().enumerate();
-            let plane = ctl.fold(Plane::ALL_X, |p, (lane, &l)| p.with_lane(lane, l));
-            sim.set_input_plane(clk, plane);
-            sim.set_input_plane(clk_n, plane.not());
+            sim.set_input_plane(clk, lanes(clk_lanes));
+            sim.set_input_plane(clk_n, lanes(clk_n_lanes));
             sim.set_input_plane(d1, Plane::splat(data));
             sim.set_input_plane(d2, Plane::splat(data));
             assert!(sim.settle_vector());

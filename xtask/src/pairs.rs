@@ -3,18 +3,19 @@
 //!
 //! ```text
 //! cargo xtask pairs --parent BIN --change BIN --workload W [--workload W ...]
-//!     [--seed S ...] [--pairs N] [--seconds S] [--trace 0|1] [--metric NAME ...]
+//!     [--seed S ...] [--pairs N] [--trace 0|1] [--metric NAME ...]
 //!     [--parent-dir DIR] [--change-dir DIR] [--out FILE] [--setup-only]
 //! ```
 //!
 //! Each pair runs one protocol run (`BIN --workload W --seed S --seconds
 //! S --trace T`, one line of JSON last) of each side, the parent first in
 //! even pairs and the change first in odd ones, so a drift of the host's
-//! speed inside a pair falls on both sides alike. Seeds default to the
-//! two blessed ones, `0x1987` and `0x2b`; `--pairs` to 10; `--seconds` to
-//! the manifest's `run_seconds`. Each side runs in its own directory
-//! (`--parent-dir`, `--change-dir`; the current one by default), where the
-//! benchmark finds its `benchmark/expected.json` and writes its inputs.
+//! speed inside a pair falls on both sides alike. The window `S` is the
+//! manifest's `run_seconds`, which the benchmark fixes. Seeds default to
+//! the two blessed ones, `0x1987` and `0x2b`; `--pairs` to 10. Each side
+//! runs in its own directory (`--parent-dir`, `--change-dir`; the current
+//! one by default), where the benchmark finds its
+//! `benchmark/expected.json` and writes its inputs.
 //!
 //! With `--setup-only` a pair is one `run W --seed S --input F
 //! --setup-only` child of each side instead: set-up alone, on one input
@@ -25,12 +26,13 @@
 //! interquartile range, the pairs the change won, the gap between the
 //! medians divided by that range (positive: the change is better) and a
 //! verdict ([`verdict`]) against the metric's bound in the workspace's
-//! `BENCHMARK.json`. The end-to-end metrics are always reported; each
-//! `--metric` adds a per-layer one (`--trace 1` makes the runs print
-//! them). `--out` appends the invocation's settings, every run and every
-//! summary to a JSON file as one more entry of its `sets`, so several
-//! invocations (the protocol pairs, the set-up children, a traced
-//! check) land in one record.
+//! `BENCHMARK.json`. Only a regression, or a run that failed
+//! verification, makes the task fail. The end-to-end metrics are always
+//! reported; each `--metric` adds a per-layer one (`--trace 1` makes the
+//! runs print them). `--out` appends the invocation's settings, every
+//! run and every summary to a JSON file as one more entry of its `sets`,
+//! so several invocations (the protocol pairs, the set-up children, a
+//! traced check) land in one record.
 
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
@@ -72,6 +74,9 @@ pub struct Summary {
     /// Pairs in which the change read better than the parent.
     pub won: usize,
     pub pairs: usize,
+    /// Every run of the change read better than every run of the
+    /// parent.
+    pub apart: bool,
     /// The change's median minus the parent's, signed so that a
     /// positive gap is an improvement.
     pub gap: f64,
@@ -85,6 +90,11 @@ pub enum Verdict {
     Gain,
     /// Neither a gain nor worse than the bound allows.
     Within,
+    /// The parent's interquartile range is wider than the metric's
+    /// bound, and some run of the change did not read better than every
+    /// run of the parent: the runs spread too widely to tell a gain or a
+    /// regression from noise.
+    Unresolved,
     /// The change's median is worse than the parent's by more than the
     /// metric's bound.
     Regression,
@@ -95,6 +105,7 @@ impl Verdict {
         match self {
             Verdict::Gain => "gain",
             Verdict::Within => "within bound",
+            Verdict::Unresolved => "unresolved",
             Verdict::Regression => "REGRESSION",
         }
     }
@@ -132,6 +143,9 @@ impl Summary {
                 .filter(|&(p, c)| sign * (c - p) > 0.0)
                 .count(),
             pairs: parent.len().min(change.len()),
+            apart: change
+                .iter()
+                .all(|c| parent.iter().all(|p| sign * (c - p) > 0.0)),
             gap: sign * (change_median - parent_median),
         }
     }
@@ -151,8 +165,12 @@ impl Summary {
 /// The verdict on `s` under `bound`, the share of the parent's median by
 /// which the change may be worse (`None`: no bound).
 pub fn verdict(s: &Summary, bound: Option<f64>) -> Verdict {
-    let worse_share = -s.gap / s.parent_median.abs();
-    if bound.is_some_and(|b| worse_share > b) {
+    let median = s.parent_median.abs();
+    let worse_share = -s.gap / median;
+    let too_wide = bound.is_some_and(|b| s.parent_iqr / median > b);
+    if too_wide && !s.apart {
+        Verdict::Unresolved
+    } else if bound.is_some_and(|b| worse_share > b) {
         Verdict::Regression
     } else if s.pairs > 0 && s.won * 10 >= s.pairs * 9 && s.gap > s.parent_iqr {
         Verdict::Gain
@@ -165,7 +183,7 @@ pub fn verdict(s: &Summary, bound: Option<f64>) -> Verdict {
 struct Manifest {
     end_to_end: Vec<Metric>,
     per_layer: Vec<Metric>,
-    run_seconds: Option<u64>,
+    run_seconds: u64,
 }
 
 fn read_manifest(path: &Path) -> Result<Manifest, String> {
@@ -193,7 +211,8 @@ fn read_manifest(path: &Path) -> Result<Manifest, String> {
     Ok(Manifest {
         end_to_end: metrics("end_to_end")?,
         per_layer: metrics("per_layer")?,
-        run_seconds: doc.get("run_seconds").and_then(Value::as_u64),
+        run_seconds: (doc.get("run_seconds").and_then(Value::as_u64))
+            .ok_or("manifest has no whole-number `run_seconds`")?,
     })
 }
 
@@ -204,7 +223,6 @@ struct Options {
     workloads: Vec<String>,
     seeds: Vec<String>,
     pairs: usize,
-    seconds: Option<u64>,
     trace: String,
     extra_metrics: Vec<String>,
     out: Option<PathBuf>,
@@ -213,7 +231,7 @@ struct Options {
 
 const USAGE: &str =
     "usage: cargo xtask pairs --parent BIN --change BIN --workload W [--workload W ...]
-    [--seed S ...] [--pairs N] [--seconds S] [--trace 0|1] [--metric NAME ...]
+    [--seed S ...] [--pairs N] [--trace 0|1] [--metric NAME ...]
     [--parent-dir DIR] [--change-dir DIR] [--out FILE] [--setup-only]";
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -223,7 +241,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         workloads: Vec::new(),
         seeds: Vec::new(),
         pairs: 10,
-        seconds: None,
         trace: "0".into(),
         extra_metrics: Vec::new(),
         out: None,
@@ -236,10 +253,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             continue;
         }
         let value = it.next().ok_or(format!("{flag} needs a value"))?.clone();
-        let number = |v: &str| {
-            v.parse()
-                .map_err(|_| format!("{flag}: `{v}` is not a number"))
-        };
         match flag.as_str() {
             "--parent" => o.bins[0] = value.into(),
             "--change" => o.bins[1] = value.into(),
@@ -247,8 +260,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--change-dir" => o.dirs[1] = value.into(),
             "--workload" => o.workloads.push(value),
             "--seed" => o.seeds.push(value),
-            "--pairs" => o.pairs = number(&value)? as usize,
-            "--seconds" => o.seconds = Some(number(&value)?),
+            "--pairs" => {
+                o.pairs =
+                    (value.parse()).map_err(|_| format!("--pairs: `{value}` is not a number"))?;
+            }
             "--trace" => o.trace = value,
             "--metric" => o.extra_metrics.push(value),
             "--out" => o.out = Some(value.into()),
@@ -371,7 +386,8 @@ pub fn main(args: &[String], root: &Path) -> ExitCode {
 }
 
 /// Runs every pair, prints the verdicts and writes `--out`. Returns
-/// whether no run failed verification and no metric regressed.
+/// whether no run failed verification and no metric regressed (an
+/// unresolved metric does not count against it).
 fn run(args: &[String], root: &Path) -> Result<bool, String> {
     let o = parse(args)?;
     let started = unix_seconds();
@@ -401,7 +417,7 @@ fn run(args: &[String], root: &Path) -> Result<bool, String> {
         Some(path) => earlier_sets(path)?,
         None => Vec::new(),
     };
-    let seconds = o.seconds.or(run_seconds).unwrap_or(3).to_string();
+    let seconds = run_seconds.to_string();
     let inputs = root.join("target").join("xtask-pairs");
     let mut runs = Vec::new();
     let mut summaries = Vec::new();
@@ -643,6 +659,31 @@ mod tests {
     }
 
     #[test]
+    fn a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved() {
+        // The parent's IQR is 30 % of its median, past a 25 % bound.
+        let parent = [70.0, 85.0, 100.0, 115.0, 130.0];
+        let s = Summary::of(&parent, &[140.0, 140.0, 60.0, 150.0, 150.0], Better::Lower);
+        assert_eq!((s.parent_iqr, s.parent_median, s.won), (30.0, 100.0, 1));
+        assert!(-s.gap / s.parent_median > 0.25);
+        assert_eq!(verdict(&s, Some(0.25)), Verdict::Unresolved);
+        // A bound as wide as the spread reads the same runs as a
+        // regression, and no bound at all as no verdict against one.
+        assert_eq!(verdict(&s, Some(0.3)), Verdict::Regression);
+        assert_eq!(verdict(&s, None), Verdict::Within);
+        // A change whose every run reads better than every run of the
+        // parent is resolved even so ...
+        let faster: Vec<f64> = parent.iter().map(|p| p * 0.5).collect();
+        let s = Summary::of(&parent, &faster, Better::Lower);
+        assert!(s.apart && s.won == 5);
+        assert_eq!(verdict(&s, Some(0.25)), Verdict::Gain);
+        // ... but winning every pair is not enough.
+        let a_bit_faster: Vec<f64> = parent.iter().map(|p| p - 1.0).collect();
+        let s = Summary::of(&parent, &a_bit_faster, Better::Lower);
+        assert!(!s.apart && s.won == 5);
+        assert_eq!(verdict(&s, Some(0.25)), Verdict::Unresolved);
+    }
+
+    #[test]
     fn the_manifest_gives_directions_and_bounds() {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
         let Manifest {
@@ -658,7 +699,7 @@ mod tests {
         assert!(layers
             .iter()
             .any(|m| m.name == "sim.bitpar.compile_s" && m.bound.is_none()));
-        assert_eq!(seconds, Some(3));
+        assert_eq!(seconds, 3);
     }
 
     #[test]
