@@ -70,7 +70,7 @@ impl StaticCost {
             }
         };
         let levels = Levelization::compute(netlist);
-        let activity = Activity::analyze_levelled(netlist, seeds, &levels);
+        let activity = Activity::analyze(netlist, seeds, &levels);
         let est = activity.expected_densities(netlist, seeds, &levels);
         let evals_per_tick: f64 = (0..netlist.num_components())
             .map(|i| {
@@ -180,7 +180,7 @@ impl StaticCost {
 /// assumption the busy fraction is the coverage union
 /// `1 - prod_i (1 - min(1, d_i * (span + 1)))`.
 fn busy_fraction(netlist: &Netlist, seeds: &InputSeeds, levels: &Levelization) -> f64 {
-    let timing = Timing::analyze_levelled(netlist, seeds, levels);
+    let timing = Timing::analyze(netlist, seeds, levels);
     let mut span = 0u32;
     for i in 0..netlist.num_nets() {
         let w = timing.window(NetId(i as u32));

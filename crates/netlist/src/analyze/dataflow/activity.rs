@@ -370,20 +370,10 @@ pub struct Activity {
 }
 
 impl Activity {
-    /// Runs the analysis with the given input seeds.
+    /// Runs the analysis with the given input seeds, seeded in the
+    /// order of `levels`, the netlist's levelization.
     #[must_use]
-    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> Activity {
-        Activity::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
-    }
-
-    /// [`Activity::analyze`] seeded in the order of `levels`, the
-    /// netlist's levelization, which the caller already holds.
-    #[must_use]
-    pub fn analyze_levelled(
-        netlist: &Netlist,
-        seeds: &InputSeeds,
-        levels: &Levelization,
-    ) -> Activity {
+    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds, levels: &Levelization) -> Activity {
         Activity {
             solution: solve(&ActivityAnalysis::new(netlist, seeds, levels)),
         }
@@ -544,34 +534,34 @@ impl Activity {
 /// saturating.
 pub const FEEDBACK_DAMPING: f64 = 1.0 / 3.0;
 
+/// Weight contrast of [`partition_weights`]: live vertex weights span
+/// `1 ..= 1 + ACTIVITY_WEIGHT_SCALE` as predicted evaluations per tick
+/// go from 0 to 1. Small enough that a single busy gate cannot
+/// unbalance a part, large enough that a part full of quiet logic reads
+/// as light.
+pub const ACTIVITY_WEIGHT_SCALE: u32 = 7;
+
 /// Per-component partitioning weights from the static activity
-/// estimate, in the form [`ConnectivityGraph::build_weighted`]
-/// consumes: dead components weigh 0 (as in the unweighted graph),
-/// live ones `1 + round(scale * activity)` so a balanced partition
-/// equalizes predicted evaluations per tick instead of component
-/// count. `scale` sets the contrast between quiet and busy logic
-/// (weights span `1 ..= 1 + scale`); `None` seeds fall back to the
-/// unconstrained worst case.
+/// estimate under unconstrained input seeds (the worst case), in the
+/// form [`ConnectivityGraph::build_weighted`] consumes: dead components
+/// weigh 0 (as in the unweighted graph), live ones
+/// `1 + round(ACTIVITY_WEIGHT_SCALE * activity)`, so a balanced
+/// partition equalizes predicted evaluations per tick instead of
+/// component count.
 ///
 /// [`ConnectivityGraph::build_weighted`]: crate::graph::ConnectivityGraph::build_weighted
 #[must_use]
-pub fn partition_weights(netlist: &Netlist, seeds: Option<&InputSeeds>, scale: u32) -> Vec<u32> {
-    let unconstrained;
-    let seeds = match seeds {
-        Some(s) => s,
-        None => {
-            unconstrained = InputSeeds::unconstrained(netlist);
-            &unconstrained
-        }
-    };
-    let activity = Activity::analyze(netlist, seeds).component_activity(netlist);
+pub fn partition_weights(netlist: &Netlist) -> Vec<u32> {
+    let seeds = InputSeeds::unconstrained(netlist);
+    let levels = Levelization::compute(netlist);
+    let activity = Activity::analyze(netlist, &seeds, &levels).component_activity(netlist);
     let live = crate::analyze::live_components(netlist);
     activity
         .iter()
         .zip(&live)
         .map(|(&a, &l)| {
             if l {
-                1 + (f64::from(scale) * a.clamp(0.0, 1.0)).round() as u32
+                1 + (f64::from(ACTIVITY_WEIGHT_SCALE) * a.clamp(0.0, 1.0)).round() as u32
             } else {
                 0
             }
@@ -608,7 +598,11 @@ mod tests {
         b.gate(GateKind::Not, &[x], y, Delay::uniform(1));
         b.mark_output(y);
         let n = b.finish().unwrap();
-        let act = Activity::analyze(&n, &InputSeeds::unconstrained(&n));
+        let act = Activity::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         assert_eq!(act.density(y), 0.0);
         let (lo, hi) = act.net(y).p1();
         assert_eq!((lo, hi), (1.0, 1.0), "NOT(NOT(1)) is 1");
@@ -639,7 +633,7 @@ mod tests {
             },
         );
         seeds.set(c, seed(0.5));
-        let act = Activity::analyze(&n, &seeds);
+        let act = Activity::analyze(&n, &seeds, &Levelization::compute(&n));
         // d_y ≤ d_a·hi_c + d_c·hi_a = 0.2·0.5 + 0.5·0.1 = 0.15.
         assert!(act.density(y) <= 0.16, "{}", act.density(y));
         assert!(act.density(y) >= 0.14);
@@ -663,7 +657,7 @@ mod tests {
         for &s in &seeds_nets {
             seeds.set(s, seed(0.3));
         }
-        let act = Activity::analyze(&n, &seeds);
+        let act = Activity::analyze(&n, &seeds, &Levelization::compute(&n));
         // Densities add through XOR but the estimate stays in [0, 1].
         assert!(
             (act.density(prev) - 1.0).abs() < 1e-9,
@@ -689,7 +683,7 @@ mod tests {
         let n = b.finish().unwrap();
         let mut seeds = InputSeeds::unconstrained(&n);
         seeds.set(a, seed(0.01));
-        let act = Activity::analyze(&n, &seeds);
+        let act = Activity::analyze(&n, &seeds, &Levelization::compute(&n));
         assert!(act.density(q) <= 1.0);
         assert!(act.solution().widened >= 1, "loop must widen");
     }

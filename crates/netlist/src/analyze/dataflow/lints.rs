@@ -40,7 +40,7 @@ pub(in crate::analyze) fn check(
     let live = live_components(netlist);
 
     // LS0010: live components with zero estimated activity.
-    let activity = Activity::analyze_levelled(netlist, seeds, levels);
+    let activity = Activity::analyze(netlist, seeds, levels);
     let per_comp = activity.component_activity(netlist);
     let quiescent: Vec<CompId> = (0..netlist.num_components() as u32)
         .map(CompId)
@@ -71,7 +71,7 @@ pub(in crate::analyze) fn check(
     }
 
     // LS0011: nets whose latest arrival diverged (timing feedback).
-    let timing = Timing::analyze_levelled(netlist, seeds, levels);
+    let timing = Timing::analyze(netlist, seeds, levels);
     let unbounded: Vec<_> = (0..netlist.num_nets() as u32)
         .map(crate::component::NetId)
         .filter(|&n| timing.is_unbounded(n))
@@ -112,7 +112,7 @@ pub(in crate::analyze) fn check(
     }
 
     // LS0012: nets that can never leave X from power-up.
-    let xreach = XReach::analyze_levelled(netlist, seeds, levels);
+    let xreach = XReach::analyze(netlist, seeds, levels);
     let stuck = xreach.x_stuck_nets();
     if !stuck.is_empty() {
         diagnostics.push(

@@ -209,21 +209,11 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// Runs the analysis and evaluates the filter-free predicate for
-    /// every gate.
+    /// Runs the analysis, seeded in the order of `levels`, the
+    /// netlist's levelization, and evaluates the filter-free predicate
+    /// for every gate.
     #[must_use]
-    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> Timing {
-        Timing::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
-    }
-
-    /// [`Timing::analyze`] seeded in the order of `levels`, the
-    /// netlist's levelization, which the caller already holds.
-    #[must_use]
-    pub fn analyze_levelled(
-        netlist: &Netlist,
-        seeds: &InputSeeds,
-        levels: &Levelization,
-    ) -> Timing {
+    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds, levels: &Levelization) -> Timing {
         let solution = solve(&TimingAnalysis {
             netlist,
             seeds,
@@ -291,7 +281,11 @@ mod tests {
         b.gate(GateKind::Not, &[x], y, Delay::rise_fall(1, 4));
         b.mark_output(y);
         let n = b.finish().unwrap();
-        let t = Timing::analyze(&n, &InputSeeds::unconstrained(&n));
+        let t = Timing::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         assert_eq!(
             t.window(a),
             Window {
@@ -327,7 +321,11 @@ mod tests {
         b.gate(GateKind::Nand, &[a, q], q, Delay::uniform(2));
         b.mark_output(q);
         let n = b.finish().unwrap();
-        let t = Timing::analyze(&n, &InputSeeds::unconstrained(&n));
+        let t = Timing::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         assert!(t.is_unbounded(q), "{:?}", t.window(q));
         assert!(t.solution().widened >= 1);
     }
@@ -352,7 +350,7 @@ mod tests {
                 ..InputSeed::default()
             },
         );
-        let t = Timing::analyze(&n, &seeds);
+        let t = Timing::analyze(&n, &seeds, &Levelization::compute(&n));
         assert_eq!(t.window(x).sep, 8, "uniform delay has no skew");
         for i in 0..n.num_components() as u32 {
             let id = CompId(i);
@@ -375,7 +373,11 @@ mod tests {
         b.gate(GateKind::And, &[a, x], y, Delay::uniform(5));
         b.mark_output(y);
         let n = b.finish().unwrap();
-        let t = Timing::analyze(&n, &InputSeeds::unconstrained(&n));
+        let t = Timing::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         let and_gate = (0..n.num_components() as u32)
             .map(CompId)
             .find(|&c| {

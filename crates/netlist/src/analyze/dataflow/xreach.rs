@@ -224,20 +224,10 @@ pub struct XReach {
 }
 
 impl XReach {
-    /// Runs the analysis.
+    /// Runs the analysis, seeded in the order of `levels`, the
+    /// netlist's levelization.
     #[must_use]
-    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds) -> XReach {
-        XReach::analyze_levelled(netlist, seeds, &Levelization::compute(netlist))
-    }
-
-    /// [`XReach::analyze`] seeded in the order of `levels`, the
-    /// netlist's levelization, which the caller already holds.
-    #[must_use]
-    pub fn analyze_levelled(
-        netlist: &Netlist,
-        seeds: &InputSeeds,
-        levels: &Levelization,
-    ) -> XReach {
+    pub fn analyze(netlist: &Netlist, seeds: &InputSeeds, levels: &Levelization) -> XReach {
         XReach {
             solution: solve(&XReachAnalysis {
                 netlist,
@@ -291,7 +281,7 @@ mod tests {
         b.mark_output(y);
         let n = b.finish().unwrap();
         let seeds = InputSeeds::unconstrained(&n);
-        let xr = XReach::analyze(&n, &seeds);
+        let xr = XReach::analyze(&n, &seeds, &Levelization::compute(&n));
         assert!(!xr.is_x_stuck(y));
         assert_eq!(xr.levels(y), LevelSet::ALL);
         assert!(xr.x_stuck_nets().is_empty());
@@ -309,7 +299,11 @@ mod tests {
         b.gate(GateKind::And, &[a, q], y, Delay::uniform(1));
         b.mark_output(y);
         let n = b.finish().unwrap();
-        let xr = XReach::analyze(&n, &InputSeeds::unconstrained(&n));
+        let xr = XReach::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         assert!(xr.is_x_stuck(q), "uninitializable feedback");
         // The poisoned AND can still reach 0 (a=0 forces it).
         assert!(!xr.is_x_stuck(y));
@@ -328,7 +322,11 @@ mod tests {
         b.gate(GateKind::Nand, &[reset, q], qn, Delay::uniform(1));
         b.mark_output(q);
         let n = b.finish().unwrap();
-        let xr = XReach::analyze(&n, &InputSeeds::unconstrained(&n));
+        let xr = XReach::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         // set_n = 0 forces q = 1 regardless of the X on qn.
         assert!(!xr.is_x_stuck(q));
         assert!(!xr.is_x_stuck(qn));
@@ -343,7 +341,11 @@ mod tests {
         b.gate(GateKind::Buf, &[vdd], y, Delay::uniform(1));
         b.mark_output(y);
         let n = b.finish().unwrap();
-        let xr = XReach::analyze(&n, &InputSeeds::unconstrained(&n));
+        let xr = XReach::analyze(
+            &n,
+            &InputSeeds::unconstrained(&n),
+            &Levelization::compute(&n),
+        );
         assert_eq!(
             xr.levels(vdd),
             LevelSet::just(Level::One).union(LevelSet::X_ONLY)

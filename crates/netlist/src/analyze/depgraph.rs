@@ -1,4 +1,5 @@
-//! Component-level dependency graph and strongly connected components.
+//! Component-level dependency graph, strongly connected components and
+//! the one levelizer.
 //!
 //! Shared substrate for the cycle and levelization analyses: node `i`
 //! below [`DepGraph::num_components`] is the component with [`CompId`]
@@ -134,7 +135,7 @@ fn for_each_edge(
 /// the condensation: a component appears before every component that
 /// can reach it.
 #[must_use]
-pub fn strongly_connected_components(succ: &Csr) -> Csr {
+pub(crate) fn strongly_connected_components(succ: &Csr) -> Csr {
     let n = succ.num_rows();
     const UNDISCOVERED: u32 = u32::MAX;
     let mut index = vec![UNDISCOVERED; n];
@@ -198,8 +199,76 @@ pub fn strongly_connected_components(succ: &Csr) -> Csr {
 /// Whether an SCC is a genuine cycle: more than one member, or a single
 /// member with a self-loop.
 #[must_use]
-pub fn is_cyclic(succ: &Csr, component: &[u32]) -> bool {
+pub(crate) fn is_cyclic(succ: &Csr, component: &[u32]) -> bool {
     component.len() > 1 || succ.row(component[0] as usize).contains(&component[0])
+}
+
+/// Levelizes the graph whose node `i` has the successors `succ.row(i)`
+/// (parallel edges allowed): longest paths over the condensation of its
+/// strongly connected components, each SCC weighing `weight(members)`.
+///
+/// Returns `(sccs, rank, cyclic, order)`:
+/// - `sccs`, the SCCs' members as the rows of a `Csr`, sinks first, as
+///   Tarjan's algorithm emits them;
+/// - per SCC, its `rank`: its own weight plus the largest rank of an
+///   SCC with an edge into it (so a source SCC's rank is its weight);
+/// - per SCC, whether it is `cyclic`: more than one member, or one with
+///   a self-loop;
+/// - `order`, every SCC once, in a topological order of the
+///   condensation: Kahn's algorithm with a FIFO queue, seeded with the
+///   source SCCs in row order. Under unit weights the queue pops in
+///   nondecreasing rank, so the order is rank-major.
+#[must_use]
+pub fn levelize(
+    succ: &Csr,
+    weight: impl Fn(&[u32]) -> u32,
+) -> (Csr, Vec<u32>, Vec<bool>, Vec<u32>) {
+    let sccs = strongly_connected_components(succ);
+    let num_scc = sccs.num_rows();
+    let mut scc_of = vec![0u32; succ.num_rows()];
+    for (s, members) in sccs.rows().enumerate() {
+        for &m in members {
+            scc_of[m as usize] = s as u32;
+        }
+    }
+    let mut indegree = vec![0u32; num_scc];
+    for (v, readers) in succ.rows().enumerate() {
+        for &r in readers {
+            let sr = scc_of[r as usize];
+            if sr != scc_of[v] {
+                indegree[sr as usize] += 1;
+            }
+        }
+    }
+    // An SCC's rank holds the largest rank feeding it until its turn.
+    let mut rank = vec![0u32; num_scc];
+    let mut cyclic = vec![false; num_scc];
+    let mut order: Vec<u32> = (0..num_scc as u32)
+        .filter(|&s| indegree[s as usize] == 0)
+        .collect();
+    let mut head = 0;
+    while let Some(&s) = order.get(head) {
+        head += 1;
+        let members = sccs.row(s as usize);
+        let r = rank[s as usize] + weight(members);
+        rank[s as usize] = r;
+        cyclic[s as usize] = is_cyclic(succ, members);
+        for &m in members {
+            for &v in succ.row(m as usize) {
+                let sv = scc_of[v as usize];
+                if sv != s {
+                    rank[sv as usize] = rank[sv as usize].max(r);
+                    let d = &mut indegree[sv as usize];
+                    *d -= 1;
+                    if *d == 0 {
+                        order.push(sv);
+                    }
+                }
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), num_scc, "the condensation is acyclic");
+    (sccs, rank, cyclic, order)
 }
 
 /// The graph without hubs: every kept driver of a net joined to every
@@ -297,6 +366,72 @@ mod tests {
         let pos = |comp: u32| sccs.rows().position(|c| c.contains(&comp)).unwrap();
         // Component 2 (the z-driving gate) is downstream of component 1.
         assert!(pos(2) < pos(1));
+    }
+
+    /// The rank of every node: its SCC's.
+    fn rank_of(sccs: &Csr, rank: &[u32]) -> Vec<u32> {
+        let mut of = vec![u32::MAX; sccs.num_items()];
+        for (members, &r) in sccs.rows().zip(rank) {
+            for &v in members {
+                of[v as usize] = r;
+            }
+        }
+        of
+    }
+
+    #[test]
+    fn ranked_nodes_outrank_their_ranked_predecessors() {
+        // 0 -> 1 -> 3, 0 -> 2 -> 3, 1 -> 2, 3 -> 4, plus a lone node 5.
+        let adj = Csr::from_rows([vec![1, 2], vec![2, 3], vec![3], vec![4], vec![], vec![]]);
+        let (sccs, rank, cyclic, order) = levelize(&adj, |_| 1);
+        assert!(cyclic.iter().all(|&c| !c));
+        assert_eq!(sccs.num_rows(), adj.num_rows());
+        let node_rank = rank_of(&sccs, &rank);
+        for (v, readers) in adj.rows().enumerate() {
+            for &r in readers {
+                assert!(node_rank[v] < node_rank[r as usize], "{v} -> {r}");
+            }
+        }
+        assert_eq!(
+            node_rank,
+            [1, 2, 3, 4, 5, 1],
+            "longest path from a source, the node's own weight included"
+        );
+        let ordered: Vec<u32> = order.iter().map(|&s| rank[s as usize]).collect();
+        assert!(ordered.windows(2).all(|w| w[0] <= w[1]), "rank-major");
+    }
+
+    #[test]
+    fn cycles_become_groups_ranked_above_their_feeders() {
+        // 0 -> 1 feeds the 2-cycle {2, 3} and the self-loop {4}; 5 reads
+        // both clusters.
+        let adj = Csr::from_rows([vec![1], vec![2, 4], vec![3], vec![2, 5], vec![4, 5], vec![]]);
+        let (sccs, rank, cyclic, order) = levelize(&adj, |_| 1);
+        assert_eq!(order.len(), sccs.num_rows(), "every SCC once");
+        let cyclic = &cyclic;
+        let of =
+            |cyclic_rows: bool| (0..sccs.num_rows()).filter(move |&s| cyclic[s] == cyclic_rows);
+        let mut groups: Vec<(u32, Vec<u32>)> = of(true)
+            .map(|s| {
+                let mut members = sccs.row(s).to_vec();
+                members.sort_unstable();
+                (rank[s], members)
+            })
+            .collect();
+        groups.sort();
+        assert_eq!(groups, [(3, vec![2, 3]), (3, vec![4])]);
+        let mut ranked: Vec<u32> = of(false).map(|s| sccs.row(s)[0]).collect();
+        ranked.sort_unstable();
+        assert_eq!(ranked, [0, 1, 5]);
+        let node_rank = rank_of(&sccs, &rank);
+        assert!(
+            node_rank[1] < node_rank[2] && node_rank[1] < node_rank[4],
+            "feeder below"
+        );
+        assert!(
+            node_rank[5] > node_rank[3] && node_rank[5] > node_rank[4],
+            "reader above"
+        );
     }
 
     /// Components that take no simulated time, as LS0001 keeps them.

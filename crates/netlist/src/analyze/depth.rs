@@ -15,7 +15,7 @@
 //! threshold produce an LS0005 warning — such circuits simulate, but a
 //! single input change can fan into an extremely long event cascade.
 
-use super::depgraph::{is_cyclic, strongly_connected_components, DepGraph};
+use super::depgraph::{levelize, DepGraph};
 use super::diag::{Code, Diagnostic};
 use crate::component::{CompId, ComponentKind, NetId};
 use crate::netlist::Netlist;
@@ -42,47 +42,26 @@ impl Levelization {
     }
 
     /// [`Levelization::compute`] over a given dependency graph of
-    /// `netlist`; its hubs take no depth of their own.
+    /// `netlist`: an SCC holding a gate or switch is one level, and
+    /// hubs, inputs, pulls and supplies take none.
     pub(crate) fn from_graph(netlist: &Netlist, graph: &DepGraph) -> Levelization {
-        let sccs = strongly_connected_components(&graph.succ);
         let columns = netlist.columns();
         let num_comps = netlist.num_components();
-        let mut scc_of = vec![0u32; graph.succ.num_rows()];
-        let mut cyclic = vec![false; num_comps];
-        for (i, scc) in sccs.rows().enumerate() {
-            let in_cycle = is_cyclic(&graph.succ, scc);
-            for &member in scc {
-                scc_of[member as usize] = i as u32;
-                if !graph.is_hub(member) {
-                    cyclic[member as usize] = in_cycle;
-                }
-            }
-        }
-        // Tarjan emits SCCs sinks-first; walk them in reverse for a
-        // topological order and relax longest paths. An SCC's entry
-        // holds the deepest SCC feeding it until its own turn, then its
-        // depth.
-        let mut scc_depth = vec![0u32; sccs.num_rows()];
-        let mut comp_depth = vec![0u32; num_comps];
-        for i in (0..sccs.num_rows()).rev() {
-            let counts_as_level = sccs.row(i).iter().any(|&m| {
+        let (sccs, rank, in_cycle, _) = levelize(&graph.succ, |members| {
+            u32::from(members.iter().any(|&m| {
                 !graph.is_hub(m)
                     && matches!(
                         columns.kind(m as usize),
                         ComponentKind::Gate(_) | ComponentKind::Switch(_)
                     )
-            });
-            scc_depth[i] += u32::from(counts_as_level);
-            for &u in sccs.row(i) {
-                if !graph.is_hub(u) {
-                    comp_depth[u as usize] = scc_depth[i];
-                }
-                for &v in graph.succ.row(u as usize) {
-                    let j = scc_of[v as usize] as usize;
-                    if j != i {
-                        scc_depth[j] = scc_depth[j].max(scc_depth[i]);
-                    }
-                }
+            }))
+        });
+        let mut comp_depth = vec![0u32; num_comps];
+        let mut cyclic = vec![false; num_comps];
+        for ((members, &r), &c) in sccs.rows().zip(&rank).zip(&in_cycle) {
+            for &m in members.iter().filter(|&&m| !graph.is_hub(m)) {
+                comp_depth[m as usize] = r;
+                cyclic[m as usize] = c;
             }
         }
         let net_depth: Vec<u32> = (0..netlist.num_nets())

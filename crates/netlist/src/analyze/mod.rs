@@ -10,7 +10,7 @@
 //! | LS0002 | warning  | always-on strong drivers that can fight |
 //! | LS0003 | warning  | logic unreachable from any primary output |
 //! | LS0004 | warning  | floating or charge-only nets beyond builder errors |
-//! | LS0005 | warning  | logic depth above the configured threshold |
+//! | LS0005 | warning  | logic depth above [`MAX_LOGIC_DEPTH`] |
 //! | LS0006 | info     | constant nets the [`opt`] optimizer can exploit |
 //! | LS0007 | info     | structurally duplicate components [`opt`] can merge |
 //! | LS0008 | info     | buffer/inverter chains [`opt`] can canonicalize |
@@ -45,7 +45,7 @@ mod float;
 pub mod opt;
 
 pub use dead::live_components;
-pub use depgraph::{is_cyclic, strongly_connected_components};
+pub use depgraph::levelize;
 pub use depth::Levelization;
 pub use diag::{
     describe_component, Code, Diagnostic, JsonDiagnostic, JsonReport, Report, Severity,
@@ -54,24 +54,15 @@ pub use diag::{
 
 use crate::netlist::Netlist;
 
-/// Tunables for [`analyze_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalyzeConfig {
-    /// Logic depth above which LS0005 fires. The default (512) is far
-    /// above the paper's five circuits; raise it for deep pipelines.
-    pub max_depth: u32,
-}
+/// Logic depth above which LS0005 fires, far above the paper's five
+/// circuits.
+pub const MAX_LOGIC_DEPTH: u32 = 512;
 
-impl Default for AnalyzeConfig {
-    fn default() -> AnalyzeConfig {
-        AnalyzeConfig { max_depth: 512 }
-    }
-}
-
-/// Runs all analyses with default configuration.
+/// Runs all analyses with conservative input seeds for the dataflow
+/// passes.
 #[must_use]
 pub fn analyze(netlist: &Netlist) -> Report {
-    analyze_with(netlist, &AnalyzeConfig::default())
+    analyze_seeded(netlist, None)
 }
 
 /// Runs only the error-level analyses (currently LS0001), returning the
@@ -84,28 +75,17 @@ pub fn preflight(netlist: &Netlist) -> Vec<Diagnostic> {
     diagnostics
 }
 
-/// Runs all analyses with the given configuration and conservative
-/// input seeds for the dataflow passes.
-#[must_use]
-pub fn analyze_with(netlist: &Netlist, config: &AnalyzeConfig) -> Report {
-    analyze_seeded(netlist, config, None)
-}
-
 /// Runs all analyses, seeding the dataflow passes (activity, timing,
 /// X-reachability) from a known stimulus plan when one is available.
 /// `None` falls back to the conservative unconstrained seeds.
 #[must_use]
-pub fn analyze_seeded(
-    netlist: &Netlist,
-    config: &AnalyzeConfig,
-    seeds: Option<&dataflow::seeds::InputSeeds>,
-) -> Report {
+pub fn analyze_seeded(netlist: &Netlist, seeds: Option<&dataflow::seeds::InputSeeds>) -> Report {
     let mut diagnostics = Vec::new();
     cycles::check(netlist, &mut diagnostics);
     drive::check(netlist, &mut diagnostics);
     dead::check(netlist, &mut diagnostics);
     float::check(netlist, &mut diagnostics);
-    let levels = depth::check(netlist, config.max_depth, &mut diagnostics);
+    let levels = depth::check(netlist, MAX_LOGIC_DEPTH, &mut diagnostics);
     // Dry-run the optimizer: its aggregated findings (LS0006–LS0009)
     // surface what `lsim opt` would rewrite, against original ids.
     diagnostics.extend(opt::optimize(netlist).report.findings);
@@ -184,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn config_threshold_is_respected() {
+    fn a_deep_chain_under_the_threshold_warns_nothing() {
         let mut b = NetlistBuilder::new("deep");
         let mut prev = b.input("a");
         for i in 0..8 {
@@ -194,8 +174,6 @@ mod tests {
         }
         b.mark_output(prev);
         let n = b.finish().unwrap();
-        let strict = analyze_with(&n, &AnalyzeConfig { max_depth: 4 });
-        assert_eq!(strict.count(Severity::Warning), 1);
         let lax = analyze(&n);
         // The inverter chain is an LS0008 info finding, not a warning;
         // the uniform-delay chain is also LS0013 filter-free.

@@ -44,9 +44,7 @@ pub mod stats;
 pub mod text;
 pub mod value;
 
-pub use analyze::{
-    analyze, analyze_seeded, analyze_with, AnalyzeConfig, Code, Diagnostic, Report, Severity,
-};
+pub use analyze::{analyze, analyze_seeded, Code, Diagnostic, Report, Severity};
 pub use bitplane::{BitPlanes, Plane, LANES};
 pub use builder::{BuildError, NetlistBuilder};
 pub use columns::ComponentColumns;

@@ -216,7 +216,7 @@ proptest! {
         let n = build_circuit(&p, feedback);
         let seeds = seeds_for(&n, raw);
         let levels = Levelization::compute(&n);
-        let activity = Activity::analyze_levelled(&n, &seeds, &levels);
+        let activity = Activity::analyze(&n, &seeds, &levels);
         for i in 0..n.num_nets() {
             let net = logicsim_netlist::NetId(i as u32);
             let d = activity.density(net);

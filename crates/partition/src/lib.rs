@@ -48,12 +48,7 @@ pub use strategies::{
 
 use logicsim_netlist::{CompId, ConnectivityGraph, Netlist};
 
-/// Weight contrast for activity-weighted partitioning: live vertex
-/// weights span `1 ..= 1 + ACTIVITY_WEIGHT_SCALE` as predicted
-/// evaluations per tick go from 0 to 1. Small enough that a single
-/// busy gate cannot unbalance a part, large enough that a part full
-/// of quiet logic reads as light.
-pub const ACTIVITY_WEIGHT_SCALE: u32 = 7;
+pub use logicsim_netlist::analyze::dataflow::activity::ACTIVITY_WEIGHT_SCALE;
 
 /// The connectivity graph the partitioners cut: unweighted (live = 1,
 /// dead = 0) by default, or with static-activity vertex weights so
@@ -62,11 +57,7 @@ pub const ACTIVITY_WEIGHT_SCALE: u32 = 7;
 #[must_use]
 pub fn activity_graph(netlist: &Netlist, activity_weighted: bool) -> ConnectivityGraph {
     if activity_weighted {
-        let w = logicsim_netlist::analyze::dataflow::activity::partition_weights(
-            netlist,
-            None,
-            ACTIVITY_WEIGHT_SCALE,
-        );
+        let w = logicsim_netlist::analyze::dataflow::activity::partition_weights(netlist);
         ConnectivityGraph::build_weighted(netlist, 16, &w)
     } else {
         ConnectivityGraph::build(netlist, 16)

@@ -82,7 +82,7 @@
 //! delay assignments of the event engine alone disagree).
 
 use crate::engine::PreflightError;
-use crate::levelize::levelize_nodes;
+use logicsim_netlist::analyze::levelize;
 use logicsim_netlist::{
     BitPlanes, ComponentRef, Csr, GateKind, Level, NetId, Netlist, Plane, SwitchKind, UnionFind,
     LANES,
@@ -699,12 +699,13 @@ impl<'a> BitParSim<'a> {
         cells.find_pairs();
 
         // Node graph: one node per gate op plus one per cell, edges
-        // producer → reader over real and virtual planes. The generic
-        // levelizer orders it; SCCs (gate latches, ctl-feedback cells,
-        // and mixed gate/cell refresh loops) become in-place fixpoint
-        // steps at their condensation rank. A gate gets an op unless it
-        // never drives, is overpowered on a rail, or is a tristate that
-        // its cell gates itself.
+        // producer → reader over real and virtual planes. The netlist
+        // crate's levelizer orders it, one rank per SCC; SCCs (gate
+        // latches, ctl-feedback cells, and mixed gate/cell refresh
+        // loops) become in-place fixpoint steps at their condensation
+        // rank. A gate gets an op unless it never drives, is
+        // overpowered on a rail, or is a tristate that its cell gates
+        // itself.
         let mut node_reads = Csr::default();
         let mut gate_ops: Vec<(GateKind, u32)> = Vec::new();
         let mut producer = vec![u32::MAX; np];
@@ -769,25 +770,20 @@ impl<'a> BitParSim<'a> {
                     .map(move |pr| (pr, ni))
             })
         });
-        let nl = levelize_nodes(&adj);
+        let (sccs, ranks, cyclic, order) = levelize(&adj, |_| 1);
 
         // Merge ranked nodes and feedback clusters into one program.
-        // No edges exist inside a rank, so a stable sort by rank is a
-        // valid order; each cluster lands between the ranks that feed
-        // it and the ranks that read it.
-        enum NItem {
-            Single(u32),
-            Group(Vec<u32>),
+        // No edges exist inside a rank, and under unit weights the
+        // levelizer's order is rank-major, so within each rank the
+        // ranked nodes go first, then the clusters, each in that order;
+        // each cluster lands between the ranks that feed it and the
+        // ranks that read it.
+        let mut program: Vec<u32> = Vec::with_capacity(order.len());
+        for run in order.chunk_by(|&a, &b| ranks[a as usize] == ranks[b as usize]) {
+            program.extend(run.iter().filter(|&&s| !cyclic[s as usize]));
+            program.extend(run.iter().filter(|&&s| cyclic[s as usize]));
         }
-        let mut items: Vec<(u32, NItem)> = Vec::with_capacity(nl.order.len() + nl.groups.len());
-        for (i, &nid) in nl.order.iter().enumerate() {
-            items.push((nl.ranks[i], NItem::Single(nid)));
-        }
-        for (rank, members) in nl.groups {
-            items.push((rank, NItem::Group(members)));
-        }
-        items.sort_by_key(|&(r, _)| r);
-        let depth = items.iter().map(|&(r, _)| r + 1).max().unwrap_or(0);
+        let depth = ranks.iter().copied().max().unwrap_or(0);
 
         let mut ops: Vec<Op> = Vec::new();
         let mut op_inputs: Vec<u32> = Vec::new();
@@ -809,29 +805,33 @@ impl<'a> BitParSim<'a> {
                 in_len,
             });
         };
-        for (_rank, item) in &items {
-            match item {
-                NItem::Single(nid) => {
-                    let before = ops.len() as u32;
-                    emit(*nid, &mut ops, &mut op_inputs);
-                    match steps.last_mut() {
-                        Some(Step::Block { end, .. }) if *end == before => *end += 1,
-                        _ => steps.push(Step::Block {
-                            start: before,
-                            end: before + 1,
-                        }),
-                    }
+        let mut cluster: Vec<u32> = Vec::new();
+        for s in program {
+            let nids = sccs.row(s as usize);
+            if cyclic[s as usize] {
+                // Ascending member order: it decides which side of a
+                // released cross-coupled latch wins (DESIGN.md §15).
+                cluster.clear();
+                cluster.extend_from_slice(nids);
+                cluster.sort_unstable();
+                let start = ops.len() as u32;
+                for &nid in &cluster {
+                    emit(nid, &mut ops, &mut op_inputs);
                 }
-                NItem::Group(nids) => {
-                    let start = ops.len() as u32;
-                    for &nid in nids {
-                        emit(nid, &mut ops, &mut op_inputs);
-                    }
-                    steps.push(Step::Loop {
-                        start,
-                        end: ops.len() as u32,
-                    });
-                    loops += 1;
+                steps.push(Step::Loop {
+                    start,
+                    end: ops.len() as u32,
+                });
+                loops += 1;
+            } else {
+                let before = ops.len() as u32;
+                emit(nids[0], &mut ops, &mut op_inputs);
+                match steps.last_mut() {
+                    Some(Step::Block { end, .. }) if *end == before => *end += 1,
+                    _ => steps.push(Step::Block {
+                        start: before,
+                        end: before + 1,
+                    }),
                 }
             }
         }

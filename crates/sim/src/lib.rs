@@ -39,7 +39,6 @@ pub mod bitpar;
 mod cyclic;
 pub mod engine;
 pub mod instrument;
-mod levelize;
 pub mod obs;
 pub mod par_engine;
 mod par_sync;

@@ -31,7 +31,9 @@
 //! options:
 //!   --until T              simulate T ticks (default 10000)
 //!   --warmup T             discard the first T ticks from statistics
-//!   --seed N               stimulus RNG seed (default 1987)
+//!   --seed N               stimulus RNG seed (default 1987); `machine`
+//!                          and `trace` also seed their random partition
+//!                          with it
 //!   --clock NET:HALF       drive NET as a clock
 //!   --random NET:PERIOD:P  drive NET randomly (toggle probability P)
 //!   --const NET=0|1        hold NET constant
@@ -428,6 +430,7 @@ fn run_machine(netlist: &Netlist, opts: &Options) -> Result<(), String> {
     let partition = RandomPartitioner::new(opts.seed).partition(netlist, opts.machine_p);
     let v = validate_against_model(&config, &trace, &partition, &BaseMachine::vax_11_750());
     println!("machine     : {}", config.arch_class());
+    println!("partition   : random (seed {})", opts.seed);
     println!(
         "workload    : B={} I={} E={} M_inf={}",
         trace.busy_ticks(),
@@ -521,6 +524,7 @@ fn run_trace(netlist: &Netlist, opts: &Options) -> Result<(), String> {
         run.wall.as_secs_f64() * 1e3,
         workers
     );
+    println!("partition   : random (seed {})", opts.seed);
     println!("phase            n    total(us)   mean(us)    p50    p95    p99");
     for phase in Phase::ALL {
         if let Some(s) = run.obs.summary(phase) {
@@ -784,13 +788,13 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
 /// or `--clock`/`--random`/... flags) so activity and timing facts
 /// reflect the actual drive rather than worst-case defaults.
 fn run_analyze(args: &[String]) -> Result<ExitCode, String> {
-    use logicsim::netlist::analyze::{analyze_seeded, AnalyzeConfig};
+    use logicsim::netlist::analyze::analyze_seeded;
 
     let (path, flags) = netlist_arg(args)?;
     let (format, deny, rest) = report_flags(flags)?;
     let (netlist, opts) = load_with_options(path, &rest)?;
     let seeds = opts.stimulus.activity_seeds(&netlist);
-    let report = analyze_seeded(&netlist, &AnalyzeConfig::default(), Some(&seeds));
+    let report = analyze_seeded(&netlist, Some(&seeds));
     emit_report(&report, &netlist, path, format, deny, "analyze")
 }
 

@@ -438,6 +438,11 @@ fn trace_subcommand_writes_chrome_trace_and_prints_params() {
     assert!(stdout.contains("measured"), "{stdout}");
     assert!(stdout.contains("calibrated"), "{stdout}");
     assert!(stdout.contains("eval"), "{stdout}");
+    // The random partition Eq. 6 assumes, not a multilevel one.
+    assert!(
+        stdout.contains("partition   : random (seed 1987)"),
+        "{stdout}"
+    );
     // The share of the window only the master thread can do, and every
     // lane's exchange total beside it.
     assert!(stdout.contains("master-only : "), "{stdout}");
