@@ -43,11 +43,13 @@
 
 use logicsim::circuits::{Benchmark, BenchmarkInstance};
 use logicsim::core::bounds::{comm_bound_speedup, ideal_speedup};
+use logicsim::core::partition_model::messages_approx;
 use logicsim::core::speedup::speedup;
 use logicsim::core::{BaseMachine, MachineDesign};
 use logicsim::job::{EngineSpec, Job, JobSpec, Measured};
 use logicsim::machine::MeasuredParams;
 use logicsim::partition::{FiducciaMattheysesPartitioner, Partitioner, RandomPartitioner};
+use logicsim::stats::imbalance::max_load_factor;
 use logicsim_bench::report::{
     float, host_cores, metadata_v2, obj, refuse_oversubscription, text, uint,
 };
@@ -166,11 +168,8 @@ fn main() {
                 );
                 let pw = par.parallel.expect("the parallel engine reports its loads");
                 let (crossing, component_msgs) = (pw.messages_crossing, pw.messages_component);
-                let max_evals = pw.workers.iter().map(|w| w.evaluations).max().unwrap_or(0);
-                let beta = match pw.total_evaluations() {
-                    0 => 1.0,
-                    total => (max_evals as f64 / (total as f64 / workers as f64)).max(1.0),
-                };
+                let loads: Vec<u64> = pw.workers.iter().map(|w| w.evaluations).collect();
+                let beta = max_load_factor(&loads);
                 let (wall_seconds, params) = (par.wall.as_secs_f64(), par.params);
                 let s_meas = serial_wall / wall_seconds.max(1e-12);
                 // The software-analog machine: P unpipelined evaluators
@@ -183,7 +182,7 @@ fn main() {
                 } else {
                     comm_bound_speedup(&w, 1.0, base.t_eval, 3.0, workers as u32)
                 };
-                let eq6 = component_msgs as f64 * (1.0 - 1.0 / workers as f64);
+                let eq6 = messages_approx(component_msgs as f64, workers as u32);
                 let ratio = if eq6 == 0.0 {
                     0.0
                 } else {

@@ -34,6 +34,7 @@
 //! an oversubscribed study reports scheduling noise, not measurements.
 
 use logicsim::circuits::{scaled, Benchmark, ScaledParams};
+use logicsim::core::partition_model::messages_approx;
 use logicsim::measure_instance;
 use logicsim::netlist::ConnectivityGraph;
 use logicsim::partition::{
@@ -148,7 +149,7 @@ fn main() {
                 let m_rand = measured_messages(&m.trace, &rand_part);
                 let m_ml = measured_messages(&m.trace, &ml_part);
                 let m_act = measured_messages(&m.trace, &act_part);
-                let eq6 = m_inf * (1.0 - 1.0 / f64::from(p));
+                let eq6 = messages_approx(m_inf, p);
                 let ratio = if eq6 > 0.0 { m_ml as f64 / eq6 } else { 0.0 };
                 let act_ratio = if m_ml > 0 {
                     m_act as f64 / m_ml as f64

@@ -33,7 +33,7 @@ fn main() {
             ours.switches,
             row.gates,
             ours.gates,
-            row.switches + row.gates,
+            row.total_components(),
             ours.total,
             row.approx_transistors,
             ours.approx_transistors,

@@ -4,6 +4,7 @@
 //! vectors (`--quick` for a short measurement window).
 
 use logicsim::core::paper_data::five_circuits;
+use logicsim::core::Workload;
 use logicsim_bench::{banner, measure_all, measure_options, millions};
 
 fn main() {
@@ -31,11 +32,10 @@ fn main() {
         "Circuit", "X", "B", "I", "E (millions)", "M_inf (millions)"
     );
     for m in &measured {
-        let x = 100_000.0 / m.components as f64;
         println!(
             "{:<14} {:>7.1} {:>9.0} {:>9.0} {:>13} {:>15}",
             m.name,
-            x,
+            Workload::scale_factor(m.components, 100_000),
             m.normalized.busy_ticks,
             m.normalized.idle_ticks,
             millions(m.normalized.events),

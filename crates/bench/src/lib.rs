@@ -15,7 +15,7 @@
 //! | `partition_study` | partitioning heuristics vs Eq. 6 (extension) |
 //! | `par_study`    | `ParSimulator` speedup + `M_P` vs Eq. 6/11/14/15 |
 //! | `sensitivity`  | elasticities along N/F/busy-fraction/beta (abstract claim) |
-//! | `variants_study` | EI time advance, sync-cost scaling, Q=1 dispatch |
+//! | `variants_study` | EI time advance, sync-cost scaling |
 //! | `scaling_study` | raw N and E vs built circuit size |
 //! | `scale_study`  | partition cuts and `M_P` vs Eq. 6 at 10k/100k components |
 //! | `bitpar_study` | lane throughput of `BitParSim` vs the event engine (`lanes = 1` is the event-driven-vs-levelized race) |

@@ -104,14 +104,6 @@ pub fn or_n(b: &mut NetlistBuilder, inputs: &[NetId], hint: &str) -> NetId {
     y
 }
 
-/// Gate-level 2:1 mux (`sel = 1` selects `a1`).
-pub fn mux2(b: &mut NetlistBuilder, sel: NetId, a0: NetId, a1: NetId, hint: &str) -> NetId {
-    let sel_n = inv(b, sel, hint);
-    let t0 = and2(b, a0, sel_n, hint);
-    let t1 = and2(b, a1, sel, hint);
-    or2(b, t0, t1, hint)
-}
-
 /// Positive-edge-triggered D flip-flop (classic 6-NAND structure).
 pub fn dff(b: &mut NetlistBuilder, clk: NetId, d: NetId, hint: &str) -> NetId {
     // Nets of the 6-NAND edge-triggered DFF.
@@ -127,19 +119,6 @@ pub fn dff(b: &mut NetlistBuilder, clk: NetId, d: NetId, hint: &str) -> NetId {
     b.gate(GateKind::Nand, &[n3, d], n4, d1());
     b.gate(GateKind::Nand, &[n2, qn], q, d1());
     b.gate(GateKind::Nand, &[n3, q], qn, d1());
-    q
-}
-
-/// DFF with synchronous load-enable (`en = 0` holds).
-pub fn dff_en(b: &mut NetlistBuilder, clk: NetId, en: NetId, d: NetId, hint: &str) -> NetId {
-    // Feedback mux: next = en ? d : q. Declare q's net first.
-    let din = b.fresh(hint);
-    let q = dff(b, clk, din, hint);
-    let sel_n = inv(b, en, hint);
-    let hold = and2(b, q, sel_n, hint);
-    let load = and2(b, d, en, hint);
-    let next = or2(b, hold, load, hint);
-    b.gate(GateKind::Buf, &[next], din, d1());
     q
 }
 
@@ -253,17 +232,6 @@ pub fn counter(
     qs
 }
 
-/// Equality comparator over equal-width operands.
-pub fn eq_comparator(b: &mut NetlistBuilder, a: &[NetId], bb: &[NetId], hint: &str) -> NetId {
-    assert!(!a.is_empty() && a.len() == bb.len(), "width mismatch");
-    let bits: Vec<NetId> = a
-        .iter()
-        .zip(bb)
-        .map(|(&ai, &bi)| xnor2(b, ai, bi, hint))
-        .collect();
-    and_n(b, &bits, hint)
-}
-
 /// Less-than comparator (`a < b`, unsigned, LSB-first operands) via a
 /// ripple borrow chain.
 pub fn lt_comparator(b: &mut NetlistBuilder, a: &[NetId], bb: &[NetId], hint: &str) -> NetId {
@@ -339,25 +307,6 @@ pub fn nmos_inv(b: &mut NetlistBuilder, rails: Rails, a: NetId, hint: &str) -> N
     y
 }
 
-/// nmos 2-input NAND: pull-up plus two series NMOS transistors.
-pub fn nmos_nand2(b: &mut NetlistBuilder, rails: Rails, x: NetId, y: NetId, hint: &str) -> NetId {
-    let out = b.fresh(hint);
-    let mid = b.fresh(hint);
-    b.pull(out, Level::One);
-    b.switch(SwitchKind::Nmos, x, out, mid);
-    b.switch(SwitchKind::Nmos, y, mid, rails.gnd);
-    out
-}
-
-/// nmos 2-input NOR: pull-up plus two parallel NMOS transistors.
-pub fn nmos_nor2(b: &mut NetlistBuilder, rails: Rails, x: NetId, y: NetId, hint: &str) -> NetId {
-    let out = b.fresh(hint);
-    b.pull(out, Level::One);
-    b.switch(SwitchKind::Nmos, x, out, rails.gnd);
-    b.switch(SwitchKind::Nmos, y, out, rails.gnd);
-    out
-}
-
 /// NMOS pass transistor: `y` is connected to `a` while `ctl` is high
 /// (charge-stored otherwise).
 pub fn nmos_pass(b: &mut NetlistBuilder, ctl: NetId, a: NetId, hint: &str) -> NetId {
@@ -378,20 +327,6 @@ pub fn nmos_dyn_latch(
 ) -> NetId {
     let stored = nmos_pass(b, clk, d, hint);
     nmos_inv(b, rails, stored, hint)
-}
-
-/// Two-phase dynamic nmos D flip-flop; `phi1`/`phi2` are
-/// non-overlapping clock phases. Non-inverting (two latch stages).
-pub fn nmos_dyn_dff(
-    b: &mut NetlistBuilder,
-    rails: Rails,
-    phi1: NetId,
-    phi2: NetId,
-    d: NetId,
-    hint: &str,
-) -> NetId {
-    let m = nmos_dyn_latch(b, rails, phi1, d, hint);
-    nmos_dyn_latch(b, rails, phi2, m, hint)
 }
 
 // ---------------------------------------------------------------------
@@ -465,24 +400,6 @@ mod tests {
         }
         let t = sim.now();
         sim.run_until(t + 64);
-    }
-
-    #[test]
-    fn mux2_selects() {
-        let mut b = NetlistBuilder::new("t");
-        let (s, a0, a1) = (b.input("s"), b.input("a0"), b.input("a1"));
-        let y = mux2(&mut b, s, a0, a1, "m");
-        b.mark_output(y);
-        let n = finish(b);
-        let y = n.outputs()[0];
-        let mut sim = Simulator::new(&n).expect("pre-flight");
-        settle(
-            &mut sim,
-            &[(s, Level::Zero), (a0, Level::One), (a1, Level::Zero)],
-        );
-        assert_eq!(sim.level(y), Level::One);
-        settle(&mut sim, &[(s, Level::One)]);
-        assert_eq!(sim.level(y), Level::Zero);
     }
 
     #[test]
@@ -586,13 +503,11 @@ mod tests {
     }
 
     #[test]
-    fn comparators_compare() {
+    fn lt_comparator_compares() {
         let mut b = NetlistBuilder::new("t");
         let a: Vec<NetId> = (0..4).map(|i| b.input(format!("a{i}"))).collect();
         let bb: Vec<NetId> = (0..4).map(|i| b.input(format!("b{i}"))).collect();
-        let eq = eq_comparator(&mut b, &a, &bb, "eq");
         let lt = lt_comparator(&mut b, &a, &bb, "lt");
-        b.mark_output(eq);
         b.mark_output(lt);
         let n = finish(b);
         let mut sim = Simulator::new(&n).expect("pre-flight");
@@ -605,13 +520,10 @@ mod tests {
             settle(sim, &drives);
         };
         set(&mut sim, 5, 5);
-        assert_eq!(sim.level(eq), Level::One);
         assert_eq!(sim.level(lt), Level::Zero);
         set(&mut sim, 3, 9);
-        assert_eq!(sim.level(eq), Level::Zero);
         assert_eq!(sim.level(lt), Level::One);
         set(&mut sim, 12, 7);
-        assert_eq!(sim.level(eq), Level::Zero);
         assert_eq!(sim.level(lt), Level::Zero);
     }
 
@@ -661,59 +573,18 @@ mod tests {
     }
 
     #[test]
-    fn nmos_gates_compute() {
+    fn nmos_inv_inverts() {
         let mut b = NetlistBuilder::new("t");
         let rails = Rails::new(&mut b);
-        let (x, y) = (b.input("x"), b.input("y"));
+        let x = b.input("x");
         let ni = nmos_inv(&mut b, rails, x, "ni");
-        let nn = nmos_nand2(&mut b, rails, x, y, "nn");
-        let nr = nmos_nor2(&mut b, rails, x, y, "nr");
-        for o in [ni, nn, nr] {
-            b.mark_output(o);
-        }
+        b.mark_output(ni);
         let n = finish(b);
         let mut sim = Simulator::new(&n).expect("pre-flight");
-        settle(&mut sim, &[(x, Level::One), (y, Level::Zero)]);
+        settle(&mut sim, &[(x, Level::One)]);
         assert_eq!(sim.level(ni), Level::Zero);
-        assert_eq!(sim.level(nn), Level::One);
-        assert_eq!(sim.level(nr), Level::Zero);
-        settle(&mut sim, &[(x, Level::One), (y, Level::One)]);
-        assert_eq!(sim.level(nn), Level::Zero);
-        assert_eq!(sim.level(nr), Level::Zero);
-        settle(&mut sim, &[(x, Level::Zero), (y, Level::Zero)]);
+        settle(&mut sim, &[(x, Level::Zero)]);
         assert_eq!(sim.level(ni), Level::One);
-        assert_eq!(sim.level(nn), Level::One);
-        assert_eq!(sim.level(nr), Level::One);
-    }
-
-    #[test]
-    fn nmos_dyn_dff_stores() {
-        let mut b = NetlistBuilder::new("t");
-        let rails = Rails::new(&mut b);
-        let (phi1, phi2, d) = (b.input("phi1"), b.input("phi2"), b.input("d"));
-        let q = nmos_dyn_dff(&mut b, rails, phi1, phi2, d, "ff");
-        b.mark_output(q);
-        let n = finish(b);
-        let mut sim = Simulator::new(&n).expect("pre-flight");
-        // Load 0 through phi1, transfer through phi2 (q is double
-        // inverted -> follows d).
-        settle(
-            &mut sim,
-            &[(d, Level::Zero), (phi1, Level::One), (phi2, Level::Zero)],
-        );
-        settle(&mut sim, &[(phi1, Level::Zero)]);
-        settle(&mut sim, &[(phi2, Level::One)]);
-        settle(&mut sim, &[(phi2, Level::Zero)]);
-        assert_eq!(sim.level(q), Level::Zero);
-        // Change d with both phases low: q holds (dynamic storage).
-        settle(&mut sim, &[(d, Level::One)]);
-        assert_eq!(sim.level(q), Level::Zero);
-        // Clock it through.
-        settle(&mut sim, &[(phi1, Level::One)]);
-        settle(&mut sim, &[(phi1, Level::Zero)]);
-        settle(&mut sim, &[(phi2, Level::One)]);
-        settle(&mut sim, &[(phi2, Level::Zero)]);
-        assert_eq!(sim.level(q), Level::One);
     }
 
     #[test]
@@ -744,29 +615,5 @@ mod tests {
         assert_eq!(sim.level(q), Level::One, "holds while master open");
         settle(&mut sim, &[(clk, Level::One)]);
         assert_eq!(sim.level(q), Level::Zero);
-    }
-
-    #[test]
-    fn dff_en_holds_and_loads() {
-        let mut b = NetlistBuilder::new("t");
-        let (clk, en, d) = (b.input("clk"), b.input("en"), b.input("d"));
-        let q = dff_en(&mut b, clk, en, d, "fe");
-        b.mark_output(q);
-        let n = finish(b);
-        let mut sim = Simulator::new(&n).expect("pre-flight");
-        settle(
-            &mut sim,
-            &[(clk, Level::Zero), (en, Level::One), (d, Level::One)],
-        );
-        settle(&mut sim, &[(clk, Level::One)]);
-        settle(&mut sim, &[(clk, Level::Zero)]);
-        assert_eq!(sim.level(q), Level::One);
-        settle(&mut sim, &[(en, Level::Zero), (d, Level::Zero)]);
-        settle(&mut sim, &[(clk, Level::One)]);
-        settle(&mut sim, &[(clk, Level::Zero)]);
-        assert_eq!(sim.level(q), Level::One, "disabled: holds");
-        settle(&mut sim, &[(en, Level::One)]);
-        settle(&mut sim, &[(clk, Level::One)]);
-        assert_eq!(sim.level(q), Level::Zero, "enabled: loads");
     }
 }

@@ -77,15 +77,6 @@ impl MachineDesign {
         }
     }
 
-    /// A copy of this design with a different processor count; handy for
-    /// sweeping `P` in figures 3-5.
-    #[must_use]
-    pub fn with_processors(mut self, processors: u32) -> MachineDesign {
-        assert!(processors >= 1, "need at least one processor");
-        self.processors = processors;
-        self
-    }
-
     /// The functional-specialization/technology speed-up `H` of this
     /// design relative to a base machine (paper Eq. 13:
     /// `H = t_E,B / t_E,S`).
@@ -162,15 +153,6 @@ mod tests {
         let base = BaseMachine::vax_11_750();
         let d = MachineDesign::new(4, 5, 1.0, 40.0, 3.0, 1.0);
         assert!((d.h_factor(&base) - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_processors_only_changes_p() {
-        let d = MachineDesign::new(4, 5, 2.0, 400.0, 3.0, 1.0);
-        let d2 = d.with_processors(10);
-        assert_eq!(d2.processors, 10);
-        assert_eq!(d2.pipeline_depth, d.pipeline_depth);
-        assert_eq!(d2.t_eval, d.t_eval);
     }
 
     #[test]

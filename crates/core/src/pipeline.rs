@@ -24,17 +24,6 @@ pub fn pipeline_time(t_e: f64, stages: u32, n: f64) -> f64 {
     (t_e / l) * (n + l - 1.0)
 }
 
-/// Steady-state throughput of the pipeline in operations per time unit
-/// (`L / t_e`): the paper's maximum output rate, achievable when stage
-/// execution times are equal (near-equal loading holds for average
-/// fanouts around 2 per \[AB83\]).
-#[must_use]
-pub fn pipeline_rate(t_e: f64, stages: u32) -> f64 {
-    assert!(stages >= 1, "a pipeline has at least one stage");
-    assert!(t_e.is_finite() && t_e > 0.0, "t_e must be > 0, got {t_e}");
-    f64::from(stages) / t_e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,7 +47,6 @@ mod tests {
         // Large n: time/op -> t_e / L.
         let t = pipeline_time(10.0, 5, 1e6);
         assert!((t / 1e6 - 2.0).abs() < 1e-4);
-        assert!((pipeline_rate(10.0, 5) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -76,15 +76,6 @@ impl ArchClass {
             pipeline_depth,
         }
     }
-
-    /// Whether this class is within the scope of the paper's run-time
-    /// model (unit increment, global clock, one queue per processor).
-    #[must_use]
-    pub fn is_modeled(&self) -> bool {
-        self.time_advance == TimeAdvance::UnitIncrement
-            && self.time_sync == TimeSync::GlobalClock
-            && self.queues == self.processors
-    }
 }
 
 impl fmt::Display for ArchClass {
@@ -111,16 +102,5 @@ mod tests {
             pipeline_depth: 5,
         };
         assert_eq!(c.to_string(), "UI/GC/Q=4/P=4/L=5");
-    }
-
-    #[test]
-    fn paper_class_is_modeled() {
-        assert!(ArchClass::paper_class(8, 5).is_modeled());
-        let mut c = ArchClass::paper_class(8, 5);
-        c.time_sync = TimeSync::LocalClock;
-        assert!(!c.is_modeled());
-        let mut c2 = ArchClass::paper_class(8, 5);
-        c2.queues = 1;
-        assert!(!c2.is_modeled());
     }
 }

@@ -111,41 +111,6 @@ pub fn ei_advantage(
         / run_time_event_increment(workload, design, beta, sync).total
 }
 
-/// Run time of the single-event-list variant (`Q = 1` in the taxonomy):
-/// the master holds one central event list and dispatches each event to
-/// a free processor, taking `t_dispatch` per event. Dispatch is serial,
-/// so it adds a third saturable resource:
-///
-/// ```text
-/// R = (B+I)*tSYNC + max( eval, comm, E * t_dispatch )
-/// ```
-///
-/// A central list removes the per-processor-queue imbalance (`beta` is
-/// forced to 1: any free processor takes the next event) but caps the
-/// machine at the master's dispatch rate — the reason the paper's class
-/// replicates the event list per processor (`Q = P`).
-#[must_use]
-pub fn run_time_central_list(
-    workload: &Workload,
-    design: &MachineDesign,
-    t_dispatch: f64,
-) -> RunTime {
-    assert!(
-        t_dispatch.is_finite() && t_dispatch > 0.0,
-        "t_dispatch must be positive, got {t_dispatch}"
-    );
-    let eval = eval_time(workload, design, 1.0);
-    let comm = comm_time(workload, design);
-    let dispatch = workload.events * t_dispatch;
-    let sync_total = workload.total_ticks() * design.t_sync;
-    RunTime {
-        total: sync_total + eval.max(comm).max(dispatch),
-        eval,
-        comm: comm.max(dispatch),
-        sync: sync_total,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,28 +184,6 @@ mod tests {
         };
         // Speed-up must eventually decrease in P under linear sync.
         assert!(s(400) < s(50), "S(400)={} S(50)={}", s(400), s(50));
-    }
-
-    #[test]
-    fn central_list_caps_at_dispatch_rate() {
-        let w = average_workload_table8();
-        // Fast evaluators, fast wide network: with Q=P the machine
-        // flies; with Q=1 the master's dispatch serializes everything.
-        let base = BaseMachine::vax_11_750();
-        let d = MachineDesign::new(50, 5, 8.0, base.t_eval / 1_000.0, 0.1, 1.0);
-        let q_p = crate::runtime::run_time(&w, &d, 1.0);
-        let q_1 = run_time_central_list(&w, &d, 1.0);
-        // Dispatch floor: E * t_dispatch.
-        assert!(q_1.total >= w.events * 1.0);
-        assert!(
-            q_1.total > 5.0 * q_p.total,
-            "q1 {} vs qP {}",
-            q_1.total,
-            q_p.total
-        );
-        // With negligible dispatch cost the variants agree (beta=1).
-        let q_1_fast = run_time_central_list(&w, &d, 1e-9);
-        assert!((q_1_fast.total - q_p.total).abs() / q_p.total < 1e-6);
     }
 
     #[test]

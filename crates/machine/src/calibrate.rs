@@ -9,9 +9,10 @@
 //! *calibrated* prediction that can be compared side by side with the
 //! paper-constant prediction and the actual measured run time.
 //!
-//! All inputs are plain numbers, so the module has no feature coupling:
-//! the `obs`-gated glue that extracts a [`MeasuredParams`] from an
-//! `ObsReport` lives with the binaries that own the measurement loop.
+//! All inputs are plain numbers: the glue that extracts a
+//! [`MeasuredParams`] from an `ObsReport` is `logicsim::measure::
+//! measured_params` in the root crate, which every job's measurement
+//! calls; no feature gates it.
 
 use logicsim_core::params::{MachineDesign, SECONDS_PER_SYNC};
 use serde::{Deserialize, Serialize};

@@ -36,30 +36,6 @@ pub struct MachineReport {
 }
 
 impl MachineReport {
-    /// Per-slave utilizations in `[0, 1]`, indexed by slave id.
-    #[must_use]
-    pub fn slave_utilizations(&self) -> Vec<f64> {
-        if self.total_cycles == 0.0 {
-            return vec![0.0; self.processors as usize];
-        }
-        self.per_slave_busy
-            .iter()
-            .map(|&b| b / self.total_cycles)
-            .collect()
-    }
-
-    /// Ratio of the busiest slave's utilization to the mean — the
-    /// machine-level counterpart of the model's `beta` (1.0 = perfectly
-    /// balanced hardware usage).
-    #[must_use]
-    pub fn utilization_spread(&self) -> f64 {
-        let mean = self.slave_busy / f64::from(self.processors.max(1));
-        if mean == 0.0 {
-            return 1.0;
-        }
-        self.per_slave_busy.iter().copied().fold(0.0f64, f64::max) / mean
-    }
-
     /// Mean slave utilization in `[0, 1]`.
     #[must_use]
     pub fn slave_utilization(&self) -> f64 {
@@ -138,16 +114,6 @@ mod tests {
         assert_eq!(r.bottleneck(), Bottleneck::Evaluation);
         assert!((r.speedup_over(4_000.0) - 2_000.0).abs() < 1e-9);
         assert!(r.to_string().contains("bottleneck=evaluation"));
-    }
-
-    #[test]
-    fn per_slave_views() {
-        let r = report();
-        let u = r.slave_utilizations();
-        assert_eq!(u.len(), 4);
-        assert!((u[0] - 0.8).abs() < 1e-12);
-        // Busiest (800) over mean (500): spread 1.6.
-        assert!((r.utilization_spread() - 1.6).abs() < 1e-12);
     }
 
     #[test]

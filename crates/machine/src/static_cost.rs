@@ -26,13 +26,18 @@
 //! with loop contributions damped to follow the excitation entering
 //! them — keeping the lint-facing bounds untouched.
 //!
-//! [`StaticCost::predict_runtime_ns`] combines these with measured (or
-//! designed) time constants exactly as [`MeasuredParams`] does for the
-//! dynamic counters, and `validate_model`'s final section checks the
-//! static prediction lands within 2x of the stopwatch on all five
-//! benchmark families.
+//! [`StaticCost::predict_runtime_ns`] prices these with measured (or
+//! designed) time constants in the same Eq. 10 shape as
+//! [`MeasuredParams`], but the two charge different quantities: here
+//! the message term is Eq. 6's `M_P = M_inf (1 - 1/P)` and the sync
+//! term runs over the predicted busy fraction of the simulated ticks,
+//! while [`MeasuredParams`] charges every message the run actually
+//! routed (none at `P = 1`) and syncs over the ticks it executed.
+//! `validate_model`'s final section checks the static prediction lands
+//! within 2x of the stopwatch on all five benchmark families.
 
 use crate::calibrate::MeasuredParams;
+use logicsim_core::partition_model::messages_approx;
 use logicsim_netlist::analyze::dataflow::activity::Activity;
 use logicsim_netlist::analyze::dataflow::seeds::InputSeeds;
 use logicsim_netlist::analyze::dataflow::timing::Timing;
@@ -112,7 +117,7 @@ impl StaticCost {
     /// scaling `M_P = M_inf (1 - 1/P)`.
     #[must_use]
     pub fn messages(&self, ticks: u64, p: u32) -> f64 {
-        self.messages_per_tick * ticks as f64 * (1.0 - 1.0 / f64::from(p.max(1)))
+        messages_approx(self.messages_per_tick * ticks as f64, p.max(1))
     }
 
     /// Eq. 10 priced from the static rates:

@@ -170,7 +170,7 @@ mod tests {
         let mut bursty = even.clone();
         bursty.burstiness = 0.8;
         let var = |t: &logicsim_sim::TickTrace| {
-            let counts = t.events_per_busy_tick();
+            let counts: Vec<u64> = t.ticks.iter().map(|t| t.events.len() as u64).collect();
             let mean = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
             counts
                 .iter()

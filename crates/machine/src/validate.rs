@@ -63,21 +63,6 @@ impl ValidationResult {
         self.measured = Some(measured);
         self
     }
-
-    /// Ratio of the real measured speed-up to the model's predicted
-    /// speed-up, when a measurement is attached. Well below 1.0 on a
-    /// host with fewer cores than workers — which is the point of
-    /// carrying the column: the model says what the machine *would* do,
-    /// the measurement says what this host *did*.
-    #[must_use]
-    pub fn measured_vs_model(&self) -> Option<f64> {
-        let m = self.measured.as_ref()?;
-        if self.model_speedup == 0.0 {
-            None
-        } else {
-            Some(m.speedup / self.model_speedup)
-        }
-    }
 }
 
 impl fmt::Display for ValidationResult {
@@ -114,13 +99,7 @@ pub fn validate_against_model(
     base: &BaseMachine,
 ) -> ValidationResult {
     let report = MachineSim::new(config).run(trace, partition);
-    let workload = Workload::new(
-        trace.busy_ticks() as f64,
-        trace.idle_ticks() as f64,
-        trace.total_events() as f64,
-        trace.total_messages_inf() as f64,
-    );
-    let beta = measured_beta(trace, partition).min(f64::from(config.processors));
+    let (workload, beta) = model_inputs(config, trace, partition);
     let design = config.as_model_design();
     let model_rt = run_time(&workload, &design, beta).total;
     let rb = base_run_time(&workload, base);
@@ -133,6 +112,24 @@ pub fn validate_against_model(
         report,
         measured: None,
     }
+}
+
+/// What the model reads from a trace: its aggregate workload, and the
+/// measured load-imbalance `beta` of the (trace, partition) pair, capped
+/// at the processor count.
+fn model_inputs(
+    config: &MachineConfig,
+    trace: &TickTrace,
+    partition: &Partition,
+) -> (Workload, f64) {
+    let workload = Workload::new(
+        trace.busy_ticks() as f64,
+        trace.idle_ticks() as f64,
+        trace.total_events() as f64,
+        trace.total_messages_inf() as f64,
+    );
+    let beta = measured_beta(trace, partition).min(f64::from(config.processors));
+    (workload, beta)
 }
 
 /// Three-way comparison: mean-value model (Eq. 10), distribution-aware
@@ -158,13 +155,7 @@ pub fn compare_three_way(
 ) -> ThreeWayComparison {
     use logicsim_core::distribution::{run_time_distribution, TickLoad};
     let report = MachineSim::new(config).run(trace, partition);
-    let workload = Workload::new(
-        trace.busy_ticks() as f64,
-        trace.idle_ticks() as f64,
-        trace.total_events() as f64,
-        trace.total_messages_inf() as f64,
-    );
-    let beta = measured_beta(trace, partition).min(f64::from(config.processors));
+    let (workload, beta) = model_inputs(config, trace, partition);
     let design = config.as_model_design();
     let loads: Vec<TickLoad> = trace
         .ticks
@@ -301,15 +292,13 @@ mod tests {
     fn measured_column_attaches_and_compares() {
         let w = SyntheticWorkload::uniform(30, 300, 100.0, 2.0, 5_000);
         let v = validate(4, 5, 2, 10.0, 3.0, &w, 26);
-        assert!(v.measured.is_none() && v.measured_vs_model().is_none());
+        assert!(v.measured.is_none());
         let half_model = v.model_speedup / 2.0;
         let v = v.with_measured(MeasuredExecution {
             workers: 4,
             speedup: half_model,
             events_per_second: 1e6,
         });
-        let ratio = v.measured_vs_model().expect("attached");
-        assert!((ratio - 0.5).abs() < 1e-12, "ratio {ratio}");
         let line = v.to_string();
         assert!(line.contains("measured") && line.contains("@P=4"), "{line}");
     }

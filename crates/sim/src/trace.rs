@@ -112,13 +112,6 @@ impl TickTrace {
         })
     }
 
-    /// Events per busy tick, in tick order (the simultaneity
-    /// distribution).
-    #[must_use]
-    pub fn events_per_busy_tick(&self) -> Vec<u64> {
-        self.ticks.iter().map(|t| t.events.len() as u64).collect()
-    }
-
     /// Truncates the trace to ticks in `[from, to)`, adjusting the
     /// covered span; used to discard initialization transients before
     /// measuring steady-state statistics, as the paper did ("until

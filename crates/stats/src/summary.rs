@@ -41,16 +41,6 @@ impl Summary {
             max: sorted[n - 1],
         })
     }
-
-    /// Coefficient of variation (`std_dev / mean`), 0 for zero mean.
-    #[must_use]
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -76,7 +66,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert_eq!(s.median, 3.0); // nearest-rank at index n/2
         assert!((s.std_dev - (1.25f64).sqrt()).abs() < 1e-12);
-        assert!((s.cv() - s.std_dev / 2.5).abs() < 1e-12);
     }
 
     #[test]
